@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .classify import structural_class
-from .costs import CostFunction, standard_costs
-from .engine import AlignResult, _product_move_tables, scale_weights
+from .costs import CostFunction, Move, standard_costs
+from .engine import AlignResult, scale_weights
 from .errors import BudgetExceeded, Infeasible, NotAcyclic, StuckContradiction
 from .petri import (AcceptingSystem, Marking, PetriNet, incidence_matrix, fire,
                     fire_sequence)
@@ -253,20 +253,21 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
         c = standard_costs(sys)
     trace = tuple(trace)
     product = synchronous_product(trace_system(trace), sys)
-    costs, _, moves = _product_move_tables(trace, product, c)
-    weight, scale = scale_weights(costs)
 
     # Trace places carry at most one token ever, so every synchronous or log
     # transition fires at most once; model moves are capped by the token flow
     # of the acyclic model net.
     model_caps = _firing_caps(sys.net, sys.initial)
+    costs: dict[str, Fraction] = {}
+    moves: dict[str, Move] = {}
     bounds_by_tid: dict[str, float] = {}
     for tid in product.net.transitions:
         left, right = product_parts(tid)
-        if left is not None:
-            bounds_by_tid[tid] = 1
-        else:
-            bounds_by_tid[tid] = model_caps[right]
+        letter = product.net.label(tid).name if left is not None else None
+        moves[tid] = Move(letter, right)
+        costs[tid] = c.move_cost(moves[tid])
+        bounds_by_tid[tid] = 1 if left is not None else model_caps[right]
+    weight, scale = scale_weights(costs)
 
     cost, counts, seq, nodes = _min_cost_parikh(
         product.net, product.initial, product.final, weight, bounds_by_tid,

@@ -15,6 +15,7 @@ from typing import Any, Mapping
 from .errors import BudgetExceeded
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
                     enabled_transitions, fire)
+from .products import build_reachability_graph
 
 DEFAULT_B_MAX = 8
 
@@ -94,28 +95,6 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
                 source, sink = i, o
     return StructuralReport(free_choice, s_net, t_net, conflict_free, acyclic,
                             workflow_shape, source, sink)
-
-
-def _explore(sys: AcceptingSystem, state_budget: int):
-    """BFS closure with parent pointers for witness reconstruction."""
-    net = sys.net
-    root = sys.initial
-    parents: dict[Marking, tuple[Marking, str] | None] = {root: None}
-    order = [root]
-    arcs: list[tuple[Marking, str, Marking]] = []
-    queue = deque([root])
-    while queue:
-        m = queue.popleft()
-        for t in enabled_transitions(net, m):
-            m2 = fire(net, m, t)
-            arcs.append((m, t, m2))
-            if m2 not in parents:
-                parents[m2] = (m, t)
-                order.append(m2)
-                if len(order) > state_budget:
-                    raise BudgetExceeded(len(order))
-                queue.append(m2)
-    return order, arcs, parents
 
 
 def _access(parents, marking) -> tuple[str, ...]:
@@ -284,8 +263,17 @@ def behavioral_class(sys: AcceptingSystem,
     scc representatives.
     """
     net = sys.net
-    order, arcs, parents = _explore(sys, state_budget)
-    vertices = set(order)
+    # The initial marking is always explored, so budgets below 1 act as 1.
+    graph = build_reachability_graph(sys, max(state_budget, 1))
+    arcs = graph.arcs
+    vertices = graph.vertices
+    # Arcs come in BFS order, so first discoveries give the BFS tree.
+    parents: dict[Marking, tuple[Marking, str] | None] = {sys.initial: None}
+    order = [sys.initial]
+    for src, t, dst in arcs:
+        if dst not in parents:
+            parents[dst] = (src, t)
+            order.append(dst)
     adjacency: dict[Marking, list[tuple[str, Marking]]] = {m: [] for m in order}
     for src, t, dst in arcs:
         adjacency[src].append((t, dst))

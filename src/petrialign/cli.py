@@ -94,13 +94,13 @@ def _cmd_align(args) -> int:
     c = standard_costs(sys_)
     if args.costs:
         c = parse_cost_file(Path(args.costs).read_text(), sys_)
-    budgets = Budgets(states=args.states, nodes=args.nodes, b_max=args.bound)
+    budgets = Budgets(states=args.states, nodes=args.nodes)
     if args.algo == "auto":
         result = dispatch_align(trace, sys_, c, budgets)
     elif args.algo == "generic":
         result = optimal_alignment(trace, sys_, c, state_budget=args.states)
     elif args.algo == "ssystem":
-        result = optimal_alignment_ssystem(trace, sys_, c)
+        result = optimal_alignment_ssystem(trace, sys_, c, state_budget=args.states)
     else:
         result = optimal_alignment_acyclic(trace, sys_, c, node_budget=args.nodes)
     print(f"cost={format_cost(result.cost)}")
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--costs", help="cost override file")
     p.add_argument("--nodes", type=int, default=DEFAULT_STATE_BUDGET,
                    help="node budget for the acyclic solver")
-    p.add_argument("--bound", type=int, default=DEFAULT_B_MAX,
-                   help="place bound for classification checks")
     add_states(p)
     p.set_defaults(func=_cmd_align)
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .classify import DEFAULT_B_MAX, behavioral_class, structural_class
+from .classify import behavioral_class, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    enabled_transitions, fire)
-from .products import product_parts, synchronous_product, trace_system
+                    fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,9 @@ class AlignResult:
 class Budgets:
     states: int = DEFAULT_STATE_BUDGET
     nodes: int = DEFAULT_STATE_BUDGET
-    b_max: int = DEFAULT_B_MAX
 
 
-def scale_weights(costs: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
     """Common-denominator integer weights plus the scale factor."""
     scale = math.lcm(*(Fraction(v).denominator for v in costs.values())) if costs else 1
     scaled = {}
@@ -50,45 +48,71 @@ def scale_weights(costs: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
     return scaled, scale
 
 
-def dijkstra_least_cost(net: PetriNet, initial: Marking, weight: Mapping[str, int],
-                        target: Marking, state_budget: int,
-                        prio: Mapping[str, tuple] | None = None):
-    """Least-cost firing sequence to the target over the reachable state space.
+# Expansion preference among equal-cost moves.
+_KIND_SYNC, _KIND_MODEL, _KIND_LOG = 0, 1, 2
 
-    Equal-cost frontier entries expand in (prio, insertion) order, which pins
-    down a reproducible witness sequence.  Returns (cost, sequence, settled).
+
+def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
+                        final: Marking, moves, state_budget: int):
+    """Least-cost move sequence over the states (trace position, marking) of
+    the synchronous product of the trace and the net, generated on the fly
+    from (0, initial) to (len(trace), final).
+
+    `moves` is (sync, log, model): sync maps each trace letter to its
+    (transition index, weight, tie-break key, move) entries, log maps it to
+    (weight, move), and model holds one entry per transition, all in
+    declaration order.  A state yields its moves in the product's declaration
+    order: sync moves on the next letter, the log move, then model moves.
+    Equal-cost frontier entries expand in (key, insertion) order, which pins
+    down a reproducible witness.  Returns (cost, moves, settled).
     """
-    dist: dict[Marking, int] = {initial: 0}
-    parent: dict[Marking, tuple[Marking, str] | None] = {initial: None}
-    settled: set[Marking] = set()
-    heap: list = [(0, (), 0, initial)]
+    cnet = net.compiled()
+    sync, log, model = moves
+    n = len(trace)
+    # A log move breaks ties on the id trace_system gives its position.
+    log_keys = [(_KIND_LOG, f"t{i}") for i in range(1, n + 1)]
+    start = (0, cnet.encode(initial))
+    goal = (n, cnet.encode(final))
+    best = {start: (0, None, None)}   # state -> (cost, parent state, move)
+    settled = set()
+    heap: list = [(0, (), 0, start)]
     counter = 1
     while heap:
-        cost, _, _, m = heapq.heappop(heap)
-        if m in settled:
+        cost, _, _, state = heapq.heappop(heap)
+        if state in settled:
             continue
-        settled.add(m)
+        settled.add(state)
         if len(settled) > state_budget:
             raise BudgetExceeded(len(settled))
-        if m == target:
-            seq = []
-            cur = m
-            while parent[cur] is not None:
-                cur, t = parent[cur]
-                seq.append(t)
-            return cost, tuple(reversed(seq)), len(settled)
-        for t in enabled_transitions(net, m):
-            m2 = fire(net, m, t)
-            if m2 in settled:
+        if state == goal:
+            path = []
+            _, parent, move = best[state]
+            while parent is not None:
+                path.append(move)
+                _, parent, move = best[parent]
+            return cost, tuple(reversed(path)), len(settled)
+        pos, m = state
+        steps = []
+        if pos < n:
+            letter = trace[pos]
+            for t, w, key, move in sync[letter]:
+                if cnet.enabled(m, t):
+                    steps.append(((pos + 1, cnet.fire(m, t)), w, key, move))
+            w, move = log[letter]
+            steps.append(((pos + 1, m), w, log_keys[pos], move))
+        for t, w, key, move in model:
+            if cnet.enabled(m, t):
+                steps.append(((pos, cnet.fire(m, t)), w, key, move))
+        for nxt, w, key, move in steps:
+            if nxt in settled:
                 continue
-            nc = cost + weight[t]
-            if m2 not in dist or nc < dist[m2]:
-                dist[m2] = nc
-                parent[m2] = (m, t)
-                key = prio[t] if prio is not None else (0, t)
-                heapq.heappush(heap, (nc, key, counter, m2))
+            nc = cost + w
+            old = best.get(nxt)
+            if old is None or nc < old[0]:
+                best[nxt] = (nc, state, move)
+                heapq.heappush(heap, (nc, key, counter, nxt))
                 counter += 1
-    raise Unreachable(f"marking {target!r} is not reachable")
+    raise Unreachable(f"marking {final!r} is not reachable")
 
 
 def min_cost_reach(net: PetriNet, initial: Marking,
@@ -100,63 +124,63 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     Transitions missing from `costs` count as free, so an all-empty mapping
     reduces the problem to plain reachability.
     """
-    table = {t: Fraction(costs.get(t, 0)) for t in net.transitions}
-    weight, scale = scale_weights(table)
-    cost, seq, _ = dijkstra_least_cost(net, initial, weight, target, state_budget)
+    weight, scale = scale_weights({t: Fraction(costs.get(t, 0)) for t in net.transitions})
+    # Tokens on places outside the net never move.
+    outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
+    if any(initial[p] != target[p] for p in outside):
+        raise Unreachable(f"marking {target!r} is not reachable")
+    model = [(i, weight[t], (_KIND_MODEL, t), t) for i, t in enumerate(net.transitions)]
+    cost, seq, _ = dijkstra_least_cost(net, (), initial, target, ({}, {}, model),
+                                       state_budget)
     return Fraction(cost, scale), seq
 
 
-# Expansion preference among equal-cost product moves.
-_KIND_SYNC, _KIND_MODEL, _KIND_LOG = 0, 1, 2
+def _alignment_moves(trace: tuple[str, ...], net: PetriNet, c: CostFunction):
+    """The search's move table for aligning the trace, plus its cost scale."""
+    for a in trace:
+        if not is_token(a):
+            raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
+    ts = net.transitions
+    by_label = net.compiled().by_label
+    letters = set(trace)
+    sync = {a: [(t, (_KIND_SYNC, ts[t]), Move(a, ts[t])) for t in by_label.get(a, ())]
+            for a in letters}
+    log = {a: Move(a, None) for a in letters}
+    model = [(t, (_KIND_MODEL, ts[t]), Move(None, ts[t])) for t in range(len(ts))]
+    every = [m for entries in sync.values() for _, _, m in entries]
+    every += list(log.values()) + [m for _, _, m in model]
+    weight, scale = scale_weights({m: c.move_cost(m) for m in every})
+    sync = {a: [(t, weight[m], key, m) for t, key, m in entries]
+            for a, entries in sync.items()}
+    log = {a: (weight[m], m) for a, m in log.items()}
+    model = [(t, weight[m], key, m) for t, key, m in model]
+    return (sync, log, model), scale
 
 
-def _product_move_tables(trace: Sequence[str], product: AcceptingSystem,
-                         c: CostFunction):
-    """Per product transition: exact cost, tie-break priority, decoded move."""
-    costs: dict[str, Fraction] = {}
-    prio: dict[str, tuple] = {}
-    moves: dict[str, Move] = {}
-    tnet = product.net
-    for tid in tnet.transitions:
-        left, right = product_parts(tid)
-        if left is not None and right is not None:
-            letter = tnet.label(tid).name
-            costs[tid] = c.sync(letter, right)
-            prio[tid] = (_KIND_SYNC, right)
-            moves[tid] = Move(letter, right)
-        elif right is not None:
-            costs[tid] = c.model(right)
-            prio[tid] = (_KIND_MODEL, right)
-            moves[tid] = Move(None, right)
-        else:
-            letter = tnet.label(tid).name
-            costs[tid] = c.log(letter)
-            prio[tid] = (_KIND_LOG, left)
-            moves[tid] = Move(letter, None)
-    return costs, prio, moves
+def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction | None,
+                    state_budget: int, algorithm: str) -> AlignResult:
+    """Optimal alignment by least-cost search, reported under `algorithm`.
+
+    The final state is unreachable exactly when the model is not easy-sound,
+    which surfaces as NotEasySound.
+    """
+    if c is None:
+        c = standard_costs(sys)
+    trace = tuple(trace)
+    moves, scale = _alignment_moves(trace, sys.net, c)
+    try:
+        cost, seq, settled = dijkstra_least_cost(
+            sys.net, trace, sys.initial, sys.final, moves, state_budget)
+    except Unreachable as exc:
+        raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
+    return AlignResult(seq, Fraction(cost, scale), algorithm, settled)
 
 
 def optimal_alignment(trace: Sequence[str], sys: AcceptingSystem,
                       c: CostFunction | None = None,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
-    """Globally optimal alignment via least-cost search on the synchronous product.
-
-    The final product marking is unreachable exactly when the model is not
-    easy-sound, which surfaces as NotEasySound.
-    """
-    if c is None:
-        c = standard_costs(sys)
-    trace = tuple(trace)
-    product = synchronous_product(trace_system(trace), sys)
-    costs, prio, moves = _product_move_tables(trace, product, c)
-    weight, scale = scale_weights(costs)
-    try:
-        cost, seq, settled = dijkstra_least_cost(
-            product.net, product.initial, weight, product.final, state_budget, prio)
-    except Unreachable as exc:
-        raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
-    return AlignResult(tuple(moves[t] for t in seq), Fraction(cost, scale),
-                       "generic", settled)
+    """Globally optimal alignment via least-cost search on the synchronous product."""
+    return align_by_search(trace, sys, c, state_budget, "generic")
 
 
 def membership(trace: Sequence[str], sys: AcceptingSystem,
@@ -307,9 +331,9 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
                    budgets: Budgets | None = None) -> AlignResult:
     """Route to the cheapest applicable solver based on the classifiers.
 
-    Single-token S-systems go to the reachability-graph-product solver,
-    acyclic systems to the marking-equation solver, everything else to the
-    generic product search.  For live (or sound workflow-shaped) bounded
+    Single-token S-systems go to the S-system solver (the generic search,
+    capped at (|trace| + 1)(|P| + 1) states), acyclic systems to the
+    marking-equation solver, everything else to the generic search.  For live (or sound workflow-shaped) bounded
     free-choice systems an alignment-length certificate cap is attached.
     """
     from .acyclic import optimal_alignment_acyclic
@@ -332,7 +356,7 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
             cap = None
 
     if srep.s_net and sys.initial.total() == 1:
-        result = optimal_alignment_ssystem(trace, sys, c)
+        result = optimal_alignment_ssystem(trace, sys, c, state_budget=budgets.states)
     elif srep.acyclic:
         result = optimal_alignment_acyclic(trace, sys, c, node_budget=budgets.nodes)
     else:

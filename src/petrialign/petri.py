@@ -130,8 +130,8 @@ class PetriNet:
     (place, transition) and (transition, place) pairs.
     """
 
-    __slots__ = ("places", "transitions", "labels", "flow",
-                 "_pre", "_post", "_consume", "_produce", "_place_set", "_trans_set")
+    __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
+                 "_consume", "_produce", "_place_set", "_trans_set", "_compiled")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -169,6 +169,7 @@ class PetriNet:
             post_set = set(self._post[t])
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
+        self._compiled = None
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -184,6 +185,12 @@ class PetriNet:
 
     def label(self, t: str) -> Label:
         return self.labels[t]
+
+    def compiled(self) -> "CompiledNet":
+        """The integer-indexed form of this net, built on first use."""
+        if self._compiled is None:
+            self._compiled = CompiledNet(self)
+        return self._compiled
 
     def is_weakly_connected(self) -> bool:
         vertices = self.places + self.transitions
@@ -208,6 +215,48 @@ class PetriNet:
 
     def __repr__(self) -> str:
         return f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, |F|={len(self.flow)})"
+
+
+class CompiledNet:
+    """A net with places and transitions replaced by their declaration indices.
+
+    Markings are tuples of token counts in place order.  `pre[t]` lists the
+    input places of transition t and `delta[t]` its (place, change) effects;
+    `by_label` maps each visible label to its transitions in declaration order.
+    """
+
+    __slots__ = ("places", "pre", "delta", "by_label")
+
+    def __init__(self, net: PetriNet):
+        self.places = net.places
+        index = {p: i for i, p in enumerate(net.places)}
+        self.pre = tuple(tuple(index[p] for p in net.preset(t)) for t in net.transitions)
+        self.delta = tuple(tuple((index[p], -1) for p in net._consume[t])
+                           + tuple((index[p], 1) for p in net._produce[t])
+                           for t in net.transitions)
+        by_label: dict[str, list[int]] = {}
+        for i, t in enumerate(net.transitions):
+            label = net.label(t)
+            if not label.silent:
+                by_label.setdefault(label.name, []).append(i)
+        self.by_label = {a: tuple(ts) for a, ts in by_label.items()}
+
+    def encode(self, marking: Marking) -> tuple[int, ...]:
+        """Token counts in place order; tokens on places outside the net are dropped."""
+        return tuple(marking[p] for p in self.places)
+
+    def enabled(self, m: tuple[int, ...], t: int) -> bool:
+        for p in self.pre[t]:
+            if not m[p]:
+                return False
+        return True
+
+    def fire(self, m: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """Successor marking; the caller checks that t is enabled."""
+        counts = list(m)
+        for p, d in self.delta[t]:
+            counts[p] += d
+        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -270,14 +319,6 @@ def fire_sequence(net: PetriNet, marking: Marking, seq: Iterable[str]) -> Markin
                 raise NotEnabled(t, p, step=i)
         current = fire(net, current, t)
     return current
-
-
-def can_fire_sequence(net: PetriNet, marking: Marking, seq: Iterable[str]) -> bool:
-    try:
-        fire_sequence(net, marking, seq)
-    except (NotEnabled, UnknownTransition):
-        return False
-    return True
 
 
 def parikh(seq: Iterable[str]) -> dict[str, int]:

@@ -112,12 +112,6 @@ class ReachabilityGraph:
     arcs: tuple[tuple[Marking, str, Marking], ...]
     labels: Mapping[str, Label]
 
-    def successors(self) -> dict[Marking, list[tuple[str, Marking]]]:
-        adj: dict[Marking, list[tuple[str, Marking]]] = {m: [] for m in self.vertices}
-        for src, t, dst in self.arcs:
-            adj[src].append((t, dst))
-        return adj
-
     def arc_set(self) -> frozenset[tuple[Marking, str, Marking]]:
         return frozenset(self.arcs)
 

@@ -1,101 +1,36 @@
 """Polynomial alignment solver for single-token S-systems.
 
 The token count of an S-system never grows, so with one initial token the
-reachability graph has at most |P| + 1 vertices and is built directly; the
-optimal alignment is then a least-cost path in the product of the trace and
-model reachability graphs.
+model has at most |P| + 1 reachable markings, and the generic search over
+(trace position, marking) settles at most (|trace| + 1)(|P| + 1) states.
+The solver is that search, bounded by this count, behind the two
+precondition checks.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from fractions import Fraction
 from typing import Sequence
 
-from .costs import CostFunction, Move, standard_costs
-from .engine import AlignResult, _KIND_LOG, _KIND_MODEL, _KIND_SYNC
-from .errors import NotEasySound, NotSingleToken, NotSSystem, Unreachable
-from .petri import AcceptingSystem, Marking
-from .products import (_LEFT, _RIGHT, ReachabilityGraph,
-                       build_reachability_graph, product_of_reach_graphs,
-                       product_parts, trace_system)
-
-
-def _shortest_path(graph: ReachabilityGraph, weight, prio, target: Marking):
-    """Deterministic Dijkstra over an explicit arc list."""
-    adjacency = graph.successors()
-    dist = {graph.root: 0}
-    parent: dict[Marking, tuple[Marking, str] | None] = {graph.root: None}
-    settled: set[Marking] = set()
-    heap: list = [(0, (), 0, graph.root)]
-    counter = 1
-    while heap:
-        cost, _, _, m = heapq.heappop(heap)
-        if m in settled:
-            continue
-        settled.add(m)
-        if m == target:
-            seq = []
-            cur = m
-            while parent[cur] is not None:
-                cur, t = parent[cur]
-                seq.append(t)
-            return cost, tuple(reversed(seq)), len(settled)
-        for t, m2 in adjacency[m]:
-            if m2 in settled:
-                continue
-            nc = cost + weight[t]
-            if m2 not in dist or nc < dist[m2]:
-                dist[m2] = nc
-                parent[m2] = (m, t)
-                heapq.heappush(heap, (nc, prio[t], counter, m2))
-                counter += 1
-    raise Unreachable(f"marking {target!r} not reachable in the product graph")
+from .costs import CostFunction
+from .engine import AlignResult, align_by_search
+from .errors import NotSingleToken, NotSSystem
+from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem
 
 
 def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
-                              c: CostFunction | None = None) -> AlignResult:
-    """Optimal alignment via the synchronous product of reachability graphs."""
+                              c: CostFunction | None = None,
+                              state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
+    """Optimal alignment for a single-token S-system."""
     net = sys.net
     if not all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1
                for t in net.transitions):
         raise NotSSystem("every transition needs at most one input and one output place")
     if sys.initial.total() != 1:
         raise NotSingleToken(f"initial marking holds {sys.initial.total()} tokens")
-    if c is None:
-        c = standard_costs(sys)
     trace = tuple(trace)
-
-    tsys = trace_system(trace)
-    rg_trace = build_reachability_graph(tsys, state_budget=len(trace) + 1)
-    rg_model = build_reachability_graph(sys, state_budget=len(net.places) + 1)
-    product = product_of_reach_graphs(rg_trace, rg_model)
-
-    weights: dict[str, Fraction] = {}
-    prio: dict[str, tuple] = {}
-    moves: dict[str, Move] = {}
-    for tid, label in product.labels.items():
-        left, right = product_parts(tid)
-        if left is not None and right is not None:
-            weights[tid] = c.sync(label.name, right)
-            prio[tid] = (_KIND_SYNC, right)
-            moves[tid] = Move(label.name, right)
-        elif right is not None:
-            weights[tid] = c.model(right)
-            prio[tid] = (_KIND_MODEL, right)
-            moves[tid] = Move(None, right)
-        else:
-            weights[tid] = c.log(label.name)
-            prio[tid] = (_KIND_LOG, left)
-            moves[tid] = Move(label.name, None)
-    scale = math.lcm(*(w.denominator for w in weights.values())) if weights else 1
-    scaled = {t: int(w * scale) for t, w in weights.items()}
-
-    target = Marking({_LEFT + p: n for p, n in tsys.final.items()}) + \
-        Marking({_RIGHT + p: n for p, n in sys.final.items()})
-    if target not in product.vertices:
-        raise NotEasySound("final marking unreachable; the model accepts no trace")
-    cost, seq, settled = _shortest_path(product, scaled, prio, target)
-    return AlignResult(tuple(moves[t] for t in seq), Fraction(cost, scale),
-                       "ssystem", settled)
+    # The search never needs more states than this, unless a transition with
+    # no input place makes the net unbounded.  Then the bound may cut the
+    # search short: it returns an optimal alignment if it settles the final
+    # state within the bound and raises BudgetExceeded otherwise.
+    bound = (len(trace) + 1) * (len(net.places) + 1)
+    return align_by_search(trace, sys, c, min(state_budget, bound), "ssystem")

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import random
 
-from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        ProcessTree, enabled_transitions, fire)
+from petrialign import (AcceptingSystem, Label, Marking, Move, PetriNet,
+                        ProcessTree, enabled_transitions, fire, min_cost_reach,
+                        product_parts, standard_costs, synchronous_product,
+                        trace_system)
 from petrialign.classify import bounded_and_safe
 from petrialign.errors import BudgetExceeded
 from petrialign.products import build_reachability_graph
@@ -177,3 +179,23 @@ def marked_cycle_tsystem(rng: random.Random, max_places=5, max_tokens=3):
     net = PetriNet(places, transitions, flow, labels)
     initial = Marking({places[0]: tokens})
     return AcceptingSystem(net, initial, initial), tokens
+
+
+def product_search_cost(trace, system, c=None):
+    """Optimal alignment cost as least-cost reachability over the materialised
+    synchronous product of the trace system and the model: the reference the
+    on-the-fly search is checked against."""
+    if c is None:
+        c = standard_costs(system)
+    product = synchronous_product(trace_system(trace), system)
+    costs = {}
+    for tid in product.net.transitions:
+        left, right = product_parts(tid)
+        letter = product.net.label(tid).name if left is not None else None
+        costs[tid] = c.move_cost(Move(letter, right))
+    return min_cost_reach(product.net, product.initial, costs, product.final)[0]
+
+
+def render_moves(alignment):
+    """Compact one-line form of an alignment: log/model per move, >> for none."""
+    return " ".join(f"{m.log_part or '>>'}/{m.model_part or '>>'}" for m in alignment)

@@ -1,3 +1,4 @@
+from petrialign import serialize_net, trace_system
 from petrialign.cli import run_cli
 
 
@@ -47,6 +48,24 @@ def test_budget_exit_code(ex1_path, capsys):
                        "--states", "2")
     assert code == 3
     assert err
+
+
+def test_ssystem_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "line.net"
+    path.write_text(serialize_net(trace_system(("a", "b"))))
+    code, _, err = run(capsys, "align", str(path), "--trace", "a,b",
+                       "--algo", "ssystem", "--states", "1")
+    assert code == 3
+    assert err
+    code, out, _ = run(capsys, "align", str(path), "--trace", "a,b",
+                       "--algo", "ssystem", "--states", "3")
+    assert code == 0
+    assert out.splitlines()[:3] == ["cost=0", "algorithm=ssystem", "states=3"]
+
+
+def test_align_has_no_bound_option(ex1_path, capsys):
+    code, _, _ = run(capsys, "align", str(ex1_path), "--trace", "a", "--bound", "3")
+    assert code == 2
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
                         brute_force_oracle, build_reachability_graph,
                         dispatch_align, fire_sequence, gen_shuffle_tsystem,
                         lbfc_length_bound, membership, min_cost_reach,
-                        optimal_alignment, standard_costs, trace_system,
-                        validate_alignment)
+                        optimal_alignment, optimal_alignment_ssystem,
+                        standard_costs, trace_system, validate_alignment)
 from petrialign.errors import BudgetExceeded, CapExhausted, NotEasySound, Unreachable
-from randgen import random_safe_system, random_trace
+from randgen import (product_search_cost, random_safe_system,
+                     random_single_token_ssystem, random_trace, render_moves)
 
 TRACE = ("a", "b", "a", "a")
 
@@ -40,6 +42,11 @@ def test_min_cost_reach_zero_costs_is_reachability(ex1):
         min_cost_reach(ex1.net, ex1.initial, {}, Marking.of("p1"))
 
 
+def test_min_cost_reach_target_outside_the_net(ex1):
+    with pytest.raises(Unreachable):
+        min_cost_reach(ex1.net, ex1.initial, {}, Marking.of("p_final", "elsewhere"))
+
+
 def test_optimal_alignment_deviating_trace(ex1):
     result = optimal_alignment(TRACE, ex1)
     assert result.cost == 2
@@ -57,6 +64,76 @@ def test_optimal_alignment_empty_trace(ex1):
     result = optimal_alignment((), ex1)
     assert result.cost == 4
     assert all(m.log_part is None for m in result.alignment)
+
+
+def test_optimal_alignment_letters_absent_from_the_model(ex1):
+    trace = ("z", "a", "y")
+    result = optimal_alignment(trace, ex1)
+    assert result.cost == 5 == brute_force_oracle(trace, ex1)
+    assert [m.log_part for m in result.alignment if m.model_part is None] == ["z", "y"]
+    assert not membership(trace, ex1)
+
+
+@pytest.mark.parametrize("letter", ["a b", "", "a,b", "é"])
+def test_trace_letters_are_checked(ex1, letter):
+    with pytest.raises(ValueError):
+        optimal_alignment(("a", letter), ex1)
+    with pytest.raises(ValueError):
+        optimal_alignment_ssystem((letter,), trace_system(("a",)))
+
+
+def test_zero_cost_silent_cycle_terminates():
+    net = PetriNet(("p0", "p1", "p2"), ("u", "v", "ta"),
+                   [("p0", "u"), ("u", "p1"), ("p1", "v"), ("v", "p0"),
+                    ("p1", "ta"), ("ta", "p2")],
+                   {"u": Label(None), "v": Label(None), "ta": Label("a")})
+    system = AcceptingSystem(net, Marking.of("p0"), Marking.of("p2"))
+    for trace in ((), ("a",), ("b", "b"), ("a", "a")):
+        generic = optimal_alignment(trace, system)
+        assert generic.cost == brute_force_oracle(trace, system)
+        assert optimal_alignment_ssystem(trace, system) == \
+            dataclasses.replace(generic, algorithm="ssystem")
+        assert membership(trace, system) == (generic.cost == 0)
+
+
+# Alignments and settled-state counts of the pinned tie-break
+# (cost, (kind, component id), insertion order).
+EX1_PINNED = {
+    (): ("4", 6, ">>/t1 >>/t2 >>/t3 >>/t5"),
+    ("a", "b", "a", "a"): ("2", 27, "a/t1 b/t3 a/t2 >>/t5 a/>>"),
+    ("a", "b", "a", "b"): ("0", 5, "a/t1 b/t3 a/t2 b/t5"),
+    ("a", "a", "b", "b"): ("0", 5, "a/t1 a/t2 b/t3 b/t5"),
+    ("b", "b"): ("2", 7, ">>/t1 b/t3 >>/t2 b/t5"),
+    ("a", "a", "a", "b", "b", "b", "a"): ("3", 43, "a/t1 a/t2 a/>> b/t3 b/t5 b/>> a/>>"),
+}
+
+
+@pytest.mark.parametrize("trace", list(EX1_PINNED))
+def test_pinned_tie_break_running_example(ex1, trace):
+    result = optimal_alignment(trace, ex1)
+    assert (str(result.cost), result.states_expanded,
+            render_moves(result.alignment)) == EX1_PINNED[trace]
+
+
+def test_search_matches_product_and_oracle():
+    """The on-the-fly search against least-cost reachability over the
+    materialised synchronous product and against the oracle."""
+    rng = random.Random(2024)
+    done = 0
+    while done < 60:
+        if done % 2:
+            system = random_single_token_ssystem(rng)
+        else:
+            system = random_safe_system(rng, max_places=6, max_transitions=6)
+        if system is None:
+            continue
+        trace = random_trace(rng, max_len=5)
+        result = optimal_alignment(trace, system)
+        assert result.cost == product_search_cost(trace, system) == \
+            brute_force_oracle(trace, system)
+        if done % 2:
+            assert optimal_alignment_ssystem(trace, system).cost == result.cost
+        done += 1
 
 
 def test_optimal_alignment_not_easy_sound(ex1):

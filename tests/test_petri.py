@@ -102,6 +102,31 @@ def test_marking_equation_on_random_replays():
         checked += 1
 
 
+def test_compiled_net_agrees_with_the_firing_rule():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        system = random_safe_system(rng)
+        if system is None:
+            continue
+        net = system.net
+        cnet = net.compiled()
+        assert net.compiled() is cnet
+        marking = system.initial
+        for t in random_replayable_walk(rng, system):
+            m = cnet.encode(marking)
+            assert [net.transitions[i] for i in range(len(net.transitions))
+                    if cnet.enabled(m, i)] == enabled_transitions(net, marking)
+            marking = fire(net, marking, t)
+            assert cnet.fire(m, net.transitions.index(t)) == cnet.encode(marking)
+        assert sorted(i for ts in cnet.by_label.values() for i in ts) == \
+            [i for i, t in enumerate(net.transitions) if not net.label(t).silent]
+        for name, ts in cnet.by_label.items():
+            assert [net.transitions[i] for i in ts] == \
+                [t for t in net.transitions if net.label(t).name == name]
+        checked += 1
+
+
 def test_marking_semantics():
     assert Marking({"p": 1, "q": 0}) == Marking({"p": 1})
     assert Marking({"p": 1}) + Marking({"p": 1, "q": 2}) == Marking({"p": 2, "q": 2})
