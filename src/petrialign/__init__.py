@@ -10,9 +10,8 @@ process trees, and generates hardness instances.
 from .acyclic import optimal_alignment_acyclic, realize_parikh_acyclic
 from .classify import (BehavioralReport, BoundReport, StructuralReport,
                        behavioral_class, bounded_and_safe, structural_class)
-from .costs import (Alignment, Cost, CostFunction, Move, format_cost,
-                    parse_cost, render_alignment, standard_costs,
-                    validate_alignment)
+from .costs import (Alignment, Cost, CostFunction, Move, parse_cost,
+                    render_alignment, standard_costs, validate_alignment)
 from .engine import (AlignResult, Budgets, brute_force_oracle, dispatch_align,
                      lbfc_length_bound, membership, min_cost_reach,
                      optimal_alignment)

@@ -60,19 +60,25 @@ def realize_parikh_acyclic(net: PetriNet, m0: Marking,
     return tuple(seq)
 
 
-def _schedule_counts(net: PetriNet, m0: Marking,
-                     x: Mapping[str, int]) -> tuple[str, ...] | None:
+def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int],
+                     step_budget: int) -> tuple[str, ...] | None:
     """Backtracking scheduler: some firing order exhausting x, or None.
 
     The marking after any prefix depends only on the remaining counts, so dead
-    remaining-count vectors are memoized.
+    remaining-count vectors are memoized.  More than step_budget recursion
+    steps raise BudgetExceeded.
     """
     items = sorted(t for t, n in x.items() if n)
     remaining = {t: x[t] for t in items}
     seq: list[str] = []
     dead: set[tuple[int, ...]] = set()
+    steps = 0
 
     def rec(m: Marking) -> bool:
+        nonlocal steps
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceeded(steps, what="schedule steps")
         if not remaining:
             return True
         state = tuple(remaining.get(t, 0) for t in items)
@@ -101,19 +107,9 @@ def _firing_caps(net: PetriNet, initial: Marking) -> dict[str, float]:
     input places.  Well-founded on acyclic nets; transitions with no inputs
     get an infinite cap.
     """
-    order: list[str] = []
-    indeg = {v: len(net.preset(v)) for v in net.places + net.transitions}
-    stack = [v for v in net.places + net.transitions if indeg[v] == 0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in net.postset(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
     place_cap: dict[str, float] = {}
     trans_cap: dict[str, float] = {}
-    for v in order:
+    for v in net.topological_order():
         if net.has_place(v):
             place_cap[v] = initial[v] + sum(trans_cap[t] for t in net.preset(v))
         else:
@@ -125,19 +121,8 @@ def _firing_caps(net: PetriNet, initial: Marking) -> dict[str, float]:
 def _variable_order(net: PetriNet) -> list[str]:
     """Transitions in topological order where the graph allows, remaining ones
     (on cycles) appended in declaration order."""
-    indeg = {v: len(net.preset(v)) for v in net.places + net.transitions}
-    out: list[str] = []
-    seen: set[str] = set()
-    stack = [v for v in reversed(net.places + net.transitions) if indeg[v] == 0]
-    while stack:
-        v = stack.pop()
-        seen.add(v)
-        if net.has_transition(v):
-            out.append(v)
-        for w in net.postset(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
+    out = [v for v in net.topological_order() if net.has_transition(v)]
+    seen = set(out)
     out.extend(t for t in net.transitions if t not in seen)
     return out
 
@@ -202,7 +187,7 @@ def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
             if any(residual.values()):
                 return
             counts = {variables[j]: assignment[j] for j in range(n) if assignment[j]}
-            seq = _schedule_counts(net, initial, counts)
+            seq = _schedule_counts(net, initial, counts, node_budget)
             if seq is not None:
                 best[0] = partial_cost
                 best[1] = counts
@@ -245,7 +230,11 @@ def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
 def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
                               c: CostFunction | None = None,
                               node_budget: int = 10**6) -> AlignResult:
-    """Optimal alignment for acyclic systems via the marking-equation solver."""
+    """Optimal alignment for acyclic systems via the marking-equation solver.
+
+    node_budget bounds the branch-and-bound nodes and, separately, the
+    recursion steps of each candidate's scheduling.
+    """
     srep = structural_class(sys.net, sys.initial, sys.final)
     if not srep.acyclic:
         raise NotAcyclic("model net has a cycle")

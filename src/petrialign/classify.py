@@ -8,14 +8,11 @@ hit, BudgetExceeded is raised and callers treat the flags as inconclusive
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import BudgetExceeded
-from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    enabled_transitions, fire)
-from .products import build_reachability_graph
+from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet
+from .products import _bfs_arcs, build_reachability_graph
 
 DEFAULT_B_MAX = 8
 
@@ -30,21 +27,6 @@ class StructuralReport:
     workflow_shape: bool
     source: str | None = None
     sink: str | None = None
-
-
-def _is_acyclic(net: PetriNet) -> bool:
-    vertices = net.places + net.transitions
-    indeg = {v: len(net.preset(v)) for v in vertices}
-    queue = deque(v for v in vertices if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in net.postset(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(vertices)
 
 
 def _closure(net: PetriNet, start: str, forward: bool) -> set[str]:
@@ -62,17 +44,10 @@ def _closure(net: PetriNet, start: str, forward: bool) -> set[str]:
 
 def structural_class(net: PetriNet, init: Marking, final: Marking) -> StructuralReport:
     """Decide free-choice, S-net, T-net, conflict-free, acyclic, workflow shape."""
-    presets = {t: frozenset(net.preset(t)) for t in net.transitions}
     ts = net.transitions
-    free_choice = True
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            a, b = presets[ts[i]], presets[ts[j]]
-            if a != b and a & b:
-                free_choice = False
-                break
-        if not free_choice:
-            break
+    # Free choice: all consumers of a place share one preset.
+    free_choice = all(len({net.preset(t) for t in net.postset(p)}) <= 1
+                      for p in net.places)
     s_net = all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1 for t in ts)
     t_net = all(len(net.preset(p)) <= 1 and len(net.postset(p)) <= 1 for p in net.places)
     # A place with several output transitions is fine only if all of them are
@@ -80,7 +55,7 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
     conflict_free = all(
         len(net.postset(p)) <= 1 or set(net.postset(p)) <= set(net.preset(p))
         for p in net.places)
-    acyclic = _is_acyclic(net)
+    acyclic = len(net.topological_order()) == len(net.places) + len(ts)
 
     workflow_shape = False
     source = sink = None
@@ -126,10 +101,8 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
     """
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    net = sys.net
     root = sys.initial
     parents: dict[Marking, tuple[Marking, str] | None] = {root: None}
-    queue = deque([root])
     best = 0
     best_witness = None
     unsafe_witness = None
@@ -147,16 +120,12 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
         return None
 
     bad = scan(root)
-    while queue and bad is None:
-        m = queue.popleft()
-        for t in enabled_transitions(net, m):
-            m2 = fire(net, m, t)
-            if m2 not in parents:
-                parents[m2] = (m, t)
-                if len(parents) > state_budget:
-                    raise BudgetExceeded(len(parents))
-                queue.append(m2)
-                bad = scan(m2)
+    if bad is None:
+        # The initial marking is always explored, so budgets below 1 act as 1.
+        for src, t, m in _bfs_arcs(sys, max(state_budget, 1)):
+            if m not in parents:
+                parents[m] = (src, t)
+                bad = scan(m)
                 if bad is not None:
                     break
     certs: dict[str, Any] = {}
@@ -192,8 +161,9 @@ class BehavioralReport:
 def _sccs(order, adjacency):
     """Kosaraju condensation over the explored graph.
 
-    Returns (scc id per marking, number of sccs, reverse condensation
-    adjacency: scc -> set of sccs with an edge INTO it).
+    Returns (scc id per marking, terminal sccs): a terminal scc has no arc
+    leaving it.  The terminal sccs map each id to the scc's first marking in
+    BFS order, and are listed in the BFS order of those markings.
     """
     finish: list[Marking] = []
     seen: set[Marking] = set()
@@ -232,35 +202,31 @@ def _sccs(order, adjacency):
                     scc_of[w] = count
                     stack.append(w)
         count += 1
-    rev_cond: dict[int, set[int]] = {i: set() for i in range(count)}
+    exits = {scc_of[m] for m in order for _, w in adjacency[m] if scc_of[w] != scc_of[m]}
+    terminal: dict[int, Marking] = {}
     for m in order:
-        for _, w in adjacency[m]:
-            a, b = scc_of[m], scc_of[w]
-            if a != b:
-                rev_cond[b].add(a)
-    return scc_of, count, rev_cond
+        if scc_of[m] not in exits:
+            terminal.setdefault(scc_of[m], m)
+    return scc_of, terminal
 
 
-def _co_reachable_sccs(targets: set[int], rev_cond) -> set[int]:
-    """All sccs from which some target scc is reachable."""
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        s = stack.pop()
-        for pred in rev_cond[s]:
-            if pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
-    return seen
+def _other_terminal(scc: int, terminal: dict[int, Marking]) -> Marking | None:
+    """First marking of a terminal scc other than `scc`, or None when `scc` is
+    the only terminal one, i.e. every explored marking can reach it."""
+    return next((m for s, m in terminal.items() if s != scc), None)
 
 
 def behavioral_class(sys: AcceptingSystem,
                      state_budget: int = DEFAULT_STATE_BUDGET) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
 
-    Liveness uses the two-phase scheme: one condensation of the reachability
-    graph, then per-transition co-reachability of the enabling markings over
-    scc representatives.
+    Liveness, cyclicity and the option to complete come from the terminal
+    (bottom) sccs of one condensation of the reachability graph: every
+    reachable marking reaches a terminal scc and never leaves it, so a
+    transition is live iff it fires inside every terminal scc, and a marking
+    is reachable from every reachable marking iff it lies in the only
+    terminal scc.  Counterexamples name a marking in an offending terminal
+    scc.
     """
     net = sys.net
     # The initial marking is always explored, so budgets below 1 act as 1.
@@ -293,9 +259,7 @@ def behavioral_class(sys: AcceptingSystem,
         certs["unsafe"] = (p, m, acc)
 
     enabling: dict[str, Marking] = {}
-    enabling_all: dict[str, set[Marking]] = {t: set() for t in net.transitions}
     for src, t, _ in arcs:
-        enabling_all[t].add(src)
         enabling.setdefault(t, src)
     quasi = all(t in enabling for t in net.transitions)
     if quasi:
@@ -303,44 +267,33 @@ def behavioral_class(sys: AcceptingSystem,
     else:
         certs["dead"] = next(t for t in net.transitions if t not in enabling)
 
-    scc_of, scc_count, rev_cond = _sccs(order, adjacency)
-    scc_repr: dict[int, Marking] = {}
-    for m in order:
-        scc_repr.setdefault(scc_of[m], m)
+    scc_of, terminal = _sccs(order, adjacency)
+    fired: dict[int, set[str]] = {s: set() for s in terminal}
+    for src, t, _ in arcs:
+        if scc_of[src] in fired:
+            fired[scc_of[src]].add(t)
+    dead_end = next(((t, m) for s, m in terminal.items()
+                     for t in net.transitions if t not in fired[s]), None)
+    live = dead_end is None
+    if not live:
+        t, m = dead_end
+        certs["live_counterexample"] = (t, _access(parents, m))
 
-    live = quasi
-    if quasi:
-        for t in net.transitions:
-            targets = {scc_of[m] for m in enabling_all[t]}
-            covered = _co_reachable_sccs(targets, rev_cond)
-            if len(covered) != scc_count:
-                live = False
-                bad = next(s for s in range(scc_count) if s not in covered)
-                certs["live_counterexample"] = (t, _access(parents, scc_repr[bad]))
-                break
-    else:
-        certs["live_counterexample"] = (certs["dead"], ())
-
-    covered = _co_reachable_sccs({scc_of[sys.initial]}, rev_cond)
-    cyclic = len(covered) == scc_count
+    away = _other_terminal(scc_of[sys.initial], terminal)
+    cyclic = away is None
     if not cyclic:
-        bad = next(s for s in range(scc_count) if s not in covered)
-        certs["cyclic_counterexample"] = _access(parents, scc_repr[bad])
+        certs["cyclic_counterexample"] = _access(parents, away)
 
     easy_sound = sys.final in vertices
     if easy_sound:
         certs["easy_sound"] = _access(parents, sys.final)
-
-    if easy_sound:
-        covered = _co_reachable_sccs({scc_of[sys.final]}, rev_cond)
-        option = len(covered) == scc_count
+        away = _other_terminal(scc_of[sys.final], terminal)
+        option = away is None
         if not option:
-            bad = next(s for s in range(scc_count) if s not in covered)
-            certs["option_counterexample"] = _access(parents, scc_repr[bad])
+            certs["option_counterexample"] = _access(parents, away)
     else:
         option = False
         certs["option_counterexample"] = ()
-
     proper = True
     for m in order:
         if m >= sys.final and m != sys.final:

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import errors
 from .classify import (DEFAULT_B_MAX, behavioral_class, bounded_and_safe,
                        structural_class)
-from .costs import format_cost, render_alignment, standard_costs
+from .costs import render_alignment, standard_costs
 from .engine import Budgets, dispatch_align, membership, optimal_alignment
 from .acyclic import optimal_alignment_acyclic
 from .generators import gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet
@@ -28,16 +28,6 @@ USAGE_ERROR, BUDGET_ERROR, PRECONDITION_ERROR = 2, 3, 4
 
 _BUDGET_ERRORS = (errors.BudgetExceeded, errors.CapExhausted, errors.StepCapExceeded)
 _PARSE_ERRORS = (errors.ParseError, errors.DisconnectedNet)
-_PRECONDITION_ERRORS = (
-    errors.NotEasySound, errors.NotSSystem, errors.NotSingleToken,
-    errors.NotAcyclic, errors.Infeasible, errors.NotSafeMarkings,
-    errors.GadgetError, errors.NotEnabled, errors.UnknownTransition,
-    errors.NotBiased, errors.NotReplayable, errors.Unreachable,
-    errors.SpaceBoundViolated, errors.CycleDetected, errors.NonCanonicalHalt,
-    errors.IllegalMove, errors.ProjectionMismatch,
-    errors.NotCompleteFiringSequence, errors.BoundAssumptionViolated,
-    errors.EmptyNet, errors.StuckContradiction,
-)
 
 
 def _load_system(path: str):
@@ -103,7 +93,7 @@ def _cmd_align(args) -> int:
         result = optimal_alignment_ssystem(trace, sys_, c, state_budget=args.states)
     else:
         result = optimal_alignment_acyclic(trace, sys_, c, node_budget=args.nodes)
-    print(f"cost={format_cost(result.cost)}")
+    print(f"cost={result.cost}")
     print(f"algorithm={result.algorithm}")
     print(f"states={result.states_expanded}")
     if result.lbfc_cap is not None:
@@ -181,7 +171,7 @@ def _cmd_bench(args) -> int:
         started = time.perf_counter()
         result = dispatch_align(trace, system, budgets=budgets)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        rows.append((name, result.algorithm, format_cost(result.cost),
+        rows.append((name, result.algorithm, str(result.cost),
                      result.states_expanded, elapsed_ms))
     width = max(len(r[0]) for r in rows)
     print(f"{'instance'.ljust(width)}  algorithm  cost  states  ms")
@@ -214,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--costs", help="cost override file")
     p.add_argument("--nodes", type=int, default=DEFAULT_STATE_BUDGET,
-                   help="node budget for the acyclic solver")
+                   help="node budget for the acyclic solver (and for each of "
+                        "its schedulings)")
     add_states(p)
     p.set_defaults(func=_cmd_align)
 
@@ -267,7 +258,7 @@ def run_cli(argv) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _PRECONDITION_ERRORS as exc:
+    except errors.PetriAlignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except (OSError, ValueError) as exc:

@@ -46,10 +46,6 @@ def parse_cost(text: str) -> Fraction:
     return value
 
 
-def format_cost(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class CostFunction:
     """Total cost assignment over the legal moves of one system.

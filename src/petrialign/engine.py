@@ -333,8 +333,9 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
 
     Single-token S-systems go to the S-system solver (the generic search,
     capped at (|trace| + 1)(|P| + 1) states), acyclic systems to the
-    marking-equation solver, everything else to the generic search.  For live (or sound workflow-shaped) bounded
-    free-choice systems an alignment-length certificate cap is attached.
+    marking-equation solver, everything else to the generic search.  For
+    live (or sound workflow-shaped) bounded free-choice systems an
+    alignment-length certificate cap is attached.
     """
     from .acyclic import optimal_alignment_acyclic
     from .ssystem import optimal_alignment_ssystem

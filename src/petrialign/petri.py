@@ -206,6 +206,23 @@ class PetriNet:
                     stack.append(w)
         return len(seen) == len(vertices)
 
+    def topological_order(self) -> list[str]:
+        """Places and transitions in Kahn order, last in first out, with the
+        first-declared source on top of the stack.  Vertices on or behind a
+        cycle are left out, so the net is acyclic iff every vertex is listed."""
+        vertices = self.places + self.transitions
+        indeg = {v: len(self._pre[v]) for v in vertices}
+        stack = [v for v in reversed(vertices) if indeg[v] == 0]
+        order = []
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in self._post[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    stack.append(w)
+        return order
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, PetriNet)
                 and self.places == other.places

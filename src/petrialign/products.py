@@ -116,27 +116,34 @@ class ReachabilityGraph:
         return frozenset(self.arcs)
 
 
+def _bfs_arcs(sys: AcceptingSystem, state_budget: int):
+    """Arcs (src, transition, dst) of the reachability graph, generated lazily
+    in breadth-first order.  Discovering a marking past the budget raises
+    BudgetExceeded before the arc to it is yielded.  Each marking is one
+    object throughout, so lookups downstream compare by identity."""
+    net = sys.net
+    seen = {sys.initial: sys.initial}
+    queue = deque([sys.initial])
+    while queue:
+        m = queue.popleft()
+        for t in enabled_transitions(net, m):
+            fired = fire(net, m, t)
+            m2 = seen.setdefault(fired, fired)
+            if m2 is fired:
+                if len(seen) > state_budget:
+                    raise BudgetExceeded(len(seen))
+                queue.append(m2)
+            yield m, t, m2
+
+
 def build_reachability_graph(sys: AcceptingSystem,
                              state_budget: int = DEFAULT_STATE_BUDGET) -> ReachabilityGraph:
     """Breadth-first closure of the firing rule from the initial marking."""
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
-    net = sys.net
-    root = sys.initial
-    seen = {root}
-    queue = deque([root])
-    arcs: list[tuple[Marking, str, Marking]] = []
-    while queue:
-        m = queue.popleft()
-        for t in enabled_transitions(net, m):
-            m2 = fire(net, m, t)
-            arcs.append((m, t, m2))
-            if m2 not in seen:
-                seen.add(m2)
-                if len(seen) > state_budget:
-                    raise BudgetExceeded(len(seen))
-                queue.append(m2)
-    return ReachabilityGraph(root, frozenset(seen), tuple(arcs), dict(net.labels))
+    arcs = tuple(_bfs_arcs(sys, state_budget))
+    vertices = frozenset([sys.initial, *(dst for _, _, dst in arcs)])
+    return ReachabilityGraph(sys.initial, vertices, arcs, dict(sys.net.labels))
 
 
 def product_of_reach_graphs(r1: ReachabilityGraph, r2: ReachabilityGraph) -> ReachabilityGraph:

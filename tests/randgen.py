@@ -181,6 +181,26 @@ def marked_cycle_tsystem(rng: random.Random, max_places=5, max_tokens=3):
     return AcceptingSystem(net, initial, initial), tokens
 
 
+def ahead_of(system, marking, budget=2000):
+    """Reachability graph of the system's net from `marking`."""
+    return build_reachability_graph(AcceptingSystem(system.net, marking, marking),
+                                    state_budget=budget)
+
+
+def behavioral_reference(system, budget=2000):
+    """(live, cyclic, option to complete) decided from their definitions:
+    explore forward from every reachable marking.  Live: every transition
+    fires somewhere ahead of each one; cyclic: each one reaches the initial
+    marking; option to complete: each one reaches the final marking."""
+    live = cyclic = option = True
+    for m in build_reachability_graph(system, state_budget=budget).vertices:
+        ahead = ahead_of(system, m, budget)
+        live = live and {t for _, t, _ in ahead.arcs} == set(system.net.transitions)
+        cyclic = cyclic and system.initial in ahead.vertices
+        option = option and system.final in ahead.vertices
+    return live, cyclic, option
+
+
 def product_search_cost(trace, system, c=None):
     """Optimal alignment cost as least-cost reachability over the materialised
     synchronous product of the trace system and the model: the reference the

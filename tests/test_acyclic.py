@@ -6,7 +6,9 @@ from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
                         brute_force_oracle, fire_sequence, optimal_alignment,
                         optimal_alignment_acyclic, realize_parikh_acyclic,
                         standard_costs, trace_system, validate_alignment)
-from petrialign.errors import Infeasible, NotAcyclic, StuckContradiction
+from petrialign.acyclic import _schedule_counts
+from petrialign.errors import (BudgetExceeded, Infeasible, NotAcyclic,
+                               StuckContradiction)
 from randgen import random_acyclic_system, random_trace
 
 TRACE = ("a", "b", "a", "a")
@@ -52,6 +54,16 @@ def test_crossing_sync_pairs_need_scheduling():
     assert special.cost == optimal_alignment(("a", "b"), system).cost == 2
     assert validate_alignment(special.alignment, ("a", "b"), system,
                               standard_costs(system)) == 2
+
+
+def test_schedule_counts_step_budget():
+    """Scheduling a line of four transitions takes five recursion steps (one
+    per firing plus the final check); a budget of four stops it."""
+    net = trace_system(("a", "b", "c", "d")).net
+    counts = {"t1": 1, "t2": 1, "t3": 1, "t4": 1}
+    assert _schedule_counts(net, Marking.of("p0"), counts, 5) == ("t1", "t2", "t3", "t4")
+    with pytest.raises(BudgetExceeded, match="schedule steps"):
+        _schedule_counts(net, Marking.of("p0"), counts, 4)
 
 
 def test_realize_line():

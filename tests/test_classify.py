@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        behavioral_class, bounded_and_safe, fire_sequence,
+                        behavioral_class, bounded_and_safe,
+                        build_reachability_graph, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
-                        structural_class, trace_system)
+                        structural_class, trace_system, tree_to_wfnet)
 from petrialign.errors import BudgetExceeded
+from randgen import (ahead_of, behavioral_reference, marked_cycle_tsystem,
+                     random_safe_system, random_single_token_ssystem,
+                     random_tree)
 
 
 def test_ex1_structural(ex1):
@@ -151,3 +157,98 @@ def test_cyclic_system():
 def test_bounded_and_safe_budget_raises(ex1):
     with pytest.raises(BudgetExceeded):
         bounded_and_safe(ex1, state_budget=2)
+
+
+def _with_random_final(rng, system):
+    reach = sorted(build_reachability_graph(system).vertices,
+                   key=lambda m: tuple(m.items()))
+    return AcceptingSystem(system.net, system.initial, reach[rng.randrange(len(reach))])
+
+
+def _two_terminal_sccs():
+    """One terminal scc fires every transition, the other is the deadlock
+    {d, n}: a transition live in the first terminal scc only is not live."""
+    flow = [("s", "ta"), ("ta", "a"), ("s", "td"), ("td", "d"),
+            ("a", "tm"), ("n", "tm"), ("tm", "a"), ("tm", "r"),
+            ("a", "tn"), ("r", "tn"), ("tn", "a"), ("tn", "n"),
+            ("a", "tb"), ("r", "tb"), ("tb", "s"), ("tb", "r"),
+            ("d", "te"), ("r", "te"), ("te", "s"), ("te", "r")]
+    transitions = ("ta", "td", "tm", "tn", "tb", "te")
+    net = PetriNet(("s", "a", "d", "r", "n"), transitions, flow,
+                   {t: Label("x") for t in transitions})
+    return AcceptingSystem(net, Marking.of("s", "n"), Marking.of("s", "r"))
+
+
+def test_live_needs_every_terminal_scc():
+    system = _two_terminal_sccs()
+    rep = behavioral_class(system)
+    assert rep.quasi_live and not rep.live and not rep.cyclic
+    assert behavioral_reference(system) == (False, False, False)
+
+
+def _classifier_suite(seed):
+    """Safe systems and single-token S-systems (random reachable finals, drawn
+    by the generators), tree workflow nets and marked cycles, each also with a
+    random reachable final marking; at most 120 markings each."""
+    rng = random.Random(seed)
+    suite = [_two_terminal_sccs()]
+    while len(suite) < 70:
+        draw = random_safe_system(rng) if len(suite) % 2 else random_single_token_ssystem(rng)
+        if draw is not None:
+            suite.append(draw)
+    for _ in range(40):
+        system = tree_to_wfnet(random_tree(rng, depth=3))
+        try:
+            build_reachability_graph(system, state_budget=120)
+        except BudgetExceeded:
+            continue
+        suite += [system, _with_random_final(rng, system)]
+    for _ in range(20):
+        system, _ = marked_cycle_tsystem(rng)
+        suite += [system, _with_random_final(rng, system)]
+    return suite
+
+
+def test_terminal_scc_flags_match_their_definitions():
+    seen = set()
+    for system in _classifier_suite(31):
+        rep = behavioral_class(system)
+        live, cyclic, option = behavioral_reference(system)
+        assert rep.live == live
+        assert rep.cyclic == cyclic
+        assert ("option_counterexample" not in rep.certificates) == option
+        seen |= {("live", live), ("cyclic", cyclic), ("option", option)}
+    # Both verdicts of every flag occur, so each side is checked.
+    assert len(seen) == 6
+
+
+def test_counterexamples_witness_their_failure():
+    for system in _classifier_suite(32):
+        net, certs = system.net, behavioral_class(system).certificates
+        if "live_counterexample" in certs:
+            t, access = certs["live_counterexample"]
+            ahead = ahead_of(system, fire_sequence(net, system.initial, access))
+            assert t not in {u for _, u, _ in ahead.arcs}
+        if "cyclic_counterexample" in certs:
+            ahead = ahead_of(system, fire_sequence(net, system.initial,
+                                                   certs["cyclic_counterexample"]))
+            assert system.initial not in ahead.vertices
+        if "option_counterexample" in certs:
+            ahead = ahead_of(system, fire_sequence(net, system.initial,
+                                                   certs["option_counterexample"]))
+            assert system.final not in ahead.vertices
+
+
+def test_free_choice_matches_the_pairwise_definition():
+    """Per place, all consumers share one preset, iff any two transitions
+    have equal or disjoint presets."""
+    rng = random.Random(33)
+    for _ in range(300):
+        places = tuple(f"p{i}" for i in range(rng.randint(1, 5)))
+        transitions = tuple(f"t{i}" for i in range(rng.randint(1, 5)))
+        flow = {(p, t) for t in transitions
+                for p in rng.sample(places, rng.randint(0, len(places)))}
+        net = PetriNet(places, transitions, flow, {t: Label("a") for t in transitions})
+        presets = [set(net.preset(t)) for t in transitions]
+        pairwise = all(a == b or not a & b for a in presets for b in presets)
+        assert structural_class(net, Marking(), Marking()).free_choice == pairwise

@@ -1,4 +1,8 @@
-from petrialign import serialize_net, trace_system
+import inspect
+
+import pytest
+
+from petrialign import cli, errors, serialize_net, trace_system
 from petrialign.cli import run_cli
 
 
@@ -195,3 +199,32 @@ def test_classify_bound_exceeded(tmp_path, capsys):
     assert "safe=false" in lines
     assert "sound=inconclusive" in lines
     assert err
+
+
+def _error_classes(base=errors.PetriAlignError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+BUDGET_CLASSES = (errors.BudgetExceeded, errors.CapExhausted, errors.StepCapExceeded)
+PARSE_CLASSES = (errors.ParseError, errors.DisconnectedNet)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_maps_to_its_exit_code(cls, ex1_path, capsys, monkeypatch):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    required = [p for p in params
+                if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+    exc = cls(*["x"] * len(required))
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_member", fail)
+    code, _, err = run(capsys, "member", str(ex1_path), "--trace", "a")
+    expected = 3 if issubclass(cls, BUDGET_CLASSES) else \
+        2 if issubclass(cls, PARSE_CLASSES) else 4
+    assert code == expected
+    assert err.startswith("error: ")

@@ -127,6 +127,21 @@ def test_compiled_net_agrees_with_the_firing_rule():
         checked += 1
 
 
+def test_topological_order_is_last_in_first_out():
+    net = PetriNet(("i", "p", "q", "o"), ("t1", "t2", "t3"),
+                   [("i", "t1"), ("t1", "p"), ("t1", "q"), ("p", "t2"),
+                    ("q", "t3"), ("t2", "o"), ("t3", "o")],
+                   {t: Label("a") for t in ("t1", "t2", "t3")})
+    assert net.topological_order() == ["i", "t1", "q", "t3", "p", "t2", "o"]
+
+
+def test_topological_order_leaves_out_cycles(ex1, ex1_acyclic):
+    # Every vertex of ex1 is on or behind the loop back to p_init.
+    assert ex1.net.topological_order() == []
+    net = ex1_acyclic.net
+    assert sorted(net.topological_order()) == sorted(net.places + net.transitions)
+
+
 def test_marking_semantics():
     assert Marking({"p": 1, "q": 0}) == Marking({"p": 1})
     assert Marking({"p": 1}) + Marking({"p": 1, "q": 2}) == Marking({"p": 2, "q": 2})
