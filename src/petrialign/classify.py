@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet
-from .products import _bfs_arcs, build_reachability_graph
+from .products import _bfs_arcs
 
 DEFAULT_B_MAX = 8
 
@@ -72,13 +72,56 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
                             workflow_shape, source, sink)
 
 
-def _access(parents, marking) -> tuple[str, ...]:
-    seq = []
-    m = marking
-    while parents[m] is not None:
-        m, t = parents[m]
-        seq.append(t)
-    return tuple(reversed(seq))
+class _Exploration:
+    """Reachable markings numbered in BFS order from 0, the initial marking.
+
+    `parent[i]` and `via[i]` give the arc that discovered marking i (-1 and
+    None at the root); `succ[i]` and `fired[i]` list the targets and the
+    transitions of the arcs leaving it, in arc order.
+    """
+
+    __slots__ = ("ids", "markings", "parent", "via", "succ", "fired")
+
+    def __init__(self, sys: AcceptingSystem, state_budget: int, b_max: int | None):
+        """Explore the whole state space, or with `b_max` up to and including
+        the first marking with more than b_max tokens on some place."""
+        if b_max is not None and b_max < 1:
+            raise ValueError("b_max must be >= 1")
+        root = sys.initial
+        self.ids = ids = {root: 0}
+        self.markings = markings = [root]
+        self.parent = parent = [-1]
+        self.via = via = [None]
+        self.succ = succ = [[]]
+        self.fired = fired = [[]]
+        if b_max is not None and root.max_count() > b_max:
+            return
+        src = 0
+        # The initial marking is always explored, so budgets below 1 act as 1.
+        for m, t, m2 in _bfs_arcs(sys, max(state_budget, 1)):
+            # Arcs leave markings in BFS order, so src only moves forward.
+            while markings[src] is not m:
+                src += 1
+            j = ids.get(m2)
+            if j is None:
+                j = ids[m2] = len(markings)
+                markings.append(m2)
+                parent.append(src)
+                via.append(t)
+                succ.append([])
+                fired.append([])
+                if b_max is not None and m2.max_count() > b_max:
+                    return
+            succ[src].append(j)
+            fired[src].append(t)
+
+    def access(self, i: int) -> tuple[str, ...]:
+        """The BFS-tree firing sequence from the initial marking to marking i."""
+        seq = []
+        while self.parent[i] >= 0:
+            seq.append(self.via[i])
+            i = self.parent[i]
+        return tuple(reversed(seq))
 
 
 @dataclass(frozen=True)
@@ -92,6 +135,31 @@ class BoundReport:
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
 
+def _bound_report(ex: _Exploration, b_max: int) -> BoundReport:
+    best = 0
+    best_witness = unsafe_witness = bad = None
+    for i, m in enumerate(ex.markings):
+        for p, n in m.items():
+            if n > best:
+                best = n
+                best_witness = (p, i)
+            if n >= 2 and unsafe_witness is None:
+                unsafe_witness = (p, i)
+            if n > b_max:
+                # Only the last marking explored can exceed b_max.
+                bad = (p, i)
+                break
+    certs: dict[str, Any] = {}
+    for name, witness in (("exceeded", bad), ("bound", None if bad else best_witness),
+                          ("unsafe", unsafe_witness)):
+        if witness:
+            p, i = witness
+            certs[name] = (p, ex.markings[i], ex.access(i))
+    if bad:
+        return BoundReport(None, False if best >= 2 else None, len(ex.markings), certs)
+    return BoundReport(best, best <= 1, len(ex.markings), certs)
+
+
 def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
                      state_budget: int = DEFAULT_STATE_BUDGET) -> BoundReport:
     """Explore reachable markings and report the smallest witnessed bound <= b_max.
@@ -99,50 +167,7 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
     A marking exceeding b_max stops the search with a (place, marking) witness.
     Exhausting the state budget without a verdict raises BudgetExceeded.
     """
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
-    root = sys.initial
-    parents: dict[Marking, tuple[Marking, str] | None] = {root: None}
-    best = 0
-    best_witness = None
-    unsafe_witness = None
-
-    def scan(m):
-        nonlocal best, best_witness, unsafe_witness
-        for p, n in m.items():
-            if n > best:
-                best = n
-                best_witness = (p, m)
-            if n >= 2 and unsafe_witness is None:
-                unsafe_witness = (p, m)
-            if n > b_max:
-                return (p, m)
-        return None
-
-    bad = scan(root)
-    if bad is None:
-        # The initial marking is always explored, so budgets below 1 act as 1.
-        for src, t, m in _bfs_arcs(sys, max(state_budget, 1)):
-            if m not in parents:
-                parents[m] = (src, t)
-                bad = scan(m)
-                if bad is not None:
-                    break
-    certs: dict[str, Any] = {}
-    if bad is not None:
-        p, m = bad
-        certs["exceeded"] = (p, m, _access(parents, m))
-        if unsafe_witness:
-            p, m = unsafe_witness
-            certs["unsafe"] = (p, m, _access(parents, m))
-        return BoundReport(None, False if best >= 2 else None, len(parents), certs)
-    if best_witness:
-        p, m = best_witness
-        certs["bound"] = (p, m, _access(parents, m))
-    if unsafe_witness:
-        p, m = unsafe_witness
-        certs["unsafe"] = (p, m, _access(parents, m))
-    return BoundReport(best, best <= 1, len(parents), certs)
+    return _bound_report(_Exploration(sys, state_budget, b_max), b_max)
 
 
 @dataclass(frozen=True)
@@ -158,62 +183,125 @@ class BehavioralReport:
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _sccs(order, adjacency):
+def _sccs(succ: list[list[int]]) -> tuple[list[int], dict[int, int]]:
     """Kosaraju condensation over the explored graph.
 
     Returns (scc id per marking, terminal sccs): a terminal scc has no arc
     leaving it.  The terminal sccs map each id to the scc's first marking in
     BFS order, and are listed in the BFS order of those markings.
     """
-    finish: list[Marking] = []
-    seen: set[Marking] = set()
-    for start in order:
-        if start in seen:
+    n = len(succ)
+    finish: list[int] = []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
             continue
-        stack = [(start, iter(adjacency[start]))]
-        seen.add(start)
+        seen[start] = True
+        stack = [(start, iter(succ[start]))]
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for _, w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(adjacency[w])))
-                    advanced = True
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
                     break
-            if not advanced:
+            else:
                 finish.append(v)
                 stack.pop()
-    radj: dict[Marking, list[Marking]] = {m: [] for m in order}
-    for m in order:
-        for _, w in adjacency[m]:
-            radj[w].append(m)
-    scc_of: dict[Marking, int] = {}
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            radj[w].append(v)
+    scc_of = [-1] * n
     count = 0
     for v in reversed(finish):
-        if v in scc_of:
+        if scc_of[v] >= 0:
             continue
         stack = [v]
         scc_of[v] = count
         while stack:
             x = stack.pop()
             for w in radj[x]:
-                if w not in scc_of:
+                if scc_of[w] < 0:
                     scc_of[w] = count
                     stack.append(w)
         count += 1
-    exits = {scc_of[m] for m in order for _, w in adjacency[m] if scc_of[w] != scc_of[m]}
-    terminal: dict[int, Marking] = {}
-    for m in order:
-        if scc_of[m] not in exits:
-            terminal.setdefault(scc_of[m], m)
+    exits = {scc_of[v] for v in range(n) for w in succ[v] if scc_of[w] != scc_of[v]}
+    terminal: dict[int, int] = {}
+    for v in range(n):
+        if scc_of[v] not in exits:
+            terminal.setdefault(scc_of[v], v)
     return scc_of, terminal
 
 
-def _other_terminal(scc: int, terminal: dict[int, Marking]) -> Marking | None:
+def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
     """First marking of a terminal scc other than `scc`, or None when `scc` is
     the only terminal one, i.e. every explored marking can reach it."""
-    return next((m for s, m in terminal.items() if s != scc), None)
+    return next((i for s, i in terminal.items() if s != scc), None)
+
+
+def _behavioral_report(sys: AcceptingSystem, ex: _Exploration) -> BehavioralReport:
+    net = sys.net
+    markings = ex.markings
+    certs: dict[str, Any] = {}
+    tops = [m.max_count() for m in markings]
+    bound = max(tops)
+    if bound > 0:
+        i = tops.index(bound)
+        p = next(p for p, n in markings[i].items() if n == bound)
+        certs["bound"] = (p, markings[i], ex.access(i))
+    safe = bound <= 1
+    if not safe:
+        certs["unsafe"] = certs["bound"]
+
+    enabling: dict[str, int] = {}
+    for i, ts in enumerate(ex.fired):
+        for t in ts:
+            enabling.setdefault(t, i)
+    quasi = all(t in enabling for t in net.transitions)
+    if quasi:
+        certs["quasi_live"] = {t: ex.access(enabling[t]) for t in net.transitions}
+    else:
+        certs["dead"] = next(t for t in net.transitions if t not in enabling)
+
+    scc_of, terminal = _sccs(ex.succ)
+    fired: dict[int, set[str]] = {s: set() for s in terminal}
+    for i, s in enumerate(scc_of):
+        if s in fired:
+            fired[s].update(ex.fired[i])
+    dead_end = next(((t, i) for s, i in terminal.items()
+                     for t in net.transitions if t not in fired[s]), None)
+    live = dead_end is None
+    if not live:
+        t, i = dead_end
+        certs["live_counterexample"] = (t, ex.access(i))
+
+    away = _other_terminal(scc_of[0], terminal)
+    cyclic = away is None
+    if not cyclic:
+        certs["cyclic_counterexample"] = ex.access(away)
+
+    final = ex.ids.get(sys.final)
+    easy_sound = final is not None
+    if easy_sound:
+        certs["easy_sound"] = ex.access(final)
+        away = _other_terminal(scc_of[final], terminal)
+        option = away is None
+        if not option:
+            certs["option_counterexample"] = ex.access(away)
+    else:
+        option = False
+        certs["option_counterexample"] = ()
+    proper = True
+    for i, m in enumerate(markings):
+        if m >= sys.final and m != sys.final:
+            proper = False
+            certs["proper_counterexample"] = (m, ex.access(i))
+            break
+
+    sound = option and proper and quasi
+    return BehavioralReport(bound, safe, quasi, live, cyclic, easy_sound, sound,
+                            len(markings), certs)
 
 
 def behavioral_class(sys: AcceptingSystem,
@@ -228,79 +316,14 @@ def behavioral_class(sys: AcceptingSystem,
     terminal scc.  Counterexamples name a marking in an offending terminal
     scc.
     """
-    net = sys.net
-    # The initial marking is always explored, so budgets below 1 act as 1.
-    graph = build_reachability_graph(sys, max(state_budget, 1))
-    arcs = graph.arcs
-    vertices = graph.vertices
-    # Arcs come in BFS order, so first discoveries give the BFS tree.
-    parents: dict[Marking, tuple[Marking, str] | None] = {sys.initial: None}
-    order = [sys.initial]
-    for src, t, dst in arcs:
-        if dst not in parents:
-            parents[dst] = (src, t)
-            order.append(dst)
-    adjacency: dict[Marking, list[tuple[str, Marking]]] = {m: [] for m in order}
-    for src, t, dst in arcs:
-        adjacency[src].append((t, dst))
+    return _behavioral_report(sys, _Exploration(sys, state_budget, None))
 
-    certs: dict[str, Any] = {}
-    bound = max((m.max_count() for m in order), default=0)
-    for m in order:
-        if m.max_count() == bound and bound > 0:
-            for p, n in m.items():
-                if n == bound:
-                    certs["bound"] = (p, m, _access(parents, m))
-                    break
-            break
-    safe = bound <= 1
-    if not safe:
-        p, m, acc = certs["bound"]
-        certs["unsafe"] = (p, m, acc)
 
-    enabling: dict[str, Marking] = {}
-    for src, t, _ in arcs:
-        enabling.setdefault(t, src)
-    quasi = all(t in enabling for t in net.transitions)
-    if quasi:
-        certs["quasi_live"] = {t: _access(parents, enabling[t]) for t in net.transitions}
-    else:
-        certs["dead"] = next(t for t in net.transitions if t not in enabling)
-
-    scc_of, terminal = _sccs(order, adjacency)
-    fired: dict[int, set[str]] = {s: set() for s in terminal}
-    for src, t, _ in arcs:
-        if scc_of[src] in fired:
-            fired[scc_of[src]].add(t)
-    dead_end = next(((t, m) for s, m in terminal.items()
-                     for t in net.transitions if t not in fired[s]), None)
-    live = dead_end is None
-    if not live:
-        t, m = dead_end
-        certs["live_counterexample"] = (t, _access(parents, m))
-
-    away = _other_terminal(scc_of[sys.initial], terminal)
-    cyclic = away is None
-    if not cyclic:
-        certs["cyclic_counterexample"] = _access(parents, away)
-
-    easy_sound = sys.final in vertices
-    if easy_sound:
-        certs["easy_sound"] = _access(parents, sys.final)
-        away = _other_terminal(scc_of[sys.final], terminal)
-        option = away is None
-        if not option:
-            certs["option_counterexample"] = _access(parents, away)
-    else:
-        option = False
-        certs["option_counterexample"] = ()
-    proper = True
-    for m in order:
-        if m >= sys.final and m != sys.final:
-            proper = False
-            certs["proper_counterexample"] = (m, _access(parents, m))
-            break
-
-    sound = option and proper and quasi
-    return BehavioralReport(bound, safe, quasi, live, cyclic, easy_sound, sound,
-                            len(order), certs)
+def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
+                             ) -> BoundReport | BehavioralReport:
+    """bounded_and_safe's report when some place exceeds b_max, otherwise
+    behavioral_class's, both from one exploration."""
+    ex = _Exploration(sys, state_budget, b_max)
+    if ex.markings[-1].max_count() > b_max:
+        return _bound_report(ex, b_max)
+    return _behavioral_report(sys, ex)

@@ -12,8 +12,7 @@ import time
 from pathlib import Path
 
 from . import errors
-from .classify import (DEFAULT_B_MAX, behavioral_class, bounded_and_safe,
-                       structural_class)
+from .classify import DEFAULT_B_MAX, _bounded_then_behavioral, structural_class
 from .costs import render_alignment, standard_costs
 from .engine import Budgets, dispatch_align, membership, optimal_alignment
 from .acyclic import optimal_alignment_acyclic
@@ -50,25 +49,23 @@ def _cmd_classify(args) -> int:
                  "workflow_shape"):
         print(f"{name}={_flag(getattr(srep, name))}")
     try:
-        # Cheap bound check first: a place blowing past --bound stops the
-        # analysis with a witness instead of burning the full state budget.
-        bound_rep = bounded_and_safe(sys_, b_max=args.bound,
-                                     state_budget=args.states)
-        if bound_rep.bound_found is None:
-            place, marking, _ = bound_rep.certificates["exceeded"]
+        # One exploration: a place blowing past --bound stops it with a
+        # witness instead of burning the full state budget.
+        rep = _bounded_then_behavioral(sys_, args.bound, args.states)
+        if rep.bound_found is None:
+            place, marking, _ = rep.certificates["exceeded"]
             print(f"bound_found=exceeds_{args.bound}")
-            print(f"safe={_flag(bound_rep.safe)}")
+            print(f"safe={_flag(rep.safe)}")
             for name in _BEHAVIORAL_FLAGS[1:]:
                 print(f"{name}=inconclusive")
-            print(f"states_explored={bound_rep.states_explored}")
+            print(f"states_explored={rep.states_explored}")
             print(f"note: place {place} holds {marking[place]} tokens at "
                   f"{marking}", file=sys.stderr)
             return 0
-        brep = behavioral_class(sys_, state_budget=args.states)
-        print(f"bound_found={brep.bound_found}")
+        print(f"bound_found={rep.bound_found}")
         for name in _BEHAVIORAL_FLAGS:
-            print(f"{name}={_flag(getattr(brep, name))}")
-        print(f"states_explored={brep.states_explored}")
+            print(f"{name}={_flag(getattr(rep, name))}")
+        print(f"states_explored={rep.states_explored}")
     except errors.BudgetExceeded as exc:
         print("bound_found=inconclusive")
         for name in _BEHAVIORAL_FLAGS:

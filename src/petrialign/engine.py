@@ -18,7 +18,7 @@ from .classify import behavioral_class, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    fire, is_token)
+                    _enabled_among, fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -208,12 +208,10 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         pos, m = stack.pop()
         nexts = []
         if pos < len(trace):
-            for t in by_letter.get(trace[pos], ()):
-                if all(m[p] > 0 for p in net.preset(t)):
-                    nexts.append((pos + 1, fire(net, m, t)))
-        for t in silents:
-            if all(m[p] > 0 for p in net.preset(t)):
-                nexts.append((pos, fire(net, m, t)))
+            for t in _enabled_among(net, m, by_letter.get(trace[pos], ())):
+                nexts.append((pos + 1, fire(net, m, t)))
+        for t in _enabled_among(net, m, silents):
+            nexts.append((pos, fire(net, m, t)))
         for state in nexts:
             if state == goal:
                 return True
@@ -270,13 +268,11 @@ def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
             outs: list[tuple[tuple[int, Marking], Fraction]] = []
             if pos < len(trace):
                 letter = trace[pos]
-                for t in by_letter.get(letter, ()):
-                    if all(m[p] > 0 for p in net.preset(t)):
-                        outs.append(((pos + 1, fire(net, m, t)), c.sync(letter, t)))
+                for t in _enabled_among(net, m, by_letter.get(letter, ())):
+                    outs.append(((pos + 1, fire(net, m, t)), c.sync(letter, t)))
                 outs.append(((pos + 1, m), c.log(letter)))
-            for t in net.transitions:
-                if all(m[p] > 0 for p in net.preset(t)):
-                    outs.append(((pos, fire(net, m, t)), c.model(t)))
+            for t in _enabled_among(net, m, net.transitions):
+                outs.append(((pos, fire(net, m, t)), c.model(t)))
             row = []
             for succ_state, w in outs:
                 j = index.get(succ_state)

@@ -68,6 +68,15 @@ class Marking:
         self._hash = hash(self._key)
 
     @classmethod
+    def _trusted(cls, counts: dict[str, int]) -> "Marking":
+        """Adopt `counts`, which must map places to positive ints only."""
+        m = cls.__new__(cls)
+        m._counts = counts
+        m._key = key = tuple(sorted(counts.items()))
+        m._hash = hash(key)
+        return m
+
+    @classmethod
     def of(cls, *places: str) -> "Marking":
         """Set-style constructor: one token on each listed place."""
         return cls(Counter(places))
@@ -297,23 +306,36 @@ def is_enabled(net: PetriNet, marking: Marking, t: str) -> bool:
     return all(marking[p] > 0 for p in net.preset(t))
 
 
-def enabled_transitions(net: PetriNet, marking: Marking) -> list[str]:
-    """All enabled transitions, in declaration order."""
+def _enabled_among(net: PetriNet, marking: Marking, ts: Iterable[str]) -> list[str]:
+    """The transitions of `ts` enabled at the marking, in the order given.
+    A marking's counts hold positive entries only, so a place is marked iff
+    it is a key."""
+    counts = marking._counts
+    pre = net._pre
     out = []
-    for t in net.transitions:
-        if all(marking[p] > 0 for p in net.preset(t)):
+    for t in ts:
+        for p in pre[t]:
+            if p not in counts:
+                break
+        else:
             out.append(t)
     return out
 
 
+def enabled_transitions(net: PetriNet, marking: Marking) -> list[str]:
+    """All enabled transitions, in declaration order."""
+    return _enabled_among(net, marking, net.transitions)
+
+
 def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
     """Fire one transition; raises NotEnabled naming the first empty input place."""
-    if not net.has_transition(t):
+    if t not in net._trans_set:
         raise UnknownTransition(t)
-    for p in net.preset(t):
-        if marking[p] == 0:
+    counts = marking._counts
+    for p in net._pre[t]:
+        if p not in counts:
             raise NotEnabled(t, p)
-    counts = marking.counts
+    counts = dict(counts)
     for p in net._consume[t]:
         n = counts[p] - 1
         if n:
@@ -322,7 +344,7 @@ def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
             del counts[p]
     for p in net._produce[t]:
         counts[p] = counts.get(p, 0) + 1
-    return Marking(counts)
+    return Marking._trusted(counts)
 
 
 def fire_sequence(net: PetriNet, marking: Marking, seq: Iterable[str]) -> Marking:

@@ -181,6 +181,15 @@ def marked_cycle_tsystem(rng: random.Random, max_places=5, max_tokens=3):
     return AcceptingSystem(net, initial, initial), tokens
 
 
+def dying_token_system():
+    """A single-token S-system whose token leaves the net through tdie; the
+    final marking is the empty one."""
+    net = PetriNet(("p0", "p1"), ("ta", "tdie"),
+                   [("p0", "ta"), ("ta", "p1"), ("p1", "tdie")],
+                   {"ta": Label("a"), "tdie": Label("b")})
+    return AcceptingSystem(net, Marking.of("p0"), Marking())
+
+
 def ahead_of(system, marking, budget=2000):
     """Reachability graph of the system's net from `marking`."""
     return build_reachability_graph(AcceptingSystem(system.net, marking, marking),

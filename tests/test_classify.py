@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        behavioral_class, bounded_and_safe,
-                        build_reachability_graph, fire_sequence,
+from petrialign import (AcceptingSystem, BehavioralReport, Label, Marking,
+                        PetriNet, behavioral_class, bounded_and_safe,
+                        build_reachability_graph, ex1_system, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
                         structural_class, trace_system, tree_to_wfnet)
 from petrialign.errors import BudgetExceeded
-from randgen import (ahead_of, behavioral_reference, marked_cycle_tsystem,
-                     random_safe_system, random_single_token_ssystem,
-                     random_tree)
+from randgen import (ahead_of, behavioral_reference, dying_token_system,
+                     marked_cycle_tsystem, random_safe_system,
+                     random_single_token_ssystem, random_tree)
 
 
 def test_ex1_structural(ex1):
@@ -116,20 +116,27 @@ def test_certificates_replay(ex1):
     fire_sequence(ex1.net, ex1.initial, access)   # must replay
 
 
-def test_proper_completion_counterexample():
+def _improper():
+    """t puts tokens on q and r, but the final marking is q alone."""
     net = PetriNet(("p", "q", "r"), ("t",), [("p", "t"), ("t", "q"), ("t", "r")],
                    {"t": Label("a")})
-    system = AcceptingSystem(net, Marking.of("p"), Marking.of("q"))
+    return AcceptingSystem(net, Marking.of("p"), Marking.of("q"))
+
+
+def test_proper_completion_counterexample():
+    system = _improper()
     rep = behavioral_class(system)
     assert not rep.sound
     marking, access = rep.certificates["proper_counterexample"]
     assert marking >= system.final and marking != system.final
-    assert fire_sequence(net, system.initial, access) == marking
+    assert fire_sequence(system.net, system.initial, access) == marking
 
 
 def test_budget_exceeded_raises(ex1):
-    with pytest.raises(BudgetExceeded):
-        behavioral_class(ex1, state_budget=3)
+    for budget in (1, 2, 3):
+        with pytest.raises(BudgetExceeded) as err:
+            behavioral_class(ex1, state_budget=budget)
+        assert err.value.discovered == budget + 1
 
 
 def test_budget_monotone(ex1):
@@ -252,3 +259,99 @@ def test_free_choice_matches_the_pairwise_definition():
         presets = [set(net.preset(t)) for t in transitions]
         pairwise = all(a == b or not a & b for a in presets for b in presets)
         assert structural_class(net, Marking(), Marking()).free_choice == pairwise
+
+
+def _random_tree_system(seed, random_final):
+    rng = random.Random(seed)
+    system = tree_to_wfnet(random_tree(rng, depth=2))
+    return _with_random_final(rng, system) if random_final else system
+
+
+# Whole reports, certificates included, as the classifier gave them when it
+# still ran on build_reachability_graph's arc tuple with Marking-keyed dicts.
+PINNED_REPORTS = {
+    "ex1": (ex1_system, dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=True, sound=True, states_explored=6,
+        certificates={"bound": ("p_init", Marking.of("p_init"), ()),
+                      "quasi_live": {"t1": (),
+                                     "t2": ("t1",),
+                                     "t3": ("t1",),
+                                     "t4": ("t1", "t2", "t3"),
+                                     "t5": ("t1", "t2", "t3")},
+                      "live_counterexample": ("t1", ("t1", "t2", "t3", "t5")),
+                      "cyclic_counterexample": ("t1", "t2", "t3", "t5"),
+                      "easy_sound": ("t1", "t2", "t3", "t5")})),
+    "dying_token": (dying_token_system, dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=True, sound=False, states_explored=3,
+        certificates={"bound": ("p0", Marking.of("p0"), ()),
+                      "quasi_live": {"ta": (), "tdie": ("ta",)},
+                      "live_counterexample": ("ta", ("ta", "tdie")),
+                      "cyclic_counterexample": ("ta", "tdie"),
+                      "easy_sound": ("ta", "tdie"),
+                      "proper_counterexample": (Marking.of("p0"), ())})),
+    "deadlock_beside_live_scc": (_two_terminal_sccs, dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=True, sound=False, states_explored=6,
+        certificates={"bound": ("n", Marking.of("n", "s"), ()),
+                      "quasi_live": {"ta": (),
+                                     "td": (),
+                                     "tm": ("ta",),
+                                     "tn": ("ta", "tm"),
+                                     "tb": ("ta", "tm"),
+                                     "te": ("ta", "tm", "tb", "td")},
+                      "live_counterexample": ("ta", ("td",)),
+                      "cyclic_counterexample": ("ta",),
+                      "easy_sound": ("ta", "tm", "tb"),
+                      "option_counterexample": ("td",)})),
+    "improper": (_improper, dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=False, sound=False, states_explored=2,
+        certificates={"bound": ("p", Marking.of("p"), ()),
+                      "quasi_live": {"t": ()},
+                      "live_counterexample": ("t", ("t",)),
+                      "cyclic_counterexample": ("t",),
+                      "option_counterexample": (),
+                      "proper_counterexample": (Marking.of("q", "r"), ("t",))})),
+    # loop(b, par(a, b))
+    "tree_0": (lambda: _random_tree_system(0, random_final=False), dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=True, sound=True, states_explored=8,
+        certificates={"bound": ("p0", Marking.of("p0"), ()),
+                      "quasi_live": {"t2": (),
+                                     "t3": ("t2", "t6"),
+                                     "t6": ("t2",),
+                                     "t7": ("t2", "t6"),
+                                     "t8": ("t2", "t6", "t7", "t11", "t14"),
+                                     "t11": ("t2", "t6", "t7"),
+                                     "t14": ("t2", "t6", "t7")},
+                      "live_counterexample": ("t2", ("t2", "t6", "t3")),
+                      "cyclic_counterexample": ("t2", "t6", "t3"),
+                      "easy_sound": ("t2", "t6", "t3")})),
+    # par(a, loop(a, c)) with the final marking {p0}
+    "tree_9": (lambda: _random_tree_system(9, random_final=True), dict(
+        bound_found=1, safe=True, quasi_live=True, live=False, cyclic=False,
+        easy_sound=True, sound=False, states_explored=10,
+        certificates={"bound": ("p0", Marking.of("p0"), ()),
+                      "quasi_live": {"t2": (),
+                                     "t3": ("t2", "t6", "t9", "t13", "t10"),
+                                     "t6": ("t2",),
+                                     "t9": ("t2",),
+                                     "t10": ("t2", "t9", "t13"),
+                                     "t13": ("t2", "t9"),
+                                     "t14": ("t2", "t9", "t13")},
+                      "live_counterexample": ("t2", ("t2", "t6", "t9", "t13", "t10", "t3")),
+                      "cyclic_counterexample": ("t2", "t6", "t9", "t13", "t10", "t3"),
+                      "easy_sound": (),
+                      "option_counterexample": ("t2", "t6", "t9", "t13", "t10", "t3")})),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_behavioral_report_is_pinned(name):
+    make, fields = PINNED_REPORTS[name]
+    rep = behavioral_class(make())
+    assert rep == BehavioralReport(**fields)
+    # Certificate keys come in a fixed order too.
+    assert list(rep.certificates) == list(fields["certificates"])

@@ -2,8 +2,12 @@ import inspect
 
 import pytest
 
-from petrialign import cli, errors, serialize_net, trace_system
+from petrialign import (build_reachability_graph, cli, errors, products,
+                        serialize_net, trace_system)
 from petrialign.cli import run_cli
+
+
+PUMP = "place p init=1 final=1\nplace q\ntrans t label=a in=p out=p,q\n"
 
 
 def run(capsys, *argv):
@@ -188,10 +192,43 @@ def test_auto_equals_generic_cost(ex1_path, capsys):
     assert auto == generic == "cost=2"
 
 
+@pytest.mark.parametrize("case", ["ex1", "pump"])
+def test_classify_explores_once(case, ex1, ex1_path, tmp_path, capsys, monkeypatch):
+    """classify takes the bound verdict and the behavioral flags from one
+    breadth-first exploration, which fires each reachability arc once."""
+    if case == "ex1":
+        path, arcs = ex1_path, len(build_reachability_graph(ex1).arcs)
+    else:
+        # {p} -> {p, q} -> ... -> {p, q:4}, the first marking past --bound 3.
+        path, arcs = tmp_path / "pump.net", 4
+        path.write_text(PUMP)
+    fired = []
+
+    def counted(*args):
+        fired.append(args)
+        return fire(*args)
+
+    fire = products.fire
+    monkeypatch.setattr(products, "fire", counted)
+    code, out, err = run(capsys, "classify", str(path), "--bound", "3")
+    assert code == 0
+    assert len(fired) == arcs
+    if case == "ex1":
+        assert out.splitlines()[6:] == [
+            "bound_found=1", "safe=true", "quasi_live=true", "live=false",
+            "cyclic=false", "easy_sound=true", "sound=true", "states_explored=6"]
+        assert err == ""
+    else:
+        assert out.splitlines()[6:] == [
+            "bound_found=exceeds_3", "safe=false", "quasi_live=inconclusive",
+            "live=inconclusive", "cyclic=inconclusive", "easy_sound=inconclusive",
+            "sound=inconclusive", "states_explored=5"]
+        assert err == "note: place q holds 4 tokens at {p, q:4}\n"
+
+
 def test_classify_bound_exceeded(tmp_path, capsys):
     pump = tmp_path / "pump.net"
-    pump.write_text("place p init=1 final=1\nplace q\n"
-                    "trans t label=a in=p out=p,q\n")
+    pump.write_text(PUMP)
     code, out, err = run(capsys, "classify", str(pump), "--bound", "3")
     assert code == 0
     lines = out.splitlines()

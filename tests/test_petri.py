@@ -5,7 +5,8 @@ import pytest
 from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
                         fire_sequence, incidence_matrix, parikh)
 from petrialign.errors import EmptyNet, NotEnabled, UnknownTransition
-from randgen import random_safe_system, random_replayable_walk
+from randgen import (random_replayable_walk, random_safe_system,
+                     random_single_token_ssystem)
 
 
 def test_fire_fork(ex1):
@@ -47,6 +48,56 @@ def test_fire_sequence_reports_step_index(ex1):
 
 def test_enabled_transitions_in_declaration_order(ex1):
     assert enabled_transitions(ex1.net, Marking({"p3": 1, "p4": 1})) == ["t4", "t5"]
+
+
+def _fire_by_definition(net, marking, t):
+    """The firing rule as first written: take one token from each input place
+    and add one to each output place, rebuilt through Marking's validating
+    constructor."""
+    for p in net.preset(t):
+        if marking[p] == 0:
+            raise NotEnabled(t, p)
+    counts = marking.counts
+    for p in net.preset(t):
+        counts[p] -= 1
+    for p in net.postset(t):
+        counts[p] = counts.get(p, 0) + 1
+    return Marking(counts)
+
+
+def test_firing_rule_matches_its_definition():
+    """On random nets and markings (tokens off the net included), enabledness
+    and firing agree with the definitions, down to the key order, the hash
+    and the place NotEnabled names."""
+    rng = random.Random(42)
+    nets = 0
+    while nets < 300:
+        system = random_safe_system(rng) if nets % 2 else random_single_token_ssystem(rng)
+        if system is None:
+            continue
+        nets += 1
+        net = system.net
+        for _ in range(3):
+            marking = Marking({p: rng.choice((0, 0, 1, 2))
+                               for p in net.places + ("elsewhere",)})
+            assert enabled_transitions(net, marking) == \
+                [t for t in net.transitions if all(marking[p] > 0 for p in net.preset(t))]
+            for t in net.transitions:
+                try:
+                    expected = _fire_by_definition(net, marking, t)
+                except NotEnabled as want:
+                    with pytest.raises(NotEnabled) as got:
+                        fire(net, marking, t)
+                    assert (got.value.transition, got.value.place) == \
+                        (want.transition, want.place)
+                    continue
+                after = fire(net, marking, t)
+                assert after == expected and hash(after) == hash(expected)
+                assert list(after.items()) == list(expected.items())
+                assert after.support() == expected.support()
+                assert repr(after) == repr(expected)
+        with pytest.raises(UnknownTransition):
+            fire(net, marking, "elsewhere")
 
 
 def test_parikh_counts():

@@ -8,7 +8,8 @@ from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
                         standard_costs, trace_system, validate_alignment)
 from petrialign.errors import (BudgetExceeded, NotEasySound, NotSingleToken,
                                NotSSystem)
-from randgen import random_single_token_ssystem, random_trace, render_moves
+from randgen import (dying_token_system, random_single_token_ssystem, random_trace,
+                     render_moves)
 
 
 def cycle_system():
@@ -23,13 +24,6 @@ def test_line_perfect_match():
     result = optimal_alignment_ssystem(("a", "b"), system)
     assert result.cost == 0
     assert result.algorithm == "ssystem"
-
-
-def dying_token_system():
-    net = PetriNet(("p0", "p1"), ("ta", "tdie"),
-                   [("p0", "ta"), ("ta", "p1"), ("p1", "tdie")],
-                   {"ta": Label("a"), "tdie": Label("b")})
-    return AcceptingSystem(net, Marking.of("p0"), Marking())
 
 
 def test_cycle_perfect_match():
