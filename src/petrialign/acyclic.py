@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .classify import structural_class
 from .costs import CostFunction, Move, standard_costs
 from .engine import AlignResult, scale_weights
 from .errors import BudgetExceeded, Infeasible, NotAcyclic, StuckContradiction
@@ -235,8 +234,8 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
     node_budget bounds the branch-and-bound nodes and, separately, the
     recursion steps of each candidate's scheduling.
     """
-    srep = structural_class(sys.net, sys.initial, sys.final)
-    if not srep.acyclic:
+    net = sys.net
+    if len(net.topological_order()) != len(net.places) + len(net.transitions):
         raise NotAcyclic("model net has a cycle")
     if c is None:
         c = standard_costs(sys)

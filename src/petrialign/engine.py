@@ -12,9 +12,10 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .classify import behavioral_class, structural_class
+from .classify import StructuralReport, behavioral_class, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
@@ -67,6 +68,7 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     down a reproducible witness.  Returns (cost, moves, settled).
     """
     cnet = net.compiled()
+    pre, cfire = cnet.pre, cnet.fire
     sync, log, model = moves
     n = len(trace)
     # A log move breaks ties on the id trace_system gives its position.
@@ -96,13 +98,19 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
         if pos < n:
             letter = trace[pos]
             for t, w, key, move in sync[letter]:
-                if cnet.enabled(m, t):
-                    steps.append(((pos + 1, cnet.fire(m, t)), w, key, move))
+                for p in pre[t]:
+                    if not m[p]:
+                        break
+                else:
+                    steps.append(((pos + 1, cfire(m, t)), w, key, move))
             w, move = log[letter]
             steps.append(((pos + 1, m), w, log_keys[pos], move))
         for t, w, key, move in model:
-            if cnet.enabled(m, t):
-                steps.append(((pos, cnet.fire(m, t)), w, key, move))
+            for p in pre[t]:
+                if not m[p]:
+                    break
+            else:
+                steps.append(((pos, cfire(m, t)), w, key, move))
         for nxt, w, key, move in steps:
             if nxt in settled:
                 continue
@@ -135,26 +143,134 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     return Fraction(cost, scale), seq
 
 
-def _alignment_moves(trace: tuple[str, ...], net: PetriNet, c: CostFunction):
-    """The search's move table for aligning the trace, plus its cost scale."""
-    for a in trace:
-        if not is_token(a):
-            raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-    ts = net.transitions
-    by_label = net.compiled().by_label
-    letters = set(trace)
-    sync = {a: [(t, (_KIND_SYNC, ts[t]), Move(a, ts[t])) for t in by_label.get(a, ())]
-            for a in letters}
-    log = {a: Move(a, None) for a in letters}
-    model = [(t, (_KIND_MODEL, ts[t]), Move(None, ts[t])) for t in range(len(ts))]
-    every = [m for entries in sync.values() for _, _, m in entries]
-    every += list(log.values()) + [m for _, _, m in model]
-    weight, scale = scale_weights({m: c.move_cost(m) for m in every})
-    sync = {a: [(t, weight[m], key, m) for t, key, m in entries]
-            for a, entries in sync.items()}
-    log = {a: (weight[m], m) for a, m in log.items()}
-    model = [(t, weight[m], key, m) for t, key, m in model]
-    return (sync, log, model), scale
+class _MoveTable:
+    """The search's move rows for one net under one cost function.
+
+    Exact costs are kept per group: the model rows, built on first use, and
+    the sync rows plus the log row of each letter, built when a trace first
+    holds that letter.  A trace's integer scale is the lcm of the cost
+    denominators over its letters' groups and the model rows, so it and the
+    integer weights equal those of a table built for that trace alone;
+    weighed rows are kept per scale.
+    """
+
+    def __init__(self, net: PetriNet, c: CostFunction):
+        self.net = net
+        self.c = c
+        self._model = None
+        self._letters: dict[str, tuple] = {}
+        self._weighed: dict[int, tuple[dict, dict, list]] = {}
+
+    def _priced(self, entries) -> tuple[list, int]:
+        """(transition, key, move, exact cost) per entry, and the lcm of the
+        costs' denominators."""
+        rows = []
+        for t, key, move in entries:
+            v = Fraction(self.c.move_cost(move))
+            if v < 0:
+                raise ValueError(f"cost of {move!r} is negative")
+            rows.append((t, key, move, v))
+        return rows, math.lcm(*(v.denominator for *_, v in rows))
+
+    def moves(self, trace: tuple[str, ...]):
+        """The move table for aligning the trace, plus its cost scale.  The
+        table may hold rows of letters the trace lacks."""
+        ts = self.net.transitions
+        letters = self._letters
+        present = dict.fromkeys(trace)
+        for a in present:
+            if a not in letters:
+                if not is_token(a):
+                    raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
+                # The letter's sync rows, then its log row.
+                letters[a] = self._priced(
+                    [(t, (_KIND_SYNC, ts[t]), Move(a, ts[t]))
+                     for t in self.net.compiled().by_label.get(a, ())]
+                    + [(None, None, Move(a, None))])
+        if self._model is None:
+            self._model = self._priced([(t, (_KIND_MODEL, ts[t]), Move(None, ts[t]))
+                                        for t in range(len(ts))])
+        scale = math.lcm(self._model[1], *(letters[a][1] for a in present))
+        weighed = self._weighed.get(scale)
+        if weighed is None:
+            weighed = self._weighed[scale] = ({}, {}, _weigh(self._model[0], scale))
+        sync, log, _ = weighed
+        for a in present:
+            if a not in sync:
+                *rows, (_, w, _, move) = _weigh(letters[a][0], scale)
+                sync[a], log[a] = rows, (w, move)
+        return weighed, scale
+
+
+def _weigh(rows, scale: int) -> list:
+    return [(t, int(v * scale), key, move) for t, key, move, v in rows]
+
+
+class _Plan:
+    """What aligning a trace against a system, or deciding its membership,
+    needs of the system alone, each part computed on first use: the
+    structural report, the LBFC cap per state budget, the move table of the
+    standard costs and membership's label index.  Every part depends on the
+    system only, so concurrent callers that both compute one agree."""
+
+    def __init__(self, sys: AcceptingSystem):
+        self.sys = sys
+        self._lbfc: dict[int, int | None] = {}
+
+    @cached_property
+    def structure(self) -> StructuralReport:
+        sys = self.sys
+        return structural_class(sys.net, sys.initial, sys.final)
+
+    @cached_property
+    def standard_moves(self) -> _MoveTable:
+        return _MoveTable(self.sys.net, standard_costs(self.sys))
+
+    @cached_property
+    def label_index(self) -> tuple[list[str], dict[str, list[str]]]:
+        """The silent transitions, and the transitions of each visible label,
+        in declaration order."""
+        net = self.sys.net
+        silents = [t for t in net.transitions if net.label(t).silent]
+        by_letter: dict[str, list[str]] = {}
+        for t in net.transitions:
+            label = net.label(t)
+            if not label.silent:
+                by_letter.setdefault(label.name, []).append(t)
+        return silents, by_letter
+
+    def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
+        """The alignment-length cap for a trace of `trace_len` letters on a
+        live (or sound workflow-shaped) bounded free-choice system, or None
+        when it does not apply or the classification exceeds the budget."""
+        if state_budget not in self._lbfc:
+            base = None
+            srep = self.structure
+            if srep.free_choice:
+                try:
+                    brep = behavioral_class(self.sys, state_budget)
+                    if brep.bound_found and (brep.live or (brep.sound and srep.workflow_shape)):
+                        base = lbfc_length_bound(len(self.sys.net.transitions),
+                                                 brep.bound_found, 0)
+                except BudgetExceeded:
+                    pass
+            self._lbfc[state_budget] = base
+        base = self._lbfc[state_budget]
+        return None if base is None else (trace_len + 1) * base
+
+
+_last_plan: _Plan | None = None
+
+
+def _plan(sys: AcceptingSystem) -> _Plan:
+    """The plan of `sys`, remembered for the last system only: consecutive
+    calls on one system share it, and no older system is kept alive.  The
+    plan holds its system, so a match by identity is never a reused id."""
+    global _last_plan
+    plan = _last_plan
+    if plan is None or plan.sys is not sys:
+        plan = _last_plan = _Plan(sys)
+    return plan
 
 
 def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction | None,
@@ -164,10 +280,9 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     The final state is unreachable exactly when the model is not easy-sound,
     which surfaces as NotEasySound.
     """
-    if c is None:
-        c = standard_costs(sys)
+    table = _plan(sys).standard_moves if c is None else _MoveTable(sys.net, c)
     trace = tuple(trace)
-    moves, scale = _alignment_moves(trace, sys.net, c)
+    moves, scale = table.moves(trace)
     try:
         cost, seq, settled = dijkstra_least_cost(
             sys.net, trace, sys.initial, sys.final, moves, state_budget)
@@ -192,12 +307,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     """
     trace = tuple(trace)
     net = sys.net
-    silents = [t for t in net.transitions if net.label(t).silent]
-    by_letter: dict[str, list[str]] = {}
-    for t in net.transitions:
-        label = net.label(t)
-        if not label.silent:
-            by_letter.setdefault(label.name, []).append(t)
+    silents, by_letter = _plan(sys).label_index
     goal = (len(trace), sys.final)
     start = (0, sys.initial)
     if start == goal:
@@ -331,27 +441,18 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     capped at (|trace| + 1)(|P| + 1) states), acyclic systems to the
     marking-equation solver, everything else to the generic search.  For
     live (or sound workflow-shaped) bounded free-choice systems an
-    alignment-length certificate cap is attached.
+    alignment-length certificate cap is attached.  Consecutive calls on one
+    system classify it once; only the last system is remembered.
     """
     from .acyclic import optimal_alignment_acyclic
     from .ssystem import optimal_alignment_ssystem
 
-    if c is None:
-        c = standard_costs(sys)
+    trace = tuple(trace)
     if budgets is None:
         budgets = Budgets()
-    srep = structural_class(sys.net, sys.initial, sys.final)
-
-    cap = None
-    if srep.free_choice:
-        try:
-            brep = behavioral_class(sys, budgets.states)
-            if brep.bound_found and (brep.live or (brep.sound and srep.workflow_shape)):
-                cap = lbfc_length_bound(len(sys.net.transitions), brep.bound_found,
-                                        len(tuple(trace)))
-        except BudgetExceeded:
-            cap = None
-
+    plan = _plan(sys)
+    srep = plan.structure
+    cap = plan.lbfc_cap(budgets.states, len(trace))
     if srep.s_net and sys.initial.total() == 1:
         result = optimal_alignment_ssystem(trace, sys, c, state_budget=budgets.states)
     elif srep.acyclic:

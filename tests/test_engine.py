@@ -4,15 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        brute_force_oracle, build_reachability_graph,
-                        dispatch_align, fire_sequence, gen_shuffle_tsystem,
-                        lbfc_length_bound, membership, min_cost_reach,
-                        optimal_alignment, optimal_alignment_ssystem,
-                        standard_costs, trace_system, validate_alignment)
-from petrialign.errors import BudgetExceeded, CapExhausted, NotEasySound, Unreachable
+from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
+                        PetriNet, brute_force_oracle, build_reachability_graph,
+                        dispatch_align, ex1_system, fire_sequence,
+                        gen_shuffle_tsystem, lbfc_length_bound, membership,
+                        min_cost_reach, optimal_alignment,
+                        optimal_alignment_ssystem, parse_net, serialize_net,
+                        standard_costs, trace_system, tree_to_wfnet,
+                        validate_alignment)
+from petrialign import engine
+from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
+                               PetriAlignError, Unreachable)
 from randgen import (product_search_cost, random_safe_system,
-                     random_single_token_ssystem, random_trace, render_moves)
+                     random_single_token_ssystem, random_trace, random_tree,
+                     render_moves)
 
 TRACE = ("a", "b", "a", "a")
 
@@ -201,6 +206,126 @@ def test_dispatch_routes(ex1):
 def test_dispatch_attaches_lbfc_cap(ex1):
     result = dispatch_align(TRACE, ex1)
     assert result.lbfc_cap == 180   # (4+1) * (5*6*7/6 + 1)
+
+
+def test_dispatch_reads_a_one_shot_trace(ex1):
+    assert dispatch_align(("a", "a", "b", "b"), ex1).cost == 0
+    assert dispatch_align(iter(("a", "a", "b", "b")), ex1) == \
+        dispatch_align(("a", "a", "b", "b"), ex1)
+    line = trace_system(("a", "b"))
+    assert dispatch_align(iter(("a",)), line) == dispatch_align(("a",), line)
+    assert dispatch_align(iter(("a",)), line).cost == 1
+
+
+def _outcome(f, *args, **kwargs):
+    """The call's result, or the class of the package error it raised."""
+    try:
+        return f(*args, **kwargs)
+    except PetriAlignError as exc:
+        return type(exc)
+
+
+def _fresh(system):
+    """An equal system that no earlier call has seen."""
+    return parse_net(serialize_net(system))
+
+
+def _mixed_systems(rng):
+    """Systems of every route: safe systems, single-token S-systems, tree
+    workflow nets and shuffle T-systems.  Each tree net also comes with its
+    initial marking as the final one, a second system on the same net."""
+    systems = []
+    while len(systems) < 15:
+        kind = len(systems) % 5
+        if kind == 0:
+            system = random_safe_system(rng, max_places=6, max_transitions=6)
+        elif kind == 1:
+            system = random_single_token_ssystem(rng)
+        elif kind == 2:
+            system = tree_to_wfnet(random_tree(rng, 3))
+        elif kind == 3:
+            tree = systems[-1]
+            system = AcceptingSystem(tree.net, tree.initial, tree.initial)
+        else:
+            words = [tuple(random_trace(rng, max_len=3)) or ("a",) for _ in range(2)]
+            system = gen_shuffle_tsystem(words)
+        if system is not None:
+            systems.append(system)
+    return systems
+
+
+def test_consecutive_calls_match_fresh_systems():
+    """A run that returns to a system, stays on it and leaves it again gives
+    every result and verdict that a system no call has seen gives."""
+    rng = random.Random(23)
+    systems = _mixed_systems(rng)
+    run = []
+    for _ in range(40):
+        system = rng.choice(systems)
+        run += [(system, random_trace(rng, max_len=5)) for _ in range(rng.randint(1, 3))]
+    # Each system right after another one on the same net.
+    for tree, same_net in zip(systems[2::5], systems[3::5]):
+        run += [(system, random_trace(rng, max_len=5)) for system in (tree, same_net, tree)]
+    for f in (dispatch_align, membership):
+        got = [_outcome(f, trace, system) for system, trace in run]
+        # In reverse, so that no call follows the one it follows in the run.
+        fresh = [_outcome(f, trace, _fresh(system)) for system, trace in reversed(run)]
+        assert got == fresh[::-1]
+    routes = {r.algorithm for r in (_outcome(dispatch_align, t, s) for s, t in run)
+              if not isinstance(r, type)}
+    assert routes == {"generic", "ssystem", "acyclic"}
+
+
+def test_consecutive_calls_classify_once(monkeypatch):
+    calls = []
+    behavioral_class = engine.behavioral_class
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return behavioral_class(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "behavioral_class", counted)
+    a = ex1_system()
+    for _ in range(3):
+        dispatch_align(TRACE, a)
+    assert len(calls) == 1
+    # An equal system is not the same system.
+    calls.clear()
+    a, b = ex1_system(), ex1_system()
+    for system in (a, b, a):
+        dispatch_align(TRACE, system)
+    assert calls == [a, b, a]
+
+
+def test_budget_keys_the_cap(ex1):
+    # Classifying ex1 explores 6 markings; aligning this trace settles 5 states.
+    trace = ("a", "a", "b", "b")
+    caps = [dispatch_align(trace, ex1, budgets=budgets).lbfc_cap
+            for budgets in (Budgets(), Budgets(states=5), Budgets())]
+    assert caps == [180, None, 180]
+
+
+def test_caller_costs_are_never_cached(ex1):
+    c = CostFunction(labels=dict(ex1.net.labels),
+                     log_overrides={"a": Fraction(1, 3), "b": Fraction(5, 2)},
+                     sync_overrides={(ex1.net.label(t).name, t): Fraction(1, 5)
+                                     for t in ex1.net.transitions
+                                     if not ex1.net.label(t).silent},
+                     model_overrides={t: Fraction(1, 7) for t in ex1.net.transitions})
+    traces = [TRACE, ("b",), ("a", "b", "b"), ()]
+    got = []
+    for trace in traces:
+        for costs in (None, c, None, c):
+            got.append(dispatch_align(trace, ex1, costs))
+            got.append(optimal_alignment(trace, ex1, costs))
+    expected = []
+    for trace in traces:
+        for costs in (None, c, None, c):
+            expected.append(dispatch_align(trace, _fresh(ex1), costs))
+            expected.append(optimal_alignment(trace, _fresh(ex1), costs))
+    assert got == expected
+    # The caller's costs change the results.
+    assert [r.cost for r in got[0::4]] != [r.cost for r in got[2::4]]
 
 
 def test_dispatch_cost_matches_generic(ex1):
