@@ -1,9 +1,11 @@
 """The dispatcher picks the cheapest correct solver per model class.
 
 Three instances: the cyclic running example (generic product search), a
-single-token S-system cycle (reachability-graph product, polynomial), and an
-acyclic shuffle net (marking-equation branch-and-bound).  The brute-force
-oracle cross-checks every optimum.
+single-token S-system cycle (the same search under its polynomial state
+bound), and an acyclic shuffle net (the generic search too; the
+marking-equation branch-and-bound is reached only by calling
+`optimal_alignment_acyclic`).  The brute-force oracle cross-checks every
+optimum.
 """
 
 from petrialign import (AcceptingSystem, Label, Marking, PetriNet,

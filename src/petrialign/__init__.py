@@ -1,10 +1,11 @@
 """Conformance checking for Petri-net process models.
 
 Computes optimal alignments between observed traces and accepting systems,
-choosing among a generic cost-minimal reachability search, a polynomial
-S-system solver, an acyclic marking-equation solver, and a length-bounded
-free-choice route; also classifies nets, shortens firing sequences, translates
-process trees, and generates hardness instances.
+routing each to a generic cost-minimal reachability search or a polynomial
+S-system solver and attaching a length cap on the free-choice route; an
+acyclic marking-equation solver is available on request.  Also classifies
+nets, shortens firing sequences, translates process trees, and generates
+hardness instances.
 """
 
 from .acyclic import optimal_alignment_acyclic, realize_parikh_acyclic

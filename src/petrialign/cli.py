@@ -76,20 +76,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    if args.nodes is not None and args.algo != "acyclic":
+        print("error: --nodes applies to --algo acyclic only", file=sys.stderr)
+        return USAGE_ERROR
     sys_ = _load_system(args.net)
     trace = parse_trace(args.trace)
     c = standard_costs(sys_)
     if args.costs:
         c = parse_cost_file(Path(args.costs).read_text(), sys_)
-    budgets = Budgets(states=args.states, nodes=args.nodes)
     if args.algo == "auto":
-        result = dispatch_align(trace, sys_, c, budgets)
+        result = dispatch_align(trace, sys_, c, Budgets(states=args.states))
     elif args.algo == "generic":
         result = optimal_alignment(trace, sys_, c, state_budget=args.states)
     elif args.algo == "ssystem":
         result = optimal_alignment_ssystem(trace, sys_, c, state_budget=args.states)
     else:
-        result = optimal_alignment_acyclic(trace, sys_, c, node_budget=args.nodes)
+        nodes = DEFAULT_STATE_BUDGET if args.nodes is None else args.nodes
+        result = optimal_alignment_acyclic(trace, sys_, c, node_budget=nodes)
     print(f"cost={result.cost}")
     print(f"algorithm={result.algorithm}")
     print(f"states={result.states_expanded}")
@@ -200,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "generic", "ssystem", "acyclic"),
                    default="auto")
     p.add_argument("--costs", help="cost override file")
-    p.add_argument("--nodes", type=int, default=DEFAULT_STATE_BUDGET,
-                   help="node budget for the acyclic solver (and for each of "
-                        "its schedulings)")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="node budget for --algo acyclic (and for each of its "
+                        "schedulings; default 10^6); an error with any other "
+                        "--algo")
     add_states(p)
     p.set_defaults(func=_cmd_align)
 

@@ -34,7 +34,6 @@ class AlignResult:
 @dataclass(frozen=True)
 class Budgets:
     states: int = DEFAULT_STATE_BUDGET
-    nodes: int = DEFAULT_STATE_BUDGET
 
 
 def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
@@ -438,25 +437,23 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     """Route to the cheapest applicable solver based on the classifiers.
 
     Single-token S-systems go to the S-system solver (the generic search,
-    capped at (|trace| + 1)(|P| + 1) states), acyclic systems to the
-    marking-equation solver, everything else to the generic search.  For
-    live (or sound workflow-shaped) bounded free-choice systems an
-    alignment-length certificate cap is attached.  Consecutive calls on one
-    system classify it once; only the last system is remembered.
+    capped at (|trace| + 1)(|P| + 1) states); every other system, acyclic
+    ones included, goes to the generic search, bounded by `budgets.states`.
+    The acyclic marking-equation solver is reached only by calling
+    `optimal_alignment_acyclic`.  For live (or sound workflow-shaped) bounded
+    free-choice systems an alignment-length certificate cap is attached.
+    Consecutive calls on one system classify it once; only the last system
+    is remembered.
     """
-    from .acyclic import optimal_alignment_acyclic
     from .ssystem import optimal_alignment_ssystem
 
     trace = tuple(trace)
     if budgets is None:
         budgets = Budgets()
     plan = _plan(sys)
-    srep = plan.structure
     cap = plan.lbfc_cap(budgets.states, len(trace))
-    if srep.s_net and sys.initial.total() == 1:
+    if plan.structure.s_net and sys.initial.total() == 1:
         result = optimal_alignment_ssystem(trace, sys, c, state_budget=budgets.states)
-    elif srep.acyclic:
-        result = optimal_alignment_acyclic(trace, sys, c, node_budget=budgets.nodes)
     else:
         result = optimal_alignment(trace, sys, c, state_budget=budgets.states)
     return replace(result, lbfc_cap=cap)

@@ -134,18 +134,21 @@ def make_suite(seed: int, total: int, include_special=True):
     return suite
 
 
-def random_tree(rng: random.Random, depth: int, alphabet=LABEL_POOL) -> ProcessTree:
-    """Random process tree of at most the given depth over a small alphabet."""
+def random_tree(rng: random.Random, depth: int, alphabet=LABEL_POOL,
+                operators=("seq", "xor", "par", "loop")) -> ProcessTree:
+    """Random process tree of at most the given depth over a small alphabet,
+    built from the given operators (leave out "loop" for a loop-free tree)."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.15:
             return silent()
         return activity(rng.choice(alphabet))
-    kind = rng.choice(("seq", "xor", "par", "loop"))
+    kind = rng.choice(operators)
     if kind == "loop":
-        return loop(random_tree(rng, depth - 1, alphabet),
-                    random_tree(rng, depth - 1, alphabet))
+        return loop(random_tree(rng, depth - 1, alphabet, operators),
+                    random_tree(rng, depth - 1, alphabet, operators))
     count = rng.randint(1, 3)
-    children = tuple(random_tree(rng, depth - 1, alphabet) for _ in range(count))
+    children = tuple(random_tree(rng, depth - 1, alphabet, operators)
+                     for _ in range(count))
     return {"seq": seq, "xor": xor, "par": par}[kind](*children)
 
 

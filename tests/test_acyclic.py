@@ -1,15 +1,18 @@
+import dataclasses
 import random
 
 import pytest
 
-from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        brute_force_oracle, fire_sequence, optimal_alignment,
+from petrialign import (AcceptingSystem, Budgets, Label, Marking, PetriNet,
+                        brute_force_oracle, dispatch_align, fire_sequence,
+                        gen_shuffle_tsystem, optimal_alignment,
                         optimal_alignment_acyclic, realize_parikh_acyclic,
-                        standard_costs, trace_system, validate_alignment)
+                        standard_costs, structural_class, trace_system,
+                        tree_to_wfnet, validate_alignment)
 from petrialign.acyclic import _schedule_counts
 from petrialign.errors import (BudgetExceeded, Infeasible, NotAcyclic,
-                               StuckContradiction)
-from randgen import random_acyclic_system, random_trace
+                               NotEasySound, StuckContradiction)
+from randgen import random_acyclic_system, random_trace, random_tree
 
 TRACE = ("a", "b", "a", "a")
 
@@ -110,3 +113,59 @@ def test_agreement_and_realizability_on_random_acyclic():
         assert validate_alignment(special.alignment, trace, system,
                                   standard_costs(system)) == special.cost
         done += 1
+
+
+def _rerouted_systems(rng):
+    """Acyclic systems of three families that are not single-token S-systems,
+    so the dispatcher sends each to the generic search: random layered DAGs,
+    shuffle T-systems over 2-4 words and loop-free process-tree nets."""
+    systems = []
+    while len(systems) < 36:
+        kind = len(systems) % 3
+        if kind == 0:
+            system = random_acyclic_system(rng)
+        elif kind == 1:
+            words = [tuple(random_trace(rng, max_len=2)) or ("a",)
+                     for _ in range(rng.randint(2, 4))]
+            system = gen_shuffle_tsystem(words)
+        else:
+            system = tree_to_wfnet(random_tree(rng, 3, operators=("seq", "xor", "par")))
+        if system is None:
+            continue
+        srep = structural_class(system.net, system.initial, system.final)
+        assert srep.acyclic
+        if not (srep.s_net and system.initial.total() == 1):
+            systems.append(system)
+    return systems
+
+
+def test_dispatch_sends_acyclic_systems_to_the_search():
+    rng = random.Random(61)
+    for system in _rerouted_systems(rng):
+        trace = random_trace(rng, max_len=4)
+        routed = dispatch_align(trace, system)
+        searched = optimal_alignment(trace, system)
+        assert dataclasses.replace(routed, lbfc_cap=None) == searched
+        assert routed.algorithm == "generic"
+        assert routed.cost == optimal_alignment_acyclic(trace, system).cost
+        assert routed.cost == brute_force_oracle(trace, system)
+        assert validate_alignment(routed.alignment, trace, system,
+                                  standard_costs(system)) == routed.cost
+
+
+def test_dispatch_on_an_acyclic_system_that_is_not_easy_sound():
+    # A fork into q and r whose final marking asks for q alone.
+    net = PetriNet(("p", "q", "r"), ("t",),
+                   [("p", "t"), ("t", "q"), ("t", "r")], {"t": Label("a")})
+    system = AcceptingSystem(net, Marking.of("p"), Marking.of("q"))
+    with pytest.raises(Infeasible):
+        optimal_alignment_acyclic(("a",), system)
+    with pytest.raises(NotEasySound):
+        dispatch_align(("a",), system)
+
+
+def test_acyclic_dispatch_honours_the_state_budget():
+    shuffle = gen_shuffle_tsystem([("a", "b"), ("c",)])
+    assert dispatch_align(("a", "c", "b"), shuffle).states_expanded > 2
+    with pytest.raises(BudgetExceeded):
+        dispatch_align(("a", "c", "b"), shuffle, budgets=Budgets(states=2))

@@ -2,12 +2,15 @@ import inspect
 
 import pytest
 
-from petrialign import (build_reachability_graph, cli, errors, products,
-                        serialize_net, trace_system)
+from petrialign import (build_reachability_graph, cli, errors,
+                        gen_shuffle_tsystem, products, serialize_net,
+                        trace_system)
 from petrialign.cli import run_cli
 
 
 PUMP = "place p init=1 final=1\nplace q\ntrans t label=a in=p out=p,q\n"
+# An acyclic fork whose final marking, q alone, is unreachable.
+FORK = "place p init=1\nplace q final=1\nplace r\ntrans t label=a in=p out=q,r\n"
 
 
 def run(capsys, *argv):
@@ -69,6 +72,53 @@ def test_ssystem_budget_exit_code(tmp_path, capsys):
                        "--algo", "ssystem", "--states", "3")
     assert code == 0
     assert out.splitlines()[:3] == ["cost=0", "algorithm=ssystem", "states=3"]
+
+
+@pytest.fixture
+def shuffle_path(tmp_path):
+    path = tmp_path / "shuffle.net"
+    path.write_text(serialize_net(gen_shuffle_tsystem([("a", "b"), ("c",)])))
+    return path
+
+
+def test_nodes_budgets_algo_acyclic(shuffle_path, capsys):
+    code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
+                       "--algo", "acyclic")
+    assert code == 0
+    assert out.splitlines()[:2] == ["cost=0", "algorithm=acyclic"]
+    nodes = int(out.splitlines()[2].removeprefix("states="))
+    code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
+                       "--algo", "acyclic", "--nodes", str(nodes))
+    assert code == 0
+    assert out.splitlines()[2] == f"states={nodes}"
+    code, _, err = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
+                       "--algo", "acyclic", "--nodes", str(nodes - 1))
+    assert code == 3
+    assert err
+
+
+def test_align_exit_codes_on_acyclic_dispatch(shuffle_path, tmp_path, capsys):
+    """Acyclic systems take the generic search: a final marking it cannot
+    reach is a failed precondition, and --states bounds it."""
+    fork = tmp_path / "fork.net"
+    fork.write_text(FORK)
+    assert run(capsys, "align", str(fork), "--trace", "a")[0] == 4
+    assert run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
+               "--states", "2")[0] == 3
+    code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b")
+    assert code == 0
+    assert out.splitlines()[1] == "algorithm=generic"
+
+
+@pytest.mark.parametrize("algo", [None, "auto", "generic", "ssystem"])
+def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys):
+    argv = ["align", str(shuffle_path), "--trace", "a,c,b", "--nodes", "5"]
+    if algo is not None:
+        argv += ["--algo", algo]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--nodes" in err
 
 
 def test_align_has_no_bound_option(ex1_path, capsys):
