@@ -209,12 +209,27 @@ class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs and membership's label index.  Every part depends on the
-    system only, so concurrent callers that both compute one agree."""
+    standard costs, membership's label index and membership's successor
+    cache.  Every part depends on the system only, so concurrent callers that
+    both compute one agree.
+
+    The successor cache has one row per visible letter and one silent row
+    (key None).  A row maps a marking to the markings reached by firing each
+    of the row's transitions enabled there, in declaration order, and the
+    cache keeps one copy of each marking, so lookups mostly match by
+    identity.  A membership call adds at most two row entries per state it
+    visits and about one marking per state it keeps; `successor_cache`
+    empties the cache when a call finds either count above that call's
+    state budget.  So after a call the cache holds at most three times the
+    budget in entries and about twice in markings, the order of the states
+    the call itself may keep.  A call on another system drops the plan, and
+    the cache with it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
+        self._successors: dict[str | None, dict[Marking, tuple[Marking, ...]]] = {}
+        self._markings: dict[Marking, Marking] = {}
 
     @cached_property
     def structure(self) -> StructuralReport:
@@ -237,6 +252,15 @@ class _Plan:
             if not label.silent:
                 by_letter.setdefault(label.name, []).append(t)
         return silents, by_letter
+
+    def successor_cache(self, state_budget: int) -> tuple[dict, dict[Marking, Marking]]:
+        """The successor rows and the one copy of each marking they hold,
+        both emptied first when either holds more than `state_budget`
+        entries."""
+        if len(self._markings) > state_budget or \
+                sum(map(len, self._successors.values())) > state_budget:
+            self._successors, self._markings = {}, {}
+        return self._successors, self._markings
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
         """The alignment-length cap for a trace of `trace_len` letters on a
@@ -302,33 +326,49 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     """Language membership: does a perfect (cost-0) alignment exist?
 
     Searches synchronous and silent model moves only, so easy-soundness of the
-    model is not required for termination.
+    model is not required for termination.  Successor markings come from
+    the plan's successor cache (see `_Plan`), so consecutive calls on one
+    system fire a transition at a marking once, not once per visit.  The
+    search, and so every verdict and every BudgetExceeded, is the same as
+    with no cache.
     """
     trace = tuple(trace)
     net = sys.net
-    silents, by_letter = _plan(sys).label_index
-    goal = (len(trace), sys.final)
-    start = (0, sys.initial)
+    plan = _plan(sys)
+    silents, by_letter = plan.label_index
+    rows, markings = plan.successor_cache(state_budget)
+    n = len(trace)
+    # Per position, (row, transitions, position step) for the moves out of
+    # it: the position's letter, when a transition carries it, then the
+    # silent moves.
+    silent = ((rows.setdefault(None, {}), silents, 0),) if silents else ()
+    steps = []
+    for a in trace:
+        ts = by_letter.get(a)
+        steps.append(((rows.setdefault(a, {}), ts, 1),) + silent if ts else silent)
+    steps.append(silent)
+    goal = (n, markings.setdefault(sys.final, sys.final))
+    start = (0, markings.setdefault(sys.initial, sys.initial))
     if start == goal:
         return True
     seen = {start}
     stack = [start]
     while stack:
         pos, m = stack.pop()
-        nexts = []
-        if pos < len(trace):
-            for t in _enabled_among(net, m, by_letter.get(trace[pos], ())):
-                nexts.append((pos + 1, fire(net, m, t)))
-        for t in _enabled_among(net, m, silents):
-            nexts.append((pos, fire(net, m, t)))
-        for state in nexts:
-            if state == goal:
-                return True
-            if state not in seen:
-                seen.add(state)
-                if len(seen) > state_budget:
-                    raise BudgetExceeded(len(seen), what="states")
-                stack.append(state)
+        for row, ts, step in steps[pos]:
+            succ = row.get(m)
+            if succ is None:
+                succ = row[m] = tuple(markings.setdefault(s, s) for s in
+                                      [fire(net, m, t) for t in _enabled_among(net, m, ts)])
+            for s in succ:
+                state = (pos + step, s)
+                if state == goal:
+                    return True
+                if state not in seen:
+                    seen.add(state)
+                    if len(seen) > state_budget:
+                        raise BudgetExceeded(len(seen), what="states")
+                    stack.append(state)
     return False
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
 from petrialign import engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, Unreachable)
+from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (product_search_cost, random_safe_system,
                      random_single_token_ssystem, random_trace, random_tree,
                      render_moves)
@@ -87,12 +89,16 @@ def test_trace_letters_are_checked(ex1, letter):
         optimal_alignment_ssystem((letter,), trace_system(("a",)))
 
 
-def test_zero_cost_silent_cycle_terminates():
+def _silent_cycle_system():
     net = PetriNet(("p0", "p1", "p2"), ("u", "v", "ta"),
                    [("p0", "u"), ("u", "p1"), ("p1", "v"), ("v", "p0"),
                     ("p1", "ta"), ("ta", "p2")],
                    {"u": Label(None), "v": Label(None), "ta": Label("a")})
-    system = AcceptingSystem(net, Marking.of("p0"), Marking.of("p2"))
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p2"))
+
+
+def test_zero_cost_silent_cycle_terminates():
+    system = _silent_cycle_system()
     for trace in ((), ("a",), ("b", "b"), ("a", "a")):
         generic = optimal_alignment(trace, system)
         assert generic.cost == brute_force_oracle(trace, system)
@@ -387,3 +393,131 @@ def test_perfect_alignment_equivalence():
         cost = optimal_alignment(trace, system).cost
         assert member == (cost == 0)
         done += 1
+
+
+# Membership's successor cache: consecutive calls on one system object reuse
+# the successors of the markings earlier calls visited.
+
+def _warm_and_fresh(system, calls):
+    """The outcomes of the (word, state budget) calls, made in order on
+    `system`, and those of each call made on a system no call has seen.  The
+    fresh calls come first, so that none of them replaces `system`'s plan."""
+    fresh = [_outcome(membership, word, _fresh(system), budget) for word, budget in calls]
+    warm = [_outcome(membership, word, system, budget) for word, budget in calls]
+    return warm, fresh
+
+
+PUMP_LETTERS = "abcdefgh"
+
+
+def _pump_system():
+    """A silent transition pumps tokens onto p1 without bound; each letter of
+    PUMP_LETTERS loops on p0, and only `z` reaches the final marking."""
+    letters = PUMP_LETTERS
+    transitions = ("u", "tz") + tuple(f"t{a}" for a in letters)
+    flow = [("p0", "u"), ("u", "p0"), ("u", "p1"), ("p0", "tz"), ("tz", "p_end")]
+    flow += [arc for a in letters for arc in (("p0", f"t{a}"), (f"t{a}", "p0"))]
+    labels = {"u": Label(None), "tz": Label("z")}
+    labels.update({f"t{a}": Label(a) for a in letters})
+    net = PetriNet(("p0", "p1", "p_end"), transitions, flow, labels)
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p_end"))
+
+
+def test_warm_membership_matches_fresh_systems():
+    """Every word of length at most 4 over a system's alphabet, words with a
+    letter no transition carries and the empty word, asked in a shuffled
+    order of one system object, get the verdicts of fresh systems."""
+    rng = random.Random(41)
+    systems = [ex1_system()]
+    while len(systems) < 7:
+        system = random_safe_system(rng, max_places=6, max_transitions=6)
+        if system is not None:
+            systems.append(system)
+    systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(6)]
+    accepted = 0
+    for system in systems:
+        labels = [system.net.label(t) for t in system.net.transitions]
+        alphabet = sorted({label.name for label in labels if not label.silent})
+        assert "z" not in alphabet
+        words = [w for n in range(5) for w in itertools.product(alphabet, repeat=n)]
+        words += [("z",), ("z", "z")] + [w for a in alphabet for w in ((a, "z"), ("z", a))]
+        rng.shuffle(words)
+        warm, fresh = _warm_and_fresh(system, [(word, DEFAULT_STATE_BUDGET) for word in words])
+        assert warm == fresh, str(system.net)
+        accepted += warm.count(True)
+        for word, verdict in list(zip(words, warm))[::9]:
+            assert verdict == (optimal_alignment(word, system).cost == 0)
+    assert accepted > 10
+
+
+def test_a_raise_leaves_a_usable_cache(ex1):
+    """Calls that exceed their budget part-way, followed by calls with larger
+    budgets, give every verdict and every raise that fresh systems give."""
+    words = [(), ("a", "a", "b", "b"), ("a", "b", "a", "b"), TRACE,
+             ("a", "a", "b", "a", "a", "b", "b"), ("b",)]
+    calls = [(word, budget) for budget in range(1, 21) for word in words]
+    calls += [(word, DEFAULT_STATE_BUDGET) for word in words]
+    warm, fresh = _warm_and_fresh(ex1, calls)
+    assert warm == fresh
+    assert BudgetExceeded in warm and True in warm and False in warm
+    pump = _pump_system()
+    calls = [(word, budget) for budget in range(1, 21)
+             for word in [("z",), (), ("a", "z"), ("z", "a"), ("b", "a", "z")]]
+    warm, fresh = _warm_and_fresh(pump, calls)
+    assert warm == fresh
+    assert BudgetExceeded in warm and True in warm
+
+
+def test_successor_cache_stays_within_its_bound():
+    """On an unbounded net, calls that each fill another letter's row empty
+    the cache once it holds more than their budget, so after a call it holds
+    at most what the call found plus two entries per state it visited, and
+    one marking per state it kept plus the successors of the last one."""
+    budget = 50
+    pump = _pump_system()
+    calls = [((a, "z"), budget) for a in PUMP_LETTERS * 3]
+    warm, fresh = _warm_and_fresh(pump, calls)
+    assert warm == fresh == [BudgetExceeded] * len(calls)
+    entries, markings = [], []
+    for word, _ in calls:
+        _outcome(membership, word, pump, budget)
+        plan = engine._plan(pump)
+        entries.append(sum(map(len, plan._successors.values())))
+        markings.append(len(plan._markings))
+    assert max(entries) <= 3 * budget
+    assert max(markings) <= 2 * budget + len(pump.net.transitions) + 1
+    # Without the emptying, eight letters' rows would hold about 225 entries.
+    assert any(later < earlier for earlier, later in zip(entries, entries[1:]))
+
+
+def test_warm_membership_on_a_zero_cost_silent_cycle():
+    system = _silent_cycle_system()
+    words = [w for n in range(5) for w in itertools.product(("a", "b"), repeat=n)]
+    warm, fresh = _warm_and_fresh(system, [(word, DEFAULT_STATE_BUDGET) for word in words * 2])
+    assert warm == fresh
+    assert warm.count(True) == 2
+
+
+def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
+    fired = []
+    fire = engine.fire
+
+    def counted(net, marking, t):
+        fired.append(t)
+        return fire(net, marking, t)
+
+    monkeypatch.setattr(engine, "fire", counted)
+    word = ("a", "a", "b", "b")
+    a, b = ex1_system(), ex1_system()
+    assert membership(word, a)
+    first = len(fired)
+    assert first > 0
+    # The same word on the same object fires nothing again.
+    assert membership(word, a)
+    assert len(fired) == first
+    # An equal but distinct system shares nothing with it.
+    assert membership(word, b)
+    assert len(fired) == 2 * first
+    # A call on another system in between dropped `a`'s successors.
+    assert membership(word, a)
+    assert len(fired) == 3 * first
