@@ -33,6 +33,17 @@ def _load_system(path: str):
     return parse_net(Path(path).read_text())
 
 
+def _budget(text: str) -> int:
+    """Argument type of the budget options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _flag(value) -> str:
     if value is None:
         return "inconclusive"
@@ -187,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_states(p):
-        p.add_argument("--states", type=int, default=DEFAULT_STATE_BUDGET,
+        p.add_argument("--states", type=_budget, default=DEFAULT_STATE_BUDGET,
                        help="state exploration budget")
 
     p = sub.add_parser("classify", help="structural and behavioral class report")
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "generic", "ssystem", "acyclic"),
                    default="auto")
     p.add_argument("--costs", help="cost override file")
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--nodes", type=_budget, default=None,
                    help="node budget for --algo acyclic (and for each of its "
                         "schedulings; default 10^6); an error with any other "
                         "--algo")
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("--seq", required=True, help="comma-separated transition ids")
     p.add_argument("--bound", type=int, default=1, help="place bound b")
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=_budget, default=200_000,
                    help="permutation search budget")
     p.set_defaults(func=_cmd_shorten)
 

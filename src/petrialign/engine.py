@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -52,28 +53,95 @@ def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
 _KIND_SYNC, _KIND_MODEL, _KIND_LOG = 0, 1, 2
 
 
+class _ModelGraph:
+    """The model markings of one net, numbered in the order searches find
+    them, and per marking the enabled entries of each row.
+
+    A row is the sync row of a letter (its transitions in `by_label` order)
+    or the model row (key None: every transition in declaration order), the
+    order of the search's move lists.  `rows[key][m]` holds one (entry
+    index, successor number) pair per entry of the row enabled at marking
+    number m, in row order, filled the first time a search expands m by
+    that row.  Nothing here depends on costs, so searches under any cost
+    function share it.  Numbering and expansion take a lock, so searches in
+    several threads agree on every number.
+    """
+
+    def __init__(self, net: PetriNet):
+        self.cnet = net.compiled()
+        self.entries = dict(self.cnet.by_label)
+        self.entries[None] = range(len(self.cnet.pre))
+        self.numbers: dict[tuple[int, ...], int] = {}
+        self.markings: list[tuple[int, ...]] = []
+        self.rows: dict[str | None, dict[int, tuple]] = {}
+        self.size = 0   # row entries
+        self._lock = threading.Lock()
+
+    def _number(self, m: tuple[int, ...]) -> int:
+        i = self.numbers.get(m)
+        if i is None:
+            i = self.numbers[m] = len(self.markings)
+            self.markings.append(m)
+        return i
+
+    def number(self, m: tuple[int, ...]) -> int:
+        with self._lock:
+            return self._number(m)
+
+    def expand(self, key: str | None, i: int) -> tuple:
+        """Marking i's entry of the row, computed and stored on first use."""
+        with self._lock:
+            row = self.rows[key]
+            succ = row.get(i)
+            if succ is None:
+                m = self.markings[i]
+                pre, fire = self.cnet.pre, self.cnet.fire
+                succ = []
+                for j, t in enumerate(self.entries[key]):
+                    for p in pre[t]:
+                        if not m[p]:
+                            break
+                    else:
+                        succ.append((j, self._number(fire(m, t))))
+                succ = row[i] = tuple(succ)
+                self.size += 1
+        return succ
+
+
 def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
-                        final: Marking, moves, state_budget: int):
+                        final: Marking, moves, state_budget: int,
+                        graph: _ModelGraph | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net, generated on the fly
     from (0, initial) to (len(trace), final).
 
-    `moves` is (sync, log, model): sync maps each trace letter to its
-    (transition index, weight, tie-break key, move) entries, log maps it to
-    (weight, move), and model holds one entry per transition, all in
-    declaration order.  A state yields its moves in the product's declaration
-    order: sync moves on the next letter, the log move, then model moves.
-    Equal-cost frontier entries expand in (key, insertion) order, which pins
-    down a reproducible witness.  Returns (cost, moves, settled).
+    `moves` is (sync, log, model): sync maps each trace letter to the
+    (weight, tie-break key, move) entries of its transitions in `by_label`
+    order, log maps it to (weight, move), and model holds one entry per
+    transition in declaration order.  A state yields its moves in the
+    product's declaration order: sync moves on the next letter, the log
+    move, then model moves.  Equal-cost frontier entries expand in (key,
+    insertion) order, which pins down a reproducible witness.  Returns
+    (cost, moves, settled).
+
+    Markings are numbered, and their enabled moves read, through `graph`
+    (see `_ModelGraph`), a fresh one when None.  The search expands at most
+    two rows per state it settles (the letter's sync row and the model row),
+    so it adds at most twice `state_budget` row entries to the graph, and
+    numbers only markings of the states it reaches.
     """
-    cnet = net.compiled()
-    pre, cfire = cnet.pre, cnet.fire
+    if graph is None:
+        graph = _ModelGraph(net)
+    expand = graph.expand
     sync, log, model = moves
     n = len(trace)
+    sync_rows = {a: graph.rows.setdefault(a, {}) for a in dict.fromkeys(trace)}
+    model_row = graph.rows.setdefault(None, {})
     # A log move breaks ties on the id trace_system gives its position.
     log_keys = [(_KIND_LOG, f"t{i}") for i in range(1, n + 1)]
-    start = (0, cnet.encode(initial))
-    goal = (n, cnet.encode(final))
+    encode = graph.cnet.encode
+    start = (0, graph.number(encode(initial)))
+    goal = (n, graph.number(encode(final)))
     best = {start: (0, None, None)}   # state -> (cost, parent state, move)
     settled = set()
     heap: list = [(0, (), 0, start)]
@@ -96,20 +164,22 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
         steps = []
         if pos < n:
             letter = trace[pos]
-            for t, w, key, move in sync[letter]:
-                for p in pre[t]:
-                    if not m[p]:
-                        break
-                else:
-                    steps.append(((pos + 1, cfire(m, t)), w, key, move))
+            entries = sync[letter]
+            if entries:
+                succ = sync_rows[letter].get(m)
+                if succ is None:
+                    succ = expand(letter, m)
+                for j, s in succ:
+                    w, key, move = entries[j]
+                    steps.append(((pos + 1, s), w, key, move))
             w, move = log[letter]
             steps.append(((pos + 1, m), w, log_keys[pos], move))
-        for t, w, key, move in model:
-            for p in pre[t]:
-                if not m[p]:
-                    break
-            else:
-                steps.append(((pos, cfire(m, t)), w, key, move))
+        succ = model_row.get(m)
+        if succ is None:
+            succ = expand(None, m)
+        for j, s in succ:
+            w, key, move = model[j]
+            steps.append(((pos, s), w, key, move))
         for nxt, w, key, move in steps:
             if nxt in settled:
                 continue
@@ -136,7 +206,7 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
         raise Unreachable(f"marking {target!r} is not reachable")
-    model = [(i, weight[t], (_KIND_MODEL, t), t) for i, t in enumerate(net.transitions)]
+    model = [(weight[t], (_KIND_MODEL, t), t) for t in net.transitions]
     cost, seq, _ = dijkstra_least_cost(net, (), initial, target, ({}, {}, model),
                                        state_budget)
     return Fraction(cost, scale), seq
@@ -161,14 +231,14 @@ class _MoveTable:
         self._weighed: dict[int, tuple[dict, dict, list]] = {}
 
     def _priced(self, entries) -> tuple[list, int]:
-        """(transition, key, move, exact cost) per entry, and the lcm of the
-        costs' denominators."""
+        """(key, move, exact cost) per entry, and the lcm of the costs'
+        denominators."""
         rows = []
-        for t, key, move in entries:
+        for key, move in entries:
             v = Fraction(self.c.move_cost(move))
             if v < 0:
                 raise ValueError(f"cost of {move!r} is negative")
-            rows.append((t, key, move, v))
+            rows.append((key, move, v))
         return rows, math.lcm(*(v.denominator for *_, v in rows))
 
     def moves(self, trace: tuple[str, ...]):
@@ -183,12 +253,11 @@ class _MoveTable:
                     raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
                 # The letter's sync rows, then its log row.
                 letters[a] = self._priced(
-                    [(t, (_KIND_SYNC, ts[t]), Move(a, ts[t]))
+                    [((_KIND_SYNC, ts[t]), Move(a, ts[t]))
                      for t in self.net.compiled().by_label.get(a, ())]
-                    + [(None, None, Move(a, None))])
+                    + [(None, Move(a, None))])
         if self._model is None:
-            self._model = self._priced([(t, (_KIND_MODEL, ts[t]), Move(None, ts[t]))
-                                        for t in range(len(ts))])
+            self._model = self._priced([((_KIND_MODEL, t), Move(None, t)) for t in ts])
         scale = math.lcm(self._model[1], *(letters[a][1] for a in present))
         weighed = self._weighed.get(scale)
         if weighed is None:
@@ -196,22 +265,34 @@ class _MoveTable:
         sync, log, _ = weighed
         for a in present:
             if a not in sync:
-                *rows, (_, w, _, move) = _weigh(letters[a][0], scale)
+                *rows, (w, _, move) = _weigh(letters[a][0], scale)
                 sync[a], log[a] = rows, (w, move)
         return weighed, scale
 
 
 def _weigh(rows, scale: int) -> list:
-    return [(t, int(v * scale), key, move) for t, key, move, v in rows]
+    return [(int(v * scale), key, move) for key, move, v in rows]
 
 
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, membership's label index and membership's successor
-    cache.  Every part depends on the system only, so concurrent callers that
-    both compute one agree.
+    standard costs, the search's model graph, membership's label index and
+    membership's successor cache.  Every part depends on the system only, so
+    concurrent callers that both compute one agree.
+
+    The model graph (`_ModelGraph`) numbers the markings that alignment
+    searches on the system reach, and keeps per marking the enabled
+    transitions of each letter's sync row and of the model row, with the
+    number of the marking each one leads to.  It holds no weight, so calls
+    with the standard costs and calls with their own costs share it; weights
+    come from the move tables.  A search adds at most two row entries per
+    state it settles, and `model_graph` hands out an empty graph when a call
+    finds more markings or row entries than that call's state budget.  So
+    after a call the graph holds at most three times the budget in entries,
+    and besides the markings it held, the markings of the states that call
+    reached.
 
     The successor cache has one row per visible letter and one silent row
     (key None).  A row maps a marking to the markings reached by firing each
@@ -228,6 +309,7 @@ class _Plan:
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
+        self._graph: _ModelGraph | None = None
         self._successors: dict[str | None, dict[Marking, tuple[Marking, ...]]] = {}
         self._markings: dict[Marking, Marking] = {}
 
@@ -239,6 +321,16 @@ class _Plan:
     @cached_property
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
+
+    def model_graph(self, state_budget: int) -> _ModelGraph:
+        """The search's numbered markings and rows, replaced by an empty
+        graph when they hold more than `state_budget` markings or row
+        entries."""
+        graph = self._graph
+        if graph is None or len(graph.markings) > state_budget or \
+                graph.size > state_budget:
+            graph = self._graph = _ModelGraph(self.sys.net)
+        return graph
 
     @cached_property
     def label_index(self) -> tuple[list[str], dict[str, list[str]]]:
@@ -303,12 +395,14 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     The final state is unreachable exactly when the model is not easy-sound,
     which surfaces as NotEasySound.
     """
-    table = _plan(sys).standard_moves if c is None else _MoveTable(sys.net, c)
+    plan = _plan(sys)
+    table = plan.standard_moves if c is None else _MoveTable(sys.net, c)
     trace = tuple(trace)
     moves, scale = table.moves(trace)
     try:
         cost, seq, settled = dijkstra_least_cost(
-            sys.net, trace, sys.initial, sys.final, moves, state_budget)
+            sys.net, trace, sys.initial, sys.final, moves, state_budget,
+            plan.model_graph(state_budget))
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
     return AlignResult(seq, Fraction(cost, scale), algorithm, settled)

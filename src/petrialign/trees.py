@@ -215,22 +215,47 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
         memo[key] = result
         return result
 
+    alphabets: dict[tuple, frozenset] = {}
+
+    def alphabet(node, offset=0) -> frozenset:
+        """The visible letters of the node, or of its children from
+        `offset` on."""
+        key = (node_id(node), offset)
+        if key not in alphabets:
+            if node.kind == "activity":
+                alphabets[key] = frozenset((node.label,))
+            else:
+                alphabets[key] = frozenset().union(*map(alphabet, node.children[offset:]))
+        return alphabets[key]
+
     def par_match(node, offset, w) -> bool:
         children = node.children
         if offset == len(children) - 1:
             return match(children[offset], w)
-        n = len(w)
-        full = (1 << n) - 1
-        sub = full
+        # A position whose letter only the first child has goes to it, one
+        # whose letter only the later children have goes to them, and a
+        # letter no child has fails the word; only the other positions are
+        # split both ways.
+        mine, others = alphabet(children[offset]), alphabet(node, offset + 1)
+        forced = free = 0
+        for i, a in enumerate(w):
+            if a in mine:
+                if a in others:
+                    free |= 1 << i
+                else:
+                    forced |= 1 << i
+            elif a not in others:
+                return False
+        sub = free
         while True:
-            bits = [i for i in range(n) if sub >> i & 1]
-            first = tuple(w[i] for i in bits)
-            rest = tuple(w[i] for i in range(n) if not sub >> i & 1)
+            taken = sub | forced
+            first = tuple(a for i, a in enumerate(w) if taken >> i & 1)
+            rest = tuple(a for i, a in enumerate(w) if not taken >> i & 1)
             if match(children[offset], first) and par_match(node, offset + 1, rest):
                 return True
             if sub == 0:
                 return False
-            sub = (sub - 1) & full
+            sub = (sub - 1) & free
 
     def _match(node, w) -> bool:
         if node.kind == "activity":

@@ -121,6 +121,28 @@ def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys)
     assert "--nodes" in err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("classify", "--states"), ("align", "--states"), ("member", "--states"),
+    ("bench", "--states"), ("align", "--nodes"), ("shorten", "--budget")])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, capsys):
+    argv = {"classify": [str(ex1_path)], "align": [str(ex1_path), "--trace", "a,b"],
+            "member": [str(ex1_path), "--trace", "a,b"], "bench": [],
+            "shorten": [str(ex1_path), "--seq", "t1,t2,t3,t5"]}[command]
+    if option == "--nodes":
+        argv += ["--algo", "acyclic"]
+    code, out, err = run(capsys, command, *argv, f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_a_budget_of_one_is_accepted(ex1_path, capsys):
+    assert run(capsys, "align", str(ex1_path), "--trace", "a,b", "--states", "1")[0] == 3
+    assert run(capsys, "member", str(ex1_path), "--trace", "a,b", "--states", "1")[0] == 3
+    assert run(capsys, "classify", str(ex1_path), "--states", "1")[0] == 0
+
+
 def test_align_has_no_bound_option(ex1_path, capsys):
     code, _, _ = run(capsys, "align", str(ex1_path), "--trace", "a", "--bound", "3")
     assert code == 2

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,10 +19,10 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
 from petrialign import engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, Unreachable)
-from petrialign.petri import DEFAULT_STATE_BUDGET
-from randgen import (product_search_cost, random_safe_system,
-                     random_single_token_ssystem, random_trace, random_tree,
-                     render_moves)
+from petrialign.petri import DEFAULT_STATE_BUDGET, CompiledNet
+from randgen import (LABEL_POOL, product_search_cost, random_replayable_walk,
+                     random_safe_system, random_single_token_ssystem,
+                     random_trace, random_tree, render_moves)
 
 TRACE = ("a", "b", "a", "a")
 
@@ -398,13 +401,18 @@ def test_perfect_alignment_equivalence():
 # Membership's successor cache: consecutive calls on one system object reuse
 # the successors of the markings earlier calls visited.
 
-def _warm_and_fresh(system, calls):
-    """The outcomes of the (word, state budget) calls, made in order on
+def _warm_and_fresh_calls(system, calls):
+    """The outcomes of the (op, word, state budget) calls, made in order on
     `system`, and those of each call made on a system no call has seen.  The
     fresh calls come first, so that none of them replaces `system`'s plan."""
-    fresh = [_outcome(membership, word, _fresh(system), budget) for word, budget in calls]
-    warm = [_outcome(membership, word, system, budget) for word, budget in calls]
+    fresh = [_outcome(op, word, _fresh(system), budget) for op, word, budget in calls]
+    warm = [_outcome(op, word, system, budget) for op, word, budget in calls]
     return warm, fresh
+
+
+def _warm_and_fresh(system, calls):
+    """`_warm_and_fresh_calls` for (word, state budget) membership calls."""
+    return _warm_and_fresh_calls(system, [(membership, word, budget) for word, budget in calls])
 
 
 PUMP_LETTERS = "abcdefgh"
@@ -521,3 +529,224 @@ def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
     # A call on another system in between dropped `a`'s successors.
     assert membership(word, a)
     assert len(fired) == 3 * first
+
+
+# The search's model graph: consecutive alignments on one system object share
+# its numbered markings and each marking's enabled moves, whatever the costs.
+
+def _generic(trace, system, budget, costs=None):
+    return optimal_alignment(trace, system, costs, budget)
+
+
+def _dispatch(trace, system, budget, costs=None):
+    return dispatch_align(trace, system, costs, Budgets(states=budget))
+
+
+def _visible_alphabet(system):
+    net = system.net
+    return sorted({net.label(t).name for t in net.transitions if not net.label(t).silent})
+
+
+def _noisy_run(rng, system, max_len=24):
+    """The letters of a random firing sequence, each dropped, replaced or
+    followed by another letter with probability 0.1."""
+    net = system.net
+    word = []
+    for t in random_replayable_walk(rng, system, max_len):
+        label = net.label(t)
+        if label.silent:
+            continue
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        word.append(rng.choice(LABEL_POOL) if roll < 0.2 else label.name)
+        if roll > 0.9:
+            word.append(rng.choice(LABEL_POOL + ("z",)))
+    return tuple(word)
+
+
+def _route_systems(rng):
+    """ex1 plus seeded systems of every route: safe systems, single-token
+    S-systems, tree workflow nets and shuffle T-systems."""
+    def shuffle(rng):
+        return gen_shuffle_tsystem([tuple(random_trace(rng, max_len=3)) or ("a",)
+                                    for _ in range(2)])
+
+    def safe(rng):
+        return random_safe_system(rng, max_places=6, max_transitions=6)
+
+    def tree(rng):
+        return tree_to_wfnet(random_tree(rng, 3))
+
+    systems = [ex1_system()]
+    for draw in (safe, random_single_token_ssystem, tree, shuffle):
+        drawn = []
+        while len(drawn) < 3:
+            system = draw(rng)
+            if system is not None:
+                drawn.append(system)
+        systems += drawn
+    return systems
+
+
+def test_warm_alignments_match_fresh_systems():
+    """Shuffled traces (the empty one, ones with the absent letter z, long
+    noisy runs) aligned in turn by the dispatcher and the generic search on
+    one system object give the results of fresh systems: alignment, cost,
+    algorithm, settled states and cap."""
+    rng = random.Random(53)
+    routes, longest = set(), 0
+    for system in _route_systems(rng):
+        alphabet = _visible_alphabet(system)
+        assert "z" not in alphabet
+        traces = [(), ("z",), ("z", "z")] + [(a, "z") for a in alphabet]
+        traces += [_noisy_run(rng, system, 40) for _ in range(6)]
+        traces += [random_trace(rng, 30, tuple(alphabet) or ("a",)) for _ in range(3)]
+        calls = [(op, trace, DEFAULT_STATE_BUDGET) for trace in traces
+                 for op in (_dispatch, _generic)]
+        rng.shuffle(calls)
+        warm, fresh = _warm_and_fresh_calls(system, calls)
+        assert warm == fresh, str(system.net)
+        assert all(isinstance(r, engine.AlignResult) for r in warm)
+        routes |= {r.algorithm for r in warm}
+        longest = max(longest, *map(len, traces))
+    assert routes == {"generic", "ssystem"}
+    assert longest >= 20
+
+
+def _fraction_costs(system):
+    net = system.net
+    visible = [t for t in net.transitions if not net.label(t).silent]
+    return CostFunction(labels=dict(net.labels),
+                        log_overrides={a: Fraction(1, 3) for a in _visible_alphabet(system)},
+                        sync_overrides={(net.label(t).name, t): Fraction(1, 5) for t in visible},
+                        model_overrides={t: Fraction(2, 7) for t in net.transitions})
+
+
+def test_caller_costs_share_the_model_graph():
+    """Fraction costs of the caller, asked between standard-cost calls on one
+    system object, give the results of fresh calls."""
+    rng = random.Random(59)
+    changed = 0
+    for system in _route_systems(rng)[::2]:
+        c = _fraction_costs(system)
+        traces = [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
+        calls = [(functools.partial(op, costs=costs), trace, DEFAULT_STATE_BUDGET)
+                 for trace in traces for costs in (None, c, None, c)
+                 for op in (_dispatch, _generic)]
+        warm, fresh = _warm_and_fresh_calls(system, calls)
+        assert warm == fresh, str(system.net)
+        changed += sum(a.cost != b.cost for a, b in zip(warm[0::4], warm[2::4]))
+    assert changed > 0
+
+
+def test_a_raise_leaves_a_usable_model_graph(ex1):
+    """Searches that exceed their budget part-way, followed by searches with
+    larger budgets, give every result and every raise of fresh systems."""
+    traces = [(), ("a", "a", "b", "b"), TRACE, ("a", "a", "b", "a", "a", "b", "b"), ("z", "b")]
+    calls = [(op, trace, budget) for budget in range(1, 31) for trace in traces
+             for op in (_generic, _dispatch)]
+    calls += [(_generic, trace, DEFAULT_STATE_BUDGET) for trace in traces]
+    warm, fresh = _warm_and_fresh_calls(ex1, calls)
+    assert warm == fresh
+    assert BudgetExceeded in warm
+    assert isinstance(warm[-1], engine.AlignResult)
+    pump = _pump_system()
+    calls = [(_generic, trace, budget) for budget in range(1, 21)
+             for trace in [("z",), (), ("a", "z"), ("z", "a"), ("b", "a", "z")]]
+    warm, fresh = _warm_and_fresh_calls(pump, calls)
+    assert warm == fresh
+    assert BudgetExceeded in warm and any(isinstance(r, engine.AlignResult) for r in warm)
+
+
+def test_model_graph_stays_within_its_bound():
+    """On an unbounded net, searches that each fill another letter's row get
+    an empty graph once it holds more than their budget, so after a search
+    it holds at most three times the budget in row entries."""
+    budget = 50
+    pump = _pump_system()
+    calls = [(_generic, (a,), budget) for a in PUMP_LETTERS * 3]
+    warm, fresh = _warm_and_fresh_calls(pump, calls)
+    assert warm == fresh == [BudgetExceeded] * len(calls)
+    entries, markings = [], []
+    for op, trace, _ in calls:
+        _outcome(op, trace, pump, budget)
+        graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
+        entries.append(graph.size)
+        markings.append(len(graph.markings))
+        assert graph.size == sum(map(len, graph.rows.values()))
+    # Without the emptying, eight letters' rows would hold 225 entries.
+    assert max(entries) <= 3 * budget
+    assert max(markings) <= 3 * budget
+
+
+def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
+    fired = []
+    fire = CompiledNet.fire
+
+    def counted(self, m, t):
+        fired.append(t)
+        return fire(self, m, t)
+
+    monkeypatch.setattr(CompiledNet, "fire", counted)
+    a, b = ex1_system(), ex1_system()
+    result = optimal_alignment(TRACE, a)
+    first = len(fired)
+    assert first > 0
+    # The same trace on the same object fires nothing again, whatever the costs.
+    assert optimal_alignment(TRACE, a) == result
+    assert optimal_alignment(TRACE, a, _fraction_costs(a)).cost != result.cost
+    assert len(fired) == first
+    # An equal but distinct system shares nothing with it.
+    assert optimal_alignment(TRACE, b) == result
+    assert len(fired) == 2 * first
+    # A call on another system in between dropped `a`'s graph.
+    assert optimal_alignment(TRACE, a) == result
+    assert len(fired) == 3 * first
+    # A search without a plan starts from an empty graph each time.
+    fired.clear()
+    costs = {t: 1 for t in a.net.transitions}
+    assert min_cost_reach(a.net, a.initial, costs, a.final) == \
+        min_cost_reach(a.net, a.initial, costs, a.final)
+    assert len(fired) % 2 == 0 and len(fired) > 0
+
+
+def test_threads_share_one_model_graph():
+    """Searches in more threads than cores, started together on each new
+    system object and switching as often as the interpreter allows, number
+    every marking once and give the results of fresh systems."""
+    rng = random.Random(61)
+    workers = 6
+    words = [("a", "b", "c"), ("d", "e", "f"), ("g", "h"), ("i", "j"), ("k", "l")]
+    rounds = []
+    for _ in range(10):
+        system = gen_shuffle_tsystem(words)
+        traces = [tuple(rng.choice("abcdefghijkl") for _ in range(6)) for _ in range(workers)]
+        rounds.append((system, traces, [optimal_alignment(trace, _fresh(system))
+                                        for trace in traces]))
+    barrier = threading.Barrier(workers, timeout=60)
+    got = [[None] * workers for _ in rounds]
+    graphs = []
+
+    def work(k):
+        for r, (system, traces, _) in enumerate(rounds):
+            barrier.wait()
+            got[r][k] = optimal_alignment(traces[k], system)
+            if k == 0:
+                graphs.append(engine._plan(system).model_graph(DEFAULT_STATE_BUDGET))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected for _, _, expected in rounds]
+    for graph in graphs:
+        assert len(graph.numbers) == len(graph.markings) > 100
+        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))

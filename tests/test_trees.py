@@ -7,7 +7,7 @@ from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
                         membership, parse_tree, shuffle_member,
                         structural_class, tree_alphabet, tree_language_member,
                         tree_to_wfnet)
-from petrialign.errors import ArityError, ParseError
+from petrialign.errors import ArityError, BudgetExceeded, ParseError
 from randgen import random_tree
 
 
@@ -159,3 +159,61 @@ def test_tree_membership_budget():
     tree = parse_tree("par(seq(a, b), seq(a, b), seq(a, b))")
     with pytest.raises(BudgetExceeded):
         tree_language_member(tree, ("a",) * 6, budget=3)
+
+
+PAR_TREES = ["par(tau, a, tau)", "par(tau, tau)", "par(xor(tau, a), b)",
+             "par(seq(a, b), seq(a, c))", "par(a, loop(a, b))", "seq(par(a, b), c)",
+             "par(par(a, b), seq(b, c))", "par(seq(a, xor(b, tau)), loop(c, tau), a)"]
+
+
+@pytest.mark.parametrize("text", PAR_TREES)
+def test_par_language_matches_the_translated_net(text):
+    """Silent children, letters shared by siblings and letters no child has
+    (z), against membership in the translated net."""
+    tree = parse_tree(text)
+    system = tree_to_wfnet(tree)
+    for word in all_words(tree_alphabet(tree) + ("z",), 5):
+        assert tree_language_member(tree, word) == membership(word, system), word
+
+
+def test_par_with_silent_children():
+    tree = parse_tree("par(tau, a, tau)")
+    assert tree_language_member(tree, ("a",))
+    assert not tree_language_member(tree, ())
+    assert not tree_language_member(tree, ("a", "a"))
+    assert tree_language_member(parse_tree("par(tau, tau)"), ())
+    assert not tree_language_member(parse_tree("par(tau, tau)"), ("a",))
+
+
+def test_par_with_a_letter_shared_by_siblings():
+    tree = parse_tree("par(seq(a, b), seq(a, c))")
+    for word in (("a", "a", "b", "c"), ("a", "b", "a", "c"), ("a", "a", "c", "b"),
+                 ("a", "c", "a", "b")):
+        assert tree_language_member(tree, word), word
+    for word in (("a", "b", "c"), ("b", "a", "a", "c"), ("a", "a", "b", "b")):
+        assert not tree_language_member(tree, word), word
+
+
+def test_par_with_a_letter_no_child_has():
+    assert not tree_language_member(parse_tree("par(a, b)"), ("a", "z", "b"))
+    tree = parse_tree("seq(par(a, b), c)")
+    assert tree_language_member(tree, ("b", "a", "c"))
+    assert not tree_language_member(tree, ("c", "a", "b"))
+
+
+def test_par_fixes_the_positions_of_unshared_letters():
+    """Each letter belongs to one child, so there is one split per child,
+    not 2^24: a small step budget suffices."""
+    first, second = "abcdefghijkl", "mnopqrstuvwx"
+    tree = parse_tree(f"par(seq({', '.join(first)}), seq({', '.join(second)}))")
+    word = tuple(c for pair in zip(first, second) for c in pair)
+    assert tree_language_member(tree, word, budget=2000)
+    assert not tree_language_member(tree, word[1:] + word[:1], budget=2000)
+
+
+def test_tree_membership_budget_with_every_position_fixed():
+    tree = parse_tree("par(seq(a, b), seq(c, d), seq(e, f))")
+    word = ("a", "c", "e", "b", "d", "f")
+    assert tree_language_member(tree, word)
+    with pytest.raises(BudgetExceeded):
+        tree_language_member(tree, word, budget=3)
