@@ -34,7 +34,7 @@ def _load_system(path: str):
 
 
 def _budget(text: str) -> int:
-    """Argument type of the budget options: an integer of at least 1."""
+    """Argument type of the budget and bound options: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="structural and behavioral class report")
     p.add_argument("net")
-    p.add_argument("--bound", type=int, default=DEFAULT_B_MAX,
+    p.add_argument("--bound", type=_budget, default=DEFAULT_B_MAX,
                    help="place bound checked before deeper analysis")
     add_states(p)
     p.set_defaults(func=_cmd_classify)
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shorten", help="shorten a replayable firing sequence")
     p.add_argument("net")
     p.add_argument("--seq", required=True, help="comma-separated transition ids")
-    p.add_argument("--bound", type=int, default=1, help="place bound b")
+    p.add_argument("--bound", type=_budget, default=1, help="place bound b")
     p.add_argument("--budget", type=_budget, default=200_000,
                    help="permutation search budget")
     p.set_defaults(func=_cmd_shorten)

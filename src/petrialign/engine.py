@@ -8,12 +8,12 @@ DP arithmetic stay exact and fast; results are converted back to Fractions.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .classify import StructuralReport, behavioral_class, structural_class
@@ -47,10 +47,6 @@ def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
             raise ValueError(f"cost of {t!r} is negative")
         scaled[t] = int(v * scale)
     return scaled, scale
-
-
-# Expansion preference among equal-cost moves.
-_KIND_SYNC, _KIND_MODEL, _KIND_LOG = 0, 1, 2
 
 
 class _ModelGraph:
@@ -116,13 +112,21 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     from (0, initial) to (len(trace), final).
 
     `moves` is (sync, log, model): sync maps each trace letter to the
-    (weight, tie-break key, move) entries of its transitions in `by_label`
-    order, log maps it to (weight, move), and model holds one entry per
-    transition in declaration order.  A state yields its moves in the
-    product's declaration order: sync moves on the next letter, the log
-    move, then model moves.  Equal-cost frontier entries expand in (key,
-    insertion) order, which pins down a reproducible witness.  Returns
+    (weight, rank, move) entries of its transitions in `by_label` order, log
+    maps it to (weight, move), and model holds one (weight, rank, move)
+    entry per transition in declaration order.  A state yields its moves in
+    the product's declaration order: sync moves on the next letter, the log
+    move, then model moves.  Frontier entries expand in (cost, rank,
+    insertion) order, which pins down a reproducible witness.  Ranks follow
+    the tie-break keys (kind, id): sync before model before log moves, ids
+    in string order ("t10" < "t2").  With T transitions, sync ranks lie in
+    [0, T), model ranks in [T, 2T), and the log move at position i ranks
+    from 2T up by the id f"t{i + 1}" that trace_system gives it.  Returns
     (cost, moves, settled).
+
+    Heap entries are (cost * radix + rank, counter, position, marking
+    number), radix > every rank; `best` keys a state by marking number *
+    (len(trace) + 1) + position.  A pop is stale iff its cost is not best.
 
     Markings are numbered, and their enabled moves read, through `graph`
     (see `_ModelGraph`), a fresh one when None.  The search expands at most
@@ -135,59 +139,69 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     expand = graph.expand
     sync, log, model = moves
     n = len(trace)
-    sync_rows = {a: graph.rows.setdefault(a, {}) for a in dict.fromkeys(trace)}
+    width = n + 1
     model_row = graph.rows.setdefault(None, {})
-    # A log move breaks ties on the id trace_system gives its position.
-    log_keys = [(_KIND_LOG, f"t{i}") for i in range(1, n + 1)]
+    # The log move at position i (from 1) ranks by its id f"t{i}" as a string.
+    log_ranks = {i: r for r, i in enumerate(sorted(range(1, n + 1), key=str), 2 * len(model))}
+    # What the search reads at each position.
+    at = [(a, sync[a], graph.rows.setdefault(a, {}), *log[a], log_ranks[i])
+          for i, a in enumerate(trace, 1)]
+    radix = 2 * len(model) + n + 1   # above every rank, and at least 1
     encode = graph.cnet.encode
-    start = (0, graph.number(encode(initial)))
-    goal = (n, graph.number(encode(final)))
-    best = {start: (0, None, None)}   # state -> (cost, parent state, move)
-    settled = set()
-    heap: list = [(0, (), 0, start)]
+    start = graph.number(encode(initial))
+    goal = graph.number(encode(final)) * width + n
+    best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
+    heap: list = [(0, 0, 0, start)]
     counter = 1
+    settled = 0
     while heap:
-        cost, _, _, state = heapq.heappop(heap)
-        if state in settled:
+        priority, _, pos, m = heappop(heap)
+        cost = priority // radix
+        state = m * width + pos
+        if best[state][0] != cost:
             continue
-        settled.add(state)
-        if len(settled) > state_budget:
-            raise BudgetExceeded(len(settled))
+        settled += 1
+        if settled > state_budget:
+            raise BudgetExceeded(settled)
         if state == goal:
             path = []
             _, parent, move = best[state]
             while parent is not None:
                 path.append(move)
                 _, parent, move = best[parent]
-            return cost, tuple(reversed(path)), len(settled)
-        pos, m = state
-        steps = []
+            return cost, tuple(reversed(path)), settled
         if pos < n:
-            letter = trace[pos]
-            entries = sync[letter]
+            letter, entries, row, w, move, log_rank = at[pos]
             if entries:
-                succ = sync_rows[letter].get(m)
+                succ = row.get(m)
                 if succ is None:
                     succ = expand(letter, m)
                 for j, s in succ:
-                    w, key, move = entries[j]
-                    steps.append(((pos + 1, s), w, key, move))
-            w, move = log[letter]
-            steps.append(((pos + 1, m), w, log_keys[pos], move))
+                    sw, rank, smove = entries[j]
+                    nc = cost + sw
+                    nxt = s * width + pos + 1
+                    old = best.get(nxt)
+                    if old is None or nc < old[0]:
+                        best[nxt] = (nc, state, smove)
+                        heappush(heap, (nc * radix + rank, counter, pos + 1, s))
+                        counter += 1
+            nc = cost + w
+            old = best.get(state + 1)
+            if old is None or nc < old[0]:
+                best[state + 1] = (nc, state, move)
+                heappush(heap, (nc * radix + log_rank, counter, pos + 1, m))
+                counter += 1
         succ = model_row.get(m)
         if succ is None:
             succ = expand(None, m)
         for j, s in succ:
-            w, key, move = model[j]
-            steps.append(((pos, s), w, key, move))
-        for nxt, w, key, move in steps:
-            if nxt in settled:
-                continue
+            w, rank, move = model[j]
             nc = cost + w
+            nxt = s * width + pos
             old = best.get(nxt)
             if old is None or nc < old[0]:
                 best[nxt] = (nc, state, move)
-                heapq.heappush(heap, (nc, key, counter, nxt))
+                heappush(heap, (nc * radix + rank, counter, pos, s))
                 counter += 1
     raise Unreachable(f"marking {final!r} is not reachable")
 
@@ -206,7 +220,8 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
         raise Unreachable(f"marking {target!r} is not reachable")
-    model = [(weight[t], (_KIND_MODEL, t), t) for t in net.transitions]
+    ranks = {t: r for r, t in enumerate(sorted(net.transitions), len(net.transitions))}
+    model = [(weight[t], ranks[t], t) for t in net.transitions]
     cost, seq, _ = dijkstra_least_cost(net, (), initial, target, ({}, {}, model),
                                        state_budget)
     return Fraction(cost, scale), seq
@@ -220,31 +235,33 @@ class _MoveTable:
     holds that letter.  A trace's integer scale is the lcm of the cost
     denominators over its letters' groups and the model rows, so it and the
     integer weights equal those of a table built for that trace alone;
-    weighed rows are kept per scale.
+    weighed rows are kept per scale.  Sync and model entries carry the
+    search's tie-break ranks (see `dijkstra_least_cost`), made once per table.
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
         self.net = net
         self.c = c
+        self._ranks = {t: r for r, t in enumerate(sorted(net.transitions))}
         self._model = None
         self._letters: dict[str, tuple] = {}
         self._weighed: dict[int, tuple[dict, dict, list]] = {}
 
     def _priced(self, entries) -> tuple[list, int]:
-        """(key, move, exact cost) per entry, and the lcm of the costs'
+        """(rank, move, exact cost) per entry, and the lcm of the costs'
         denominators."""
         rows = []
-        for key, move in entries:
+        for rank, move in entries:
             v = Fraction(self.c.move_cost(move))
             if v < 0:
                 raise ValueError(f"cost of {move!r} is negative")
-            rows.append((key, move, v))
+            rows.append((rank, move, v))
         return rows, math.lcm(*(v.denominator for *_, v in rows))
 
     def moves(self, trace: tuple[str, ...]):
         """The move table for aligning the trace, plus its cost scale.  The
         table may hold rows of letters the trace lacks."""
-        ts = self.net.transitions
+        ts, ranks = self.net.transitions, self._ranks
         letters = self._letters
         present = dict.fromkeys(trace)
         for a in present:
@@ -253,11 +270,11 @@ class _MoveTable:
                     raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
                 # The letter's sync rows, then its log row.
                 letters[a] = self._priced(
-                    [((_KIND_SYNC, ts[t]), Move(a, ts[t]))
+                    [(ranks[ts[t]], Move(a, ts[t]))
                      for t in self.net.compiled().by_label.get(a, ())]
                     + [(None, Move(a, None))])
         if self._model is None:
-            self._model = self._priced([((_KIND_MODEL, t), Move(None, t)) for t in ts])
+            self._model = self._priced([(len(ts) + ranks[t], Move(None, t)) for t in ts])
         scale = math.lcm(self._model[1], *(letters[a][1] for a in present))
         weighed = self._weighed.get(scale)
         if weighed is None:
@@ -271,7 +288,7 @@ class _MoveTable:
 
 
 def _weigh(rows, scale: int) -> list:
-    return [(int(v * scale), key, move) for key, move, v in rows]
+    return [(int(v * scale), rank, move) for rank, move, v in rows]
 
 
 class _Plan:

@@ -247,6 +247,8 @@ def shorten_lbfc(net: PetriNet, marking: Marking, seq: Sequence[str], bound: int
     The caller asserts the class preconditions; the construction itself is
     replay-verified, and when the ordered-permutation search exhausts its
     budget the original sequence is returned flagged."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     seq = tuple(seq)
     t_count = len(net.transitions)
     bound_value = bound * t_count * (t_count + 1) * (t_count + 2) // 6

@@ -123,7 +123,8 @@ def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys)
 
 @pytest.mark.parametrize("command, option", [
     ("classify", "--states"), ("align", "--states"), ("member", "--states"),
-    ("bench", "--states"), ("align", "--nodes"), ("shorten", "--budget")])
+    ("bench", "--states"), ("align", "--nodes"), ("shorten", "--budget"),
+    ("shorten", "--bound"), ("classify", "--bound")])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, capsys):
     argv = {"classify": [str(ex1_path)], "align": [str(ex1_path), "--trace", "a,b"],

@@ -110,8 +110,10 @@ def test_zero_cost_silent_cycle_terminates():
         assert membership(trace, system) == (generic.cost == 0)
 
 
-# Alignments and settled-state counts of the pinned tie-break
-# (cost, (kind, component id), insertion order).
+# Alignments and settled-state counts of the pinned tie-break: cost, then the
+# rank of the move's (kind, id) key, then insertion order (see
+# `dijkstra_least_cost`).  ex1's ids t1 to t5 sort the same as strings and in
+# declaration order; CHAINS_PINNED covers ids where the two orders differ.
 EX1_PINNED = {
     (): ("4", 6, ">>/t1 >>/t2 >>/t3 >>/t5"),
     ("a", "b", "a", "a"): ("2", 27, "a/t1 b/t3 a/t2 >>/t5 a/>>"),
@@ -127,6 +129,132 @@ def test_pinned_tie_break_running_example(ex1, trace):
     result = optimal_alignment(trace, ex1)
     assert (str(result.cost), result.states_expanded,
             render_moves(result.alignment)) == EX1_PINNED[trace]
+
+
+def _four_chains():
+    """Four concurrent chains of three transitions each, t1 to t12, whose ids
+    sort differently as strings ("t10" < "t2") than in declaration order.
+    Every chain starts with an a-move, so sync moves on a tie."""
+    labels = "abcabcabcacb"
+    places, flow = [], []
+    for k, chain in enumerate("ABCD"):
+        places += [f"{chain}{j}" for j in range(4)]
+        for j in range(3):
+            t = f"t{3 * k + j + 1}"
+            flow += [(f"{chain}{j}", t), (t, f"{chain}{j + 1}")]
+    ts = tuple(f"t{i}" for i in range(1, 13))
+    net = PetriNet(tuple(places), ts, flow, {t: Label(a) for t, a in zip(ts, labels)})
+    return AcceptingSystem(net, Marking.of("A0", "B0", "C0", "D0"),
+                           Marking.of("A3", "B3", "C3", "D3"))
+
+
+def _coprime_costs(system):
+    """Caller costs equal within each kind of move, whose denominators have
+    an lcm of 7 * 11 * 13 * 17 * 19."""
+    net = system.net
+    return CostFunction(labels=dict(net.labels),
+                        log_overrides={a: Fraction(5, 7 * 11) for a in "abcx"},
+                        sync_overrides={(net.label(t).name, t): Fraction(1, 13)
+                                        for t in net.transitions},
+                        model_overrides={t: Fraction(4, 17 * 19) for t in net.transitions})
+
+
+# Pinned where the string order of the ids, which the tie-break follows, and
+# their declaration order disagree: sync and model moves of t1 against t10 to
+# t12, and log moves at positions 1 and 10 and later ("t2" against "t10").
+CHAINS_PINNED = {
+    ("aabbccxaabbcc", False): (
+        "3", 1017, "a/t1 a/t4 b/t2 b/t5 c/t3 c/t6 x/>> a/t10 a/t7 >>/t11 b/t12 b/t8 c/t9 c/>>"),
+    ("aabbccxaabbcc", True): (
+        "319575/323323", 3584,
+        ">>/t10 a/t4 a/t7 b/t5 b/t8 c/t11 c/t6 x/>> a/>> a/t1 b/t12 b/t2 c/t3 c/t9"),
+    ("cabbacabcaxbc", False): (
+        "3", 862, ">>/t10 c/t11 a/t1 b/t12 b/t2 a/t4 c/t3 a/t7 b/t5 c/t6 a/>> x/>> b/t8 c/t9"),
+    ("cabbacabcaxbc", True): (
+        "319575/323323", 3584,
+        ">>/t10 c/t11 a/t7 b/t12 b/t8 a/>> c/t9 a/t4 b/t5 c/t6 a/t1 x/>> b/t2 c/t3"),
+}
+
+
+@pytest.mark.parametrize("word, caller_costs", list(CHAINS_PINNED))
+def test_pinned_tie_break_follows_string_order(word, caller_costs):
+    system = _four_chains()
+    c = _coprime_costs(system) if caller_costs else None
+    result = optimal_alignment(tuple(word), system, c)
+    assert (str(result.cost), result.states_expanded,
+            render_moves(result.alignment)) == CHAINS_PINNED[word, caller_costs]
+
+
+# Per trace, the result with an ample budget, on ex1 and on three systems of
+# random_safe_system(random.Random(65), 8, 8) with random traces.
+BUDGET_PINNED = [
+    [((), ("4", 6, ">>/t1 >>/t2 >>/t3 >>/t5")),
+     (TRACE, ("2", 27, "a/t1 b/t3 a/t2 >>/t5 a/>>")),
+     (tuple("aabaabb"), ("0", 9, "a/t1 a/t2 b/t3 >>/t4 a/t1 a/t2 b/t3 b/t5")),
+     (("z", "b"), ("4", 14, ">>/t1 z/>> b/t3 >>/t2 >>/t5"))],
+    [(tuple("bazbzc"), ("5", 32, ">>/t3 b/>> a/t0 z/>> b/>> z/>> c/>>")),
+     (tuple("baa"), ("2", 17, ">>/t3 b/>> a/t0 a/>>"))],
+    [(tuple("bb"), ("3", 11, ">>/t5 b/>> b/>>")),
+     (tuple("czbbbba"), ("6", 31, "c/t5 z/>> b/>> b/>> b/>> b/>> a/>>"))],
+    [(tuple("caabbc"), ("6", 7, "c/>> a/>> a/>> b/>> b/>> c/>>")),
+     (tuple("zzc"), ("3", 4, "z/>> z/>> c/>>"))],
+]
+
+
+def _budget_systems():
+    rng = random.Random(65)
+    systems = [ex1_system()]
+    while len(systems) < 4:
+        system = random_safe_system(rng, max_places=8, max_transitions=8)
+        if system is not None:
+            systems.append(system)
+    return systems
+
+
+def test_budget_raise_points_are_pinned():
+    """Budgets 1 to 30: a search that would settle more states than its
+    budget raises on settling one more, and any other returns the pinned
+    result."""
+    for system, cases in zip(_budget_systems(), BUDGET_PINNED):
+        for trace, expected in cases:
+            for budget in range(1, 31):
+                try:
+                    result = optimal_alignment(trace, system, None, budget)
+                except BudgetExceeded as exc:
+                    assert budget < expected[1]
+                    assert exc.discovered == budget + 1
+                else:
+                    assert (str(result.cost), result.states_expanded,
+                            render_moves(result.alignment)) == expected
+
+
+# Per reachable marking of ex1: the states min_cost_reach settles, and its
+# witness with unit costs, which is also the one with zero costs.
+REACH_PINNED = {
+    ("p_init",): (1, ()),
+    ("p1", "p2"): (2, ("t1",)),
+    ("p2", "p3"): (3, ("t1", "t2")),
+    ("p1", "p4"): (4, ("t1", "t3")),
+    ("p3", "p4"): (5, ("t1", "t2", "t3")),
+    ("p_final",): (6, ("t1", "t2", "t3", "t5")),
+}
+
+
+def test_min_cost_reach_raise_points_are_pinned(ex1):
+    assert {tuple(sorted(m.support())) for m in build_reachability_graph(ex1).vertices} \
+        == set(REACH_PINNED)
+    for places, (settled, seq) in REACH_PINNED.items():
+        for costs in ({}, {t: 1 for t in ex1.net.transitions}):
+            for budget in range(1, 31):
+                try:
+                    got = min_cost_reach(ex1.net, ex1.initial, costs,
+                                         Marking.of(*places), budget)
+                except BudgetExceeded as exc:
+                    assert budget < settled
+                    assert exc.discovered == budget + 1
+                else:
+                    assert budget >= settled
+                    assert got == (len(seq) if costs else 0, seq)
 
 
 def test_search_matches_product_and_oracle():

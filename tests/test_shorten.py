@@ -125,6 +125,13 @@ def test_shorten_lbfc_budget_flag(ex1):
     assert result.sequence == seq
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_shorten_lbfc_rejects_nonpositive_bounds(ex1, bound):
+    for seq in ((), ("t1", "t2", "t3", "t5")):
+        with pytest.raises(ValueError, match="bound"):
+            shorten_lbfc(ex1.net, ex1.initial, seq, bound)
+
+
 def test_shorten_lbfc_rejects_unreplayable(ex1):
     with pytest.raises(NotReplayable):
         shorten_lbfc(ex1.net, ex1.initial, ("t5",), 1)
