@@ -13,6 +13,10 @@ from .petri import AcceptingSystem, Label, fire
 NO_MOVE_SYMBOL = "≫"
 SILENT_SYMBOL = "τ"
 
+# The standard costs; a Fraction is immutable, so every lookup shares these.
+_FREE = Fraction(0)
+_UNIT = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Move:
@@ -66,16 +70,16 @@ class CostFunction:
                     raise ValueError("costs must be non-negative")
 
     def sync(self, label: str, transition: str) -> Fraction:
-        return self.sync_overrides.get((label, transition), Fraction(0))
+        return self.sync_overrides.get((label, transition), _FREE)
 
     def log(self, label: str) -> Fraction:
-        return self.log_overrides.get(label, Fraction(1))
+        return self.log_overrides.get(label, _UNIT)
 
     def model(self, transition: str) -> Fraction:
         override = self.model_overrides.get(transition)
         if override is not None:
             return override
-        return Fraction(0) if self.labels[transition].silent else Fraction(1)
+        return _FREE if self.labels[transition].silent else _UNIT
 
     def move_cost(self, move: Move) -> Fraction:
         if move.kind == "sync":

@@ -49,7 +49,34 @@ def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
     return scaled, scale
 
 
-class _ModelGraph:
+class _Numbering:
+    """Markings numbered in the order callers find them, with per-marking
+    rows that subclasses fill; `size` counts the row entries.  Numbering
+    takes a lock, so callers in several threads agree on every number."""
+
+    def __init__(self):
+        self.numbers: dict = {}
+        self.markings: list = []
+        self.size = 0   # row entries
+        self._lock = threading.Lock()
+
+    def _number(self, m) -> int:
+        i = self.numbers.get(m)
+        if i is None:
+            i = self.numbers[m] = len(self.markings)
+            self.markings.append(m)
+        return i
+
+    def number(self, m) -> int:
+        with self._lock:
+            return self._number(m)
+
+    def over(self, budget: int) -> bool:
+        """Whether it holds more markings or row entries than `budget`."""
+        return len(self.markings) > budget or self.size > budget
+
+
+class _ModelGraph(_Numbering):
     """The model markings of one net, numbered in the order searches find
     them, and per marking the enabled entries of each row.
 
@@ -64,25 +91,11 @@ class _ModelGraph:
     """
 
     def __init__(self, net: PetriNet):
+        super().__init__()
         self.cnet = net.compiled()
         self.entries = dict(self.cnet.by_label)
         self.entries[None] = range(len(self.cnet.pre))
-        self.numbers: dict[tuple[int, ...], int] = {}
-        self.markings: list[tuple[int, ...]] = []
         self.rows: dict[str | None, dict[int, tuple]] = {}
-        self.size = 0   # row entries
-        self._lock = threading.Lock()
-
-    def _number(self, m: tuple[int, ...]) -> int:
-        i = self.numbers.get(m)
-        if i is None:
-            i = self.numbers[m] = len(self.markings)
-            self.markings.append(m)
-        return i
-
-    def number(self, m: tuple[int, ...]) -> int:
-        with self._lock:
-            return self._number(m)
 
     def expand(self, key: str | None, i: int) -> tuple:
         """Marking i's entry of the row, computed and stored on first use."""
@@ -100,6 +113,51 @@ class _ModelGraph:
                     else:
                         succ.append((j, self._number(fire(m, t))))
                 succ = row[i] = tuple(succ)
+                self.size += 1
+        return succ
+
+
+class _MemberGraph(_Numbering):
+    """The markings that membership calls on one system find, one `Marking`
+    object per number, and per marking the successors in each row.
+
+    A row is that of a visible letter (the transitions it labels) or the
+    silent row (key None: the silent transitions), both in declaration
+    order.  `rows[key][i]` is the tuple of the numbers of the markings that
+    the row's transitions enabled at marking number i lead to, in row order,
+    filled the first time a call expands i by that row.  What a call reads
+    at a position is its step tuple: one (row, key, position step) triple
+    for the letter's row, when a transition carries the letter, then one for
+    the silent row, when there are silent transitions.  `steps` holds the
+    tuple of each visible letter and `silent` that of the silent row alone.
+    The final and the initial marking are numbered first, as `final` and
+    `initial`.  Expansion fires on `Marking`s through `fire` and numbers
+    under the lock.
+    """
+
+    def __init__(self, sys: AcceptingSystem):
+        super().__init__()
+        self.net = net = sys.net
+        self.final = self._number(sys.final)
+        self.initial = self._number(sys.initial)
+        self.transitions: dict[str | None, list[str]] = {None: []}
+        for t in net.transitions:
+            self.transitions.setdefault(net.label(t).name, []).append(t)
+        self.rows: dict[str | None, dict[int, tuple[int, ...]]] = \
+            {key: {} for key in self.transitions}
+        self.silent = ((self.rows[None], None, 0),) if self.transitions[None] else ()
+        self.steps = {a: ((row, a, 1),) + self.silent
+                      for a, row in self.rows.items() if a is not None}
+
+    def expand(self, key: str | None, i: int) -> tuple[int, ...]:
+        """Marking i's entry of the row, computed and stored on first use."""
+        with self._lock:
+            row = self.rows[key]
+            succ = row.get(i)
+            if succ is None:
+                net, m = self.net, self.markings[i]
+                succ = row[i] = tuple([self._number(fire(net, m, t)) for t in
+                                       _enabled_among(net, m, self.transitions[key])])
                 self.size += 1
         return succ
 
@@ -295,9 +353,9 @@ class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, the search's model graph, membership's label index and
-    membership's successor cache.  Every part depends on the system only, so
-    concurrent callers that both compute one agree.
+    standard costs, the search's model graph and membership's marking graph.
+    Every part depends on the system only, so concurrent callers that both
+    compute one agree.
 
     The model graph (`_ModelGraph`) numbers the markings that alignment
     searches on the system reach, and keeps per marking the enabled
@@ -311,24 +369,22 @@ class _Plan:
     and besides the markings it held, the markings of the states that call
     reached.
 
-    The successor cache has one row per visible letter and one silent row
-    (key None).  A row maps a marking to the markings reached by firing each
-    of the row's transitions enabled there, in declaration order, and the
-    cache keeps one copy of each marking, so lookups mostly match by
-    identity.  A membership call adds at most two row entries per state it
-    visits and about one marking per state it keeps; `successor_cache`
-    empties the cache when a call finds either count above that call's
-    state budget.  So after a call the cache holds at most three times the
-    budget in entries and about twice in markings, the order of the states
-    the call itself may keep.  A call on another system drops the plan, and
-    the cache with it."""
+    The marking graph (`_MemberGraph`) numbers the markings that membership
+    calls on the system find, and keeps per marking the numbers of its
+    successors in each visible letter's row and in the silent row.  A
+    membership call adds at most two row entries per state it visits and
+    about one marking per state it keeps; `member_graph` hands out an empty
+    graph when a call finds either count above that call's state budget.  So
+    after a call the graph holds at most three times the budget in entries
+    and about twice in markings, the order of the states the call itself may
+    keep.  A call on another system drops the plan, and both graphs with
+    it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
         self._graph: _ModelGraph | None = None
-        self._successors: dict[str | None, dict[Marking, tuple[Marking, ...]]] = {}
-        self._markings: dict[Marking, Marking] = {}
+        self._members: _MemberGraph | None = None
 
     @cached_property
     def structure(self) -> StructuralReport:
@@ -344,32 +400,18 @@ class _Plan:
         graph when they hold more than `state_budget` markings or row
         entries."""
         graph = self._graph
-        if graph is None or len(graph.markings) > state_budget or \
-                graph.size > state_budget:
+        if graph is None or graph.over(state_budget):
             graph = self._graph = _ModelGraph(self.sys.net)
         return graph
 
-    @cached_property
-    def label_index(self) -> tuple[list[str], dict[str, list[str]]]:
-        """The silent transitions, and the transitions of each visible label,
-        in declaration order."""
-        net = self.sys.net
-        silents = [t for t in net.transitions if net.label(t).silent]
-        by_letter: dict[str, list[str]] = {}
-        for t in net.transitions:
-            label = net.label(t)
-            if not label.silent:
-                by_letter.setdefault(label.name, []).append(t)
-        return silents, by_letter
-
-    def successor_cache(self, state_budget: int) -> tuple[dict, dict[Marking, Marking]]:
-        """The successor rows and the one copy of each marking they hold,
-        both emptied first when either holds more than `state_budget`
+    def member_graph(self, state_budget: int) -> _MemberGraph:
+        """Membership's numbered markings and rows, replaced by an empty
+        graph when they hold more than `state_budget` markings or row
         entries."""
-        if len(self._markings) > state_budget or \
-                sum(map(len, self._successors.values())) > state_budget:
-            self._successors, self._markings = {}, {}
-        return self._successors, self._markings
+        graph = self._members
+        if graph is None or graph.over(state_budget):
+            graph = self._members = _MemberGraph(self.sys)
+        return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
         """The alignment-length cap for a trace of `trace_len` letters on a
@@ -437,49 +479,47 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     """Language membership: does a perfect (cost-0) alignment exist?
 
     Searches synchronous and silent model moves only, so easy-soundness of the
-    model is not required for termination.  Successor markings come from
-    the plan's successor cache (see `_Plan`), so consecutive calls on one
-    system fire a transition at a marking once, not once per visit.  The
-    search, and so every verdict and every BudgetExceeded, is the same as
-    with no cache.
+    model is not required for termination.  The DFS runs on integer states
+    marking number * (len(trace) + 1) + position, numbered and expanded
+    through the plan's marking graph (see `_MemberGraph`), so consecutive
+    calls on one system fire a transition at a marking once, not once per
+    visit.  The search, and so every verdict and every BudgetExceeded, is
+    the same as on a fresh graph.
     """
     trace = tuple(trace)
-    net = sys.net
-    plan = _plan(sys)
-    silents, by_letter = plan.label_index
-    rows, markings = plan.successor_cache(state_budget)
+    graph = _plan(sys).member_graph(state_budget)
+    expand = graph.expand
     n = len(trace)
-    # Per position, (row, transitions, position step) for the moves out of
-    # it: the position's letter, when a transition carries it, then the
-    # silent moves.
-    silent = ((rows.setdefault(None, {}), silents, 0),) if silents else ()
-    steps = []
-    for a in trace:
-        ts = by_letter.get(a)
-        steps.append(((rows.setdefault(a, {}), ts, 1),) + silent if ts else silent)
+    width = n + 1
+    # Per position, the (row, key, position step) triples of the moves out of
+    # it: the position's letter, when a transition carries it, then silent.
+    silent, letter_steps = graph.silent, graph.steps
+    steps = [letter_steps.get(a, silent) for a in trace]
     steps.append(silent)
-    goal = (n, markings.setdefault(sys.final, sys.final))
-    start = (0, markings.setdefault(sys.initial, sys.initial))
+    start = graph.initial * width
+    goal = graph.final * width + n
     if start == goal:
         return True
     seen = {start}
     stack = [start]
     while stack:
-        pos, m = stack.pop()
-        for row, ts, step in steps[pos]:
+        state = stack.pop()
+        pos = state % width
+        m = state // width
+        for row, key, step in steps[pos]:
             succ = row.get(m)
             if succ is None:
-                succ = row[m] = tuple(markings.setdefault(s, s) for s in
-                                      [fire(net, m, t) for t in _enabled_among(net, m, ts)])
+                succ = expand(key, m)
+            step += pos
             for s in succ:
-                state = (pos + step, s)
-                if state == goal:
+                nxt = s * width + step
+                if nxt == goal:
                     return True
-                if state not in seen:
-                    seen.add(state)
+                if nxt not in seen:
+                    seen.add(nxt)
                     if len(seen) > state_budget:
                         raise BudgetExceeded(len(seen), what="states")
-                    stack.append(state)
+                    stack.append(nxt)
     return False
 
 

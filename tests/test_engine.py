@@ -13,9 +13,9 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         dispatch_align, ex1_system, fire_sequence,
                         gen_shuffle_tsystem, lbfc_length_bound, membership,
                         min_cost_reach, optimal_alignment,
-                        optimal_alignment_ssystem, parse_net, serialize_net,
-                        standard_costs, trace_system, tree_to_wfnet,
-                        validate_alignment)
+                        optimal_alignment_ssystem, parse_net, parse_tree,
+                        serialize_net, standard_costs, trace_system,
+                        tree_to_wfnet, validate_alignment)
 from petrialign import engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, Unreachable)
@@ -526,8 +526,8 @@ def test_perfect_alignment_equivalence():
         done += 1
 
 
-# Membership's successor cache: consecutive calls on one system object reuse
-# the successors of the markings earlier calls visited.
+# Membership's marking graph: consecutive calls on one system object reuse the
+# numbered successors of the markings earlier calls visited.
 
 def _warm_and_fresh_calls(system, calls):
     """The outcomes of the (op, word, state budget) calls, made in order on
@@ -605,8 +605,8 @@ def test_a_raise_leaves_a_usable_cache(ex1):
 
 
 def test_successor_cache_stays_within_its_bound():
-    """On an unbounded net, calls that each fill another letter's row empty
-    the cache once it holds more than their budget, so after a call it holds
+    """On an unbounded net, calls that each fill another letter's row get an
+    empty graph once it holds more than their budget, so after a call it holds
     at most what the call found plus two entries per state it visited, and
     one marking per state it kept plus the successors of the last one."""
     budget = 50
@@ -617,13 +617,59 @@ def test_successor_cache_stays_within_its_bound():
     entries, markings = [], []
     for word, _ in calls:
         _outcome(membership, word, pump, budget)
-        plan = engine._plan(pump)
-        entries.append(sum(map(len, plan._successors.values())))
-        markings.append(len(plan._markings))
+        graph = engine._plan(pump).member_graph(DEFAULT_STATE_BUDGET)
+        entries.append(graph.size)
+        markings.append(len(graph.markings))
+        assert graph.size == sum(map(len, graph.rows.values()))
     assert max(entries) <= 3 * budget
     assert max(markings) <= 2 * budget + len(pump.net.transitions) + 1
     # Without the emptying, eight letters' rows would hold about 225 entries.
     assert any(later < earlier for earlier, later in zip(entries, entries[1:]))
+
+
+# Per word, in `itertools.product` order from the shortest: T or F and the
+# least state budget at which membership answers True or False, or R when it
+# raises at every budget up to 30.  Recorded on the Marking-keyed successor
+# cache that the numbered marking graph replaced.
+MEMBER_TREE = "seq(a, loop(par(b, xor(c, tau)), tau), xor(a, seq(c, b)))"
+MEMBER_PINNED = [
+    (ex1_system, "ab", 5, """
+    F1 F2 F1 F3 F3 F1 F1 F3 F5 F5 F3 F1 F1 F1 F1 F3 F3 F6 T4 F6 T4 F3 F3 F1
+    F1 F1 F1 F1 F1 F1 F1 F3 F3 F3 F3 F7 F7 F6 F6 F7 F7 F6 F6 F3 F3 F3 F3 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    """),
+    (_pump_system, "az", 3, """
+    R R T1 R R R R R R R R R R R R
+    """),
+    (lambda: tree_to_wfnet(parse_tree(MEMBER_TREE)), "abc", 4, """
+    F1 F5 F1 F1 F5 F12 F6 F1 F1 F1 F1 F1 F1 F5 F5 F5 T12 F19 F19 F6 F12 F6
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F5 F5 F5 F5 F5 F5
+    F5 F5 F5 F13 F13 F13 T19 F26 F26 T19 T20 F21 F6 F6 F6 T12 F19 F14 F6 F6
+    F6 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    F1 F1 F1 F1 F1 F1 F1
+    """),
+]
+
+
+def test_membership_raise_points_are_pinned():
+    """Budgets 1 to 30, asked in turn of one system object: a call that would
+    keep more states than its budget raises on keeping one more, and any
+    other gives the pinned verdict."""
+    for make, alphabet, longest, pinned in MEMBER_PINNED:
+        system = make()
+        words = [w for n in range(longest + 1) for w in itertools.product(alphabet, repeat=n)]
+        pinned = pinned.split()
+        assert len(pinned) == len(words)
+        for word, token in zip(words, pinned):
+            least = 31 if token == "R" else int(token[1:])
+            for budget in range(1, 31):
+                try:
+                    got = membership(word, system, budget)
+                except BudgetExceeded as exc:
+                    got = ("raised", exc.discovered)
+                assert got == (("raised", budget + 1) if budget < least
+                               else token[0] == "T"), (word, budget)
 
 
 def test_warm_membership_on_a_zero_cost_silent_cycle():
@@ -875,6 +921,61 @@ def test_threads_share_one_model_graph():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected for _, _, expected in rounds]
+    for graph in graphs:
+        assert len(graph.numbers) == len(graph.markings) > 100
+        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
+
+
+def _interleaving(rng, words):
+    """A random shuffle of the words, each word's letters kept in order."""
+    rest = [list(word) for word in words]
+    shuffled = []
+    while any(rest):
+        shuffled.append(rng.choice([word for word in rest if word]).pop(0))
+    return tuple(shuffled)
+
+
+def test_threads_share_one_membership_graph():
+    """Membership calls in more threads than cores, started together on each
+    new system object and switching as often as the interpreter allows,
+    number every marking once and give the verdicts of fresh systems."""
+    rng = random.Random(67)
+    workers = 6
+    words = [("a", "b", "c"), ("d", "e", "f"), ("g", "h"), ("i", "j"), ("k", "l")]
+    rounds = []
+    # A lost update in numbering shows in about one round in fifty.
+    for _ in range(200):
+        system = gen_shuffle_tsystem(words)
+        traces = [[_interleaving(rng, words) for _ in range(3)]
+                  + [tuple(rng.choice("abcdefghijkl") for _ in range(6))]
+                  for _ in range(workers)]
+        fresh = _fresh(system)
+        rounds.append((system, traces, [[membership(trace, fresh) for trace in mine]
+                                        for mine in traces]))
+    barrier = threading.Barrier(workers, timeout=60)
+    got = [[None] * workers for _ in rounds]
+    graphs = []
+
+    def work(k):
+        for r, (system, traces, _) in enumerate(rounds):
+            barrier.wait()
+            got[r][k] = [membership(trace, system) for trace in traces[k]]
+            if k == 0:
+                graphs.append(engine._plan(system).member_graph(DEFAULT_STATE_BUDGET))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected for _, _, expected in rounds]
+    assert any(False in verdicts for _, _, expected in rounds for verdicts in expected)
     for graph in graphs:
         assert len(graph.numbers) == len(graph.markings) > 100
         assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
