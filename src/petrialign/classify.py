@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet
-from .products import _bfs_arcs
+from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
+                    _MarkingGraph)
 
 DEFAULT_B_MAX = 8
 
@@ -72,56 +72,31 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
                             workflow_shape, source, sink)
 
 
-class _Exploration:
-    """Reachable markings numbered in BFS order from 0, the initial marking.
+def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None,
+             graph: _MarkingGraph | None):
+    """The reachable markings in the BFS order of `_MarkingGraph.explore`
+    from the initial marking, over `graph`'s rows (a fresh graph when None):
+    (markings, access, succ, fired, final).  `access(i)` is the BFS-tree
+    firing sequence to marking i, `succ[i]` and `fired[i]` list the targets
+    and transitions of the arcs leaving it, and `final` is the index of the
+    final marking, or None when it was not found.  With `b_max` the search
+    stops at the first marking with more than b_max tokens on some place."""
+    if b_max is not None and b_max < 1:
+        raise ValueError("b_max must be >= 1")
+    if graph is None:
+        graph = _MarkingGraph(sys.net)
+    order, parent, via, succ, fired = graph.explore(sys.initial, state_budget, b_max)
 
-    `parent[i]` and `via[i]` give the arc that discovered marking i (-1 and
-    None at the root); `succ[i]` and `fired[i]` list the targets and the
-    transitions of the arcs leaving it, in arc order.
-    """
-
-    __slots__ = ("ids", "markings", "parent", "via", "succ", "fired")
-
-    def __init__(self, sys: AcceptingSystem, state_budget: int, b_max: int | None):
-        """Explore the whole state space, or with `b_max` up to and including
-        the first marking with more than b_max tokens on some place."""
-        if b_max is not None and b_max < 1:
-            raise ValueError("b_max must be >= 1")
-        root = sys.initial
-        self.ids = ids = {root: 0}
-        self.markings = markings = [root]
-        self.parent = parent = [-1]
-        self.via = via = [None]
-        self.succ = succ = [[]]
-        self.fired = fired = [[]]
-        if b_max is not None and root.max_count() > b_max:
-            return
-        src = 0
-        # The initial marking is always explored, so budgets below 1 act as 1.
-        for m, t, m2 in _bfs_arcs(sys, max(state_budget, 1)):
-            # Arcs leave markings in BFS order, so src only moves forward.
-            while markings[src] is not m:
-                src += 1
-            j = ids.get(m2)
-            if j is None:
-                j = ids[m2] = len(markings)
-                markings.append(m2)
-                parent.append(src)
-                via.append(t)
-                succ.append([])
-                fired.append([])
-                if b_max is not None and m2.max_count() > b_max:
-                    return
-            succ[src].append(j)
-            fired[src].append(t)
-
-    def access(self, i: int) -> tuple[str, ...]:
-        """The BFS-tree firing sequence from the initial marking to marking i."""
+    def access(i: int) -> tuple[str, ...]:
         seq = []
-        while self.parent[i] >= 0:
-            seq.append(self.via[i])
-            i = self.parent[i]
+        while parent[i] >= 0:
+            seq.append(via[i])
+            i = parent[i]
         return tuple(reversed(seq))
+
+    final = graph.numbers.get(sys.final)
+    final = order.index(final) if final in order else None
+    return [graph.markings[i] for i in order], access, succ, fired, final
 
 
 @dataclass(frozen=True)
@@ -135,10 +110,11 @@ class BoundReport:
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _bound_report(ex: _Exploration, b_max: int) -> BoundReport:
+def _bound_report(ex: tuple, b_max: int) -> BoundReport:
+    markings, access, *_ = ex
     best = 0
     best_witness = unsafe_witness = bad = None
-    for i, m in enumerate(ex.markings):
+    for i, m in enumerate(markings):
         for p, n in m.items():
             if n > best:
                 best = n
@@ -154,10 +130,10 @@ def _bound_report(ex: _Exploration, b_max: int) -> BoundReport:
                           ("unsafe", unsafe_witness)):
         if witness:
             p, i = witness
-            certs[name] = (p, ex.markings[i], ex.access(i))
+            certs[name] = (p, markings[i], access(i))
     if bad:
-        return BoundReport(None, False if best >= 2 else None, len(ex.markings), certs)
-    return BoundReport(best, best <= 1, len(ex.markings), certs)
+        return BoundReport(None, False if best >= 2 else None, len(markings), certs)
+    return BoundReport(best, best <= 1, len(markings), certs)
 
 
 def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
@@ -167,7 +143,7 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
     A marking exceeding b_max stops the search with a (place, marking) witness.
     Exhausting the state budget without a verdict raises BudgetExceeded.
     """
-    return _bound_report(_Exploration(sys, state_budget, b_max), b_max)
+    return _bound_report(_explore(sys, state_budget, b_max, None), b_max)
 
 
 @dataclass(frozen=True)
@@ -240,55 +216,54 @@ def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
     return next((i for s, i in terminal.items() if s != scc), None)
 
 
-def _behavioral_report(sys: AcceptingSystem, ex: _Exploration) -> BehavioralReport:
+def _behavioral_report(sys: AcceptingSystem, ex: tuple) -> BehavioralReport:
     net = sys.net
-    markings = ex.markings
+    markings, access, succ, fired_at, final = ex
     certs: dict[str, Any] = {}
     tops = [m.max_count() for m in markings]
     bound = max(tops)
     if bound > 0:
         i = tops.index(bound)
         p = next(p for p, n in markings[i].items() if n == bound)
-        certs["bound"] = (p, markings[i], ex.access(i))
+        certs["bound"] = (p, markings[i], access(i))
     safe = bound <= 1
     if not safe:
         certs["unsafe"] = certs["bound"]
 
     enabling: dict[str, int] = {}
-    for i, ts in enumerate(ex.fired):
+    for i, ts in enumerate(fired_at):
         for t in ts:
             enabling.setdefault(t, i)
     quasi = all(t in enabling for t in net.transitions)
     if quasi:
-        certs["quasi_live"] = {t: ex.access(enabling[t]) for t in net.transitions}
+        certs["quasi_live"] = {t: access(enabling[t]) for t in net.transitions}
     else:
         certs["dead"] = next(t for t in net.transitions if t not in enabling)
 
-    scc_of, terminal = _sccs(ex.succ)
+    scc_of, terminal = _sccs(succ)
     fired: dict[int, set[str]] = {s: set() for s in terminal}
     for i, s in enumerate(scc_of):
         if s in fired:
-            fired[s].update(ex.fired[i])
+            fired[s].update(fired_at[i])
     dead_end = next(((t, i) for s, i in terminal.items()
                      for t in net.transitions if t not in fired[s]), None)
     live = dead_end is None
     if not live:
         t, i = dead_end
-        certs["live_counterexample"] = (t, ex.access(i))
+        certs["live_counterexample"] = (t, access(i))
 
     away = _other_terminal(scc_of[0], terminal)
     cyclic = away is None
     if not cyclic:
-        certs["cyclic_counterexample"] = ex.access(away)
+        certs["cyclic_counterexample"] = access(away)
 
-    final = ex.ids.get(sys.final)
     easy_sound = final is not None
     if easy_sound:
-        certs["easy_sound"] = ex.access(final)
+        certs["easy_sound"] = access(final)
         away = _other_terminal(scc_of[final], terminal)
         option = away is None
         if not option:
-            certs["option_counterexample"] = ex.access(away)
+            certs["option_counterexample"] = access(away)
     else:
         option = False
         certs["option_counterexample"] = ()
@@ -296,7 +271,7 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Exploration) -> BehavioralRepo
     for i, m in enumerate(markings):
         if m >= sys.final and m != sys.final:
             proper = False
-            certs["proper_counterexample"] = (m, ex.access(i))
+            certs["proper_counterexample"] = (m, access(i))
             break
 
     sound = option and proper and quasi
@@ -304,8 +279,8 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Exploration) -> BehavioralRepo
                             len(markings), certs)
 
 
-def behavioral_class(sys: AcceptingSystem,
-                     state_budget: int = DEFAULT_STATE_BUDGET) -> BehavioralReport:
+def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET,
+                     *, graph: _MarkingGraph | None = None) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
 
     Liveness, cyclicity and the option to complete come from the terminal
@@ -315,15 +290,22 @@ def behavioral_class(sys: AcceptingSystem,
     is reachable from every reachable marking iff it lies in the only
     terminal scc.  Counterexamples name a marking in an offending terminal
     scc.
+
+    The exploration is one breadth-first search from the initial marking
+    over the rows of a marking graph of the net, by default a fresh one.
+    `graph` is for the package's own callers: the dispatcher passes the graph
+    that its alignment searches on the system then read.  The search keeps
+    its own order, so the report is that of a fresh graph, whatever earlier
+    callers numbered.
     """
-    return _behavioral_report(sys, _Exploration(sys, state_budget, None))
+    return _behavioral_report(sys, _explore(sys, state_budget, None, graph))
 
 
 def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
                              ) -> BoundReport | BehavioralReport:
     """bounded_and_safe's report when some place exceeds b_max, otherwise
     behavioral_class's, both from one exploration."""
-    ex = _Exploration(sys, state_budget, b_max)
-    if ex.markings[-1].max_count() > b_max:
+    ex = _explore(sys, state_budget, b_max, None)
+    if ex[0][-1].max_count() > b_max:
         return _bound_report(ex, b_max)
     return _behavioral_report(sys, ex)

@@ -20,7 +20,7 @@ from .classify import StructuralReport, behavioral_class, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _enabled_among, fire, is_token)
+                    _enabled_among, _MarkingGraph, _Numbering, fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -47,74 +47,6 @@ def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
             raise ValueError(f"cost of {t!r} is negative")
         scaled[t] = int(v * scale)
     return scaled, scale
-
-
-class _Numbering:
-    """Markings numbered in the order callers find them, with per-marking
-    rows that subclasses fill; `size` counts the row entries.  Numbering
-    takes a lock, so callers in several threads agree on every number."""
-
-    def __init__(self):
-        self.numbers: dict = {}
-        self.markings: list = []
-        self.size = 0   # row entries
-        self._lock = threading.Lock()
-
-    def _number(self, m) -> int:
-        i = self.numbers.get(m)
-        if i is None:
-            i = self.numbers[m] = len(self.markings)
-            self.markings.append(m)
-        return i
-
-    def number(self, m) -> int:
-        with self._lock:
-            return self._number(m)
-
-    def over(self, budget: int) -> bool:
-        """Whether it holds more markings or row entries than `budget`."""
-        return len(self.markings) > budget or self.size > budget
-
-
-class _ModelGraph(_Numbering):
-    """The model markings of one net, numbered in the order searches find
-    them, and per marking the enabled entries of each row.
-
-    A row is the sync row of a letter (its transitions in `by_label` order)
-    or the model row (key None: every transition in declaration order), the
-    order of the search's move lists.  `rows[key][m]` holds one (entry
-    index, successor number) pair per entry of the row enabled at marking
-    number m, in row order, filled the first time a search expands m by
-    that row.  Nothing here depends on costs, so searches under any cost
-    function share it.  Numbering and expansion take a lock, so searches in
-    several threads agree on every number.
-    """
-
-    def __init__(self, net: PetriNet):
-        super().__init__()
-        self.cnet = net.compiled()
-        self.entries = dict(self.cnet.by_label)
-        self.entries[None] = range(len(self.cnet.pre))
-        self.rows: dict[str | None, dict[int, tuple]] = {}
-
-    def expand(self, key: str | None, i: int) -> tuple:
-        """Marking i's entry of the row, computed and stored on first use."""
-        with self._lock:
-            row = self.rows[key]
-            succ = row.get(i)
-            if succ is None:
-                m = self.markings[i]
-                pre, fire = self.cnet.pre, self.cnet.fire
-                succ = []
-                for j, t in enumerate(self.entries[key]):
-                    for p in pre[t]:
-                        if not m[p]:
-                            break
-                    else:
-                        succ.append((j, self._number(fire(m, t))))
-                succ = row[i] = tuple(succ)
-                self.size += 1
-        return succ
 
 
 class _MemberGraph(_Numbering):
@@ -164,50 +96,49 @@ class _MemberGraph(_Numbering):
 
 def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
                         final: Marking, moves, state_budget: int,
-                        graph: _ModelGraph | None = None):
+                        graph: _MarkingGraph | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net, generated on the fly
-    from (0, initial) to (len(trace), final).
+    from (0, initial) to (len(trace), final).  Both markings mark places of
+    the net only.
 
-    `moves` is (sync, log, model): sync maps each trace letter to the
-    (weight, rank, move) entries of its transitions in `by_label` order, log
-    maps it to (weight, move), and model holds one (weight, rank, move)
-    entry per transition in declaration order.  A state yields its moves in
-    the product's declaration order: sync moves on the next letter, the log
-    move, then model moves.  Frontier entries expand in (cost, rank,
-    insertion) order, which pins down a reproducible witness.  Ranks follow
-    the tie-break keys (kind, id): sync before model before log moves, ids
-    in string order ("t10" < "t2").  With T transitions, sync ranks lie in
-    [0, T), model ranks in [T, 2T), and the log move at position i ranks
-    from 2T up by the id f"t{i + 1}" that trace_system gives it.  Returns
-    (cost, moves, settled).
+    `moves` is (sync, log, model): sync maps each trace letter to a list
+    indexed by transition that holds the (weight, rank, move) entry of each
+    transition carrying the letter and None elsewhere (or to an empty list
+    when none carries it), log maps it to (weight, move), and model holds one
+    (weight, rank, move) entry per transition in declaration order.  A state
+    yields its moves in the product's declaration order: sync moves on the
+    next letter, the log move, then model moves.  Frontier entries expand in
+    (cost, rank, insertion) order, which pins down a reproducible witness.
+    Ranks follow the tie-break keys (kind, id): sync before model before log
+    moves, ids in string order ("t10" < "t2").  With T transitions, sync
+    ranks lie in [0, T), model ranks in [T, 2T), and the log move at
+    position i ranks from 2T up by the id f"t{i + 1}" that trace_system
+    gives it.  Returns (cost, moves, settled).
 
     Heap entries are (cost * radix + rank, counter, position, marking
     number), radix > every rank; `best` keys a state by marking number *
     (len(trace) + 1) + position.  A pop is stale iff its cost is not best.
 
-    Markings are numbered, and their enabled moves read, through `graph`
-    (see `_ModelGraph`), a fresh one when None.  The search expands at most
-    two rows per state it settles (the letter's sync row and the model row),
-    so it adds at most twice `state_budget` row entries to the graph, and
-    numbers only markings of the states it reaches.
+    Markings are numbered, and their enabled transitions read, through
+    `graph` (see `_MarkingGraph`), a fresh one when None.  Each settled state
+    reads its marking's one row, for its sync moves and its model moves
+    alike, so the search adds at most one row per state it settles, and
+    numbers only the markings of the states it reaches and the final one.
     """
     if graph is None:
-        graph = _ModelGraph(net)
-    expand = graph.expand
+        graph = _MarkingGraph(net)
+    expand, rows = graph.row, graph.rows
     sync, log, model = moves
     n = len(trace)
     width = n + 1
-    model_row = graph.rows.setdefault(None, {})
     # The log move at position i (from 1) ranks by its id f"t{i}" as a string.
     log_ranks = {i: r for r, i in enumerate(sorted(range(1, n + 1), key=str), 2 * len(model))}
     # What the search reads at each position.
-    at = [(a, sync[a], graph.rows.setdefault(a, {}), *log[a], log_ranks[i])
-          for i, a in enumerate(trace, 1)]
+    at = [(sync[a], *log[a], log_ranks[i]) for i, a in enumerate(trace, 1)]
     radix = 2 * len(model) + n + 1   # above every rank, and at least 1
-    encode = graph.cnet.encode
-    start = graph.number(encode(initial))
-    goal = graph.number(encode(final)) * width + n
+    start = graph.number(initial)
+    goal = graph.number(final) * width + n
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
     heap: list = [(0, 0, 0, start)]
     counter = 1
@@ -228,14 +159,17 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
                 path.append(move)
                 _, parent, move = best[parent]
             return cost, tuple(reversed(path)), settled
+        row = rows.get(m)
+        if row is None:
+            row = expand(m)
         if pos < n:
-            letter, entries, row, w, move, log_rank = at[pos]
+            entries, w, move, log_rank = at[pos]
             if entries:
-                succ = row.get(m)
-                if succ is None:
-                    succ = expand(letter, m)
-                for j, s in succ:
-                    sw, rank, smove = entries[j]
+                for t, s in row:
+                    entry = entries[t]
+                    if entry is None:
+                        continue
+                    sw, rank, smove = entry
                     nc = cost + sw
                     nxt = s * width + pos + 1
                     old = best.get(nxt)
@@ -249,11 +183,8 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
                 best[state + 1] = (nc, state, move)
                 heappush(heap, (nc * radix + log_rank, counter, pos + 1, m))
                 counter += 1
-        succ = model_row.get(m)
-        if succ is None:
-            succ = expand(None, m)
-        for j, s in succ:
-            w, rank, move = model[j]
+        for t, s in row:
+            w, rank, move = model[t]
             nc = cost + w
             nxt = s * width + pos
             old = best.get(nxt)
@@ -278,6 +209,9 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
         raise Unreachable(f"marking {target!r} is not reachable")
+    if outside:
+        initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
+                           for m in (initial, target))
     ranks = {t: r for r, t in enumerate(sorted(net.transitions), len(net.transitions))}
     model = [(weight[t], ranks[t], t) for t in net.transitions]
     cost, seq, _ = dijkstra_least_cost(net, (), initial, target, ({}, {}, model),
@@ -326,22 +260,27 @@ class _MoveTable:
             if a not in letters:
                 if not is_token(a):
                     raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-                # The letter's sync rows, then its log row.
-                letters[a] = self._priced(
-                    [(ranks[ts[t]], Move(a, ts[t]))
-                     for t in self.net.compiled().by_label.get(a, ())]
-                    + [(None, Move(a, None))])
+                # The transitions carrying the letter, their sync rows, then
+                # its log row.
+                carriers = [i for i, t in enumerate(ts) if self.net.label(t).name == a]
+                letters[a] = (carriers, *self._priced(
+                    [(ranks[ts[i]], Move(a, ts[i])) for i in carriers]
+                    + [(None, Move(a, None))]))
         if self._model is None:
             self._model = self._priced([(len(ts) + ranks[t], Move(None, t)) for t in ts])
-        scale = math.lcm(self._model[1], *(letters[a][1] for a in present))
+        scale = math.lcm(self._model[1], *(letters[a][2] for a in present))
         weighed = self._weighed.get(scale)
         if weighed is None:
             weighed = self._weighed[scale] = ({}, {}, _weigh(self._model[0], scale))
         sync, log, _ = weighed
         for a in present:
             if a not in sync:
-                *rows, (w, _, move) = _weigh(letters[a][0], scale)
-                sync[a], log[a] = rows, (w, move)
+                carriers, rows, _ = letters[a]
+                *rows, (w, _, move) = _weigh(rows, scale)
+                by_transition = [None] * len(ts) if rows else []
+                for i, entry in zip(carriers, rows):
+                    by_transition[i] = entry
+                sync[a], log[a] = by_transition, (w, move)
         return weighed, scale
 
 
@@ -349,27 +288,32 @@ def _weigh(rows, scale: int) -> list:
     return [(int(v * scale), rank, move) for rank, move, v in rows]
 
 
+_plan_lock = threading.Lock()   # making a plan, or a graph of one
+
+
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, the search's model graph and membership's marking graph.
-    Every part depends on the system only, so concurrent callers that both
-    compute one agree.
+    standard costs, the model graph and membership's graph.  Every part
+    depends on the system only, so concurrent callers that both compute one
+    agree.
 
-    The model graph (`_ModelGraph`) numbers the markings that alignment
-    searches on the system reach, and keeps per marking the enabled
-    transitions of each letter's sync row and of the model row, with the
-    number of the marking each one leads to.  It holds no weight, so calls
+    The model graph (`petri._MarkingGraph`) numbers the markings that the
+    LBFC cap's classification and the alignment searches on the system
+    find, and keeps per marking its row: the enabled transitions, each with
+    the number of the marking it leads to.  The classification fills the
+    rows of every reachable marking within its budget, so the searches that
+    follow read them instead of firing again.  It holds no weight, so calls
     with the standard costs and calls with their own costs share it; weights
-    come from the move tables.  A search adds at most two row entries per
-    state it settles, and `model_graph` hands out an empty graph when a call
-    finds more markings or row entries than that call's state budget.  So
-    after a call the graph holds at most three times the budget in entries,
-    and besides the markings it held, the markings of the states that call
-    reached.
+    come from the move tables.  The classification adds at most one row per
+    marking it explores and a search at most one per state it settles, and
+    `model_graph` hands out an empty graph when a call finds more markings
+    or rows than that call's state budget.  So after a call the graph holds
+    at most twice the budget in rows, and besides the markings it held, the
+    markings that call reached and their successors.
 
-    The marking graph (`_MemberGraph`) numbers the markings that membership
+    Membership's graph (`_MemberGraph`) numbers the markings that membership
     calls on the system find, and keeps per marking the numbers of its
     successors in each visible letter's row and in the silent row.  A
     membership call adds at most two row entries per state it visits and
@@ -378,12 +322,13 @@ class _Plan:
     after a call the graph holds at most three times the budget in entries
     and about twice in markings, the order of the states the call itself may
     keep.  A call on another system drops the plan, and both graphs with
-    it."""
+    it.  Graphs are made under a lock, so threads that ask for one together
+    share it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
-        self._graph: _ModelGraph | None = None
+        self._graph: _MarkingGraph | None = None
         self._members: _MemberGraph | None = None
 
     @cached_property
@@ -395,13 +340,16 @@ class _Plan:
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
-    def model_graph(self, state_budget: int) -> _ModelGraph:
-        """The search's numbered markings and rows, replaced by an empty
-        graph when they hold more than `state_budget` markings or row
-        entries."""
+    def model_graph(self, state_budget: int) -> _MarkingGraph:
+        """The classifier's and the search's numbered markings and rows,
+        replaced by an empty graph when they hold more than `state_budget`
+        markings or rows."""
         graph = self._graph
         if graph is None or graph.over(state_budget):
-            graph = self._graph = _ModelGraph(self.sys.net)
+            with _plan_lock:
+                graph = self._graph
+                if graph is None or graph.over(state_budget):
+                    graph = self._graph = _MarkingGraph(self.sys.net)
         return graph
 
     def member_graph(self, state_budget: int) -> _MemberGraph:
@@ -410,7 +358,10 @@ class _Plan:
         entries."""
         graph = self._members
         if graph is None or graph.over(state_budget):
-            graph = self._members = _MemberGraph(self.sys)
+            with _plan_lock:
+                graph = self._members
+                if graph is None or graph.over(state_budget):
+                    graph = self._members = _MemberGraph(self.sys)
         return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
@@ -422,7 +373,8 @@ class _Plan:
             srep = self.structure
             if srep.free_choice:
                 try:
-                    brep = behavioral_class(self.sys, state_budget)
+                    brep = behavioral_class(self.sys, state_budget,
+                                            graph=self.model_graph(state_budget))
                     if brep.bound_found and (brep.live or (brep.sound and srep.workflow_shape)):
                         base = lbfc_length_bound(len(self.sys.net.transitions),
                                                  brep.bound_found, 0)
@@ -439,11 +391,16 @@ _last_plan: _Plan | None = None
 def _plan(sys: AcceptingSystem) -> _Plan:
     """The plan of `sys`, remembered for the last system only: consecutive
     calls on one system share it, and no older system is kept alive.  The
-    plan holds its system, so a match by identity is never a reused id."""
+    plan holds its system, so a match by identity is never a reused id.  A
+    new plan is made under a lock, so threads that start on one new system
+    together share one plan."""
     global _last_plan
     plan = _last_plan
     if plan is None or plan.sys is not sys:
-        plan = _last_plan = _Plan(sys)
+        with _plan_lock:
+            plan = _last_plan
+            if plan is None or plan.sys is not sys:
+                plan = _last_plan = _Plan(sys)
     return plan
 
 
@@ -481,7 +438,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     Searches synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The DFS runs on integer states
     marking number * (len(trace) + 1) + position, numbered and expanded
-    through the plan's marking graph (see `_MemberGraph`), so consecutive
+    through the plan's membership graph (see `_MemberGraph`), so consecutive
     calls on one system fire a transition at a marking once, not once per
     visit.  The search, and so every verdict and every BudgetExceeded, is
     the same as on a fresh graph.

@@ -8,11 +8,12 @@ and transitions, so every computation downstream is deterministic.
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EmptyNet, NotEnabled, UnknownTransition
+from .errors import BudgetExceeded, EmptyNet, NotEnabled, UnknownTransition
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -140,7 +141,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set", "_compiled")
+                 "_consume", "_produce", "_place_set", "_trans_set")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -178,7 +179,6 @@ class PetriNet:
             post_set = set(self._post[t])
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
-        self._compiled = None
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -194,12 +194,6 @@ class PetriNet:
 
     def label(self, t: str) -> Label:
         return self.labels[t]
-
-    def compiled(self) -> "CompiledNet":
-        """The integer-indexed form of this net, built on first use."""
-        if self._compiled is None:
-            self._compiled = CompiledNet(self)
-        return self._compiled
 
     def is_weakly_connected(self) -> bool:
         vertices = self.places + self.transitions
@@ -241,48 +235,6 @@ class PetriNet:
 
     def __repr__(self) -> str:
         return f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, |F|={len(self.flow)})"
-
-
-class CompiledNet:
-    """A net with places and transitions replaced by their declaration indices.
-
-    Markings are tuples of token counts in place order.  `pre[t]` lists the
-    input places of transition t and `delta[t]` its (place, change) effects;
-    `by_label` maps each visible label to its transitions in declaration order.
-    """
-
-    __slots__ = ("places", "pre", "delta", "by_label")
-
-    def __init__(self, net: PetriNet):
-        self.places = net.places
-        index = {p: i for i, p in enumerate(net.places)}
-        self.pre = tuple(tuple(index[p] for p in net.preset(t)) for t in net.transitions)
-        self.delta = tuple(tuple((index[p], -1) for p in net._consume[t])
-                           + tuple((index[p], 1) for p in net._produce[t])
-                           for t in net.transitions)
-        by_label: dict[str, list[int]] = {}
-        for i, t in enumerate(net.transitions):
-            label = net.label(t)
-            if not label.silent:
-                by_label.setdefault(label.name, []).append(i)
-        self.by_label = {a: tuple(ts) for a, ts in by_label.items()}
-
-    def encode(self, marking: Marking) -> tuple[int, ...]:
-        """Token counts in place order; tokens on places outside the net are dropped."""
-        return tuple(marking[p] for p in self.places)
-
-    def enabled(self, m: tuple[int, ...], t: int) -> bool:
-        for p in self.pre[t]:
-            if not m[p]:
-                return False
-        return True
-
-    def fire(self, m: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """Successor marking; the caller checks that t is enabled."""
-        counts = list(m)
-        for p, d in self.delta[t]:
-            counts[p] += d
-        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -345,6 +297,103 @@ def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
     for p in net._produce[t]:
         counts[p] = counts.get(p, 0) + 1
     return Marking._trusted(counts)
+
+
+class _Numbering:
+    """Markings numbered in the order callers find them, with per-marking
+    rows that subclasses fill; `size` counts the row entries.  Numbering
+    takes a lock, so callers in several threads agree on every number."""
+
+    def __init__(self):
+        self.numbers: dict = {}
+        self.markings: list = []
+        self.size = 0   # row entries
+        self._lock = threading.Lock()
+
+    def _number(self, m) -> int:
+        i = self.numbers.get(m)
+        if i is None:
+            i = self.numbers[m] = len(self.markings)
+            self.markings.append(m)
+        return i
+
+    def number(self, m) -> int:
+        with self._lock:
+            return self._number(m)
+
+    def over(self, budget: int) -> bool:
+        """Whether it holds more markings or row entries than `budget`."""
+        return len(self.markings) > budget or self.size > budget
+
+
+class _MarkingGraph(_Numbering):
+    """The markings of one net that callers find, one `Marking` object per
+    number, and per marking number its row: one (transition index, successor
+    number) pair per enabled transition, in declaration order.  A row is
+    filled the first time a caller asks for it, by `enabled_transitions` and
+    `fire` under the lock, so callers in several threads agree on every
+    number.  Nothing here depends on a root or a trace: the classifier and
+    the alignment search of one system share the graph, and a search may
+    have numbered markings that are not reachable (its goal)."""
+
+    def __init__(self, net: PetriNet):
+        super().__init__()
+        self.net = net
+        self.index = {t: i for i, t in enumerate(net.transitions)}
+        self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def row(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Marking i's row, computed and stored on first use."""
+        with self._lock:
+            row = self.rows.get(i)
+            if row is None:
+                net, m, index = self.net, self.markings[i], self.index
+                row = self.rows[i] = tuple([(index[t], self._number(fire(net, m, t)))
+                                            for t in enabled_transitions(net, m)])
+                self.size += 1
+        return row
+
+    def explore(self, root: Marking, state_budget: int, b_max: int | None = None):
+        """Breadth-first search over the rows from `root`, in an order of its
+        own that does not depend on the graph's numbers.  Returns (order,
+        parent, via, succ, fired): order[k] is the number of the k-th marking
+        found, parent[k] and via[k] the index and the transition of the arc
+        that found it (-1 and None at the root), and succ[k] and fired[k] the
+        targets (as indices into order) and transitions of the arcs leaving
+        it, in row order.  Finding a marking past the budget raises
+        BudgetExceeded; the root is always explored, so budgets below 1 act
+        as 1.  With `b_max`, the search stops on finding the first marking
+        with more than b_max tokens on some place, before its arc is listed.
+        """
+        start = self.number(root)
+        order, local = [start], {start: 0}
+        parent, via, succ, fired = [-1], [None], [[]], [[]]
+        result = order, parent, via, succ, fired
+        if b_max is not None and root.max_count() > b_max:
+            return result
+        budget = max(state_budget, 1)
+        rows, markings, ts = self.rows, self.markings, self.net.transitions
+        for k, i in enumerate(order):
+            row = rows.get(i)
+            if row is None:
+                row = self.row(i)
+            targets, names = succ[k], fired[k]
+            for t, s in row:
+                j = local.get(s)
+                if j is None:
+                    j = local[s] = len(order)
+                    if j >= budget:
+                        raise BudgetExceeded(j + 1)
+                    order.append(s)
+                    parent.append(k)
+                    via.append(ts[t])
+                    succ.append([])
+                    fired.append([])
+                    if b_max is not None and markings[s].max_count() > b_max:
+                        return result
+                targets.append(j)
+                names.append(ts[t])
+        return result
 
 
 def fire_sequence(net: PetriNet, marking: Marking, seq: Iterable[str]) -> Marking:

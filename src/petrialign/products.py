@@ -8,13 +8,12 @@ original component ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Label, Marking,
-                    PetriNet, enabled_transitions, fire, is_token)
+                    PetriNet, _MarkingGraph, is_token)
 
 NO_MOVE = ">>"
 
@@ -116,44 +115,35 @@ class ReachabilityGraph:
         return frozenset(self.arcs)
 
 
-def _bfs_arcs(sys: AcceptingSystem, state_budget: int):
-    """Arcs (src, transition, dst) of the reachability graph, generated lazily
-    in breadth-first order.  Discovering a marking past the budget raises
-    BudgetExceeded before the arc to it is yielded.  Each marking is one
-    object throughout, so lookups downstream compare by identity."""
-    net = sys.net
-    seen = {sys.initial: sys.initial}
-    queue = deque([sys.initial])
-    while queue:
-        m = queue.popleft()
-        for t in enabled_transitions(net, m):
-            fired = fire(net, m, t)
-            m2 = seen.setdefault(fired, fired)
-            if m2 is fired:
-                if len(seen) > state_budget:
-                    raise BudgetExceeded(len(seen))
-                queue.append(m2)
-            yield m, t, m2
-
-
 def build_reachability_graph(sys: AcceptingSystem,
                              state_budget: int = DEFAULT_STATE_BUDGET) -> ReachabilityGraph:
-    """Breadth-first closure of the firing rule from the initial marking."""
+    """Breadth-first closure of the firing rule from the initial marking.
+    Arcs leave markings in BFS order, each marking's in declaration order;
+    each marking is one object throughout.  Discovering a marking past the
+    budget raises BudgetExceeded."""
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
-    arcs = tuple(_bfs_arcs(sys, state_budget))
-    vertices = frozenset([sys.initial, *(dst for _, _, dst in arcs)])
-    return ReachabilityGraph(sys.initial, vertices, arcs, dict(sys.net.labels))
+    graph = _MarkingGraph(sys.net)
+    order, _, _, succ, fired = graph.explore(sys.initial, state_budget)
+    markings = [graph.markings[i] for i in order]
+    arcs = tuple((markings[i], t, markings[j]) for i in range(len(order))
+                 for j, t in zip(succ[i], fired[i]))
+    return ReachabilityGraph(sys.initial, frozenset(markings), arcs, dict(sys.net.labels))
 
 
-def product_of_reach_graphs(r1: ReachabilityGraph, r2: ReachabilityGraph) -> ReachabilityGraph:
+def product_of_reach_graphs(r1: ReachabilityGraph, r2: ReachabilityGraph,
+                            state_budget: int = DEFAULT_STATE_BUDGET) -> ReachabilityGraph:
     """Synchronous product of two reachability graphs.
 
     Vertices are the pairwise marking sums (with "L:"/"R:" prefixes matching
     `synchronous_product`), arcs combine label-matching component arcs and
     no-move-padded one-sided arcs.  The result equals
-    build_reachability_graph(synchronous_product(s1, s2)).
+    build_reachability_graph(synchronous_product(s1, s2)).  More than
+    `state_budget` vertex pairs raise BudgetExceeded before any is built.
     """
+    pairs = len(r1.vertices) * len(r2.vertices)
+    if pairs > state_budget:
+        raise BudgetExceeded(pairs, what="vertices")
     left_m = {m: _prefix_marking(m, _LEFT) for m in r1.vertices}
     right_m = {m: _prefix_marking(m, _RIGHT) for m in r2.vertices}
     vertices = frozenset(left_m[a] + right_m[b] for a in r1.vertices for b in r2.vertices)

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from petrialign import (build_reachability_graph, cli, errors,
-                        gen_shuffle_tsystem, products, serialize_net,
+                        gen_shuffle_tsystem, petri, products, serialize_net,
                         trace_system)
 from petrialign.cli import run_cli
 
@@ -281,8 +281,8 @@ def test_classify_explores_once(case, ex1, ex1_path, tmp_path, capsys, monkeypat
         fired.append(args)
         return fire(*args)
 
-    fire = products.fire
-    monkeypatch.setattr(products, "fire", counted)
+    fire = petri.fire
+    monkeypatch.setattr(petri, "fire", counted)
     code, out, err = run(capsys, "classify", str(path), "--bound", "3")
     assert code == 0
     assert len(fired) == arcs

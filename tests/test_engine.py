@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
-                        PetriNet, brute_force_oracle, build_reachability_graph,
-                        dispatch_align, ex1_system, fire_sequence,
+                        PetriNet, behavioral_class, brute_force_oracle,
+                        build_reachability_graph, dispatch_align, ex1_system,
+                        fire_sequence,
                         gen_shuffle_tsystem, lbfc_length_bound, membership,
                         min_cost_reach, optimal_alignment,
                         optimal_alignment_ssystem, parse_net, parse_tree,
@@ -19,7 +20,8 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
 from petrialign import engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, Unreachable)
-from petrialign.petri import DEFAULT_STATE_BUDGET, CompiledNet
+from petrialign import petri
+from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, product_search_cost, random_replayable_walk,
                      random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree, render_moves)
@@ -834,35 +836,97 @@ def test_a_raise_leaves_a_usable_model_graph(ex1):
 
 
 def test_model_graph_stays_within_its_bound():
-    """On an unbounded net, searches that each fill another letter's row get
-    an empty graph once it holds more than their budget, so after a search
-    it holds at most three times the budget in row entries."""
-    budget = 50
+    """On an unbounded net, a call gets an empty graph when the graph holds
+    more markings or rows than the call's budget.  The cap's classification
+    adds at most one row per marking it explores and a search at most one
+    per state it settles, so after a call with budget b the graph holds at
+    most 2b rows and 3b markings, whatever the budgets of the calls before."""
     pump = _pump_system()
-    calls = [(_generic, (a,), budget) for a in PUMP_LETTERS * 3]
+    budgets = [200, 10, 150, 20, 100, 5, 60, 30]
+    calls = [(op, (a,), budget) for a, budget in zip(PUMP_LETTERS, budgets)
+             for op in (_generic, _dispatch)]
     warm, fresh = _warm_and_fresh_calls(pump, calls)
     assert warm == fresh == [BudgetExceeded] * len(calls)
-    entries, markings = [], []
-    for op, trace, _ in calls:
+    for op, trace, budget in calls:
         _outcome(op, trace, pump, budget)
         graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
-        entries.append(graph.size)
-        markings.append(len(graph.markings))
-        assert graph.size == sum(map(len, graph.rows.values()))
-    # Without the emptying, eight letters' rows would hold 225 entries.
-    assert max(entries) <= 3 * budget
-    assert max(markings) <= 3 * budget
+        assert graph.size == len(graph.rows)
+        # Without the emptying, the calls after the first would leave about
+        # 200 rows and 400 markings.
+        assert graph.size <= 2 * budget, (budget, graph.size)
+        assert len(graph.markings) <= 3 * budget, (budget, len(graph.markings))
+
+
+def _two_dead_ends_system():
+    """a b e leads to the final marking p4, c f to the dead end p5: a search
+    on a b e numbers p4 before p5, which breadth-first order puts first."""
+    arcs = {"a": ("p0", "p1"), "b": ("p1", "p2"), "e": ("p2", "p4"),
+            "c": ("p0", "p3"), "f": ("p3", "p5")}
+    net = PetriNet([f"p{i}" for i in range(6)], tuple(arcs),
+                   [(src, t) for t, (src, _) in arcs.items()]
+                   + [(t, dst) for t, (_, dst) in arcs.items()],
+                   {t: Label(t) for t in arcs})
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p4"))
+
+
+def _classified(system, budget, **kwargs):
+    """behavioral_class's report, or ("raised", markings discovered)."""
+    try:
+        return behavioral_class(system, budget, **kwargs)
+    except BudgetExceeded as exc:
+        return ("raised", exc.discovered)
+
+
+def test_a_warm_graph_classifies_like_a_fresh_one():
+    """Alignment searches, then dispatcher calls, number a system's markings
+    in their own order, and number its final marking even where no firing
+    sequence reaches it.  Classifying on that graph, and the plan's cap,
+    then give the reports (certificates included) and caps of fresh systems
+    at budgets 1 to 30 and the default.  The pump net is unbounded, so it
+    is asked at budgets up to 40 only."""
+    rng = random.Random(71)
+    bounded = _route_systems(rng)
+    # The same nets with a final marking that no firing sequence reaches.
+    unsound = [AcceptingSystem(s.net, s.initial, s.initial + s.initial) for s in bounded[::3]]
+    reorders = 0
+    for system in bounded + unsound + [_two_dead_ends_system(), _pump_system()]:
+        top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
+        budgets = list(range(1, 31)) + [top]
+        traces = [("a", "b", "e"), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
+        # Searches first, so that the dispatcher's cap at `top` is classified
+        # on the searches' graph.
+        calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
+        warm, fresh = _warm_and_fresh_calls(system, calls)
+        assert warm == fresh, str(system.net)
+        plan = engine._plan(system)
+        # As the last call left it, even when over the budget of the next.
+        graph = plan._graph
+        assert system.final in graph.numbers
+        if top == DEFAULT_STATE_BUDGET:
+            fresh_graph = petri._MarkingGraph(system.net)
+            order = fresh_graph.explore(system.initial, top)[0]
+            reorders += graph.markings[:len(order)] != [fresh_graph.markings[i] for i in order]
+        for budget in budgets:
+            assert _classified(system, budget, graph=graph) == \
+                _classified(_fresh(system), budget), (str(system.net), budget)
+        caps = [plan.lbfc_cap(budget, 3) for budget in budgets]
+        assert engine._plan(system) is plan
+        assert caps == [engine._Plan(_fresh(system)).lbfc_cap(budget, 3) for budget in budgets]
+    # Most graphs number the reachable markings in another order than the
+    # classifier's breadth-first search.
+    assert 2 * reorders > len(bounded) + len(unsound)
 
 
 def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
     fired = []
-    fire = CompiledNet.fire
+    fire = petri.fire
 
-    def counted(self, m, t):
+    def counted(net, marking, t):
         fired.append(t)
-        return fire(self, m, t)
+        return fire(net, marking, t)
 
-    monkeypatch.setattr(CompiledNet, "fire", counted)
+    # The graph fires through the module-global `fire` of `petri`.
+    monkeypatch.setattr(petri, "fire", counted)
     a, b = ex1_system(), ex1_system()
     result = optimal_alignment(TRACE, a)
     first = len(fired)
@@ -906,6 +970,8 @@ def test_threads_share_one_model_graph():
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = optimal_alignment(traces[k], system)
+            # The graph is read once every thread is done with the round.
+            barrier.wait()
             if k == 0:
                 graphs.append(engine._plan(system).model_graph(DEFAULT_STATE_BUDGET))
 
@@ -960,6 +1026,8 @@ def test_threads_share_one_membership_graph():
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = [membership(trace, system) for trace in traces[k]]
+            # The graph is read once every thread is done with the round.
+            barrier.wait()
             if k == 0:
                 graphs.append(engine._plan(system).member_graph(DEFAULT_STATE_BUDGET))
 

@@ -5,6 +5,7 @@ import pytest
 from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
                         fire_sequence, incidence_matrix, parikh)
 from petrialign.errors import EmptyNet, NotEnabled, UnknownTransition
+from petrialign.petri import _MarkingGraph
 from randgen import (random_replayable_walk, random_safe_system,
                      random_single_token_ssystem)
 
@@ -153,7 +154,10 @@ def test_marking_equation_on_random_replays():
         checked += 1
 
 
-def test_compiled_net_agrees_with_the_firing_rule():
+def test_marking_graph_rows_follow_the_firing_rule():
+    """A row lists each enabled transition by declaration index, in
+    declaration order, with the number of the marking firing it leads to;
+    a marking keeps its number and its row object."""
     rng = random.Random(41)
     checked = 0
     while checked < 30:
@@ -161,20 +165,17 @@ def test_compiled_net_agrees_with_the_firing_rule():
         if system is None:
             continue
         net = system.net
-        cnet = net.compiled()
-        assert net.compiled() is cnet
+        graph = _MarkingGraph(net)
         marking = system.initial
         for t in random_replayable_walk(rng, system):
-            m = cnet.encode(marking)
-            assert [net.transitions[i] for i in range(len(net.transitions))
-                    if cnet.enabled(m, i)] == enabled_transitions(net, marking)
+            i = graph.number(marking)
+            row = graph.row(i)
+            assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
+                [(u, fire(net, marking, u)) for u in enabled_transitions(net, marking)]
+            assert graph.row(i) is row and graph.number(marking) == i
             marking = fire(net, marking, t)
-            assert cnet.fire(m, net.transitions.index(t)) == cnet.encode(marking)
-        assert sorted(i for ts in cnet.by_label.values() for i in ts) == \
-            [i for i, t in enumerate(net.transitions) if not net.label(t).silent]
-        for name, ts in cnet.by_label.items():
-            assert [net.transitions[i] for i in ts] == \
-                [t for t in net.transitions if net.label(t).name == name]
+        assert graph.size == len(graph.rows)
+        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
         checked += 1
 
 

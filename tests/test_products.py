@@ -1,11 +1,13 @@
+import inspect
 import random
 
 import pytest
 
 from petrialign import (Marking, build_reachability_graph, fire,
-                        product_of_reach_graphs, product_parts,
+                        product_of_reach_graphs, product_parts, products,
                         synchronous_product, trace_system)
 from petrialign.errors import BudgetExceeded
+from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import random_safe_system
 
 
@@ -120,6 +122,31 @@ def test_rg_product_equals_rg_of_product(ex1):
     assert composed.root == direct.root
     assert composed.vertices == direct.vertices
     assert composed.arc_set() == direct.arc_set()
+
+
+def test_rg_product_budget(ex1, monkeypatch):
+    """The product of reachability graphs with |V1| * |V2| vertices raises
+    BudgetExceeded under a smaller budget, before it builds any marking;
+    the default budget is the package's state budget."""
+    r1 = build_reachability_graph(trace_system(("a", "b", "a", "a")))
+    r2 = build_reachability_graph(ex1)
+    pairs = len(r1.vertices) * len(r2.vertices)
+    assert pairs == 30
+    built = []
+    prefix = products._prefix_marking
+
+    def counted(marking, side):
+        built.append(marking)
+        return prefix(marking, side)
+
+    monkeypatch.setattr(products, "_prefix_marking", counted)
+    with pytest.raises(BudgetExceeded) as err:
+        product_of_reach_graphs(r1, r2, state_budget=pairs - 1)
+    assert err.value.discovered == pairs
+    assert built == []
+    assert len(product_of_reach_graphs(r1, r2, state_budget=pairs).vertices) == pairs
+    default = inspect.signature(product_of_reach_graphs).parameters["state_budget"].default
+    assert default == DEFAULT_STATE_BUDGET
 
 
 def test_rg_product_equality_on_random_pairs():
