@@ -141,7 +141,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set")
+                 "_consume", "_produce", "_place_set", "_trans_set", "_first_input")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -179,6 +179,7 @@ class PetriNet:
             post_set = set(self._post[t])
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
+        self._first_input = None   # enabled_transitions' index, built on first use
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -274,9 +275,40 @@ def _enabled_among(net: PetriNet, marking: Marking, ts: Iterable[str]) -> list[s
     return out
 
 
+def _first_input_index(net: PetriNet) -> dict:
+    """Per place, (declaration index, transition, other input places) of each
+    transition whose first input place it is, in declaration order; under
+    the key None, those of the transitions with no input place."""
+    index: dict = {None: []}
+    for k, t in enumerate(net.transitions):
+        pre = net._pre[t]
+        index.setdefault(pre[0] if pre else None, []).append((k, t, pre[1:]))
+    return index
+
+
 def enabled_transitions(net: PetriNet, marking: Marking) -> list[str]:
-    """All enabled transitions, in declaration order."""
-    return _enabled_among(net, marking, net.transitions)
+    """All enabled transitions, in declaration order.  Only the transitions
+    with no input place and those whose first input place is marked can be
+    enabled, so only these are checked: an index per place lists them,
+    built on the net by the first call."""
+    index = net._first_input
+    if index is None:
+        index = net._first_input = _first_input_index(net)
+    counts = marking._counts
+    candidates = list(index[None])
+    for p in counts:
+        listed = index.get(p)
+        if listed:
+            candidates += listed
+    candidates.sort()
+    out = []
+    for _, t, rest in candidates:
+        for p in rest:
+            if p not in counts:
+                break
+        else:
+            out.append(t)
+    return out
 
 
 def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
@@ -330,26 +362,74 @@ class _MarkingGraph(_Numbering):
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
     number) pair per enabled transition, in declaration order.  A row is
-    filled the first time a caller asks for it, by `enabled_transitions` and
-    `fire` under the lock, so callers in several threads agree on every
-    number.  Nothing here depends on a root or a trace: the classifier and
-    the alignment search of one system share the graph, and a search may
-    have numbered markings that are not reachable (its goal)."""
+    filled the first time a caller asks for it, under the lock, so callers
+    in several threads agree on every number.  Nothing here depends on a
+    root or a trace: the classifier and the alignment search of one system
+    share the graph, and a search may have numbered markings that are not
+    reachable (its goal).
+
+    Each marking is also keyed by its token counts, a tuple in place
+    declaration order (tokens off the net, which never move, follow as one
+    more entry).  A row reads its marking's `enabled_transitions` and keys
+    each successor by updating the parent's key: minus one on each place
+    the transition consumes from, plus one on each it produces on, so
+    self-loop places stay as they are.  Only a key not yet numbered fires
+    through `fire`, which makes the successor's `Marking`: a marking gets
+    one `Marking` however many arcs lead to it, and `numbers` maps every
+    `Marking` held to its number."""
 
     def __init__(self, net: PetriNet):
         super().__init__()
         self.net = net
-        self.index = {t: i for i, t in enumerate(net.transitions)}
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._by_key: dict[tuple, int] = {}   # token counts -> number
+        self._keys: list[tuple] = []        # number -> token counts
+        place = {p: i for i, p in enumerate(net.places)}
+        # Per transition: its index, and the key entries it takes a token
+        # from and puts one on.
+        self._effects = {t: (i, tuple(place[p] for p in net._consume[t]),
+                             tuple(place[p] for p in net._produce[t]))
+                         for i, t in enumerate(net.transitions)}
+
+    def _key(self, m: Marking) -> tuple:
+        counts = m._counts
+        key = tuple([counts.get(p, 0) for p in self.net.places])
+        off = tuple([(p, n) for p, n in m._key if p not in self.net._place_set])
+        return key + (off,) if off else key
+
+    def _add(self, m: Marking, key: tuple) -> int:
+        i = self.numbers[m] = self._by_key[key] = len(self.markings)
+        self.markings.append(m)
+        self._keys.append(key)
+        return i
+
+    def _number(self, m: Marking) -> int:
+        i = self.numbers.get(m)
+        if i is None:
+            i = self._add(m, self._key(m))
+        return i
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
         with self._lock:
             row = self.rows.get(i)
             if row is None:
-                net, m, index = self.net, self.markings[i], self.index
-                row = self.rows[i] = tuple([(index[t], self._number(fire(net, m, t)))
-                                            for t in enabled_transitions(net, m)])
+                net, m, key = self.net, self.markings[i], self._keys[i]
+                by_key, effects = self._by_key, self._effects
+                out = []
+                for t in enabled_transitions(net, m):
+                    k, consume, produce = effects[t]
+                    counts = list(key)
+                    for p in consume:
+                        counts[p] -= 1
+                    for p in produce:
+                        counts[p] += 1
+                    counts = tuple(counts)
+                    s = by_key.get(counts)
+                    if s is None:
+                        s = self._add(fire(net, m, t), counts)
+                    out.append((k, s))
+                row = self.rows[i] = tuple(out)
                 self.size += 1
         return row
 

@@ -268,12 +268,13 @@ def test_auto_equals_generic_cost(ex1_path, capsys):
 @pytest.mark.parametrize("case", ["ex1", "pump"])
 def test_classify_explores_once(case, ex1, ex1_path, tmp_path, capsys, monkeypatch):
     """classify takes the bound verdict and the behavioral flags from one
-    breadth-first exploration, which fires each reachability arc once."""
+    breadth-first exploration, which fires once per marking it finds beyond
+    the initial one; a second exploration would double the count."""
     if case == "ex1":
-        path, arcs = ex1_path, len(build_reachability_graph(ex1).arcs)
+        path, found = ex1_path, len(build_reachability_graph(ex1).vertices) - 1
     else:
         # {p} -> {p, q} -> ... -> {p, q:4}, the first marking past --bound 3.
-        path, arcs = tmp_path / "pump.net", 4
+        path, found = tmp_path / "pump.net", 4
         path.write_text(PUMP)
     fired = []
 
@@ -285,7 +286,7 @@ def test_classify_explores_once(case, ex1, ex1_path, tmp_path, capsys, monkeypat
     monkeypatch.setattr(petri, "fire", counted)
     code, out, err = run(capsys, "classify", str(path), "--bound", "3")
     assert code == 0
-    assert len(fired) == arcs
+    assert len(fired) == found
     if case == "ex1":
         assert out.splitlines()[6:] == [
             "bound_found=1", "safe=true", "quasi_live=true", "live=false",

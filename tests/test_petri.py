@@ -4,8 +4,9 @@ import pytest
 
 from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
                         fire_sequence, incidence_matrix, parikh)
-from petrialign.errors import EmptyNet, NotEnabled, UnknownTransition
-from petrialign.petri import _MarkingGraph
+from petrialign import petri
+from petrialign.errors import BudgetExceeded, EmptyNet, NotEnabled, UnknownTransition
+from petrialign.petri import _enabled_among, _MarkingGraph
 from randgen import (random_replayable_walk, random_safe_system,
                      random_single_token_ssystem)
 
@@ -177,6 +178,144 @@ def test_marking_graph_rows_follow_the_firing_rule():
         assert graph.size == len(graph.rows)
         assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
         checked += 1
+
+
+def _random_counted_system(rng):
+    """A net of 1-5 places and 1-7 transitions whose presets and postsets are
+    random subsets of the places: self-loop places, transitions with no
+    input or no output place, and unbounded nets all occur.  The initial
+    marking puts 0-3 tokens on each place."""
+    places = tuple(f"p{i}" for i in range(rng.randint(1, 5)))
+    transitions = tuple(f"t{i}" for i in range(rng.randint(1, 7)))
+    flow = set()
+    for t in transitions:
+        for p in places:
+            if rng.random() < 0.35:
+                flow.add((p, t))
+            if rng.random() < 0.35:
+                flow.add((t, p))
+    net = PetriNet(places, transitions, flow,
+                   {t: Label(rng.choice(("a", "b", None))) for t in transitions})
+    return net, Marking({p: rng.randint(0, 3) for p in places})
+
+
+def _explore_by_firing(net, root, budget, b_max=None):
+    """`_MarkingGraph.explore` written out over `fire` and the full scan of
+    `_enabled_among`, with markings in place of numbers in `order`."""
+    order, local = [root], {root: 0}
+    parent, via, succ, fired = [-1], [None], [[]], [[]]
+    result = order, parent, via, succ, fired
+    if b_max is not None and root.max_count() > b_max:
+        return result
+    for k, m in enumerate(order):
+        for t in _enabled_among(net, m, net.transitions):
+            s = fire(net, m, t)
+            j = local.get(s)
+            if j is None:
+                j = local[s] = len(order)
+                if j >= max(budget, 1):
+                    raise BudgetExceeded(j + 1)
+                order.append(s)
+                parent.append(k)
+                via.append(t)
+                succ.append([])
+                fired.append([])
+                if b_max is not None and s.max_count() > b_max:
+                    return result
+            succ[k].append(j)
+            fired[k].append(t)
+    return result
+
+
+def _explored(f, *args):
+    try:
+        return f(*args)
+    except BudgetExceeded as exc:
+        return ("raised", exc.discovered)
+
+
+def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
+    """On random nets with counts above one, self-loop places, transitions
+    with no input or no output place and unbounded growth cut by a budget,
+    the count-keyed graph gives the rows, the numbers and the explorations
+    that firing every arc gives, and `enabled_transitions` the full scan's
+    transitions.  Every `Marking` it holds is the root, a marking numbered
+    by a caller, or one that `fire` made."""
+    made = set()
+    fire_ = petri.fire
+
+    def recorded(net, marking, t):
+        m = fire_(net, marking, t)
+        made.add(id(m))
+        return m
+
+    monkeypatch.setattr(petri, "fire", recorded)
+    rng = random.Random(43)
+    shapes = dict.fromkeys(("self_loop", "no_input", "no_output", "count_2", "raised"), 0)
+    for _ in range(400):
+        net, root = _random_counted_system(rng)
+        graph = _MarkingGraph(net)
+        # A marking numbered before the exploration, as a search's goal is.
+        goal = Marking({p: rng.randint(0, 2) for p in net.places})
+        graph.number(goal)
+        budget = rng.choice((1, 5, 40))
+        b_max = rng.choice((None, 2, 4))
+        got = _explored(graph.explore, root, budget, b_max)
+        expected = _explored(_explore_by_firing, net, root, budget, b_max)
+        if got[0] == "raised":
+            assert got == expected
+            shapes["raised"] += 1
+        else:
+            order, *rest = got
+            assert ([graph.markings[i] for i in order], *rest) == expected
+        for i, m in enumerate(graph.markings):
+            assert graph.numbers[m] == i
+            assert m is root or m is goal or id(m) in made
+            assert enabled_transitions(net, m) == _enabled_among(net, m, net.transitions)
+        assert len(graph.numbers) == len(graph.markings)
+        for i, row in graph.rows.items():
+            m = graph.markings[i]
+            assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
+                [(t, fire_(net, m, t)) for t in _enabled_among(net, m, net.transitions)]
+        shapes["self_loop"] += any(set(net.preset(t)) & set(net.postset(t))
+                                   for t in net.transitions)
+        shapes["no_input"] += any(not net.preset(t) for t in net.transitions)
+        shapes["no_output"] += any(not net.postset(t) for t in net.transitions)
+        shapes["count_2"] += any(m.max_count() >= 2 for m in graph.markings)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_keyed_marking_graph_is_exact_for_any_count():
+    """Keys are exact at 2**40 tokens: no field width to overflow."""
+    net = PetriNet(("p", "q", "r"), ("take", "loop", "make"),
+                   [("p", "take"), ("take", "q"), ("q", "loop"), ("loop", "q"),
+                    ("make", "r")],
+                   {t: Label("a") for t in ("take", "loop", "make")})
+    root = Marking({"p": 2**40, "q": 1})
+    graph = _MarkingGraph(net)
+    row = graph.row(graph.number(root))
+    assert [(net.transitions[k], graph.markings[s]) for k, s in row] == [
+        ("take", Marking({"p": 2**40 - 1, "q": 2})),
+        ("loop", root),
+        ("make", Marking({"p": 2**40, "q": 1, "r": 1}))]
+    assert graph.number(Marking({"p": 2**40 - 1, "q": 2})) == row[0][1]
+    # Tokens off the net never move, and keep markings apart.
+    off = Marking({"p": 1, "elsewhere": 2})
+    i = graph.number(off)
+    assert i != graph.number(Marking.of("p")) and graph.markings[i] is off
+    assert [graph.markings[s] for _, s in graph.row(i)] == [
+        Marking({"q": 1, "elsewhere": 2}), Marking({"p": 1, "r": 1, "elsewhere": 2})]
+
+
+def test_enabled_transitions_builds_its_index_on_first_use(ex1):
+    """The index lives on the net and is built by the first call only."""
+    net = PetriNet(ex1.net.places, ex1.net.transitions, ex1.net.flow, ex1.net.labels)
+    assert net._first_input is None
+    assert enabled_transitions(net, ex1.initial) == ["t1"]
+    index = net._first_input
+    assert index is not None
+    assert enabled_transitions(net, Marking({"p3": 1, "p4": 1, "x": 2})) == ["t4", "t5"]
+    assert net._first_input is index
 
 
 def test_topological_order_is_last_in_first_out():
