@@ -20,7 +20,7 @@ from .classify import StructuralReport, behavioral_class, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _enabled_among, _MarkingGraph, _Numbering, fire, is_token)
+                    _enabled_among, _MarkingGraph, fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -47,51 +47,6 @@ def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
             raise ValueError(f"cost of {t!r} is negative")
         scaled[t] = int(v * scale)
     return scaled, scale
-
-
-class _MemberGraph(_Numbering):
-    """The markings that membership calls on one system find, one `Marking`
-    object per number, and per marking the successors in each row.
-
-    A row is that of a visible letter (the transitions it labels) or the
-    silent row (key None: the silent transitions), both in declaration
-    order.  `rows[key][i]` is the tuple of the numbers of the markings that
-    the row's transitions enabled at marking number i lead to, in row order,
-    filled the first time a call expands i by that row.  What a call reads
-    at a position is its step tuple: one (row, key, position step) triple
-    for the letter's row, when a transition carries the letter, then one for
-    the silent row, when there are silent transitions.  `steps` holds the
-    tuple of each visible letter and `silent` that of the silent row alone.
-    The final and the initial marking are numbered first, as `final` and
-    `initial`.  Expansion fires on `Marking`s through `fire` and numbers
-    under the lock.
-    """
-
-    def __init__(self, sys: AcceptingSystem):
-        super().__init__()
-        self.net = net = sys.net
-        self.final = self._number(sys.final)
-        self.initial = self._number(sys.initial)
-        self.transitions: dict[str | None, list[str]] = {None: []}
-        for t in net.transitions:
-            self.transitions.setdefault(net.label(t).name, []).append(t)
-        self.rows: dict[str | None, dict[int, tuple[int, ...]]] = \
-            {key: {} for key in self.transitions}
-        self.silent = ((self.rows[None], None, 0),) if self.transitions[None] else ()
-        self.steps = {a: ((row, a, 1),) + self.silent
-                      for a, row in self.rows.items() if a is not None}
-
-    def expand(self, key: str | None, i: int) -> tuple[int, ...]:
-        """Marking i's entry of the row, computed and stored on first use."""
-        with self._lock:
-            row = self.rows[key]
-            succ = row.get(i)
-            if succ is None:
-                net, m = self.net, self.markings[i]
-                succ = row[i] = tuple([self._number(fire(net, m, t)) for t in
-                                       _enabled_among(net, m, self.transitions[key])])
-                self.size += 1
-        return succ
 
 
 def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
@@ -295,41 +250,38 @@ class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, the model graph and membership's graph.  Every part
-    depends on the system only, so concurrent callers that both compute one
-    agree.
+    standard costs, the label of each transition and the model graph.  Every
+    part depends on the system only, so concurrent callers that both
+    compute one agree.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
-    LBFC cap's classification and the alignment searches on the system
-    find, and keeps per marking its row: the enabled transitions, each with
-    the number of the marking it leads to.  The classification fills the
-    rows of every reachable marking within its budget, so the searches that
-    follow read them instead of firing again.  It holds no weight, so calls
-    with the standard costs and calls with their own costs share it; weights
-    come from the move tables.  The classification adds at most one row per
-    marking it explores and a search at most one per state it settles, and
-    `model_graph` hands out an empty graph when a call finds more markings
-    or rows than that call's state budget.  So after a call the graph holds
-    at most twice the budget in rows, and besides the markings it held, the
-    markings that call reached and their successors.
-
-    Membership's graph (`_MemberGraph`) numbers the markings that membership
-    calls on the system find, and keeps per marking the numbers of its
-    successors in each visible letter's row and in the silent row.  A
-    membership call adds at most two row entries per state it visits and
-    about one marking per state it keeps; `member_graph` hands out an empty
-    graph when a call finds either count above that call's state budget.  So
-    after a call the graph holds at most three times the budget in entries
-    and about twice in markings, the order of the states the call itself may
-    keep.  A call on another system drops the plan, and both graphs with
-    it.  Graphs are made under a lock, so threads that ask for one together
-    share it."""
+    LBFC cap's classification, the alignment searches and the membership
+    calls on the system find, and keeps per marking its row: the enabled
+    transitions, each with the number of the marking it leads to.  The
+    classification fills the rows of every reachable marking within its
+    budget, so the searches and membership calls that follow read them
+    instead of firing again.  It holds no weight, so calls with the
+    standard costs and calls with their own costs share it; weights come
+    from the move tables.  Membership reads each row through the view of
+    the letter at its position (see `_MarkingGraph`).  The classification
+    adds at most one row per marking it explores, a search at most one per
+    state it settles, and a membership call at most one row and one view
+    entry per state it expands; `model_graph` hands out an empty graph when
+    a call finds more markings, or rows and view entries, than that call's
+    state budget.  So after a call the graph holds at most three times the
+    budget in rows and view entries, and besides the markings it held, the
+    markings that call reached and their successors.  A call on another
+    system drops the plan, and the graph with it.  Graphs are made under a
+    lock, so threads that ask for one together share it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
         self._graph: _MarkingGraph | None = None
-        self._members: _MemberGraph | None = None
+        # The graph membership last read and the numbers of the initial and
+        # the final marking in it; reset with the graph, so that an emptied
+        # graph is not kept alive.
+        self.member_ends: tuple = (None, 0, 0)
 
     @cached_property
     def structure(self) -> StructuralReport:
@@ -340,28 +292,23 @@ class _Plan:
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
+    @cached_property
+    def labels(self) -> list[str | None]:
+        """Each transition's label name by index, None when silent."""
+        net = self.sys.net
+        return [net.label(t).name for t in net.transitions]
+
     def model_graph(self, state_budget: int) -> _MarkingGraph:
-        """The classifier's and the search's numbered markings and rows,
-        replaced by an empty graph when they hold more than `state_budget`
-        markings or rows."""
+        """The numbered markings, rows and views of the classifier, the
+        searches and membership, replaced by an empty graph when they hold
+        more than `state_budget` markings, or rows and view entries."""
         graph = self._graph
         if graph is None or graph.over(state_budget):
             with _plan_lock:
                 graph = self._graph
                 if graph is None or graph.over(state_budget):
                     graph = self._graph = _MarkingGraph(self.sys.net)
-        return graph
-
-    def member_graph(self, state_budget: int) -> _MemberGraph:
-        """Membership's numbered markings and rows, replaced by an empty
-        graph when they hold more than `state_budget` markings or row
-        entries."""
-        graph = self._members
-        if graph is None or graph.over(state_budget):
-            with _plan_lock:
-                graph = self._members
-                if graph is None or graph.over(state_budget):
-                    graph = self._members = _MemberGraph(self.sys)
+                    self.member_ends = (None, 0, 0)
         return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
@@ -437,24 +384,29 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
 
     Searches synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The DFS runs on integer states
-    marking number * (len(trace) + 1) + position, numbered and expanded
-    through the plan's membership graph (see `_MemberGraph`), so consecutive
-    calls on one system fire a transition at a marking once, not once per
-    visit.  The search, and so every verdict and every BudgetExceeded, is
-    the same as on a fresh graph.
+    marking number * (len(trace) + 1) + position over the plan's model graph,
+    the one the classifier and the alignment searches on the system share:
+    a state reads its marking's entry of the view of the letter at its
+    position (None past the trace's end), which lists the successors by
+    that letter, then the silent ones, each in declaration order.  So
+    consecutive calls on one system fire a transition at a marking once, not
+    once per visit.  The search, and so every verdict and every
+    BudgetExceeded, is the same as on a fresh graph.
     """
     trace = tuple(trace)
-    graph = _plan(sys).member_graph(state_budget)
-    expand = graph.expand
+    plan = _plan(sys)
+    graph = plan.model_graph(state_budget)
+    view, labels = graph.view, plan.labels
     n = len(trace)
     width = n + 1
-    # Per position, the (row, key, position step) triples of the moves out of
-    # it: the position's letter, when a transition carries it, then silent.
-    silent, letter_steps = graph.silent, graph.steps
-    steps = [letter_steps.get(a, silent) for a in trace]
-    steps.append(silent)
-    start = graph.initial * width
-    goal = graph.final * width + n
+    # The key and the view of each position.
+    keys = trace + (None,)
+    at = list(map(graph.views.__getitem__, keys))
+    ends = plan.member_ends
+    if ends[0] is not graph:
+        ends = plan.member_ends = (graph, graph.number(sys.initial), graph.number(sys.final))
+    start = ends[1] * width
+    goal = ends[2] * width + n
     if start == goal:
         return True
     seen = {start}
@@ -463,20 +415,18 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         state = stack.pop()
         pos = state % width
         m = state // width
-        for row, key, step in steps[pos]:
-            succ = row.get(m)
-            if succ is None:
-                succ = expand(key, m)
-            step += pos
-            for s in succ:
-                nxt = s * width + step
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > state_budget:
-                        raise BudgetExceeded(len(seen), what="states")
-                    stack.append(nxt)
+        succ = at[pos].get(m)
+        if succ is None:
+            succ = view(keys[pos], m, labels)
+        for s, step in succ:
+            nxt = s * width + pos + step
+            if nxt == goal:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > state_budget:
+                    raise BudgetExceeded(len(seen), what="states")
+                stack.append(nxt)
     return False
 
 

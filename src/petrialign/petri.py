@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -331,42 +331,15 @@ def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
     return Marking._trusted(counts)
 
 
-class _Numbering:
-    """Markings numbered in the order callers find them, with per-marking
-    rows that subclasses fill; `size` counts the row entries.  Numbering
-    takes a lock, so callers in several threads agree on every number."""
-
-    def __init__(self):
-        self.numbers: dict = {}
-        self.markings: list = []
-        self.size = 0   # row entries
-        self._lock = threading.Lock()
-
-    def _number(self, m) -> int:
-        i = self.numbers.get(m)
-        if i is None:
-            i = self.numbers[m] = len(self.markings)
-            self.markings.append(m)
-        return i
-
-    def number(self, m) -> int:
-        with self._lock:
-            return self._number(m)
-
-    def over(self, budget: int) -> bool:
-        """Whether it holds more markings or row entries than `budget`."""
-        return len(self.markings) > budget or self.size > budget
-
-
-class _MarkingGraph(_Numbering):
+class _MarkingGraph:
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
     number) pair per enabled transition, in declaration order.  A row is
     filled the first time a caller asks for it, under the lock, so callers
     in several threads agree on every number.  Nothing here depends on a
-    root or a trace: the classifier and the alignment search of one system
-    share the graph, and a search may have numbered markings that are not
-    reachable (its goal).
+    root or a trace: the classifier, the alignment search and membership on
+    one system share the graph, and a search may have numbered markings
+    that are not reachable (its goal).
 
     Each marking is also keyed by its token counts, a tuple in place
     declaration order (tokens off the net, which never move, follow as one
@@ -376,12 +349,25 @@ class _MarkingGraph(_Numbering):
     self-loop places stay as they are.  Only a key not yet numbered fires
     through `fire`, which makes the successor's `Marking`: a marking gets
     one `Marking` however many arcs lead to it, and `numbers` maps every
-    `Marking` held to its number."""
+    `Marking` held to its number.
+
+    Membership reads rows through views: `views[key][i]` holds, for marking
+    number i, one (successor number, position step) pair per entry of its
+    row whose transition carries the letter `key` (step 1), then one per
+    silent entry (step 0), each in row order; under the key None, the
+    silent entries alone.  An entry is made from the row the first time a
+    caller asks for it, under the lock.  `size` counts rows and view
+    entries."""
 
     def __init__(self, net: PetriNet):
-        super().__init__()
         self.net = net
+        self.numbers: dict[Marking, int] = {}
+        self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.views: dict[str | None, dict[int, tuple[tuple[int, int], ...]]] = \
+            defaultdict(dict)
+        self.size = 0   # rows and view entries
+        self._lock = threading.Lock()
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
         place = {p: i for i, p in enumerate(net.places)}
@@ -403,11 +389,17 @@ class _MarkingGraph(_Numbering):
         self._keys.append(key)
         return i
 
-    def _number(self, m: Marking) -> int:
-        i = self.numbers.get(m)
-        if i is None:
-            i = self._add(m, self._key(m))
-        return i
+    def number(self, m: Marking) -> int:
+        with self._lock:
+            i = self.numbers.get(m)
+            if i is None:
+                i = self._add(m, self._key(m))
+            return i
+
+    def over(self, budget: int) -> bool:
+        """Whether it holds more markings, or rows and view entries, than
+        `budget`."""
+        return len(self.markings) > budget or self.size > budget
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
@@ -432,6 +424,22 @@ class _MarkingGraph(_Numbering):
                 row = self.rows[i] = tuple(out)
                 self.size += 1
         return row
+
+    def view(self, key: str | None, i: int, labels: list) -> tuple[tuple[int, int], ...]:
+        """Marking i's entry of the view of `key`, computed from its row and
+        stored on first use; `labels` names each transition's label by index
+        (None when silent)."""
+        row = self.rows.get(i)
+        if row is None:
+            row = self.row(i)
+        with self._lock:
+            view = self.views[key]
+            entry = view.get(i)
+            if entry is None:
+                letter = [] if key is None else [(s, 1) for t, s in row if labels[t] == key]
+                entry = view[i] = tuple(letter + [(s, 0) for t, s in row if labels[t] is None])
+                self.size += 1
+        return entry
 
     def explore(self, root: Marking, state_budget: int, b_max: int | None = None):
         """Breadth-first search over the rows from `root`, in an order of its

@@ -528,8 +528,8 @@ def test_perfect_alignment_equivalence():
         done += 1
 
 
-# Membership's marking graph: consecutive calls on one system object reuse the
-# numbered successors of the markings earlier calls visited.
+# Membership on the model graph: consecutive calls on one system object reuse
+# the rows and views of the markings earlier calls visited.
 
 def _warm_and_fresh_calls(system, calls):
     """The outcomes of the (op, word, state budget) calls, made in order on
@@ -607,26 +607,29 @@ def test_a_raise_leaves_a_usable_cache(ex1):
 
 
 def test_successor_cache_stays_within_its_bound():
-    """On an unbounded net, calls that each fill another letter's row get an
-    empty graph once it holds more than their budget, so after a call it holds
-    at most what the call found plus two entries per state it visited, and
-    one marking per state it kept plus the successors of the last one."""
-    budget = 50
+    """On an unbounded net, membership calls get an empty graph once it holds
+    more markings, or rows and view entries, than their budget.  A call with
+    budget b expands at most b states, each adding at most one row and one
+    view entry, so after it the graph holds at most 3b rows and view
+    entries, and 3b markings, whatever the budgets of the calls before."""
     pump = _pump_system()
-    calls = [((a, "z"), budget) for a in PUMP_LETTERS * 3]
+    budgets = [60, 10, 50, 20, 40, 5, 30, 15]
+    calls = [((a, "z"), budget) for a, budget in zip(PUMP_LETTERS * 2, budgets * 2)]
     warm, fresh = _warm_and_fresh(pump, calls)
     assert warm == fresh == [BudgetExceeded] * len(calls)
     entries, markings = [], []
-    for word, _ in calls:
+    for word, budget in calls:
         _outcome(membership, word, pump, budget)
-        graph = engine._plan(pump).member_graph(DEFAULT_STATE_BUDGET)
+        graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
         entries.append(graph.size)
         markings.append(len(graph.markings))
-        assert graph.size == sum(map(len, graph.rows.values()))
-    assert max(entries) <= 3 * budget
-    assert max(markings) <= 2 * budget + len(pump.net.transitions) + 1
-    # Without the emptying, eight letters' rows would hold about 225 entries.
+        assert graph.size == len(graph.rows) + sum(map(len, graph.views.values()))
+        assert graph.size <= 3 * budget, (budget, graph.size)
+        assert len(graph.markings) <= 3 * budget, (budget, len(graph.markings))
+    # Without the emptying, the graph would keep the first call's 30 rows and
+    # gather about 200 view entries over the eight letters.
     assert any(later < earlier for earlier, later in zip(entries, entries[1:]))
+    assert any(later < earlier for earlier, later in zip(markings, markings[1:]))
 
 
 # Per word, in `itertools.product` order from the shortest: T or F and the
@@ -682,15 +685,22 @@ def test_warm_membership_on_a_zero_cost_silent_cycle():
     assert warm.count(True) == 2
 
 
-def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
+def _counted_fires(monkeypatch):
+    """A list that collects each transition fired through `petri.fire` from
+    now on: the model graph fires through that module-global function."""
     fired = []
-    fire = engine.fire
+    fire = petri.fire
 
     def counted(net, marking, t):
         fired.append(t)
         return fire(net, marking, t)
 
-    monkeypatch.setattr(engine, "fire", counted)
+    monkeypatch.setattr(petri, "fire", counted)
+    return fired
+
+
+def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
+    fired = _counted_fires(monkeypatch)
     word = ("a", "a", "b", "b")
     a, b = ex1_system(), ex1_system()
     assert membership(word, a)
@@ -918,15 +928,7 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
 
 
 def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
-    fired = []
-    fire = petri.fire
-
-    def counted(net, marking, t):
-        fired.append(t)
-        return fire(net, marking, t)
-
-    # The graph fires through the module-global `fire` of `petri`.
-    monkeypatch.setattr(petri, "fire", counted)
+    fired = _counted_fires(monkeypatch)
     a, b = ex1_system(), ex1_system()
     result = optimal_alignment(TRACE, a)
     first = len(fired)
@@ -1029,7 +1031,7 @@ def test_threads_share_one_membership_graph():
             # The graph is read once every thread is done with the round.
             barrier.wait()
             if k == 0:
-                graphs.append(engine._plan(system).member_graph(DEFAULT_STATE_BUDGET))
+                graphs.append(engine._plan(system).model_graph(DEFAULT_STATE_BUDGET))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1047,3 +1049,44 @@ def test_threads_share_one_membership_graph():
     for graph in graphs:
         assert len(graph.numbers) == len(graph.markings) > 100
         assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
+
+
+def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
+    """dispatch_align, membership and optimal_alignment, interleaved on one
+    system object, give the outcomes of fresh systems, and membership holds
+    exactly where the optimal cost is 0.  On a free-choice system the
+    dispatcher's LBFC cap classifies it, which fills the rows of every
+    reachable marking, so membership calls after it fire nothing."""
+    fired = _counted_fires(monkeypatch)
+    rng = random.Random(79)
+    systems = []
+    while len(systems) < 6:
+        system = random_safe_system(rng, max_places=6, max_transitions=6)
+        if system is not None:
+            systems.append(system)
+    systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(6)]
+    classified = accepted = 0
+    for system in systems:
+        alphabet = _visible_alphabet(system)
+        assert "z" not in alphabet
+        words = [w for n in range(4) for w in itertools.product(alphabet, repeat=n)]
+        words = rng.sample(words, min(len(words), 25)) + [("z",), _noisy_run(rng, system, 8)]
+        calls = [(op, word, DEFAULT_STATE_BUDGET) for word in words
+                 for op in (_dispatch, membership, _generic)]
+        rng.shuffle(calls)
+        warm, fresh = _warm_and_fresh_calls(system, calls)
+        assert warm == fresh, str(system.net)
+        verdicts = {word: got for (op, word, _), got in zip(calls, warm) if op is membership}
+        costs = {word: got.cost for (op, word, _), got in zip(calls, warm) if op is _generic}
+        assert verdicts == {word: cost == 0 for word, cost in costs.items()}
+        accepted += sum(verdicts.values())
+        # A system no call has seen, classified by the cap first.
+        system = _fresh(system)
+        dispatch_align(words[-1], system)
+        if engine._plan(system).structure.free_choice:
+            classified += 1
+            before = len(fired)
+            assert [membership(word, system) for word in words] == \
+                [verdicts[word] for word in words]
+            assert len(fired) == before, str(system.net)
+    assert classified >= 6 and accepted > 10
