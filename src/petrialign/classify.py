@@ -267,12 +267,19 @@ def _behavioral_report(sys: AcceptingSystem, ex: tuple) -> BehavioralReport:
     else:
         option = False
         certs["option_counterexample"] = ()
+    # Improper: a reachable marking that covers the final one and differs.
     proper = True
+    goal = sys.final
+    need = tuple(goal.items())
     for i, m in enumerate(markings):
-        if m >= sys.final and m != sys.final:
-            proper = False
-            certs["proper_counterexample"] = (m, access(i))
-            break
+        for p, n in need:
+            if m[p] < n:
+                break
+        else:
+            if m != goal:
+                proper = False
+                certs["proper_counterexample"] = (m, access(i))
+                break
 
     sound = option and proper and quasi
     return BehavioralReport(bound, safe, quasi, live, cyclic, easy_sound, sound,

@@ -179,7 +179,9 @@ class _MoveTable:
 
     Exact costs are kept per group: the model rows, built on first use, and
     the sync rows plus the log row of each letter, built when a trace first
-    holds that letter.  A trace's integer scale is the lcm of the cost
+    holds that letter.  Costs stay as the cost function returns them when
+    they are `Fraction`s or ints; other numbers (floats) are made exact
+    `Fraction`s.  A trace's integer scale is the lcm of the cost
     denominators over its letters' groups and the model rows, so it and the
     integer weights equal those of a table built for that trace alone;
     weighed rows are kept per scale.  Sync and model entries carry the
@@ -190,6 +192,12 @@ class _MoveTable:
         self.net = net
         self.c = c
         self._ranks = {t: r for r, t in enumerate(sorted(net.transitions))}
+        # Per label name, the indices of the transitions carrying it.
+        self._carriers: dict[str, list[int]] = {}
+        for i, t in enumerate(net.transitions):
+            name = net.label(t).name
+            if name is not None:
+                self._carriers.setdefault(name, []).append(i)
         self._model = None
         self._letters: dict[str, tuple] = {}
         self._weighed: dict[int, tuple[dict, dict, list]] = {}
@@ -198,9 +206,12 @@ class _MoveTable:
         """(rank, move, exact cost) per entry, and the lcm of the costs'
         denominators."""
         rows = []
+        cost = self.c.move_cost
         for rank, move in entries:
-            v = Fraction(self.c.move_cost(move))
-            if v < 0:
+            v = cost(move)
+            if not isinstance(v, (Fraction, int)):
+                v = Fraction(v)
+            if v.numerator < 0:
                 raise ValueError(f"cost of {move!r} is negative")
             rows.append((rank, move, v))
         return rows, math.lcm(*(v.denominator for *_, v in rows))
@@ -217,7 +228,7 @@ class _MoveTable:
                     raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
                 # The transitions carrying the letter, their sync rows, then
                 # its log row.
-                carriers = [i for i, t in enumerate(ts) if self.net.label(t).name == a]
+                carriers = self._carriers.get(a, [])
                 letters[a] = (carriers, *self._priced(
                     [(ranks[ts[i]], Move(a, ts[i])) for i in carriers]
                     + [(None, Move(a, None))]))
@@ -240,19 +251,29 @@ class _MoveTable:
 
 
 def _weigh(rows, scale: int) -> list:
-    return [(int(v * scale), rank, move) for rank, move, v in rows]
+    return [(v.numerator * (scale // v.denominator), rank, move) for rank, move, v in rows]
 
 
-_plan_lock = threading.Lock()   # making a plan, or a graph of one
+_plan_lock = threading.Lock()   # making a plan or a graph of one, storing a result
 
 
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, the label of each transition and the model graph.  Every
-    part depends on the system only, so concurrent callers that both
-    compute one agree.
+    standard costs, the label of each transition and the model graph, plus
+    the standard-cost results found so far.  Every part depends on the
+    system only, so concurrent callers that both compute one agree.
+
+    `results` maps (trace, route, state budget) to the `AlignResult` that
+    `align_by_search` returned for it under the standard costs, `lbfc_cap`
+    unset: a repeated trace gets it back with no search.  The route is the
+    solver's algorithm name and the budget the one its search ran under.
+    Calls with the caller's costs and calls that raise store nothing.  A
+    result's size is the number of states on its path, its moves plus one,
+    which is at most the states its search settled; `stored` empties
+    the store when a call finds it holding more than that call's state
+    budget, so after a call it holds at most twice that budget.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
     LBFC cap's classification, the alignment searches and the membership
@@ -282,6 +303,24 @@ class _Plan:
         # the final marking in it; reset with the graph, so that an emptied
         # graph is not kept alive.
         self.member_ends: tuple = (None, 0, 0)
+        self.results: dict[tuple, AlignResult] = {}
+        self.results_size = 0
+
+    def stored(self, state_budget: int) -> dict[tuple, AlignResult]:
+        """The standard-cost results, emptied first when they hold more
+        path states than `state_budget`."""
+        if self.results_size > state_budget:
+            with _plan_lock:
+                if self.results_size > state_budget:
+                    self.results = {}
+                    self.results_size = 0
+        return self.results
+
+    def store(self, key: tuple, result: AlignResult) -> None:
+        with _plan_lock:
+            if key not in self.results:
+                self.results[key] = result
+                self.results_size += len(result.alignment) + 1
 
     @cached_property
     def structure(self) -> StructuralReport:
@@ -356,11 +395,20 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     """Optimal alignment by least-cost search, reported under `algorithm`.
 
     The final state is unreachable exactly when the model is not easy-sound,
-    which surfaces as NotEasySound.
+    which surfaces as NotEasySound.  Under the standard costs (`c` None) a
+    trace already aligned on the system object under the same algorithm and
+    budget gets the plan's stored result (see `_Plan`), with no search.
     """
     plan = _plan(sys)
-    table = plan.standard_moves if c is None else _MoveTable(sys.net, c)
     trace = tuple(trace)
+    if c is None:
+        key = (trace, algorithm, state_budget)
+        result = plan.stored(state_budget).get(key)
+        if result is not None:
+            return result
+        table = plan.standard_moves
+    else:
+        table = _MoveTable(sys.net, c)
     moves, scale = table.moves(trace)
     try:
         cost, seq, settled = dijkstra_least_cost(
@@ -368,7 +416,10 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
             plan.model_graph(state_budget))
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
-    return AlignResult(seq, Fraction(cost, scale), algorithm, settled)
+    result = AlignResult(seq, Fraction(cost, scale), algorithm, settled)
+    if c is None:
+        plan.store(key, result)
+    return result
 
 
 def optimal_alignment(trace: Sequence[str], sys: AcceptingSystem,
@@ -540,8 +591,9 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     The acyclic marking-equation solver is reached only by calling
     `optimal_alignment_acyclic`.  For live (or sound workflow-shaped) bounded
     free-choice systems an alignment-length certificate cap is attached.
-    Consecutive calls on one system classify it once; only the last system
-    is remembered.
+    Consecutive calls on one system classify it once, and search a trace
+    they repeat under the standard costs once; only the last system is
+    remembered.
     """
     from .ssystem import optimal_alignment_ssystem
 

@@ -484,6 +484,23 @@ def test_exact_rational_costs(ex1):
     assert result.cost == brute_force_oracle(TRACE, ex1, c)
     assert result.cost == validate_alignment(result.alignment, TRACE, ex1, c)
     assert result.cost.denominator in (1, 3, 7, 21)
+    # Int and float costs price as the Fractions they equal exactly.
+    net = ex1.net
+    visible = [t for t in net.transitions if not net.label(t).silent]
+
+    def costs(log_b, sync, model):
+        return CostFunction(labels=dict(net.labels), log_overrides={"a": 2, "b": log_b},
+                            sync_overrides={(net.label(t).name, t): sync for t in visible},
+                            model_overrides={t: model for t in net.transitions})
+
+    numbers = costs(0.5, 0.1, 3)
+    fractions = costs(Fraction(1, 2), Fraction(0.1), Fraction(3))
+    for trace in (TRACE, ("b", "a", "b"), ()):
+        got = optimal_alignment(trace, ex1, numbers)
+        assert got == optimal_alignment(trace, ex1, fractions)
+        assert dispatch_align(trace, ex1, numbers).cost == got.cost
+        assert type(got.cost) is Fraction
+    assert optimal_alignment(TRACE, ex1, numbers).cost.denominator == 2**55
 
 
 def test_solver_agreement_small_sample(ex1):
@@ -1090,3 +1107,121 @@ def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
                 [verdicts[word] for word in words]
             assert len(fired) == before, str(system.net)
     assert classified >= 6 and accepted > 10
+
+
+# The plan's store of standard-cost results: a trace repeated on one system
+# object, under the same route and budget, is not searched again.
+
+def _ssystem(trace, system, budget, costs=None):
+    return optimal_alignment_ssystem(trace, system, costs, budget)
+
+
+def test_stored_results_match_fresh_systems():
+    """Standard-cost traces asked again and again on one system object,
+    between calls with the caller's costs, with smaller budgets, with a
+    budget that raises and on systems that are not easy-sound, give the
+    outcomes of fresh systems: alignment, cost, algorithm, settled states,
+    cap and every raise."""
+    rng = random.Random(83)
+    systems = _route_systems(rng)
+    # Each fourth one again, with a final marking no firing sequence reaches.
+    systems += [AcceptingSystem(s.net, s.initial, s.initial + s.initial) for s in systems[::4]]
+    outcomes = set()
+    for system in systems:
+        c = _fraction_costs(system)
+        traces = [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
+        calls = [(functools.partial(op, costs=costs), trace, budget)
+                 for trace in traces for op in (_generic, _dispatch, _ssystem)
+                 for costs in (None, c) for budget in (2, 60, DEFAULT_STATE_BUDGET)]
+        calls *= 2
+        rng.shuffle(calls)
+        warm, fresh = _warm_and_fresh_calls(system, calls)
+        assert warm == fresh, str(system.net)
+        outcomes |= {r if isinstance(r, type) else r.algorithm for r in warm}
+    assert {"generic", "ssystem", BudgetExceeded, NotEasySound} <= outcomes
+
+
+def _counted_searches(monkeypatch):
+    """A list that collects the trace of each `dijkstra_least_cost` call
+    from now on."""
+    searched = []
+    search = engine.dijkstra_least_cost
+
+    def counted(net, trace, *args):
+        searched.append(tuple(trace))
+        return search(net, trace, *args)
+
+    monkeypatch.setattr(engine, "dijkstra_least_cost", counted)
+    return searched
+
+
+def test_a_repeat_makes_no_search(monkeypatch):
+    """A standard-cost trace is searched once per route and budget on one
+    system object; a trace with the caller's costs is searched on every call."""
+    searched = _counted_searches(monkeypatch)
+    rng = random.Random(89)
+    for system in _route_systems(rng):
+        c = _fraction_costs(system)
+        trace = _noisy_run(rng, system, 12)
+        first = dispatch_align(trace, system)
+        for op in (_dispatch, _generic, _ssystem):
+            searched.clear()
+            assert _outcome(op, trace, system, DEFAULT_STATE_BUDGET) == \
+                _outcome(op, trace, system, DEFAULT_STATE_BUDGET)
+            assert len(searched) <= 1
+        searched.clear()
+        assert dispatch_align(trace, system) == first
+        assert optimal_alignment(trace, system, state_budget=10**5) == \
+            optimal_alignment(trace, system, state_budget=10**5)
+        assert searched == [trace]
+        searched.clear()
+        for _ in range(3):
+            assert dispatch_align(trace, system, c) == dispatch_align(trace, _fresh(system), c)
+        assert searched == [trace] * 6
+        if first.algorithm == "ssystem":
+            # Under one budget, each route still gets a result of its own.
+            budget, bare = first.states_expanded, dataclasses.replace(first, lbfc_cap=None)
+            assert _ssystem(trace, system, budget) == bare
+            assert _generic(trace, system, budget) == dataclasses.replace(bare, algorithm="generic")
+
+
+def test_a_raise_is_stored_as_nothing(ex1, monkeypatch):
+    """A search that raised raises again when asked again, and the same
+    trace then succeeds, and is stored, under a larger budget."""
+    searched = _counted_searches(monkeypatch)
+    trace = ("a", "a", "b", "a", "a", "b", "b")
+    expected = optimal_alignment(trace, _fresh(ex1))
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            optimal_alignment(trace, ex1, state_budget=expected.states_expanded - 1)
+    for _ in range(2):
+        assert optimal_alignment(trace, ex1, state_budget=expected.states_expanded) == expected
+    assert len(searched) == 4
+
+
+def test_stored_results_stay_within_their_bound():
+    """A result's size is its moves plus one, at most the states its search
+    settled; a call finds the store emptied when it held more than the
+    call's budget, so after a call with budget b it holds at most 2b.  A
+    call on another system object drops the store."""
+    rng = random.Random(97)
+    system = ex1_system()
+    traces = [tuple(rng.choice("ab") for _ in range(rng.randint(8, 16))) for _ in range(8)]
+    sizes = []
+    for k, trace in enumerate(traces * 3):
+        budget = [DEFAULT_STATE_BUDGET, 100, 60][k // len(traces)]
+        _outcome(optimal_alignment, trace, system, None, budget)
+        plan = engine._plan(system)
+        assert all(len(r.alignment) + 1 <= r.states_expanded
+                   for r in plan.results.values())
+        assert plan.results_size == sum(len(r.alignment) + 1 for r in plan.results.values())
+        assert plan.results_size <= 2 * budget, (budget, plan.results_size)
+        sizes.append(plan.results_size)
+    # Without the emptying, the later budgets would add to the first ones.
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    other = ex1_system()
+    dispatch_align(TRACE, other)
+    assert engine._plan(other).results_size == len(dispatch_align(TRACE, other).alignment) + 1
+    # Back on the first system, one result again.
+    optimal_alignment(traces[0], system)
+    assert len(engine._plan(system).results) == 1
