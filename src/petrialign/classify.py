@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .errors import BudgetExceeded
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
                     _MarkingGraph)
 
@@ -94,7 +95,7 @@ def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None,
             i = parent[i]
         return tuple(reversed(seq))
 
-    final = graph.numbers.get(sys.final)
+    final = graph.find(sys.final)
     final = order.index(final) if final in order else None
     return [graph.markings[i] for i in order], access, succ, fired, final
 
@@ -286,6 +287,83 @@ def _behavioral_report(sys: AcceptingSystem, ex: tuple) -> BehavioralReport:
                             len(markings), certs)
 
 
+def _lbfc_bound(sys: AcceptingSystem, graph: _MarkingGraph, state_budget: int,
+                workflow_shape: bool) -> int | None:
+    """The bound the LBFC cap needs: `behavioral_class`'s `bound_found` when
+    it is nonzero and the system is live, or sound and workflow-shaped
+    (`workflow_shape`, from the structural report), else None.  Raises
+    BudgetExceeded where `behavioral_class` does.
+
+    One breadth-first walk over `graph`'s rows from the initial marking, on
+    marking numbers and count-vector keys, with no certificate: the bound is
+    the largest key entry, and every marking reaches the final one iff a
+    reverse search from the final marking finds them all.  Then the terminal
+    scc is the final marking's forward closure, so the system is live iff
+    every transition fires there; it is sound iff it is also proper (no key
+    covers the final key and differs from it) and quasi-live (every
+    transition fires in some row).  Otherwise liveness comes from `_sccs`.
+    """
+    start = graph.number(sys.initial)
+    order, local = [start], {start: 0}
+    succ: list[list[int]] = []   # per marking, its successors as indices into order
+    budget = max(state_budget, 1)
+    rows = graph.rows
+    for i in order:
+        row = rows.get(i)
+        if row is None:
+            row = graph.row(i)
+        targets = []
+        for _, s in row:
+            j = local.get(s)
+            if j is None:
+                j = local[s] = len(order)
+                if j >= budget:
+                    raise BudgetExceeded(j + 1)
+                order.append(s)
+            targets.append(j)
+        succ.append(targets)
+    keys = list(map(graph._keys.__getitem__, order))
+    bound = max(map(max, keys)) if sys.net.places else 0
+    if not bound:
+        return None
+    everything = len(sys.net.transitions)
+    final = local.get(graph.find(sys.final))
+    if final is not None:
+        pred: list[list[int]] = [[] for _ in order]
+        for v, targets in enumerate(succ):
+            for w in targets:
+                pred[w].append(v)
+        if len(_reach(pred, final)) == len(order):
+            goal = keys[final]
+            need = [(p, n) for p, n in enumerate(goal) if n]
+            proper = not any(key != goal and all(key[p] >= n for p, n in need)
+                             for key in keys)
+            if workflow_shape and proper and \
+                    len({t for i in order for t, _ in rows[i]}) == everything:
+                return bound
+            closure = _reach(succ, final)
+            fired = {t for v in closure for t, _ in rows[order[v]]}
+            return bound if len(fired) == everything else None
+    scc_of, terminal = _sccs(succ)
+    fired_in: dict[int, set[int]] = {s: set() for s in terminal}
+    for v, s in enumerate(scc_of):
+        if s in fired_in:
+            fired_in[s].update(t for t, _ in rows[order[v]])
+    return bound if all(len(f) == everything for f in fired_in.values()) else None
+
+
+def _reach(adj: list[list[int]], start: int) -> set[int]:
+    """The vertices reachable from `start` along `adj`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET,
                      *, graph: _MarkingGraph | None = None) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
@@ -299,11 +377,10 @@ def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUD
     scc.
 
     The exploration is one breadth-first search from the initial marking
-    over the rows of a marking graph of the net, by default a fresh one.
-    `graph` is for the package's own callers: the dispatcher passes the graph
-    that its alignment searches on the system then read.  The search keeps
-    its own order, so the report is that of a fresh graph, whatever earlier
-    callers numbered.
+    over the rows of a marking graph of the net, by default a fresh one;
+    `graph` lends it the rows that earlier callers on the net filled.  The
+    search keeps its own order, so the report is that of a fresh graph,
+    whatever earlier callers numbered.
     """
     return _behavioral_report(sys, _explore(sys, state_budget, None, graph))
 

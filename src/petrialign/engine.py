@@ -16,7 +16,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-from .classify import StructuralReport, behavioral_class, structural_class
+from .classify import StructuralReport, _lbfc_bound, structural_class
 from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
@@ -275,25 +275,30 @@ class _Plan:
     the store when a call finds it holding more than that call's state
     budget, so after a call it holds at most twice that budget.
 
+    The LBFC cap needs the bound and whether the system is live, or sound
+    and workflow-shaped, and nothing else of `behavioral_class`'s report:
+    `classify._lbfc_bound` decides it in one walk over the model graph's
+    rows, on marking numbers and token-count keys, with no certificate.
+
     The model graph (`petri._MarkingGraph`) numbers the markings that the
-    LBFC cap's classification, the alignment searches and the membership
-    calls on the system find, and keeps per marking its row: the enabled
-    transitions, each with the number of the marking it leads to.  The
-    classification fills the rows of every reachable marking within its
-    budget, so the searches and membership calls that follow read them
-    instead of firing again.  It holds no weight, so calls with the
-    standard costs and calls with their own costs share it; weights come
-    from the move tables.  Membership reads each row through the view of
-    the letter at its position (see `_MarkingGraph`).  The classification
-    adds at most one row per marking it explores, a search at most one per
-    state it settles, and a membership call at most one row and one view
-    entry per state it expands; `model_graph` hands out an empty graph when
-    a call finds more markings, or rows and view entries, than that call's
-    state budget.  So after a call the graph holds at most three times the
-    budget in rows and view entries, and besides the markings it held, the
-    markings that call reached and their successors.  A call on another
-    system drops the plan, and the graph with it.  Graphs are made under a
-    lock, so threads that ask for one together share it."""
+    LBFC cap's walk, the alignment searches and the membership calls on the
+    system find, and keeps per marking its row: the enabled transitions,
+    each with the number of the marking it leads to.  The cap's walk fills
+    the rows of every reachable marking within its budget, so the searches
+    and membership calls that follow read them instead of firing again.  It
+    holds no weight, so calls with the standard costs and calls with their
+    own costs share it; weights come from the move tables.  Membership
+    reads each row through the view of the letter at its position (see
+    `_MarkingGraph`).  The cap's walk adds at most one row per marking it
+    explores, a search at most one per state it settles, and a membership
+    call at most one row and one view entry per state it expands;
+    `model_graph` hands out an empty graph when a call finds more markings,
+    or rows and view entries, than that call's state budget.  So after a
+    call the graph holds at most three times the budget in rows and view
+    entries, and besides the markings it held, the markings that call
+    reached and their successors.  A call on another system drops the plan,
+    and the graph with it.  Graphs are made under a lock, so threads that
+    ask for one together share it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -338,7 +343,7 @@ class _Plan:
         return [net.label(t).name for t in net.transitions]
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
-        """The numbered markings, rows and views of the classifier, the
+        """The numbered markings, rows and views of the LBFC cap's walk, the
         searches and membership, replaced by an empty graph when they hold
         more than `state_budget` markings, or rows and view entries."""
         graph = self._graph
@@ -353,17 +358,16 @@ class _Plan:
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
         """The alignment-length cap for a trace of `trace_len` letters on a
         live (or sound workflow-shaped) bounded free-choice system, or None
-        when it does not apply or the classification exceeds the budget."""
+        when it does not apply or its walk exceeds the budget."""
         if state_budget not in self._lbfc:
             base = None
             srep = self.structure
             if srep.free_choice:
                 try:
-                    brep = behavioral_class(self.sys, state_budget,
-                                            graph=self.model_graph(state_budget))
-                    if brep.bound_found and (brep.live or (brep.sound and srep.workflow_shape)):
-                        base = lbfc_length_bound(len(self.sys.net.transitions),
-                                                 brep.bound_found, 0)
+                    bound = _lbfc_bound(self.sys, self.model_graph(state_budget),
+                                        state_budget, srep.workflow_shape)
+                    if bound:
+                        base = lbfc_length_bound(len(self.sys.net.transitions), bound, 0)
                 except BudgetExceeded:
                     pass
             self._lbfc[state_budget] = base
@@ -436,8 +440,8 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     Searches synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The DFS runs on integer states
     marking number * (len(trace) + 1) + position over the plan's model graph,
-    the one the classifier and the alignment searches on the system share:
-    a state reads its marking's entry of the view of the letter at its
+    which the LBFC cap's walk and the alignment searches on the system
+    share: a state reads its marking's entry of the view of the letter at its
     position (None past the trace's end), which lists the successors by
     that letter, then the silent ones, each in declaration order.  So
     consecutive calls on one system fire a transition at a marking once, not
@@ -501,7 +505,9 @@ def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
     (trace position, marking) states.
 
     With no caps the iteration runs to its fixed point, which is the exact
-    optimum.  CapExhausted means the optimum may exceed the caps.
+    optimum.  CapExhausted means the optimum may exceed the caps; without a
+    length cap, an unreachable final state raises NotEasySound, as
+    `optimal_alignment` does.
     """
     if c is None:
         c = standard_costs(sys)
@@ -573,6 +579,8 @@ def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
                 break
     answer = dp[0]
     if answer == inf:
+        if length_cap is None:
+            raise NotEasySound("final marking unreachable; the model accepts no trace")
         raise CapExhausted("no alignment within the length cap")
     result = Fraction(int(answer), scale)
     if cost_cap is not None and result > cost_cap:

@@ -11,6 +11,7 @@ import re
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded, EmptyNet, NotEnabled, UnknownTransition
@@ -50,9 +51,12 @@ class Marking:
 
     Comparison, addition, and equality work pointwise over the union of
     supports, so markings over different declaration sets compare naturally.
+    The sorted (place, count) pairs and the hash are made on first use, so a
+    marking that is never hashed, listed or printed never sorts its places;
+    threads that race to make them store equal values.
     """
 
-    __slots__ = ("_counts", "_key", "_hash")
+    __slots__ = ("_counts", "_sorted", "_hash")
 
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] | None = None):
         cleaned: dict[str, int] = {}
@@ -65,17 +69,22 @@ class Marking:
                 if n:
                     cleaned[place] = cleaned.get(place, 0) + n
         self._counts = cleaned
-        self._key = tuple(sorted(cleaned.items()))
-        self._hash = hash(self._key)
+        self._sorted = self._hash = None
 
     @classmethod
     def _trusted(cls, counts: dict[str, int]) -> "Marking":
         """Adopt `counts`, which must map places to positive ints only."""
         m = cls.__new__(cls)
         m._counts = counts
-        m._key = key = tuple(sorted(counts.items()))
-        m._hash = hash(key)
+        m._sorted = m._hash = None
         return m
+
+    def _items(self) -> tuple[tuple[str, int], ...]:
+        """The (place, count) pairs in place order, made on first use."""
+        items = self._sorted
+        if items is None:
+            items = self._sorted = tuple(sorted(self._counts.items()))
+        return items
 
     @classmethod
     def of(cls, *places: str) -> "Marking":
@@ -87,10 +96,10 @@ class Marking:
         return dict(self._counts)
 
     def support(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self._key)
+        return tuple(p for p, _ in self._items())
 
     def items(self):
-        return iter(self._key)
+        return iter(self._items())
 
     def total(self) -> int:
         return sum(self._counts.values())
@@ -111,25 +120,29 @@ class Marking:
         return bool(self._counts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Marking) and self._key == other._key
+        # Counts hold positive entries only, so equal markings have equal dicts.
+        return isinstance(other, Marking) and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._items())
+        return h
 
     def __le__(self, other: "Marking") -> bool:
-        return all(n <= other[p] for p, n in self._key)
+        return all(n <= other[p] for p, n in self._counts.items())
 
     def __ge__(self, other: "Marking") -> bool:
         return other.__le__(self)
 
     def __add__(self, other: "Marking") -> "Marking":
         merged = dict(self._counts)
-        for p, n in other._key:
+        for p, n in other._counts.items():
             merged[p] = merged.get(p, 0) + n
         return Marking(merged)
 
     def __repr__(self) -> str:
-        inner = ", ".join(p if n == 1 else f"{p}:{n}" for p, n in self._key)
+        inner = ", ".join(p if n == 1 else f"{p}:{n}" for p, n in self._items())
         return "{" + inner + "}"
 
 
@@ -141,7 +154,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set", "_first_input")
+                 "_consume", "_produce", "_place_set", "_trans_set")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -179,7 +192,6 @@ class PetriNet:
             post_set = set(self._post[t])
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
-        self._first_input = None   # enabled_transitions' index, built on first use
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -275,40 +287,9 @@ def _enabled_among(net: PetriNet, marking: Marking, ts: Iterable[str]) -> list[s
     return out
 
 
-def _first_input_index(net: PetriNet) -> dict:
-    """Per place, (declaration index, transition, other input places) of each
-    transition whose first input place it is, in declaration order; under
-    the key None, those of the transitions with no input place."""
-    index: dict = {None: []}
-    for k, t in enumerate(net.transitions):
-        pre = net._pre[t]
-        index.setdefault(pre[0] if pre else None, []).append((k, t, pre[1:]))
-    return index
-
-
 def enabled_transitions(net: PetriNet, marking: Marking) -> list[str]:
-    """All enabled transitions, in declaration order.  Only the transitions
-    with no input place and those whose first input place is marked can be
-    enabled, so only these are checked: an index per place lists them,
-    built on the net by the first call."""
-    index = net._first_input
-    if index is None:
-        index = net._first_input = _first_input_index(net)
-    counts = marking._counts
-    candidates = list(index[None])
-    for p in counts:
-        listed = index.get(p)
-        if listed:
-            candidates += listed
-    candidates.sort()
-    out = []
-    for _, t, rest in candidates:
-        for p in rest:
-            if p not in counts:
-                break
-        else:
-            out.append(t)
-    return out
+    """All enabled transitions, in declaration order."""
+    return _enabled_among(net, marking, net.transitions)
 
 
 def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
@@ -341,15 +322,19 @@ class _MarkingGraph:
     one system share the graph, and a search may have numbered markings
     that are not reachable (its goal).
 
-    Each marking is also keyed by its token counts, a tuple in place
-    declaration order (tokens off the net, which never move, follow as one
-    more entry).  A row reads its marking's `enabled_transitions` and keys
-    each successor by updating the parent's key: minus one on each place
-    the transition consumes from, plus one on each it produces on, so
-    self-loop places stay as they are.  Only a key not yet numbered fires
-    through `fire`, which makes the successor's `Marking`: a marking gets
-    one `Marking` however many arcs lead to it, and `numbers` maps every
-    `Marking` held to its number.
+    Each marking is keyed by its token counts, a tuple in place declaration
+    order (tokens off the net, which never move, follow as one more entry),
+    and found by its key.  A row reads its parent's key alone: a transition
+    is enabled iff each of its input places has a nonzero entry, and only
+    the transitions with no input place and those whose first input place
+    is marked are checked, through a table per place index built with the
+    graph.  It keys each successor by updating the parent's key: minus one
+    on each place the transition consumes from, plus one on each it
+    produces on, so self-loop places stay as they are.  Only a key not yet
+    numbered fires through `fire`, which makes the successor's `Marking`: a
+    marking gets one `Marking` however many arcs lead to it, and a marking
+    made here is never hashed or sorted.  `numbers` maps to its number only
+    each `Marking` that a caller passed to `number`.
 
     Membership reads rows through views: `views[key][i]` holds, for marking
     number i, one (successor number, position step) pair per entry of its
@@ -371,20 +356,26 @@ class _MarkingGraph:
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
         place = {p: i for i, p in enumerate(net.places)}
-        # Per transition: its index, and the key entries it takes a token
-        # from and puts one on.
-        self._effects = {t: (i, tuple(place[p] for p in net._consume[t]),
-                             tuple(place[p] for p in net._produce[t]))
-                         for i, t in enumerate(net.transitions)}
+        # Per place index, (index, other input places, places consumed from,
+        # places produced on) of each transition whose first input place it
+        # is, in declaration order; those with no input place apart.
+        first: list[list] = [[] for _ in net.places]
+        self._unguarded: list = []
+        for k, t in enumerate(net.transitions):
+            pre = [place[p] for p in net._pre[t]]
+            entry = (k, tuple(pre[1:]), tuple(place[p] for p in net._consume[t]),
+                     tuple(place[p] for p in net._produce[t]))
+            (first[pre[0]] if pre else self._unguarded).append(entry)
+        self._first = first
 
     def _key(self, m: Marking) -> tuple:
         counts = m._counts
         key = tuple([counts.get(p, 0) for p in self.net.places])
-        off = tuple([(p, n) for p, n in m._key if p not in self.net._place_set])
+        off = tuple([(p, n) for p, n in m.items() if p not in self.net._place_set])
         return key + (off,) if off else key
 
     def _add(self, m: Marking, key: tuple) -> int:
-        i = self.numbers[m] = self._by_key[key] = len(self.markings)
+        i = self._by_key[key] = len(self.markings)
         self.markings.append(m)
         self._keys.append(key)
         return i
@@ -393,8 +384,17 @@ class _MarkingGraph:
         with self._lock:
             i = self.numbers.get(m)
             if i is None:
-                i = self._add(m, self._key(m))
+                key = self._key(m)
+                i = self._by_key.get(key)
+                if i is None:
+                    i = self._add(m, key)
+                self.numbers[m] = i
             return i
+
+    def find(self, m: Marking) -> int | None:
+        """The number of the marking, or None when none is numbered; numbers
+        nothing."""
+        return self._by_key.get(self._key(m))
 
     def over(self, budget: int) -> bool:
         """Whether it holds more markings, or rows and view entries, than
@@ -406,21 +406,28 @@ class _MarkingGraph:
         with self._lock:
             row = self.rows.get(i)
             if row is None:
-                net, m, key = self.net, self.markings[i], self._keys[i]
-                by_key, effects = self._by_key, self._effects
+                key = self._keys[i]
+                candidates = [*self._unguarded,
+                              *chain.from_iterable(compress(self._first, key))]
+                candidates.sort()
+                by_key = self._by_key
                 out = []
-                for t in enabled_transitions(net, m):
-                    k, consume, produce = effects[t]
-                    counts = list(key)
-                    for p in consume:
-                        counts[p] -= 1
-                    for p in produce:
-                        counts[p] += 1
-                    counts = tuple(counts)
-                    s = by_key.get(counts)
-                    if s is None:
-                        s = self._add(fire(net, m, t), counts)
-                    out.append((k, s))
+                for k, rest, consume, produce in candidates:
+                    for p in rest:
+                        if not key[p]:
+                            break
+                    else:
+                        counts = list(key)
+                        for p in consume:
+                            counts[p] -= 1
+                        for p in produce:
+                            counts[p] += 1
+                        counts = tuple(counts)
+                        s = by_key.get(counts)
+                        if s is None:
+                            s = self._add(fire(self.net, self.markings[i],
+                                               self.net.transitions[k]), counts)
+                        out.append((k, s))
                 row = self.rows[i] = tuple(out)
                 self.size += 1
         return row

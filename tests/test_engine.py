@@ -17,12 +17,13 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         optimal_alignment_ssystem, parse_net, parse_tree,
                         serialize_net, standard_costs, trace_system,
                         tree_to_wfnet, validate_alignment)
-from petrialign import engine
+from petrialign import classify, engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, Unreachable)
 from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
-from randgen import (LABEL_POOL, product_search_cost, random_replayable_walk,
+from randgen import (LABEL_POOL, make_suite, marked_cycle_tsystem,
+                     product_search_cost, random_replayable_walk,
                      random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree, render_moves)
 
@@ -326,6 +327,21 @@ def test_oracle_respects_length_cap(ex1):
     assert brute_force_oracle(TRACE, ex1, length_cap=8) == 2
 
 
+def test_oracle_not_easy_sound_without_caps(ex1):
+    """With no length cap the oracle decides that no alignment exists, and
+    raises what optimal_alignment raises; with one it cannot tell."""
+    broken = AcceptingSystem(ex1.net, ex1.initial, Marking.of("p1"))
+    for trace in (("a",), ()):
+        with pytest.raises(NotEasySound):
+            optimal_alignment(trace, broken)
+        with pytest.raises(NotEasySound):
+            brute_force_oracle(trace, broken)
+        with pytest.raises(NotEasySound):
+            brute_force_oracle(trace, broken, cost_cap=Fraction(5))
+        with pytest.raises(CapExhausted):
+            brute_force_oracle(trace, broken, length_cap=50)
+
+
 def test_lbfc_length_bound_values():
     assert lbfc_length_bound(5, 1, 4) == 180
     assert lbfc_length_bound(0, 1, 3) == 4
@@ -417,13 +433,13 @@ def test_consecutive_calls_match_fresh_systems():
 
 def test_consecutive_calls_classify_once(monkeypatch):
     calls = []
-    behavioral_class = engine.behavioral_class
+    lbfc_bound = engine._lbfc_bound
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return behavioral_class(*args, **kwargs)
+        return lbfc_bound(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "behavioral_class", counted)
+    monkeypatch.setattr(engine, "_lbfc_bound", counted)
     a = ex1_system()
     for _ in range(3):
         dispatch_align(TRACE, a)
@@ -944,6 +960,82 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
     assert 2 * reorders > len(bounded) + len(unsound)
 
 
+def _bound_by_report(system, budget, workflow_shape):
+    """The bound the LBFC cap takes from behavioral_class's report, None when
+    the cap does not apply, or "raised" past the budget; and the branch of
+    `_lbfc_bound` that the report says decides it."""
+    try:
+        rep = behavioral_class(_fresh(system), budget)
+    except BudgetExceeded:
+        return "raised", None
+    if not rep.bound_found:
+        return None, None
+    option = rep.easy_sound and "option_counterexample" not in rep.certificates
+    branch = ("sound_workflow" if rep.sound and workflow_shape else "closure") \
+        if option else "sccs"
+    applies = rep.live or (rep.sound and workflow_shape)
+    return (rep.bound_found if applies else None), branch
+
+
+def test_lbfc_bound_matches_the_behavioral_report(monkeypatch):
+    """The LBFC cap's walk decides what `behavioral_class`'s report decides
+    (bound_found, when live or sound and workflow-shaped) on the randomised
+    suite, tree nets, marked cycles, ex1, nets whose final marking no firing
+    sequence reaches, an unbounded net and a net with two dead ends, at
+    budgets 1 to 30 and the default.  It does so on fresh graphs, on one
+    graph that alignment searches numbered first and that each budget's walk
+    then extends, and through fresh and warm plans.  Each branch runs: the
+    short-cut for a sound workflow net, liveness from the final marking's
+    forward closure, and the `_sccs` fallback, which runs exactly when the
+    report says that some marking cannot reach the final one."""
+    rng = random.Random(83)
+    systems = [system for system, _ in make_suite(83, 40)]
+    systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(12)]
+    systems += [marked_cycle_tsystem(rng)[0] for _ in range(6)]
+    systems.append(ex1_system())
+    # Not easy sound: a final marking that no firing sequence reaches.
+    systems += [AcceptingSystem(s.net, s.initial, s.initial + s.initial) for s in systems[::4]]
+    systems += [_two_dead_ends_system(), _pump_system()]
+    sccs_calls = []
+    sccs = classify._sccs
+
+    def counted(succ):
+        sccs_calls.append(len(succ))
+        return sccs(succ)
+
+    monkeypatch.setattr(classify, "_sccs", counted)
+    branches = dict.fromkeys(("sound_workflow", "closure", "sccs"), 0)
+    pairs = 0
+    for system in systems:
+        top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
+        budgets = list(range(1, 31)) + [top]
+        srep = engine._Plan(system).structure
+        warm = _fresh(system)
+        for trace in (("a", "b", "e"), ("z",), _noisy_run(rng, system, 12)):
+            _outcome(_generic, trace, warm, top)
+        warm_graph = engine._plan(warm)._graph
+        for budget in budgets:
+            expected, branch = _bound_by_report(system, budget, srep.workflow_shape)
+            for graph in (petri._MarkingGraph(system.net), warm_graph):
+                sccs_calls.clear()
+                try:
+                    got = classify._lbfc_bound(system, graph, budget, srep.workflow_shape)
+                except BudgetExceeded:
+                    got = "raised"
+                assert got == expected, (str(system.net), budget)
+                assert bool(sccs_calls) == (branch == "sccs"), (str(system.net), budget)
+                pairs += 1
+            if branch is not None:
+                branches[branch] += 1
+            cap = None
+            if srep.free_choice and expected not in (None, "raised"):
+                cap = lbfc_length_bound(len(system.net.transitions), expected, 3)
+            assert engine._Plan(_fresh(system)).lbfc_cap(budget, 3) == cap
+            assert engine._plan(warm).lbfc_cap(budget, 3) == cap
+    assert min(branches.values()) > 0, branches
+    assert pairs > 4000
+
+
 def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
     fired = _counted_fires(monkeypatch)
     a, b = ex1_system(), ex1_system()
@@ -1007,8 +1099,8 @@ def test_threads_share_one_model_graph():
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected for _, _, expected in rounds]
     for graph in graphs:
-        assert len(graph.numbers) == len(graph.markings) > 100
-        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
+        assert len(graph._by_key) == len(graph.markings) > 100
+        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
 
 
 def _interleaving(rng, words):
@@ -1064,8 +1156,8 @@ def test_threads_share_one_membership_graph():
     assert got == [expected for _, _, expected in rounds]
     assert any(False in verdicts for _, _, expected in rounds for verdicts in expected)
     for graph in graphs:
-        assert len(graph.numbers) == len(graph.markings) > 100
-        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
+        assert len(graph._by_key) == len(graph.markings) > 100
+        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
 
 
 def test_membership_reads_the_rows_the_cap_filled(monkeypatch):

@@ -176,7 +176,8 @@ def test_marking_graph_rows_follow_the_firing_rule():
             assert graph.row(i) is row and graph.number(marking) == i
             marking = fire(net, marking, t)
         assert graph.size == len(graph.rows)
-        assert all(graph.numbers[m] == i for i, m in enumerate(graph.markings))
+        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+        assert len(graph._by_key) == len(graph.markings)
         checked += 1
 
 
@@ -238,9 +239,8 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
     """On random nets with counts above one, self-loop places, transitions
     with no input or no output place and unbounded growth cut by a budget,
     the count-keyed graph gives the rows, the numbers and the explorations
-    that firing every arc gives, and `enabled_transitions` the full scan's
-    transitions.  Every `Marking` it holds is the root, a marking numbered
-    by a caller, or one that `fire` made."""
+    that firing every arc gives.  Every `Marking` it holds is the root, a
+    marking numbered by a caller, or one that `fire` made."""
     made = set()
     fire_ = petri.fire
 
@@ -269,10 +269,9 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
             order, *rest = got
             assert ([graph.markings[i] for i in order], *rest) == expected
         for i, m in enumerate(graph.markings):
-            assert graph.numbers[m] == i
+            assert graph.number(m) == i
             assert m is root or m is goal or id(m) in made
-            assert enabled_transitions(net, m) == _enabled_among(net, m, net.transitions)
-        assert len(graph.numbers) == len(graph.markings)
+        assert len(graph._by_key) == len(graph.markings)
         for i, row in graph.rows.items():
             m = graph.markings[i]
             assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
@@ -305,17 +304,6 @@ def test_keyed_marking_graph_is_exact_for_any_count():
     assert i != graph.number(Marking.of("p")) and graph.markings[i] is off
     assert [graph.markings[s] for _, s in graph.row(i)] == [
         Marking({"q": 1, "elsewhere": 2}), Marking({"p": 1, "r": 1, "elsewhere": 2})]
-
-
-def test_enabled_transitions_builds_its_index_on_first_use(ex1):
-    """The index lives on the net and is built by the first call only."""
-    net = PetriNet(ex1.net.places, ex1.net.transitions, ex1.net.flow, ex1.net.labels)
-    assert net._first_input is None
-    assert enabled_transitions(net, ex1.initial) == ["t1"]
-    index = net._first_input
-    assert index is not None
-    assert enabled_transitions(net, Marking({"p3": 1, "p4": 1, "x": 2})) == ["t4", "t5"]
-    assert net._first_input is index
 
 
 def test_topological_order_is_last_in_first_out():
