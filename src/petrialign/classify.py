@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import BudgetExceeded
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
                     _MarkingGraph)
 
@@ -73,19 +72,17 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
                             workflow_shape, source, sink)
 
 
-def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None,
-             graph: _MarkingGraph | None):
+def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None):
     """The reachable markings in the BFS order of `_MarkingGraph.explore`
-    from the initial marking, over `graph`'s rows (a fresh graph when None):
-    (markings, access, succ, fired, final).  `access(i)` is the BFS-tree
-    firing sequence to marking i, `succ[i]` and `fired[i]` list the targets
-    and transitions of the arcs leaving it, and `final` is the index of the
-    final marking, or None when it was not found.  With `b_max` the search
-    stops at the first marking with more than b_max tokens on some place."""
+    from the initial marking, over a fresh graph's rows: (markings, access,
+    succ, fired, final).  `access(i)` is the BFS-tree firing sequence to
+    marking i, `succ[i]` and `fired[i]` list the targets and transitions of
+    the arcs leaving it, and `final` is the index of the final marking, or
+    None when it was not found.  With `b_max` the search stops at the first
+    marking with more than b_max tokens on some place."""
     if b_max is not None and b_max < 1:
         raise ValueError("b_max must be >= 1")
-    if graph is None:
-        graph = _MarkingGraph(sys.net)
+    graph = _MarkingGraph(sys.net)
     order, parent, via, succ, fired = graph.explore(sys.initial, state_budget, b_max)
 
     def access(i: int) -> tuple[str, ...]:
@@ -144,7 +141,7 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
     A marking exceeding b_max stops the search with a (place, marking) witness.
     Exhausting the state budget without a verdict raises BudgetExceeded.
     """
-    return _bound_report(_explore(sys, state_budget, b_max, None), b_max)
+    return _bound_report(_explore(sys, state_budget, b_max), b_max)
 
 
 @dataclass(frozen=True)
@@ -161,52 +158,66 @@ class BehavioralReport:
 
 
 def _sccs(succ: list[list[int]]) -> tuple[list[int], dict[int, int]]:
-    """Kosaraju condensation over the explored graph.
+    """Tarjan condensation over the explored graph, in one depth-first pass.
 
     Returns (scc id per marking, terminal sccs): a terminal scc has no arc
     leaving it.  The terminal sccs map each id to the scc's first marking in
     BFS order, and are listed in the BFS order of those markings.
+
+    A marking that is found and not yet in an scc is on the stack, so an
+    arc to a marking already in an scc leaves the arc's own scc, as does a
+    tree arc to a marking that closed an scc.
     """
     n = len(succ)
-    finish: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [(start, iter(succ[start]))]
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(succ[w])))
-                    break
-            else:
-                finish.append(v)
-                stack.pop()
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
-            radj[w].append(v)
+    index = [-1] * n
+    low = [0] * n
     scc_of = [-1] * n
-    count = 0
-    for v in reversed(finish):
-        if scc_of[v] >= 0:
+    leaves = [False] * n   # whether some arc from the marking leaves its scc
+    stack: list[int] = []
+    closed: set[int] = set()
+    count = found = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        stack = [v]
-        scc_of[v] = count
-        while stack:
-            x = stack.pop()
-            for w in radj[x]:
-                if scc_of[w] < 0:
-                    scc_of[w] = count
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = found
+                    found += 1
                     stack.append(w)
-        count += 1
-    exits = {scc_of[v] for v in range(n) for w in succ[v] if scc_of[w] != scc_of[v]}
+                    work.append((w, iter(succ[w])))
+                    break
+                if scc_of[w] >= 0:
+                    leaves[v] = True
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    exits = False
+                    while True:
+                        w = stack.pop()
+                        scc_of[w] = count
+                        exits = exits or leaves[w]
+                        if w == v:
+                            break
+                    if not exits:
+                        closed.add(count)
+                    count += 1
+                    if work:
+                        leaves[work[-1][0]] = True
+                elif work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     terminal: dict[int, int] = {}
     for v in range(n):
-        if scc_of[v] not in exits:
+        if scc_of[v] in closed:
             terminal.setdefault(scc_of[v], v)
     return scc_of, terminal
 
@@ -294,78 +305,42 @@ def _lbfc_bound(sys: AcceptingSystem, graph: _MarkingGraph, state_budget: int,
     (`workflow_shape`, from the structural report), else None.  Raises
     BudgetExceeded where `behavioral_class` does.
 
-    One breadth-first walk over `graph`'s rows from the initial marking, on
-    marking numbers and count-vector keys, with no certificate: the bound is
-    the largest key entry, and every marking reaches the final one iff a
-    reverse search from the final marking finds them all.  Then the terminal
-    scc is the final marking's forward closure, so the system is live iff
-    every transition fires there; it is sound iff it is also proper (no key
-    covers the final key and differs from it) and quasi-live (every
-    transition fires in some row).  Otherwise liveness comes from `_sccs`.
+    The same exploration and condensation as `behavioral_class`, over
+    `graph`'s rows and on marking numbers and token-count keys, with no
+    certificate: the bound is the largest key entry; the system is live iff
+    every terminal scc fires every transition, and sound iff the final
+    marking's scc is the only terminal one, every transition fires
+    somewhere, and the final key is the only key that covers it.
     """
-    start = graph.number(sys.initial)
-    order, local = [start], {start: 0}
-    succ: list[list[int]] = []   # per marking, its successors as indices into order
-    budget = max(state_budget, 1)
-    rows = graph.rows
-    for i in order:
-        row = rows.get(i)
-        if row is None:
-            row = graph.row(i)
-        targets = []
-        for _, s in row:
-            j = local.get(s)
-            if j is None:
-                j = local[s] = len(order)
-                if j >= budget:
-                    raise BudgetExceeded(j + 1)
-                order.append(s)
-            targets.append(j)
-        succ.append(targets)
-    keys = list(map(graph._keys.__getitem__, order))
+    order, _, _, succ, fired = graph.explore(sys.initial, state_budget)
+    keys = [graph._keys[i] for i in order]
     bound = max(map(max, keys)) if sys.net.places else 0
     if not bound:
         return None
     everything = len(sys.net.transitions)
-    final = local.get(graph.find(sys.final))
-    if final is not None:
-        pred: list[list[int]] = [[] for _ in order]
-        for v, targets in enumerate(succ):
-            for w in targets:
-                pred[w].append(v)
-        if len(_reach(pred, final)) == len(order):
-            goal = keys[final]
-            need = [(p, n) for p, n in enumerate(goal) if n]
-            proper = not any(key != goal and all(key[p] >= n for p, n in need)
-                             for key in keys)
-            if workflow_shape and proper and \
-                    len({t for i in order for t, _ in rows[i]}) == everything:
-                return bound
-            closure = _reach(succ, final)
-            fired = {t for v in closure for t, _ in rows[order[v]]}
-            return bound if len(fired) == everything else None
     scc_of, terminal = _sccs(succ)
-    fired_in: dict[int, set[int]] = {s: set() for s in terminal}
+    fired_in: dict[int, set[str]] = {s: set() for s in terminal}
     for v, s in enumerate(scc_of):
         if s in fired_in:
-            fired_in[s].update(t for t, _ in rows[order[v]])
-    return bound if all(len(f) == everything for f in fired_in.values()) else None
+            fired_in[s].update(fired[v])
+    if all(len(f) == everything for f in fired_in.values()):
+        return bound
+    final = graph.find(sys.final)
+    if not workflow_shape or final not in order:
+        return None
+    final = order.index(final)
+    if list(terminal) != [scc_of[final]] or len(set().union(*fired)) != everything:
+        return None
+    goal = keys[final]
+    covering = keys
+    for p, n in enumerate(goal):
+        if n:
+            covering = [key for key in covering if key[p] >= n]
+    return bound if all(key == goal for key in covering) else None
 
 
-def _reach(adj: list[list[int]], start: int) -> set[int]:
-    """The vertices reachable from `start` along `adj`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET,
-                     *, graph: _MarkingGraph | None = None) -> BehavioralReport:
+def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET
+                     ) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
 
     Liveness, cyclicity and the option to complete come from the terminal
@@ -377,19 +352,16 @@ def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUD
     scc.
 
     The exploration is one breadth-first search from the initial marking
-    over the rows of a marking graph of the net, by default a fresh one;
-    `graph` lends it the rows that earlier callers on the net filled.  The
-    search keeps its own order, so the report is that of a fresh graph,
-    whatever earlier callers numbered.
+    over the rows of a fresh marking graph of the net.
     """
-    return _behavioral_report(sys, _explore(sys, state_budget, None, graph))
+    return _behavioral_report(sys, _explore(sys, state_budget, None))
 
 
 def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
                              ) -> BoundReport | BehavioralReport:
     """bounded_and_safe's report when some place exceeds b_max, otherwise
     behavioral_class's, both from one exploration."""
-    ex = _explore(sys, state_budget, b_max, None)
+    ex = _explore(sys, state_budget, b_max)
     if ex[0][-1].max_count() > b_max:
         return _bound_report(ex, b_max)
     return _behavioral_report(sys, ex)

@@ -333,8 +333,8 @@ class _MarkingGraph:
     produces on, so self-loop places stay as they are.  Only a key not yet
     numbered fires through `fire`, which makes the successor's `Marking`: a
     marking gets one `Marking` however many arcs lead to it, and a marking
-    made here is never hashed or sorted.  `numbers` maps to its number only
-    each `Marking` that a caller passed to `number`.
+    made here is never hashed or sorted.  Callers find a `Marking`'s number
+    by its key too (`number`, `find`).
 
     Membership reads rows through views: `views[key][i]` holds, for marking
     number i, one (successor number, position step) pair per entry of its
@@ -346,7 +346,6 @@ class _MarkingGraph:
 
     def __init__(self, net: PetriNet):
         self.net = net
-        self.numbers: dict[Marking, int] = {}
         self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self.views: dict[str | None, dict[int, tuple[tuple[int, int], ...]]] = \
@@ -369,10 +368,12 @@ class _MarkingGraph:
         self._first = first
 
     def _key(self, m: Marking) -> tuple:
-        counts = m._counts
-        key = tuple([counts.get(p, 0) for p in self.net.places])
-        off = tuple([(p, n) for p, n in m.items() if p not in self.net._place_set])
-        return key + (off,) if off else key
+        counts, net = m._counts, self.net
+        key = tuple([counts.get(p, 0) for p in net.places])
+        if counts.keys() <= net._place_set:
+            return key
+        return key + (tuple(sorted([(p, n) for p, n in counts.items()
+                                    if p not in net._place_set])),)
 
     def _add(self, m: Marking, key: tuple) -> int:
         i = self._by_key[key] = len(self.markings)
@@ -381,14 +382,12 @@ class _MarkingGraph:
         return i
 
     def number(self, m: Marking) -> int:
+        """The number of the marking, numbering it when it has none."""
+        key = self._key(m)
         with self._lock:
-            i = self.numbers.get(m)
+            i = self._by_key.get(key)
             if i is None:
-                key = self._key(m)
-                i = self._by_key.get(key)
-                if i is None:
-                    i = self._add(m, key)
-                self.numbers[m] = i
+                i = self._add(m, key)
             return i
 
     def find(self, m: Marking) -> int | None:

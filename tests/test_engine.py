@@ -912,21 +912,12 @@ def _two_dead_ends_system():
     return AcceptingSystem(net, Marking.of("p0"), Marking.of("p4"))
 
 
-def _classified(system, budget, **kwargs):
-    """behavioral_class's report, or ("raised", markings discovered)."""
-    try:
-        return behavioral_class(system, budget, **kwargs)
-    except BudgetExceeded as exc:
-        return ("raised", exc.discovered)
-
-
 def test_a_warm_graph_classifies_like_a_fresh_one():
     """Alignment searches, then dispatcher calls, number a system's markings
     in their own order, and number its final marking even where no firing
-    sequence reaches it.  Classifying on that graph, and the plan's cap,
-    then give the reports (certificates included) and caps of fresh systems
-    at budgets 1 to 30 and the default.  The pump net is unbounded, so it
-    is asked at budgets up to 40 only."""
+    sequence reaches it.  The plan's cap on that graph is then the cap of a
+    fresh system at budgets 1 to 30 and the default.  The pump net is
+    unbounded, so it is asked at budgets up to 40 only."""
     rng = random.Random(71)
     bounded = _route_systems(rng)
     # The same nets with a final marking that no firing sequence reaches.
@@ -936,7 +927,7 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
         budgets = list(range(1, 31)) + [top]
         traces = [("a", "b", "e"), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
-        # Searches first, so that the dispatcher's cap at `top` is classified
+        # Searches first, so that the dispatcher's cap at `top` is decided
         # on the searches' graph.
         calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
         warm, fresh = _warm_and_fresh_calls(system, calls)
@@ -944,50 +935,47 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         plan = engine._plan(system)
         # As the last call left it, even when over the budget of the next.
         graph = plan._graph
-        assert system.final in graph.numbers
+        assert graph.find(system.final) is not None
         if top == DEFAULT_STATE_BUDGET:
             fresh_graph = petri._MarkingGraph(system.net)
             order = fresh_graph.explore(system.initial, top)[0]
             reorders += graph.markings[:len(order)] != [fresh_graph.markings[i] for i in order]
-        for budget in budgets:
-            assert _classified(system, budget, graph=graph) == \
-                _classified(_fresh(system), budget), (str(system.net), budget)
         caps = [plan.lbfc_cap(budget, 3) for budget in budgets]
         assert engine._plan(system) is plan
         assert caps == [engine._Plan(_fresh(system)).lbfc_cap(budget, 3) for budget in budgets]
     # Most graphs number the reachable markings in another order than the
-    # classifier's breadth-first search.
+    # cap's breadth-first search.
     assert 2 * reorders > len(bounded) + len(unsound)
 
 
 def _bound_by_report(system, budget, workflow_shape):
     """The bound the LBFC cap takes from behavioral_class's report, None when
-    the cap does not apply, or "raised" past the budget; and the branch of
-    `_lbfc_bound` that the report says decides it."""
+    the cap does not apply, or "raised" past the budget; and why: "live",
+    "sound_workflow" (sound, workflow-shaped and not live), "neither",
+    "unmarked" (no token on any marking), or None when raised."""
     try:
         rep = behavioral_class(_fresh(system), budget)
     except BudgetExceeded:
         return "raised", None
     if not rep.bound_found:
-        return None, None
-    option = rep.easy_sound and "option_counterexample" not in rep.certificates
-    branch = ("sound_workflow" if rep.sound and workflow_shape else "closure") \
-        if option else "sccs"
-    applies = rep.live or (rep.sound and workflow_shape)
-    return (rep.bound_found if applies else None), branch
+        return None, "unmarked"
+    if rep.live:
+        return rep.bound_found, "live"
+    if rep.sound and workflow_shape:
+        return rep.bound_found, "sound_workflow"
+    return None, "neither"
 
 
-def test_lbfc_bound_matches_the_behavioral_report(monkeypatch):
+def test_lbfc_bound_matches_the_behavioral_report():
     """The LBFC cap's walk decides what `behavioral_class`'s report decides
     (bound_found, when live or sound and workflow-shaped) on the randomised
     suite, tree nets, marked cycles, ex1, nets whose final marking no firing
     sequence reaches, an unbounded net and a net with two dead ends, at
     budgets 1 to 30 and the default.  It does so on fresh graphs, on one
     graph that alignment searches numbered first and that each budget's walk
-    then extends, and through fresh and warm plans.  Each branch runs: the
-    short-cut for a sound workflow net, liveness from the final marking's
-    forward closure, and the `_sccs` fallback, which runs exactly when the
-    report says that some marking cannot reach the final one."""
+    then extends, and through fresh and warm plans.  The cases include live
+    systems, sound workflow nets that are not live, systems that are
+    neither, and walks cut by the budget."""
     rng = random.Random(83)
     systems = [system for system, _ in make_suite(83, 40)]
     systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(12)]
@@ -996,15 +984,7 @@ def test_lbfc_bound_matches_the_behavioral_report(monkeypatch):
     # Not easy sound: a final marking that no firing sequence reaches.
     systems += [AcceptingSystem(s.net, s.initial, s.initial + s.initial) for s in systems[::4]]
     systems += [_two_dead_ends_system(), _pump_system()]
-    sccs_calls = []
-    sccs = classify._sccs
-
-    def counted(succ):
-        sccs_calls.append(len(succ))
-        return sccs(succ)
-
-    monkeypatch.setattr(classify, "_sccs", counted)
-    branches = dict.fromkeys(("sound_workflow", "closure", "sccs"), 0)
+    reasons = dict.fromkeys(("live", "sound_workflow", "neither", None), 0)
     pairs = 0
     for system in systems:
         top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
@@ -1015,24 +995,21 @@ def test_lbfc_bound_matches_the_behavioral_report(monkeypatch):
             _outcome(_generic, trace, warm, top)
         warm_graph = engine._plan(warm)._graph
         for budget in budgets:
-            expected, branch = _bound_by_report(system, budget, srep.workflow_shape)
+            expected, reason = _bound_by_report(system, budget, srep.workflow_shape)
             for graph in (petri._MarkingGraph(system.net), warm_graph):
-                sccs_calls.clear()
                 try:
                     got = classify._lbfc_bound(system, graph, budget, srep.workflow_shape)
                 except BudgetExceeded:
                     got = "raised"
                 assert got == expected, (str(system.net), budget)
-                assert bool(sccs_calls) == (branch == "sccs"), (str(system.net), budget)
                 pairs += 1
-            if branch is not None:
-                branches[branch] += 1
+            reasons[reason] = reasons.get(reason, 0) + 1
             cap = None
             if srep.free_choice and expected not in (None, "raised"):
                 cap = lbfc_length_bound(len(system.net.transitions), expected, 3)
             assert engine._Plan(_fresh(system)).lbfc_cap(budget, 3) == cap
             assert engine._plan(warm).lbfc_cap(budget, 3) == cap
-    assert min(branches.values()) > 0, branches
+    assert min(reasons.values()) > 0, reasons
     assert pairs > 4000
 
 
