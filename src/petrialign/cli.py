@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("tm", help="workflow net from a machine file")
     g.add_argument("file")
     g.add_argument("--input", default="", help="input word (comma-separated)")
-    g.add_argument("--steps", type=int, default=100_000)
+    g.add_argument("--steps", type=_budget, default=100_000)
     g = gen_sub.add_parser("tree", help="workflow net from a process-tree file")
     g.add_argument("file")
     p.set_defaults(func=_cmd_gen)

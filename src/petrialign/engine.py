@@ -288,26 +288,24 @@ class _Plan:
     and membership calls that follow read them instead of firing again.  It
     holds no weight, so calls with the standard costs and calls with their
     own costs share it; weights come from the move tables.  Membership
-    reads each row through the view of the letter at its position (see
-    `_MarkingGraph`).  The cap's walk adds at most one row per marking it
-    explores, a search at most one per state it settles, and a membership
-    call at most one row and one view entry per state it expands;
-    `model_graph` hands out an empty graph when a call finds more markings,
-    or rows and view entries, than that call's state budget.  So after a
-    call the graph holds at most three times the budget in rows and view
-    entries, and besides the markings it held, the markings that call
-    reached and their successors.  A call on another system drops the plan,
-    and the graph with it.  Graphs are made under a lock, so threads that
-    ask for one together share it."""
+    walks the graph's subset automaton, whose states are sets of marking
+    numbers closed under silent rows (see `_MarkingGraph` and `membership`).
+    The cap's walk adds at most one row per marking it explores, a search
+    at most one per state it settles, and a membership call at most its
+    budget in rows and automaton entries on the automaton, plus one row per
+    state that its depth-first search expands when the automaton does not
+    answer; `model_graph` hands out an empty graph when a call finds more
+    markings, or rows and automaton entries, than that call's state budget.
+    So after a call the graph holds at most three times the budget in rows
+    and automaton entries, and besides the markings it held, the markings
+    that call reached and their successors.  A call on another system drops
+    the plan, and the graph with it.  Graphs are made under a lock, so
+    threads that ask for one together share it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
         self._graph: _MarkingGraph | None = None
-        # The graph membership last read and the numbers of the initial and
-        # the final marking in it; reset with the graph, so that an emptied
-        # graph is not kept alive.
-        self.member_ends: tuple = (None, 0, 0)
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
 
@@ -343,16 +341,16 @@ class _Plan:
         return [net.label(t).name for t in net.transitions]
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
-        """The numbered markings, rows and views of the LBFC cap's walk, the
-        searches and membership, replaced by an empty graph when they hold
-        more than `state_budget` markings, or rows and view entries."""
+        """The numbered markings, rows and subset automaton of the LBFC cap's
+        walk, the searches and membership, replaced by an empty graph when
+        they hold more than `state_budget` markings, or rows and automaton
+        entries."""
         graph = self._graph
         if graph is None or graph.over(state_budget):
             with _plan_lock:
                 graph = self._graph
                 if graph is None or graph.over(state_budget):
                     graph = self._graph = _MarkingGraph(self.sys.net)
-                    self.member_ends = (None, 0, 0)
         return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
@@ -437,44 +435,79 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
                state_budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """Language membership: does a perfect (cost-0) alignment exist?
 
-    Searches synchronous and silent model moves only, so easy-soundness of the
-    model is not required for termination.  The DFS runs on integer states
-    marking number * (len(trace) + 1) + position over the plan's model graph,
-    which the LBFC cap's walk and the alignment searches on the system
-    share: a state reads its marking's entry of the view of the letter at its
-    position (None past the trace's end), which lists the successors by
-    that letter, then the silent ones, each in declaration order.  So
-    consecutive calls on one system fire a transition at a marking once, not
-    once per visit.  The search, and so every verdict and every
-    BudgetExceeded, is the same as on a fresh graph.
+    Reads synchronous and silent model moves only, so easy-soundness of the
+    model is not required for termination.  The word is walked on the
+    subset automaton of the plan's model graph (see `_MarkingGraph`), which
+    the LBFC cap's walk and the alignment searches on the system share: one
+    dict lookup per letter once the steps are made, and the verdict is
+    whether the last state holds the final marking.  A step or the start
+    that no call has made yet is made from the rows, and charged, with the
+    rows and automaton entries it adds, to the call's budget.
+
+    The answer comes from the automaton only while that charge, plus the
+    sizes of the states the walk passes, stays within `state_budget`.  The
+    depth-first search over (marking, position) states that the automaton
+    replaces keeps at most the states (m, k) with m in the k-th state, so
+    within that budget it can neither raise nor answer otherwise.  Any
+    other word goes to that search (`_member_dfs`), so every verdict and
+    every BudgetExceeded is that of the search on a fresh graph.
     """
     trace = tuple(trace)
     plan = _plan(sys)
     graph = plan.model_graph(state_budget)
-    view, labels = graph.view, plan.labels
+    labels = plan.labels
+    left = state_budget
+    k = graph.start
+    if k is None:
+        k, spent = graph.subset_start(sys.initial, sys.final, labels, left)
+        left -= spent
+    if k is not None:
+        steps, sizes = graph.steps, graph.sizes
+        left -= sizes[k]
+        for a in trace:
+            j = steps.get((k, a))
+            if j is None:
+                j, spent = graph.subset_step(k, a, labels, left)
+                if j is None:
+                    break
+                left -= spent
+            k = j
+            left -= sizes[k]
+        else:
+            if left >= 0:
+                return graph.accepting[k]
+    return _member_dfs(trace, sys, graph, labels, state_budget)
+
+
+def _member_dfs(trace: tuple[str, ...], sys: AcceptingSystem, graph: _MarkingGraph,
+                labels: list, state_budget: int) -> bool:
+    """Membership by depth-first search on integer states marking number *
+    (len(trace) + 1) + position over `graph`'s rows.  A state lists the
+    successors by the transitions that carry the letter at its position
+    (none past the trace's end), then by the silent ones, each in row
+    order.  Keeping more than `state_budget` states raises BudgetExceeded."""
     n = len(trace)
     width = n + 1
-    # The key and the view of each position.
-    keys = trace + (None,)
-    at = list(map(graph.views.__getitem__, keys))
-    ends = plan.member_ends
-    if ends[0] is not graph:
-        ends = plan.member_ends = (graph, graph.number(sys.initial), graph.number(sys.final))
-    start = ends[1] * width
-    goal = ends[2] * width + n
+    start = graph.number(sys.initial) * width
+    goal = graph.number(sys.final) * width + n
     if start == goal:
         return True
+    rows, row = graph.rows, graph.row
     seen = {start}
     stack = [start]
     while stack:
         state = stack.pop()
         pos = state % width
         m = state // width
-        succ = at[pos].get(m)
-        if succ is None:
-            succ = view(keys[pos], m, labels)
-        for s, step in succ:
-            nxt = s * width + pos + step
+        entries = rows.get(m)
+        if entries is None:
+            entries = row(m)
+        succ = []
+        if pos < n:
+            a = trace[pos]
+            succ = [s * width + pos + 1 for t, s in entries if labels[t] == a]
+        succ += [s * width + pos for t, s in entries if labels[t] is None]
+        for nxt in succ:
             if nxt == goal:
                 return True
             if nxt not in seen:

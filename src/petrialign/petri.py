@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Mapping
@@ -336,22 +336,37 @@ class _MarkingGraph:
     made here is never hashed or sorted.  Callers find a `Marking`'s number
     by its key too (`number`, `find`).
 
-    Membership reads rows through views: `views[key][i]` holds, for marking
-    number i, one (successor number, position step) pair per entry of its
-    row whose transition carries the letter `key` (step 1), then one per
-    silent entry (step 0), each in row order; under the key None, the
-    silent entries alone.  An entry is made from the row the first time a
-    caller asks for it, under the lock.  `size` counts rows and view
-    entries."""
+    Membership reads the graph through a subset automaton (Rabin and Scott,
+    *Finite automata and their decision problems*, 1959) of one system,
+    built on demand under the lock; the first caller gives the system's
+    initial and final markings (`subset_start`).  A state is the frozenset
+    of the marking numbers that a prefix of a word leads to, closed under
+    silent moves, and is numbered the first time it is made: `states`,
+    `sizes` and `accepting` hold, per state number, its markings, how many
+    they are and whether the final marking is one of them.  `steps` maps
+    (state number, letter) to the number of the state that the letter leads
+    to: the union of the silent closures of the successors, by the letter's
+    transitions, of the state's markings.  Each marking keeps its silent
+    closure (`closures`), read from the rows.  A step or the start is made
+    the first time a caller asks for it, with a limit on what it may add:
+    the caller gets None, and no state, when more would be needed.  `size`
+    counts rows and automaton entries: one per row and per step, and per
+    closure and per state the markings it holds."""
 
     def __init__(self, net: PetriNet):
         self.net = net
         self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.views: dict[str | None, dict[int, tuple[tuple[int, int], ...]]] = \
-            defaultdict(dict)
-        self.size = 0   # rows and view entries
-        self._lock = threading.Lock()
+        self.size = 0   # rows and automaton entries
+        self.closures: dict[int, frozenset[int]] = {}
+        self._state_numbers: dict[frozenset[int], int] = {}
+        self.states: list[frozenset[int]] = []
+        self.sizes: list[int] = []
+        self.accepting: list[bool] = []
+        self.steps: dict[tuple[int, str], int] = {}
+        self.start: int | None = None   # the state of the initial marking
+        self._final = -1                # the final marking's number
+        self._lock = threading.RLock()   # the automaton's steps read rows
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
         place = {p: i for i, p in enumerate(net.places)}
@@ -396,7 +411,7 @@ class _MarkingGraph:
         return self._by_key.get(self._key(m))
 
     def over(self, budget: int) -> bool:
-        """Whether it holds more markings, or rows and view entries, than
+        """Whether it holds more markings, or rows and automaton entries, than
         `budget`."""
         return len(self.markings) > budget or self.size > budget
 
@@ -431,21 +446,89 @@ class _MarkingGraph:
                 self.size += 1
         return row
 
-    def view(self, key: str | None, i: int, labels: list) -> tuple[tuple[int, int], ...]:
-        """Marking i's entry of the view of `key`, computed from its row and
-        stored on first use; `labels` names each transition's label by index
-        (None when silent)."""
-        row = self.rows.get(i)
-        if row is None:
-            row = self.row(i)
+    def subset_start(self, initial: Marking, final: Marking, labels: list,
+                     limit: int) -> tuple[int | None, int]:
+        """The start state, the silent closure of the initial marking, made
+        on first use with these markings; `labels` names each transition's
+        label by index (None when silent).  Returns the state's number, or
+        None when making it would add more than `limit` rows and automaton
+        entries, and how many it added."""
         with self._lock:
-            view = self.views[key]
-            entry = view.get(i)
-            if entry is None:
-                letter = [] if key is None else [(s, 1) for t, s in row if labels[t] == key]
-                entry = view[i] = tuple(letter + [(s, 0) for t, s in row if labels[t] is None])
+            size = self.size
+            if self.start is None:
+                self._final = self.number(final)
+                closure = self._closure(self.number(initial), labels, size + limit)
+                if closure is not None:
+                    self.start = self._state(closure, size + limit)
+            return self.start, self.size - size
+
+    def subset_step(self, k: int, letter: str, labels: list,
+                    limit: int) -> tuple[int | None, int]:
+        """The number of the state that state k leads to by `letter`, made on
+        first use, or None when making it would add more than `limit` rows
+        and automaton entries, and how many it added."""
+        with self._lock:
+            size = self.size
+            j = self.steps.get((k, letter))
+            if j is None:
+                if limit < 1:
+                    return None, 0
+                top = size + limit - 1   # room for the step itself
+                # A lone closure is kept as the state: that frozenset has
+                # its hash already.
+                found: frozenset[int] = frozenset()
+                for m in self.states[k]:
+                    for t, s in self.rows[m]:
+                        if labels[t] == letter and s not in found:
+                            closure = self._closure(s, labels, top - len(found))
+                            if closure is None:
+                                return None, self.size - size
+                            found = found | closure if found else closure
+                j = self._state(found, top)
+                if j is None:
+                    return None, self.size - size
+                self.steps[k, letter] = j
                 self.size += 1
-        return entry
+            return j, self.size - size
+
+    def _closure(self, i: int, labels: list, top: int) -> frozenset[int] | None:
+        """Marking i's silent closure, made from the rows on first use, or
+        None when that would bring `size` above `top`; the caller holds the
+        lock."""
+        closure = self.closures.get(i)
+        if closure is None:
+            rows, seen, stack = self.rows, {i}, [i]
+            while stack:
+                m = stack.pop()
+                row = rows.get(m)
+                if row is None:
+                    if self.size + len(seen) >= top:   # no room for the row
+                        return None
+                    row = self.row(m)
+                for t, s in row:
+                    if labels[t] is None and s not in seen:
+                        seen.add(s)
+                        stack.append(s)
+            if self.size + len(seen) > top:
+                return None
+            closure = self.closures[i] = frozenset(seen)
+            self.size += len(closure)
+        return closure
+
+    def _state(self, markings: frozenset[int], top: int) -> int | None:
+        """The number of the state of these markings, numbering it when it
+        has none, or None when that would bring `size` above `top`; the
+        caller holds the lock."""
+        j = self._state_numbers.get(markings)
+        if self.size + (len(markings) if j is None else 0) > top:
+            return None
+        if j is None:
+            j = self._state_numbers[markings] = len(self.states)
+            self.states.append(markings)
+            self.sizes.append(len(markings))
+            self.accepting.append(self._final in markings)
+            self.size += len(markings)
+        return j
 
     def explore(self, root: Marking, state_budget: int, b_max: int | None = None):
         """Breadth-first search over the rows from `root`, in an order of its

@@ -11,6 +11,9 @@ from petrialign.cli import run_cli
 PUMP = "place p init=1 final=1\nplace q\ntrans t label=a in=p out=p,q\n"
 # An acyclic fork whose final marking, q alone, is unreachable.
 FORK = "place p init=1\nplace q final=1\nplace r\ntrans t label=a in=p out=q,r\n"
+# A machine that accepts at once.
+TM = ("states q0 qacc qrej\nblank _\ntape a _\nspace 1\n"
+      "delta q0 a -> qacc _ S\ndelta q0 _ -> qacc _ S\n")
 
 
 def run(capsys, *argv):
@@ -124,12 +127,16 @@ def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys)
 @pytest.mark.parametrize("command, option", [
     ("classify", "--states"), ("align", "--states"), ("member", "--states"),
     ("bench", "--states"), ("align", "--nodes"), ("shorten", "--budget"),
-    ("shorten", "--bound"), ("classify", "--bound")])
+    ("shorten", "--bound"), ("classify", "--bound"), ("gen", "--steps")])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
-def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, capsys):
+def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, tmp_path,
+                                            capsys):
+    machine = tmp_path / "machine.tm"
+    machine.write_text(TM)
     argv = {"classify": [str(ex1_path)], "align": [str(ex1_path), "--trace", "a,b"],
             "member": [str(ex1_path), "--trace", "a,b"], "bench": [],
-            "shorten": [str(ex1_path), "--seq", "t1,t2,t3,t5"]}[command]
+            "shorten": [str(ex1_path), "--seq", "t1,t2,t3,t5"],
+            "gen": ["tm", str(machine)]}[command]
     if option == "--nodes":
         argv += ["--algo", "acyclic"]
     code, out, err = run(capsys, command, *argv, f"{option}={value}")
@@ -216,9 +223,7 @@ def test_gen_tree(tmp_path, capsys):
 
 def test_gen_tm(tmp_path, capsys):
     machine = tmp_path / "machine.tm"
-    machine.write_text(
-        "states q0 qacc qrej\nblank _\ntape a _\nspace 1\n"
-        "delta q0 a -> qacc _ S\ndelta q0 _ -> qacc _ S\n")
+    machine.write_text(TM)
     code, out, _ = run(capsys, "gen", "tm", str(machine), "--input", "")
     assert code == 0
     assert out.startswith("# trace: acc")

@@ -639,12 +639,21 @@ def test_a_raise_leaves_a_usable_cache(ex1):
     assert BudgetExceeded in warm and True in warm
 
 
+def _automaton_entries(graph):
+    """The graph's subset-automaton entries as `size` counts them: the
+    markings of each closure and of each state, and one per step."""
+    return (sum(map(len, graph.closures.values())) + sum(graph.sizes)
+            + len(graph.steps))
+
+
 def test_successor_cache_stays_within_its_bound():
     """On an unbounded net, membership calls get an empty graph once it holds
-    more markings, or rows and view entries, than their budget.  A call with
-    budget b expands at most b states, each adding at most one row and one
-    view entry, so after it the graph holds at most 3b rows and view
-    entries, and 3b markings, whatever the budgets of the calls before."""
+    more markings, or rows and automaton entries, than their budget.  A call
+    with budget b adds at most b rows and automaton entries while it walks
+    the subset automaton, and its depth-first search expands at most b
+    states, each adding at most one row, so after it the graph holds at most
+    3b rows and automaton entries, and 3b markings, whatever the budgets of
+    the calls before."""
     pump = _pump_system()
     budgets = [60, 10, 50, 20, 40, 5, 30, 15]
     calls = [((a, "z"), budget) for a, budget in zip(PUMP_LETTERS * 2, budgets * 2)]
@@ -656,11 +665,11 @@ def test_successor_cache_stays_within_its_bound():
         graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
         entries.append(graph.size)
         markings.append(len(graph.markings))
-        assert graph.size == len(graph.rows) + sum(map(len, graph.views.values()))
+        assert graph.size == len(graph.rows) + _automaton_entries(graph)
         assert graph.size <= 3 * budget, (budget, graph.size)
         assert len(graph.markings) <= 3 * budget, (budget, len(graph.markings))
-    # Without the emptying, the graph would keep the first call's 30 rows and
-    # gather about 200 view entries over the eight letters.
+    # Without the emptying, the graph would keep at least the first call's 30
+    # rows, above 3b for the budgets below 10.
     assert any(later < earlier for earlier, later in zip(entries, entries[1:]))
     assert any(later < earlier for earlier, later in zip(markings, markings[1:]))
 
@@ -748,6 +757,88 @@ def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
     # A call on another system in between dropped `a`'s successors.
     assert membership(word, a)
     assert len(fired) == 3 * first
+
+
+# Membership on the subset automaton against the depth-first search it
+# falls back to: the search on a fresh graph is the reference.
+
+def _raised_with_count(f, *args):
+    """The call's result, or ("raised", the count) when it exceeds its budget."""
+    try:
+        return f(*args)
+    except BudgetExceeded as exc:
+        return ("raised", exc.discovered)
+
+
+def _automaton_systems():
+    """(system, letters, whether its state space is finite): `make_suite`
+    systems, tree nets, shuffle T-systems, the silent cycle and the pump,
+    each with its alphabet plus `z`, which only the pump's transitions carry."""
+    rng = random.Random(97)
+    systems = [system for system, _ in make_suite(97, 10)]
+    systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(4)]
+    systems += [gen_shuffle_tsystem([tuple(random_trace(rng, max_len=3)) or ("a",)
+                                     for _ in range(2)]) for _ in range(2)]
+    systems.append(_silent_cycle_system())
+    # A silent cycle under a letter's self-loop: a word a...a passes one
+    # state of two markings once per letter, so its states outnumber what
+    # the graph holds, and small budgets find the automaton warm.
+    net = PetriNet(("p0", "p1", "p2"), ("u", "v", "ta", "tb"),
+                   [("p0", "u"), ("u", "p1"), ("p1", "v"), ("v", "p0"),
+                    ("p0", "ta"), ("ta", "p0"), ("p1", "tb"), ("tb", "p2")],
+                   {"u": Label(None), "v": Label(None), "ta": Label("a"), "tb": Label("b")})
+    systems.append(AcceptingSystem(net, Marking.of("p0"), Marking.of("p2")))
+    cases = [(system, _visible_alphabet(system) + ["z"], True) for system in systems]
+    return cases + [(_pump_system(), ["a", "b", "z"], False)]
+
+
+def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
+    """Every word of length at most 4 over a system's letters, at budgets 1 to
+    30 and the default, asked in a shuffled order of one system object, and a
+    sample of them each asked first of a fresh object, get the verdict or the
+    raise, with its count, of the depth-first search on a graph that no
+    automaton reads.  The pump's state space is infinite, so it gets the
+    small budgets only.  At the default budget the automaton answers every
+    call, and a repeated call fires nothing and adds nothing to the graph."""
+    search = engine._member_dfs
+    searched = []
+
+    def counted(*args):
+        searched.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(engine, "_member_dfs", counted)
+    fired = _counted_fires(monkeypatch)
+    rng = random.Random(98)
+    asked = 0
+    for system, letters, finite in _automaton_systems():
+        words = [w for n in range(5) for w in itertools.product(letters, repeat=n)]
+        budgets = list(range(1, 31)) + ([DEFAULT_STATE_BUDGET] if finite else [])
+        calls = [(word, budget) for word in words for budget in budgets]
+        rng.shuffle(calls)
+        graph = petri._MarkingGraph(system.net)
+        labels = [system.net.label(t).name for t in system.net.transitions]
+        expected = [_raised_with_count(search, word, system, graph, labels, budget)
+                    for word, budget in calls]
+        warm = [_raised_with_count(membership, word, system, budget) for word, budget in calls]
+        assert warm == expected, str(system.net)
+        fresh = [_raised_with_count(membership, word, _fresh(system), budget)
+                 for word, budget in calls[::13]]
+        assert fresh == expected[::13], str(system.net)
+        asked += len(calls) + len(fresh)
+        if not finite:
+            continue
+        searches = len(searched)
+        for word in words:
+            membership(word, system)
+            graph = engine._plan(system).model_graph(DEFAULT_STATE_BUDGET)
+            assert graph.size == len(graph.rows) + _automaton_entries(graph)
+            before = len(fired), graph.size, len(graph.markings)
+            membership(word, system)
+            assert (len(fired), graph.size, len(graph.markings)) == before
+        assert len(searched) == searches
+    # The small budgets send some words to the search, but fewer than half.
+    assert 0 < len(searched) < asked / 2
 
 
 # The search's model graph: consecutive alignments on one system object share
