@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from petrialign import (AcceptingSystem, BehavioralReport, Label, Marking,
-                        PetriNet, behavioral_class, bounded_and_safe,
+from petrialign import (AcceptingSystem, BehavioralReport, BoundReport, Label,
+                        Marking, PetriNet, behavioral_class, bounded_and_safe,
                         build_reachability_graph, ex1_system, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
                         structural_class, trace_system, tree_to_wfnet)
+from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral
 from petrialign.errors import BudgetExceeded
 from randgen import (ahead_of, behavioral_reference, dying_token_system,
                      marked_cycle_tsystem, random_safe_system,
@@ -355,3 +356,90 @@ def test_behavioral_report_is_pinned(name):
     assert rep == BehavioralReport(**fields)
     # Certificate keys come in a fixed order too.
     assert list(rep.certificates) == list(fields["certificates"])
+
+
+def _pumped():
+    """t keeps its token on p and adds one to q each time: no bound."""
+    net = PetriNet(("p", "q"), ("t",), [("p", "t"), ("t", "p"), ("t", "q")],
+                   {"t": Label("a")})
+    return AcceptingSystem(net, Marking.of("p"), Marking.of("p"))
+
+
+def _tie():
+    """t puts a second token on q and on p: q is declared first, p is first
+    by name."""
+    net = PetriNet(("x", "q", "p"), ("t",), [("x", "t"), ("t", "q"), ("t", "p")],
+                   {"t": Label("a")})
+    return AcceptingSystem(net, Marking.of("x", "q", "p"), Marking({"q": 2, "p": 2}))
+
+
+def _fill():
+    """Three transitions each move one token onto q: q holds two tokens
+    before it holds three."""
+    transitions = ("ta", "tb", "tc")
+    flow = [arc for a in "abc" for arc in ((a, f"t{a}"), (f"t{a}", "q"))]
+    net = PetriNet(("c", "b", "a", "q"), transitions, flow,
+                   {t: Label("a") for t in transitions})
+    return AcceptingSystem(net, Marking.of("a", "b", "c"), Marking({"q": 3}))
+
+
+def _petri():
+    return gen_shuffle_ssystem(tuple("PETRI"), 3)
+
+
+def _bound_fields(bound_found, safe, states_explored, **certificates):
+    return dict(bound_found=bound_found, safe=safe, states_explored=states_explored,
+                certificates=certificates)
+
+
+# Whole bounded_and_safe reports, certificates included, per (system, b_max,
+# state budget), as the check gave them when it scanned `Marking` objects.
+_Q2 = ("q", Marking({"c": 1, "q": 2}), ("ta", "tb"))
+_Q3 = ("q", Marking({"q": 3}), ("ta", "tb", "tc"))
+_P2 = ("p", Marking({"p": 2, "q": 2}), ("t",))
+_P0 = ("p0", Marking({"p0": 3}), ())
+PINNED_BOUNDS = {
+    **{name: (make, DEFAULT_B_MAX, 10**6, _bound_fields(
+        1, True, fields["states_explored"], bound=fields["certificates"]["bound"]))
+       for name, (make, fields) in PINNED_REPORTS.items()},
+    "petri_1": (_petri, 1, 10**6, _bound_fields(None, False, 1, exceeded=_P0, unsafe=_P0)),
+    "petri_2": (_petri, 2, 10**6, _bound_fields(None, False, 1, exceeded=_P0, unsafe=_P0)),
+    "petri_3": (_petri, 3, 10**6, _bound_fields(3, False, 56, bound=_P0, unsafe=_P0)),
+    "petri_4": (_petri, 4, 10**6, _bound_fields(3, False, 56, bound=_P0, unsafe=_P0)),
+    "pumped_1": (_pumped, 1, 100, _bound_fields(
+        None, False, 3, exceeded=("q", Marking({"p": 1, "q": 2}), ("t", "t")),
+        unsafe=("q", Marking({"p": 1, "q": 2}), ("t", "t")))),
+    "pumped_4": (_pumped, 4, 100, _bound_fields(
+        None, False, 6, exceeded=("q", Marking({"p": 1, "q": 5}), ("t",) * 5),
+        unsafe=("q", Marking({"p": 1, "q": 2}), ("t", "t")))),
+    "tie_1": (_tie, 1, 10**6, _bound_fields(None, False, 2, exceeded=_P2, unsafe=_P2)),
+    "tie_2": (_tie, 2, 10**6, _bound_fields(2, False, 2, bound=_P2, unsafe=_P2)),
+    "fill_1": (_fill, 1, 10**6, _bound_fields(None, False, 5, exceeded=_Q2, unsafe=_Q2)),
+    "fill_2": (_fill, 2, 10**6, _bound_fields(None, False, 8, exceeded=_Q3, unsafe=_Q2)),
+    "fill_3": (_fill, 3, 10**6, _bound_fields(3, False, 8, bound=_Q3, unsafe=_Q2)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BOUNDS)
+def test_bound_report_is_pinned(name):
+    make, b_max, budget, fields = PINNED_BOUNDS[name]
+    rep = bounded_and_safe(make(), b_max, budget)
+    assert rep == BoundReport(**fields)
+    assert list(rep.certificates) == list(fields["certificates"])
+
+
+def test_one_exploration_gives_either_report():
+    """`classify`'s single exploration gives bounded_and_safe's report when
+    a place exceeds b_max, and behavioral_class's otherwise."""
+    exceeded = behaved = 0
+    for system in _classifier_suite(31):
+        for b_max in (1, 2, 3):
+            rep = _bounded_then_behavioral(system, b_max, 10**6)
+            bound = bounded_and_safe(system, b_max)
+            if bound.bound_found is None:
+                assert rep == bound
+                exceeded += 1
+            else:
+                assert rep == behavioral_class(system)
+                behaved += 1
+    assert exceeded > 10 and behaved > 10, (exceeded, behaved)
