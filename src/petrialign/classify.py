@@ -8,8 +8,8 @@ hit, BudgetExceeded is raised and callers treat the flags as inconclusive
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping, NamedTuple
 
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
                     _MarkingGraph)
@@ -72,29 +72,54 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
                             workflow_shape, source, sink)
 
 
-def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None):
-    """The reachable markings in the BFS order of `_MarkingGraph.explore`
-    from the initial marking, over a fresh graph's rows: (markings, access,
-    succ, fired, final).  `access(i)` is the BFS-tree firing sequence to
-    marking i, `succ[i]` and `fired[i]` list the targets and transitions of
-    the arcs leaving it, and `final` is the index of the final marking, or
-    None when it was not found.  With `b_max` the search stops at the first
-    marking with more than b_max tokens on some place."""
+class _Explored(NamedTuple):
+    """The markings reachable from a system's initial marking, in the BFS
+    order of `_MarkingGraph.explore` over `graph`'s rows: `explore`'s lists
+    (see there), and keys[k], the token counts of the k-th marking found."""
+
+    graph: _MarkingGraph
+    order: list[int]
+    parent: list[int]
+    via: list[str | None]
+    succ: list[list[int]]
+    fired: list[list[str]]
+    keys: list[tuple]
+
+
+def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None,
+             graph: _MarkingGraph | None = None) -> _Explored:
+    """Explore `sys` over `graph`'s rows, or a fresh graph's.  With `b_max`
+    the search stops at the first marking with more than b_max tokens on
+    some place."""
     if b_max is not None and b_max < 1:
         raise ValueError("b_max must be >= 1")
-    graph = _MarkingGraph(sys.net)
-    order, parent, via, succ, fired = graph.explore(sys.initial, state_budget, b_max)
+    graph = graph or _MarkingGraph(sys.net)
+    order, *lists = graph.explore(sys.initial, state_budget, b_max)
+    keys = graph._keys
+    return _Explored(graph, order, *lists, [keys[i] for i in order])
 
-    def access(i: int) -> tuple[str, ...]:
-        seq = []
-        while parent[i] >= 0:
-            seq.append(via[i])
-            i = parent[i]
-        return tuple(reversed(seq))
 
-    final = graph.find(sys.final)
-    final = order.index(final) if final in order else None
-    return [graph.markings[i] for i in order], access, succ, fired, final
+def _access(ex: _Explored, k: int) -> tuple[str, ...]:
+    """The BFS-tree firing sequence to the k-th marking explored."""
+    seq = []
+    while ex.parent[k] >= 0:
+        seq.append(ex.via[k])
+        k = ex.parent[k]
+    return tuple(reversed(seq))
+
+
+def _bound(keys: list[tuple]) -> int:
+    """The most tokens any explored marking has on one place."""
+    return max(map(max, keys)) if keys[0] else 0
+
+
+def _witness(ex: _Explored, n: int) -> tuple[str, Marking, tuple[str, ...]]:
+    """(place, marking, access sequence) of the first marking explored with
+    at least n >= 1 tokens on some place, naming the first such place by
+    name."""
+    k = next(k for k, key in enumerate(ex.keys) if max(key) >= n)
+    place = min(p for p, c in zip(ex.graph.net.places, ex.keys[k]) if c >= n)
+    return place, ex.graph.markings[ex.order[k]], _access(ex, k)
 
 
 @dataclass(frozen=True)
@@ -108,30 +133,17 @@ class BoundReport:
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _bound_report(ex: tuple, b_max: int) -> BoundReport:
-    markings, access, *_ = ex
-    best = 0
-    best_witness = unsafe_witness = bad = None
-    for i, m in enumerate(markings):
-        for p, n in m.items():
-            if n > best:
-                best = n
-                best_witness = (p, i)
-            if n >= 2 and unsafe_witness is None:
-                unsafe_witness = (p, i)
-            if n > b_max:
-                # Only the last marking explored can exceed b_max.
-                bad = (p, i)
-                break
+def _bound_report(ex: _Explored, b_max: int) -> BoundReport:
+    best = _bound(ex.keys)
+    over = best > b_max   # only the last marking explored can exceed b_max
     certs: dict[str, Any] = {}
-    for name, witness in (("exceeded", bad), ("bound", None if bad else best_witness),
-                          ("unsafe", unsafe_witness)):
-        if witness:
-            p, i = witness
-            certs[name] = (p, markings[i], access(i))
-    if bad:
-        return BoundReport(None, False if best >= 2 else None, len(markings), certs)
-    return BoundReport(best, best <= 1, len(markings), certs)
+    if over:
+        certs["exceeded"] = _witness(ex, b_max + 1)
+    elif best:
+        certs["bound"] = _witness(ex, best)
+    if best >= 2:
+        certs["unsafe"] = _witness(ex, 2)
+    return BoundReport(None if over else best, best <= 1, len(ex.keys), certs)
 
 
 def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
@@ -228,74 +240,77 @@ def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
     return next((i for s, i in terminal.items() if s != scc), None)
 
 
-def _behavioral_report(sys: AcceptingSystem, ex: tuple) -> BehavioralReport:
-    net = sys.net
-    markings, access, succ, fired_at, final = ex
-    certs: dict[str, Any] = {}
-    tops = [m.max_count() for m in markings]
-    bound = max(tops)
-    if bound > 0:
-        i = tops.index(bound)
-        p = next(p for p, n in markings[i].items() if n == bound)
-        certs["bound"] = (p, markings[i], access(i))
-    safe = bound <= 1
-    if not safe:
-        certs["unsafe"] = certs["bound"]
+def _analysis(sys: AcceptingSystem, ex: _Explored) -> tuple[BehavioralReport, tuple]:
+    """`behavioral_class`'s flags, decided on marking indices and token-count
+    keys: its report with no certificate, and what the certificates name,
+    each an index into the exploration or None when there is none.  That is
+    the first transition, in declaration order, that fires at no marking;
+    the first (transition, marking) pair of a terminal scc that never fires
+    the transition; the first marking of a terminal scc other than the
+    root's; the final marking; the first marking of a terminal scc other
+    than the final marking's; and the first marking that covers the final
+    one and differs from it.
 
-    enabling: dict[str, int] = {}
-    for i, ts in enumerate(fired_at):
-        for t in ts:
-            enabling.setdefault(t, i)
-    quasi = all(t in enabling for t in net.transitions)
-    if quasi:
-        certs["quasi_live"] = {t: access(enabling[t]) for t in net.transitions}
-    else:
-        certs["dead"] = next(t for t in net.transitions if t not in enabling)
-
-    scc_of, terminal = _sccs(succ)
-    fired: dict[int, set[str]] = {s: set() for s in terminal}
-    for i, s in enumerate(scc_of):
-        if s in fired:
-            fired[s].update(fired_at[i])
-    dead_end = next(((t, i) for s, i in terminal.items()
-                     for t in net.transitions if t not in fired[s]), None)
-    live = dead_end is None
-    if not live:
-        t, i = dead_end
-        certs["live_counterexample"] = (t, access(i))
-
+    Liveness, cyclicity and the option to complete come from the terminal
+    (bottom) sccs of one condensation of the graph: every reachable marking
+    reaches a terminal scc and never leaves it, so a transition is live iff
+    it fires inside every terminal scc, and a marking is reachable from
+    every reachable marking iff it lies in the only terminal scc.
+    """
+    keys, fired, ts = ex.keys, ex.fired, sys.net.transitions
+    somewhere = set().union(*fired)
+    dead = next((t for t in ts if t not in somewhere), None)
+    scc_of, terminal = _sccs(ex.succ)
+    fired_in: dict[int, set[str]] = {s: set() for s in terminal}
+    for k, s in enumerate(scc_of):
+        if s in fired_in:
+            fired_in[s].update(fired[k])
+    dead_end = next(((next(t for t in ts if t not in fired_in[s]), k)
+                     for s, k in terminal.items() if len(fired_in[s]) < len(ts)), None)
+    goal = ex.graph._key(sys.final)
+    covering = range(len(keys))
+    for p, n in enumerate(goal):
+        if n:
+            covering = [k for k in covering if keys[k][p] >= n]
+    final = next((k for k in covering if keys[k] == goal), None)
+    improper = next((k for k in covering if keys[k] != goal), None)
     away = _other_terminal(scc_of[0], terminal)
-    cyclic = away is None
-    if not cyclic:
-        certs["cyclic_counterexample"] = access(away)
+    final_away = None if final is None else _other_terminal(scc_of[final], terminal)
+    bound = _bound(keys)
+    sound = final is not None and final_away is None and improper is None and dead is None
+    return (BehavioralReport(bound, bound <= 1, dead is None, dead_end is None, away is None,
+                             final is not None, sound, len(keys)),
+            (dead, dead_end, away, final, final_away, improper))
 
-    easy_sound = final is not None
-    if easy_sound:
-        certs["easy_sound"] = access(final)
-        away = _other_terminal(scc_of[final], terminal)
-        option = away is None
-        if not option:
-            certs["option_counterexample"] = access(away)
+
+def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
+    """`_analysis`'s report, with the certificates it names."""
+    flags, (dead, dead_end, away, final, final_away, improper) = _analysis(sys, ex)
+    certs: dict[str, Any] = {}
+    if flags.bound_found:
+        certs["bound"] = _witness(ex, flags.bound_found)
+    if not flags.safe:
+        certs["unsafe"] = certs["bound"]
+    if dead is None:
+        # Each transition's first marking: later ones are overwritten.
+        enabling = {t: k for k, ts in reversed(list(enumerate(ex.fired))) for t in ts}
+        certs["quasi_live"] = {t: _access(ex, enabling[t]) for t in sys.net.transitions}
     else:
-        option = False
+        certs["dead"] = dead
+    if dead_end is not None:
+        certs["live_counterexample"] = (dead_end[0], _access(ex, dead_end[1]))
+    if away is not None:
+        certs["cyclic_counterexample"] = _access(ex, away)
+    if final is None:
         certs["option_counterexample"] = ()
-    # Improper: a reachable marking that covers the final one and differs.
-    proper = True
-    goal = sys.final
-    need = tuple(goal.items())
-    for i, m in enumerate(markings):
-        for p, n in need:
-            if m[p] < n:
-                break
-        else:
-            if m != goal:
-                proper = False
-                certs["proper_counterexample"] = (m, access(i))
-                break
-
-    sound = option and proper and quasi
-    return BehavioralReport(bound, safe, quasi, live, cyclic, easy_sound, sound,
-                            len(markings), certs)
+    else:
+        certs["easy_sound"] = _access(ex, final)
+        if final_away is not None:
+            certs["option_counterexample"] = _access(ex, final_away)
+    if improper is not None:
+        certs["proper_counterexample"] = (ex.graph.markings[ex.order[improper]],
+                                          _access(ex, improper))
+    return replace(flags, certificates=certs)
 
 
 def _lbfc_bound(sys: AcceptingSystem, graph: _MarkingGraph, state_budget: int,
@@ -305,56 +320,24 @@ def _lbfc_bound(sys: AcceptingSystem, graph: _MarkingGraph, state_budget: int,
     (`workflow_shape`, from the structural report), else None.  Raises
     BudgetExceeded where `behavioral_class` does.
 
-    The same exploration and condensation as `behavioral_class`, over
-    `graph`'s rows and on marking numbers and token-count keys, with no
-    certificate: the bound is the largest key entry; the system is live iff
-    every terminal scc fires every transition, and sound iff the final
-    marking's scc is the only terminal one, every transition fires
-    somewhere, and the final key is the only key that covers it.
+    It is `behavioral_class`'s decision, `_analysis`, over `graph`'s rows,
+    with no certificate on top.
     """
-    order, _, _, succ, fired = graph.explore(sys.initial, state_budget)
-    keys = [graph._keys[i] for i in order]
-    bound = max(map(max, keys)) if sys.net.places else 0
-    if not bound:
-        return None
-    everything = len(sys.net.transitions)
-    scc_of, terminal = _sccs(succ)
-    fired_in: dict[int, set[str]] = {s: set() for s in terminal}
-    for v, s in enumerate(scc_of):
-        if s in fired_in:
-            fired_in[s].update(fired[v])
-    if all(len(f) == everything for f in fired_in.values()):
-        return bound
-    final = graph.find(sys.final)
-    if not workflow_shape or final not in order:
-        return None
-    final = order.index(final)
-    if list(terminal) != [scc_of[final]] or len(set().union(*fired)) != everything:
-        return None
-    goal = keys[final]
-    covering = keys
-    for p, n in enumerate(goal):
-        if n:
-            covering = [key for key in covering if key[p] >= n]
-    return bound if all(key == goal for key in covering) else None
+    rep, _ = _analysis(sys, _explore(sys, state_budget, graph=graph))
+    bound = rep.bound_found
+    return bound if bound and (rep.live or workflow_shape and rep.sound) else None
 
 
 def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET
                      ) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
 
-    Liveness, cyclicity and the option to complete come from the terminal
-    (bottom) sccs of one condensation of the reachability graph: every
-    reachable marking reaches a terminal scc and never leaves it, so a
-    transition is live iff it fires inside every terminal scc, and a marking
-    is reachable from every reachable marking iff it lies in the only
-    terminal scc.  Counterexamples name a marking in an offending terminal
-    scc.
-
-    The exploration is one breadth-first search from the initial marking
-    over the rows of a fresh marking graph of the net.
+    One decision, `_analysis`, gives the flags over one breadth-first search
+    from the initial marking over the rows of a fresh marking graph of the
+    net (see `_analysis` for how); the certificates are read off it, and
+    counterexamples name a marking in an offending terminal scc.
     """
-    return _behavioral_report(sys, _explore(sys, state_budget, None))
+    return _behavioral_report(sys, _explore(sys, state_budget))
 
 
 def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
@@ -362,6 +345,6 @@ def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
     """bounded_and_safe's report when some place exceeds b_max, otherwise
     behavioral_class's, both from one exploration."""
     ex = _explore(sys, state_budget, b_max)
-    if ex[0][-1].max_count() > b_max:
+    if max(ex.keys[-1], default=0) > b_max:
         return _bound_report(ex, b_max)
     return _behavioral_report(sys, ex)

@@ -261,9 +261,9 @@ class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone, each part computed on first use: the
     structural report, the LBFC cap per state budget, the move table of the
-    standard costs, the label of each transition and the model graph, plus
-    the standard-cost results found so far.  Every part depends on the
-    system only, so concurrent callers that both compute one agree.
+    standard costs and the model graph, plus the standard-cost results found
+    so far.  Every part depends on the system only, so concurrent callers
+    that both compute one agree.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs, `lbfc_cap`
@@ -277,8 +277,9 @@ class _Plan:
 
     The LBFC cap needs the bound and whether the system is live, or sound
     and workflow-shaped, and nothing else of `behavioral_class`'s report:
-    `classify._lbfc_bound` decides it in one walk over the model graph's
-    rows, on marking numbers and token-count keys, with no certificate.
+    `classify._lbfc_bound` reads them off the decision that report is built
+    on (`classify._analysis`), in one walk over the model graph's rows, with
+    no certificate.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
     LBFC cap's walk, the alignment searches and the membership calls on the
@@ -333,12 +334,6 @@ class _Plan:
     @cached_property
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
-
-    @cached_property
-    def labels(self) -> list[str | None]:
-        """Each transition's label name by index, None when silent."""
-        net = self.sys.net
-        return [net.label(t).name for t in net.transitions]
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
         """The numbered markings, rows and subset automaton of the LBFC cap's
@@ -455,11 +450,10 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     trace = tuple(trace)
     plan = _plan(sys)
     graph = plan.model_graph(state_budget)
-    labels = plan.labels
     left = state_budget
     k = graph.start
     if k is None:
-        k, spent = graph.subset_start(sys.initial, sys.final, labels, left)
+        k, spent = graph.subset_start(sys.initial, sys.final, left)
         left -= spent
     if k is not None:
         steps, sizes = graph.steps, graph.sizes
@@ -467,7 +461,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         for a in trace:
             j = steps.get((k, a))
             if j is None:
-                j, spent = graph.subset_step(k, a, labels, left)
+                j, spent = graph.subset_step(k, a, left)
                 if j is None:
                     break
                 left -= spent
@@ -476,11 +470,11 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         else:
             if left >= 0:
                 return graph.accepting[k]
-    return _member_dfs(trace, sys, graph, labels, state_budget)
+    return _member_dfs(trace, sys, graph, state_budget)
 
 
 def _member_dfs(trace: tuple[str, ...], sys: AcceptingSystem, graph: _MarkingGraph,
-                labels: list, state_budget: int) -> bool:
+                state_budget: int) -> bool:
     """Membership by depth-first search on integer states marking number *
     (len(trace) + 1) + position over `graph`'s rows.  A state lists the
     successors by the transitions that carry the letter at its position
@@ -492,7 +486,7 @@ def _member_dfs(trace: tuple[str, ...], sys: AcceptingSystem, graph: _MarkingGra
     goal = graph.number(sys.final) * width + n
     if start == goal:
         return True
-    rows, row = graph.rows, graph.row
+    rows, row, labels = graph.rows, graph.row, graph.labels
     seen = {start}
     stack = [start]
     while stack:

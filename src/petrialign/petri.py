@@ -347,8 +347,11 @@ class _MarkingGraph:
     (state number, letter) to the number of the state that the letter leads
     to: the union of the silent closures of the successors, by the letter's
     transitions, of the state's markings.  Each marking keeps its silent
-    closure (`closures`), read from the rows.  A step or the start is made
-    the first time a caller asks for it, with a limit on what it may add:
+    closure (`closures`), read from the rows and `labels`, each transition's
+    label name by index.  A closure in which a row enables a silent
+    transition that produces a token and consumes none for good is
+    infinite, and is given up at that row.  A step or the start is made the
+    first time a caller asks for it, with a limit on what it may add:
     the caller gets None, and no state, when more would be needed.  `size`
     counts rows and automaton entries: one per row and per step, and per
     closure and per state the markings it holds."""
@@ -375,11 +378,19 @@ class _MarkingGraph:
         # is, in declaration order; those with no input place apart.
         first: list[list] = [[] for _ in net.places]
         self._unguarded: list = []
+        self.labels: list[str | None] = []   # label name by index, None when silent
+        # Silent transitions that produce a token and consume none for good:
+        # one enabled at a marking stays enabled as it pumps, so the
+        # marking's silent closure is infinite.
+        self._pumps: set[int] = set()
         for k, t in enumerate(net.transitions):
             pre = [place[p] for p in net._pre[t]]
             entry = (k, tuple(pre[1:]), tuple(place[p] for p in net._consume[t]),
                      tuple(place[p] for p in net._produce[t]))
             (first[pre[0]] if pre else self._unguarded).append(entry)
+            self.labels.append(net.label(t).name)
+            if self.labels[k] is None and entry[3] and not entry[2]:
+                self._pumps.add(k)
         self._first = first
 
     def _key(self, m: Marking) -> tuple:
@@ -446,24 +457,22 @@ class _MarkingGraph:
                 self.size += 1
         return row
 
-    def subset_start(self, initial: Marking, final: Marking, labels: list,
-                     limit: int) -> tuple[int | None, int]:
+    def subset_start(self, initial: Marking, final: Marking, limit: int
+                     ) -> tuple[int | None, int]:
         """The start state, the silent closure of the initial marking, made
-        on first use with these markings; `labels` names each transition's
-        label by index (None when silent).  Returns the state's number, or
+        on first use with these markings.  Returns the state's number, or
         None when making it would add more than `limit` rows and automaton
         entries, and how many it added."""
         with self._lock:
             size = self.size
             if self.start is None:
                 self._final = self.number(final)
-                closure = self._closure(self.number(initial), labels, size + limit)
+                closure = self._closure(self.number(initial), size + limit)
                 if closure is not None:
                     self.start = self._state(closure, size + limit)
             return self.start, self.size - size
 
-    def subset_step(self, k: int, letter: str, labels: list,
-                    limit: int) -> tuple[int | None, int]:
+    def subset_step(self, k: int, letter: str, limit: int) -> tuple[int | None, int]:
         """The number of the state that state k leads to by `letter`, made on
         first use, or None when making it would add more than `limit` rows
         and automaton entries, and how many it added."""
@@ -477,10 +486,11 @@ class _MarkingGraph:
                 # A lone closure is kept as the state: that frozenset has
                 # its hash already.
                 found: frozenset[int] = frozenset()
+                labels = self.labels
                 for m in self.states[k]:
                     for t, s in self.rows[m]:
                         if labels[t] == letter and s not in found:
-                            closure = self._closure(s, labels, top - len(found))
+                            closure = self._closure(s, top - len(found))
                             if closure is None:
                                 return None, self.size - size
                             found = found | closure if found else closure
@@ -491,13 +501,14 @@ class _MarkingGraph:
                 self.size += 1
             return j, self.size - size
 
-    def _closure(self, i: int, labels: list, top: int) -> frozenset[int] | None:
+    def _closure(self, i: int, top: int) -> frozenset[int] | None:
         """Marking i's silent closure, made from the rows on first use, or
-        None when that would bring `size` above `top`; the caller holds the
-        lock."""
+        None when that would bring `size` above `top`, as it does at once
+        when a row in it enables a pump; the caller holds the lock."""
         closure = self.closures.get(i)
         if closure is None:
             rows, seen, stack = self.rows, {i}, [i]
+            labels, pumps = self.labels, self._pumps
             while stack:
                 m = stack.pop()
                 row = rows.get(m)
@@ -507,6 +518,8 @@ class _MarkingGraph:
                     row = self.row(m)
                 for t, s in row:
                     if labels[t] is None and s not in seen:
+                        if t in pumps:
+                            return None
                         seen.add(s)
                         stack.append(s)
             if self.size + len(seen) > top:
@@ -541,6 +554,8 @@ class _MarkingGraph:
         BudgetExceeded; the root is always explored, so budgets below 1 act
         as 1.  With `b_max`, the search stops on finding the first marking
         with more than b_max tokens on some place, before its arc is listed.
+        A found marking's counts are read from its key's place entries:
+        tokens off the net never move, so the root's check covers them.
         """
         start = self.number(root)
         order, local = [start], {start: 0}
@@ -549,7 +564,8 @@ class _MarkingGraph:
         if b_max is not None and root.max_count() > b_max:
             return result
         budget = max(state_budget, 1)
-        rows, markings, ts = self.rows, self.markings, self.net.transitions
+        rows, keys, ts = self.rows, self._keys, self.net.transitions
+        width = len(self.net.places)
         for k, i in enumerate(order):
             row = rows.get(i)
             if row is None:
@@ -566,7 +582,7 @@ class _MarkingGraph:
                     via.append(ts[t])
                     succ.append([])
                     fired.append([])
-                    if b_max is not None and markings[s].max_count() > b_max:
+                    if b_max is not None and max(keys[s][:width], default=0) > b_max:
                         return result
                 targets.append(j)
                 names.append(ts[t])
