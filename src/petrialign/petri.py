@@ -389,7 +389,7 @@ class _MarkingGraph:
                      tuple(place[p] for p in net._produce[t]))
             (first[pre[0]] if pre else self._unguarded).append(entry)
             self.labels.append(net.label(t).name)
-            if self.labels[k] is None and entry[3] and not entry[2]:
+            if self.labels[k] is None and net._produce[t] and not net._consume[t]:
                 self._pumps.add(k)
         self._first = first
 
