@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .costs import CostFunction, Move, standard_costs
-from .engine import AlignResult, scale_weights
+from .engine import AlignResult, _MoveTable
 from .errors import BudgetExceeded, Infeasible, NotAcyclic, StuckContradiction
 from .petri import (AcceptingSystem, Marking, PetriNet, incidence_matrix, fire,
                     fire_sequence)
@@ -246,16 +246,21 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
     # transition fires at most once; model moves are capped by the token flow
     # of the acyclic model net.
     model_caps = _firing_caps(sys.net, sys.initial)
-    costs: dict[str, Fraction] = {}
+    # The move table prices the same moves as the product's transitions, so
+    # its scale is the lcm of their cost denominators.
+    (sync, log, model), scale = _MoveTable(net, c).moves(trace)
+    index = {t: i for i, t in enumerate(net.transitions)}
+    weight: dict[str, int] = {}
     moves: dict[str, Move] = {}
     bounds_by_tid: dict[str, float] = {}
     for tid in product.net.transitions:
         left, right = product_parts(tid)
         letter = product.net.label(tid).name if left is not None else None
-        moves[tid] = Move(letter, right)
-        costs[tid] = c.move_cost(moves[tid])
+        if right is None:
+            weight[tid], moves[tid] = log[letter]
+        else:
+            weight[tid], _, moves[tid] = (model if letter is None else sync[letter])[index[right]]
         bounds_by_tid[tid] = 1 if left is not None else model_caps[right]
-    weight, scale = scale_weights(costs)
 
     cost, counts, seq, nodes = _min_cost_parikh(
         product.net, product.initial, product.final, weight, bounds_by_tid,

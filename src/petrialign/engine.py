@@ -37,18 +37,6 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
-def scale_weights(costs: Mapping[object, Fraction]) -> tuple[dict, int]:
-    """Common-denominator integer weights plus the scale factor."""
-    scale = math.lcm(*(Fraction(v).denominator for v in costs.values())) if costs else 1
-    scaled = {}
-    for t, v in costs.items():
-        v = Fraction(v)
-        if v < 0:
-            raise ValueError(f"cost of {t!r} is negative")
-        scaled[t] = int(v * scale)
-    return scaled, scale
-
-
 def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
                         final: Marking, moves, state_budget: int,
                         graph: _MarkingGraph | None = None):
@@ -159,7 +147,8 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     Transitions missing from `costs` count as free, so an all-empty mapping
     reduces the problem to plain reachability.
     """
-    weight, scale = scale_weights({t: Fraction(costs.get(t, 0)) for t in net.transitions})
+    moves, scale = _MoveTable(net, CostFunction(net.labels, model_overrides={
+        t: costs.get(t, 0) for t in net.transitions})).moves(())
     # Tokens on places outside the net never move.
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
@@ -167,11 +156,8 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     if outside:
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
-    ranks = {t: r for r, t in enumerate(sorted(net.transitions), len(net.transitions))}
-    model = [(weight[t], ranks[t], t) for t in net.transitions]
-    cost, seq, _ = dijkstra_least_cost(net, (), initial, target, ({}, {}, model),
-                                       state_budget)
-    return Fraction(cost, scale), seq
+    cost, seq, _ = dijkstra_least_cost(net, (), initial, target, moves, state_budget)
+    return Fraction(cost, scale), tuple(move.model_part for move in seq)
 
 
 class _MoveTable:
@@ -271,9 +257,7 @@ class _Plan:
     solver's algorithm name and the budget the one its search ran under.
     Calls with the caller's costs and calls that raise store nothing.  A
     result's size is the number of states on its path, its moves plus one,
-    which is at most the states its search settled; `stored` empties
-    the store when a call finds it holding more than that call's state
-    budget, so after a call it holds at most twice that budget.
+    which is at most the states its search settled.
 
     The LBFC cap needs the bound and whether the system is live, or sound
     and workflow-shaped, and nothing else of `behavioral_class`'s report:
@@ -291,17 +275,22 @@ class _Plan:
     own costs share it; weights come from the move tables.  Membership
     walks the graph's subset automaton, whose states are sets of marking
     numbers closed under silent rows (see `_MarkingGraph` and `membership`).
-    The cap's walk adds at most one row per marking it explores, a search
-    at most one per state it settles, and a membership call at most its
-    budget in rows and automaton entries on the automaton, plus one row per
-    state that its depth-first search expands when the automaton does not
-    answer; `model_graph` hands out an empty graph when a call finds more
-    markings, or rows and automaton entries, than that call's state budget.
-    So after a call the graph holds at most three times the budget in rows
-    and automaton entries, and besides the markings it held, the markings
-    that call reached and their successors.  A call on another system drops
-    the plan, and the graph with it.  Graphs are made under a lock, so
-    threads that ask for one together share it."""
+
+    One rule bounds what the plan keeps: each call first asks for the model
+    graph with its state budget, and `model_graph` replaces the graph by an
+    empty one, and empties the results, when the graph holds more markings,
+    or rows and automaton entries, or the results more path states, than
+    that budget.  The cap's walk adds at most one row per marking it
+    explores, a search at most one per state it settles and one result no
+    larger, and a membership call at most its budget in rows and automaton
+    entries on the automaton, plus one row per state that its depth-first
+    search expands when the automaton does not answer.  So after a call the
+    graph holds at most three times the budget in rows and automaton
+    entries, and besides the markings it held, the markings that call
+    reached and their successors; the results hold at most twice the
+    budget.  A call on another system drops the plan, and all of it with
+    it.  Graphs are made under a lock, so threads that ask for one together
+    share it."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -309,16 +298,6 @@ class _Plan:
         self._graph: _MarkingGraph | None = None
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
-
-    def stored(self, state_budget: int) -> dict[tuple, AlignResult]:
-        """The standard-cost results, emptied first when they hold more
-        path states than `state_budget`."""
-        if self.results_size > state_budget:
-            with _plan_lock:
-                if self.results_size > state_budget:
-                    self.results = {}
-                    self.results_size = 0
-        return self.results
 
     def store(self, key: tuple, result: AlignResult) -> None:
         with _plan_lock:
@@ -337,15 +316,20 @@ class _Plan:
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
         """The numbered markings, rows and subset automaton of the LBFC cap's
-        walk, the searches and membership, replaced by an empty graph when
-        they hold more than `state_budget` markings, or rows and automaton
-        entries."""
+        walk, the searches and membership.  When they hold more than
+        `state_budget` markings, or rows and automaton entries, or the
+        standard-cost results hold more path states, the graph is replaced
+        by an empty one and the results are emptied."""
         graph = self._graph
-        if graph is None or graph.over(state_budget):
+        if (graph is None or len(graph.markings) > state_budget
+                or graph.size > state_budget or self.results_size > state_budget):
             with _plan_lock:
+                # When another thread replaced the graph meanwhile, share its one.
+                if self._graph is graph:
+                    self._graph = _MarkingGraph(self.sys.net)
+                    self.results = {}
+                    self.results_size = 0
                 graph = self._graph
-                if graph is None or graph.over(state_budget):
-                    graph = self._graph = _MarkingGraph(self.sys.net)
         return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
@@ -398,9 +382,10 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     """
     plan = _plan(sys)
     trace = tuple(trace)
+    graph = plan.model_graph(state_budget)
     if c is None:
         key = (trace, algorithm, state_budget)
-        result = plan.stored(state_budget).get(key)
+        result = plan.results.get(key)
         if result is not None:
             return result
         table = plan.standard_moves
@@ -409,8 +394,7 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     moves, scale = table.moves(trace)
     try:
         cost, seq, settled = dijkstra_least_cost(
-            sys.net, trace, sys.initial, sys.final, moves, state_budget,
-            plan.model_graph(state_budget))
+            sys.net, trace, sys.initial, sys.final, moves, state_budget, graph)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
     result = AlignResult(seq, Fraction(cost, scale), algorithm, settled)
@@ -436,39 +420,40 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     the LBFC cap's walk and the alignment searches on the system share: one
     dict lookup per letter once the steps are made, and the verdict is
     whether the last state holds the final marking.  A step or the start
-    that no call has made yet is made from the rows, and charged, with the
-    rows and automaton entries it adds, to the call's budget.
+    that no call has made yet is made from the rows, under a ceiling on the
+    graph's size: its size when the call began plus `state_budget`, less
+    the sizes of the states the walk has passed.
 
-    The answer comes from the automaton only while that charge, plus the
-    sizes of the states the walk passes, stays within `state_budget`.  The
-    depth-first search over (marking, position) states that the automaton
-    replaces keeps at most the states (m, k) with m in the k-th state, so
-    within that budget it can neither raise nor answer otherwise.  Any
-    other word goes to that search (`_member_dfs`), so every verdict and
+    The answer comes from the automaton only while the graph stays within
+    that ceiling: while what the call added, plus the sizes of the states
+    the walk passes, is at most `state_budget`.  What another thread adds
+    meanwhile counts too, which only sends more words to the search below.
+    The depth-first search over (marking, position) states that the
+    automaton replaces keeps at most the states (m, k) with m in the k-th
+    state, so within that budget it can neither raise nor answer otherwise.
+    Any other word goes to that search (`_member_dfs`), so every verdict and
     every BudgetExceeded is that of the search on a fresh graph.
     """
     trace = tuple(trace)
     plan = _plan(sys)
     graph = plan.model_graph(state_budget)
-    left = state_budget
+    top = graph.size + state_budget
     k = graph.start
     if k is None:
-        k, spent = graph.subset_start(sys.initial, sys.final, left)
-        left -= spent
+        k = graph.subset_start(sys.initial, sys.final, top)
     if k is not None:
         steps, sizes = graph.steps, graph.sizes
-        left -= sizes[k]
+        top -= sizes[k]
         for a in trace:
             j = steps.get((k, a))
             if j is None:
-                j, spent = graph.subset_step(k, a, left)
+                j = graph.subset_step(k, a, top)
                 if j is None:
                     break
-                left -= spent
             k = j
-            left -= sizes[k]
+            top -= sizes[k]
         else:
-            if left >= 0:
+            if graph.size <= top:
                 return graph.accepting[k]
     return _member_dfs(trace, sys, graph, state_budget)
 

@@ -20,7 +20,7 @@ def _split_comment(line: str) -> str:
 
 def parse_net(text: str) -> AcceptingSystem:
     """Parse a net file into an accepting system; validates weak connectivity."""
-    places: list[str] = []
+    places: dict[str, None] = {}   # declared so far, in order
     init: dict[str, int] = {}
     final: dict[str, int] = {}
     transitions: list[str] = []
@@ -43,7 +43,7 @@ def parse_net(text: str) -> AcceptingSystem:
             if pid in seen:
                 raise DuplicateId(f"id {pid!r} declared twice", line=lineno)
             seen.add(pid)
-            places.append(pid)
+            places[pid] = None
             for option in fields[2:]:
                 key, _, value = option.partition("=")
                 if key not in ("init", "final") or not value.isdigit():

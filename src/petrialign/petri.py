@@ -338,30 +338,28 @@ class _MarkingGraph:
 
     Membership reads the graph through a subset automaton (Rabin and Scott,
     *Finite automata and their decision problems*, 1959) of one system,
-    built on demand under the lock; the first caller gives the system's
+    built on demand under the lock from the rows and `labels`, each
+    transition's label name by index; the first caller gives the system's
     initial and final markings (`subset_start`).  A state is the frozenset
     of the marking numbers that a prefix of a word leads to, closed under
     silent moves, and is numbered the first time it is made: `states`,
     `sizes` and `accepting` hold, per state number, its markings, how many
     they are and whether the final marking is one of them.  `steps` maps
     (state number, letter) to the number of the state that the letter leads
-    to: the union of the silent closures of the successors, by the letter's
-    transitions, of the state's markings.  Each marking keeps its silent
-    closure (`closures`), read from the rows and `labels`, each transition's
-    label name by index.  A closure in which a row enables a silent
+    to: the silent closure of the successors, by the letter's transitions,
+    of the state's markings.  A closure in which a row enables a silent
     transition that produces a token and consumes none for good is
-    infinite, and is given up at that row.  A step or the start is made the
-    first time a caller asks for it, with a limit on what it may add:
+    infinite, and is given up at that row.  The start and each step are
+    made the first time a caller asks for them, under a ceiling on `size`:
     the caller gets None, and no state, when more would be needed.  `size`
     counts rows and automaton entries: one per row and per step, and per
-    closure and per state the markings it holds."""
+    state the markings it holds."""
 
     def __init__(self, net: PetriNet):
         self.net = net
         self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self.size = 0   # rows and automaton entries
-        self.closures: dict[int, frozenset[int]] = {}
         self._state_numbers: dict[frozenset[int], int] = {}
         self.states: list[frozenset[int]] = []
         self.sizes: list[int] = []
@@ -421,11 +419,6 @@ class _MarkingGraph:
         nothing."""
         return self._by_key.get(self._key(m))
 
-    def over(self, budget: int) -> bool:
-        """Whether it holds more markings, or rows and automaton entries, than
-        `budget`."""
-        return len(self.markings) > budget or self.size > budget
-
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
         with self._lock:
@@ -457,81 +450,54 @@ class _MarkingGraph:
                 self.size += 1
         return row
 
-    def subset_start(self, initial: Marking, final: Marking, limit: int
-                     ) -> tuple[int | None, int]:
+    def subset_start(self, initial: Marking, final: Marking, top: int) -> int | None:
         """The start state, the silent closure of the initial marking, made
-        on first use with these markings.  Returns the state's number, or
-        None when making it would add more than `limit` rows and automaton
-        entries, and how many it added."""
+        on first use with these markings, or None when making it would bring
+        `size` above `top`."""
         with self._lock:
-            size = self.size
             if self.start is None:
                 self._final = self.number(final)
-                closure = self._closure(self.number(initial), size + limit)
-                if closure is not None:
-                    self.start = self._state(closure, size + limit)
-            return self.start, self.size - size
+                self.start = self._state({self.number(initial)}, top)
+            return self.start
 
-    def subset_step(self, k: int, letter: str, limit: int) -> tuple[int | None, int]:
+    def subset_step(self, k: int, letter: str, top: int) -> int | None:
         """The number of the state that state k leads to by `letter`, made on
-        first use, or None when making it would add more than `limit` rows
-        and automaton entries, and how many it added."""
+        first use, or None when making it would bring `size` above `top`."""
         with self._lock:
-            size = self.size
             j = self.steps.get((k, letter))
             if j is None:
-                if limit < 1:
-                    return None, 0
-                top = size + limit - 1   # room for the step itself
-                # A lone closure is kept as the state: that frozenset has
-                # its hash already.
-                found: frozenset[int] = frozenset()
-                labels = self.labels
-                for m in self.states[k]:
-                    for t, s in self.rows[m]:
-                        if labels[t] == letter and s not in found:
-                            closure = self._closure(s, top - len(found))
-                            if closure is None:
-                                return None, self.size - size
-                            found = found | closure if found else closure
-                j = self._state(found, top)
-                if j is None:
-                    return None, self.size - size
-                self.steps[k, letter] = j
-                self.size += 1
-            return j, self.size - size
+                rows, labels = self.rows, self.labels
+                j = self._state({s for m in self.states[k] for t, s in rows[m]
+                                 if labels[t] == letter}, top - 1)   # room for the step
+                if j is not None:
+                    self.steps[k, letter] = j
+                    self.size += 1
+            return j
 
-    def _closure(self, i: int, top: int) -> frozenset[int] | None:
-        """Marking i's silent closure, made from the rows on first use, or
-        None when that would bring `size` above `top`, as it does at once
-        when a row in it enables a pump; the caller holds the lock."""
-        closure = self.closures.get(i)
-        if closure is None:
-            rows, seen, stack = self.rows, {i}, [i]
-            labels, pumps = self.labels, self._pumps
-            while stack:
-                m = stack.pop()
-                row = rows.get(m)
-                if row is None:
-                    if self.size + len(seen) >= top:   # no room for the row
+    def _state(self, seen: set[int], top: int) -> int | None:
+        """The number of the state of the silent closure of the markings in
+        `seen`, a set that the walk over the rows extends, numbered when it
+        has none, or None when that would bring `size` above `top`, as it
+        does at once when a row in it enables a pump; the caller holds the
+        lock."""
+        rows, labels, pumps = self.rows, self.labels, self._pumps
+        stack = list(seen)
+        while stack:
+            m = stack.pop()
+            row = rows.get(m)
+            if row is None:
+                # A marking with no row is in no state yet, so the state is
+                # new and will hold every marking seen.
+                if self.size + len(seen) >= top:
+                    return None
+                row = self.row(m)
+            for t, s in row:
+                if labels[t] is None and s not in seen:
+                    if t in pumps:
                         return None
-                    row = self.row(m)
-                for t, s in row:
-                    if labels[t] is None and s not in seen:
-                        if t in pumps:
-                            return None
-                        seen.add(s)
-                        stack.append(s)
-            if self.size + len(seen) > top:
-                return None
-            closure = self.closures[i] = frozenset(seen)
-            self.size += len(closure)
-        return closure
-
-    def _state(self, markings: frozenset[int], top: int) -> int | None:
-        """The number of the state of these markings, numbering it when it
-        has none, or None when that would bring `size` above `top`; the
-        caller holds the lock."""
+                    seen.add(s)
+                    stack.append(s)
+        markings = frozenset(seen)
         j = self._state_numbers.get(markings)
         if self.size + (len(markings) if j is None else 0) > top:
             return None

@@ -647,14 +647,13 @@ def test_a_pumping_closure_is_given_up_at_once():
     assert membership(("z",), pump, 50_000)
     graph = engine._plan(pump)._graph
     assert graph.size <= 3 and len(graph.markings) <= 3, (graph.size, len(graph.markings))
-    assert graph.closures == {} and graph.start is None
+    assert graph.states == [] and graph.start is None
 
 
 def _automaton_entries(graph):
     """The graph's subset-automaton entries as `size` counts them: the
-    markings of each closure and of each state, and one per step."""
-    return (sum(map(len, graph.closures.values())) + sum(graph.sizes)
-            + len(graph.steps))
+    markings of each state, and one per step."""
+    return sum(graph.sizes) + len(graph.steps)
 
 
 def test_successor_cache_stays_within_its_bound():
@@ -849,6 +848,67 @@ def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
         assert len(searched) == searches
     # The small budgets send some words to the search, but fewer than half.
     assert 0 < len(searched) < asked / 2
+
+
+def _markings_after(graph, system, word, limit):
+    """The markings m with (m, len(word)) reachable from (initial, 0) in the
+    depth-first search's state space for `word`, found by a plain search
+    over `graph`'s rows, or None when that space holds more than `limit`
+    states."""
+    labels = graph.labels
+    start = (graph.number(system.initial), 0)
+    seen, stack = {start}, [start]
+    while stack:
+        m, pos = stack.pop()
+        for t, s in graph.row(m):
+            if labels[t] is None:
+                nxt = (s, pos)
+            elif pos < len(word) and labels[t] == word[pos]:
+                nxt = (s, pos + 1)
+            else:
+                continue
+            if nxt not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(nxt)
+                stack.append(nxt)
+    return {graph.markings[m] for m, pos in seen if pos == len(word)}
+
+
+def test_each_automaton_state_is_the_searchs_markings_at_its_position():
+    """After each prefix of every word of length at most 3 over a system's
+    letters, the state the subset automaton reaches holds exactly the
+    markings that the depth-first search reaches at that position, and
+    accepts iff the final marking is one of them.  Under a small ceiling a
+    step may be refused, but never made wrong or made past the ceiling;
+    under a large one every finite state is made.  The pump's start closure
+    is infinite, so no state of it is ever made."""
+    limit = 1_000
+    made = refused = 0
+    for system, letters, finite in _automaton_systems():
+        reference = petri._MarkingGraph(system.net)
+        words = [w for n in range(4) for w in itertools.product(letters, repeat=n)]
+        # Every prefix of a word is one of the words.
+        expected = {w: _markings_after(reference, system, w, limit) for w in words}
+        assert {v is None for v in expected.values()} == {not finite}
+        for budget in [1, 2, 3, 5, 8, 13, 30] + ([limit] if finite else []):
+            graph = petri._MarkingGraph(system.net)
+            for word in words:
+                top = graph.size + budget
+                k = graph.subset_start(system.initial, system.final, top)
+                for n in range(len(word) + 1):
+                    if n:
+                        k = graph.subset_step(k, word[n - 1], top)
+                    assert graph.size <= top
+                    if k is None:
+                        assert budget < limit, (str(system.net), word[:n])
+                        refused += 1
+                        break
+                    markings = {graph.markings[m] for m in graph.states[k]}
+                    assert markings == expected[word[:n]], (str(system.net), word[:n])
+                    assert graph.accepting[k] == (system.final in markings)
+                    made += 1
+    assert made > 10_000 and refused > 100
 
 
 # The search's model graph: consecutive alignments on one system object share
