@@ -246,9 +246,9 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
     # transition fires at most once; model moves are capped by the token flow
     # of the acyclic model net.
     model_caps = _firing_caps(sys.net, sys.initial)
-    # The move table prices the same moves as the product's transitions, so
-    # its scale is the lcm of their cost denominators.
-    (sync, log, model), scale = _MoveTable(net, c).moves(trace)
+    # The move table prices the same moves as the product's transitions, on
+    # the one integer scale of the cost function.
+    (letters, model), scale = _MoveTable(net, c).moves(trace)
     index = {t: i for i, t in enumerate(net.transitions)}
     weight: dict[str, int] = {}
     moves: dict[str, Move] = {}
@@ -257,9 +257,10 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
         left, right = product_parts(tid)
         letter = product.net.label(tid).name if left is not None else None
         if right is None:
-            weight[tid], moves[tid] = log[letter]
+            _, weight[tid], moves[tid] = letters[letter]
         else:
-            weight[tid], _, moves[tid] = (model if letter is None else sync[letter])[index[right]]
+            row = model if letter is None else letters[letter][0]
+            weight[tid], _, moves[tid] = row[index[right]]
         bounds_by_tid[tid] = 1 if left is not None else model_caps[right]
 
     cost, counts, seq, nodes = _min_cost_parikh(

@@ -56,6 +56,7 @@ class CostFunction:
 
     Unlisted moves fall back to the standard cost function: 0 for synchronous
     and silent model moves, 1 for log moves and visible model moves.
+    Overrides are stored as the `Fraction`s they equal exactly.
     """
 
     labels: Mapping[str, Label]
@@ -64,10 +65,11 @@ class CostFunction:
     model_overrides: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        for table in (self.sync_overrides, self.log_overrides, self.model_overrides):
-            for v in table.values():
-                if v < 0:
-                    raise ValueError("costs must be non-negative")
+        for name in ("sync_overrides", "log_overrides", "model_overrides"):
+            table = getattr(self, name)
+            if any(v < 0 for v in table.values()):
+                raise ValueError("costs must be non-negative")
+            object.__setattr__(self, name, {k: Fraction(v) for k, v in table.items()})
 
     def sync(self, label: str, transition: str) -> Fraction:
         return self.sync_overrides.get((label, transition), _FREE)

@@ -1,9 +1,10 @@
 """Cost-minimal reachability search, the generic alignment solver, membership,
 the exhaustive oracle, and the class-aware dispatcher.
 
-All searches work on integer-scaled exact costs: the least common multiple of
-the cost denominators turns every weight into a non-negative int, so heap and
-DP arithmetic stay exact and fast; results are converted back to Fractions.
+A move table prices a cost function's exact `Fraction`s on one integer scale,
+the lcm of the denominators of its overrides, so every weight is a
+non-negative int, heap arithmetic stays exact and fast, and results are
+converted back to Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Mapping, Sequence
 
 from .classify import StructuralReport, _lbfc_bound, structural_class
 from .costs import CostFunction, Move, standard_costs
-from .errors import (BudgetExceeded, CapExhausted, NotEasySound, Unreachable)
+from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
+                     Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
                     _enabled_among, _MarkingGraph, fire, is_token)
 
@@ -45,14 +47,15 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     from (0, initial) to (len(trace), final).  Both markings mark places of
     the net only.
 
-    `moves` is (sync, log, model): sync maps each trace letter to a list
-    indexed by transition that holds the (weight, rank, move) entry of each
-    transition carrying the letter and None elsewhere (or to an empty list
-    when none carries it), log maps it to (weight, move), and model holds one
-    (weight, rank, move) entry per transition in declaration order.  A state
-    yields its moves in the product's declaration order: sync moves on the
-    next letter, the log move, then model moves.  Frontier entries expand in
-    (cost, rank, insertion) order, which pins down a reproducible witness.
+    `moves` is (letters, model) of `_MoveTable.moves`: letters maps each
+    trace letter to (sync row, log weight, log move), where the sync row is
+    a list indexed by transition that holds the (weight, rank, move) entry
+    of each transition carrying the letter and None elsewhere (or is empty
+    when none carries it), and model holds one (weight, rank, move) entry
+    per transition in declaration order.  A state yields its moves in the
+    product's declaration order: sync moves on the next letter, the log
+    move, then model moves.  Frontier entries expand in (cost, rank,
+    insertion) order, which pins down a reproducible witness.
     Ranks follow the tie-break keys (kind, id): sync before model before log
     moves, ids in string order ("t10" < "t2").  With T transitions, sync
     ranks lie in [0, T), model ranks in [T, 2T), and the log move at
@@ -72,13 +75,13 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     if graph is None:
         graph = _MarkingGraph(net)
     expand, rows = graph.row, graph.rows
-    sync, log, model = moves
+    letters, model = moves
     n = len(trace)
     width = n + 1
     # The log move at position i (from 1) ranks by its id f"t{i}" as a string.
     log_ranks = {i: r for r, i in enumerate(sorted(range(1, n + 1), key=str), 2 * len(model))}
     # What the search reads at each position.
-    at = [(sync[a], *log[a], log_ranks[i]) for i, a in enumerate(trace, 1)]
+    at = [(*letters[a], log_ranks[i]) for i, a in enumerate(trace, 1)]
     radix = 2 * len(model) + n + 1   # above every rank, and at least 1
     start = graph.number(initial)
     goal = graph.number(final) * width + n
@@ -145,8 +148,12 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     """Least-cost firing sequence from `initial` to `target`.
 
     Transitions missing from `costs` count as free, so an all-empty mapping
-    reduces the problem to plain reachability.
+    reduces the problem to plain reachability.  A key that is not a
+    transition of the net raises UnknownTransition.
     """
+    for t in costs:
+        if not net.has_transition(t):
+            raise UnknownTransition(t)
     moves, scale = _MoveTable(net, CostFunction(net.labels, model_overrides={
         t: costs.get(t, 0) for t in net.transitions})).moves(())
     # Tokens on places outside the net never move.
@@ -161,83 +168,52 @@ def min_cost_reach(net: PetriNet, initial: Marking,
 
 
 class _MoveTable:
-    """The search's move rows for one net under one cost function.
+    """The search's move entries for one net under one cost function.
 
-    Exact costs are kept per group: the model rows, built on first use, and
-    the sync rows plus the log row of each letter, built when a trace first
-    holds that letter.  Costs stay as the cost function returns them when
-    they are `Fraction`s or ints; other numbers (floats) are made exact
-    `Fraction`s.  A trace's integer scale is the lcm of the cost
-    denominators over its letters' groups and the model rows, so it and the
-    integer weights equal those of a table built for that trace alone;
-    weighed rows are kept per scale.  Sync and model entries carry the
-    search's tie-break ranks (see `dijkstra_least_cost`), made once per table.
+    Every price is the cost function's exact `Fraction` times `scale`, the
+    lcm of the denominators of its overrides (1 under the standard costs),
+    so every weight is a non-negative int.  The model entries are priced
+    when the table is made; a letter's sync row and log move when a trace
+    first holds that letter.  Sync and model entries carry the search's
+    tie-break ranks (see `dijkstra_least_cost`).
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
         self.net = net
         self.c = c
-        self._ranks = {t: r for r, t in enumerate(sorted(net.transitions))}
+        self.scale = math.lcm(*(v.denominator for table in (
+            c.sync_overrides, c.log_overrides, c.model_overrides) for v in table.values()))
+        ts = net.transitions
+        self._ranks = {t: r for r, t in enumerate(sorted(ts))}
         # Per label name, the indices of the transitions carrying it.
         self._carriers: dict[str, list[int]] = {}
-        for i, t in enumerate(net.transitions):
+        for i, t in enumerate(ts):
             name = net.label(t).name
             if name is not None:
                 self._carriers.setdefault(name, []).append(i)
-        self._model = None
-        self._letters: dict[str, tuple] = {}
-        self._weighed: dict[int, tuple[dict, dict, list]] = {}
+        self.model = [self._entry(Move(None, t), len(ts) + self._ranks[t]) for t in ts]
+        self.letters: dict[str, tuple] = {}
 
-    def _priced(self, entries) -> tuple[list, int]:
-        """(rank, move, exact cost) per entry, and the lcm of the costs'
-        denominators."""
-        rows = []
-        cost = self.c.move_cost
-        for rank, move in entries:
-            v = cost(move)
-            if not isinstance(v, (Fraction, int)):
-                v = Fraction(v)
-            if v.numerator < 0:
-                raise ValueError(f"cost of {move!r} is negative")
-            rows.append((rank, move, v))
-        return rows, math.lcm(*(v.denominator for *_, v in rows))
+    def _entry(self, move: Move, rank: int | None) -> tuple[int, int | None, Move]:
+        v = self.c.move_cost(move)
+        return v.numerator * (self.scale // v.denominator), rank, move
 
     def moves(self, trace: tuple[str, ...]):
-        """The move table for aligning the trace, plus its cost scale.  The
-        table may hold rows of letters the trace lacks."""
-        ts, ranks = self.net.transitions, self._ranks
-        letters = self._letters
-        present = dict.fromkeys(trace)
-        for a in present:
+        """The move table for aligning the trace, (letters, model), and its
+        scale.  `letters` maps each letter to (sync row by transition, log
+        weight, log move), and may hold letters the trace lacks."""
+        ts, letters = self.net.transitions, self.letters
+        for a in trace:
             if a not in letters:
                 if not is_token(a):
                     raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-                # The transitions carrying the letter, their sync rows, then
-                # its log row.
-                carriers = self._carriers.get(a, [])
-                letters[a] = (carriers, *self._priced(
-                    [(ranks[ts[i]], Move(a, ts[i])) for i in carriers]
-                    + [(None, Move(a, None))]))
-        if self._model is None:
-            self._model = self._priced([(len(ts) + ranks[t], Move(None, t)) for t in ts])
-        scale = math.lcm(self._model[1], *(letters[a][2] for a in present))
-        weighed = self._weighed.get(scale)
-        if weighed is None:
-            weighed = self._weighed[scale] = ({}, {}, _weigh(self._model[0], scale))
-        sync, log, _ = weighed
-        for a in present:
-            if a not in sync:
-                carriers, rows, _ = letters[a]
-                *rows, (w, _, move) = _weigh(rows, scale)
-                by_transition = [None] * len(ts) if rows else []
-                for i, entry in zip(carriers, rows):
-                    by_transition[i] = entry
-                sync[a], log[a] = by_transition, (w, move)
-        return weighed, scale
-
-
-def _weigh(rows, scale: int) -> list:
-    return [(v.numerator * (scale // v.denominator), rank, move) for rank, move, v in rows]
+                carriers = self._carriers.get(a, ())
+                by_transition = [None] * len(ts) if carriers else []
+                for i in carriers:
+                    by_transition[i] = self._entry(Move(a, ts[i]), self._ranks[ts[i]])
+                w, _, move = self._entry(Move(a, None), None)
+                letters[a] = (by_transition, w, move)
+        return (letters, self.model), self.scale
 
 
 _plan_lock = threading.Lock()   # making a plan or a graph of one, storing a result
@@ -563,8 +539,7 @@ def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
             raw_succ.append(row)
         frontier = nxt
 
-    denoms = [w.denominator for row in raw_succ for _, w in row]
-    scale = math.lcm(*denoms) if denoms else 1
+    scale = math.lcm(*(w.denominator for row in raw_succ for _, w in row))
     succ = [[(j, int(w * scale)) for j, w in row] for row in raw_succ]
 
     inf = float("inf")

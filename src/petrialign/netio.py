@@ -126,7 +126,10 @@ def parse_trace(text: str) -> tuple[str, ...]:
 
 def parse_cost_file(text: str, sys: AcceptingSystem) -> CostFunction:
     """Cost overrides: `sync <label> <t> <cost>`, `log <label> <cost>`,
-    `model <t> <cost>`; unlisted moves keep standard costs."""
+    `model <t> <cost>`; unlisted moves keep standard costs.  A line naming a
+    transition not in the net, or not carrying the sync line's label, is a
+    ParseError."""
+    net = sys.net
     sync: dict[tuple[str, str], Fraction] = {}
     log: dict[str, Fraction] = {}
     model: dict[str, Fraction] = {}
@@ -137,18 +140,21 @@ def parse_cost_file(text: str, sys: AcceptingSystem) -> CostFunction:
         fields = line.split()
         try:
             if fields[0] == "sync" and len(fields) == 4:
-                sync[(fields[1], fields[2])] = parse_cost(fields[3])
+                _, label, t, cost = fields
+                if not net.has_transition(t) or net.label(t).name != label:
+                    raise ParseError(f"no transition {t!r} labelled {label!r}", line=lineno)
+                sync[(label, t)] = parse_cost(cost)
             elif fields[0] == "log" and len(fields) == 3:
                 log[fields[1]] = parse_cost(fields[2])
             elif fields[0] == "model" and len(fields) == 3:
-                if not sys.net.has_transition(fields[1]):
+                if not net.has_transition(fields[1]):
                     raise ParseError(f"unknown transition {fields[1]!r}", line=lineno)
                 model[fields[1]] = parse_cost(fields[2])
             else:
                 raise ParseError(f"bad cost line {line!r}", line=lineno)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-    return CostFunction(labels=dict(sys.net.labels), sync_overrides=sync,
+    return CostFunction(labels=dict(net.labels), sync_overrides=sync,
                         log_overrides=log, model_overrides=model)
 
 

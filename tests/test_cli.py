@@ -1,4 +1,6 @@
 import inspect
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +195,36 @@ def test_cost_file_roundtrip(ex1_path, tmp_path, capsys):
                        "--costs", str(costs))
     assert code == 0
     assert out.splitlines()[0] == "cost=3/2"
+
+
+@pytest.mark.parametrize("line", ["sync a t99 1/2", "sync b t1 5"])
+def test_bad_sync_cost_lines_exit_2(line, ex1_path, tmp_path, capsys):
+    costs = tmp_path / "costs.txt"
+    costs.write_text(f"{line}\n")
+    code, out, err = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a",
+                         "--costs", str(costs))
+    assert code == 2
+    assert not out and "(line 1)" in err
+
+
+def test_readme_commands_run(capsys):
+    """Every `petrialign ...` line of README's command-line block whose file
+    arguments exist exits 0."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv or argv[0] != "petrialign":
+            continue
+        files = [a for a in argv[1:] if Path(a).suffix[1:].isalpha()]
+        if not all((root / f).is_file() for f in files):
+            continue
+        argv = [str(root / a) if a in files else a for a in argv[1:]]
+        assert run(capsys, *argv)[0] == 0, line
+        ran.append(line)
+    assert len(ran) >= 8
 
 
 def test_gen_shuffle_member_pipeline(tmp_path, capsys):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from petrialign import (AcceptingSystem, Label, Marking, Move, PetriNet,
-                        parse_cost, render_alignment, standard_costs,
+from petrialign import (AcceptingSystem, CostFunction, Label, Marking, Move,
+                        PetriNet, parse_cost, render_alignment, standard_costs,
                         validate_alignment)
 from petrialign.errors import (IllegalMove, NotCompleteFiringSequence,
                                ProjectionMismatch)
@@ -90,7 +90,6 @@ def test_parse_cost_forms():
 
 
 def test_cost_overrides_and_exactness(ex1):
-    from petrialign.costs import CostFunction
     c = CostFunction(labels=dict(ex1.net.labels),
                      log_overrides={"a": Fraction(1, 3)},
                      model_overrides={"t2": Fraction(5, 2)})
@@ -100,6 +99,16 @@ def test_cost_overrides_and_exactness(ex1):
     assert c.move_cost(Move("a", None)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         CostFunction(labels={}, log_overrides={"a": Fraction(-1)})
+    # Ints and floats are stored as the Fractions they equal; strings are refused.
+    c = CostFunction(labels=dict(ex1.net.labels), log_overrides={"a": 0.1, "b": 2},
+                     sync_overrides={("a", "t1"): 0.5})
+    for v, exact in ((c.log("a"), Fraction(0.1)), (c.log("b"), 2),
+                     (c.sync("a", "t1"), Fraction(1, 2))):
+        assert v == exact and type(v) is Fraction
+    with pytest.raises(ValueError):
+        CostFunction(labels={}, model_overrides={"t1": -0.5})
+    with pytest.raises(TypeError):
+        CostFunction(labels={}, log_overrides={"a": "1/2"})
 
 
 def test_render_alignment(ex1):

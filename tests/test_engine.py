@@ -19,7 +19,7 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         tree_to_wfnet, validate_alignment)
 from petrialign import classify, engine
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
-                               PetriAlignError, Unreachable)
+                               PetriAlignError, UnknownTransition, Unreachable)
 from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, make_suite, marked_cycle_tsystem,
@@ -58,6 +58,12 @@ def test_min_cost_reach_zero_costs_is_reachability(ex1):
 def test_min_cost_reach_target_outside_the_net(ex1):
     with pytest.raises(Unreachable):
         min_cost_reach(ex1.net, ex1.initial, {}, Marking.of("p_final", "elsewhere"))
+
+
+def test_min_cost_reach_rejects_unknown_cost_keys(ex1):
+    with pytest.raises(UnknownTransition, match="t99"):
+        min_cost_reach(ex1.net, ex1.initial, {"t1": 1, "t99": 5, "t98": 1},
+                       Marking.of("p_final"))
 
 
 def test_optimal_alignment_deviating_trace(ex1):
@@ -516,6 +522,10 @@ def test_exact_rational_costs(ex1):
         assert got == optimal_alignment(trace, ex1, fractions)
         assert dispatch_align(trace, ex1, numbers).cost == got.cost
         assert type(got.cost) is Fraction
+        # The oracle and the replay price the same exact values.
+        for cost in (brute_force_oracle(trace, ex1, numbers),
+                     validate_alignment(got.alignment, trace, ex1, numbers)):
+            assert cost == got.cost and type(cost) is Fraction
     assert optimal_alignment(TRACE, ex1, numbers).cost.denominator == 2**55
 
 

@@ -98,6 +98,10 @@ def test_parse_cost_file_errors(ex1):
         parse_cost_file("model nosuch 1\n", ex1)
     with pytest.raises(ParseError):
         parse_cost_file("log a -3\n", ex1)
+    # An unknown transition, one carrying another label, and a silent one.
+    for line in ("sync a t99 1/2", "sync b t1 5", "sync a t4 1"):
+        with pytest.raises(ParseError, match=r"\(line 2\)"):
+            parse_cost_file(f"log a 2\n{line}\n", ex1)
 
 
 SCANNER_TEXT = """\
