@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .costs import CostFunction, Move, standard_costs
-from .engine import AlignResult, _MoveTable
+from .engine import AlignResult, _MoveTable, _plan
 from .errors import BudgetExceeded, Infeasible, NotAcyclic, StuckContradiction
-from .petri import (AcceptingSystem, Marking, PetriNet, incidence_matrix, fire,
-                    fire_sequence)
+from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
+                    _schedule_counts, fire, fire_sequence, incidence_matrix)
 from .products import product_parts, synchronous_product, trace_system
 
 
@@ -31,7 +31,9 @@ def realize_parikh_acyclic(net: PetriNet, m0: Marking,
 
     Greedy: repeatedly fire the first enabled transition with remaining count.
     On structurally acyclic nets this always exhausts a marking-equation
-    solution; getting stuck signals a violated precondition.
+    solution; getting stuck signals a violated precondition.  Greedy on
+    purpose: on an unrealizable vector over n independent transitions,
+    backtracking (`_schedule_counts`) would search 2^n states, not n + 1.
     """
     remaining = {}
     for t, n in x.items():
@@ -57,46 +59,6 @@ def realize_parikh_acyclic(net: PetriNet, m0: Marking,
             raise StuckContradiction(
                 f"no enabled transition with remaining count at {m!r}")
     return tuple(seq)
-
-
-def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int],
-                     step_budget: int) -> tuple[str, ...] | None:
-    """Backtracking scheduler: some firing order exhausting x, or None.
-
-    The marking after any prefix depends only on the remaining counts, so dead
-    remaining-count vectors are memoized.  More than step_budget recursion
-    steps raise BudgetExceeded.
-    """
-    items = sorted(t for t, n in x.items() if n)
-    remaining = {t: x[t] for t in items}
-    seq: list[str] = []
-    dead: set[tuple[int, ...]] = set()
-    steps = 0
-
-    def rec(m: Marking) -> bool:
-        nonlocal steps
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded(steps, what="schedule steps")
-        if not remaining:
-            return True
-        state = tuple(remaining.get(t, 0) for t in items)
-        if state in dead:
-            return False
-        for t in items:
-            if remaining.get(t, 0) and all(m[p] > 0 for p in net.preset(t)):
-                remaining[t] -= 1
-                if remaining[t] == 0:
-                    del remaining[t]
-                seq.append(t)
-                if rec(fire(net, m, t)):
-                    return True
-                seq.pop()
-                remaining[t] = remaining.get(t, 0) + 1
-        dead.add(state)
-        return False
-
-    return tuple(seq) if rec(m0) else None
 
 
 def _firing_caps(net: PetriNet, initial: Marking) -> dict[str, float]:
@@ -128,7 +90,7 @@ def _variable_order(net: PetriNet) -> list[str]:
 
 def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
                      weight: Mapping[str, int], bounds_by_tid: Mapping[str, float],
-                     node_budget: int):
+                     state_budget: int):
     """Branch-and-bound for a cost-minimal realizable solution of the marking
     equation; returns (cost, counts, sequence, nodes) or raises Infeasible."""
     matrix = incidence_matrix(net)
@@ -186,7 +148,7 @@ def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
             if any(residual.values()):
                 return
             counts = {variables[j]: assignment[j] for j in range(n) if assignment[j]}
-            seq = _schedule_counts(net, initial, counts, node_budget)
+            seq = _schedule_counts(net, initial, counts, state_budget)
             if seq is not None:
                 best[0] = partial_cost
                 best[1] = counts
@@ -198,7 +160,7 @@ def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
         count = 0
         while count <= bounds[i]:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > state_budget:
                 raise BudgetExceeded(nodes, what="search nodes")
             cost2 = partial_cost + count * w
             # Larger counts only cost more once w > 0.
@@ -228,14 +190,14 @@ def _min_cost_parikh(net: PetriNet, initial: Marking, final: Marking,
 
 def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
                               c: CostFunction | None = None,
-                              node_budget: int = 10**6) -> AlignResult:
+                              state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
     """Optimal alignment for acyclic systems via the marking-equation solver.
 
-    node_budget bounds the branch-and-bound nodes and, separately, the
-    recursion steps of each candidate's scheduling.
+    state_budget bounds the branch-and-bound nodes and, separately, the
+    recursion steps of each candidate's scheduling (`_schedule_counts`).
     """
     net = sys.net
-    if len(net.topological_order()) != len(net.places) + len(net.transitions):
+    if not _plan(sys).structure.acyclic:
         raise NotAcyclic("model net has a cycle")
     if c is None:
         c = standard_costs(sys)
@@ -265,7 +227,7 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
 
     cost, counts, seq, nodes = _min_cost_parikh(
         product.net, product.initial, product.final, weight, bounds_by_tid,
-        node_budget)
+        state_budget)
     end = fire_sequence(product.net, product.initial, seq)
     if end != product.final:
         raise StuckContradiction("scheduled sequence does not reach the final marking")

@@ -87,9 +87,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    if args.nodes is not None and args.algo != "acyclic":
-        print("error: --nodes applies to --algo acyclic only", file=sys.stderr)
-        return USAGE_ERROR
     sys_ = _load_system(args.net)
     trace = parse_trace(args.trace)
     c = standard_costs(sys_)
@@ -102,8 +99,7 @@ def _cmd_align(args) -> int:
     elif args.algo == "ssystem":
         result = optimal_alignment_ssystem(trace, sys_, c, state_budget=args.states)
     else:
-        nodes = DEFAULT_STATE_BUDGET if args.nodes is None else args.nodes
-        result = optimal_alignment_acyclic(trace, sys_, c, node_budget=nodes)
+        result = optimal_alignment_acyclic(trace, sys_, c, state_budget=args.states)
     print(f"cost={result.cost}")
     print(f"algorithm={result.algorithm}")
     print(f"states={result.states_expanded}")
@@ -197,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conformance checking for Petri-net process models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_states(p):
+    def add_states(p, what="states explored"):
         p.add_argument("--states", type=_budget, default=DEFAULT_STATE_BUDGET,
-                       help="state exploration budget")
+                       help=f"search budget: {what} (default 10^6)")
 
     p = sub.add_parser("classify", help="structural and behavioral class report")
     p.add_argument("net")
@@ -214,11 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "generic", "ssystem", "acyclic"),
                    default="auto")
     p.add_argument("--costs", help="cost override file")
-    p.add_argument("--nodes", type=_budget, default=None,
-                   help="node budget for --algo acyclic (and for each of its "
-                        "schedulings; default 10^6); an error with any other "
-                        "--algo")
-    add_states(p)
+    add_states(p, "states explored; with --algo acyclic, branch-and-bound "
+                  "nodes and, separately, the steps of each scheduling")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("member", help="language membership of a trace")
@@ -232,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="comma-separated transition ids")
     p.add_argument("--bound", type=_budget, default=1, help="place bound b")
     p.add_argument("--budget", type=_budget, default=200_000,
-                   help="permutation search budget")
+                   help="recursion steps of the ordered-permutation search")
     p.set_defaults(func=_cmd_shorten)
 
     p = sub.add_parser("gen", help="generate instance nets")

@@ -56,7 +56,9 @@ class CostFunction:
 
     Unlisted moves fall back to the standard cost function: 0 for synchronous
     and silent model moves, 1 for log moves and visible model moves.
-    Overrides are stored as the `Fraction`s they equal exactly.
+    Overrides are stored as the `Fraction`s they equal exactly.  A model or
+    sync override of a transition not in `labels` raises UnknownTransition,
+    and a sync override (a, t) where t is not labelled a raises ValueError.
     """
 
     labels: Mapping[str, Label]
@@ -70,6 +72,14 @@ class CostFunction:
             if any(v < 0 for v in table.values()):
                 raise ValueError("costs must be non-negative")
             object.__setattr__(self, name, {k: Fraction(v) for k, v in table.items()})
+        # Log keys stay free: a letter the model lacks is still a legal log move.
+        for t in [*self.model_overrides, *(t for _, t in self.sync_overrides)]:
+            if t not in self.labels:
+                raise UnknownTransition(t)
+        for a, t in self.sync_overrides:
+            if self.labels[t].silent or self.labels[t].name != a:
+                raise ValueError(f"({a!r}, {t!r}) is no synchronous move: "
+                                 f"{t} is labelled {self.labels[t]}")
 
     def sync(self, label: str, transition: str) -> Fraction:
         return self.sync_overrides.get((label, transition), _FREE)

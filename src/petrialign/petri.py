@@ -568,6 +568,51 @@ def fire_sequence(net: PetriNet, marking: Marking, seq: Iterable[str]) -> Markin
     return current
 
 
+def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int], step_budget: int,
+                     before: Mapping[str, Iterable[str]] | None = None
+                     ) -> tuple[str, ...] | None:
+    """A firing sequence from m0 that fires each t exactly x[t] times, or None.
+
+    Backtracking over the transitions in declaration order; with `before`, t
+    fires only once every transition in before[t] has used up its count.  The
+    counts still to fire decide the marking and what `before` allows, so dead
+    states are remembered by those counts alone.  More than step_budget
+    recursion steps raise BudgetExceeded.
+    """
+    items = [t for t in net.transitions if x.get(t)]
+    remaining = [x[t] for t in items]
+    waits = [[items.index(u) for u in (before or {}).get(t, ()) if u in items]
+             for t in items]
+    total = sum(remaining)
+    seq: list[str] = []
+    dead: set[tuple[int, ...]] = set()
+    steps = 0
+
+    def rec(m: Marking) -> bool:
+        nonlocal steps
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceeded(steps, what="schedule steps")
+        if len(seq) == total:
+            return True
+        state = tuple(remaining)
+        if state in dead:
+            return False
+        for i, t in enumerate(items):
+            if remaining[i] and not any(remaining[j] for j in waits[i]) \
+                    and all(m[p] > 0 for p in net.preset(t)):
+                remaining[i] -= 1
+                seq.append(t)
+                if rec(fire(net, m, t)):
+                    return True
+                seq.pop()
+                remaining[i] += 1
+        dead.add(state)
+        return False
+
+    return tuple(seq) if rec(m0) else None
+
+
 def parikh(seq: Iterable[str]) -> dict[str, int]:
     """Occurrence counts per transition id."""
     return dict(Counter(seq))

@@ -10,12 +10,12 @@ b*|T|*(|T|+1)*(|T|+2)/6.  Every rearrangement is verified by replay.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (BoundAssumptionViolated, NotBiased, NotReplayable)
-from .petri import (Marking, PetriNet, fire, fire_sequence, parikh,
+from .errors import (BoundAssumptionViolated, BudgetExceeded, NotBiased,
+                     NotReplayable)
+from .petri import (Marking, PetriNet, _schedule_counts, fire_sequence, parikh,
                     parikh_dominated)
 
 
@@ -163,59 +163,6 @@ class ShortenResult:
     search_exhausted: bool = False
 
 
-def _ordered_permutation(net: PetriNet, marking: Marking, seq: Sequence[str],
-                         order: ConflictOrder, budget: int) -> tuple[str, ...] | None:
-    """Backtracking search for a replayable permutation of seq that is ordered
-    with respect to the conflict order.  Returns None when the budget runs out;
-    dead (marking, remainder) states are memoized."""
-    total = len(seq)
-    counts = Counter(seq)
-    items = sorted(counts)
-    by_cluster: dict[int, list[str]] = {}
-    for t in items:
-        by_cluster.setdefault(order.cluster_of[t], []).append(t)
-    failed: set[tuple[Marking, tuple[int, ...]]] = set()
-    chosen: list[str] = []
-    nodes = 0
-
-    def key(m):
-        return (m, tuple(counts[t] for t in items))
-
-    def placeable(t) -> bool:
-        # All strictly smaller cluster mates must be exhausted first.
-        for u in by_cluster[order.cluster_of[t]]:
-            if u != t and counts[u] > 0 and order.precedes(u, t):
-                return False
-        return True
-
-    def rec(m) -> bool:
-        nonlocal nodes
-        if len(chosen) == total:
-            return True
-        state = key(m)
-        if state in failed:
-            return False
-        nodes += 1
-        if nodes > budget:
-            return False
-        for t in net.transitions:
-            if counts[t] > 0 and placeable(t) and \
-                    all(m[p] > 0 for p in net.preset(t)):
-                counts[t] -= 1
-                chosen.append(t)
-                if rec(fire(net, m, t)):
-                    return True
-                chosen.pop()
-                counts[t] += 1
-        if nodes <= budget:
-            failed.add(state)
-        return False
-
-    if rec(marking):
-        return tuple(chosen)
-    return None
-
-
 def _split_biased_segments(net: PetriNet, seq: Sequence[str]) -> list[tuple[str, ...]]:
     """Split into maximal prefixes that are biased."""
     segments: list[tuple[str, ...]] = []
@@ -245,8 +192,9 @@ def shorten_lbfc(net: PetriNet, marking: Marking, seq: Sequence[str], bound: int
     dominated Parikh vector.
 
     The caller asserts the class preconditions; the construction itself is
-    replay-verified, and when the ordered-permutation search exhausts its
-    budget the original sequence is returned flagged."""
+    replay-verified.  When the ordered-permutation search takes more than
+    search_budget recursion steps, the original sequence is returned flagged;
+    when no ordered permutation exists, BoundAssumptionViolated is raised."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     seq = tuple(seq)
@@ -259,11 +207,20 @@ def shorten_lbfc(net: PetriNet, marking: Marking, seq: Sequence[str], bound: int
     if not seq:
         return ShortenResult((), 0, 0, bound_value)
 
+    # A replayable permutation of seq ordered by the conflict order: within a
+    # cluster, a transition fires only once its predecessors have used up
+    # their counts.
     order = conflict_order_from_sequence(net, seq)
-    permuted = _ordered_permutation(net, marking, seq, order, search_budget)
-    if permuted is None:
+    counts = parikh(seq)
+    before = {t: [u for u in counts if order.precedes(u, t)] for t in counts}
+    try:
+        permuted = _schedule_counts(net, marking, counts, search_budget, before)
+    except BudgetExceeded:
         return ShortenResult(seq, len(seq), len(seq), bound_value,
                              search_exhausted=True)
+    if permuted is None:
+        raise BoundAssumptionViolated("no replayable permutation follows the conflict "
+                                      "order: the system is not live, bounded and free-choice")
 
     result: list[str] = []
     current = marking

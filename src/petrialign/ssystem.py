@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .costs import CostFunction
-from .engine import AlignResult, align_by_search
+from .engine import AlignResult, _plan, align_by_search
 from .errors import NotSingleToken, NotSSystem
 from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem
 
@@ -21,9 +21,7 @@ def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
                               c: CostFunction | None = None,
                               state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
     """Optimal alignment for a single-token S-system."""
-    net = sys.net
-    if not all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1
-               for t in net.transitions):
+    if not _plan(sys).structure.s_net:
         raise NotSSystem("every transition needs at most one input and one output place")
     if sys.initial.total() != 1:
         raise NotSingleToken(f"initial marking holds {sys.initial.total()} tokens")
@@ -32,5 +30,5 @@ def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
     # no input place makes the net unbounded.  Then the bound may cut the
     # search short: it returns an optimal alignment if it settles the final
     # state within the bound and raises BudgetExceeded otherwise.
-    bound = (len(trace) + 1) * (len(net.places) + 1)
+    bound = (len(trace) + 1) * (len(sys.net.places) + 1)
     return align_by_search(trace, sys, c, min(state_budget, bound), "ssystem")

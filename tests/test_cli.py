@@ -13,6 +13,12 @@ from petrialign.cli import run_cli
 PUMP = "place p init=1 final=1\nplace q\ntrans t label=a in=p out=p,q\n"
 # An acyclic fork whose final marking, q alone, is unreachable.
 FORK = "place p init=1\nplace q final=1\nplace r\ntrans t label=a in=p out=q,r\n"
+# Free-choice but unbounded (r2 pumps): no permutation of b,d,a,c,b,d both
+# replays and follows the conflict order, where a must use up its count
+# before b fires.
+UNORDERED = ("place p init=1\nplace q\nplace r\nplace r2\n"
+             "trans a label=a in=p out=q\ntrans b label=b in=p out=r\n"
+             "trans c label=c in=q,r2 out=p\ntrans d label=d in=r out=p,r2\n")
 # A machine that accepts at once.
 TM = ("states q0 qacc qrej\nblank _\ntape a _\nspace 1\n"
       "delta q0 a -> qacc _ S\ndelta q0 _ -> qacc _ S\n")
@@ -87,19 +93,25 @@ def shuffle_path(tmp_path):
 
 
 def test_nodes_budgets_algo_acyclic(shuffle_path, capsys):
+    """--states bounds the branch-and-bound nodes of --algo acyclic."""
     code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
                        "--algo", "acyclic")
     assert code == 0
     assert out.splitlines()[:2] == ["cost=0", "algorithm=acyclic"]
     nodes = int(out.splitlines()[2].removeprefix("states="))
     code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
-                       "--algo", "acyclic", "--nodes", str(nodes))
+                       "--algo", "acyclic", "--states", str(nodes))
     assert code == 0
     assert out.splitlines()[2] == f"states={nodes}"
     code, _, err = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
-                       "--algo", "acyclic", "--nodes", str(nodes - 1))
+                       "--algo", "acyclic", "--states", str(nodes - 1))
     assert code == 3
     assert err
+    code, out, err = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
+                         "--algo", "acyclic", "--states", "1")
+    assert code == 3
+    assert out == ""
+    assert "search nodes" in err
 
 
 def test_align_exit_codes_on_acyclic_dispatch(shuffle_path, tmp_path, capsys):
@@ -115,8 +127,9 @@ def test_align_exit_codes_on_acyclic_dispatch(shuffle_path, tmp_path, capsys):
     assert out.splitlines()[1] == "algorithm=generic"
 
 
-@pytest.mark.parametrize("algo", [None, "auto", "generic", "ssystem"])
+@pytest.mark.parametrize("algo", [None, "auto", "generic", "ssystem", "acyclic"])
 def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys):
+    """There is no --nodes option: --states bounds every --algo."""
     argv = ["align", str(shuffle_path), "--trace", "a,c,b", "--nodes", "5"]
     if algo is not None:
         argv += ["--algo", algo]
@@ -128,7 +141,7 @@ def test_nodes_is_a_usage_error_without_algo_acyclic(algo, shuffle_path, capsys)
 
 @pytest.mark.parametrize("command, option", [
     ("classify", "--states"), ("align", "--states"), ("member", "--states"),
-    ("bench", "--states"), ("align", "--nodes"), ("shorten", "--budget"),
+    ("bench", "--states"), ("shorten", "--budget"),
     ("shorten", "--bound"), ("classify", "--bound"), ("gen", "--steps")])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, tmp_path,
@@ -139,8 +152,6 @@ def test_budgets_below_one_are_usage_errors(command, option, value, ex1_path, tm
             "member": [str(ex1_path), "--trace", "a,b"], "bench": [],
             "shorten": [str(ex1_path), "--seq", "t1,t2,t3,t5"],
             "gen": ["tm", str(machine)]}[command]
-    if option == "--nodes":
-        argv += ["--algo", "acyclic"]
     code, out, err = run(capsys, command, *argv, f"{option}={value}")
     assert code == 2
     assert out == ""
@@ -283,6 +294,16 @@ def test_shorten_budget_flag(ex1_path, capsys):
     assert code == 3
     assert "original_length=12" in out
     assert err
+
+
+def test_shorten_without_an_ordered_permutation_exits_4(tmp_path, capsys):
+    net = tmp_path / "unordered.net"
+    net.write_text(UNORDERED)
+    code, out, err = run(capsys, "shorten", str(net), "--seq", "b,d,a,c,b,d",
+                         "--bound", "2")
+    assert code == 4
+    assert out == ""
+    assert "conflict order" in err
 
 
 def test_bench_table(capsys):

@@ -6,7 +6,7 @@ from petrialign import (AcceptingSystem, CostFunction, Label, Marking, Move,
                         PetriNet, parse_cost, render_alignment, standard_costs,
                         validate_alignment)
 from petrialign.errors import (IllegalMove, NotCompleteFiringSequence,
-                               ProjectionMismatch)
+                               ProjectionMismatch, UnknownTransition)
 
 TRACE = ("a", "b", "a", "a")
 
@@ -109,6 +109,22 @@ def test_cost_overrides_and_exactness(ex1):
         CostFunction(labels={}, model_overrides={"t1": -0.5})
     with pytest.raises(TypeError):
         CostFunction(labels={}, log_overrides={"a": "1/2"})
+
+
+def test_cost_overrides_name_legal_moves(ex1):
+    labels = dict(ex1.net.labels)
+    with pytest.raises(UnknownTransition):
+        CostFunction(labels, model_overrides={"t99": 5})
+    with pytest.raises(UnknownTransition):
+        CostFunction(labels, sync_overrides={("a", "t99"): 5})
+    # t1 carries a, and the silent t4 carries no label.
+    for key in (("b", "t1"), ("a", "t4"), (None, "t4")):
+        with pytest.raises(ValueError, match="no synchronous move"):
+            CostFunction(labels, sync_overrides={key: 7})
+    # A letter the model lacks is still a legal log move.
+    c = CostFunction(labels, log_overrides={"z": 3}, sync_overrides={("a", "t1"): 2},
+                     model_overrides={"t4": 1})
+    assert (c.log("z"), c.sync("a", "t1"), c.model("t4")) == (3, 2, 1)
 
 
 def test_render_alignment(ex1):

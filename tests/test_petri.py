@@ -6,7 +6,7 @@ from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
                         fire_sequence, incidence_matrix, parikh)
 from petrialign import petri
 from petrialign.errors import BudgetExceeded, EmptyNet, NotEnabled, UnknownTransition
-from petrialign.petri import _enabled_among, _MarkingGraph
+from petrialign.petri import _enabled_among, _MarkingGraph, _schedule_counts
 from randgen import (random_replayable_walk, random_safe_system,
                      random_single_token_ssystem)
 
@@ -304,6 +304,25 @@ def test_keyed_marking_graph_is_exact_for_any_count():
     assert i != graph.number(Marking.of("p")) and graph.markings[i] is off
     assert [graph.markings[s] for _, s in graph.row(i)] == [
         Marking({"q": 1, "elsewhere": 2}), Marking({"p": 1, "r": 1, "elsewhere": 2})]
+
+
+def test_schedule_counts_with_before():
+    """Cluster {a, b} on p; c returns q's token and d returns r's to p.
+    Declaration order gives a,c,b,d; making b use up its count before a may
+    fire gives b,d,a,c; making a wait for c, which needs a's token, leaves no
+    order at all."""
+    net = PetriNet(("p", "q", "r"), ("a", "b", "c", "d"),
+                   [("p", "a"), ("a", "q"), ("p", "b"), ("b", "r"),
+                    ("q", "c"), ("c", "p"), ("r", "d"), ("d", "p")],
+                   {t: Label(t) for t in "abcd"})
+    counts = {"a": 1, "b": 1, "c": 1, "d": 1}
+    p = Marking.of("p")
+    assert _schedule_counts(net, p, counts, 100) == ("a", "c", "b", "d")
+    assert _schedule_counts(net, p, counts, 100, {"a": ["b"]}) == ("b", "d", "a", "c")
+    assert _schedule_counts(net, p, counts, 100, {"a": ["c"]}) is None
+    assert _schedule_counts(net, p, {"a": 2, "c": 2}, 100) == ("a", "c", "a", "c")
+    with pytest.raises(BudgetExceeded, match="schedule steps"):
+        _schedule_counts(net, p, counts, 4, {"a": ["b"]})
 
 
 def test_topological_order_is_last_in_first_out():

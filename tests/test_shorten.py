@@ -5,7 +5,7 @@ import pytest
 from petrialign import (Label, Marking, PetriNet, compute_clusters,
                         conflict_order_from_sequence, fire_sequence,
                         is_biased, parikh, shorten_biased, shorten_lbfc)
-from petrialign.errors import NotBiased, NotReplayable
+from petrialign.errors import BoundAssumptionViolated, NotBiased, NotReplayable
 from petrialign.petri import parikh_dominated
 from randgen import marked_cycle_tsystem, random_replayable_walk
 
@@ -123,6 +123,24 @@ def test_shorten_lbfc_budget_flag(ex1):
     result = shorten_lbfc(ex1.net, ex1.initial, seq, 1, search_budget=1)
     assert result.search_exhausted
     assert result.sequence == seq
+
+
+def test_shorten_lbfc_without_an_ordered_permutation():
+    """A free-choice net that is not bounded (r2 pumps): within cluster {a, b}
+    a must use up its count before b fires, and no permutation of the run
+    does that and replays.  That is a failed precondition, not a budget
+    overrun, whatever the budget."""
+    net = PetriNet(("p", "q", "r", "r2"), ("a", "b", "c", "d"),
+                   [("p", "a"), ("a", "q"), ("p", "b"), ("b", "r"),
+                    ("q", "c"), ("r2", "c"), ("c", "p"),
+                    ("r", "d"), ("d", "p"), ("d", "r2")],
+                   {t: Label(t) for t in "abcd"})
+    seq = ("b", "d", "a", "c", "b", "d")
+    for budget in (200_000, 2):
+        with pytest.raises(BoundAssumptionViolated, match="conflict order"):
+            shorten_lbfc(net, Marking.of("p"), seq, 2, search_budget=budget)
+    assert shorten_lbfc(net, Marking.of("p"), seq, 2,
+                        search_budget=1).search_exhausted
 
 
 @pytest.mark.parametrize("bound", [0, -3])
