@@ -4,13 +4,14 @@ Three instances: the cyclic running example (generic product search), a
 single-token S-system cycle (the same search under its polynomial state
 bound), and an acyclic shuffle net (the generic search too; the
 marking-equation branch-and-bound is reached only by calling
-`optimal_alignment_acyclic`).  The brute-force oracle cross-checks every
-optimum.
+`optimal_alignment_acyclic`).  The length cap of live bounded free-choice
+systems is asked for separately, through `lbfc_cap`.  The brute-force
+oracle cross-checks every optimum.
 """
 
 from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
                         brute_force_oracle, dispatch_align, ex1_system,
-                        gen_shuffle_tsystem)
+                        gen_shuffle_tsystem, lbfc_cap)
 
 cycle_net = PetriNet(
     ("p0", "p1"), ("ta", "tb"),
@@ -27,7 +28,8 @@ instances = [
 for name, system, trace in instances:
     result = dispatch_align(trace, system)
     oracle = brute_force_oracle(trace, system)
-    cap = f", length cap {result.lbfc_cap}" if result.lbfc_cap else ""
+    bound = lbfc_cap(system, len(trace))
+    cap = f", length cap {bound}" if bound else ""
     print(f"{name}: trace {','.join(trace)}")
     print(f"  routed to {result.algorithm}: cost {result.cost} "
           f"({result.states_expanded} states{cap})")

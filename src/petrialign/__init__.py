@@ -2,8 +2,8 @@
 
 Computes optimal alignments between observed traces and accepting systems,
 routing each to a generic cost-minimal reachability search or a polynomial
-S-system solver and attaching a length cap on the free-choice route; an
-acyclic marking-equation solver is available on request.  Also classifies
+S-system solver; an acyclic marking-equation solver and the length cap of
+live bounded free-choice systems are available on request.  Also classifies
 nets, shortens firing sequences, translates process trees, and generates
 hardness instances.
 """
@@ -14,7 +14,7 @@ from .classify import (BehavioralReport, BoundReport, StructuralReport,
 from .costs import (Alignment, Cost, CostFunction, Move, parse_cost,
                     render_alignment, standard_costs, validate_alignment)
 from .engine import (AlignResult, Budgets, brute_force_oracle, dispatch_align,
-                     lbfc_length_bound, membership, min_cost_reach,
+                     lbfc_cap, lbfc_length_bound, membership, min_cost_reach,
                      optimal_alignment)
 from .fixtures import ex1_acyclic_system, ex1_system
 from .generators import (GadgetRecord, MachineRun, TuringMachine,

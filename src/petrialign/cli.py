@@ -14,7 +14,7 @@ from pathlib import Path
 from . import errors
 from .classify import DEFAULT_B_MAX, _bounded_then_behavioral, structural_class
 from .costs import render_alignment, standard_costs
-from .engine import Budgets, dispatch_align, membership, optimal_alignment
+from .engine import Budgets, dispatch_align, lbfc_cap, membership, optimal_alignment
 from .acyclic import optimal_alignment_acyclic
 from .generators import gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet
 from .netio import parse_cost_file, parse_net, parse_tm, parse_trace, serialize_net
@@ -103,8 +103,8 @@ def _cmd_align(args) -> int:
     print(f"cost={result.cost}")
     print(f"algorithm={result.algorithm}")
     print(f"states={result.states_expanded}")
-    if result.lbfc_cap is not None:
-        print(f"lbfc_cap={result.lbfc_cap}")
+    if args.algo == "auto" and (cap := lbfc_cap(sys_, len(trace), args.states)) is not None:
+        print(f"lbfc_cap={cap}")
     block = render_alignment(result.alignment, sys_)
     if block:
         print(block)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -31,7 +31,6 @@ class AlignResult:
     cost: Fraction
     algorithm: str
     states_expanded: int
-    lbfc_cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,18 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     when none carries it), and model holds one (weight, rank, move) entry
     per transition in declaration order.  A state yields its moves in the
     product's declaration order: sync moves on the next letter, the log
-    move, then model moves.  Frontier entries expand in (cost, rank,
-    insertion) order, which pins down a reproducible witness.
+    move, then model moves.  Frontier entries expand in (cost, later trace
+    position, rank, insertion) order, which pins down a reproducible witness
+    and, as A*-based alignment does, reads on along a tie of costs.
     Ranks follow the tie-break keys (kind, id): sync before model before log
     moves, ids in string order ("t10" < "t2").  With T transitions, sync
     ranks lie in [0, T), model ranks in [T, 2T), and the log move at
     position i ranks from 2T up by the id f"t{i + 1}" that trace_system
     gives it.  Returns (cost, moves, settled).
 
-    Heap entries are (cost * radix + rank, counter, position, marking
-    number), radix > every rank; `best` keys a state by marking number *
-    (len(trace) + 1) + position.  A pop is stale iff its cost is not best.
+    Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
+    pos, marking number), n = len(trace), radix > every rank; `best` keys a
+    state by marking number * (n + 1) + pos; a pop whose cost is not best is stale.
 
     Markings are numbered, and their enabled transitions read, through
     `graph` (see `_MarkingGraph`), a fresh one when None.  Each settled state
@@ -78,20 +78,22 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
     letters, model = moves
     n = len(trace)
     width = n + 1
+    radix = 2 * len(model) + n + 1   # above every rank, and at least 1
+    span = radix * width             # one unit of cost
     # The log move at position i (from 1) ranks by its id f"t{i}" as a string.
     log_ranks = {i: r for r, i in enumerate(sorted(range(1, n + 1), key=str), 2 * len(model))}
-    # What the search reads at each position.
-    at = [(*letters[a], log_ranks[i]) for i, a in enumerate(trace, 1)]
-    radix = 2 * len(model) + n + 1   # above every rank, and at least 1
+    # What the search reads at each position, with the priority offset of a
+    # state at the next position.
+    at = [(*letters[a], log_ranks[i], (n - i) * radix) for i, a in enumerate(trace, 1)]
     start = graph.number(initial)
     goal = graph.number(final) * width + n
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
-    heap: list = [(0, 0, 0, start)]
+    heap: list = [(n * radix, 0, 0, start)]
     counter = 1
     settled = 0
     while heap:
         priority, _, pos, m = heappop(heap)
-        cost = priority // radix
+        cost = priority // span
         state = m * width + pos
         if best[state][0] != cost:
             continue
@@ -109,7 +111,7 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
         if row is None:
             row = expand(m)
         if pos < n:
-            entries, w, move, log_rank = at[pos]
+            entries, w, move, log_rank, later = at[pos]
             if entries:
                 for t, s in row:
                     entry = entries[t]
@@ -121,14 +123,15 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
                     old = best.get(nxt)
                     if old is None or nc < old[0]:
                         best[nxt] = (nc, state, smove)
-                        heappush(heap, (nc * radix + rank, counter, pos + 1, s))
+                        heappush(heap, (nc * span + later + rank, counter, pos + 1, s))
                         counter += 1
             nc = cost + w
             old = best.get(state + 1)
             if old is None or nc < old[0]:
                 best[state + 1] = (nc, state, move)
-                heappush(heap, (nc * radix + log_rank, counter, pos + 1, m))
+                heappush(heap, (nc * span + later + log_rank, counter, pos + 1, m))
                 counter += 1
+        here = (n - pos) * radix
         for t, s in row:
             w, rank, move = model[t]
             nc = cost + w
@@ -136,7 +139,7 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
             old = best.get(nxt)
             if old is None or nc < old[0]:
                 best[nxt] = (nc, state, move)
-                heappush(heap, (nc * radix + rank, counter, pos, s))
+                heappush(heap, (nc * span + here + rank, counter, pos, s))
                 counter += 1
     raise Unreachable(f"marking {final!r} is not reachable")
 
@@ -228,29 +231,29 @@ class _Plan:
     that both compute one agree.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
-    `align_by_search` returned for it under the standard costs, `lbfc_cap`
-    unset: a repeated trace gets it back with no search.  The route is the
-    solver's algorithm name and the budget the one its search ran under.
+    `align_by_search` returned for it under the standard costs: a repeated
+    trace gets it back with no search.  The route is the solver's algorithm
+    name and the budget the one its search ran under.
     Calls with the caller's costs and calls that raise store nothing.  A
     result's size is the number of states on its path, its moves plus one,
     which is at most the states its search settled.
 
-    The LBFC cap needs the bound and whether the system is live, or sound
-    and workflow-shaped, and nothing else of `behavioral_class`'s report:
-    `classify._lbfc_bound` reads them off the decision that report is built
-    on (`classify._analysis`), in one walk over the model graph's rows, with
-    no certificate.
+    The LBFC cap, which only `lbfc_cap` asks for, needs the bound and
+    whether the system is live, or sound and workflow-shaped: nothing else
+    of `behavioral_class`'s report.  `classify._lbfc_bound` reads them off
+    the decision that report is built on (`classify._analysis`), in one
+    walk over the model graph's rows, with no certificate.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
     LBFC cap's walk, the alignment searches and the membership calls on the
     system find, and keeps per marking its row: the enabled transitions,
-    each with the number of the marking it leads to.  The cap's walk fills
-    the rows of every reachable marking within its budget, so the searches
-    and membership calls that follow read them instead of firing again.  It
-    holds no weight, so calls with the standard costs and calls with their
-    own costs share it; weights come from the move tables.  Membership
-    walks the graph's subset automaton, whose states are sets of marking
-    numbers closed under silent rows (see `_MarkingGraph` and `membership`).
+    each with the number of the marking it leads to.  The rows that a
+    search, or the cap's walk, fills are read by the calls that follow
+    instead of firing again.  It holds no weight, so calls with the standard
+    costs and calls with their own costs share it; weights come from the
+    move tables.  Membership walks the graph's subset automaton, whose
+    states are sets of marking numbers closed under silent rows (see
+    `_MarkingGraph` and `membership`).
 
     One rule bounds what the plan keeps: each call first asks for the model
     graph with its state budget, and `model_graph` replaces the graph by an
@@ -309,9 +312,7 @@ class _Plan:
         return graph
 
     def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
-        """The alignment-length cap for a trace of `trace_len` letters on a
-        live (or sound workflow-shaped) bounded free-choice system, or None
-        when it does not apply or its walk exceeds the budget."""
+        """`lbfc_cap`'s answer, its walk made once per state budget."""
         if state_budget not in self._lbfc:
             base = None
             srep = self.structure
@@ -393,7 +394,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     Reads synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The word is walked on the
     subset automaton of the plan's model graph (see `_MarkingGraph`), which
-    the LBFC cap's walk and the alignment searches on the system share: one
+    the alignment searches and the LBFC cap's walk on the system share: one
     dict lookup per letter once the steps are made, and the verdict is
     whether the last state holds the final marking.  A step or the start
     that no call has made yet is made from the rows, under a ceiling on the
@@ -481,6 +482,15 @@ def lbfc_length_bound(t_count: int, b: int, trace_len: int) -> int:
     if b < 1:
         raise ValueError("bound must be >= 1")
     return (trace_len + 1) * (b * t_count * (t_count + 1) * (t_count + 2) // 6 + 1)
+
+
+def lbfc_cap(sys: AcceptingSystem, trace_len: int,
+             state_budget: int = DEFAULT_STATE_BUDGET) -> int | None:
+    """The length cap for `trace_len` letters on a live (or sound workflow-shaped)
+    bounded free-choice system; None otherwise or when its walk passes the budget."""
+    if trace_len < 0:
+        raise ValueError("trace_len must be non-negative")
+    return _plan(sys).lbfc_cap(state_budget, trace_len)
 
 
 def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
@@ -584,21 +594,14 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     capped at (|trace| + 1)(|P| + 1) states); every other system, acyclic
     ones included, goes to the generic search, bounded by `budgets.states`.
     The acyclic marking-equation solver is reached only by calling
-    `optimal_alignment_acyclic`.  For live (or sound workflow-shaped) bounded
-    free-choice systems an alignment-length certificate cap is attached.
-    Consecutive calls on one system classify it once, and search a trace
-    they repeat under the standard costs once; only the last system is
-    remembered.
+    `optimal_alignment_acyclic`, and the LBFC cap, a reachability walk, by
+    calling `lbfc_cap`.  Consecutive calls on one system classify it once,
+    structurally, and search a trace they repeat under the standard costs
+    once; only the last system is remembered.
     """
     from .ssystem import optimal_alignment_ssystem
 
-    trace = tuple(trace)
-    if budgets is None:
-        budgets = Budgets()
-    plan = _plan(sys)
-    cap = plan.lbfc_cap(budgets.states, len(trace))
-    if plan.structure.s_net and sys.initial.total() == 1:
-        result = optimal_alignment_ssystem(trace, sys, c, state_budget=budgets.states)
-    else:
-        result = optimal_alignment(trace, sys, c, state_budget=budgets.states)
-    return replace(result, lbfc_cap=cap)
+    states = (budgets or Budgets()).states
+    if _plan(sys).structure.s_net and sys.initial.total() == 1:
+        return optimal_alignment_ssystem(trace, sys, c, state_budget=states)
+    return optimal_alignment(trace, sys, c, state_budget=states)

@@ -7,9 +7,9 @@ from __future__ import annotations
 import random
 
 from petrialign import (AcceptingSystem, Label, Marking, Move, PetriNet,
-                        ProcessTree, enabled_transitions, fire, min_cost_reach,
-                        product_parts, standard_costs, synchronous_product,
-                        trace_system)
+                        ProcessTree, brute_force_oracle, enabled_transitions, fire,
+                        min_cost_reach, product_parts, standard_costs,
+                        synchronous_product, trace_system, validate_alignment)
 from petrialign.classify import bounded_and_safe
 from petrialign.errors import BudgetExceeded
 from petrialign.products import build_reachability_graph
@@ -231,3 +231,14 @@ def product_search_cost(trace, system, c=None):
 def render_moves(alignment):
     """Compact one-line form of an alignment: log/model per move, >> for none."""
     return " ".join(f"{m.log_part or '>>'}/{m.model_part or '>>'}" for m in alignment)
+
+
+def assert_pinned(result, trace, system, costs, expected):
+    """The result is the pinned (cost, states, moves), and its alignment is
+    valid and of the oracle's optimal cost, so a new pin can change a
+    witness but never a cost.  `costs` None means the standard costs."""
+    assert (str(result.cost), result.states_expanded,
+            render_moves(result.alignment)) == expected
+    costs = costs or standard_costs(system)
+    assert validate_alignment(result.alignment, trace, system, costs) == result.cost \
+        == brute_force_oracle(trace, system, costs)

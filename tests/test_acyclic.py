@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -145,7 +144,7 @@ def test_dispatch_sends_acyclic_systems_to_the_search():
         trace = random_trace(rng, max_len=4)
         routed = dispatch_align(trace, system)
         searched = optimal_alignment(trace, system)
-        assert dataclasses.replace(routed, lbfc_cap=None) == searched
+        assert routed == searched
         assert routed.algorithm == "generic"
         assert routed.cost == optimal_alignment_acyclic(trace, system).cost
         assert routed.cost == brute_force_oracle(trace, system)

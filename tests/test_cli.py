@@ -40,6 +40,17 @@ def test_align_running_example(ex1_path, capsys):
     assert len([l for l in lines if l]) >= 6   # three-row block follows
 
 
+def test_align_prints_the_cap_on_the_auto_route_only(ex1_path, capsys):
+    """`align` asks for the LBFC cap, its own call, when it dispatches."""
+    code, out, _ = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "cost=2" and lines[3] == "lbfc_cap=180"
+    code, out, _ = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a",
+                       "--algo", "generic")
+    assert code == 0 and out.splitlines()[0] == "cost=2"
+    assert not any(line.startswith("lbfc_cap=") for line in out.splitlines())
+
+
 def test_align_deterministic_output(ex1_path, capsys):
     first = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a")
     second = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a")

@@ -12,7 +12,7 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         PetriNet, behavioral_class, brute_force_oracle,
                         build_reachability_graph, dispatch_align, ex1_system,
                         fire_sequence,
-                        gen_shuffle_tsystem, lbfc_length_bound, membership,
+                        gen_shuffle_tsystem, lbfc_cap, lbfc_length_bound, membership,
                         min_cost_reach, optimal_alignment,
                         optimal_alignment_ssystem, parse_net, parse_tree,
                         serialize_net, standard_costs, trace_system,
@@ -22,8 +22,8 @@ from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, UnknownTransition, Unreachable)
 from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
-from randgen import (LABEL_POOL, make_suite, marked_cycle_tsystem,
-                     product_search_cost, random_replayable_walk,
+from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
+                     product_search_cost, random_acyclic_system, random_replayable_walk,
                      random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree, render_moves)
 
@@ -120,24 +120,23 @@ def test_zero_cost_silent_cycle_terminates():
 
 
 # Alignments and settled-state counts of the pinned tie-break: cost, then the
-# rank of the move's (kind, id) key, then insertion order (see
-# `dijkstra_least_cost`).  ex1's ids t1 to t5 sort the same as strings and in
-# declaration order; CHAINS_PINNED covers ids where the two orders differ.
+# later trace position, then the rank of the move's (kind, id) key, then
+# insertion order (see `dijkstra_least_cost`).  ex1's ids t1 to t5 sort the
+# same as strings and in declaration order; CHAINS_PINNED covers ids where
+# the two orders differ.
 EX1_PINNED = {
     (): ("4", 6, ">>/t1 >>/t2 >>/t3 >>/t5"),
-    ("a", "b", "a", "a"): ("2", 27, "a/t1 b/t3 a/t2 >>/t5 a/>>"),
+    ("a", "b", "a", "a"): ("2", 22, "a/t1 b/t3 a/t2 a/>> >>/t5"),
     ("a", "b", "a", "b"): ("0", 5, "a/t1 b/t3 a/t2 b/t5"),
     ("a", "a", "b", "b"): ("0", 5, "a/t1 a/t2 b/t3 b/t5"),
-    ("b", "b"): ("2", 7, ">>/t1 b/t3 >>/t2 b/t5"),
-    ("a", "a", "a", "b", "b", "b", "a"): ("3", 43, "a/t1 a/t2 a/>> b/t3 b/t5 b/>> a/>>"),
+    ("b", "b"): ("2", 9, ">>/t1 b/t3 >>/t2 b/t5"),
+    ("a", "a", "a", "b", "b", "b", "a"): ("3", 32, "a/t1 a/t2 a/>> b/t3 b/t5 b/>> a/>>"),
 }
 
 
 @pytest.mark.parametrize("trace", list(EX1_PINNED))
 def test_pinned_tie_break_running_example(ex1, trace):
-    result = optimal_alignment(trace, ex1)
-    assert (str(result.cost), result.states_expanded,
-            render_moves(result.alignment)) == EX1_PINNED[trace]
+    assert_pinned(optimal_alignment(trace, ex1), trace, ex1, None, EX1_PINNED[trace])
 
 
 def _four_chains():
@@ -173,12 +172,12 @@ def _coprime_costs(system):
 # t12, and log moves at positions 1 and 10 and later ("t2" against "t10").
 CHAINS_PINNED = {
     ("aabbccxaabbcc", False): (
-        "3", 1017, "a/t1 a/t4 b/t2 b/t5 c/t3 c/t6 x/>> a/t10 a/t7 >>/t11 b/t12 b/t8 c/t9 c/>>"),
+        "3", 646, "a/t1 a/t4 b/t2 b/t5 c/t3 c/t6 x/>> a/t10 a/t7 b/t8 b/>> c/t11 c/t9 >>/t12"),
     ("aabbccxaabbcc", True): (
         "319575/323323", 3584,
         ">>/t10 a/t4 a/t7 b/t5 b/t8 c/t11 c/t6 x/>> a/>> a/t1 b/t12 b/t2 c/t3 c/t9"),
     ("cabbacabcaxbc", False): (
-        "3", 862, ">>/t10 c/t11 a/t1 b/t12 b/t2 a/t4 c/t3 a/t7 b/t5 c/t6 a/>> x/>> b/t8 c/t9"),
+        "3", 412, ">>/t10 c/t11 a/t1 b/t12 b/t2 a/t4 c/t3 a/t7 b/t5 c/t6 a/>> x/>> b/t8 c/t9"),
     ("cabbacabcaxbc", True): (
         "319575/323323", 3584,
         ">>/t10 c/t11 a/t7 b/t12 b/t8 a/>> c/t9 a/t4 b/t5 c/t6 a/t1 x/>> b/t2 c/t3"),
@@ -190,21 +189,20 @@ def test_pinned_tie_break_follows_string_order(word, caller_costs):
     system = _four_chains()
     c = _coprime_costs(system) if caller_costs else None
     result = optimal_alignment(tuple(word), system, c)
-    assert (str(result.cost), result.states_expanded,
-            render_moves(result.alignment)) == CHAINS_PINNED[word, caller_costs]
+    assert_pinned(result, tuple(word), system, c, CHAINS_PINNED[word, caller_costs])
 
 
 # Per trace, the result with an ample budget, on ex1 and on three systems of
 # random_safe_system(random.Random(65), 8, 8) with random traces.
 BUDGET_PINNED = [
     [((), ("4", 6, ">>/t1 >>/t2 >>/t3 >>/t5")),
-     (TRACE, ("2", 27, "a/t1 b/t3 a/t2 >>/t5 a/>>")),
+     (TRACE, ("2", 22, "a/t1 b/t3 a/t2 a/>> >>/t5")),
      (tuple("aabaabb"), ("0", 9, "a/t1 a/t2 b/t3 >>/t4 a/t1 a/t2 b/t3 b/t5")),
-     (("z", "b"), ("4", 14, ">>/t1 z/>> b/t3 >>/t2 >>/t5"))],
-    [(tuple("bazbzc"), ("5", 32, ">>/t3 b/>> a/t0 z/>> b/>> z/>> c/>>")),
-     (tuple("baa"), ("2", 17, ">>/t3 b/>> a/t0 a/>>"))],
-    [(tuple("bb"), ("3", 11, ">>/t5 b/>> b/>>")),
-     (tuple("czbbbba"), ("6", 31, "c/t5 z/>> b/>> b/>> b/>> b/>> a/>>"))],
+     (("z", "b"), ("4", 15, "z/>> >>/t1 b/t3 >>/t2 >>/t5"))],
+    [(tuple("bazbzc"), ("5", 31, ">>/t3 b/>> a/t0 z/>> b/>> z/>> c/>>")),
+     (tuple("baa"), ("2", 14, ">>/t3 b/>> a/t0 a/>>"))],
+    [(tuple("bb"), ("3", 10, "b/>> b/>> >>/t5")),
+     (tuple("czbbbba"), ("6", 28, "c/t5 z/>> b/>> b/>> b/>> b/>> a/>>"))],
     [(tuple("caabbc"), ("6", 7, "c/>> a/>> a/>> b/>> b/>> c/>>")),
      (tuple("zzc"), ("3", 4, "z/>> z/>> c/>>"))],
 ]
@@ -226,6 +224,7 @@ def test_budget_raise_points_are_pinned():
     result."""
     for system, cases in zip(_budget_systems(), BUDGET_PINNED):
         for trace, expected in cases:
+            assert_pinned(optimal_alignment(trace, system), trace, system, None, expected)
             for budget in range(1, 31):
                 try:
                     result = optimal_alignment(trace, system, None, budget)
@@ -365,8 +364,54 @@ def test_dispatch_routes(ex1):
 
 
 def test_dispatch_attaches_lbfc_cap(ex1):
-    result = dispatch_align(TRACE, ex1)
-    assert result.lbfc_cap == 180   # (4+1) * (5*6*7/6 + 1)
+    assert lbfc_cap(ex1, len(TRACE)) == 180   # (4+1) * (5*6*7/6 + 1)
+    assert lbfc_cap(ex1, 0) == 36
+    with pytest.raises(ValueError):
+        lbfc_cap(ex1, -1)
+
+
+# The search's work as counts: per family and route, the ops, the states
+# settled and the cost summed over a seeded suite (random.Random(2121); 20
+# systems a family, four random traces each).  Costs are fixed by the
+# problem; the states change with any change of the search's order or
+# pruning, and this table shows it.
+WORK_PINNED = {
+    ("acyclic", "generic"): (76, 1262, 366),
+    ("acyclic", "ssystem"): (4, 77, 23),
+    ("safe", "generic"): (80, 716, 398),
+    ("ssystem", "ssystem"): (80, 921, 268),
+    ("tree", "generic"): (40, 9539, 117),
+    ("tree", "ssystem"): (40, 589, 167),
+}
+
+
+def test_dispatch_work_is_pinned():
+    families = {
+        "safe": random_safe_system,
+        "ssystem": random_single_token_ssystem,
+        "acyclic": random_acyclic_system,
+        "tree": lambda rng: tree_to_wfnet(random_tree(rng, 4)),
+    }
+    rng = random.Random(2121)
+    work = {}
+    for family, make in families.items():
+        systems = []
+        while len(systems) < 20:
+            system = make(rng)
+            if system is not None:
+                systems.append(system)
+        for system in systems:
+            for _ in range(4):
+                trace = random_trace(rng, max_len=10)
+                result = dispatch_align(trace, system)
+                if result.algorithm == "ssystem":
+                    # The polynomial bound of single-token S-systems.
+                    assert result.states_expanded <= \
+                        (len(trace) + 1) * (len(system.net.places) + 1)
+                ops, states, cost = work.get((family, result.algorithm), (0, 0, 0))
+                work[family, result.algorithm] = (
+                    ops + 1, states + result.states_expanded, cost + result.cost)
+    assert work == WORK_PINNED
 
 
 def test_dispatch_reads_a_one_shot_trace(ex1):
@@ -447,22 +492,25 @@ def test_consecutive_calls_classify_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_lbfc_bound", counted)
     a = ex1_system()
-    for _ in range(3):
-        dispatch_align(TRACE, a)
+    for n in range(3):
+        lbfc_cap(a, n)
     assert len(calls) == 1
     # An equal system is not the same system.
     calls.clear()
     a, b = ex1_system(), ex1_system()
     for system in (a, b, a):
-        dispatch_align(TRACE, system)
+        lbfc_cap(system, len(TRACE))
     assert calls == [a, b, a]
+    # The dispatcher walks no marking graph for the cap.
+    calls.clear()
+    for system in (a, b, a):
+        dispatch_align(TRACE, system)
+    assert calls == []
 
 
 def test_budget_keys_the_cap(ex1):
-    # Classifying ex1 explores 6 markings; aligning this trace settles 5 states.
-    trace = ("a", "a", "b", "b")
-    caps = [dispatch_align(trace, ex1, budgets=budgets).lbfc_cap
-            for budgets in (Budgets(), Budgets(states=5), Budgets())]
+    # Classifying ex1 explores 6 markings.
+    caps = [lbfc_cap(ex1, 4, budget) for budget in (DEFAULT_STATE_BUDGET, 5, DEFAULT_STATE_BUDGET)]
     assert caps == [180, None, 180]
 
 
@@ -1312,8 +1360,8 @@ def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
     """dispatch_align, membership and optimal_alignment, interleaved on one
     system object, give the outcomes of fresh systems, and membership holds
     exactly where the optimal cost is 0.  On a free-choice system the
-    dispatcher's LBFC cap classifies it, which fills the rows of every
-    reachable marking, so membership calls after it fire nothing."""
+    LBFC cap's walk classifies it, which fills the rows of every reachable
+    marking, so membership calls after it fire nothing."""
     fired = _counted_fires(monkeypatch)
     rng = random.Random(79)
     systems = []
@@ -1339,7 +1387,7 @@ def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
         accepted += sum(verdicts.values())
         # A system no call has seen, classified by the cap first.
         system = _fresh(system)
-        dispatch_align(words[-1], system)
+        lbfc_cap(system, len(words[-1]))
         if engine._plan(system).structure.free_choice:
             classified += 1
             before = len(fired)
@@ -1420,9 +1468,9 @@ def test_a_repeat_makes_no_search(monkeypatch):
         assert searched == [trace] * 6
         if first.algorithm == "ssystem":
             # Under one budget, each route still gets a result of its own.
-            budget, bare = first.states_expanded, dataclasses.replace(first, lbfc_cap=None)
-            assert _ssystem(trace, system, budget) == bare
-            assert _generic(trace, system, budget) == dataclasses.replace(bare, algorithm="generic")
+            budget = first.states_expanded
+            assert _ssystem(trace, system, budget) == first
+            assert _generic(trace, system, budget) == dataclasses.replace(first, algorithm="generic")
 
 
 def test_a_raise_is_stored_as_nothing(ex1, monkeypatch):
