@@ -2,11 +2,10 @@
 
 Three instances: the cyclic running example (generic product search), a
 single-token S-system cycle (the same search under its polynomial state
-bound), and an acyclic shuffle net (the generic search too; the
-marking-equation branch-and-bound is reached only by calling
-`optimal_alignment_acyclic`).  The length cap of live bounded free-choice
-systems is asked for separately, through `lbfc_cap`.  The brute-force
-oracle cross-checks every optimum.
+bound), and an acyclic shuffle net (the generic search too, which
+`optimal_alignment_acyclic` runs behind its acyclicity check).  The length
+cap of live bounded free-choice systems is asked for separately, through
+`lbfc_cap`.  The brute-force oracle cross-checks every optimum.
 """
 
 from petrialign import (AcceptingSystem, Label, Marking, PetriNet,

@@ -2,10 +2,10 @@
 
 Computes optimal alignments between observed traces and accepting systems,
 routing each to a generic cost-minimal reachability search or a polynomial
-S-system solver; an acyclic marking-equation solver and the length cap of
-live bounded free-choice systems are available on request.  Also classifies
-nets, shortens firing sequences, translates process trees, and generates
-hardness instances.
+S-system solver; an acyclic solver (the same search behind its check) and the
+length cap of live bounded free-choice systems are available on request.
+Also classifies nets, shortens firing sequences, translates process trees,
+and generates hardness instances.
 """
 
 from .acyclic import optimal_alignment_acyclic, realize_parikh_acyclic

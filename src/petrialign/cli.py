@@ -210,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "generic", "ssystem", "acyclic"),
                    default="auto")
     p.add_argument("--costs", help="cost override file")
-    add_states(p, "states explored; with --algo acyclic, branch-and-bound "
-                  "nodes and, separately, the steps of each scheduling")
+    add_states(p, "settled states of the search")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("member", help="language membership of a trace")

@@ -99,7 +99,7 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
             continue
         settled += 1
         if settled > state_budget:
-            raise BudgetExceeded(settled)
+            raise BudgetExceeded(settled, what="settled states")
         if state == goal:
             path = []
             _, parent, move = best[state]
@@ -593,11 +593,11 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     Single-token S-systems go to the S-system solver (the generic search,
     capped at (|trace| + 1)(|P| + 1) states); every other system, acyclic
     ones included, goes to the generic search, bounded by `budgets.states`.
-    The acyclic marking-equation solver is reached only by calling
-    `optimal_alignment_acyclic`, and the LBFC cap, a reachability walk, by
-    calling `lbfc_cap`.  Consecutive calls on one system classify it once,
-    structurally, and search a trace they repeat under the standard costs
-    once; only the last system is remembered.
+    The acyclic route, the same search behind an acyclicity check, is
+    reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
+    reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
+    system classify it once, structurally, and search a trace they repeat
+    under the standard costs once; only the last system is remembered.
     """
     from .ssystem import optimal_alignment_ssystem
 

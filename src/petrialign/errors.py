@@ -76,10 +76,6 @@ class NotAcyclic(PetriAlignError):
     """Solver requires an acyclic net."""
 
 
-class Infeasible(PetriAlignError):
-    """The marking equation has no non-negative integer solution."""
-
-
 class StuckContradiction(PetriAlignError):
     """Parikh realization got stuck; input was not acyclic or not a valid solution."""
 

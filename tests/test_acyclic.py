@@ -8,21 +8,38 @@ from petrialign import (AcceptingSystem, Budgets, Label, Marking, PetriNet,
                         optimal_alignment_acyclic, realize_parikh_acyclic,
                         standard_costs, structural_class, trace_system,
                         tree_to_wfnet, validate_alignment)
-from petrialign.acyclic import _schedule_counts
-from petrialign.errors import (BudgetExceeded, Infeasible, NotAcyclic,
-                               NotEasySound, StuckContradiction)
+from petrialign.engine import _plan
+from petrialign.errors import BudgetExceeded, NotAcyclic, NotEasySound, StuckContradiction
+from petrialign.petri import DEFAULT_STATE_BUDGET, _schedule_counts
 from randgen import random_acyclic_system, random_trace, random_tree
 
 TRACE = ("a", "b", "a", "a")
 
 
 def test_acyclic_variant_agrees_with_generic(ex1_acyclic):
+    """The acyclic route is the generic search under another name: the same
+    alignment and states, and its own stored result on the system's plan."""
     special = optimal_alignment_acyclic(TRACE, ex1_acyclic)
     generic = optimal_alignment(TRACE, ex1_acyclic)
     assert special.cost == generic.cost == 2
     assert special.algorithm == "acyclic"
+    assert special.alignment == generic.alignment
+    assert special.states_expanded == generic.states_expanded
     assert validate_alignment(special.alignment, TRACE, ex1_acyclic,
                               standard_costs(ex1_acyclic)) == special.cost
+    assert optimal_alignment_acyclic(TRACE, ex1_acyclic) is special
+    stored = _plan(ex1_acyclic).results
+    assert stored.get((TRACE, "acyclic", DEFAULT_STATE_BUDGET)) is special
+
+
+def test_wide_shuffle_fitting_trace():
+    """A 5x6 shuffle T-system and a round-robin interleaving of its words,
+    which fits: the search settles 33 states, where a branch and bound over
+    the marking equation exceeds 10^6 nodes."""
+    words = [tuple(w) for w in ("ecfcff", "feadbf", "abacdb", "deaeba", "fbdcbd")]
+    trace = tuple(w[i] for i in range(6) for w in words)
+    result = optimal_alignment_acyclic(trace, gen_shuffle_tsystem(words))
+    assert (result.cost, result.algorithm, result.states_expanded) == (0, "acyclic", 33)
 
 
 def test_identity_instance_is_free():
@@ -36,7 +53,7 @@ def test_infeasible_final_marking():
     net = PetriNet(("p", "q", "island"), ("t",),
                    [("p", "t"), ("t", "q")], {"t": Label("a")})
     system = AcceptingSystem(net, Marking.of("p"), Marking.of("island"))
-    with pytest.raises(Infeasible):
+    with pytest.raises(NotEasySound):
         optimal_alignment_acyclic((), system)
 
 
@@ -98,6 +115,21 @@ def test_realize_stuck_contradiction():
         realize_parikh_acyclic(net, Marking.of("p0"), {"t2": 1})
 
 
+def test_realize_stops_without_backtracking():
+    """30 independent transitions fire, then one whose input place is empty
+    is stuck: the greedy order fails at once, where a backtrack over the 30
+    would take 2^30 steps.  Every transition feeds one sink place."""
+    n = 30
+    places = [f"p{i}" for i in range(n + 1)]
+    transitions = [f"t{i}" for i in range(n + 1)]
+    arcs = [a for p, t in zip(places, transitions) for a in ((p, t), (t, "sink"))]
+    net = PetriNet((*places, "sink"), transitions, arcs,
+                   {t: Label("a") for t in transitions})
+    m0 = Marking({p: 1 for p in places[:n]})
+    with pytest.raises(StuckContradiction):
+        realize_parikh_acyclic(net, m0, dict.fromkeys(transitions, 1))
+
+
 def test_agreement_and_realizability_on_random_acyclic():
     rng = random.Random(23)
     done = 0
@@ -107,7 +139,8 @@ def test_agreement_and_realizability_on_random_acyclic():
             continue
         trace = random_trace(rng, max_len=4)
         special = optimal_alignment_acyclic(trace, system)
-        assert special.cost == optimal_alignment(trace, system).cost
+        generic = optimal_alignment(trace, system)
+        assert (special.cost, special.alignment) == (generic.cost, generic.alignment)
         assert special.cost == brute_force_oracle(trace, system)
         assert validate_alignment(special.alignment, trace, system,
                                   standard_costs(system)) == special.cost
@@ -157,7 +190,7 @@ def test_dispatch_on_an_acyclic_system_that_is_not_easy_sound():
     net = PetriNet(("p", "q", "r"), ("t",),
                    [("p", "t"), ("t", "q"), ("t", "r")], {"t": Label("a")})
     system = AcceptingSystem(net, Marking.of("p"), Marking.of("q"))
-    with pytest.raises(Infeasible):
+    with pytest.raises(NotEasySound):
         optimal_alignment_acyclic(("a",), system)
     with pytest.raises(NotEasySound):
         dispatch_align(("a",), system)

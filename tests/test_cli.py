@@ -103,8 +103,8 @@ def shuffle_path(tmp_path):
     return path
 
 
-def test_nodes_budgets_algo_acyclic(shuffle_path, capsys):
-    """--states bounds the branch-and-bound nodes of --algo acyclic."""
+def test_states_budgets_algo_acyclic(shuffle_path, capsys):
+    """--states bounds the settled states of --algo acyclic."""
     code, out, _ = run(capsys, "align", str(shuffle_path), "--trace", "a,c,b",
                        "--algo", "acyclic")
     assert code == 0
@@ -122,7 +122,7 @@ def test_nodes_budgets_algo_acyclic(shuffle_path, capsys):
                          "--algo", "acyclic", "--states", "1")
     assert code == 3
     assert out == ""
-    assert "search nodes" in err
+    assert "settled states" in err
 
 
 def test_align_exit_codes_on_acyclic_dispatch(shuffle_path, tmp_path, capsys):
