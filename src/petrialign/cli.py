@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import errors
 from .classify import DEFAULT_B_MAX, _bounded_then_behavioral, structural_class
-from .costs import render_alignment, standard_costs
+from .costs import render_alignment
 from .engine import Budgets, dispatch_align, lbfc_cap, membership, optimal_alignment
 from .acyclic import optimal_alignment_acyclic
 from .generators import gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet
@@ -89,9 +89,7 @@ def _cmd_classify(args) -> int:
 def _cmd_align(args) -> int:
     sys_ = _load_system(args.net)
     trace = parse_trace(args.trace)
-    c = standard_costs(sys_)
-    if args.costs:
-        c = parse_cost_file(Path(args.costs).read_text(), sys_)
+    c = parse_cost_file(Path(args.costs).read_text(), sys_) if args.costs else None
     if args.algo == "auto":
         result = dispatch_align(trace, sys_, c, Budgets(states=args.states))
     elif args.algo == "generic":

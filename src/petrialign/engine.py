@@ -38,53 +38,45 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
-def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
-                        final: Marking, moves, state_budget: int,
-                        graph: _MarkingGraph | None = None):
+def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], initial: Marking,
+                        final: Marking, table: _MoveTable, state_budget: int):
     """Least-cost move sequence over the states (trace position, marking) of
-    the synchronous product of the trace and the net, generated on the fly
-    from (0, initial) to (len(trace), final).  Both markings mark places of
-    the net only.
-
-    `moves` is (letters, model) of `_MoveTable.moves`: letters maps each
-    trace letter to (sync row, log weight, log move), where the sync row is
-    a list indexed by transition that holds the (weight, rank, move) entry
-    of each transition carrying the letter and None elsewhere (or is empty
-    when none carries it), and model holds one (weight, rank, move) entry
-    per transition in declaration order.  A state yields its moves in the
-    product's declaration order: sync moves on the next letter, the log
-    move, then model moves.  Frontier entries expand in (cost, later trace
-    position, rank, insertion) order, which pins down a reproducible witness
-    and, as A*-based alignment does, reads on along a tie of costs.
-    Ranks follow the tie-break keys (kind, id): sync before model before log
-    moves, ids in string order ("t10" < "t2").  With T transitions, sync
-    ranks lie in [0, T), model ranks in [T, 2T), and the log move at
-    position i ranks from 2T up by the id f"t{i + 1}" that trace_system
-    gives it.  Returns (cost, moves, settled).
-
-    Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
-    pos, marking number), n = len(trace), radix > every rank; `best` keys a
-    state by marking number * (n + 1) + pos; a pop whose cost is not best is stale.
+    the synchronous product of the trace and the net of `graph`, generated
+    on the fly from (0, initial) to (len(trace), final).  Both markings mark
+    places of the net only.
 
     Markings are numbered, and their enabled transitions read, through
-    `graph` (see `_MarkingGraph`), a fresh one when None.  Each settled state
-    reads its marking's one row, for its sync moves and its model moves
-    alike, so the search adds at most one row per state it settles, and
-    numbers only the markings of the states it reaches and the final one.
+    `graph` (see `_MarkingGraph`), and moves are priced by `table` (see
+    `_MoveTable`).  A row entry (t, s) of a marking is a sync move on the
+    next letter when `graph.labels[t]` is that letter, as membership
+    matches moves, and always a model move.  A state yields its moves in
+    the product's declaration order: sync moves on the next letter, the log
+    move, then model moves.  Frontier entries expand in (cost, later trace
+    position, rank, insertion) order, which pins down a reproducible witness
+    and, as A*-based alignment does, reads on along a tie of costs.  Ranks
+    follow the tie-break keys (kind, id): sync before model before log
+    moves, ids in string order ("t10" < "t2").  With T transitions, sync
+    ranks lie in [0, T), model ranks in [T, 2T), and every log move ranks
+    2T: two log moves tie on position only when they leave the same one.
+    Returns (cost, moves, settled).
+
+    Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
+    pos, marking number), n = len(trace), radix = 2T + 1 > every rank;
+    `best` keys a state by marking number * (n + 1) + pos; a pop whose cost
+    is not best is stale.  Each settled state reads its marking's one row,
+    for its sync moves and its model moves alike, so the search adds at
+    most one row per state it settles, and numbers only the markings of the
+    states it reaches and the final one.
     """
-    if graph is None:
-        graph = _MarkingGraph(net)
-    expand, rows = graph.row, graph.rows
-    letters, model = moves
+    expand, rows, labels = graph.row, graph.rows, graph.labels
+    sync, model = table.sync, table.model
     n = len(trace)
     width = n + 1
-    radix = 2 * len(model) + n + 1   # above every rank, and at least 1
+    radix = 2 * len(model) + 1       # above every rank
     span = radix * width             # one unit of cost
-    # The log move at position i (from 1) ranks by its id f"t{i}" as a string.
-    log_ranks = {i: r for r, i in enumerate(sorted(range(1, n + 1), key=str), 2 * len(model))}
-    # What the search reads at each position, with the priority offset of a
-    # state at the next position.
-    at = [(*letters[a], log_ranks[i], (n - i) * radix) for i, a in enumerate(trace, 1)]
+    # What the search reads at each position: the letter, its log move's
+    # entry, and the priority offset of a state at the next position.
+    at = [(a, *table.log(a), (n - i) * radix) for i, a in enumerate(trace, 1)]
     start = graph.number(initial)
     goal = graph.number(final) * width + n
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
@@ -111,13 +103,10 @@ def dijkstra_least_cost(net: PetriNet, trace: Sequence[str], initial: Marking,
         if row is None:
             row = expand(m)
         if pos < n:
-            entries, w, move, log_rank, later = at[pos]
-            if entries:
-                for t, s in row:
-                    entry = entries[t]
-                    if entry is None:
-                        continue
-                    sw, rank, smove = entry
+            a, w, log_rank, move, later = at[pos]
+            for t, s in row:
+                if labels[t] == a:
+                    sw, rank, smove = sync[t]
                     nc = cost + sw
                     nxt = s * width + pos + 1
                     old = best.get(nxt)
@@ -157,8 +146,8 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     for t in costs:
         if not net.has_transition(t):
             raise UnknownTransition(t)
-    moves, scale = _MoveTable(net, CostFunction(net.labels, model_overrides={
-        t: costs.get(t, 0) for t in net.transitions})).moves(())
+    table = _MoveTable(net, CostFunction(net.labels, model_overrides={
+        t: costs.get(t, 0) for t in net.transitions}))
     # Tokens on places outside the net never move.
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
@@ -166,57 +155,48 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     if outside:
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
-    cost, seq, _ = dijkstra_least_cost(net, (), initial, target, moves, state_budget)
-    return Fraction(cost, scale), tuple(move.model_part for move in seq)
+    cost, seq, _ = dijkstra_least_cost(_MarkingGraph(net), (), initial, target, table,
+                                       state_budget)
+    return Fraction(cost, table.scale), tuple(move.model_part for move in seq)
 
 
 class _MoveTable:
-    """The search's move entries for one net under one cost function.
+    """The search's move entries for one net under one cost function, each
+    (weight, rank, move) with the tie-break rank of `dijkstra_least_cost`:
+    per transition, in declaration order, one sync entry (None when silent)
+    and one model entry; and per letter, the log move's entry, priced when a
+    trace first holds the letter.
 
-    Every price is the cost function's exact `Fraction` times `scale`, the
-    lcm of the denominators of its overrides (1 under the standard costs),
-    so every weight is a non-negative int.  The model entries are priced
-    when the table is made; a letter's sync row and log move when a trace
-    first holds that letter.  Sync and model entries carry the search's
-    tie-break ranks (see `dijkstra_least_cost`).
+    A sync move pairs a transition with its own label (`CostFunction`
+    admits no other), so its entry depends on the transition alone.  Every
+    price is the cost function's exact `Fraction` times `scale`, the lcm of
+    the denominators of its overrides (1 under the standard costs), so every
+    weight is a non-negative int.
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
-        self.net = net
         self.c = c
         self.scale = math.lcm(*(v.denominator for table in (
             c.sync_overrides, c.log_overrides, c.model_overrides) for v in table.values()))
         ts = net.transitions
-        self._ranks = {t: r for r, t in enumerate(sorted(ts))}
-        # Per label name, the indices of the transitions carrying it.
-        self._carriers: dict[str, list[int]] = {}
-        for i, t in enumerate(ts):
-            name = net.label(t).name
-            if name is not None:
-                self._carriers.setdefault(name, []).append(i)
-        self.model = [self._entry(Move(None, t), len(ts) + self._ranks[t]) for t in ts]
-        self.letters: dict[str, tuple] = {}
+        ranks = {t: r for r, t in enumerate(sorted(ts))}
+        self.sync = [None if net.label(t).silent else
+                     self._entry(Move(net.label(t).name, t), ranks[t]) for t in ts]
+        self.model = [self._entry(Move(None, t), len(ts) + ranks[t]) for t in ts]
+        self._logs: dict[str, tuple[int, int, Move]] = {}
 
-    def _entry(self, move: Move, rank: int | None) -> tuple[int, int | None, Move]:
+    def _entry(self, move: Move, rank: int) -> tuple[int, int, Move]:
         v = self.c.move_cost(move)
         return v.numerator * (self.scale // v.denominator), rank, move
 
-    def moves(self, trace: tuple[str, ...]):
-        """The move table for aligning the trace, (letters, model), and its
-        scale.  `letters` maps each letter to (sync row by transition, log
-        weight, log move), and may hold letters the trace lacks."""
-        ts, letters = self.net.transitions, self.letters
-        for a in trace:
-            if a not in letters:
-                if not is_token(a):
-                    raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-                carriers = self._carriers.get(a, ())
-                by_transition = [None] * len(ts) if carriers else []
-                for i in carriers:
-                    by_transition[i] = self._entry(Move(a, ts[i]), self._ranks[ts[i]])
-                w, _, move = self._entry(Move(a, None), None)
-                letters[a] = (by_transition, w, move)
-        return (letters, self.model), self.scale
+    def log(self, a: str) -> tuple[int, int, Move]:
+        """The log move's entry on letter `a`."""
+        entry = self._logs.get(a)
+        if entry is None:
+            if not is_token(a):
+                raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
+            entry = self._logs[a] = self._entry(Move(a, None), 2 * len(self.model))
+        return entry
 
 
 _plan_lock = threading.Lock()   # making a plan or a graph of one, storing a result
@@ -368,13 +348,12 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
         table = plan.standard_moves
     else:
         table = _MoveTable(sys.net, c)
-    moves, scale = table.moves(trace)
     try:
         cost, seq, settled = dijkstra_least_cost(
-            sys.net, trace, sys.initial, sys.final, moves, state_budget, graph)
+            graph, trace, sys.initial, sys.final, table, state_budget)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
-    result = AlignResult(seq, Fraction(cost, scale), algorithm, settled)
+    result = AlignResult(seq, Fraction(cost, table.scale), algorithm, settled)
     if c is None:
         plan.store(key, result)
     return result

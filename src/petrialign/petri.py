@@ -573,11 +573,13 @@ def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int], step_budg
                      ) -> tuple[str, ...] | None:
     """A firing sequence from m0 that fires each t exactly x[t] times, or None.
 
-    Backtracking over the transitions in declaration order; with `before`, t
-    fires only once every transition in before[t] has used up its count.  The
-    counts still to fire decide the marking and what `before` allows, so dead
-    states are remembered by those counts alone.  More than step_budget
-    recursion steps raise BudgetExceeded.
+    Depth-first search over the transitions in declaration order, on an
+    explicit stack, so a long sequence needs no deep recursion; with
+    `before`, t fires only once every transition in before[t] has used up
+    its count.  The counts still to fire decide the marking and what
+    `before` allows, so dead states are remembered by those counts alone.
+    Each state entered is one step; more than step_budget steps raise
+    BudgetExceeded.
     """
     items = [t for t in net.transitions if x.get(t)]
     remaining = [x[t] for t in items]
@@ -586,31 +588,39 @@ def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int], step_budg
     total = sum(remaining)
     seq: list[str] = []
     dead: set[tuple[int, ...]] = set()
-    steps = 0
-
-    def rec(m: Marking) -> bool:
-        nonlocal steps
+    # Per state on the current path: its marking and the index of the next
+    # transition to try; a dead state gets none to try.
+    frames: list[list] = []
+    m, steps = m0, 0
+    while True:
         steps += 1
         if steps > step_budget:
             raise BudgetExceeded(steps, what="schedule steps")
         if len(seq) == total:
-            return True
-        state = tuple(remaining)
-        if state in dead:
-            return False
-        for i, t in enumerate(items):
-            if remaining[i] and not any(remaining[j] for j in waits[i]) \
-                    and all(m[p] > 0 for p in net.preset(t)):
+            return tuple(seq)
+        frames.append([m, len(items) if tuple(remaining) in dead else 0])
+        while frames:
+            frame = frames[-1]
+            m, i = frame
+            while i < len(items) and not (
+                    remaining[i] and not any(remaining[j] for j in waits[i])
+                    and all(m[p] > 0 for p in net.preset(items[i]))):
+                i += 1
+            if i < len(items):
+                frame[1] = i + 1
                 remaining[i] -= 1
-                seq.append(t)
-                if rec(fire(net, m, t)):
-                    return True
+                seq.append(items[i])
+                m = fire(net, m, items[i])
+                break
+            # No firing is left here: the state is dead, and the firing
+            # that led into it is undone.
+            frames.pop()
+            dead.add(tuple(remaining))
+            if frames:
+                remaining[frames[-1][1] - 1] += 1
                 seq.pop()
-                remaining[i] += 1
-        dead.add(state)
-        return False
-
-    return tuple(seq) if rec(m0) else None
+        else:
+            return None
 
 
 def parikh(seq: Iterable[str]) -> dict[str, int]:

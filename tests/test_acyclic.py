@@ -109,6 +109,15 @@ def test_realize_parallel_branches():
     assert sorted(seq) == ["t0", "t1", "t2"]
 
 
+def test_realize_a_long_line():
+    """A 1,202-firing schedule needs no Python frame per firing."""
+    system = gen_shuffle_tsystem([tuple("ab" * 600)])
+    seq = realize_parikh_acyclic(system.net, system.initial,
+                                 dict.fromkeys(system.net.transitions, 1))
+    assert len(seq) == 1202
+    assert fire_sequence(system.net, system.initial, seq) == system.final
+
+
 def test_realize_stuck_contradiction():
     net = trace_system(("a", "b")).net
     with pytest.raises(StuckContradiction):

@@ -298,6 +298,13 @@ def test_shorten(ex1_path, capsys):
     assert lines[2] == "bound=35"
 
 
+def test_shorten_a_long_run(ex1_path, capsys):
+    seq = ",".join(["t1,t2,t3,t4"] * 300 + ["t1,t3,t2,t5"])
+    code, out, _ = run(capsys, "shorten", str(ex1_path), "--seq", seq)
+    assert code == 0
+    assert out.splitlines()[:3] == ["original_length=1204", "shortened_length=4", "bound=35"]
+
+
 def test_shorten_budget_flag(ex1_path, capsys):
     code, out, err = run(capsys, "shorten", str(ex1_path), "--seq",
                          "t1,t2,t3,t4,t1,t2,t3,t4,t1,t3,t2,t5",

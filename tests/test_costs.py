@@ -1,12 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from petrialign import (AcceptingSystem, CostFunction, Label, Marking, Move,
-                        PetriNet, parse_cost, render_alignment, standard_costs,
+                        PetriNet, brute_force_oracle, dispatch_align,
+                        optimal_alignment, optimal_alignment_acyclic, parse_cost,
+                        render_alignment, standard_costs, structural_class,
                         validate_alignment)
 from petrialign.errors import (IllegalMove, NotCompleteFiringSequence,
                                ProjectionMismatch, UnknownTransition)
+from randgen import (random_acyclic_system, random_replayable_walk,
+                     random_safe_system, random_single_token_ssystem, random_trace)
 
 TRACE = ("a", "b", "a", "a")
 
@@ -139,3 +144,59 @@ def test_render_alignment(ex1):
 def test_render_silent_as_tau(ex1):
     block = render_alignment((Move(None, "t4"),), ex1)
     assert block.splitlines()[1] == "τ"
+
+
+def _per_transition_costs(system):
+    """Sync prices that differ between transitions sharing a label, by
+    transition index, with log and model overrides besides."""
+    net = system.net
+    return CostFunction(labels=dict(net.labels),
+                        sync_overrides={(net.label(t).name, t): Fraction(k % 3, 2)
+                                        for k, t in enumerate(net.transitions)
+                                        if not net.label(t).silent},
+                        log_overrides={"a": Fraction(3, 4), "c": Fraction(5, 3)},
+                        model_overrides={t: Fraction(k % 4 + 1, 3)
+                                         for k, t in enumerate(net.transitions)
+                                         if not net.label(t).silent})
+
+
+def _shares_a_label_at_two_prices(system, c):
+    net = system.net
+    prices: dict[str, set] = {}
+    for t in net.transitions:
+        if not net.label(t).silent:
+            prices.setdefault(net.label(t).name, set()).add(c.sync(net.label(t).name, t))
+    return any(len(v) > 1 for v in prices.values())
+
+
+def test_sync_prices_per_transition_agree_with_the_oracle():
+    """Random safe systems, whose labels repeat from a three-letter pool,
+    single-token S-systems and acyclic systems, under sync prices of each
+    transition's own: every solver that applies returns the oracle's cost,
+    with a witness that validates at that cost."""
+    rng = random.Random(131)
+    draws = [random_safe_system, random_single_token_ssystem, random_acyclic_system]
+    checked = shared = acyclic = 0
+    while checked < 45:
+        system = draws[checked % 3](rng)
+        if system is None:
+            continue
+        checked += 1
+        c = _per_transition_costs(system)
+        shared += _shares_a_label_at_two_prices(system, c)
+        walk = random_replayable_walk(rng, system, max_len=6)
+        traces = [random_trace(rng, max_len=5),
+                  tuple(system.net.label(t).name for t in walk
+                        if not system.net.label(t).silent)]
+        solvers = [optimal_alignment, dispatch_align]
+        if structural_class(system.net, system.initial, system.final).acyclic:
+            solvers.append(optimal_alignment_acyclic)
+            acyclic += 1
+        for trace in traces:
+            expected = brute_force_oracle(trace, system, c)
+            for solve in solvers:
+                result = solve(trace, system, c)
+                assert result.cost == expected, (solve.__name__, trace, str(system.net))
+                assert validate_alignment(result.alignment, trace, system, c) == expected
+    assert shared >= 10 and acyclic >= 10, (shared, acyclic)
+

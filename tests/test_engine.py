@@ -169,7 +169,8 @@ def _coprime_costs(system):
 
 # Pinned where the string order of the ids, which the tie-break follows, and
 # their declaration order disagree: sync and model moves of t1 against t10 to
-# t12, and log moves at positions 1 and 10 and later ("t2" against "t10").
+# t12.  Log moves tie on position only when they leave the same one, so
+# their ids decide no order.
 CHAINS_PINNED = {
     ("aabbccxaabbcc", False): (
         "3", 646, "a/t1 a/t4 b/t2 b/t5 c/t3 c/t6 x/>> a/t10 a/t7 b/t8 b/>> c/t11 c/t9 >>/t12"),

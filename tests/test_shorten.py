@@ -106,6 +106,15 @@ def test_shorten_lbfc_repeated_run(ex1):
     assert parikh_dominated(parikh(result.sequence), parikh(seq))
 
 
+def test_shorten_lbfc_long_run(ex1):
+    """A run of 1,204 firings is scheduled without one Python frame per
+    firing, and shortens to the same four firings as a short one."""
+    seq = ("t1", "t2", "t3", "t4") * 300 + ("t1", "t3", "t2", "t5")
+    result = shorten_lbfc(ex1.net, ex1.initial, seq, 1)
+    assert (result.input_length, result.output_length, result.bound_value) == (1204, 4, 35)
+    assert fire_sequence(ex1.net, ex1.initial, result.sequence) == Marking.of("p_final")
+
+
 def test_shorten_lbfc_empty(ex1):
     result = shorten_lbfc(ex1.net, ex1.initial, (), 1)
     assert result.sequence == ()
