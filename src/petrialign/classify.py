@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, NamedTuple
 
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _MarkingGraph)
+                    _MarkingGraph, _net_view)
 
 DEFAULT_B_MAX = 8
 
@@ -48,7 +48,7 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
     # Free choice: all consumers of a place share one preset.
     free_choice = all(len({net.preset(t) for t in net.postset(p)}) <= 1
                       for p in net.places)
-    s_net = all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1 for t in ts)
+    s_net = _net_view(net).s_net
     t_net = all(len(net.preset(p)) <= 1 and len(net.postset(p)) <= 1 for p in net.places)
     # A place with several output transitions is fine only if all of them are
     # on a self-loop with it.

@@ -22,7 +22,7 @@ from .costs import CostFunction, Move, standard_costs
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
                      Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _enabled_among, _MarkingGraph, fire, is_token)
+                    _enabled_among, _MarkingGraph, _net_view, fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -165,29 +165,38 @@ class _MoveTable:
     (weight, rank, move) with the tie-break rank of `dijkstra_least_cost`:
     per transition, in declaration order, one sync entry (None when silent)
     and one model entry; and per letter, the log move's entry, priced when a
-    trace first holds the letter.
+    trace first holds the letter.  The ranks are the net's (`_NetView`).
 
     A sync move pairs a transition with its own label (`CostFunction`
     admits no other), so its entry depends on the transition alone.  Every
-    price is the cost function's exact `Fraction` times `scale`, the lcm of
-    the denominators of its overrides (1 under the standard costs), so every
-    weight is a non-negative int.
+    price is the cost function's exact `Fraction`, read from
+    `CostFunction.sync`, `.model` or `.log`, times `scale`, the lcm of the
+    denominators of its overrides (1 under the standard costs), so every
+    weight is a non-negative int.  Each entry holds its `Move`, so a search
+    returns its path as it walks it back; the moves are made by
+    `Move._trusted`, since every entry pairs a transition with its own
+    label.
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
         self.c = c
-        self.scale = math.lcm(*(v.denominator for table in (
+        self.scale = scale = math.lcm(*(v.denominator for table in (
             c.sync_overrides, c.log_overrides, c.model_overrides) for v in table.values()))
-        ts = net.transitions
-        ranks = {t: r for r, t in enumerate(sorted(ts))}
-        self.sync = [None if net.label(t).silent else
-                     self._entry(Move(net.label(t).name, t), ranks[t]) for t in ts]
-        self.model = [self._entry(Move(None, t), len(ts) + ranks[t]) for t in ts]
+        view = _net_view(net)
+        t_count = len(net.transitions)
+        self.sync: list[tuple[int, int, Move] | None] = []
+        self.model: list[tuple[int, int, Move]] = []
+        for a, t, rank in zip(view.labels, net.transitions, view.ranks):
+            if a is None:
+                self.sync.append(None)
+            else:
+                v = c.sync(a, t)
+                self.sync.append((v.numerator * (scale // v.denominator), rank,
+                                  Move._trusted(a, t)))
+            v = c.model(t)
+            self.model.append((v.numerator * (scale // v.denominator), t_count + rank,
+                               Move._trusted(None, t)))
         self._logs: dict[str, tuple[int, int, Move]] = {}
-
-    def _entry(self, move: Move, rank: int) -> tuple[int, int, Move]:
-        v = self.c.move_cost(move)
-        return v.numerator * (self.scale // v.denominator), rank, move
 
     def log(self, a: str) -> tuple[int, int, Move]:
         """The log move's entry on letter `a`."""
@@ -195,7 +204,9 @@ class _MoveTable:
         if entry is None:
             if not is_token(a):
                 raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-            entry = self._logs[a] = self._entry(Move(a, None), 2 * len(self.model))
+            v = self.c.log(a)
+            entry = self._logs[a] = (v.numerator * (self.scale // v.denominator),
+                                     2 * len(self.model), Move._trusted(a, None))
         return entry
 
 
@@ -208,7 +219,12 @@ class _Plan:
     structural report, the LBFC cap per state budget, the move table of the
     standard costs and the model graph, plus the standard-cost results found
     so far.  Every part depends on the system only, so concurrent callers
-    that both compute one agree.
+    that both compute one agree.  Besides, the plan keeps the move table of
+    the last caller's cost function, matched by the identity of the
+    `CostFunction` object (it holds dicts, so it has no hash): repeated
+    calls with one object price its moves once, so the object must not be
+    changed after its first use.  The dispatcher reads no part of the
+    report: the S-net flag it needs is the net's (`petri._NetView`).
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -255,6 +271,7 @@ class _Plan:
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
         self._graph: _MarkingGraph | None = None
+        self._caller_moves: _MoveTable | None = None
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
 
@@ -272,6 +289,13 @@ class _Plan:
     @cached_property
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
+
+    def caller_moves(self, c: CostFunction) -> _MoveTable:
+        """The move table of `c`, kept for the last cost function only."""
+        table = self._caller_moves
+        if table is None or table.c is not c:
+            table = self._caller_moves = _MoveTable(self.sys.net, c)
+        return table
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
         """The numbered markings, rows and subset automaton of the LBFC cap's
@@ -347,7 +371,7 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
             return result
         table = plan.standard_moves
     else:
-        table = _MoveTable(sys.net, c)
+        table = plan.caller_moves(c)
     try:
         cost, seq, settled = dijkstra_least_cost(
             graph, trace, sys.initial, sys.final, table, state_budget)
@@ -575,12 +599,13 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
-    system classify it once, structurally, and search a trace they repeat
-    under the standard costs once; only the last system is remembered.
+    system share the net's compiled view (`petri._NetView`), of which the
+    route reads the S-net flag alone, and search a trace they repeat under
+    the standard costs once; only the last system is remembered.
     """
     from .ssystem import optimal_alignment_ssystem
 
     states = (budgets or Budgets()).states
-    if _plan(sys).structure.s_net and sys.initial.total() == 1:
+    if _net_view(sys.net).s_net and sys.initial.total() == 1:
         return optimal_alignment_ssystem(trace, sys, c, state_budget=states)
     return optimal_alignment(trace, sys, c, state_budget=states)

@@ -154,7 +154,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set")
+                 "_consume", "_produce", "_place_set", "_trans_set", "_view")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -192,6 +192,7 @@ class PetriNet:
             post_set = set(self._post[t])
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
+        self._view = None   # made on first use, see `_net_view`
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -312,6 +313,66 @@ def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
     return Marking._trusted(counts)
 
 
+class _NetView:
+    """The integer view of one net that its marking graphs, its move tables
+    and the dispatcher read, per transition in declaration order:
+
+    - `first`, per place index, (index, other input places, places consumed
+      from, places produced on) of each transition whose first input place
+      it is, and `unguarded`, those with no input place, each as place
+      indices;
+    - `labels`, the label name of each transition, None when silent;
+    - `pumps`, the silent transitions that produce a token and consume none
+      for good: one enabled at a marking stays enabled as it pumps, so the
+      marking's silent closure is infinite;
+    - `ranks`, each transition's rank among the ids in string order ("t10"
+      < "t2");
+    - `s_net`, whether every transition has at most one input and one
+      output place.
+
+    `_net_view` makes it on a net's first use and keeps it on the net."""
+
+    __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net")
+
+    def __init__(self, net: PetriNet):
+        index = {p: i for i, p in enumerate(net.places)}.__getitem__
+        first: list[list] = [[] for _ in net.places]
+        unguarded = []
+        labels = []
+        pumps = set()
+        s_net = True
+        for k, t in enumerate(net.transitions):
+            pre = tuple(map(index, net._pre[t]))
+            consume, produce = net._consume[t], net._produce[t]
+            entry = (k, pre[1:], tuple(map(index, consume)), tuple(map(index, produce)))
+            (first[pre[0]] if pre else unguarded).append(entry)
+            name = net.labels[t].name
+            labels.append(name)
+            if name is None and produce and not consume:
+                pumps.add(k)
+            if len(pre) > 1 or len(net._post[t]) > 1:
+                s_net = False
+        ts = net.transitions
+        ranks = [0] * len(ts)
+        for r, k in enumerate(sorted(range(len(ts)), key=ts.__getitem__)):
+            ranks[k] = r
+        self.first = tuple(map(tuple, first))
+        self.unguarded = tuple(unguarded)
+        self.labels = tuple(labels)
+        self.pumps = frozenset(pumps)
+        self.ranks = tuple(ranks)
+        self.s_net = s_net
+
+
+def _net_view(net: PetriNet) -> _NetView:
+    """The net's integer view, made on first use and kept on the net;
+    threads that race to make it store equal views."""
+    view = net._view
+    if view is None:
+        view = net._view = _NetView(net)
+    return view
+
+
 class _MarkingGraph:
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
@@ -327,10 +388,11 @@ class _MarkingGraph:
     and found by its key.  A row reads its parent's key alone: a transition
     is enabled iff each of its input places has a nonzero entry, and only
     the transitions with no input place and those whose first input place
-    is marked are checked, through a table per place index built with the
-    graph.  It keys each successor by updating the parent's key: minus one
-    on each place the transition consumes from, plus one on each it
-    produces on, so self-loop places stay as they are.  Only a key not yet
+    is marked are checked, through the net's table per place index
+    (`_NetView.first`), which every graph of the net shares.  It keys each
+    successor by updating the parent's key: minus one on each place the
+    transition consumes from, plus one on each it produces on, so self-loop
+    places stay as they are.  Only a key not yet
     numbered fires through `fire`, which makes the successor's `Marking`: a
     marking gets one `Marking` however many arcs lead to it, and a marking
     made here is never hashed or sorted.  Callers find a `Marking`'s number
@@ -338,22 +400,22 @@ class _MarkingGraph:
 
     Membership reads the graph through a subset automaton (Rabin and Scott,
     *Finite automata and their decision problems*, 1959) of one system,
-    built on demand under the lock from the rows and `labels`, each
-    transition's label name by index; the first caller gives the system's
-    initial and final markings (`subset_start`).  A state is the frozenset
-    of the marking numbers that a prefix of a word leads to, closed under
-    silent moves, and is numbered the first time it is made: `states`,
-    `sizes` and `accepting` hold, per state number, its markings, how many
-    they are and whether the final marking is one of them.  `steps` maps
-    (state number, letter) to the number of the state that the letter leads
-    to: the silent closure of the successors, by the letter's transitions,
-    of the state's markings.  A closure in which a row enables a silent
-    transition that produces a token and consumes none for good is
-    infinite, and is given up at that row.  The start and each step are
-    made the first time a caller asks for them, under a ceiling on `size`:
-    the caller gets None, and no state, when more would be needed.  `size`
-    counts rows and automaton entries: one per row and per step, and per
-    state the markings it holds."""
+    built on demand under the lock from the rows and `labels`, the view's
+    label name of each transition by index; the first caller gives the
+    system's initial and final markings (`subset_start`).  A state is the
+    frozenset of the marking numbers that a prefix of a word leads to,
+    closed under silent moves, and is numbered the first time it is made:
+    `states`, `sizes` and `accepting` hold, per state number, its markings,
+    how many they are and whether the final marking is one of them.  `steps`
+    maps (state number, letter) to the number of the state that the letter
+    leads to: the silent closure of the successors, by the letter's
+    transitions, of the state's markings.  A closure in which a row enables a
+    silent transition that produces a token and consumes none for good is
+    infinite, and is given up at that row.  The start and each step are made
+    the first time a caller asks for them, under a ceiling on `size`: the
+    caller gets None, and no state, when more would be needed.  `size` counts
+    rows and automaton entries: one per row and per step, and per state the
+    markings it holds."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -370,26 +432,9 @@ class _MarkingGraph:
         self._lock = threading.RLock()   # the automaton's steps read rows
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
-        place = {p: i for i, p in enumerate(net.places)}
-        # Per place index, (index, other input places, places consumed from,
-        # places produced on) of each transition whose first input place it
-        # is, in declaration order; those with no input place apart.
-        first: list[list] = [[] for _ in net.places]
-        self._unguarded: list = []
-        self.labels: list[str | None] = []   # label name by index, None when silent
-        # Silent transitions that produce a token and consume none for good:
-        # one enabled at a marking stays enabled as it pumps, so the
-        # marking's silent closure is infinite.
-        self._pumps: set[int] = set()
-        for k, t in enumerate(net.transitions):
-            pre = [place[p] for p in net._pre[t]]
-            entry = (k, tuple(pre[1:]), tuple(place[p] for p in net._consume[t]),
-                     tuple(place[p] for p in net._produce[t]))
-            (first[pre[0]] if pre else self._unguarded).append(entry)
-            self.labels.append(net.label(t).name)
-            if self.labels[k] is None and net._produce[t] and not net._consume[t]:
-                self._pumps.add(k)
-        self._first = first
+        view = _net_view(net)
+        self._first, self._unguarded, self._pumps = view.first, view.unguarded, view.pumps
+        self.labels = view.labels   # label name by index, None when silent
 
     def _key(self, m: Marking) -> tuple:
         counts, net = m._counts, self.net

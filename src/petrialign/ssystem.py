@@ -12,16 +12,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from .costs import CostFunction
-from .engine import AlignResult, _plan, align_by_search
+from .engine import AlignResult, align_by_search
 from .errors import NotSingleToken, NotSSystem
-from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem
+from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, _net_view
 
 
 def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
                               c: CostFunction | None = None,
                               state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
     """Optimal alignment for a single-token S-system."""
-    if not _plan(sys).structure.s_net:
+    if not _net_view(sys.net).s_net:
         raise NotSSystem("every transition needs at most one input and one output place")
     if sys.initial.total() != 1:
         raise NotSingleToken(f"initial marking holds {sys.initial.total()} tokens")

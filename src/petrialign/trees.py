@@ -3,6 +3,7 @@ safe sound free-choice workflow nets."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,9 +173,12 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
                          budget: int = 1_000_000) -> bool:
     """Decide word membership in the tree language by recursive descent.
 
-    seq splits the word, xor tries each child, par solves shuffle membership
-    by partitioning word positions among the children, and loop unrolls to the
-    fixed point of its prefix positions (at most |word|+1 distinct positions).
+    seq carries the word offsets its children reach one after another, xor
+    tries each child, par solves shuffle membership by partitioning word
+    positions among the children, and loop unrolls to the fixed point of its
+    prefix positions (at most |word|+1 distinct positions).  Each descent
+    into a node on a subword is one step; more than `budget` steps raise
+    BudgetExceeded.
     """
     word = tuple(word)
     ids: dict[int, int] = {}
@@ -200,20 +204,36 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
         memo[key] = result
         return result
 
-    def seq_match(node, offset, w) -> bool:
-        children = node.children
-        if offset == len(children) - 1:
-            return match(children[offset], w)
-        key = ("seq", node_id(node), offset, w)
-        if key in memo:
-            return memo[key]
-        result = False
-        for cut in range(len(w) + 1):
-            if match(children[offset], w[:cut]) and seq_match(node, offset + 1, w[cut:]):
-                result = True
-                break
-        memo[key] = result
-        return result
+    def seq_match(node, w) -> bool:
+        """Carry the set of word offsets that a prefix of the children can
+        reach, child by child, trying only the lengths a child's words have."""
+        reached = {0}
+        for child in node.children:
+            lo, hi = lengths(child)
+            reached = {end for start in reached
+                       for end in range(start + lo, min(start + hi, len(w)) + 1)
+                       if match(child, w[start:end])}
+            if not reached:
+                return False
+        return len(w) in reached
+
+    bounds: dict[int, tuple[int, float]] = {}
+
+    def lengths(node) -> tuple[int, float]:
+        """Bounds on the lengths of the node's words: the least, and the
+        greatest or inf under a loop."""
+        key = node_id(node)
+        if key not in bounds:
+            if node.kind in ("activity", "silent"):
+                n = int(node.kind == "activity")
+                bounds[key] = (n, n)
+            elif node.kind == "loop":
+                bounds[key] = (lengths(node.children[0])[0], math.inf)
+            else:
+                los, his = zip(*map(lengths, node.children))
+                bounds[key] = ((min(los), max(his)) if node.kind == "xor"
+                               else (sum(los), sum(his)))
+        return bounds[key]
 
     alphabets: dict[tuple, frozenset] = {}
 
@@ -265,7 +285,7 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
         if node.kind == "xor":
             return any(match(c, w) for c in node.children)
         if node.kind == "seq":
-            return seq_match(node, 0, w)
+            return seq_match(node, w)
         if node.kind == "par":
             return par_match(node, 0, w)
         # loop: L(T1) . (L(T2) . L(T1))*

@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from petrialign import (build_reachability_graph, cli, errors,
-                        gen_shuffle_tsystem, petri, products, serialize_net,
-                        trace_system)
+                        gen_shuffle_tsystem, petri, serialize_net, trace_system)
 from petrialign.cli import run_cli
 
 

@@ -18,6 +18,7 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         serialize_net, standard_costs, trace_system,
                         tree_to_wfnet, validate_alignment)
 from petrialign import classify, engine
+from petrialign.costs import Move
 from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
                                PetriAlignError, UnknownTransition, Unreachable)
 from petrialign import petri
@@ -1077,6 +1078,119 @@ def test_caller_costs_share_the_model_graph():
         assert warm == fresh, str(system.net)
         changed += sum(a.cost != b.cost for a, b in zip(warm[0::4], warm[2::4]))
     assert changed > 0
+
+
+def test_one_cost_function_object_prices_its_moves_once(monkeypatch):
+    """Calls with one `CostFunction` object on one system build one move
+    table; an equal but distinct object builds its own, and both give the
+    outcomes of a fresh system's table."""
+    built = []
+
+    class Counted(engine._MoveTable):
+        def __init__(self, net, c):
+            built.append(c)
+            super().__init__(net, c)
+
+    monkeypatch.setattr(engine, "_MoveTable", Counted)
+    rng = random.Random(67)
+    for system in _route_systems(rng):
+        c, other = _fraction_costs(system), _fraction_costs(system)
+        assert c == other and c is not other
+        traces = [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
+        calls = [(op, trace, costs) for costs in (c, c, other, c) for trace in traces
+                 for op in (dispatch_align, optimal_alignment)]
+        built.clear()
+        warm = [_outcome(op, trace, system, costs) for op, trace, costs in calls]
+        assert [x for x in built if x == c] == [c, other, c]
+        assert [x is c for x in built if x == c] == [True, False, True]
+        fresh = [_outcome(op, trace, _fresh(system), costs) for op, trace, costs in calls]
+        assert warm == fresh, str(system.net)
+
+
+def test_dispatch_reads_no_structural_report(monkeypatch):
+    """A new system's route is read off the net's S-net flag: the dispatcher
+    and the S-system solver build no structural report."""
+    rng = random.Random(71)
+    ssystem = None
+    while ssystem is None:
+        ssystem = random_single_token_ssystem(rng)
+    acyclic = None
+    while acyclic is None:
+        acyclic = random_acyclic_system(rng)
+    tree = tree_to_wfnet(parse_tree("loop(seq(a, xor(b, tau)), par(c, d))"))
+    cases = [(ssystem, "ssystem"), (acyclic, None), (tree, "generic"),
+             (ex1_system(), "generic")]
+    traces = [(), TRACE, ("c", "a", "d", "b")]
+    expected = [[_outcome(dispatch_align, t, _fresh(system)) for t in traces]
+                for system, _ in cases]
+
+    def refused(*args):
+        raise AssertionError("structural_class called")
+
+    monkeypatch.setattr(engine, "structural_class", refused)
+    for (system, route), outcomes in zip(cases, expected):
+        system = _fresh(system)
+        assert [_outcome(dispatch_align, t, system) for t in traces] == outcomes
+        algorithms = {r.algorithm for r in outcomes if not isinstance(r, type)}
+        assert route is None or algorithms == {route}
+
+
+def test_the_s_net_flag_has_one_definition():
+    """The view's flag, the report's and the definition over presets and
+    postsets agree on every suite system, and both values occur."""
+    flags = []
+    for system, _ in make_suite(29, 60):
+        net = system.net
+        flag = petri._net_view(net).s_net
+        assert flag == classify.structural_class(net, system.initial, system.final).s_net
+        assert flag == all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1
+                           for t in net.transitions)
+        flags.append(flag)
+    assert set(flags) == {True, False}
+
+
+def test_move_table_prices_each_move_as_the_cost_function():
+    """Each entry's weight is its move's exact cost times the table's scale,
+    and its rank the move's tie-break key; the alignments the tables give
+    replay at the cost returned."""
+    rng = random.Random(73)
+
+    def price():
+        return Fraction(rng.randint(0, 12), rng.randint(2, 13))
+
+    aligned = 0
+    for system, trace in make_suite(31, 40):
+        net = system.net
+        visible = [t for t in net.transitions if not net.label(t).silent]
+        c = CostFunction(labels=dict(net.labels),
+                         sync_overrides={(net.label(t).name, t): price()
+                                         for t in visible if rng.random() < 0.6},
+                         log_overrides={a: price() for a in LABEL_POOL if rng.random() < 0.6},
+                         model_overrides={t: price() for t in net.transitions
+                                          if rng.random() < 0.6})
+        table = engine._MoveTable(net, c)
+        order = sorted(net.transitions)
+        t_count = len(order)
+        entries = []
+        for k, t in enumerate(net.transitions):
+            name = net.label(t).name
+            if name is None:
+                assert table.sync[k] is None
+            else:
+                entries.append((table.sync[k], Move(name, t), order.index(t)))
+            entries.append((table.model[k], Move(None, t), t_count + order.index(t)))
+        for a in LABEL_POOL + ("z",):
+            entries.append((table.log(a), Move(a, None), 2 * t_count))
+        for (w, rank, move), expected, expected_rank in entries:
+            assert move == expected and hash(move) == hash(expected)
+            assert type(w) is int and w == c.move_cost(expected) * table.scale
+            assert rank == expected_rank
+        for f in (dispatch_align, optimal_alignment):
+            result = _outcome(f, trace, system, c)
+            if not isinstance(result, type):
+                assert validate_alignment(result.alignment, trace, system, c) == result.cost
+                aligned += 1
+    assert aligned > 40
 
 
 def test_a_raise_leaves_a_usable_model_graph(ex1):

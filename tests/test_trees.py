@@ -8,6 +8,7 @@ from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
                         structural_class, tree_alphabet, tree_language_member,
                         tree_to_wfnet)
 from petrialign.errors import ArityError, BudgetExceeded, ParseError
+from petrialign.trees import activity, seq
 from randgen import random_tree
 
 
@@ -101,6 +102,33 @@ def test_translation_language_equivalence_sample():
         alphabet = tree_alphabet(tree) or ("a",)
         for word in all_words(alphabet, 4):
             assert tree_language_member(tree, word) == membership(word, system)
+
+
+def test_a_long_seq_is_matched_without_deep_recursion():
+    """seq carries its reachable word offsets child by child, so 1,200
+    children recurse no deeper than one."""
+    tree = seq(*[activity("a")] * 1200)
+    system = tree_to_wfnet(tree)
+    word = ("a",) * 1200
+    assert tree_language_member(tree, word) and membership(word, system)
+    assert not tree_language_member(tree, word[1:])
+    assert not tree_language_member(tree, word + ("a",))
+    letters = tuple(f"a{i}" for i in range(1200))
+    tree = seq(*map(activity, letters))
+    assert tree_language_member(tree, letters)
+    assert not tree_language_member(tree, letters[:600] + letters[601:] + letters[600:601])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_language_matches_the_translated_net(seed):
+    """The verdict on every word of length <= 3, over the tree's letters
+    and one it lacks, is membership's in the translated net."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        tree = random_tree(rng, depth=4)
+        system = tree_to_wfnet(tree)
+        for word in all_words(tree_alphabet(tree) + ("z",), 3):
+            assert tree_language_member(tree, word) == membership(word, system), (tree, word)
 
 
 def test_shuffle_member_examples():
