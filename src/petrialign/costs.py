@@ -13,9 +13,12 @@ from .petri import AcceptingSystem, Label, fire
 NO_MOVE_SYMBOL = "≫"
 SILENT_SYMBOL = "τ"
 
-# The standard costs; a Fraction is immutable, so every lookup shares these.
-_FREE = Fraction(0)
-_UNIT = Fraction(1)
+# The standard costs, which a cost function charges for every move it does
+# not override; a Fraction is immutable, so every lookup shares these.
+SYNC_DEFAULT = Fraction(0)
+LOG_DEFAULT = Fraction(1)
+VISIBLE_MODEL_DEFAULT = Fraction(1)
+SILENT_MODEL_DEFAULT = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,18 @@ class CostFunction:
                                  f"{t} is labelled {self.labels[t]}")
 
     def sync(self, label: str, transition: str) -> Fraction:
-        return self.sync_overrides.get((label, transition), _FREE)
+        return self.sync_overrides.get((label, transition), SYNC_DEFAULT)
 
     def log(self, label: str) -> Fraction:
-        return self.log_overrides.get(label, _UNIT)
+        return self.log_overrides.get(label, LOG_DEFAULT)
 
     def model(self, transition: str) -> Fraction:
         override = self.model_overrides.get(transition)
         if override is not None:
             return override
-        return _FREE if self.labels[transition].silent else _UNIT
+        if self.labels[transition].silent:
+            return SILENT_MODEL_DEFAULT
+        return VISIBLE_MODEL_DEFAULT
 
     def move_cost(self, move: Move) -> Fraction:
         if move.kind == "sync":

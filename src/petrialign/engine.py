@@ -18,7 +18,8 @@ from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .classify import StructuralReport, _lbfc_bound, structural_class
-from .costs import CostFunction, Move, standard_costs
+from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, CostFunction,
+                    Move, standard_costs)
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
                      Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
@@ -38,12 +39,13 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
-def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], initial: Marking,
-                        final: Marking, table: _MoveTable, state_budget: int):
+def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
+                        final: int, table: _MoveTable, state_budget: int):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `graph`, generated
-    on the fly from (0, initial) to (len(trace), final).  Both markings mark
-    places of the net only.
+    on the fly from (0, start) to (len(trace), final), where `start` and
+    `final` are numbers of `graph`'s markings that mark places of the net
+    only.
 
     Markings are numbered, and their enabled transitions read, through
     `graph` (see `_MarkingGraph`), and moves are priced by `table` (see
@@ -66,7 +68,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], initial: Mar
     is not best is stale.  Each settled state reads its marking's one row,
     for its sync moves and its model moves alike, so the search adds at
     most one row per state it settles, and numbers only the markings of the
-    states it reaches and the final one.
+    states it reaches.
     """
     expand, rows, labels = graph.row, graph.rows, graph.labels
     sync, model = table.sync, table.model
@@ -77,8 +79,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], initial: Mar
     # What the search reads at each position: the letter, its log move's
     # entry, and the priority offset of a state at the next position.
     at = [(a, *table.log(a), (n - i) * radix) for i, a in enumerate(trace, 1)]
-    start = graph.number(initial)
-    goal = graph.number(final) * width + n
+    goal = final * width + n
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
     heap: list = [(n * radix, 0, 0, start)]
     counter = 1
@@ -130,7 +131,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], initial: Mar
                 best[nxt] = (nc, state, move)
                 heappush(heap, (nc * span + here + rank, counter, pos, s))
                 counter += 1
-    raise Unreachable(f"marking {final!r} is not reachable")
+    raise Unreachable(f"marking {graph.markings[final]!r} is not reachable")
 
 
 def min_cost_reach(net: PetriNet, initial: Marking,
@@ -155,8 +156,9 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     if outside:
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
-    cost, seq, _ = dijkstra_least_cost(_MarkingGraph(net), (), initial, target, table,
-                                       state_budget)
+    graph = _MarkingGraph(net)
+    cost, seq, _ = dijkstra_least_cost(graph, (), graph.number(initial), graph.number(target),
+                                       table, state_budget)
     return Fraction(cost, table.scale), tuple(move.model_part for move in seq)
 
 
@@ -169,33 +171,57 @@ class _MoveTable:
 
     A sync move pairs a transition with its own label (`CostFunction`
     admits no other), so its entry depends on the transition alone.  Every
-    price is the cost function's exact `Fraction`, read from
-    `CostFunction.sync`, `.model` or `.log`, times `scale`, the lcm of the
-    denominators of its overrides (1 under the standard costs), so every
-    weight is a non-negative int.  Each entry holds its `Move`, so a search
-    returns its path as it walks it back; the moves are made by
-    `Move._trusted`, since every entry pairs a transition with its own
-    label.
+    price is the cost function's exact `Fraction` times `scale`, the lcm of
+    the denominators of its overrides (1 under the standard costs), so every
+    weight is a non-negative int.  One loop prices the transitions: it reads
+    the function's override of each move, or else the standard cost of
+    `costs.py` that `CostFunction` falls back to, whose weights it computes
+    once; so the standard costs and the caller's are priced alike (the
+    standard costs override nothing, so their loop reads no dict).  Each
+    entry holds its `Move`, so a search returns its path as it walks it
+    back.  The loop makes each move as `Move._trusted` does, without the
+    dataclass check, since every entry pairs a transition with its own
+    label; inline, as it makes two per transition.
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
         self.c = c
-        self.scale = scale = math.lcm(*(v.denominator for table in (
-            c.sync_overrides, c.log_overrides, c.model_overrides) for v in table.values()))
+        sync_costs, log_costs, model_costs = c.sync_overrides, c.log_overrides, c.model_overrides
+        scale = 1
+        if sync_costs or log_costs or model_costs:
+            scale = math.lcm(*(v.denominator for table in (sync_costs, log_costs, model_costs)
+                               for v in table.values()))
+        self.scale = scale
+        sync_w = _weight(SYNC_DEFAULT, scale)
+        visible_w = _weight(VISIBLE_MODEL_DEFAULT, scale)
+        silent_w = _weight(SILENT_MODEL_DEFAULT, scale)
         view = _net_view(net)
-        t_count = len(net.transitions)
+        t_count = len(view.labels)
+        new = object.__new__
         self.sync: list[tuple[int, int, Move] | None] = []
         self.model: list[tuple[int, int, Move]] = []
+        sync, model = self.sync.append, self.model.append
         for a, t, rank in zip(view.labels, net.transitions, view.ranks):
             if a is None:
-                self.sync.append(None)
+                sync(None)
+                w = silent_w
             else:
-                v = c.sync(a, t)
-                self.sync.append((v.numerator * (scale // v.denominator), rank,
-                                  Move._trusted(a, t)))
-            v = c.model(t)
-            self.model.append((v.numerator * (scale // v.denominator), t_count + rank,
-                               Move._trusted(None, t)))
+                v = sync_costs.get((a, t)) if sync_costs else None
+                move = new(Move)
+                fields = move.__dict__
+                fields["log_part"] = a
+                fields["model_part"] = t
+                sync((sync_w if v is None else _weight(v, scale), rank, move))
+                w = visible_w
+            if model_costs:
+                v = model_costs.get(t)
+                if v is not None:
+                    w = _weight(v, scale)
+            move = new(Move)
+            fields = move.__dict__
+            fields["log_part"] = None
+            fields["model_part"] = t
+            model((w, t_count + rank, move))
         self._logs: dict[str, tuple[int, int, Move]] = {}
 
     def log(self, a: str) -> tuple[int, int, Move]:
@@ -204,10 +230,15 @@ class _MoveTable:
         if entry is None:
             if not is_token(a):
                 raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-            v = self.c.log(a)
-            entry = self._logs[a] = (v.numerator * (self.scale // v.denominator),
-                                     2 * len(self.model), Move._trusted(a, None))
+            entry = self._logs[a] = (_weight(self.c.log(a), self.scale), 2 * len(self.model),
+                                     Move._trusted(a, None))
         return entry
+
+
+def _weight(v: Fraction, scale: int) -> int:
+    """The integer weight of cost `v` on a table's scale, a multiple of its
+    denominator."""
+    return v.numerator * (scale // v.denominator)
 
 
 _plan_lock = threading.Lock()   # making a plan or a graph of one, storing a result
@@ -265,12 +296,19 @@ class _Plan:
     reached and their successors; the results hold at most twice the
     budget.  A call on another system drops the plan, and all of it with
     it.  Graphs are made under a lock, so threads that ask for one together
-    share it."""
+    share it.
+
+    `ends` holds the numbers of the system's initial and final markings,
+    where the searches start and end.  `model_graph` numbers them first on
+    each graph it makes, so they are the same on every graph of the plan,
+    and a search that got the graph before another thread replaced it
+    reads the right ones."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._lbfc: dict[int, int | None] = {}
         self._graph: _MarkingGraph | None = None
+        self.ends = (0, 0)   # numbered with the first graph
         self._caller_moves: _MoveTable | None = None
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
@@ -309,7 +347,9 @@ class _Plan:
             with _plan_lock:
                 # When another thread replaced the graph meanwhile, share its one.
                 if self._graph is graph:
-                    self._graph = _MarkingGraph(self.sys.net)
+                    graph = _MarkingGraph(self.sys.net)
+                    self.ends = (graph.number(self.sys.initial), graph.number(self.sys.final))
+                    self._graph = graph
                     self.results = {}
                     self.results_size = 0
                 graph = self._graph
@@ -373,11 +413,12 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     else:
         table = plan.caller_moves(c)
     try:
-        cost, seq, settled = dijkstra_least_cost(
-            graph, trace, sys.initial, sys.final, table, state_budget)
+        cost, seq, settled = dijkstra_least_cost(graph, trace, *plan.ends, table, state_budget)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
-    result = AlignResult(seq, Fraction(cost, table.scale), algorithm, settled)
+    scale = table.scale
+    result = AlignResult(seq, Fraction(cost) if scale == 1 else Fraction(cost, scale),
+                         algorithm, settled)
     if c is None:
         plan.store(key, result)
     return result
@@ -603,9 +644,12 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     route reads the S-net flag alone, and search a trace they repeat under
     the standard costs once; only the last system is remembered.
     """
-    from .ssystem import optimal_alignment_ssystem
-
-    states = (budgets or Budgets()).states
+    states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
     if _net_view(sys.net).s_net and sys.initial.total() == 1:
-        return optimal_alignment_ssystem(trace, sys, c, state_budget=states)
-    return optimal_alignment(trace, sys, c, state_budget=states)
+        return optimal_alignment_ssystem(trace, sys, c, states)
+    return optimal_alignment(trace, sys, c, states)
+
+
+# The S-system route, bound once: `ssystem` builds on this module, so it is
+# imported once every name it reads here exists.
+from .ssystem import optimal_alignment_ssystem  # noqa: E402

@@ -628,7 +628,8 @@ def _schedule_counts(net: PetriNet, m0: Marking, x: Mapping[str, int], step_budg
     """
     items = [t for t in net.transitions if x.get(t)]
     remaining = [x[t] for t in items]
-    waits = [[items.index(u) for u in (before or {}).get(t, ()) if u in items]
+    position = {t: i for i, t in enumerate(items)}
+    waits = [[position[u] for u in (before or {}).get(t, ()) if u in position]
              for t in items]
     total = sum(remaining)
     seq: list[str] = []

@@ -235,47 +235,83 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
                                else (sum(los), sum(his)))
         return bounds[key]
 
-    alphabets: dict[tuple, frozenset] = {}
+    alphabets: dict[int, frozenset] = {}
 
-    def alphabet(node, offset=0) -> frozenset:
-        """The visible letters of the node, or of its children from
-        `offset` on."""
-        key = (node_id(node), offset)
+    def alphabet(node) -> frozenset:
+        """The visible letters of the node."""
+        key = node_id(node)
         if key not in alphabets:
             if node.kind == "activity":
                 alphabets[key] = frozenset((node.label,))
             else:
-                alphabets[key] = frozenset().union(*map(alphabet, node.children[offset:]))
+                alphabets[key] = frozenset().union(*map(alphabet, node.children))
         return alphabets[key]
 
-    def par_match(node, offset, w) -> bool:
+    owners: dict[int, dict[str, int]] = {}
+
+    def last_owner(node) -> dict[str, int]:
+        """Each letter of the node's children mapped to the last child that
+        has it, in one backward pass: a letter is in the alphabet of the
+        children after child k iff it maps above k."""
+        key = node_id(node)
+        if key not in owners:
+            last: dict[str, int] = {}
+            for k in range(len(node.children) - 1, -1, -1):
+                for a in alphabet(node.children[k]):
+                    last.setdefault(a, k)
+            owners[key] = last
+        return owners[key]
+
+    def par_match(node, w) -> bool:
+        """Split the word between each child and the children after it, on
+        an explicit stack with one frame per child whose split is open, so
+        a wide node recurses no deeper than one.  A frame holds its subword,
+        the positions forced to its child and the free ones, and the next
+        subset of the free ones to give its child (None when none is left);
+        subsets are tried from all the free positions down to none."""
         children = node.children
-        if offset == len(children) - 1:
-            return match(children[offset], w)
-        # A position whose letter only the first child has goes to it, one
-        # whose letter only the later children have goes to them, and a
-        # letter no child has fails the word; only the other positions are
-        # split both ways.
-        mine, others = alphabet(children[offset]), alphabet(node, offset + 1)
-        forced = free = 0
-        for i, a in enumerate(w):
-            if a in mine:
-                if a in others:
-                    free |= 1 << i
-                else:
-                    forced |= 1 << i
-            elif a not in others:
-                return False
-        sub = free
+        last = last_owner(node)
+        frames: list[list] = []
         while True:
-            taken = sub | forced
-            first = tuple(a for i, a in enumerate(w) if taken >> i & 1)
-            rest = tuple(a for i, a in enumerate(w) if not taken >> i & 1)
-            if match(children[offset], first) and par_match(node, offset + 1, rest):
-                return True
-            if sub == 0:
+            # Open the split of w among the children from len(frames) on.
+            k = len(frames)
+            if k == len(children) - 1:
+                if match(children[k], w):
+                    return True
+            else:
+                # A position whose letter only child k has goes to it, one
+                # whose letter only the later children have goes to them,
+                # and a letter neither has fails the subword; only the other
+                # positions are split both ways.
+                mine = alphabet(children[k])
+                forced = free = 0
+                for i, a in enumerate(w):
+                    later = last.get(a, -1) > k
+                    if a in mine:
+                        if later:
+                            free |= 1 << i
+                        else:
+                            forced |= 1 << i
+                    elif not later:
+                        break
+                else:
+                    frames.append([w, forced, free, free])
+            # Give the next subset of the top frame's positions to its child,
+            # and open the rest for the children after it once it matches.
+            while frames:
+                frame = frames[-1]
+                w, forced, free, sub = frame
+                if sub is None:
+                    frames.pop()
+                    continue
+                frame[3] = (sub - 1) & free if sub else None
+                taken = sub | forced
+                first = tuple(a for i, a in enumerate(w) if taken >> i & 1)
+                if match(children[len(frames) - 1], first):
+                    w = tuple(a for i, a in enumerate(w) if not taken >> i & 1)
+                    break
+            else:
                 return False
-            sub = (sub - 1) & free
 
     def _match(node, w) -> bool:
         if node.kind == "activity":
@@ -287,7 +323,7 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
         if node.kind == "seq":
             return seq_match(node, w)
         if node.kind == "par":
-            return par_match(node, 0, w)
+            return par_match(node, w)
         # loop: L(T1) . (L(T2) . L(T1))*
         do, redo = node.children
         reached = {cut for cut in range(len(w) + 1) if match(do, w[:cut])}

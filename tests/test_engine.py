@@ -1149,25 +1149,43 @@ def test_the_s_net_flag_has_one_definition():
     assert set(flags) == {True, False}
 
 
-def test_move_table_prices_each_move_as_the_cost_function():
-    """Each entry's weight is its move's exact cost times the table's scale,
-    and its rank the move's tie-break key; the alignments the tables give
-    replay at the cost returned."""
-    rng = random.Random(73)
-
+def _random_overrides(rng, system):
     def price():
         return Fraction(rng.randint(0, 12), rng.randint(2, 13))
 
+    net = system.net
+    visible = [t for t in net.transitions if not net.label(t).silent]
+    return CostFunction(labels=dict(net.labels),
+                        sync_overrides={(net.label(t).name, t): price()
+                                        for t in visible if rng.random() < 0.6},
+                        log_overrides={a: price() for a in LABEL_POOL if rng.random() < 0.6},
+                        model_overrides={t: price() for t in net.transitions
+                                         if rng.random() < 0.6})
+
+
+def _restated_defaults(rng, system):
+    """Overrides that restate the standard cost of some moves: sync 0, log
+    1, model 1 when visible and 0 when silent."""
+    net = system.net
+    visible = [t for t in net.transitions if not net.label(t).silent]
+    return CostFunction(labels=dict(net.labels),
+                        sync_overrides={(net.label(t).name, t): 0
+                                        for t in visible if rng.random() < 0.6},
+                        log_overrides={a: 1 for a in LABEL_POOL if rng.random() < 0.6},
+                        model_overrides={t: int(not net.label(t).silent)
+                                         for t in net.transitions if rng.random() < 0.6})
+
+
+def _assert_tables_price_as(costs):
+    """Each entry's weight is its move's exact cost, under the cost function
+    `costs(rng, system)`, times the table's scale, and its rank the move's
+    tie-break key; the alignments the tables give replay at the cost
+    returned."""
+    rng = random.Random(73)
     aligned = 0
     for system, trace in make_suite(31, 40):
         net = system.net
-        visible = [t for t in net.transitions if not net.label(t).silent]
-        c = CostFunction(labels=dict(net.labels),
-                         sync_overrides={(net.label(t).name, t): price()
-                                         for t in visible if rng.random() < 0.6},
-                         log_overrides={a: price() for a in LABEL_POOL if rng.random() < 0.6},
-                         model_overrides={t: price() for t in net.transitions
-                                          if rng.random() < 0.6})
+        c = costs(rng, system)
         table = engine._MoveTable(net, c)
         order = sorted(net.transitions)
         t_count = len(order)
@@ -1191,6 +1209,69 @@ def test_move_table_prices_each_move_as_the_cost_function():
                 assert validate_alignment(result.alignment, trace, system, c) == result.cost
                 aligned += 1
     assert aligned > 40
+
+
+def test_move_table_prices_each_move_as_the_cost_function():
+    _assert_tables_price_as(_random_overrides)
+
+
+@pytest.mark.parametrize("costs", [_restated_defaults,
+                                   lambda rng, system: standard_costs(system)],
+                         ids=["restated_defaults", "standard"])
+def test_move_table_prices_unlisted_moves_at_the_standard_costs(costs):
+    """The standard costs, and overrides that restate them, check the
+    table's default weight of each move, entry by entry."""
+    _assert_tables_price_as(costs)
+
+
+def test_a_replaced_graph_numbers_the_ends_of_the_search_again():
+    """Calls whose state budget is below the markings of the graph get a
+    new, empty one, on which the plan numbers the initial and final markings
+    again: the searches on it, under the small budget and then the default
+    one, give a fresh system's alignment, cost and settled states, and the
+    oracle's cost, on every route."""
+    rng = random.Random(103)
+    replaced = 0
+    for system in _route_systems(rng):
+        traces = [_noisy_run(rng, system, 16) for _ in range(3)] + [()]
+
+        def fill(system):
+            """The graph that aligning every trace leaves on `system`."""
+            for trace in traces:
+                _outcome(_dispatch, trace, system, DEFAULT_STATE_BUDGET)
+            return engine._plan(system).model_graph(DEFAULT_STATE_BUDGET)
+
+        small = len(fill(_fresh(system)).markings) - 1
+        if small < 1:
+            continue
+        calls = [(op, trace, budget) for budget in (small, DEFAULT_STATE_BUDGET)
+                 for trace in traces for op in (_dispatch, _generic)]
+        fresh = [_outcome(op, trace, _fresh(system), budget) for op, trace, budget in calls]
+        graph = fill(system)
+        warm = [_outcome(op, trace, system, budget) for op, trace, budget in calls]
+        assert warm == fresh, str(system.net)
+        assert engine._plan(system).model_graph(DEFAULT_STATE_BUDGET) is not graph
+        replaced += 1
+        for (op, trace, budget), result in zip(calls, warm):
+            if isinstance(result, engine.AlignResult):
+                assert result.cost == brute_force_oracle(trace, system)
+    assert replaced >= 8
+
+
+def test_budgets_none_is_the_default_budgets():
+    """`budgets=None` and `Budgets()` give equal results on every route,
+    under the standard costs and the caller's."""
+    rng = random.Random(107)
+    routes = set()
+    for system in _route_systems(rng):
+        c = _fraction_costs(system)
+        for trace in [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]:
+            for costs in (None, c):
+                none = _outcome(dispatch_align, trace, _fresh(system), costs, None)
+                default = _outcome(dispatch_align, trace, _fresh(system), costs, Budgets())
+                assert none == default
+                routes.add(getattr(none, "algorithm", none))
+    assert {"generic", "ssystem"} <= routes
 
 
 def test_a_raise_leaves_a_usable_model_graph(ex1):

@@ -325,6 +325,22 @@ def test_schedule_counts_with_before():
         _schedule_counts(net, p, counts, 4, {"a": ["b"]})
 
 
+def test_schedule_counts_along_a_long_before_chain():
+    """2,000 self-loops on p, each waiting for the one declared before it:
+    the one order fires them in declaration order, one step per state it
+    enters, and a wait of the first on the last leaves no order at all."""
+    ts = tuple(f"t{i}" for i in range(2000))
+    net = PetriNet(("p",), ts, [arc for t in ts for arc in (("p", t), (t, "p"))],
+                   {t: Label("a") for t in ts})
+    counts = dict.fromkeys(ts, 1)
+    chain = {t: [u] for u, t in zip(ts, ts[1:])}
+    p = Marking.of("p")
+    assert _schedule_counts(net, p, counts, len(ts) + 1, chain) == ts
+    with pytest.raises(BudgetExceeded, match="schedule steps"):
+        _schedule_counts(net, p, counts, len(ts), chain)
+    assert _schedule_counts(net, p, counts, 10, {**chain, ts[0]: [ts[-1]]}) is None
+
+
 def test_topological_order_is_last_in_first_out():
     net = PetriNet(("i", "p", "q", "o"), ("t1", "t2", "t3"),
                    [("i", "t1"), ("t1", "p"), ("t1", "q"), ("p", "t2"),

@@ -8,7 +8,7 @@ from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
                         structural_class, tree_alphabet, tree_language_member,
                         tree_to_wfnet)
 from petrialign.errors import ArityError, BudgetExceeded, ParseError
-from petrialign.trees import activity, seq
+from petrialign.trees import activity, par, seq
 from randgen import random_tree
 
 
@@ -117,6 +117,37 @@ def test_a_long_seq_is_matched_without_deep_recursion():
     tree = seq(*map(activity, letters))
     assert tree_language_member(tree, letters)
     assert not tree_language_member(tree, letters[:600] + letters[601:] + letters[600:601])
+
+
+def test_a_wide_par_is_matched_without_deep_recursion():
+    """par splits a word among its children on an explicit stack, so 1,200
+    children recurse no deeper than one."""
+    letters = tuple(f"a{i}" for i in range(1200))
+    tree = par(*map(activity, letters))
+    assert tree_language_member(tree, letters)
+    assert tree_language_member(tree, letters[::-1])
+    assert not tree_language_member(tree, letters[:600] + letters[601:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_par_trees_match_the_translated_net(seed):
+    """The verdict on every word of length <= 2 and on sampled longer ones,
+    over the tree's letters and one it lacks, is membership's in the
+    translated net, for par nodes of 3 to 6 random children."""
+    rng = random.Random(100 + seed)
+    verdicts = set()
+    for _ in range(4):
+        tree = par(*(random_tree(rng, depth=2) for _ in range(rng.randint(3, 6))))
+        system = tree_to_wfnet(tree)
+        alphabet = tree_alphabet(tree) + ("z",)
+        words = list(all_words(alphabet, 2))
+        words += [tuple(rng.choice(alphabet) for _ in range(rng.randint(3, 8)))
+                  for _ in range(150)]
+        for word in words:
+            verdict = tree_language_member(tree, word)
+            assert verdict == membership(word, system), (tree, word)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(4))
