@@ -23,9 +23,8 @@ from .generators import (GadgetRecord, MachineRun, TuringMachine,
                          make_easy_sound_safe, run_machine, tm_accepts)
 from .netio import (parse_cost_file, parse_net, parse_tm, parse_trace,
                     serialize_net)
-from .petri import (AcceptingSystem, IncidenceMatrix, Label, Marking, PetriNet,
-                    enabled_transitions, fire, fire_sequence, incidence_matrix,
-                    is_enabled, parikh)
+from .petri import (AcceptingSystem, Label, Marking, PetriNet, enabled_transitions,
+                    fire, fire_sequence, is_enabled, parikh)
 from .products import (ReachabilityGraph, build_reachability_graph,
                        product_of_reach_graphs, product_parts,
                        synchronous_product, trace_system)

@@ -15,6 +15,7 @@ from . import errors
 from .classify import DEFAULT_B_MAX, _bounded_then_behavioral, structural_class
 from .costs import render_alignment
 from .engine import Budgets, dispatch_align, lbfc_cap, membership, optimal_alignment
+from .fixtures import ex1_system
 from .acyclic import optimal_alignment_acyclic
 from .generators import gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet
 from .netio import parse_cost_file, parse_net, parse_tm, parse_trace, serialize_net
@@ -156,8 +157,6 @@ _BENCH_TRACES = {
 
 
 def _bench_instances():
-    from .fixtures import ex1_system
-
     ex1 = ex1_system()
     for name, text in sorted(_BENCH_TRACES.items()):
         yield name, ex1, parse_trace(text)
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="comma-separated transition ids")
     p.add_argument("--bound", type=_budget, default=1, help="place bound b")
     p.add_argument("--budget", type=_budget, default=200_000,
-                   help="recursion steps of the ordered-permutation search")
+                   help="states the search for an ordered permutation enters")
     p.set_defaults(func=_cmd_shorten)
 
     p = sub.add_parser("gen", help="generate instance nets")

@@ -17,7 +17,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-from .classify import StructuralReport, _lbfc_bound, structural_class
+from .classify import _lbfc_bound, structural_class
 from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, CostFunction,
                     Move, standard_costs)
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
@@ -246,16 +246,11 @@ _plan_lock = threading.Lock()   # making a plan or a graph of one, storing a res
 
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
-    needs of the system alone, each part computed on first use: the
-    structural report, the LBFC cap per state budget, the move table of the
-    standard costs and the model graph, plus the standard-cost results found
-    so far.  Every part depends on the system only, so concurrent callers
-    that both compute one agree.  Besides, the plan keeps the move table of
-    the last caller's cost function, matched by the identity of the
-    `CostFunction` object (it holds dicts, so it has no hash): repeated
-    calls with one object price its moves once, so the object must not be
-    changed after its first use.  The dispatcher reads no part of the
-    report: the S-net flag it needs is the net's (`petri._NetView`).
+    needs of the system alone, each part computed on first use: the move
+    table of the standard costs and the model graph, plus the standard-cost
+    results found so far.  Every part depends on the system only, so
+    concurrent callers that both compute one agree.  A call with the
+    caller's costs prices them in a table of its own.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -264,12 +259,6 @@ class _Plan:
     Calls with the caller's costs and calls that raise store nothing.  A
     result's size is the number of states on its path, its moves plus one,
     which is at most the states its search settled.
-
-    The LBFC cap, which only `lbfc_cap` asks for, needs the bound and
-    whether the system is live, or sound and workflow-shaped: nothing else
-    of `behavioral_class`'s report.  `classify._lbfc_bound` reads them off
-    the decision that report is built on (`classify._analysis`), in one
-    walk over the model graph's rows, with no certificate.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
     LBFC cap's walk, the alignment searches and the membership calls on the
@@ -306,10 +295,8 @@ class _Plan:
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
-        self._lbfc: dict[int, int | None] = {}
         self._graph: _MarkingGraph | None = None
         self.ends = (0, 0)   # numbered with the first graph
-        self._caller_moves: _MoveTable | None = None
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
 
@@ -320,20 +307,8 @@ class _Plan:
                 self.results_size += len(result.alignment) + 1
 
     @cached_property
-    def structure(self) -> StructuralReport:
-        sys = self.sys
-        return structural_class(sys.net, sys.initial, sys.final)
-
-    @cached_property
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
-
-    def caller_moves(self, c: CostFunction) -> _MoveTable:
-        """The move table of `c`, kept for the last cost function only."""
-        table = self._caller_moves
-        if table is None or table.c is not c:
-            table = self._caller_moves = _MoveTable(self.sys.net, c)
-        return table
 
     def model_graph(self, state_budget: int) -> _MarkingGraph:
         """The numbered markings, rows and subset automaton of the LBFC cap's
@@ -354,23 +329,6 @@ class _Plan:
                     self.results_size = 0
                 graph = self._graph
         return graph
-
-    def lbfc_cap(self, state_budget: int, trace_len: int) -> int | None:
-        """`lbfc_cap`'s answer, its walk made once per state budget."""
-        if state_budget not in self._lbfc:
-            base = None
-            srep = self.structure
-            if srep.free_choice:
-                try:
-                    bound = _lbfc_bound(self.sys, self.model_graph(state_budget),
-                                        state_budget, srep.workflow_shape)
-                    if bound:
-                        base = lbfc_length_bound(len(self.sys.net.transitions), bound, 0)
-                except BudgetExceeded:
-                    pass
-            self._lbfc[state_budget] = base
-        base = self._lbfc[state_budget]
-        return None if base is None else (trace_len + 1) * base
 
 
 _last_plan: _Plan | None = None
@@ -411,7 +369,7 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
             return result
         table = plan.standard_moves
     else:
-        table = plan.caller_moves(c)
+        table = _MoveTable(sys.net, c)
     try:
         cost, seq, settled = dijkstra_least_cost(graph, trace, *plan.ends, table, state_budget)
     except Unreachable as exc:
@@ -534,7 +492,15 @@ def lbfc_cap(sys: AcceptingSystem, trace_len: int,
     bounded free-choice system; None otherwise or when its walk passes the budget."""
     if trace_len < 0:
         raise ValueError("trace_len must be non-negative")
-    return _plan(sys).lbfc_cap(state_budget, trace_len)
+    srep = structural_class(sys.net, sys.initial, sys.final)
+    if not srep.free_choice:
+        return None
+    try:
+        bound = _lbfc_bound(sys, _plan(sys).model_graph(state_budget), state_budget,
+                            srep.workflow_shape)
+    except BudgetExceeded:
+        return None
+    return lbfc_length_bound(len(sys.net.transitions), bound, trace_len) if bound else None
 
 
 def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,
@@ -634,9 +600,11 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
                    budgets: Budgets | None = None) -> AlignResult:
     """Route to the cheapest applicable solver based on the classifiers.
 
-    Single-token S-systems go to the S-system solver (the generic search,
-    capped at (|trace| + 1)(|P| + 1) states); every other system, acyclic
-    ones included, goes to the generic search, bounded by `budgets.states`.
+    Single-token S-systems take the S-system route: the generic search,
+    capped at (|trace| + 1)(|P| + 1) states and reported as "ssystem"
+    (`optimal_alignment_ssystem` is this route behind its checks).  Every
+    other system, acyclic ones included, goes to the generic search,
+    bounded by `budgets.states`.
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
@@ -646,10 +614,11 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     """
     states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
     if _net_view(sys.net).s_net and sys.initial.total() == 1:
-        return optimal_alignment_ssystem(trace, sys, c, states)
+        trace = tuple(trace)
+        # The search never needs more states than this, unless a transition
+        # with no input place makes the net unbounded.  Then the bound may cut
+        # the search short: it returns an optimal alignment if it settles the
+        # final state within the bound and raises BudgetExceeded otherwise.
+        bound = (len(trace) + 1) * (len(sys.net.places) + 1)
+        return align_by_search(trace, sys, c, min(states, bound), "ssystem")
     return optimal_alignment(trace, sys, c, states)
-
-
-# The S-system route, bound once: `ssystem` builds on this module, so it is
-# imported once every name it reads here exists.
-from .ssystem import optimal_alignment_ssystem  # noqa: E402

@@ -29,10 +29,6 @@ class DisconnectedNet(PetriAlignError):
     """The underlying undirected graph of the net is not weakly connected."""
 
 
-class EmptyNet(PetriAlignError):
-    """Operation requires at least one place and one transition."""
-
-
 class UnknownTransition(PetriAlignError):
     """Transition id does not exist in the net."""
 

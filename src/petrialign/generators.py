@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 from .errors import (CycleDetected, GadgetError, NonCanonicalHalt,
                      NotSafeMarkings, SpaceBoundViolated, StepCapExceeded)
 from .petri import AcceptingSystem, Label, Marking, PetriNet, is_token
+from .products import trace_system
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,6 @@ def gen_shuffle_ssystem(word: Sequence[str], n: int) -> AcceptingSystem:
     word = tuple(word)
     if n < 1 or not word:
         raise ValueError("need n >= 1 and a non-empty word")
-    from .products import trace_system
     line = trace_system(word)
     initial = Marking({line.initial.support()[0]: n})
     final = Marking({line.final.support()[0]: n})

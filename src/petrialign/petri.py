@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceeded, EmptyNet, NotEnabled, UnknownTransition
+from .errors import BudgetExceeded, NotEnabled, UnknownTransition
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -676,40 +676,3 @@ def parikh(seq: Iterable[str]) -> dict[str, int]:
 
 def parikh_dominated(smaller: Mapping[str, int], larger: Mapping[str, int]) -> bool:
     return all(n <= larger.get(t, 0) for t, n in smaller.items())
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Sparse {-1, 0, +1} incidence matrix; absent entries are zero."""
-
-    places: tuple[str, ...]
-    transitions: tuple[str, ...]
-    entries: Mapping[tuple[str, str], int]
-
-    def __getitem__(self, key: tuple[str, str]) -> int:
-        return self.entries.get(key, 0)
-
-    def column(self, t: str) -> dict[str, int]:
-        return {p: v for (p, tt), v in self.entries.items() if tt == t}
-
-    def displacement(self, counts: Mapping[str, int]) -> dict[str, int]:
-        """Matrix-vector product: net token change per place for firing counts."""
-        delta: dict[str, int] = {}
-        for (p, t), v in self.entries.items():
-            n = counts.get(t, 0)
-            if n:
-                delta[p] = delta.get(p, 0) + v * n
-        return {p: d for p, d in delta.items() if d}
-
-
-def incidence_matrix(net: PetriNet) -> IncidenceMatrix:
-    """Incidence matrix of the net; self-loop place/transition pairs yield 0."""
-    if not net.places or not net.transitions:
-        raise EmptyNet("incidence matrix needs at least one place and one transition")
-    entries: dict[tuple[str, str], int] = {}
-    for t in net.transitions:
-        for p in net._consume[t]:
-            entries[(p, t)] = -1
-        for p in net._produce[t]:
-            entries[(p, t)] = 1
-    return IncidenceMatrix(net.places, net.transitions, entries)

@@ -192,9 +192,10 @@ def shorten_lbfc(net: PetriNet, marking: Marking, seq: Sequence[str], bound: int
     dominated Parikh vector.
 
     The caller asserts the class preconditions; the construction itself is
-    replay-verified.  When the ordered-permutation search takes more than
-    search_budget recursion steps, the original sequence is returned flagged;
-    when no ordered permutation exists, BoundAssumptionViolated is raised."""
+    replay-verified.  When the search for an ordered permutation enters more
+    than search_budget states (see `petri._schedule_counts`), the original
+    sequence is returned flagged; when no ordered permutation exists,
+    BoundAssumptionViolated is raised."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     seq = tuple(seq)

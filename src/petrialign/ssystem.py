@@ -3,8 +3,8 @@
 The token count of an S-system never grows, so with one initial token the
 model has at most |P| + 1 reachable markings, and the generic search over
 (trace position, marking) settles at most (|trace| + 1)(|P| + 1) states.
-The solver is that search, bounded by this count, behind the two
-precondition checks.
+The solver is the dispatcher's S-system route, that search bounded by this
+count, behind the two precondition checks.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .costs import CostFunction
-from .engine import AlignResult, align_by_search
+from .engine import AlignResult, Budgets, dispatch_align
 from .errors import NotSingleToken, NotSSystem
 from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, _net_view
 
@@ -25,10 +25,4 @@ def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
         raise NotSSystem("every transition needs at most one input and one output place")
     if sys.initial.total() != 1:
         raise NotSingleToken(f"initial marking holds {sys.initial.total()} tokens")
-    trace = tuple(trace)
-    # The search never needs more states than this, unless a transition with
-    # no input place makes the net unbounded.  Then the bound may cut the
-    # search short: it returns an optimal alignment if it settles the final
-    # state within the bound and raises BudgetExceeded otherwise.
-    bound = (len(trace) + 1) * (len(sys.net.places) + 1)
-    return align_by_search(trace, sys, c, min(state_budget, bound), "ssystem")
+    return dispatch_align(trace, sys, c, Budgets(state_budget))

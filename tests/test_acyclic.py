@@ -76,8 +76,8 @@ def test_crossing_sync_pairs_need_scheduling():
 
 
 def test_schedule_counts_step_budget():
-    """Scheduling a line of four transitions takes five recursion steps (one
-    per firing plus the final check); a budget of four stops it."""
+    """Scheduling a line of four transitions enters five states (one per
+    firing plus the final check); a budget of four stops it."""
     net = trace_system(("a", "b", "c", "d")).net
     counts = {"t1": 1, "t2": 1, "t3": 1, "t4": 1}
     assert _schedule_counts(net, Marking.of("p0"), counts, 5) == ("t1", "t2", "t3", "t4")

@@ -1,0 +1,38 @@
+"""Loops that take a cap of their own raise BudgetExceeded past it."""
+
+import itertools
+
+import pytest
+
+from petrialign import (ShuffleInstance, brute_force_oracle, ex1_system, min_cost_reach,
+                        shuffle_member)
+from petrialign.errors import BudgetExceeded
+
+
+def _oracle(cap):
+    return brute_force_oracle(("a", "b", "a", "a"), ex1_system(), state_cap=cap)
+
+
+def _shuffle(cap):
+    inst = ShuffleInstance(("a",) * 6, (("a",) * 3, ("a",) * 3))
+    return shuffle_member(inst, state_cap=cap)
+
+
+def _reach(cap):
+    ex1 = ex1_system()
+    return min_cost_reach(ex1.net, ex1.initial, {}, ex1.final, state_budget=cap)[0]
+
+
+@pytest.mark.parametrize("run, answer", [(_oracle, 2), (_shuffle, True), (_reach, 0)],
+                         ids=["brute_force_oracle", "shuffle_member", "min_cost_reach"])
+def test_a_loop_raises_past_its_cap(run, answer):
+    """Every cap below the least one that answers raises, having counted
+    one state more than the cap allows."""
+    for cap in itertools.count(1):
+        try:
+            got = run(cap)
+        except BudgetExceeded as exc:
+            assert exc.discovered == cap + 1
+            continue
+        break
+    assert cap > 1 and got == answer

@@ -485,6 +485,8 @@ def test_consecutive_calls_match_fresh_systems():
 
 
 def test_consecutive_calls_classify_once(monkeypatch):
+    """Each cap walks the system again, but over the rows that the first
+    walk filled, so only the first fires a transition."""
     calls = []
     lbfc_bound = engine._lbfc_bound
 
@@ -493,10 +495,13 @@ def test_consecutive_calls_classify_once(monkeypatch):
         return lbfc_bound(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_lbfc_bound", counted)
+    fired = _counted_fires(monkeypatch)
     a = ex1_system()
-    for n in range(3):
-        lbfc_cap(a, n)
-    assert len(calls) == 1
+    lbfc_cap(a, 0)
+    first = len(fired)
+    assert first > 0
+    assert [lbfc_cap(a, n) for n in (1, 2)] == [72, 108]
+    assert calls == [a, a, a] and len(fired) == first
     # An equal system is not the same system.
     calls.clear()
     a, b = ex1_system(), ex1_system()
@@ -1080,18 +1085,9 @@ def test_caller_costs_share_the_model_graph():
     assert changed > 0
 
 
-def test_one_cost_function_object_prices_its_moves_once(monkeypatch):
-    """Calls with one `CostFunction` object on one system build one move
-    table; an equal but distinct object builds its own, and both give the
-    outcomes of a fresh system's table."""
-    built = []
-
-    class Counted(engine._MoveTable):
-        def __init__(self, net, c):
-            built.append(c)
-            super().__init__(net, c)
-
-    monkeypatch.setattr(engine, "_MoveTable", Counted)
+def test_one_cost_function_object_gives_a_fresh_systems_outcomes():
+    """Repeated calls with one `CostFunction` object, and with an equal but
+    distinct one, on one system give the outcomes of a fresh system."""
     rng = random.Random(67)
     for system in _route_systems(rng):
         c, other = _fraction_costs(system), _fraction_costs(system)
@@ -1099,12 +1095,25 @@ def test_one_cost_function_object_prices_its_moves_once(monkeypatch):
         traces = [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
         calls = [(op, trace, costs) for costs in (c, c, other, c) for trace in traces
                  for op in (dispatch_align, optimal_alignment)]
-        built.clear()
         warm = [_outcome(op, trace, system, costs) for op, trace, costs in calls]
-        assert [x for x in built if x == c] == [c, other, c]
-        assert [x is c for x in built if x == c] == [True, False, True]
         fresh = [_outcome(op, trace, _fresh(system), costs) for op, trace, costs in calls]
         assert warm == fresh, str(system.net)
+
+
+def test_a_cost_function_changed_between_calls_prices_anew(ex1):
+    """A caller's `CostFunction` whose overrides change between two calls on
+    one system is priced as it stands at each call: the second result is a
+    fresh system's, and `validate_alignment` prices it at its cost."""
+    c = CostFunction(labels=dict(ex1.net.labels), log_overrides={"a": 1})
+    for op in (dispatch_align, optimal_alignment):
+        system = ex1_system()
+        assert op(TRACE, system, c).cost == 2
+        c.log_overrides["a"] = Fraction(5)
+        got = op(TRACE, system, c)
+        assert got == op(TRACE, _fresh(system), c)
+        assert got.cost == 3
+        assert validate_alignment(got.alignment, TRACE, system, c) == got.cost
+        c.log_overrides["a"] = Fraction(1)
 
 
 def test_dispatch_reads_no_structural_report(monkeypatch):
@@ -1355,9 +1364,9 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
             fresh_graph = petri._MarkingGraph(system.net)
             order = fresh_graph.explore(system.initial, top)[0]
             reorders += graph.markings[:len(order)] != [fresh_graph.markings[i] for i in order]
-        caps = [plan.lbfc_cap(budget, 3) for budget in budgets]
+        caps = [lbfc_cap(system, 3, budget) for budget in budgets]
         assert engine._plan(system) is plan
-        assert caps == [engine._Plan(_fresh(system)).lbfc_cap(budget, 3) for budget in budgets]
+        assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
     # Most graphs number the reachable markings in another order than the
     # cap's breadth-first search.
     assert 2 * reorders > len(bounded) + len(unsound)
@@ -1404,7 +1413,7 @@ def test_lbfc_bound_matches_the_behavioral_report():
     for system in systems:
         top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
         budgets = list(range(1, 31)) + [top]
-        srep = engine._Plan(system).structure
+        srep = classify.structural_class(system.net, system.initial, system.final)
         warm = _fresh(system)
         for trace in (("a", "b", "e"), ("z",), _noisy_run(rng, system, 12)):
             _outcome(_generic, trace, warm, top)
@@ -1422,8 +1431,8 @@ def test_lbfc_bound_matches_the_behavioral_report():
             cap = None
             if srep.free_choice and expected not in (None, "raised"):
                 cap = lbfc_length_bound(len(system.net.transitions), expected, 3)
-            assert engine._Plan(_fresh(system)).lbfc_cap(budget, 3) == cap
-            assert engine._plan(warm).lbfc_cap(budget, 3) == cap
+            assert lbfc_cap(_fresh(system), 3, budget) == cap
+            assert lbfc_cap(warm, 3, budget) == cap
     assert min(reasons.values()) > 0, reasons
     assert pairs > 4000
 
@@ -1584,7 +1593,7 @@ def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
         # A system no call has seen, classified by the cap first.
         system = _fresh(system)
         lbfc_cap(system, len(words[-1]))
-        if engine._plan(system).structure.free_choice:
+        if classify.structural_class(system.net, system.initial, system.final).free_choice:
             classified += 1
             before = len(fired)
             assert [membership(word, system) for word in words] == \
