@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .costs import CostFunction
-from .classify import structural_class
 from .engine import AlignResult, align_by_search
 from .errors import BudgetExceeded, NotAcyclic, StuckContradiction
 from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet, _schedule_counts
@@ -45,7 +44,8 @@ def optimal_alignment_acyclic(trace: Sequence[str], sys: AcceptingSystem,
                               c: CostFunction | None = None,
                               state_budget: int = DEFAULT_STATE_BUDGET) -> AlignResult:
     """Optimal alignment for an acyclic system: the least-cost search,
-    reported as "acyclic".  state_budget bounds the states it settles."""
-    if not structural_class(sys.net, sys.initial, sys.final).acyclic:
+    reported as "acyclic".  state_budget bounds the states it settles.  The
+    net decides its acyclicity once (`PetriNet.is_acyclic`)."""
+    if not sys.net.is_acyclic():
         raise NotAcyclic("model net has a cycle")
     return align_by_search(trace, sys, c, state_budget, "acyclic")

@@ -44,7 +44,6 @@ def _closure(net: PetriNet, start: str, forward: bool) -> set[str]:
 
 def structural_class(net: PetriNet, init: Marking, final: Marking) -> StructuralReport:
     """Decide free-choice, S-net, T-net, conflict-free, acyclic, workflow shape."""
-    ts = net.transitions
     # Free choice: all consumers of a place share one preset.
     free_choice = all(len({net.preset(t) for t in net.postset(p)}) <= 1
                       for p in net.places)
@@ -55,7 +54,7 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
     conflict_free = all(
         len(net.postset(p)) <= 1 or set(net.postset(p)) <= set(net.preset(p))
         for p in net.places)
-    acyclic = len(net.topological_order()) == len(net.places) + len(ts)
+    acyclic = net.is_acyclic()
 
     workflow_shape = False
     source = sink = None

@@ -40,7 +40,8 @@ class Budgets:
 
 
 def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
-                        final: int, table: _MoveTable, state_budget: int):
+                        final: int, must: frozenset[int], table: _MoveTable,
+                        state_budget: int):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `graph`, generated
     on the fly from (0, start) to (len(trace), final), where `start` and
@@ -61,6 +62,21 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     ranks lie in [0, T), model ranks in [T, 2T), and every log move ranks
     2T: two log moves tie on position only when they leave the same one.
     Returns (cost, moves, settled).
+
+    `must` holds the silent transitions that must fire, `graph.must_fire(
+    final)` (see `_NetView.forced`): a state whose row holds one yields
+    that transition's model move alone, the first such in row order, and
+    no sync, log or other model move.  The cut keeps an optimal alignment
+    under any cost function, by an exchange argument: such a t has input
+    places that no other transition reads and that `final` leaves empty,
+    so every completion from the state fires t, and moving t's first model
+    move to the front disables no move after it (none reads t's input
+    places; t only adds tokens elsewhere).  That gives a completion with the
+    same moves, so the same cost and trace projection, that starts with t.
+    It is a singleton stubborn set (Valmari, *Stubborn sets for reduced
+    state space generation*, 1991).  The cut search is a search over a
+    subgraph, so a state it settles below the optimum's cost the full
+    search settles too.
 
     Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
     pos, marking number), n = len(trace), radix = 2T + 1 > every rank;
@@ -103,7 +119,13 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
         row = rows.get(m)
         if row is None:
             row = expand(m)
-        if pos < n:
+        live = pos < n
+        if must:
+            for t, s in row:
+                if t in must:
+                    row, live = ((t, s),), False
+                    break
+        if live:
             a, w, log_rank, move, later = at[pos]
             for t, s in row:
                 if labels[t] == a:
@@ -157,8 +179,9 @@ def min_cost_reach(net: PetriNet, initial: Marking,
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
     graph = _MarkingGraph(net)
-    cost, seq, _ = dijkstra_least_cost(graph, (), graph.number(initial), graph.number(target),
-                                       table, state_budget)
+    final = graph.number(target)
+    cost, seq, _ = dijkstra_least_cost(graph, (), graph.number(initial), final,
+                                       graph.must_fire(final), table, state_budget)
     return Fraction(cost, table.scale), tuple(move.model_part for move in seq)
 
 
@@ -291,12 +314,15 @@ class _Plan:
     where the searches start and end.  `model_graph` numbers them first on
     each graph it makes, so they are the same on every graph of the plan,
     and a search that got the graph before another thread replaced it
-    reads the right ones."""
+    reads the right ones.  Beside them it sets `must`, the silent
+    transitions that must fire on the way to the final marking
+    (`_MarkingGraph.must_fire`), which depends on the system alone."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
         self._graph: _MarkingGraph | None = None
         self.ends = (0, 0)   # numbered with the first graph
+        self.must: frozenset[int] = frozenset()
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
 
@@ -324,6 +350,7 @@ class _Plan:
                 if self._graph is graph:
                     graph = _MarkingGraph(self.sys.net)
                     self.ends = (graph.number(self.sys.initial), graph.number(self.sys.final))
+                    self.must = graph.must_fire(self.ends[1])
                     self._graph = graph
                     self.results = {}
                     self.results_size = 0
@@ -371,7 +398,8 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     else:
         table = _MoveTable(sys.net, c)
     try:
-        cost, seq, settled = dijkstra_least_cost(graph, trace, *plan.ends, table, state_budget)
+        cost, seq, settled = dijkstra_least_cost(graph, trace, *plan.ends, plan.must, table,
+                                                 state_budget)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
     scale = table.scale

@@ -154,7 +154,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set", "_view")
+                 "_consume", "_produce", "_place_set", "_trans_set", "_view", "_acyclic")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -193,6 +193,7 @@ class PetriNet:
             self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
             self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
         self._view = None   # made on first use, see `_net_view`
+        self._acyclic = None   # decided on first use, see `is_acyclic`
 
     def has_place(self, p: str) -> bool:
         return p in self._place_set
@@ -239,6 +240,14 @@ class PetriNet:
                 if indeg[w] == 0:
                     stack.append(w)
         return order
+
+    def is_acyclic(self) -> bool:
+        """Whether the net has no cycle, decided on first use and kept."""
+        flag = self._acyclic
+        if flag is None:
+            flag = self._acyclic = (len(self.topological_order())
+                                    == len(self.places) + len(self.transitions))
+        return flag
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PetriNet)
@@ -328,11 +337,19 @@ class _NetView:
     - `ranks`, each transition's rank among the ids in string order ("t10"
       < "t2");
     - `s_net`, whether every transition has at most one input and one
-      output place.
+      output place;
+    - `forced`, (index, input places) of each silent transition that has
+      an input place and no self-loop, and is the only transition that
+      reads each of its input places.  Such a transition must fire on
+      every path from a marking that enables it to a final marking that
+      marks none of its input places, since nothing else takes their
+      tokens; and firing it first disables nothing, since nothing else
+      reads them.  So `dijkstra_least_cost` expands its model move alone
+      (see `_MarkingGraph.must_fire`).
 
     `_net_view` makes it on a net's first use and keeps it on the net."""
 
-    __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net")
+    __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net", "forced")
 
     def __init__(self, net: PetriNet):
         index = {p: i for i, p in enumerate(net.places)}.__getitem__
@@ -340,7 +357,9 @@ class _NetView:
         unguarded = []
         labels = []
         pumps = set()
+        forced = []
         s_net = True
+        post = net._post
         for k, t in enumerate(net.transitions):
             pre = tuple(map(index, net._pre[t]))
             consume, produce = net._consume[t], net._produce[t]
@@ -348,9 +367,13 @@ class _NetView:
             (first[pre[0]] if pre else unguarded).append(entry)
             name = net.labels[t].name
             labels.append(name)
-            if name is None and produce and not consume:
-                pumps.add(k)
-            if len(pre) > 1 or len(net._post[t]) > 1:
+            if name is None:
+                if produce and not consume:
+                    pumps.add(k)
+                if pre and len(consume) == len(pre) and all(len(post[p]) == 1
+                                                            for p in consume):
+                    forced.append((k, pre))
+            if len(pre) > 1 or len(post[t]) > 1:
                 s_net = False
         ts = net.transitions
         ranks = [0] * len(ts)
@@ -362,6 +385,7 @@ class _NetView:
         self.pumps = frozenset(pumps)
         self.ranks = tuple(ranks)
         self.s_net = s_net
+        self.forced = tuple(forced)
 
 
 def _net_view(net: PetriNet) -> _NetView:
@@ -463,6 +487,14 @@ class _MarkingGraph:
         """The number of the marking, or None when none is numbered; numbers
         nothing."""
         return self._by_key.get(self._key(m))
+
+    def must_fire(self, final: int) -> frozenset[int]:
+        """The indices of the transitions of `_NetView.forced` with no input
+        place that marking `final` marks: each fires on every path to
+        `final` from a marking that enables it."""
+        key = self._keys[final]
+        return frozenset([k for k, pre in _net_view(self.net).forced
+                          if not any(key[p] for p in pre)])
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
