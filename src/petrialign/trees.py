@@ -3,8 +3,8 @@ safe sound free-choice workflow nets."""
 
 from __future__ import annotations
 
-import math
 import re
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -169,178 +169,161 @@ def has_unique_labels(tree: ProcessTree) -> bool:
     return walk(tree)
 
 
+# Term kinds of the reference matcher; term 0 is the empty word.
+_EPS, _ACT, _CAT, _XOR, _PAR, _STAR = range(6)
+
+
+class _Terms:
+    """The partial derivatives of one tree's terms (Antimirov, TCS 1996),
+    with the shuffle rule for par (Sulzmann and Thiemann, LATA 2015).
+
+    A term is an interned int: `nodes[t]` is its (kind, x, y), `nullable[t]`
+    says whether it accepts the empty word, and `letters[t]` holds at least
+    its letters, so a letter outside it has no derivative.  A derived term
+    carries its parent's letters.  loop(do, redo) is do.(redo.do)*, a seq is
+    a right-nested chain of concatenations, and par and xor are balanced
+    binary nodes, so a derivative descends only into the children that hold
+    its letter.  `derived` keeps the derivatives of (term, letter) and
+    `steps` the derivatives of (set of terms, letter)."""
+
+    def __init__(self, tree: ProcessTree):
+        self.tree = tree
+        self.ids: dict[tuple, int] = {(_EPS, None, None): 0}
+        self.nodes: list[tuple] = [(_EPS, None, None)]
+        self.nullable = [True]
+        self.letters = [frozenset()]
+        self.derived: dict[tuple[int, str], frozenset[int]] = {}
+        self.steps: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+        self.start = frozenset((self.compile(tree),))
+
+    def make(self, kind, x, y, nullable: bool, letters: frozenset) -> int:
+        key = (kind, x, y)
+        t = self.ids.get(key)
+        if t is None:
+            t = len(self.nodes)
+            self.nodes.append(key)
+            self.nullable.append(nullable)
+            self.letters.append(letters)
+            self.ids[key] = t
+        return t
+
+    def cat(self, x: int, y: int, letters: frozenset) -> int:
+        if x == 0 or y == 0:
+            return x or y
+        return self.make(_CAT, x, y, self.nullable[x] and self.nullable[y], letters)
+
+    def par(self, x: int, y: int, letters: frozenset) -> int:
+        if x == 0 or y == 0:
+            return x or y
+        return self.make(_PAR, x, y, self.nullable[x] and self.nullable[y], letters)
+
+    def xor(self, x: int, y: int, letters: frozenset) -> int:
+        if x == y:
+            return x
+        return self.make(_XOR, x, y, self.nullable[x] or self.nullable[y], letters)
+
+    def balanced(self, join, terms: list[int]) -> int:
+        """The terms joined pairwise, round by round, into one binary node of
+        logarithmic depth whose every node holds exactly its letters."""
+        while len(terms) > 1:
+            pairs = [join(x, y, self.letters[x] | self.letters[y])
+                     for x, y in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[len(pairs) * 2:]
+        return terms[0]
+
+    def compile(self, node: ProcessTree) -> int:
+        if node.kind == "silent":
+            return 0
+        if node.kind == "activity":
+            return self.make(_ACT, node.label, None, False, frozenset((node.label,)))
+        children = [self.compile(child) for child in node.children]
+        if node.kind == "xor":
+            return self.balanced(self.xor, children)
+        if node.kind == "par":
+            return self.balanced(self.par, children)
+        letters = frozenset().union(*(self.letters[c] for c in children))
+        if node.kind == "seq":
+            t = children[-1]
+            for child in reversed(children[:-1]):
+                t = self.cat(child, t, letters)
+            return t
+        do, redo = children
+        body = self.cat(redo, do, letters)
+        return self.cat(do, self.make(_STAR, body, None, True, letters), letters)
+
+    def derive(self, t: int, a: str) -> frozenset[int]:
+        key = (t, a)
+        got = self.derived.get(key)
+        if got is None:
+            got = self.derived[key] = frozenset(self._derive(t, a))
+        return got
+
+    def _derive(self, t: int, a: str) -> set[int]:
+        out: set[int] = set()
+        # A chain of concatenations whose heads are nullable is walked here,
+        # link by link, so a long seq recurses no deeper than one; the walk
+        # stops at a link whose derivative is already known.
+        while a in self.letters[t]:
+            kind, x, y = self.nodes[t]
+            letters = self.letters[t]
+            if kind == _ACT:
+                out.add(0)
+            elif kind == _XOR:
+                out |= self.derive(x, a)
+                out |= self.derive(y, a)
+            elif kind == _PAR:
+                out.update(self.par(d, y, letters) for d in self.derive(x, a))
+                out.update(self.par(x, d, letters) for d in self.derive(y, a))
+            elif kind == _STAR:
+                out.update(self.cat(d, t, letters) for d in self.derive(x, a))
+            else:
+                out.update(self.cat(d, y, letters) for d in self.derive(x, a))
+                if self.nullable[x]:
+                    known = self.derived.get((y, a))
+                    if known is None:
+                        t = y
+                        continue
+                    out |= known
+            break
+        return out
+
+    def member(self, word: Sequence[str], budget: int) -> bool:
+        current = self.start
+        steps = 0
+        for a in word:
+            steps += len(current)
+            if steps > budget:
+                raise BudgetExceeded(budget + 1, what="membership steps")
+            key = (current, a)
+            following = self.steps.get(key)
+            if following is None:
+                following = self.steps[key] = frozenset().union(
+                    *[self.derive(t, a) for t in current])
+            current = following
+        return any(self.nullable[t] for t in current)
+
+
+_last_terms: _Terms | None = None
+_terms_lock = threading.Lock()
+
+
 def tree_language_member(tree: ProcessTree, word: Sequence[str],
                          budget: int = 1_000_000) -> bool:
-    """Decide word membership in the tree language by recursive descent.
+    """Decide word membership in the tree language by partial derivatives:
+    the word is accepted iff the set of its derivatives holds a nullable term.
 
-    seq carries the word offsets its children reach one after another, xor
-    tries each child, par solves shuffle membership by partitioning word
-    positions among the children, and loop unrolls to the fixed point of its
-    prefix positions (at most |word|+1 distinct positions).  Each descent
-    into a node on a subword is one step; more than `budget` steps raise
-    BudgetExceeded.
-    """
-    word = tuple(word)
-    ids: dict[int, int] = {}
-
-    def node_id(node):
-        key = id(node)
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
-
-    memo: dict[tuple, bool] = {}
-    calls = 0
-
-    def match(node: ProcessTree, w: tuple[str, ...]) -> bool:
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise BudgetExceeded(calls, what="membership steps")
-        key = (node_id(node), w)
-        if key in memo:
-            return memo[key]
-        result = _match(node, w)
-        memo[key] = result
-        return result
-
-    def seq_match(node, w) -> bool:
-        """Carry the set of word offsets that a prefix of the children can
-        reach, child by child, trying only the lengths a child's words have."""
-        reached = {0}
-        for child in node.children:
-            lo, hi = lengths(child)
-            reached = {end for start in reached
-                       for end in range(start + lo, min(start + hi, len(w)) + 1)
-                       if match(child, w[start:end])}
-            if not reached:
-                return False
-        return len(w) in reached
-
-    bounds: dict[int, tuple[int, float]] = {}
-
-    def lengths(node) -> tuple[int, float]:
-        """Bounds on the lengths of the node's words: the least, and the
-        greatest or inf under a loop."""
-        key = node_id(node)
-        if key not in bounds:
-            if node.kind in ("activity", "silent"):
-                n = int(node.kind == "activity")
-                bounds[key] = (n, n)
-            elif node.kind == "loop":
-                bounds[key] = (lengths(node.children[0])[0], math.inf)
-            else:
-                los, his = zip(*map(lengths, node.children))
-                bounds[key] = ((min(los), max(his)) if node.kind == "xor"
-                               else (sum(los), sum(his)))
-        return bounds[key]
-
-    alphabets: dict[int, frozenset] = {}
-
-    def alphabet(node) -> frozenset:
-        """The visible letters of the node."""
-        key = node_id(node)
-        if key not in alphabets:
-            if node.kind == "activity":
-                alphabets[key] = frozenset((node.label,))
-            else:
-                alphabets[key] = frozenset().union(*map(alphabet, node.children))
-        return alphabets[key]
-
-    owners: dict[int, dict[str, int]] = {}
-
-    def last_owner(node) -> dict[str, int]:
-        """Each letter of the node's children mapped to the last child that
-        has it, in one backward pass: a letter is in the alphabet of the
-        children after child k iff it maps above k."""
-        key = node_id(node)
-        if key not in owners:
-            last: dict[str, int] = {}
-            for k in range(len(node.children) - 1, -1, -1):
-                for a in alphabet(node.children[k]):
-                    last.setdefault(a, k)
-            owners[key] = last
-        return owners[key]
-
-    def par_match(node, w) -> bool:
-        """Split the word between each child and the children after it, on
-        an explicit stack with one frame per child whose split is open, so
-        a wide node recurses no deeper than one.  A frame holds its subword,
-        the positions forced to its child and the free ones, and the next
-        subset of the free ones to give its child (None when none is left);
-        subsets are tried from all the free positions down to none."""
-        children = node.children
-        last = last_owner(node)
-        frames: list[list] = []
-        while True:
-            # Open the split of w among the children from len(frames) on.
-            k = len(frames)
-            if k == len(children) - 1:
-                if match(children[k], w):
-                    return True
-            else:
-                # A position whose letter only child k has goes to it, one
-                # whose letter only the later children have goes to them,
-                # and a letter neither has fails the subword; only the other
-                # positions are split both ways.
-                mine = alphabet(children[k])
-                forced = free = 0
-                for i, a in enumerate(w):
-                    later = last.get(a, -1) > k
-                    if a in mine:
-                        if later:
-                            free |= 1 << i
-                        else:
-                            forced |= 1 << i
-                    elif not later:
-                        break
-                else:
-                    frames.append([w, forced, free, free])
-            # Give the next subset of the top frame's positions to its child,
-            # and open the rest for the children after it once it matches.
-            while frames:
-                frame = frames[-1]
-                w, forced, free, sub = frame
-                if sub is None:
-                    frames.pop()
-                    continue
-                frame[3] = (sub - 1) & free if sub else None
-                taken = sub | forced
-                first = tuple(a for i, a in enumerate(w) if taken >> i & 1)
-                if match(children[len(frames) - 1], first):
-                    w = tuple(a for i, a in enumerate(w) if not taken >> i & 1)
-                    break
-            else:
-                return False
-
-    def _match(node, w) -> bool:
-        if node.kind == "activity":
-            return w == (node.label,)
-        if node.kind == "silent":
-            return w == ()
-        if node.kind == "xor":
-            return any(match(c, w) for c in node.children)
-        if node.kind == "seq":
-            return seq_match(node, w)
-        if node.kind == "par":
-            return par_match(node, w)
-        # loop: L(T1) . (L(T2) . L(T1))*
-        do, redo = node.children
-        reached = {cut for cut in range(len(w) + 1) if match(do, w[:cut])}
-        frontier = set(reached)
-        while frontier:
-            new = set()
-            for start in frontier:
-                for mid in range(start, len(w) + 1):
-                    if match(redo, w[start:mid]):
-                        for end in range(mid, len(w) + 1):
-                            if end not in reached and match(do, w[mid:end]):
-                                new.add(end)
-            reached |= new
-            frontier = new
-        return len(w) in reached
-
-    return match(tree, word)
+    Each term of the current set at each letter is one step, counted whether
+    or not an earlier call derived it, so a verdict never depends on earlier
+    calls; the first step past `budget` raises BudgetExceeded(budget + 1).
+    The terms and their derivatives are kept for the last tree only, matched
+    by identity: consecutive calls on one tree share them, and no older tree
+    is kept alive.  A call holds a lock while it fills them."""
+    global _last_terms
+    with _terms_lock:
+        terms = _last_terms
+        if terms is None or terms.tree is not tree:
+            terms = _last_terms = _Terms(tree)
+        return terms.member(word, budget)
 
 
 class _NetBuilder:

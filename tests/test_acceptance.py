@@ -84,7 +84,6 @@ def _tree_sample(count, depth, seed_offset=0):
     return rng, trees
 
 
-@pytest.mark.slow
 def test_criterion_04_tree_translation():
     rng, trees = _tree_sample(100, depth=4, seed_offset=4)
     words_checked = 0

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from petrialign import (ShuffleInstance, brute_force_oracle, ex1_system, min_cost_reach,
-                        shuffle_member)
+                        parse_tree, shuffle_member, tree_language_member)
 from petrialign.errors import BudgetExceeded
 
 
@@ -23,8 +23,19 @@ def _reach(cap):
     return min_cost_reach(ex1.net, ex1.initial, {}, ex1.final, state_budget=cap)[0]
 
 
-@pytest.mark.parametrize("run, answer", [(_oracle, 2), (_shuffle, True), (_reach, 0)],
-                         ids=["brute_force_oracle", "shuffle_member", "min_cost_reach"])
+# One tree object for every cap: the derivatives an earlier call kept must
+# not change where the next call's cap falls.
+_THREE_AB = parse_tree("par(seq(a, b), seq(a, b), seq(a, b))")
+
+
+def _tree(cap):
+    return tree_language_member(_THREE_AB, ("a", "a", "b", "a", "b", "b"), budget=cap)
+
+
+@pytest.mark.parametrize("run, answer",
+                         [(_oracle, 2), (_shuffle, True), (_reach, 0), (_tree, True)],
+                         ids=["brute_force_oracle", "shuffle_member", "min_cost_reach",
+                              "tree_language_member"])
 def test_a_loop_raises_past_its_cap(run, answer):
     """Every cap below the least one that answers raises, having counted
     one state more than the cap allows."""

@@ -50,6 +50,47 @@ def _graph():
     return graph, misplaced
 
 
+def _reads(node):
+    """The names that `node` reads, leaving out its annotations."""
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.Name):
+                yield child.id
+            elif isinstance(child, ast.AST):
+                yield from _reads(child)
+
+
+def test_the_tree_reference_reads_nothing_of_petri_or_engine():
+    """tree_language_member is the reference that membership in the
+    translated net is checked against, so neither it nor any module-level
+    name of trees.py that it reaches reads a name imported from petri or
+    engine."""
+    tree = ast.parse((PACKAGE / "trees.py").read_text())
+    foreign = {a.asname or a.name for node, module in _imports(tree)
+               if module in ("petri", "engine") for a in node.names}
+    assert "is_token" in foreign
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+    reached, todo = set(), ["tree_language_member"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _reads(defined[name]) if n in defined]
+    assert "_Terms" in reached
+    assert {n for name in reached for n in _reads(defined[name])} & foreign == set()
+
+
 def test_intra_package_imports_sit_at_module_top():
     _, misplaced = _graph()
     assert misplaced == []

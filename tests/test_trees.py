@@ -8,7 +8,7 @@ from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
                         structural_class, tree_alphabet, tree_language_member,
                         tree_to_wfnet)
 from petrialign.errors import ArityError, BudgetExceeded, ParseError
-from petrialign.trees import activity, par, seq
+from petrialign.trees import activity, loop, par, seq, silent, xor
 from randgen import random_tree
 
 
@@ -127,6 +127,55 @@ def test_a_wide_par_is_matched_without_deep_recursion():
     assert tree_language_member(tree, letters)
     assert tree_language_member(tree, letters[::-1])
     assert not tree_language_member(tree, letters[:600] + letters[601:])
+
+
+TAU, A = silent(), activity("a")
+WIDE = tuple(f"a{i}" for i in range(1200))
+
+
+@pytest.mark.parametrize("tree, accepted, rejected", [
+    (loop(TAU, TAU), [()], [("a",), ("a", "a")]),
+    (loop(TAU, A), [(), ("a",), ("a", "a")], [("b",)]),
+    (loop(A, TAU), [("a",), ("a", "a")], [(), ("b",)]),
+    (seq(*[TAU] * 1200, A), [("a",)], [(), ("a", "a")]),
+    (seq(*[xor(TAU, activity("b"))] * 1200, A), [("a",), ("b", "a")],
+     [(), ("a", "a"), ("a", "b")]),
+    (xor(*map(activity, WIDE)), [("a7",)], [(), ("a1", "a2"), ("a",)]),
+    (par(*[TAU] * 1200), [()], [("a",)]),
+], ids=["loop(tau,tau)", "loop(tau,a)", "loop(a,tau)", "seq-of-tau", "seq-of-xor(tau,b)",
+        "wide-xor", "par-of-tau"])
+def test_nullable_chains_and_star_bodies(tree, accepted, rejected):
+    """Silent loop bodies, long chains of nullable seq children and wide
+    xor and par nodes, each with the words it accepts and some it rejects."""
+    for word in accepted:
+        assert tree_language_member(tree, word), word
+    for word in rejected:
+        assert not tree_language_member(tree, word), word
+
+
+def _verdict_under_a_small_budget(tree, word):
+    try:
+        return tree_language_member(tree, word, budget=4)
+    except BudgetExceeded:
+        return None
+
+
+def test_a_verdict_does_not_depend_on_the_calls_before_it():
+    """The calls on 8 trees, two of them equal by value but distinct
+    objects, give in shuffled order the verdicts they give in order, and
+    raise past the budget where they raise in order."""
+    rng = random.Random(8)
+    trees = [random_tree(rng, depth=4) for _ in range(7)]
+    twin = parse_tree(str(trees[0]))
+    assert twin == trees[0] and twin is not trees[0]
+    trees.append(twin)
+    calls = [(tree, word) for tree in trees
+             for word in all_words(tree_alphabet(tree) + ("z",), 3)]
+    in_order = [_verdict_under_a_small_budget(*call) for call in calls]
+    order = list(range(len(calls)))
+    rng.shuffle(order)
+    assert all(_verdict_under_a_small_budget(*calls[k]) == in_order[k] for k in order)
+    assert set(in_order) == {True, False, None}
 
 
 @pytest.mark.parametrize("seed", range(4))
