@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, NamedTuple
 
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _MarkingGraph, _net_view)
+                    _closure, _MarkingGraph, _net_view)
 
 DEFAULT_B_MAX = 8
 
@@ -27,19 +27,6 @@ class StructuralReport:
     workflow_shape: bool
     source: str | None = None
     sink: str | None = None
-
-
-def _closure(net: PetriNet, start: str, forward: bool) -> set[str]:
-    seen = {start}
-    stack = [start]
-    step = net.postset if forward else net.preset
-    while stack:
-        v = stack.pop()
-        for w in step(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def structural_class(net: PetriNet, init: Marking, final: Marking) -> StructuralReport:
@@ -63,8 +50,8 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
         o = final.support()[0]
         if not net.postset(o):
             everything = set(net.places) | set(net.transitions)
-            if _closure(net, i, forward=True) >= everything and \
-               _closure(net, o, forward=False) >= everything:
+            if (_closure(i, net.postset) >= everything
+                    and _closure(o, net.preset) >= everything):
                 workflow_shape = True
                 source, sink = i, o
     return StructuralReport(free_choice, s_net, t_net, conflict_free, acyclic,

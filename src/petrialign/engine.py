@@ -264,16 +264,19 @@ def _weight(v: Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-_plan_lock = threading.Lock()   # making a plan or a graph of one, storing a result
+_plan_lock = threading.Lock()   # making a plan, storing a result
 
 
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
-    needs of the system alone, each part computed on first use: the move
-    table of the standard costs and the model graph, plus the standard-cost
-    results found so far.  Every part depends on the system only, so
-    concurrent callers that both compute one agree.  A call with the
-    caller's costs prices them in a table of its own.
+    needs of the system alone: the model graph, the numbers of the system's
+    ends on it, the silent transitions that must fire, the standard-cost
+    results found so far and, made on first use, the move table of the
+    standard costs.  Every part depends on the system only, so concurrent
+    callers that both compute one agree.  A call with the caller's costs
+    prices them in a table of its own.  The parts are made with the plan and
+    belong to its one graph for life: an over-budget plan is replaced whole
+    (see `_plan`).
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -292,37 +295,16 @@ class _Plan:
     costs and calls with their own costs share it; weights come from the
     move tables.  Membership walks the graph's subset automaton, whose
     states are sets of marking numbers closed under silent rows (see
-    `_MarkingGraph` and `membership`).
-
-    One rule bounds what the plan keeps: each call first asks for the model
-    graph with its state budget, and `model_graph` replaces the graph by an
-    empty one, and empties the results, when the graph holds more markings,
-    or rows and automaton entries, or the results more path states, than
-    that budget.  The cap's walk adds at most one row per marking it
-    explores, a search at most one per state it settles and one result no
-    larger, and a membership call at most its budget in rows and automaton
-    entries on the automaton, plus one row per state that its depth-first
-    search expands when the automaton does not answer.  So after a call the
-    graph holds at most three times the budget in rows and automaton
-    entries, and besides the markings it held, the markings that call
-    reached and their successors; the results hold at most twice the
-    budget.  A call on another system drops the plan, and all of it with
-    it.  Graphs are made under a lock, so threads that ask for one together
-    share it.
-
-    `ends` holds the numbers of the system's initial and final markings,
-    where the searches start and end.  `model_graph` numbers them first on
-    each graph it makes, so they are the same on every graph of the plan,
-    and a search that got the graph before another thread replaced it
-    reads the right ones.  Beside them it sets `must`, the silent
-    transitions that must fire on the way to the final marking
-    (`_MarkingGraph.must_fire`), which depends on the system alone."""
+    `_MarkingGraph` and `membership`).  `ends` holds the numbers of the
+    system's initial and final markings, where the searches start and end,
+    and `must` the silent transitions that must fire on the way to the
+    final marking (`_MarkingGraph.must_fire`)."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
-        self._graph: _MarkingGraph | None = None
-        self.ends = (0, 0)   # numbered with the first graph
-        self.must: frozenset[int] = frozenset()
+        self.graph = graph = _MarkingGraph(sys.net)
+        self.ends = (graph.number(sys.initial), graph.number(sys.final))
+        self.must = graph.must_fire(self.ends[1])
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
 
@@ -336,45 +318,40 @@ class _Plan:
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
-    def model_graph(self, state_budget: int) -> _MarkingGraph:
-        """The numbered markings, rows and subset automaton of the LBFC cap's
-        walk, the searches and membership.  When they hold more than
-        `state_budget` markings, or rows and automaton entries, or the
-        standard-cost results hold more path states, the graph is replaced
-        by an empty one and the results are emptied."""
-        graph = self._graph
-        if (graph is None or len(graph.markings) > state_budget
-                or graph.size > state_budget or self.results_size > state_budget):
-            with _plan_lock:
-                # When another thread replaced the graph meanwhile, share its one.
-                if self._graph is graph:
-                    graph = _MarkingGraph(self.sys.net)
-                    self.ends = (graph.number(self.sys.initial), graph.number(self.sys.final))
-                    self.must = graph.must_fire(self.ends[1])
-                    self._graph = graph
-                    self.results = {}
-                    self.results_size = 0
-                graph = self._graph
-        return graph
-
 
 _last_plan: _Plan | None = None
 
 
-def _plan(sys: AcceptingSystem) -> _Plan:
+def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     """The plan of `sys`, remembered for the last system only: consecutive
     calls on one system share it, and no older system is kept alive.  The
-    plan holds its system, so a match by identity is never a reused id.  A
-    new plan is made under a lock, so threads that start on one new system
-    together share one plan."""
+    plan holds its system, so a match by identity is never a reused id.
+
+    One rule bounds what the plan keeps: each call asks for the plan with
+    its state budget, and gets a new one when the graph holds more
+    markings, or rows and automaton entries, or the results more path
+    states, than that budget.  The cap's walk adds at most one row per
+    marking it explores, a search at most one per state it settles and one
+    result no larger, and a membership call at most its budget in rows and
+    automaton entries on the automaton, plus one row per state that its
+    depth-first search expands when the automaton does not answer.  So after
+    a call the graph holds at most three times the budget in rows and
+    automaton entries, and besides the markings it held, the markings that
+    call reached and their successors; the results hold at most twice the
+    budget.  A new plan is made under a lock, so threads that find the same
+    plan wanting share the one that replaces it."""
     global _last_plan
     plan = _last_plan
-    if plan is None or plan.sys is not sys:
-        with _plan_lock:
-            plan = _last_plan
-            if plan is None or plan.sys is not sys:
-                plan = _last_plan = _Plan(sys)
-    return plan
+    if plan is not None and plan.sys is sys:
+        graph = plan.graph
+        if (len(graph.markings) <= state_budget and graph.size <= state_budget
+                and plan.results_size <= state_budget):
+            return plan
+    with _plan_lock:
+        # When another thread replaced the plan meanwhile by one of `sys`, share it.
+        if _last_plan is plan or _last_plan.sys is not sys:
+            _last_plan = _Plan(sys)
+        return _last_plan
 
 
 def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction | None,
@@ -386,9 +363,8 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     trace already aligned on the system object under the same algorithm and
     budget gets the plan's stored result (see `_Plan`), with no search.
     """
-    plan = _plan(sys)
+    plan = _plan(sys, state_budget)
     trace = tuple(trace)
-    graph = plan.model_graph(state_budget)
     if c is None:
         key = (trace, algorithm, state_budget)
         result = plan.results.get(key)
@@ -398,8 +374,8 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     else:
         table = _MoveTable(sys.net, c)
     try:
-        cost, seq, settled = dijkstra_least_cost(graph, trace, *plan.ends, plan.must, table,
-                                                 state_budget)
+        cost, seq, settled = dijkstra_least_cost(plan.graph, trace, *plan.ends, plan.must,
+                                                 table, state_budget)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
     scale = table.scale
@@ -442,8 +418,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     every BudgetExceeded is that of the search on a fresh graph.
     """
     trace = tuple(trace)
-    plan = _plan(sys)
-    graph = plan.model_graph(state_budget)
+    graph = _plan(sys, state_budget).graph
     top = graph.size + state_budget
     k = graph.start
     if k is None:
@@ -524,7 +499,7 @@ def lbfc_cap(sys: AcceptingSystem, trace_len: int,
     if not srep.free_choice:
         return None
     try:
-        bound = _lbfc_bound(sys, _plan(sys).model_graph(state_budget), state_budget,
+        bound = _lbfc_bound(sys, _plan(sys, state_budget).graph, state_budget,
                             srep.workflow_shape)
     except BudgetExceeded:
         return None

@@ -33,16 +33,6 @@ def _fresh(base: str, used: set[str]) -> str:
     return name
 
 
-def _fresh_label(base: str, net: PetriNet) -> str:
-    taken = {lab.name for lab in net.labels.values() if not lab.silent}
-    name = base
-    i = 1
-    while name in taken:
-        name = f"{base}_{i}"
-        i += 1
-    return name
-
-
 def make_easy_sound_safe(sys: AcceptingSystem, k: Fraction) -> tuple[AcceptingSystem, GadgetRecord]:
     """Add a skip transition from supp(M_init) to supp(M_final), costed k+1.
 
@@ -54,7 +44,7 @@ def make_easy_sound_safe(sys: AcceptingSystem, k: Fraction) -> tuple[AcceptingSy
     net = sys.net
     used = set(net.places) | set(net.transitions)
     skip = _fresh("t_skip", used)
-    label = Label(_fresh_label("skip", net))
+    label = Label(_fresh("skip", {lab.name for lab in net.labels.values()}))
     flow = list(net.flow)
     for p in sys.initial.support():
         flow.append((p, skip))
@@ -117,7 +107,7 @@ def make_easy_sound_general(sys: AcceptingSystem, k: Fraction) -> tuple[Acceptin
         flow.append((t_in[idx % n_in], bp))
         flow.append((bp, t_out[idx % n_out]))
 
-    label = Label(_fresh_label("gadget", net))
+    label = Label(_fresh("gadget", {lab.name for lab in net.labels.values()}))
     labels = dict(net.labels)
     cost = (Fraction(k) + 1) / 2
     overrides = {}

@@ -34,31 +34,26 @@ def parse_net(text: str) -> AcceptingSystem:
             continue
         fields = line.split()
         directive = fields[0]
+        if directive not in ("place", "trans"):
+            raise ParseError(f"unknown directive {directive!r}", line=lineno)
+        if len(fields) < 2:
+            raise ParseError(f"{directive} needs an id", line=lineno)
+        vid = fields[1]
+        if not is_token(vid):
+            kind = "place" if directive == "place" else "transition"
+            raise ParseError(f"bad {kind} id {vid!r}", line=lineno)
+        if vid in seen:
+            raise DuplicateId(f"id {vid!r} declared twice", line=lineno)
+        seen.add(vid)
         if directive == "place":
-            if len(fields) < 2:
-                raise ParseError("place needs an id", line=lineno)
-            pid = fields[1]
-            if not is_token(pid):
-                raise ParseError(f"bad place id {pid!r}", line=lineno)
-            if pid in seen:
-                raise DuplicateId(f"id {pid!r} declared twice", line=lineno)
-            seen.add(pid)
-            places[pid] = None
+            places[vid] = None
             for option in fields[2:]:
                 key, _, value = option.partition("=")
                 if key not in ("init", "final") or not value.isdigit():
                     raise ParseError(f"bad place option {option!r}", line=lineno)
-                (init if key == "init" else final)[pid] = int(value)
-        elif directive == "trans":
-            if len(fields) < 2:
-                raise ParseError("trans needs an id", line=lineno)
-            tid = fields[1]
-            if not is_token(tid):
-                raise ParseError(f"bad transition id {tid!r}", line=lineno)
-            if tid in seen:
-                raise DuplicateId(f"id {tid!r} declared twice", line=lineno)
-            seen.add(tid)
-            transitions.append(tid)
+                (init if key == "init" else final)[vid] = int(value)
+        else:
+            transitions.append(vid)
             options = {"label": None, "in": None, "out": None}
             for option in fields[2:]:
                 key, eq, value = option.partition("=")
@@ -68,9 +63,9 @@ def parse_net(text: str) -> AcceptingSystem:
             if any(v is None for v in options.values()):
                 raise ParseError("trans needs label=, in=, out=", line=lineno)
             if options["label"] == "~":
-                labels[tid] = Label(None)
+                labels[vid] = Label(None)
             elif is_token(options["label"]):
-                labels[tid] = Label(options["label"])
+                labels[vid] = Label(options["label"])
             else:
                 raise ParseError(f"bad label {options['label']!r}", line=lineno)
             for key, side in (("in", "pre"), ("out", "post")):
@@ -79,9 +74,7 @@ def parse_net(text: str) -> AcceptingSystem:
                 for pid in ids:
                     if pid not in places:
                         raise ParseError(f"undeclared place {pid!r} in {key}=", line=lineno)
-                    flow.append((pid, tid) if side == "pre" else (tid, pid))
-        else:
-            raise ParseError(f"unknown directive {directive!r}", line=lineno)
+                    flow.append((pid, vid) if side == "pre" else (vid, pid))
 
     if not places:
         raise ParseError("net file declares no places")

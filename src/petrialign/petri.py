@@ -12,7 +12,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, NotEnabled, UnknownTransition
 
@@ -212,17 +212,9 @@ class PetriNet:
 
     def is_weakly_connected(self) -> bool:
         vertices = self.places + self.transitions
-        if not vertices:
-            return True
-        seen = {vertices[0]}
-        stack = [vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in self._pre[v] + self._post[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
+        pre, post = self._pre, self._post
+        return not vertices or len(_closure(vertices[0],
+                                            lambda v: pre[v] + post[v])) == len(vertices)
 
     def topological_order(self) -> list[str]:
         """Places and transitions in Kahn order, last in first out, with the
@@ -258,6 +250,19 @@ class PetriNet:
 
     def __repr__(self) -> str:
         return f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, |F|={len(self.flow)})"
+
+
+def _closure(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
+    """The vertices that `step`, applied again and again, reaches from
+    `start`, `start` included: one depth-first walk."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -402,10 +407,13 @@ class _MarkingGraph:
     number, and per marking number its row: one (transition index, successor
     number) pair per enabled transition, in declaration order.  A row is
     filled the first time a caller asks for it, under the lock, so callers
-    in several threads agree on every number.  Nothing here depends on a
-    root or a trace: the classifier, the alignment search and membership on
-    one system share the graph, and a search may have numbered markings
-    that are not reachable (its goal).
+    in several threads agree on every number.  No row depends on a root or a
+    trace: the classifier, the alignment search and membership on one
+    system share the graph, and a search may have numbered markings that
+    are not reachable (its goal).  The subset automaton's start state and
+    acceptance bind the system whose markings its first caller gives, and
+    `must_fire` the final marking it is given, so a graph serves one
+    system: the engine makes one per plan, and it lives as long as its plan.
 
     Each marking is keyed by its token counts, a tuple in place declaration
     order (tokens off the net, which never move, follow as one more entry),

@@ -76,13 +76,8 @@ def conflict_order_from_sequence(net: PetriNet, seq: Sequence[str]) -> ConflictO
 
 def is_biased(net: PetriNet, seq: Sequence[str]) -> bool:
     """True iff all distinct occurring transitions have pairwise disjoint pre-sets."""
-    support = sorted(set(seq))
-    presets = {t: frozenset(net.preset(t)) for t in support}
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            if presets[support[i]] & presets[support[j]]:
-                return False
-    return True
+    presets = [frozenset(net.preset(t)) for t in set(seq)]
+    return len(frozenset().union(*presets)) == sum(map(len, presets))
 
 
 def _first_occurrence_blocks(seq: Sequence[str]) -> list[tuple[str, ...]]:

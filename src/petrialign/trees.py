@@ -12,7 +12,6 @@ from .errors import ArityError, BudgetExceeded, ParseError
 from .petri import AcceptingSystem, Label, Marking, PetriNet, is_token
 
 OPERATORS = ("seq", "xor", "par", "loop")
-KEYWORDS = OPERATORS + ("tau",)
 
 
 @dataclass(frozen=True)

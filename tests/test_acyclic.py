@@ -28,7 +28,7 @@ def test_acyclic_variant_agrees_with_generic(ex1_acyclic):
     assert validate_alignment(special.alignment, TRACE, ex1_acyclic,
                               standard_costs(ex1_acyclic)) == special.cost
     assert optimal_alignment_acyclic(TRACE, ex1_acyclic) is special
-    stored = _plan(ex1_acyclic).results
+    stored = _plan(ex1_acyclic, DEFAULT_STATE_BUDGET).results
     assert stored.get((TRACE, "acyclic", DEFAULT_STATE_BUDGET)) is special
 
 

@@ -710,7 +710,7 @@ def test_a_pumping_closure_is_given_up_at_once():
     graph holding that row alone, not a closure walked to the budget."""
     pump = _pump_system()
     assert membership(("z",), pump, 50_000)
-    graph = engine._plan(pump)._graph
+    graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
     assert graph.size <= 3 and len(graph.markings) <= 3, (graph.size, len(graph.markings))
     assert graph.states == [] and graph.start is None
 
@@ -737,7 +737,7 @@ def test_successor_cache_stays_within_its_bound():
     entries, markings = [], []
     for word, budget in calls:
         _outcome(membership, word, pump, budget)
-        graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
+        graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
         entries.append(graph.size)
         markings.append(len(graph.markings))
         assert graph.size == len(graph.rows) + _automaton_entries(graph)
@@ -905,7 +905,7 @@ def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
         searches = len(searched)
         for word in words:
             membership(word, system)
-            graph = engine._plan(system).model_graph(DEFAULT_STATE_BUDGET)
+            graph = engine._plan(system, DEFAULT_STATE_BUDGET).graph
             assert graph.size == len(graph.rows) + _automaton_entries(graph)
             before = len(fired), graph.size, len(graph.markings)
             membership(word, system)
@@ -1248,7 +1248,7 @@ def test_a_replaced_graph_numbers_the_ends_of_the_search_again():
             """The graph that aligning every trace leaves on `system`."""
             for trace in traces:
                 _outcome(_dispatch, trace, system, DEFAULT_STATE_BUDGET)
-            return engine._plan(system).model_graph(DEFAULT_STATE_BUDGET)
+            return engine._plan(system, DEFAULT_STATE_BUDGET).graph
 
         small = len(fill(_fresh(system)).markings) - 1
         if small < 1:
@@ -1259,7 +1259,7 @@ def test_a_replaced_graph_numbers_the_ends_of_the_search_again():
         graph = fill(system)
         warm = [_outcome(op, trace, system, budget) for op, trace, budget in calls]
         assert warm == fresh, str(system.net)
-        assert engine._plan(system).model_graph(DEFAULT_STATE_BUDGET) is not graph
+        assert engine._plan(system, DEFAULT_STATE_BUDGET).graph is not graph
         replaced += 1
         for (op, trace, budget), result in zip(calls, warm):
             if isinstance(result, engine.AlignResult):
@@ -1316,7 +1316,7 @@ def test_model_graph_stays_within_its_bound():
     assert warm == fresh == [BudgetExceeded] * len(calls)
     for op, trace, budget in calls:
         _outcome(op, trace, pump, budget)
-        graph = engine._plan(pump).model_graph(DEFAULT_STATE_BUDGET)
+        graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
         assert graph.size == len(graph.rows)
         # Without the emptying, the calls after the first would leave about
         # 200 rows and 400 markings.
@@ -1356,16 +1356,20 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
         warm, fresh = _warm_and_fresh_calls(system, calls)
         assert warm == fresh, str(system.net)
-        plan = engine._plan(system)
+        plan = engine._plan(system, DEFAULT_STATE_BUDGET)
         # As the last call left it, even when over the budget of the next.
-        graph = plan._graph
+        graph = plan.graph
         assert graph.find(system.final) is not None
         if top == DEFAULT_STATE_BUDGET:
             fresh_graph = petri._MarkingGraph(system.net)
             order = fresh_graph.explore(system.initial, top)[0]
             reorders += graph.markings[:len(order)] != [fresh_graph.markings[i] for i in order]
+        held = max(len(graph.markings), graph.size, plan.results_size)
         caps = [lbfc_cap(system, 3, budget) for budget in budgets]
-        assert engine._plan(system) is plan
+        # A cap walks on a free-choice net only; one past the plan's size gets a new plan.
+        if held > budgets[0] and classify.structural_class(system.net, system.initial,
+                                                           system.final).free_choice:
+            assert engine._plan(system, DEFAULT_STATE_BUDGET) is not plan
         assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
     # Most graphs number the reachable markings in another order than the
     # cap's breadth-first search.
@@ -1417,7 +1421,7 @@ def test_lbfc_bound_matches_the_behavioral_report():
         warm = _fresh(system)
         for trace in (("a", "b", "e"), ("z",), _noisy_run(rng, system, 12)):
             _outcome(_generic, trace, warm, top)
-        warm_graph = engine._plan(warm)._graph
+        warm_graph = engine._plan(warm, DEFAULT_STATE_BUDGET).graph
         for budget in budgets:
             expected, reason = _bound_by_report(system, budget, srep.workflow_shape)
             for graph in (petri._MarkingGraph(system.net), warm_graph):
@@ -1485,7 +1489,7 @@ def test_threads_share_one_model_graph():
             # The graph is read once every thread is done with the round.
             barrier.wait()
             if k == 0:
-                graphs.append(engine._plan(system).model_graph(DEFAULT_STATE_BUDGET))
+                graphs.append(engine._plan(system, DEFAULT_STATE_BUDGET).graph)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1541,7 +1545,7 @@ def test_threads_share_one_membership_graph():
             # The graph is read once every thread is done with the round.
             barrier.wait()
             if k == 0:
-                graphs.append(engine._plan(system).model_graph(DEFAULT_STATE_BUDGET))
+                graphs.append(engine._plan(system, DEFAULT_STATE_BUDGET).graph)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1704,7 +1708,7 @@ def test_stored_results_stay_within_their_bound():
     for k, trace in enumerate(traces * 3):
         budget = [DEFAULT_STATE_BUDGET, 100, 60][k // len(traces)]
         _outcome(optimal_alignment, trace, system, None, budget)
-        plan = engine._plan(system)
+        plan = engine._plan(system, DEFAULT_STATE_BUDGET)
         assert all(len(r.alignment) + 1 <= r.states_expanded
                    for r in plan.results.values())
         assert plan.results_size == sum(len(r.alignment) + 1 for r in plan.results.values())
@@ -1714,7 +1718,43 @@ def test_stored_results_stay_within_their_bound():
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     other = ex1_system()
     dispatch_align(TRACE, other)
-    assert engine._plan(other).results_size == len(dispatch_align(TRACE, other).alignment) + 1
+    assert (engine._plan(other, DEFAULT_STATE_BUDGET).results_size
+            == len(dispatch_align(TRACE, other).alignment) + 1)
     # Back on the first system, one result again.
     optimal_alignment(traces[0], system)
-    assert len(engine._plan(system).results) == 1
+    assert len(engine._plan(system, DEFAULT_STATE_BUDGET).results) == 1
+
+
+def _cap(trace, system, budget):
+    return lbfc_cap(system, len(trace), budget)
+
+
+def test_a_plan_keeps_its_graph_ends_and_must_for_life():
+    """Seeded mixed calls on one system (alignments by both entry points,
+    membership and the LBFC cap) at budgets 1 to 30 and the default: every
+    plan the calls leave keeps the graph, `ends` and `must` it was made
+    with, its `ends` are the numbers of the system's initial and final
+    markings on that graph, and every outcome is a fresh system's."""
+    rng = random.Random(29)
+    budgets = list(range(1, 31)) + [DEFAULT_STATE_BUDGET]
+    plans = {}
+    systems = _route_systems(rng) + [_pump_system()]
+    for system in systems:
+        traces = [(), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(4)]
+        calls = [(rng.choice((_dispatch, _generic, membership, _cap)), rng.choice(traces),
+                  rng.choice(budgets)) for _ in range(60)]
+        if system.net.has_transition("u"):   # unbounded: small budgets only
+            calls = [(op, trace, min(budget, 40)) for op, trace, budget in calls]
+        fresh = [_outcome(op, trace, _fresh(system), budget) for op, trace, budget in calls]
+        warm = []
+        for op, trace, budget in calls:
+            warm.append(_outcome(op, trace, system, budget))
+            plan = engine._last_plan
+            if plan is not None and plan.sys is system:
+                plans.setdefault(plan, (plan.graph, plan.ends, plan.must))
+        assert warm == fresh, str(system.net)
+    for plan, (graph, ends, must) in plans.items():
+        assert plan.graph is graph and plan.ends is ends and plan.must is must
+        assert ends == (graph.find(plan.sys.initial), graph.find(plan.sys.final))
+    # The small budgets replace plans: most systems see more than one.
+    assert len(plans) > 2 * len(systems)

@@ -157,9 +157,7 @@ def test_every_solver_agrees_with_the_oracle():
     with_cut = final_marked = 0
     for kind, system in _systems(rng):
         net = system.net
-        plan = _plan(system)
-        plan.model_graph(DEFAULT_STATE_BUDGET)
-        must = plan.must
+        must = _plan(system, DEFAULT_STATE_BUDGET).must
         with_cut += bool(must)
         final_marked += len(must) < len(_net_view(net).forced)
         for c in (None, _caller_costs(system, rng)):
