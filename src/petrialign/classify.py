@@ -8,7 +8,7 @@ hit, BudgetExceeded is raised and callers treat the flags as inconclusive
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple
 
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
@@ -59,12 +59,11 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
 
 
 class _Explored(NamedTuple):
-    """The markings reachable from a system's initial marking, in the BFS
-    order of `_MarkingGraph.explore` over `graph`'s rows: `explore`'s lists
-    (see there), and keys[k], the token counts of the k-th marking found."""
+    """The markings reachable from a system's initial marking, numbered in
+    the BFS order of `_MarkingGraph.explore`: its graph and lists (see
+    there), and keys[k], the token counts of marking k."""
 
     graph: _MarkingGraph
-    order: list[int]
     parent: list[int]
     via: list[str | None]
     succ: list[list[int]]
@@ -72,17 +71,13 @@ class _Explored(NamedTuple):
     keys: list[tuple]
 
 
-def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None,
-             graph: _MarkingGraph | None = None) -> _Explored:
-    """Explore `sys` over `graph`'s rows, or a fresh graph's.  With `b_max`
-    the search stops at the first marking with more than b_max tokens on
-    some place."""
+def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None) -> _Explored:
+    """Explore `sys` over a fresh graph's rows.  With `b_max` the search
+    stops at the first marking with more than b_max tokens on some place."""
     if b_max is not None and b_max < 1:
         raise ValueError("b_max must be >= 1")
-    graph = graph or _MarkingGraph(sys.net)
-    order, *lists = graph.explore(sys.initial, state_budget, b_max)
-    keys = graph._keys
-    return _Explored(graph, order, *lists, [keys[i] for i in order])
+    graph, parent, *lists = _MarkingGraph.explore(sys.net, sys.initial, state_budget, b_max)
+    return _Explored(graph, parent, *lists, graph._keys[:len(parent)])
 
 
 def _access(ex: _Explored, k: int) -> tuple[str, ...]:
@@ -105,7 +100,7 @@ def _witness(ex: _Explored, n: int) -> tuple[str, Marking, tuple[str, ...]]:
     name."""
     k = next(k for k, key in enumerate(ex.keys) if max(key) >= n)
     place = min(p for p, c in zip(ex.graph.net.places, ex.keys[k]) if c >= n)
-    return place, ex.graph.markings[ex.order[k]], _access(ex, k)
+    return place, ex.graph.markings[k], _access(ex, k)
 
 
 @dataclass(frozen=True)
@@ -226,16 +221,15 @@ def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
     return next((i for s, i in terminal.items() if s != scc), None)
 
 
-def _analysis(sys: AcceptingSystem, ex: _Explored) -> tuple[BehavioralReport, tuple]:
-    """`behavioral_class`'s flags, decided on marking indices and token-count
-    keys: its report with no certificate, and what the certificates name,
-    each an index into the exploration or None when there is none.  That is
-    the first transition, in declaration order, that fires at no marking;
-    the first (transition, marking) pair of a terminal scc that never fires
-    the transition; the first marking of a terminal scc other than the
-    root's; the final marking; the first marking of a terminal scc other
-    than the final marking's; and the first marking that covers the final
-    one and differs from it.
+def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
+    """`behavioral_class`'s report over an exploration.  The flags are
+    decided on marking numbers and token-count keys, and the certificates
+    read off what decides them: the first transition, in declaration order,
+    that fires at no marking; the first (transition, marking) pair of a
+    terminal scc that never fires the transition; the first marking of a
+    terminal scc other than the root's; the final marking; the first
+    marking of a terminal scc other than the final marking's; and the first
+    marking that covers the final one and differs from it.
 
     Liveness, cyclicity and the option to complete come from the terminal
     (bottom) sccs of one condensation of the graph: every reachable marking
@@ -264,23 +258,15 @@ def _analysis(sys: AcceptingSystem, ex: _Explored) -> tuple[BehavioralReport, tu
     final_away = None if final is None else _other_terminal(scc_of[final], terminal)
     bound = _bound(keys)
     sound = final is not None and final_away is None and improper is None and dead is None
-    return (BehavioralReport(bound, bound <= 1, dead is None, dead_end is None, away is None,
-                             final is not None, sound, len(keys)),
-            (dead, dead_end, away, final, final_away, improper))
-
-
-def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
-    """`_analysis`'s report, with the certificates it names."""
-    flags, (dead, dead_end, away, final, final_away, improper) = _analysis(sys, ex)
     certs: dict[str, Any] = {}
-    if flags.bound_found:
-        certs["bound"] = _witness(ex, flags.bound_found)
-    if not flags.safe:
+    if bound:
+        certs["bound"] = _witness(ex, bound)
+    if bound > 1:
         certs["unsafe"] = certs["bound"]
     if dead is None:
         # Each transition's first marking: later ones are overwritten.
-        enabling = {t: k for k, ts in reversed(list(enumerate(ex.fired))) for t in ts}
-        certs["quasi_live"] = {t: _access(ex, enabling[t]) for t in sys.net.transitions}
+        enabling = {t: k for k, names in reversed(list(enumerate(fired))) for t in names}
+        certs["quasi_live"] = {t: _access(ex, enabling[t]) for t in ts}
     else:
         certs["dead"] = dead
     if dead_end is not None:
@@ -294,33 +280,18 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
         if final_away is not None:
             certs["option_counterexample"] = _access(ex, final_away)
     if improper is not None:
-        certs["proper_counterexample"] = (ex.graph.markings[ex.order[improper]],
-                                          _access(ex, improper))
-    return replace(flags, certificates=certs)
-
-
-def _lbfc_bound(sys: AcceptingSystem, graph: _MarkingGraph, state_budget: int,
-                workflow_shape: bool) -> int | None:
-    """The bound the LBFC cap needs: `behavioral_class`'s `bound_found` when
-    it is nonzero and the system is live, or sound and workflow-shaped
-    (`workflow_shape`, from the structural report), else None.  Raises
-    BudgetExceeded where `behavioral_class` does.
-
-    It is `behavioral_class`'s decision, `_analysis`, over `graph`'s rows,
-    with no certificate on top.
-    """
-    rep, _ = _analysis(sys, _explore(sys, state_budget, graph=graph))
-    bound = rep.bound_found
-    return bound if bound and (rep.live or workflow_shape and rep.sound) else None
+        certs["proper_counterexample"] = (ex.graph.markings[improper], _access(ex, improper))
+    return BehavioralReport(bound, bound <= 1, dead is None, dead_end is None, away is None,
+                            final is not None, sound, len(keys), certs)
 
 
 def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET
                      ) -> BehavioralReport:
     """Exact behavioral flags over the fully explored state space.
 
-    One decision, `_analysis`, gives the flags over one breadth-first search
-    from the initial marking over the rows of a fresh marking graph of the
-    net (see `_analysis` for how); the certificates are read off it, and
+    The flags come from one breadth-first search from the initial marking
+    over the rows of a fresh marking graph of the net (see
+    `_behavioral_report` for how); the certificates are read off it, and
     counterexamples name a marking in an offending terminal scc.
     """
     return _behavioral_report(sys, _explore(sys, state_budget))

@@ -17,7 +17,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
-from .classify import _lbfc_bound, structural_class
+from .classify import behavioral_class, structural_class
 from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, CostFunction,
                     Move, standard_costs)
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
@@ -287,18 +287,17 @@ class _Plan:
     which is at most the states its search settled.
 
     The model graph (`petri._MarkingGraph`) numbers the markings that the
-    LBFC cap's walk, the alignment searches and the membership calls on the
-    system find, and keeps per marking its row: the enabled transitions,
-    each with the number of the marking it leads to.  The rows that a
-    search, or the cap's walk, fills are read by the calls that follow
-    instead of firing again.  It holds no weight, so calls with the standard
-    costs and calls with their own costs share it; weights come from the
-    move tables.  Membership walks the graph's subset automaton, whose
-    states are sets of marking numbers closed under silent rows (see
-    `_MarkingGraph` and `membership`).  `ends` holds the numbers of the
-    system's initial and final markings, where the searches start and end,
-    and `must` the silent transitions that must fire on the way to the
-    final marking (`_MarkingGraph.must_fire`)."""
+    alignment searches and the membership calls on the system find, and
+    keeps per marking its row: the enabled transitions, each with the
+    number of the marking it leads to.  The rows that a search fills are
+    read by the calls that follow instead of firing again.  It holds no
+    weight, so calls with the standard costs and calls with their own costs
+    share it; weights come from the move tables.  Membership walks the
+    graph's subset automaton, whose states are sets of marking numbers
+    closed under silent rows (see `_MarkingGraph` and `membership`).  `ends`
+    holds the numbers of the system's initial and final markings, where the
+    searches start and end, and `must` the silent transitions that must
+    fire on the way to the final marking (`_MarkingGraph.must_fire`)."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -330,11 +329,11 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     One rule bounds what the plan keeps: each call asks for the plan with
     its state budget, and gets a new one when the graph holds more
     markings, or rows and automaton entries, or the results more path
-    states, than that budget.  The cap's walk adds at most one row per
-    marking it explores, a search at most one per state it settles and one
-    result no larger, and a membership call at most its budget in rows and
-    automaton entries on the automaton, plus one row per state that its
-    depth-first search expands when the automaton does not answer.  So after
+    states, than that budget.  A search adds at most one row per state it
+    settles and one result no larger, and a membership call at most its
+    budget in rows and automaton entries on the automaton, plus one row per
+    state that its depth-first search expands when the automaton does not
+    answer.  So after
     a call the graph holds at most three times the budget in rows and
     automaton entries, and besides the markings it held, the markings that
     call reached and their successors; the results hold at most twice the
@@ -400,7 +399,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     Reads synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The word is walked on the
     subset automaton of the plan's model graph (see `_MarkingGraph`), which
-    the alignment searches and the LBFC cap's walk on the system share: one
+    the alignment searches on the system share: one
     dict lookup per letter once the steps are made, and the verdict is
     whether the last state holds the final marking.  A step or the start
     that no call has made yet is made from the rows, under a ceiling on the
@@ -492,18 +491,21 @@ def lbfc_length_bound(t_count: int, b: int, trace_len: int) -> int:
 def lbfc_cap(sys: AcceptingSystem, trace_len: int,
              state_budget: int = DEFAULT_STATE_BUDGET) -> int | None:
     """The length cap for `trace_len` letters on a live (or sound workflow-shaped)
-    bounded free-choice system; None otherwise or when its walk passes the budget."""
+    bounded free-choice system, read off `structural_class` and
+    `behavioral_class`; None otherwise or when the latter passes the budget."""
     if trace_len < 0:
         raise ValueError("trace_len must be non-negative")
     srep = structural_class(sys.net, sys.initial, sys.final)
     if not srep.free_choice:
         return None
     try:
-        bound = _lbfc_bound(sys, _plan(sys, state_budget).graph, state_budget,
-                            srep.workflow_shape)
+        rep = behavioral_class(sys, state_budget)
     except BudgetExceeded:
         return None
-    return lbfc_length_bound(len(sys.net.transitions), bound, trace_len) if bound else None
+    bound = rep.bound_found
+    if bound and (rep.live or srep.workflow_shape and rep.sound):
+        return lbfc_length_bound(len(sys.net.transitions), bound, trace_len)
+    return None
 
 
 def brute_force_oracle(trace: Sequence[str], sys: AcceptingSystem,

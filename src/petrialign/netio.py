@@ -49,9 +49,10 @@ def parse_net(text: str) -> AcceptingSystem:
             places[vid] = None
             for option in fields[2:]:
                 key, _, value = option.partition("=")
-                if key not in ("init", "final") or not value.isdigit():
+                marks = init if key == "init" else final
+                if key not in ("init", "final") or not value.isdigit() or vid in marks:
                     raise ParseError(f"bad place option {option!r}", line=lineno)
-                (init if key == "init" else final)[vid] = int(value)
+                marks[vid] = int(value)
         else:
             transitions.append(vid)
             options = {"label": None, "in": None, "out": None}
@@ -120,8 +121,8 @@ def parse_trace(text: str) -> tuple[str, ...]:
 def parse_cost_file(text: str, sys: AcceptingSystem) -> CostFunction:
     """Cost overrides: `sync <label> <t> <cost>`, `log <label> <cost>`,
     `model <t> <cost>`; unlisted moves keep standard costs.  A line naming a
-    transition not in the net, or not carrying the sync line's label, is a
-    ParseError."""
+    transition not in the net, or not carrying the sync line's label, or
+    repeating an earlier line's move, is a ParseError."""
     net = sys.net
     sync: dict[tuple[str, str], Fraction] = {}
     log: dict[str, Fraction] = {}
@@ -132,14 +133,14 @@ def parse_cost_file(text: str, sys: AcceptingSystem) -> CostFunction:
             continue
         fields = line.split()
         try:
-            if fields[0] == "sync" and len(fields) == 4:
+            if fields[0] == "sync" and len(fields) == 4 and tuple(fields[1:3]) not in sync:
                 _, label, t, cost = fields
                 if not net.has_transition(t) or net.label(t).name != label:
                     raise ParseError(f"no transition {t!r} labelled {label!r}", line=lineno)
                 sync[(label, t)] = parse_cost(cost)
-            elif fields[0] == "log" and len(fields) == 3:
+            elif fields[0] == "log" and len(fields) == 3 and fields[1] not in log:
                 log[fields[1]] = parse_cost(fields[2])
-            elif fields[0] == "model" and len(fields) == 3:
+            elif fields[0] == "model" and len(fields) == 3 and fields[1] not in model:
                 if not net.has_transition(fields[1]):
                     raise ParseError(f"unknown transition {fields[1]!r}", line=lineno)
                 model[fields[1]] = parse_cost(fields[2])
@@ -171,15 +172,16 @@ def parse_tm(text: str) -> TuringMachine:
         if not line:
             continue
         fields = line.split()
-        if fields[0] == "states" and len(fields) == 4:
+        if fields[0] == "states" and len(fields) == 4 and initial is None:
             initial, accept, reject = fields[1:]
             for s in fields[1:]:
                 remember(s)
-        elif fields[0] == "blank" and len(fields) == 2:
+        elif fields[0] == "blank" and len(fields) == 2 and blank is None:
             blank = fields[1]
-        elif fields[0] == "tape" and len(fields) >= 2:
+        elif fields[0] == "tape" and len(fields) >= 2 and not tape:
             tape = fields[1:]
-        elif fields[0] == "space" and len(fields) == 2 and fields[1].isdigit():
+        elif (fields[0] == "space" and len(fields) == 2 and fields[1].isdigit()
+              and space is None):
             space = int(fields[1])
         elif fields[0] == "delta" and len(fields) == 7 and fields[3] == "->" \
                 and fields[6] in moves:

@@ -408,9 +408,10 @@ class _MarkingGraph:
     number) pair per enabled transition, in declaration order.  A row is
     filled the first time a caller asks for it, under the lock, so callers
     in several threads agree on every number.  No row depends on a root or a
-    trace: the classifier, the alignment search and membership on one
-    system share the graph, and a search may have numbered markings that
-    are not reachable (its goal).  The subset automaton's start state and
+    trace: the alignment search and membership on one system share the
+    graph, and a search may have numbered markings that are not reachable
+    (its goal); the classifier's breadth-first search (`explore`) walks a
+    fresh graph of its own.  The subset automaton's start state and
     acceptance bind the system whose markings its first caller gives, and
     `must_fire` the final marking it is given, so a graph serves one
     system: the engine makes one per plan, and it lives as long as its plan.
@@ -594,48 +595,47 @@ class _MarkingGraph:
             self.size += len(markings)
         return j
 
-    def explore(self, root: Marking, state_budget: int, b_max: int | None = None):
-        """Breadth-first search over the rows from `root`, in an order of its
-        own that does not depend on the graph's numbers.  Returns (order,
-        parent, via, succ, fired): order[k] is the number of the k-th marking
-        found, parent[k] and via[k] the index and the transition of the arc
-        that found it (-1 and None at the root), and succ[k] and fired[k] the
-        targets (as indices into order) and transitions of the arcs leaving
-        it, in row order.  Finding a marking past the budget raises
+    @classmethod
+    def explore(cls, net: PetriNet, root: Marking, state_budget: int,
+                b_max: int | None = None):
+        """Breadth-first search from `root` over the rows of a fresh graph of
+        `net`, which numbers the markings it finds 0, 1, ... in the order
+        found.  Returns (graph, parent, via, succ, fired): parent[k] and
+        via[k] are the number and the transition of the arc that found
+        marking k (-1 and None at the root), and succ[k] and fired[k] the
+        targets and transitions of the arcs leaving it, in row order; the
+        lists hold one entry per marking found, which the graph's first
+        markings are.  Finding a marking past the budget raises
         BudgetExceeded; the root is always explored, so budgets below 1 act
         as 1.  With `b_max`, the search stops on finding the first marking
         with more than b_max tokens on some place, before its arc is listed.
         A found marking's counts are read from its key's place entries:
         tokens off the net never move, so the root's check covers them.
         """
-        start = self.number(root)
-        order, local = [start], {start: 0}
+        graph = cls(net)
+        graph.number(root)
         parent, via, succ, fired = [-1], [None], [[]], [[]]
-        result = order, parent, via, succ, fired
+        result = graph, parent, via, succ, fired
         if b_max is not None and root.max_count() > b_max:
             return result
         budget = max(state_budget, 1)
-        rows, keys, ts = self.rows, self._keys, self.net.transitions
-        width = len(self.net.places)
-        for k, i in enumerate(order):
-            row = rows.get(i)
-            if row is None:
-                row = self.row(i)
-            targets, names = succ[k], fired[k]
-            for t, s in row:
-                j = local.get(s)
-                if j is None:
-                    j = local[s] = len(order)
-                    if j >= budget:
-                        raise BudgetExceeded(j + 1)
-                    order.append(s)
+        keys, ts = graph._keys, net.transitions
+        width = len(net.places)
+        # Marking k's row numbers the markings first found from it, in row
+        # order, so a target numbered len(parent) is the next one found.
+        for k, targets in enumerate(succ):
+            names = fired[k]
+            for t, s in graph.row(k):
+                if s == len(parent):
+                    if s >= budget:
+                        raise BudgetExceeded(s + 1)
                     parent.append(k)
                     via.append(ts[t])
                     succ.append([])
                     fired.append([])
                     if b_max is not None and max(keys[s][:width], default=0) > b_max:
                         return result
-                targets.append(j)
+                targets.append(s)
                 names.append(ts[t])
         return result
 

@@ -123,10 +123,9 @@ def build_reachability_graph(sys: AcceptingSystem,
     budget raises BudgetExceeded."""
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
-    graph = _MarkingGraph(sys.net)
-    order, _, _, succ, fired = graph.explore(sys.initial, state_budget)
-    markings = [graph.markings[i] for i in order]
-    arcs = tuple((markings[i], t, markings[j]) for i in range(len(order))
+    graph, _, _, succ, fired = _MarkingGraph.explore(sys.net, sys.initial, state_budget)
+    markings = graph.markings
+    arcs = tuple((markings[i], t, markings[j]) for i in range(len(succ))
                  for j, t in zip(succ[i], fired[i]))
     return ReachabilityGraph(sys.initial, frozenset(markings), arcs, dict(sys.net.labels))
 

@@ -485,30 +485,26 @@ def test_consecutive_calls_match_fresh_systems():
 
 
 def test_consecutive_calls_classify_once(monkeypatch):
-    """Each cap walks the system again, but over the rows that the first
-    walk filled, so only the first fires a transition."""
+    """Each cap classifies its system once, and the dispatcher classifies
+    nothing for the cap."""
     calls = []
-    lbfc_bound = engine._lbfc_bound
+    behavioral = engine.behavioral_class
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return lbfc_bound(*args, **kwargs)
+        return behavioral(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_lbfc_bound", counted)
-    fired = _counted_fires(monkeypatch)
+    monkeypatch.setattr(engine, "behavioral_class", counted)
     a = ex1_system()
-    lbfc_cap(a, 0)
-    first = len(fired)
-    assert first > 0
-    assert [lbfc_cap(a, n) for n in (1, 2)] == [72, 108]
-    assert calls == [a, a, a] and len(fired) == first
+    assert [lbfc_cap(a, n) for n in (0, 1, 2)] == [36, 72, 108]
+    assert calls == [a, a, a]
     # An equal system is not the same system.
     calls.clear()
     a, b = ex1_system(), ex1_system()
     for system in (a, b, a):
         lbfc_cap(system, len(TRACE))
     assert calls == [a, b, a]
-    # The dispatcher walks no marking graph for the cap.
+    # The dispatcher computes no cap.
     calls.clear()
     for system in (a, b, a):
         dispatch_align(TRACE, system)
@@ -1339,41 +1335,23 @@ def _two_dead_ends_system():
 def test_a_warm_graph_classifies_like_a_fresh_one():
     """Alignment searches, then dispatcher calls, number a system's markings
     in their own order, and number its final marking even where no firing
-    sequence reaches it.  The plan's cap on that graph is then the cap of a
-    fresh system at budgets 1 to 30 and the default.  The pump net is
-    unbounded, so it is asked at budgets up to 40 only."""
+    sequence reaches it.  The cap of that system is then the cap of a fresh
+    system at budgets 1 to 30 and the default.  The pump net is unbounded,
+    so it is asked at budgets up to 40 only."""
     rng = random.Random(71)
     bounded = _route_systems(rng)
     # The same nets with a final marking that no firing sequence reaches.
     unsound = [AcceptingSystem(s.net, s.initial, s.initial + s.initial) for s in bounded[::3]]
-    reorders = 0
     for system in bounded + unsound + [_two_dead_ends_system(), _pump_system()]:
         top = 40 if system.net.has_transition("u") else DEFAULT_STATE_BUDGET
         budgets = list(range(1, 31)) + [top]
         traces = [("a", "b", "e"), ("z",)] + [_noisy_run(rng, system, 12) for _ in range(3)]
-        # Searches first, so that the dispatcher's cap at `top` is decided
-        # on the searches' graph.
         calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
         warm, fresh = _warm_and_fresh_calls(system, calls)
         assert warm == fresh, str(system.net)
-        plan = engine._plan(system, DEFAULT_STATE_BUDGET)
-        # As the last call left it, even when over the budget of the next.
-        graph = plan.graph
-        assert graph.find(system.final) is not None
-        if top == DEFAULT_STATE_BUDGET:
-            fresh_graph = petri._MarkingGraph(system.net)
-            order = fresh_graph.explore(system.initial, top)[0]
-            reorders += graph.markings[:len(order)] != [fresh_graph.markings[i] for i in order]
-        held = max(len(graph.markings), graph.size, plan.results_size)
+        assert engine._plan(system, DEFAULT_STATE_BUDGET).graph.find(system.final) is not None
         caps = [lbfc_cap(system, 3, budget) for budget in budgets]
-        # A cap walks on a free-choice net only; one past the plan's size gets a new plan.
-        if held > budgets[0] and classify.structural_class(system.net, system.initial,
-                                                           system.final).free_choice:
-            assert engine._plan(system, DEFAULT_STATE_BUDGET) is not plan
         assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
-    # Most graphs number the reachable markings in another order than the
-    # cap's breadth-first search.
-    assert 2 * reorders > len(bounded) + len(unsound)
 
 
 def _bound_by_report(system, budget, workflow_shape):
@@ -1395,15 +1373,15 @@ def _bound_by_report(system, budget, workflow_shape):
 
 
 def test_lbfc_bound_matches_the_behavioral_report():
-    """The LBFC cap's walk decides what `behavioral_class`'s report decides
-    (bound_found, when live or sound and workflow-shaped) on the randomised
-    suite, tree nets, marked cycles, ex1, nets whose final marking no firing
-    sequence reaches, an unbounded net and a net with two dead ends, at
-    budgets 1 to 30 and the default.  It does so on fresh graphs, on one
-    graph that alignment searches numbered first and that each budget's walk
-    then extends, and through fresh and warm plans.  The cases include live
-    systems, sound workflow nets that are not live, systems that are
-    neither, and walks cut by the budget."""
+    """The LBFC cap takes what `behavioral_class`'s report decides
+    (bound_found, when live or sound and workflow-shaped) on free-choice
+    systems, and is None on the others, on the randomised suite, tree nets,
+    marked cycles, ex1, nets whose final marking no firing sequence
+    reaches, an unbounded net and a net with two dead ends, at budgets 1 to
+    30 and the default.  It does so on fresh systems and on systems whose
+    plan alignment searches filled first.  The cases include live systems,
+    sound workflow nets that are not live, systems that are neither, and
+    walks cut by the budget."""
     rng = random.Random(83)
     systems = [system for system, _ in make_suite(83, 40)]
     systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(12)]
@@ -1421,24 +1399,19 @@ def test_lbfc_bound_matches_the_behavioral_report():
         warm = _fresh(system)
         for trace in (("a", "b", "e"), ("z",), _noisy_run(rng, system, 12)):
             _outcome(_generic, trace, warm, top)
-        warm_graph = engine._plan(warm, DEFAULT_STATE_BUDGET).graph
         for budget in budgets:
             expected, reason = _bound_by_report(system, budget, srep.workflow_shape)
-            for graph in (petri._MarkingGraph(system.net), warm_graph):
-                try:
-                    got = classify._lbfc_bound(system, graph, budget, srep.workflow_shape)
-                except BudgetExceeded:
-                    got = "raised"
-                assert got == expected, (str(system.net), budget)
-                pairs += 1
-            reasons[reason] = reasons.get(reason, 0) + 1
             cap = None
-            if srep.free_choice and expected not in (None, "raised"):
-                cap = lbfc_length_bound(len(system.net.transitions), expected, 3)
+            if srep.free_choice:
+                reasons[reason] = reasons.get(reason, 0) + 1
+                pairs += 2
+                if expected not in (None, "raised"):
+                    cap = lbfc_length_bound(len(system.net.transitions), expected, 3)
             assert lbfc_cap(_fresh(system), 3, budget) == cap
             assert lbfc_cap(warm, 3, budget) == cap
+    # Each reason on free-choice systems, where the cap reads the report.
     assert min(reasons.values()) > 0, reasons
-    assert pairs > 4000
+    assert pairs > 2500
 
 
 def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
@@ -1565,13 +1538,12 @@ def test_threads_share_one_membership_graph():
         assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
 
 
-def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
+def test_membership_reads_the_rows_the_cap_filled():
     """dispatch_align, membership and optimal_alignment, interleaved on one
     system object, give the outcomes of fresh systems, and membership holds
     exactly where the optimal cost is 0.  On a free-choice system the
-    LBFC cap's walk classifies it, which fills the rows of every reachable
-    marking, so membership calls after it fire nothing."""
-    fired = _counted_fires(monkeypatch)
+    LBFC cap classifies it, and membership calls after it give the same
+    verdicts."""
     rng = random.Random(79)
     systems = []
     while len(systems) < 6:
@@ -1599,10 +1571,8 @@ def test_membership_reads_the_rows_the_cap_filled(monkeypatch):
         lbfc_cap(system, len(words[-1]))
         if classify.structural_class(system.net, system.initial, system.final).free_choice:
             classified += 1
-            before = len(fired)
             assert [membership(word, system) for word in words] == \
                 [verdicts[word] for word in words]
-            assert len(fired) == before, str(system.net)
     assert classified >= 6 and accepted > 10
 
 
@@ -1680,6 +1650,19 @@ def test_a_repeat_makes_no_search(monkeypatch):
             budget = first.states_expanded
             assert _ssystem(trace, system, budget) == first
             assert _generic(trace, system, budget) == dataclasses.replace(first, algorithm="generic")
+
+
+def test_a_cap_leaves_the_plan_alone(monkeypatch):
+    """A cap on another free-choice system, between two alignments of one
+    trace on a system, keeps that system's plan: the second alignment is
+    the stored result, with no search."""
+    searched = _counted_searches(monkeypatch)
+    a, b = ex1_system(), ex1_system()
+    first = dispatch_align(TRACE, a)
+    assert searched == [TRACE]
+    assert lbfc_cap(b, 4) == 180
+    assert dispatch_align(TRACE, a) is first
+    assert searched == [TRACE] and engine._last_plan.sys is a
 
 
 def test_a_raise_is_stored_as_nothing(ex1, monkeypatch):

@@ -41,6 +41,14 @@ def test_parse_duplicate_id():
         parse_net("place p\nplace p\n")
 
 
+def test_parse_repeated_place_option():
+    # A repeated key is an error, not the last value.
+    for options in ("init=1 init=2", "final=1 init=1 final=1"):
+        with pytest.raises(ParseError) as err:
+            parse_net(f"place q\nplace p {options}\ntrans t label=a in=q out=p\n")
+        assert err.value.line == 2
+
+
 def test_parse_disconnected():
     text = ("place p init=1\nplace q\nplace r final=1\n"
             "trans t1 label=a in=p out=q\n")
@@ -104,6 +112,13 @@ def test_parse_cost_file_errors(ex1):
             parse_cost_file(f"log a 2\n{line}\n", ex1)
 
 
+def test_parse_cost_file_repeated_move(ex1):
+    # A repeated move is an error, not the last cost.
+    for line in ("sync a t1 1/2", "log a 5", "model t5 1"):
+        with pytest.raises(ParseError, match=r"\(line 2\)"):
+            parse_cost_file(f"{line}\n{line.rsplit(' ', 1)[0]} 2\n", ex1)
+
+
 SCANNER_TEXT = """\
 states q0 qacc qrej
 blank _
@@ -125,6 +140,14 @@ def test_parse_tm():
 def test_parse_tm_missing_directive():
     with pytest.raises(ParseError):
         parse_tm("states q0 qacc qrej\nblank _\n")
+
+
+def test_parse_tm_repeated_directive():
+    # A directive given twice is an error, not the last value.
+    for line in ("states q0 qacc qrej", "blank _", "tape a _", "space 1"):
+        with pytest.raises(ParseError) as err:
+            parse_tm(SCANNER_TEXT + line + "\n")
+        assert err.value.line == 7
 
 
 def test_parse_tm_partial_rules_rejected():

@@ -184,7 +184,8 @@ def _random_counted_system(rng):
 
 def _explore_by_firing(net, root, budget, b_max=None):
     """`_MarkingGraph.explore` written out over `fire` and the full scan of
-    `_enabled_among`, with markings in place of numbers in `order`."""
+    `_enabled_among`, with the markings found, in order, in place of the
+    graph."""
     order, local = [root], {root: 0}
     parent, via, succ, fired = [-1], [None], [[]], [[]]
     result = order, parent, via, succ, fired
@@ -221,8 +222,12 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
     """On random nets with counts above one, self-loop places, transitions
     with no input or no output place and unbounded growth cut by a budget,
     the count-keyed graph gives the rows, the numbers and the explorations
-    that firing every arc gives.  Every `Marking` it holds is the root, a
-    marking numbered by a caller, or one that `fire` made."""
+    that firing every arc gives.  An exploration numbers the markings it
+    finds in breadth-first order on a graph of its own, so each is found
+    from a lower number, and a `b_max` stop lists only the markings found
+    even when the row it stops in numbered more.  Every `Marking` a graph
+    holds is the root, a marking numbered by a caller, or one that `fire`
+    made."""
     made = set()
     fire_ = petri.fire
 
@@ -233,36 +238,50 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
 
     monkeypatch.setattr(petri, "fire", recorded)
     rng = random.Random(43)
-    shapes = dict.fromkeys(("self_loop", "no_input", "no_output", "count_2", "raised"), 0)
+    shapes = dict.fromkeys(("self_loop", "no_input", "no_output", "count_2", "raised",
+                            "cut_in_a_row"), 0)
     for _ in range(400):
         net, root = _random_counted_system(rng)
-        graph = _MarkingGraph(net)
-        # A marking numbered before the exploration, as a search's goal is.
-        goal = Marking({p: rng.randint(0, 2) for p in net.places})
-        graph.number(goal)
         budget = rng.choice((1, 5, 40))
         b_max = rng.choice((None, 2, 4))
-        got = _explored(graph.explore, root, budget, b_max)
+        got = _explored(_MarkingGraph.explore, net, root, budget, b_max)
         expected = _explored(_explore_by_firing, net, root, budget, b_max)
+        graphs = []
         if got[0] == "raised":
             assert got == expected
             shapes["raised"] += 1
         else:
-            order, *rest = got
-            assert ([graph.markings[i] for i in order], *rest) == expected
-        for i, m in enumerate(graph.markings):
-            assert graph.number(m) == i
-            assert m is root or m is goal or id(m) in made
-        assert len(graph._by_key) == len(graph.markings)
-        for i, row in graph.rows.items():
-            m = graph.markings[i]
-            assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
-                [(t, fire_(net, m, t)) for t in _enabled_among(net, m, net.transitions)]
+            graph, parent, *rest = got
+            n = len(parent)
+            assert all(p < k for k, p in enumerate(parent))
+            assert (graph.markings[:n], parent, *rest) == expected
+            shapes["cut_in_a_row"] += len(graph.markings) > n
+            graphs.append((graph, root))
+        # Rows filled in number order on a graph that numbered a marking
+        # first, as a search's goal is.
+        graph = _MarkingGraph(net)
+        goal = Marking({p: rng.randint(0, 2) for p in net.places})
+        graph.number(goal)
+        graph.number(root)
+        i = 0
+        while i < min(len(graph.markings), budget):
+            graph.row(i)
+            i += 1
+        graphs.append((graph, goal))
+        for graph, goal in graphs:
+            for i, m in enumerate(graph.markings):
+                assert graph.number(m) == i
+                assert m is root or m is goal or id(m) in made
+            assert len(graph._by_key) == len(graph.markings)
+            for i, row in graph.rows.items():
+                m = graph.markings[i]
+                assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
+                    [(t, fire_(net, m, t)) for t in _enabled_among(net, m, net.transitions)]
+            shapes["count_2"] += any(m.max_count() >= 2 for m in graph.markings)
         shapes["self_loop"] += any(set(net.preset(t)) & set(net.postset(t))
                                    for t in net.transitions)
         shapes["no_input"] += any(not net.preset(t) for t in net.transitions)
         shapes["no_output"] += any(not net.postset(t) for t in net.transitions)
-        shapes["count_2"] += any(m.max_count() >= 2 for m in graph.markings)
     assert min(shapes.values()) >= 20, shapes
 
 
