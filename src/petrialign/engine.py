@@ -41,7 +41,7 @@ class Budgets:
 
 def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                         final: int, must: frozenset[int], table: _MoveTable,
-                        state_budget: int):
+                        state_budget: int, ceiling: int | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `graph`, generated
     on the fly from (0, start) to (len(trace), final), where `start` and
@@ -61,7 +61,9 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     moves, ids in string order ("t10" < "t2").  With T transitions, sync
     ranks lie in [0, T), model ranks in [T, 2T), and every log move ranks
     2T: two log moves tie on position only when they leave the same one.
-    Returns (cost, moves, settled).
+    Returns (cost, moves, settled).  With a `ceiling`, a weight on the
+    table's scale, the search ends at its first pop of a higher cost: the
+    final state is then Unreachable within the ceiling.
 
     `must` holds the silent transitions that must fire, `graph.must_fire(
     final)` (see `_NetView.forced`): a state whose row holds one yields
@@ -96,12 +98,15 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     # entry, and the priority offset of a state at the next position.
     at = [(a, *table.log(a), (n - i) * radix) for i, a in enumerate(trace, 1)]
     goal = final * width + n
+    limit = None if ceiling is None else (ceiling + 1) * span
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
     heap: list = [(n * radix, 0, 0, start)]
     counter = 1
     settled = 0
     while heap:
         priority, _, pos, m = heappop(heap)
+        if limit is not None and priority >= limit:
+            break
         cost = priority // span
         state = m * width + pos
         if best[state][0] != cost:
@@ -294,10 +299,12 @@ class _Plan:
     weight, so calls with the standard costs and calls with their own costs
     share it; weights come from the move tables.  Membership walks the
     graph's subset automaton, whose states are sets of marking numbers
-    closed under silent rows (see `_MarkingGraph` and `membership`).  `ends`
-    holds the numbers of the system's initial and final markings, where the
-    searches start and end, and `must` the silent transitions that must
-    fire on the way to the final marking (`_MarkingGraph.must_fire`)."""
+    closed under silent rows, or else searches the graph under the standard
+    costs at a cost ceiling of 0 (see `_MarkingGraph` and `membership`).
+    `ends` holds the numbers of the system's initial and final markings,
+    where the searches start and end, and `must` the silent transitions
+    that must fire on the way to the final marking
+    (`_MarkingGraph.must_fire`)."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -331,14 +338,14 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     markings, or rows and automaton entries, or the results more path
     states, than that budget.  A search adds at most one row per state it
     settles and one result no larger, and a membership call at most its
-    budget in rows and automaton entries on the automaton, plus one row per
-    state that its depth-first search expands when the automaton does not
-    answer.  So after
-    a call the graph holds at most three times the budget in rows and
-    automaton entries, and besides the markings it held, the markings that
-    call reached and their successors; the results hold at most twice the
-    budget.  A new plan is made under a lock, so threads that find the same
-    plan wanting share the one that replaces it."""
+    budget in rows and automaton entries on the automaton, plus, when the
+    automaton does not answer, one row per state that the search at cost
+    ceiling 0 settles, at most its budget.  So after a call the graph holds
+    at most three times the budget in rows and automaton entries, and
+    besides the markings it held, the markings that call reached and their
+    successors; the results hold at most twice the budget.  A new plan is
+    made under a lock, so threads that find the same plan wanting share the
+    one that replaces it."""
     global _last_plan
     plan = _last_plan
     if plan is not None and plan.sys is sys:
@@ -410,14 +417,17 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     that ceiling: while what the call added, plus the sizes of the states
     the walk passes, is at most `state_budget`.  What another thread adds
     meanwhile counts too, which only sends more words to the search below.
-    The depth-first search over (marking, position) states that the
-    automaton replaces keeps at most the states (m, k) with m in the k-th
-    state, so within that budget it can neither raise nor answer otherwise.
-    Any other word goes to that search (`_member_dfs`), so every verdict and
-    every BudgetExceeded is that of the search on a fresh graph.
+    Any other word goes to the alignment search under the standard costs at
+    a cost ceiling of 0.  Sync and silent model moves alone cost 0, so that
+    search settles only states (m, k) with m in the automaton's state after
+    k letters: within the budget it can neither raise nor answer otherwise,
+    and every verdict and every BudgetExceeded is that of the search on a
+    fresh graph.  A perfect alignment syncs every letter, so a word with a
+    letter that no transition carries is not in the language.
     """
     trace = tuple(trace)
-    graph = _plan(sys, state_budget).graph
+    plan = _plan(sys, state_budget)
+    graph = plan.graph
     top = graph.size + state_budget
     k = graph.start
     if k is None:
@@ -436,46 +446,14 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         else:
             if graph.size <= top:
                 return graph.accepting[k]
-    return _member_dfs(trace, sys, graph, state_budget)
-
-
-def _member_dfs(trace: tuple[str, ...], sys: AcceptingSystem, graph: _MarkingGraph,
-                state_budget: int) -> bool:
-    """Membership by depth-first search on integer states marking number *
-    (len(trace) + 1) + position over `graph`'s rows.  A state lists the
-    successors by the transitions that carry the letter at its position
-    (none past the trace's end), then by the silent ones, each in row
-    order.  Keeping more than `state_budget` states raises BudgetExceeded."""
-    n = len(trace)
-    width = n + 1
-    start = graph.number(sys.initial) * width
-    goal = graph.number(sys.final) * width + n
-    if start == goal:
-        return True
-    rows, row, labels = graph.rows, graph.row, graph.labels
-    seen = {start}
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        pos = state % width
-        m = state // width
-        entries = rows.get(m)
-        if entries is None:
-            entries = row(m)
-        succ = []
-        if pos < n:
-            a = trace[pos]
-            succ = [s * width + pos + 1 for t, s in entries if labels[t] == a]
-        succ += [s * width + pos for t, s in entries if labels[t] is None]
-        for nxt in succ:
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > state_budget:
-                    raise BudgetExceeded(len(seen), what="states")
-                stack.append(nxt)
-    return False
+    if not set(trace) <= set(graph.labels):
+        return False
+    try:
+        dijkstra_least_cost(graph, trace, *plan.ends, plan.must, plan.standard_moves,
+                            state_budget, ceiling=0)
+    except Unreachable:
+        return False
+    return True
 
 
 def lbfc_length_bound(t_count: int, b: int, trace_len: int) -> int:

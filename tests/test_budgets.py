@@ -1,11 +1,10 @@
 """Loops that take a cap of their own raise BudgetExceeded past it."""
 
-import itertools
-
 import pytest
 
-from petrialign import (ShuffleInstance, brute_force_oracle, ex1_system, min_cost_reach,
-                        parse_tree, shuffle_member, tree_language_member)
+from petrialign import (ShuffleInstance, brute_force_oracle, ex1_system, membership,
+                        min_cost_reach, parse_net, parse_tree, shuffle_member,
+                        tree_language_member)
 from petrialign.errors import BudgetExceeded
 
 
@@ -32,14 +31,29 @@ def _tree(cap):
     return tree_language_member(_THREE_AB, ("a", "a", "b", "a", "b", "b"), budget=cap)
 
 
+# A silent transition pumps tokens onto q; the letter a loops on p, and only
+# z reaches the final marking.  The start's silent closure is infinite, so
+# membership goes to its fallback search, and a word without z never answers.
+_PUMP = parse_net("place p init=1\nplace q\nplace f final=1\n"
+                  "trans u label=~ in=p out=p,q\ntrans ta label=a in=p out=p\n"
+                  "trans tz label=z in=p out=f\n")
+
+
+def _member(cap):
+    return membership(("a", "a"), _PUMP, cap)
+
+
 @pytest.mark.parametrize("run, answer",
-                         [(_oracle, 2), (_shuffle, True), (_reach, 0), (_tree, True)],
+                         [(_oracle, 2), (_shuffle, True), (_reach, 0), (_tree, True),
+                          (_member, None)],
                          ids=["brute_force_oracle", "shuffle_member", "min_cost_reach",
-                              "tree_language_member"])
+                              "tree_language_member", "membership"])
 def test_a_loop_raises_past_its_cap(run, answer):
     """Every cap below the least one that answers raises, having counted
-    one state more than the cap allows."""
-    for cap in itertools.count(1):
+    one state more than the cap allows; a loop whose states never end
+    (answer None) raises at every cap up to 100."""
+    got = None
+    for cap in range(1, 101):
         try:
             got = run(cap)
         except BudgetExceeded as exc:

@@ -27,6 +27,7 @@ from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem
                      product_search_cost, random_acyclic_system, random_replayable_walk,
                      random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree, render_moves)
+from test_cli import FORK
 
 TRACE = ("a", "b", "a", "a")
 
@@ -684,20 +685,33 @@ def test_warm_membership_matches_fresh_systems():
 
 def test_a_raise_leaves_a_usable_cache(ex1):
     """Calls that exceed their budget part-way, followed by calls with larger
-    budgets, give every verdict and every raise that fresh systems give."""
+    budgets, give every verdict and every raise that fresh systems give.  A
+    letter that is no token is carried by no transition, so it reads False
+    at every budget, whether the automaton or the search answers.  A final
+    marking that no firing reaches reads False, never NotEasySound."""
     words = [(), ("a", "a", "b", "b"), ("a", "b", "a", "b"), TRACE,
-             ("a", "a", "b", "a", "a", "b", "b"), ("b",)]
+             ("a", "a", "b", "a", "a", "b", "b"), ("b",), ("a b",)]
     calls = [(word, budget) for budget in range(1, 21) for word in words]
     calls += [(word, DEFAULT_STATE_BUDGET) for word in words]
     warm, fresh = _warm_and_fresh(ex1, calls)
     assert warm == fresh
     assert BudgetExceeded in warm and True in warm and False in warm
+    assert all(got is False for (word, _), got in zip(calls, warm) if word == ("a b",))
     pump = _pump_system()
     calls = [(word, budget) for budget in range(1, 21)
-             for word in [("z",), (), ("a", "z"), ("z", "a"), ("b", "a", "z")]]
+             for word in [("z",), (), ("a", "z"), ("z", "a"), ("b", "a", "z"), ("a b",)]]
     warm, fresh = _warm_and_fresh(pump, calls)
     assert warm == fresh
     assert BudgetExceeded in warm and True in warm
+    assert all(got is False for (word, _), got in zip(calls, warm) if word == ("a b",))
+    fork = parse_net(FORK)
+    calls = [(word, budget) for budget in [*range(1, 6), DEFAULT_STATE_BUDGET]
+             for word in [(), ("a",), ("a", "a"), ("b",)]]
+    warm, fresh = _warm_and_fresh(fork, calls)
+    assert warm == fresh
+    assert NotEasySound not in warm
+    assert all(got is False for (_, budget), got in zip(calls, warm)
+               if budget == DEFAULT_STATE_BUDGET)
 
 
 def test_a_pumping_closure_is_given_up_at_once():
@@ -721,13 +735,14 @@ def test_successor_cache_stays_within_its_bound():
     """On an unbounded net, membership calls get an empty graph once it holds
     more markings, or rows and automaton entries, than their budget.  A call
     with budget b adds at most b rows and automaton entries while it walks
-    the subset automaton, and its depth-first search expands at most b
+    the subset automaton, and its search at cost ceiling 0 settles at most b
     states, each adding at most one row, so after it the graph holds at most
     3b rows and automaton entries, and 3b markings, whatever the budgets of
-    the calls before."""
+    the calls before.  A word that never reaches `z` is no member, and the
+    pump gives it endless states of cost 0, so it passes every budget."""
     pump = _pump_system()
     budgets = [60, 10, 50, 20, 40, 5, 30, 15]
-    calls = [((a, "z"), budget) for a, budget in zip(PUMP_LETTERS * 2, budgets * 2)]
+    calls = [((a, "a"), budget) for a, budget in zip(PUMP_LETTERS * 2, budgets * 2)]
     warm, fresh = _warm_and_fresh(pump, calls)
     assert warm == fresh == [BudgetExceeded] * len(calls)
     entries, markings = [], []
@@ -747,32 +762,33 @@ def test_successor_cache_stays_within_its_bound():
 
 # Per word, in `itertools.product` order from the shortest: T or F and the
 # least state budget at which membership answers True or False, or R when it
-# raises at every budget up to 30.  Recorded on the Marking-keyed successor
-# cache that the numbered marking graph replaced.
+# raises at every budget up to 30.  Recorded on the search at cost ceiling 0,
+# which counts the states it settles, where the depth-first search it
+# replaced counted the states it kept.
 MEMBER_TREE = "seq(a, loop(par(b, xor(c, tau)), tau), xor(a, seq(c, b)))"
 MEMBER_PINNED = [
     (ex1_system, "ab", 5, """
-    F1 F2 F1 F3 F3 F1 F1 F3 F5 F5 F3 F1 F1 F1 F1 F3 F3 F6 T4 F6 T4 F3 F3 F1
-    F1 F1 F1 F1 F1 F1 F1 F3 F3 F3 F3 F7 F7 F6 F6 F7 F7 F6 F6 F3 F3 F3 F3 F1
-    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    F1 F2 F1 F3 F3 F1 F1 F3 F5 F5 F3 F1 F1 F1 F1 F3 F3 F6 T5 F6 T5 F3 F3 F1 F1
+    F1 F1 F1 F1 F1 F1 F3 F3 F3 F3 F7 F7 F6 F6 F7 F7 F6 F6 F3 F3 F3 F3 F1 F1 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
     """),
     (_pump_system, "az", 3, """
-    R R T1 R R R R R R R R R R R R
+    R R T2 R T3 R R R T4 R R R R R R
     """),
     (lambda: tree_to_wfnet(parse_tree(MEMBER_TREE)), "abc", 4, """
-    F1 F5 F1 F1 F5 F12 F6 F1 F1 F1 F1 F1 F1 F5 F5 F5 T12 F19 F19 F6 F12 F6
-    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F5 F5 F5 F5 F5 F5
-    F5 F5 F5 F13 F13 F13 T19 F26 F26 T19 T20 F21 F6 F6 F6 T12 F19 F14 F6 F6
-    F6 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
-    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
-    F1 F1 F1 F1 F1 F1 F1
+    F1 F5 F1 F1 F5 F12 F6 F1 F1 F1 F1 F1 F1 F5 F5 F5 T10 F19 F19 F6 F12 F6 F1 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F5 F5 F5 F5 F5 F5 F5 F5 F5
+    F13 F13 F13 T16 F26 F26 T10 T24 F21 F6 F6 F6 T10 F19 F14 F6 F6 F6 F1 F1 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1 F1
+    F1
     """),
 ]
 
 
 def test_membership_raise_points_are_pinned():
     """Budgets 1 to 30, asked in turn of one system object: a call that would
-    keep more states than its budget raises on keeping one more, and any
+    settle more states than its budget raises on settling one more, and any
     other gives the pinned verdict."""
     for make, alphabet, longest, pinned in MEMBER_PINNED:
         system = make()
@@ -830,8 +846,9 @@ def test_successor_cache_is_scoped_to_one_system_object(monkeypatch):
     assert len(fired) == 3 * first
 
 
-# Membership on the subset automaton against the depth-first search it
-# falls back to: the search on a fresh graph is the reference.
+# Membership on the subset automaton against the search it falls back to,
+# the alignment search at cost ceiling 0: the fallback on a fresh graph is
+# the reference.
 
 def _raised_with_count(f, *args):
     """The call's result, or ("raised", the count) when it exceeds its budget."""
@@ -839,6 +856,16 @@ def _raised_with_count(f, *args):
         return f(*args)
     except BudgetExceeded as exc:
         return ("raised", exc.discovered)
+
+
+def _fallback_outcomes(system, calls):
+    """The outcome of each (word, state budget) membership call, with its
+    count when it raises, made on one fresh system object with the automaton
+    switched off: membership's fallback on a graph that no automaton reads."""
+    fresh = _fresh(system)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(petri._MarkingGraph, "subset_start", lambda *args: None)
+        return [_raised_with_count(membership, word, fresh, budget) for word, budget in calls]
 
 
 def _automaton_systems():
@@ -867,29 +894,29 @@ def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
     """Every word of length at most 4 over a system's letters, at budgets 1 to
     30 and the default, asked in a shuffled order of one system object, and a
     sample of them each asked first of a fresh object, get the verdict or the
-    raise, with its count, of the depth-first search on a graph that no
-    automaton reads.  The pump's state space is infinite, so it gets the
-    small budgets only.  At the default budget the automaton answers every
-    call, and a repeated call fires nothing and adds nothing to the graph."""
-    search = engine._member_dfs
-    searched = []
-
-    def counted(*args):
-        searched.append(args[0])
-        return search(*args)
-
-    monkeypatch.setattr(engine, "_member_dfs", counted)
-    fired = _counted_fires(monkeypatch)
+    raise, with its count, of membership's fallback on a fresh graph.  The
+    pump's state space is infinite, so it gets the small budgets only.  At
+    the default budget the automaton answers every call, and a repeated call
+    fires nothing and adds nothing to the graph."""
     rng = random.Random(98)
-    asked = 0
+    cases = []
     for system, letters, finite in _automaton_systems():
         words = [w for n in range(5) for w in itertools.product(letters, repeat=n)]
         budgets = list(range(1, 31)) + ([DEFAULT_STATE_BUDGET] if finite else [])
         calls = [(word, budget) for word in words for budget in budgets]
         rng.shuffle(calls)
-        graph = petri._MarkingGraph(system.net)
-        expected = [_raised_with_count(search, word, system, graph, budget)
-                    for word, budget in calls]
+        cases.append((system, words, finite, calls, _fallback_outcomes(system, calls)))
+    search = engine.dijkstra_least_cost
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "dijkstra_least_cost", counted)
+    fired = _counted_fires(monkeypatch)
+    asked = 0
+    for system, words, finite, calls, expected in cases:
         warm = [_raised_with_count(membership, word, system, budget) for word, budget in calls]
         assert warm == expected, str(system.net)
         fresh = [_raised_with_count(membership, word, _fresh(system), budget)
@@ -912,10 +939,10 @@ def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
 
 
 def _markings_after(graph, system, word, limit):
-    """The markings m with (m, len(word)) reachable from (initial, 0) in the
-    depth-first search's state space for `word`, found by a plain search
-    over `graph`'s rows, or None when that space holds more than `limit`
-    states."""
+    """The markings m with (m, len(word)) reachable from (initial, 0) by the
+    moves of cost 0 for `word`, its sync moves and the silent model moves,
+    found by a plain search over `graph`'s rows, or None when that space
+    holds more than `limit` states."""
     labels = graph.labels
     start = (graph.number(system.initial), 0)
     seen, stack = {start}, [start]
@@ -939,7 +966,7 @@ def _markings_after(graph, system, word, limit):
 def test_each_automaton_state_is_the_searchs_markings_at_its_position():
     """After each prefix of every word of length at most 3 over a system's
     letters, the state the subset automaton reaches holds exactly the
-    markings that the depth-first search reaches at that position, and
+    markings that the moves of cost 0 reach at that position, and
     accepts iff the final marking is one of them.  Under a small ceiling a
     step may be refused, but never made wrong or made past the ceiling;
     under a large one every finite state is made.  The pump's start closure
