@@ -406,8 +406,8 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     Reads synchronous and silent model moves only, so easy-soundness of the
     model is not required for termination.  The word is walked on the
     subset automaton of the plan's model graph (see `_MarkingGraph`), which
-    the alignment searches on the system share: one
-    dict lookup per letter once the steps are made, and the verdict is
+    the alignment searches on the system share: one dict lookup per letter,
+    in the current state's table, once the steps are made, and the verdict is
     whether the last state holds the final marking.  A step or the start
     that no call has made yet is made from the rows, under a ceiling on the
     graph's size: its size when the call began plus `state_budget`, less
@@ -436,12 +436,12 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
         steps, sizes = graph.steps, graph.sizes
         top -= sizes[k]
         for a in trace:
-            j = steps.get((k, a))
-            if j is None:
-                j = graph.subset_step(k, a, top)
-                if j is None:
+            try:
+                k = steps[k][a]
+            except KeyError:
+                k = graph.subset_step(k, a, top)
+                if k is None:
                     break
-            k = j
             top -= sizes[k]
         else:
             if graph.size <= top:

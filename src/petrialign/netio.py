@@ -71,7 +71,11 @@ def parse_net(text: str) -> AcceptingSystem:
                 raise ParseError(f"bad label {options['label']!r}", line=lineno)
             for key, side in (("in", "pre"), ("out", "post")):
                 value = options[key]
-                ids = [v for v in value.split(",") if v] if value else []
+                ids = value.split(",") if value else []
+                # The net model is unweighted: each place is listed once.
+                if "" in ids or len(set(ids)) < len(ids):
+                    raise ParseError(f"empty or repeated place id in {key}={value}",
+                                     line=lineno)
                 for pid in ids:
                     if pid not in places:
                         raise ParseError(f"undeclared place {pid!r} in {key}=", line=lineno)

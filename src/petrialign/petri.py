@@ -438,11 +438,14 @@ class _MarkingGraph:
     system's initial and final markings (`subset_start`).  A state is the
     frozenset of the marking numbers that a prefix of a word leads to,
     closed under silent moves, and is numbered the first time it is made:
-    `states`, `sizes` and `accepting` hold, per state number, its markings,
-    how many they are and whether the final marking is one of them.  `steps`
-    maps (state number, letter) to the number of the state that the letter
-    leads to: the silent closure of the successors, by the letter's
-    transitions, of the state's markings.  A closure in which a row enables a
+    `states`, `sizes`, `accepting` and `steps` hold, per state number, its
+    markings, how many they are, whether the final marking is one of them,
+    and its transition table, which maps a letter to the number of the
+    state that the letter leads to: the silent closure of the successors, by
+    the letter's transitions, of the state's markings.  A state's entries are
+    appended before its number is stored anywhere a reader finds it (`start`
+    or a table), so membership walks the tables without the lock: every
+    number it reads indexes all four lists.  A closure in which a row enables a
     silent transition that produces a token and consumes none for good is
     infinite, and is given up at that row.  The start and each step are made
     the first time a caller asks for them, under a ceiling on `size`: the
@@ -459,7 +462,7 @@ class _MarkingGraph:
         self.states: list[frozenset[int]] = []
         self.sizes: list[int] = []
         self.accepting: list[bool] = []
-        self.steps: dict[tuple[int, str], int] = {}
+        self.steps: list[dict[str, int]] = []
         self.start: int | None = None   # the state of the initial marking
         self._final = -1                # the final marking's number
         self._lock = threading.RLock()   # the automaton's steps read rows
@@ -550,13 +553,14 @@ class _MarkingGraph:
         """The number of the state that state k leads to by `letter`, made on
         first use, or None when making it would bring `size` above `top`."""
         with self._lock:
-            j = self.steps.get((k, letter))
+            table = self.steps[k]
+            j = table.get(letter)
             if j is None:
                 rows, labels = self.rows, self.labels
                 j = self._state({s for m in self.states[k] for t, s in rows[m]
                                  if labels[t] == letter}, top - 1)   # room for the step
                 if j is not None:
-                    self.steps[k, letter] = j
+                    table[letter] = j
                     self.size += 1
             return j
 
@@ -592,6 +596,7 @@ class _MarkingGraph:
             self.states.append(markings)
             self.sizes.append(len(markings))
             self.accepting.append(self._final in markings)
+            self.steps.append({})
             self.size += len(markings)
         return j
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from petrialign import (ShuffleInstance, brute_force_oracle, ex1_system, membership,
-                        min_cost_reach, parse_net, parse_tree, shuffle_member,
-                        tree_language_member)
+from petrialign import (ShuffleInstance, behavioral_class, brute_force_oracle, ex1_system,
+                        membership, min_cost_reach, parse_net, parse_tree,
+                        shuffle_member, tree_language_member)
 from petrialign.errors import BudgetExceeded
+from petrialign.petri import _schedule_counts, parikh
 
 
 def _oracle(cap):
@@ -20,6 +21,16 @@ def _shuffle(cap):
 def _reach(cap):
     ex1 = ex1_system()
     return min_cost_reach(ex1.net, ex1.initial, {}, ex1.final, state_budget=cap)[0]
+
+
+def _explore(cap):
+    return behavioral_class(ex1_system(), cap).states_explored
+
+
+def _schedule(cap):
+    ex1 = ex1_system()
+    counts = parikh(("t1", "t2", "t3", "t4", "t1", "t3", "t2", "t5"))
+    return _schedule_counts(ex1.net, ex1.initial, counts, cap)
 
 
 # One tree object for every cap: the derivatives an earlier call kept must
@@ -45,9 +56,11 @@ def _member(cap):
 
 @pytest.mark.parametrize("run, answer",
                          [(_oracle, 2), (_shuffle, True), (_reach, 0), (_tree, True),
-                          (_member, None)],
+                          (_member, None), (_explore, 6),
+                          (_schedule, ("t1", "t2", "t3", "t4", "t1", "t2", "t3", "t5"))],
                          ids=["brute_force_oracle", "shuffle_member", "min_cost_reach",
-                              "tree_language_member", "membership"])
+                              "tree_language_member", "membership", "behavioral_class",
+                              "schedule_counts"])
 def test_a_loop_raises_past_its_cap(run, answer):
     """Every cap below the least one that answers raises, having counted
     one state more than the cap allows; a loop whose states never end

@@ -728,7 +728,7 @@ def test_a_pumping_closure_is_given_up_at_once():
 def _automaton_entries(graph):
     """The graph's subset-automaton entries as `size` counts them: the
     markings of each state, and one per step."""
-    return sum(graph.sizes) + len(graph.steps)
+    return sum(graph.sizes) + sum(map(len, graph.steps))
 
 
 def test_successor_cache_stays_within_its_bound():
@@ -1563,6 +1563,11 @@ def test_threads_share_one_membership_graph():
     for graph in graphs:
         assert len(graph._by_key) == len(graph.markings) > 100
         assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+        # The walk reads the per-state lists without the lock: every number
+        # in a table indexes all of them.
+        n = len(graph.states)
+        assert len(graph.steps) == n == len(graph.sizes) == len(graph.accepting)
+        assert all(0 <= j < n for table in graph.steps for j in table.values())
 
 
 def test_membership_reads_the_rows_the_cap_filled():

@@ -36,6 +36,15 @@ def test_parse_undeclared_place():
     assert err.value.line == 2
 
 
+def test_parse_repeated_or_empty_flow_id():
+    # The net model is unweighted, so `in=p,p` is not a weight-2 arc, and an
+    # empty id is not dropped.
+    for flow in ("in=p,p out=q", "in=p,,q out=q", "in=p out=q,q", "in=p, out=q"):
+        with pytest.raises(ParseError) as err:
+            parse_net(f"place p init=2\nplace q final=1\ntrans t label=a {flow}\n")
+        assert err.value.line == 3
+
+
 def test_parse_duplicate_id():
     with pytest.raises(DuplicateId):
         parse_net("place p\nplace p\n")
