@@ -60,14 +60,13 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
 
 class _Explored(NamedTuple):
     """The markings reachable from a system's initial marking, numbered in
-    the BFS order of `_MarkingGraph.explore`: its graph and lists (see
-    there), and keys[k], the token counts of marking k."""
+    the BFS order of `_MarkingGraph.explore`: its graph, whose rows hold the
+    arcs, its BFS tree `parent` and `via` (see there), and keys[k], the token
+    counts of marking k."""
 
     graph: _MarkingGraph
     parent: list[int]
-    via: list[str | None]
-    succ: list[list[int]]
-    fired: list[list[str]]
+    via: list[int | None]
     keys: list[tuple]
 
 
@@ -76,15 +75,15 @@ def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None) 
     stops at the first marking with more than b_max tokens on some place."""
     if b_max is not None and b_max < 1:
         raise ValueError("b_max must be >= 1")
-    graph, parent, *lists = _MarkingGraph.explore(sys.net, sys.initial, state_budget, b_max)
-    return _Explored(graph, parent, *lists, graph._keys[:len(parent)])
+    graph, parent, via = _MarkingGraph.explore(sys.net, sys.initial, state_budget, b_max)
+    return _Explored(graph, parent, via, graph._keys[:len(parent)])
 
 
 def _access(ex: _Explored, k: int) -> tuple[str, ...]:
     """The BFS-tree firing sequence to the k-th marking explored."""
-    seq = []
+    seq, ts = [], ex.graph.net.transitions
     while ex.parent[k] >= 0:
-        seq.append(ex.via[k])
+        seq.append(ts[ex.via[k]])
         k = ex.parent[k]
     return tuple(reversed(seq))
 
@@ -150,8 +149,10 @@ class BehavioralReport:
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _sccs(succ: list[list[int]]) -> tuple[list[int], dict[int, int]]:
-    """Tarjan condensation over the explored graph, in one depth-first pass.
+def _sccs(rows: dict[int, tuple[tuple[int, int], ...]], n: int
+          ) -> tuple[list[int], dict[int, int]]:
+    """Tarjan condensation over the explored graph, markings 0 to n - 1 and
+    their rows, in one depth-first pass.
 
     Returns (scc id per marking, terminal sccs): a terminal scc has no arc
     leaving it.  The terminal sccs map each id to the scc's first marking in
@@ -161,7 +162,6 @@ def _sccs(succ: list[list[int]]) -> tuple[list[int], dict[int, int]]:
     arc to a marking already in an scc leaves the arc's own scc, as does a
     tree arc to a marking that closed an scc.
     """
-    n = len(succ)
     index = [-1] * n
     low = [0] * n
     scc_of = [-1] * n
@@ -175,15 +175,15 @@ def _sccs(succ: list[list[int]]) -> tuple[list[int], dict[int, int]]:
         index[root] = low[root] = found
         found += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(rows[root]))]
         while work:
             v, it = work[-1]
-            for w in it:
+            for _, w in it:
                 if index[w] < 0:
                     index[w] = low[w] = found
                     found += 1
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(rows[w])))
                     break
                 if scc_of[w] >= 0:
                     leaves[v] = True
@@ -222,14 +222,15 @@ def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
 
 
 def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
-    """`behavioral_class`'s report over an exploration.  The flags are
-    decided on marking numbers and token-count keys, and the certificates
-    read off what decides them: the first transition, in declaration order,
-    that fires at no marking; the first (transition, marking) pair of a
-    terminal scc that never fires the transition; the first marking of a
-    terminal scc other than the root's; the final marking; the first
-    marking of a terminal scc other than the final marking's; and the first
-    marking that covers the final one and differs from it.
+    """`behavioral_class`'s report over a full exploration.  The flags are
+    decided on marking numbers, the graph's rows and token-count keys, and
+    the certificates read off what decides them: the first transition, in
+    declaration order, that fires at no marking; the first (transition,
+    marking) pair of a terminal scc that never fires the transition; the
+    first marking of a terminal scc other than the root's; the final
+    marking; the first marking of a terminal scc other than the final
+    marking's; and the first marking that covers the final one and differs
+    from it.
 
     Liveness, cyclicity and the option to complete come from the terminal
     (bottom) sccs of one condensation of the graph: every reachable marking
@@ -237,15 +238,15 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
     it fires inside every terminal scc, and a marking is reachable from
     every reachable marking iff it lies in the only terminal scc.
     """
-    keys, fired, ts = ex.keys, ex.fired, sys.net.transitions
-    somewhere = set().union(*fired)
-    dead = next((t for t in ts if t not in somewhere), None)
-    scc_of, terminal = _sccs(ex.succ)
-    fired_in: dict[int, set[str]] = {s: set() for s in terminal}
+    keys, rows, ts = ex.keys, ex.graph.rows, sys.net.transitions
+    somewhere = {t for k in range(len(keys)) for t, _ in rows[k]}
+    dead = next((t for t in range(len(ts)) if t not in somewhere), None)
+    scc_of, terminal = _sccs(rows, len(keys))
+    fired_in: dict[int, set[int]] = {s: set() for s in terminal}
     for k, s in enumerate(scc_of):
         if s in fired_in:
-            fired_in[s].update(fired[k])
-    dead_end = next(((next(t for t in ts if t not in fired_in[s]), k)
+            fired_in[s].update(t for t, _ in rows[k])
+    dead_end = next(((next(t for t in range(len(ts)) if t not in fired_in[s]), k)
                      for s, k in terminal.items() if len(fired_in[s]) < len(ts)), None)
     goal = ex.graph._key(sys.final)
     covering = range(len(keys))
@@ -265,12 +266,12 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
         certs["unsafe"] = certs["bound"]
     if dead is None:
         # Each transition's first marking: later ones are overwritten.
-        enabling = {t: k for k, names in reversed(list(enumerate(fired))) for t in names}
-        certs["quasi_live"] = {t: _access(ex, enabling[t]) for t in ts}
+        enabling = {t: k for k in reversed(range(len(keys))) for t, _ in rows[k]}
+        certs["quasi_live"] = {name: _access(ex, enabling[t]) for t, name in enumerate(ts)}
     else:
-        certs["dead"] = dead
+        certs["dead"] = ts[dead]
     if dead_end is not None:
-        certs["live_counterexample"] = (dead_end[0], _access(ex, dead_end[1]))
+        certs["live_counterexample"] = (ts[dead_end[0]], _access(ex, dead_end[1]))
     if away is not None:
         certs["cyclic_counterexample"] = _access(ex, away)
     if final is None:

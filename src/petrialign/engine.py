@@ -207,9 +207,9 @@ class _MoveTable:
     once; so the standard costs and the caller's are priced alike (the
     standard costs override nothing, so their loop reads no dict).  Each
     entry holds its `Move`, so a search returns its path as it walks it
-    back.  The loop makes each move as `Move._trusted` does, without the
+    back.  The loop makes each move through `Move._trusted`, without the
     dataclass check, since every entry pairs a transition with its own
-    label; inline, as it makes two per transition.
+    label.
     """
 
     def __init__(self, net: PetriNet, c: CostFunction):
@@ -225,7 +225,7 @@ class _MoveTable:
         silent_w = _weight(SILENT_MODEL_DEFAULT, scale)
         view = _net_view(net)
         t_count = len(view.labels)
-        new = object.__new__
+        trusted = Move._trusted
         self.sync: list[tuple[int, int, Move] | None] = []
         self.model: list[tuple[int, int, Move]] = []
         sync, model = self.sync.append, self.model.append
@@ -235,21 +235,13 @@ class _MoveTable:
                 w = silent_w
             else:
                 v = sync_costs.get((a, t)) if sync_costs else None
-                move = new(Move)
-                fields = move.__dict__
-                fields["log_part"] = a
-                fields["model_part"] = t
-                sync((sync_w if v is None else _weight(v, scale), rank, move))
+                sync((sync_w if v is None else _weight(v, scale), rank, trusted(a, t)))
                 w = visible_w
             if model_costs:
                 v = model_costs.get(t)
                 if v is not None:
                     w = _weight(v, scale)
-            move = new(Move)
-            fields = move.__dict__
-            fields["log_part"] = None
-            fields["model_part"] = t
-            model((w, t_count + rank, move))
+            model((w, t_count + rank, trusted(None, t)))
         self._logs: dict[str, tuple[int, int, Move]] = {}
 
     def log(self, a: str) -> tuple[int, int, Move]:
@@ -431,7 +423,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     top = graph.size + state_budget
     k = graph.start
     if k is None:
-        k = graph.subset_start(sys.initial, sys.final, top)
+        k = graph.subset_start(*plan.ends, top)
     if k is not None:
         steps, sizes = graph.steps, graph.sizes
         top -= sizes[k]

@@ -410,48 +410,48 @@ class _MarkingGraph:
     in several threads agree on every number.  No row depends on a root or a
     trace: the alignment search and membership on one system share the
     graph, and a search may have numbered markings that are not reachable
-    (its goal); the classifier's breadth-first search (`explore`) walks a
-    fresh graph of its own.  The subset automaton's start state and
-    acceptance bind the system whose markings its first caller gives, and
-    `must_fire` the final marking it is given, so a graph serves one
-    system: the engine makes one per plan, and it lives as long as its plan.
+    (its goal); the breadth-first search (`explore`) walks a fresh graph of
+    its own, whose rows the classifier and reachability graphs read.  The
+    subset automaton's start state and acceptance bind the system whose
+    marking numbers its first caller gives, and `must_fire` the final
+    marking it is given, so a graph serves one system: the engine makes one
+    per plan, and it lives as long as its plan.
 
     Each marking is keyed by its token counts, a tuple in place declaration
-    order (tokens off the net, which never move, follow as one more entry),
-    and found by its key.  A row reads its parent's key alone: a transition
-    is enabled iff each of its input places has a nonzero entry, and only
-    the transitions with no input place and those whose first input place
-    is marked are checked, through the net's table per place index
+    order, and found by its key.  A row reads its parent's key alone: a
+    transition is enabled iff each of its input places has a nonzero entry,
+    and only the transitions with no input place and those whose first input
+    place is marked are checked, through the net's table per place index
     (`_NetView.first`), which every graph of the net shares.  It keys each
     successor by updating the parent's key: minus one on each place the
     transition consumes from, plus one on each it produces on, so self-loop
-    places stay as they are.  Only a key not yet
-    numbered fires through `fire`, which makes the successor's `Marking`: a
-    marking gets one `Marking` however many arcs lead to it, and a marking
-    made here is never hashed or sorted.  Callers find a `Marking`'s number
-    by its key too (`number`, `find`).
+    places stay as they are.  Only a key not yet numbered fires through
+    `fire`, which makes the successor's `Marking`: a marking gets one
+    `Marking` however many arcs lead to it, and a marking made here is never
+    hashed or sorted.  Callers find a `Marking`'s number by its key too
+    (`number`).
 
     Membership reads the graph through a subset automaton (Rabin and Scott,
     *Finite automata and their decision problems*, 1959) of one system,
     built on demand under the lock from the rows and `labels`, the view's
     label name of each transition by index; the first caller gives the
-    system's initial and final markings (`subset_start`).  A state is the
-    frozenset of the marking numbers that a prefix of a word leads to,
-    closed under silent moves, and is numbered the first time it is made:
-    `states`, `sizes`, `accepting` and `steps` hold, per state number, its
-    markings, how many they are, whether the final marking is one of them,
-    and its transition table, which maps a letter to the number of the
-    state that the letter leads to: the silent closure of the successors, by
-    the letter's transitions, of the state's markings.  A state's entries are
-    appended before its number is stored anywhere a reader finds it (`start`
-    or a table), so membership walks the tables without the lock: every
-    number it reads indexes all four lists.  A closure in which a row enables a
-    silent transition that produces a token and consumes none for good is
-    infinite, and is given up at that row.  The start and each step are made
-    the first time a caller asks for them, under a ceiling on `size`: the
-    caller gets None, and no state, when more would be needed.  `size` counts
-    rows and automaton entries: one per row and per step, and per state the
-    markings it holds."""
+    numbers of the system's initial and final markings (`subset_start`).  A
+    state is the frozenset of the marking numbers that a prefix of a word
+    leads to, closed under silent moves, and is numbered the first time it
+    is made: `states`, `sizes`, `accepting` and `steps` hold, per state
+    number, its markings, how many they are, whether the final marking is
+    one of them, and its transition table, which maps a letter to the number
+    of the state that the letter leads to: the silent closure of the
+    successors, by the letter's transitions, of the state's markings.  A
+    state's entries are appended before its number is stored anywhere a
+    reader finds it (`start` or a table), so membership walks the tables
+    without the lock: every number it reads indexes all four lists.  A
+    closure in which a row enables a silent transition that produces a token
+    and consumes none for good is infinite, and is given up at that row.
+    The start and each step are made the first time a caller asks for them,
+    under a ceiling on `size`: the caller gets None, and no state, when more
+    would be needed.  `size` counts rows and automaton entries: one per row
+    and per step, and per state the markings it holds."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -473,12 +473,8 @@ class _MarkingGraph:
         self.labels = view.labels   # label name by index, None when silent
 
     def _key(self, m: Marking) -> tuple:
-        counts, net = m._counts, self.net
-        key = tuple([counts.get(p, 0) for p in net.places])
-        if counts.keys() <= net._place_set:
-            return key
-        return key + (tuple(sorted([(p, n) for p, n in counts.items()
-                                    if p not in net._place_set])),)
+        counts = m._counts
+        return tuple([counts.get(p, 0) for p in self.net.places])
 
     def _add(self, m: Marking, key: tuple) -> int:
         i = self._by_key[key] = len(self.markings)
@@ -494,11 +490,6 @@ class _MarkingGraph:
             if i is None:
                 i = self._add(m, key)
             return i
-
-    def find(self, m: Marking) -> int | None:
-        """The number of the marking, or None when none is numbered; numbers
-        nothing."""
-        return self._by_key.get(self._key(m))
 
     def must_fire(self, final: int) -> frozenset[int]:
         """The indices of the transitions of `_NetView.forced` with no input
@@ -539,14 +530,14 @@ class _MarkingGraph:
                 self.size += 1
         return row
 
-    def subset_start(self, initial: Marking, final: Marking, top: int) -> int | None:
-        """The start state, the silent closure of the initial marking, made
-        on first use with these markings, or None when making it would bring
-        `size` above `top`."""
+    def subset_start(self, initial: int, final: int, top: int) -> int | None:
+        """The start state, the silent closure of marking `initial`, made on
+        first use with these marking numbers, or None when making it would
+        bring `size` above `top`."""
         with self._lock:
             if self.start is None:
-                self._final = self.number(final)
-                self.start = self._state({self.number(initial)}, top)
+                self._final = final
+                self.start = self._state({initial}, top)
             return self.start
 
     def subset_step(self, k: int, letter: str, top: int) -> int | None:
@@ -603,45 +594,38 @@ class _MarkingGraph:
     @classmethod
     def explore(cls, net: PetriNet, root: Marking, state_budget: int,
                 b_max: int | None = None):
-        """Breadth-first search from `root` over the rows of a fresh graph of
-        `net`, which numbers the markings it finds 0, 1, ... in the order
-        found.  Returns (graph, parent, via, succ, fired): parent[k] and
-        via[k] are the number and the transition of the arc that found
-        marking k (-1 and None at the root), and succ[k] and fired[k] the
-        targets and transitions of the arcs leaving it, in row order; the
-        lists hold one entry per marking found, which the graph's first
-        markings are.  Finding a marking past the budget raises
-        BudgetExceeded; the root is always explored, so budgets below 1 act
-        as 1.  With `b_max`, the search stops on finding the first marking
-        with more than b_max tokens on some place, before its arc is listed.
-        A found marking's counts are read from its key's place entries:
-        tokens off the net never move, so the root's check covers them.
+        """Breadth-first search from `root`, a marking of `net`, over the rows
+        of a fresh graph of the net, which numbers the markings it finds 0,
+        1, ... in the order found.  Returns (graph, parent, via): parent[k]
+        and via[k] are the number of the marking and the index of the
+        transition whose arc found marking k (-1 and None at the root); they
+        hold one entry per marking found, which the graph's first markings
+        are, and the graph holds the row of each, the arcs leaving it.
+        Finding a marking past the budget raises BudgetExceeded; the root is
+        always explored, so budgets below 1 act as 1.  With `b_max`, the
+        search stops on finding the first marking with more than b_max tokens
+        on some place, in the row of some marking k; the markings numbered
+        after k then have no row yet.
         """
         graph = cls(net)
         graph.number(root)
-        parent, via, succ, fired = [-1], [None], [[]], [[]]
-        result = graph, parent, via, succ, fired
+        parent, via = [-1], [None]
+        result = graph, parent, via
         if b_max is not None and root.max_count() > b_max:
             return result
         budget = max(state_budget, 1)
-        keys, ts = graph._keys, net.transitions
-        width = len(net.places)
+        keys = graph._keys
         # Marking k's row numbers the markings first found from it, in row
         # order, so a target numbered len(parent) is the next one found.
-        for k, targets in enumerate(succ):
-            names = fired[k]
+        for k, _ in enumerate(parent):
             for t, s in graph.row(k):
                 if s == len(parent):
                     if s >= budget:
                         raise BudgetExceeded(s + 1)
                     parent.append(k)
-                    via.append(ts[t])
-                    succ.append([])
-                    fired.append([])
-                    if b_max is not None and max(keys[s][:width], default=0) > b_max:
+                    via.append(t)
+                    if b_max is not None and max(keys[s], default=0) > b_max:
                         return result
-                targets.append(s)
-                names.append(ts[t])
         return result
 
 

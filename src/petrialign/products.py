@@ -123,10 +123,10 @@ def build_reachability_graph(sys: AcceptingSystem,
     budget raises BudgetExceeded."""
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
-    graph, _, _, succ, fired = _MarkingGraph.explore(sys.net, sys.initial, state_budget)
-    markings = graph.markings
-    arcs = tuple((markings[i], t, markings[j]) for i in range(len(succ))
-                 for j, t in zip(succ[i], fired[i]))
+    graph, parent, _ = _MarkingGraph.explore(sys.net, sys.initial, state_budget)
+    markings, ts = graph.markings, sys.net.transitions
+    arcs = tuple((markings[i], ts[t], markings[j]) for i in range(len(parent))
+                 for t, j in graph.rows[i])
     return ReachabilityGraph(sys.initial, frozenset(markings), arcs, dict(sys.net.labels))
 
 

@@ -983,7 +983,8 @@ def test_each_automaton_state_is_the_searchs_markings_at_its_position():
             graph = petri._MarkingGraph(system.net)
             for word in words:
                 top = graph.size + budget
-                k = graph.subset_start(system.initial, system.final, top)
+                k = graph.subset_start(graph.number(system.initial),
+                                       graph.number(system.final), top)
                 for n in range(len(word) + 1):
                     if n:
                         k = graph.subset_step(k, word[n - 1], top)
@@ -1376,7 +1377,8 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
         warm, fresh = _warm_and_fresh_calls(system, calls)
         assert warm == fresh, str(system.net)
-        assert engine._plan(system, DEFAULT_STATE_BUDGET).graph.find(system.final) is not None
+        graph = engine._plan(system, DEFAULT_STATE_BUDGET).graph
+        assert graph._key(system.final) in graph._by_key
         caps = [lbfc_cap(system, 3, budget) for budget in budgets]
         assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
 
@@ -1770,6 +1772,6 @@ def test_a_plan_keeps_its_graph_ends_and_must_for_life():
         assert warm == fresh, str(system.net)
     for plan, (graph, ends, must) in plans.items():
         assert plan.graph is graph and plan.ends is ends and plan.must is must
-        assert ends == (graph.find(plan.sys.initial), graph.find(plan.sys.final))
+        assert ends == (graph.number(plan.sys.initial), graph.number(plan.sys.final))
     # The small budgets replace plans: most systems see more than one.
     assert len(plans) > 2 * len(systems)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from petrialign import (parse_cost_file, parse_net, parse_tm, parse_trace,
-                        serialize_net, tm_accepts)
+                        serialize_net, tm_accepts, tree_to_wfnet)
 from petrialign.errors import DisconnectedNet, DuplicateId, ParseError
+from randgen import make_suite, random_tree
 
 EX1_TEXT = """\
 # running example
@@ -81,6 +83,18 @@ def test_round_trip_multiset_markings():
     from petrialign import gen_shuffle_ssystem
     system = gen_shuffle_ssystem(("a", "b"), 3)
     assert parse_net(serialize_net(system)) == system
+
+
+def test_round_trip_on_random_systems():
+    """`parse_net(serialize_net(s)) == s` and the text is a fixed point, on
+    300 suite systems and 60 random process trees (all weakly connected)."""
+    rng = random.Random(29)
+    trees = [tree_to_wfnet(random_tree(rng, 3)) for _ in range(60)]
+    for system in [s for s, _ in make_suite(29, 300)] + trees:
+        text = serialize_net(system)
+        again = parse_net(text)
+        assert again == system, text
+        assert serialize_net(again) == text
 
 
 def test_parse_trace_forms():

@@ -185,10 +185,10 @@ def _random_counted_system(rng):
 def _explore_by_firing(net, root, budget, b_max=None):
     """`_MarkingGraph.explore` written out over `fire` and the full scan of
     `_enabled_among`, with the markings found, in order, in place of the
-    graph."""
+    graph, and transition ids in place of indices."""
     order, local = [root], {root: 0}
-    parent, via, succ, fired = [-1], [None], [[]], [[]]
-    result = order, parent, via, succ, fired
+    parent, via = [-1], [None]
+    result = order, parent, via
     if b_max is not None and root.max_count() > b_max:
         return result
     for k, m in enumerate(order):
@@ -202,12 +202,8 @@ def _explore_by_firing(net, root, budget, b_max=None):
                 order.append(s)
                 parent.append(k)
                 via.append(t)
-                succ.append([])
-                fired.append([])
                 if b_max is not None and s.max_count() > b_max:
                     return result
-            succ[k].append(j)
-            fired[k].append(t)
     return result
 
 
@@ -251,10 +247,11 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
             assert got == expected
             shapes["raised"] += 1
         else:
-            graph, parent, *rest = got
+            graph, parent, via = got
             n = len(parent)
             assert all(p < k for k, p in enumerate(parent))
-            assert (graph.markings[:n], parent, *rest) == expected
+            names = [None] + [net.transitions[t] for t in via[1:]]
+            assert (graph.markings[:n], parent, names) == expected
             shapes["cut_in_a_row"] += len(graph.markings) > n
             graphs.append((graph, root))
         # Rows filled in number order on a graph that numbered a marking
@@ -299,12 +296,6 @@ def test_keyed_marking_graph_is_exact_for_any_count():
         ("loop", root),
         ("make", Marking({"p": 2**40, "q": 1, "r": 1}))]
     assert graph.number(Marking({"p": 2**40 - 1, "q": 2})) == row[0][1]
-    # Tokens off the net never move, and keep markings apart.
-    off = Marking({"p": 1, "elsewhere": 2})
-    i = graph.number(off)
-    assert i != graph.number(Marking.of("p")) and graph.markings[i] is off
-    assert [graph.markings[s] for _, s in graph.row(i)] == [
-        Marking({"q": 1, "elsewhere": 2}), Marking({"p": 1, "r": 1, "elsewhere": 2})]
 
 
 def test_schedule_counts_with_before():
