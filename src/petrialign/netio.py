@@ -11,11 +11,17 @@ from fractions import Fraction
 from .costs import CostFunction, parse_cost
 from .errors import DisconnectedNet, DuplicateId, ParseError
 from .generators import TuringMachine
-from .petri import AcceptingSystem, Label, Marking, PetriNet, is_token
+from .petri import TAU, AcceptingSystem, Label, Marking, PetriNet, is_token
 
 
 def _split_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
+
+
+def _is_count(text: str) -> bool:
+    """Whether `text` is a count in ASCII digits; `str.isdigit` also takes
+    other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_net(text: str) -> AcceptingSystem:
@@ -25,6 +31,7 @@ def parse_net(text: str) -> AcceptingSystem:
     final: dict[str, int] = {}
     transitions: list[str] = []
     labels: dict[str, Label] = {}
+    shared: dict[str, Label] = {}   # one Label per visible name
     flow: list[tuple[str, str]] = []
     seen: set[str] = set()
 
@@ -50,7 +57,7 @@ def parse_net(text: str) -> AcceptingSystem:
             for option in fields[2:]:
                 key, _, value = option.partition("=")
                 marks = init if key == "init" else final
-                if key not in ("init", "final") or not value.isdigit() or vid in marks:
+                if key not in ("init", "final") or not _is_count(value) or vid in marks:
                     raise ParseError(f"bad place option {option!r}", line=lineno)
                 marks[vid] = int(value)
         else:
@@ -61,15 +68,16 @@ def parse_net(text: str) -> AcceptingSystem:
                 if key not in options or not eq or options[key] is not None:
                     raise ParseError(f"bad transition option {option!r}", line=lineno)
                 options[key] = value
-            if any(v is None for v in options.values()):
+            if None in options.values():
                 raise ParseError("trans needs label=, in=, out=", line=lineno)
-            if options["label"] == "~":
-                labels[vid] = Label(None)
-            elif is_token(options["label"]):
-                labels[vid] = Label(options["label"])
-            else:
-                raise ParseError(f"bad label {options['label']!r}", line=lineno)
-            for key, side in (("in", "pre"), ("out", "post")):
+            name = options["label"]
+            label = TAU if name == "~" else shared.get(name)
+            if label is None:
+                if not is_token(name):
+                    raise ParseError(f"bad label {name!r}", line=lineno)
+                label = shared[name] = Label(name)
+            labels[vid] = label
+            for key in ("in", "out"):
                 value = options[key]
                 ids = value.split(",") if value else []
                 # The net model is unweighted: each place is listed once.
@@ -79,7 +87,7 @@ def parse_net(text: str) -> AcceptingSystem:
                 for pid in ids:
                     if pid not in places:
                         raise ParseError(f"undeclared place {pid!r} in {key}=", line=lineno)
-                    flow.append((pid, vid) if side == "pre" else (vid, pid))
+                    flow.append((pid, vid) if key == "in" else (vid, pid))
 
     if not places:
         raise ParseError("net file declares no places")
@@ -184,7 +192,7 @@ def parse_tm(text: str) -> TuringMachine:
             blank = fields[1]
         elif fields[0] == "tape" and len(fields) >= 2 and not tape:
             tape = fields[1:]
-        elif (fields[0] == "space" and len(fields) == 2 and fields[1].isdigit()
+        elif (fields[0] == "space" and len(fields) == 2 and _is_count(fields[1])
               and space is None):
             space = int(fields[1])
         elif fields[0] == "delta" and len(fields) == 7 and fields[3] == "->" \

@@ -168,30 +168,37 @@ class PetriNet:
             raise ValueError("duplicate transition ids")
         if self._place_set & self._trans_set:
             raise ValueError("place and transition ids must be disjoint")
-        self.flow = frozenset(flow)
-        order = {v: i for i, v in enumerate(self.places)}
-        order.update({v: i for i, v in enumerate(self.transitions)})
-        pre: dict[str, list[str]] = {v: [] for v in self.places + self.transitions}
-        post: dict[str, list[str]] = {v: [] for v in self.places + self.transitions}
-        for src, dst in self.flow:
-            ok = (src in self._place_set and dst in self._trans_set) or \
-                 (src in self._trans_set and dst in self._place_set)
-            if not ok:
+        self.flow = flow = frozenset(flow)
+        place_set, trans_set = self._place_set, self._trans_set
+        vertices = self.places + self.transitions
+        pre: dict[str, list[str]] = {v: [] for v in vertices}
+        post: dict[str, list[str]] = {v: [] for v in vertices}
+        loops = set()   # the transitions with a self-loop place
+        for src, dst in flow:
+            if src in place_set and dst in trans_set:
+                if (dst, src) in flow:
+                    loops.add(dst)
+            elif not (src in trans_set and dst in place_set):
                 raise ValueError(f"flow pair {(src, dst)!r} does not connect a place and a transition")
             post[src].append(dst)
             pre[dst].append(src)
-        self._pre = {v: tuple(sorted(vs, key=order.__getitem__)) for v, vs in pre.items()}
-        self._post = {v: tuple(sorted(vs, key=order.__getitem__)) for v, vs in post.items()}
+        order = {v: i for i, v in enumerate(self.places)}
+        order.update({v: i for i, v in enumerate(self.transitions)})
+        for vs in (*pre.values(), *post.values()):
+            if len(vs) > 1:
+                vs.sort(key=order.__getitem__)
+        self._pre = {v: tuple(vs) for v, vs in pre.items()}
+        self._post = {v: tuple(vs) for v, vs in post.items()}
         self.labels = {t: labels[t] for t in self.transitions}
         # pre \ post and post \ pre per transition: the two effect cases of the
-        # firing rule (self-loop places fall through unchanged).
-        self._consume = {}
-        self._produce = {}
-        for t in self.transitions:
-            pre_set = set(self._pre[t])
-            post_set = set(self._post[t])
-            self._consume[t] = tuple(p for p in self._pre[t] if p not in post_set)
-            self._produce[t] = tuple(p for p in self._post[t] if p not in pre_set)
+        # firing rule (self-loop places fall through unchanged).  Without a
+        # self-loop they are the preset and postset tuples themselves.
+        self._consume = {t: self._pre[t] for t in self.transitions}
+        self._produce = {t: self._post[t] for t in self.transitions}
+        for t in loops:
+            ins, outs = self._pre[t], self._post[t]
+            self._consume[t] = tuple(p for p in ins if p not in outs)
+            self._produce[t] = tuple(p for p in outs if p not in ins)
         self._view = None   # made on first use, see `_net_view`
         self._acyclic = None   # decided on first use, see `is_acyclic`
 
@@ -357,28 +364,39 @@ class _NetView:
     __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net", "forced")
 
     def __init__(self, net: PetriNet):
-        index = {p: i for i, p in enumerate(net.places)}.__getitem__
+        index = {p: i for i, p in enumerate(net.places)}
+        # Most arcs list one place: each place has one shared (i,).
+        single = {p: (i,) for p, i in index.items()}
         first: list[list] = [[] for _ in net.places]
         unguarded = []
         labels = []
         pumps = set()
         forced = []
         s_net = True
-        post = net._post
+        pre_of, post_of, labels_of = net._pre, net._post, net.labels
+        consume_of, produce_of = net._consume, net._produce
         for k, t in enumerate(net.transitions):
-            pre = tuple(map(index, net._pre[t]))
-            consume, produce = net._consume[t], net._produce[t]
-            entry = (k, pre[1:], tuple(map(index, consume)), tuple(map(index, produce)))
-            (first[pre[0]] if pre else unguarded).append(entry)
-            name = net.labels[t].name
+            ins, outs, cs, ps = pre_of[t], post_of[t], consume_of[t], produce_of[t]
+            pre = single[ins[0]] if len(ins) == 1 else tuple([index[p] for p in ins])
+            # Without a self-loop, the net's consume tuple is its preset tuple.
+            if cs is ins:
+                consume = pre
+            else:
+                consume = single[cs[0]] if len(cs) == 1 else tuple([index[p] for p in cs])
+            produce = single[ps[0]] if len(ps) == 1 else tuple([index[p] for p in ps])
+            (first[pre[0]] if pre else unguarded).append((k, pre[1:], consume, produce))
+            name = labels_of[t].name
             labels.append(name)
             if name is None:
                 if produce and not consume:
                     pumps.add(k)
-                if pre and len(consume) == len(pre) and all(len(post[p]) == 1
-                                                            for p in consume):
-                    forced.append((k, pre))
-            if len(pre) > 1 or len(post[t]) > 1:
+                if pre and len(consume) == len(pre):
+                    for p in cs:
+                        if len(post_of[p]) != 1:
+                            break
+                    else:
+                        forced.append((k, pre))
+            if len(pre) > 1 or len(outs) > 1:
                 s_net = False
         ts = net.transitions
         ranks = [0] * len(ts)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ArityError, BudgetExceeded, ParseError
-from .petri import AcceptingSystem, Label, Marking, PetriNet, is_token
+from .petri import TAU, AcceptingSystem, Label, Marking, PetriNet, is_token
 
 OPERATORS = ("seq", "xor", "par", "loop")
 
@@ -331,6 +331,7 @@ class _NetBuilder:
         self.transitions: list[str] = []
         self.flow: list[tuple[str, str]] = []
         self.labels: dict[str, Label] = {}
+        self.shared: dict[str | None, Label] = {None: TAU}   # one Label per name
         self.counter = 0
 
     def place(self) -> str:
@@ -339,11 +340,15 @@ class _NetBuilder:
         self.places.append(name)
         return name
 
-    def transition(self, label: Label) -> str:
+    def transition(self, label: str | None = None) -> str:
+        """A new transition labelled `label`, silent when None."""
+        shared = self.shared.get(label)
+        if shared is None:
+            shared = self.shared[label] = Label(label)
         name = f"t{self.counter}"
         self.counter += 1
         self.transitions.append(name)
-        self.labels[name] = label
+        self.labels[name] = shared
         return name
 
     def arc(self, src, dst):
@@ -361,11 +366,11 @@ def tree_to_wfnet(tree: ProcessTree) -> AcceptingSystem:
 
     def build(node: ProcessTree, src: str, snk: str):
         if node.kind == "activity":
-            t = b.transition(Label(node.label))
+            t = b.transition(node.label)
             b.arc(src, t)
             b.arc(t, snk)
         elif node.kind == "silent":
-            t = b.transition(Label(None))
+            t = b.transition()
             b.arc(src, t)
             b.arc(t, snk)
         elif node.kind == "seq":
@@ -376,8 +381,8 @@ def tree_to_wfnet(tree: ProcessTree) -> AcceptingSystem:
             for child in node.children:
                 build(child, src, snk)
         elif node.kind == "par":
-            split = b.transition(Label(None))
-            join = b.transition(Label(None))
+            split = b.transition()
+            join = b.transition()
             b.arc(src, split)
             b.arc(join, snk)
             for child in node.children:
@@ -386,8 +391,8 @@ def tree_to_wfnet(tree: ProcessTree) -> AcceptingSystem:
                 b.arc(z, join)
                 build(child, a, z)
         else:  # loop
-            enter = b.transition(Label(None))
-            leave = b.transition(Label(None))
+            enter = b.transition()
+            leave = b.transition()
             do_start, do_end = b.place(), b.place()
             b.arc(src, enter)
             b.arc(enter, do_start)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from petrialign import (parse_cost_file, parse_net, parse_tm, parse_trace,
+from petrialign import (Marking, parse_cost_file, parse_net, parse_tm, parse_trace,
                         serialize_net, tm_accepts, tree_to_wfnet)
 from petrialign.errors import DisconnectedNet, DuplicateId, ParseError
 from randgen import make_suite, random_tree
@@ -58,6 +58,21 @@ def test_parse_repeated_place_option():
         with pytest.raises(ParseError) as err:
             parse_net(f"place q\nplace p {options}\ntrans t label=a in=q out=p\n")
         assert err.value.line == 2
+
+
+def test_parse_counts_take_ascii_digits_only():
+    # `str.isdigit` holds for other scripts' digits and for superscripts:
+    # int() reads the first as a count and raises a bare ValueError on the
+    # second.  Each is a ParseError on its line.
+    for count in ("\u0663", "\u00b2", "\uff13", "1\u00b2"):
+        with pytest.raises(ParseError) as err:
+            parse_net(f"place q\nplace p init={count}\ntrans t label=a in=q out=p\n")
+        assert err.value.line == 2
+        with pytest.raises(ParseError) as err:
+            parse_net(f"place q\nplace p final={count}\ntrans t label=a in=q out=p\n")
+        assert err.value.line == 2
+    system = parse_net("place q init=10\nplace p final=0\ntrans t label=a in=q out=p\n")
+    assert system.initial == Marking({"q": 10}) and not system.final
 
 
 def test_parse_disconnected():
@@ -171,6 +186,14 @@ def test_parse_tm_repeated_directive():
         with pytest.raises(ParseError) as err:
             parse_tm(SCANNER_TEXT + line + "\n")
         assert err.value.line == 7
+
+
+def test_parse_tm_space_takes_ascii_digits_only():
+    for count in ("\u0663", "\u00b2", "\uff13", "1\u00b2"):
+        with pytest.raises(ParseError) as err:
+            parse_tm(SCANNER_TEXT.replace("space 1", f"space {count}"))
+        assert err.value.line == 4
+    assert parse_tm(SCANNER_TEXT.replace("space 1", "space 12")).space_bound == 12
 
 
 def test_parse_tm_partial_rules_rejected():

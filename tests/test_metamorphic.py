@@ -6,25 +6,30 @@ challenges and opportunities*, ACM Computing Surveys 2018)."""
 import random
 from fractions import Fraction
 
-from petrialign import (AcceptingSystem, CostFunction, Marking, PetriNet,
+from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking, PetriNet,
                         dispatch_align, membership, tree_to_wfnet)
+from petrialign.errors import BudgetExceeded
+from petrialign.petri import _net_view
 from randgen import LABEL_POOL, make_suite, random_trace, random_tree
 
 # A letter that no transition of the suite carries.
 ABSENT = "z"
 
 
+def _draw(rng):
+    """A random cost: a fraction in [0, 6], zero included."""
+    return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+
+
 def _caller_costs(rng, net):
     """A cost on every move of the net and every letter the traces hold,
-    each a random fraction in [0, 6], zero included."""
-    def draw():
-        return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+    each drawn by `_draw`."""
     labels = net.labels
     return CostFunction(dict(labels),
-                        {(labels[t].name, t): draw() for t in net.transitions
+                        {(labels[t].name, t): _draw(rng) for t in net.transitions
                          if not labels[t].silent},
-                        {a: draw() for a in (*LABEL_POOL, ABSENT)},
-                        {t: draw() for t in net.transitions})
+                        {a: _draw(rng) for a in (*LABEL_POOL, ABSENT)},
+                        {t: _draw(rng) for t in net.transitions})
 
 
 def _scaled(c, k):
@@ -77,3 +82,60 @@ def test_metamorphic_relations_of_the_optimum():
         standard = dispatch_align(trace, system).cost
         assert dispatch_align(trace, renamed).cost == standard, str(net)
         assert membership(trace, system) == (standard == 0), (str(net), trace)
+
+
+def _with_fresh_transition(rng, system, c, source=None):
+    """The system with one more transition, `fresh`, declared last, from
+    place `source` (drawn from the net when None) to a place drawn from the
+    net, labelled by a letter of the pool or silent; and the costs with a
+    drawn model cost for it and, when it is visible, a drawn sync cost."""
+    net = system.net
+    fresh = "fresh"
+    assert not net.has_place(fresh) and not net.has_transition(fresh)
+    source = source or rng.choice(net.places)
+    label = Label(rng.choice((*LABEL_POOL, None)))
+    labels = {**net.labels, fresh: label}
+    flow = {*net.flow, (source, fresh), (fresh, rng.choice(net.places))}
+    bigger = AcceptingSystem(PetriNet(net.places, (*net.transitions, fresh), flow, labels),
+                             system.initial, system.final)
+    sync = dict(c.sync_overrides)
+    if not label.silent:
+        sync[(label.name, fresh)] = _draw(rng)
+    return bigger, CostFunction(labels, sync, c.log_overrides,
+                                {**c.model_overrides, fresh: _draw(rng)})
+
+
+def test_a_fresh_transition_never_raises_the_optimum():
+    """On 120 suite systems and 40 random process trees, each with a trace
+    and seeded caller costs, adding a transition with a fresh id, one input
+    and one output place never raises the optimum, and never turns a member
+    into a non-member: every run of the old net is a run of the new one.
+    Half the nets with a silent transition that must fire get the fresh
+    transition on one of its input places, which takes it out of the cut.
+    A case whose new system passes a small state budget is counted and
+    skipped."""
+    rng = random.Random(13)
+    budget = 3000
+    trees = [(tree_to_wfnet(random_tree(rng, 3)), random_trace(rng)) for _ in range(40)]
+    cases = make_suite(13, 120) + trees
+    ran = skipped = cut_off = 0
+    for system, trace in cases:
+        net = system.net
+        c = _caller_costs(rng, net)
+        forced = _net_view(net).forced
+        source = None
+        if forced and rng.random() < 0.5:
+            _, ins = rng.choice(forced)
+            source = net.places[rng.choice(ins)]
+        bigger, bigger_costs = _with_fresh_transition(rng, system, c, source)
+        try:
+            cost = dispatch_align(trace, bigger, bigger_costs, Budgets(budget)).cost
+            member = membership(trace, bigger, budget)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        ran += 1
+        cut_off += len(_net_view(bigger.net).forced) < len(forced)
+        assert cost <= dispatch_align(trace, system, c).cost, (str(bigger.net), trace)
+        assert member or not membership(trace, system), (str(bigger.net), trace)
+    assert cut_off >= 20 and ran >= 0.9 * len(cases), (ran, skipped, cut_off)

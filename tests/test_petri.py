@@ -3,12 +3,12 @@ import random
 import pytest
 
 from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
-                        fire_sequence, parikh)
+                        fire_sequence, parikh, tree_to_wfnet)
 from petrialign import petri
 from petrialign.errors import BudgetExceeded, NotEnabled, UnknownTransition
 from petrialign.petri import _enabled_among, _MarkingGraph, _schedule_counts
-from randgen import (random_replayable_walk, random_safe_system,
-                     random_single_token_ssystem)
+from randgen import (make_suite, random_replayable_walk, random_safe_system,
+                     random_single_token_ssystem, random_tree)
 
 
 def test_fire_fork(ex1):
@@ -279,6 +279,79 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
                                    for t in net.transitions)
         shapes["no_input"] += any(not net.preset(t) for t in net.transitions)
         shapes["no_output"] += any(not net.postset(t) for t in net.transitions)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def _view_by_definition(net):
+    """The net's presets, postsets, consume and produce tuples and its
+    integer view, each read off the flow relation by its definition, with
+    one index tuple made per arc list."""
+    order = {v: i for i, v in enumerate(net.places + net.transitions)}
+    vertices = net.places + net.transitions
+    pre = {v: tuple(sorted((u for u, w in net.flow if w == v), key=order.get))
+           for v in vertices}
+    post = {v: tuple(sorted((w for u, w in net.flow if u == v), key=order.get))
+            for v in vertices}
+    consume = {t: tuple(p for p in pre[t] if p not in post[t]) for t in net.transitions}
+    produce = {t: tuple(p for p in post[t] if p not in pre[t]) for t in net.transitions}
+    index = {p: i for i, p in enumerate(net.places)}.__getitem__
+    first = [[] for _ in net.places]
+    unguarded, pumps, forced = [], set(), []
+    for k, t in enumerate(net.transitions):
+        ins = tuple(map(index, pre[t]))
+        entry = (k, ins[1:], tuple(map(index, consume[t])), tuple(map(index, produce[t])))
+        (first[ins[0]] if ins else unguarded).append(entry)
+        if net.labels[t].silent:
+            if produce[t] and not consume[t]:
+                pumps.add(k)
+            if ins and consume[t] == pre[t] and all(len(post[p]) == 1 for p in pre[t]):
+                forced.append((k, ins))
+    by_id = sorted(net.transitions)
+    view = {"first": tuple(map(tuple, first)), "unguarded": tuple(unguarded),
+            "labels": tuple(net.labels[t].name for t in net.transitions),
+            "pumps": frozenset(pumps),
+            "ranks": tuple(by_id.index(t) for t in net.transitions),
+            "s_net": all(len(pre[t]) <= 1 and len(post[t]) <= 1 for t in net.transitions),
+            "forced": tuple(forced)}
+    return (pre, post, consume, produce), view
+
+
+def test_compiled_net_matches_its_definition():
+    """On 300 suite nets, 60 random process trees, random nets with
+    self-loops, multi-input and input-less transitions, and hand-made nets
+    of each of those shapes: presets and postsets are sorted in declaration
+    order, consume is pre minus post and produce post minus pre, and every
+    field of the integer view equals its definition."""
+    rng = random.Random(29)
+    nets = [system.net for system, _ in make_suite(29, 300)]
+    nets += [tree_to_wfnet(random_tree(rng, 3)).net for _ in range(60)]
+    nets += [_random_counted_system(rng)[0] for _ in range(200)]
+    a, b, tau = Label("a"), Label("b"), Label(None)
+    nets += [
+        # A silent self-loop that also produces, beside a visible self-loop.
+        PetriNet(("p", "q", "f"), ("u", "ta", "tz"),
+                 [("p", "u"), ("u", "p"), ("u", "q"), ("p", "ta"), ("ta", "p"),
+                  ("p", "tz"), ("tz", "f")], {"u": tau, "ta": a, "tz": b}),
+        # Inputs and outputs declared out of order, a two-input silent join
+        # and a transition with no input place.
+        PetriNet(("z", "y", "x"), ("t2", "t1", "t0"),
+                 [("x", "t2"), ("y", "t2"), ("z", "t2"), ("t2", "x"), ("t1", "y"),
+                  ("t1", "z"), ("z", "t0"), ("y", "t0"), ("t0", "x")],
+                 {"t2": a, "t1": tau, "t0": tau}),
+        # No flow at all.
+        PetriNet(("p",), ("t",), [], {"t": b}),
+    ]
+    shapes = dict.fromkeys(("self_loop", "two_inputs", "no_input", "forced", "pump"), 0)
+    for net in nets:
+        (pre, post, consume, produce), expected = _view_by_definition(net)
+        assert (net._pre, net._post, net._consume, net._produce) == (pre, post, consume, produce)
+        view = petri._NetView(net)
+        assert {field: getattr(view, field) for field in expected} == expected, repr(net)
+        shapes["self_loop"] += any(consume[t] != pre[t] for t in net.transitions)
+        shapes["two_inputs"] += any(len(pre[t]) > 1 for t in net.transitions)
+        shapes["no_input"] += bool(expected["unguarded"])
+        shapes["forced"] += bool(expected["forced"])
+        shapes["pump"] += bool(expected["pumps"])
     assert min(shapes.values()) >= 20, shapes
 
 
