@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -70,9 +71,10 @@ class CostFunction:
 
     Unlisted moves fall back to the standard cost function: 0 for synchronous
     and silent model moves, 1 for log moves and visible model moves.
-    Overrides are stored as the `Fraction`s they equal exactly.  A model or
-    sync override of a transition not in `labels` raises UnknownTransition,
-    and a sync override (a, t) where t is not labelled a raises ValueError.
+    Overrides are stored as the `Fraction`s they equal exactly; a negative
+    or non-finite one raises ValueError.  A model or sync override of a
+    transition not in `labels` raises UnknownTransition, and a sync override
+    (a, t) where t is not labelled a raises ValueError.
     """
 
     labels: Mapping[str, Label]
@@ -83,8 +85,9 @@ class CostFunction:
     def __post_init__(self):
         for name in ("sync_overrides", "log_overrides", "model_overrides"):
             table = getattr(self, name)
-            if any(v < 0 for v in table.values()):
-                raise ValueError("costs must be non-negative")
+            # A NaN fails both comparisons, and an infinity has no Fraction.
+            if not all(0 <= v < math.inf for v in table.values()):
+                raise ValueError("costs must be finite and non-negative")
             object.__setattr__(self, name, {k: Fraction(v) for k, v in table.items()})
         # Log keys stay free: a letter the model lacks is still a legal log move.
         for t in [*self.model_overrides, *(t for _, t in self.sync_overrides)]:

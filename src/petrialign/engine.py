@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Mapping, Sequence
 
 from .classify import behavioral_class, structural_class
@@ -83,10 +83,29 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
     pos, marking number), n = len(trace), radix = 2T + 1 > every rank;
     `best` keys a state by marking number * (n + 1) + pos; a pop whose cost
-    is not best is stale.  Each settled state reads its marking's one row,
-    for its sync moves and its model moves alike, so the search adds at
-    most one row per state it settles, and numbers only the markings of the
-    states it reaches.
+    is not best is stale.  Each settled state reads its marking's one row
+    in one pass, for its sync moves and its model moves alike, so the search
+    adds at most one row per state it settles, and numbers only the markings
+    of the states it reaches.  A forced row is read as its one entry, with a
+    letter that no label equals, and yields no log move.
+
+    An expansion keeps its first new entry back as `pending` instead of
+    pushing it, and the next pop is `heappushpop(heap, pending)`.  The heap
+    and `pending` hold the entries that pushing would have put on the heap,
+    and (priority, counter) is unique, so every pop is the same.  When the
+    pending entry is the least, mostly a zero-cost sync or silent move that
+    reads on along the trace, the call returns it without touching the
+    heap, so such a settled state costs one heap call instead of a push and
+    a pop.  The pass pushes each row entry's sync move and then its model
+    move, and the log move after the row, not in the order in which a state
+    yields its moves, and that changes no pop: the entries of one expansion
+    have pairwise distinct priorities (sync moves land at pos + 1 and model
+    moves at pos, each with its own transition's rank, and the log move
+    ranks 2T), so their counters never decide a tie, and counters still
+    rise from one expansion to the next.  Nor does it change which move
+    `best` keeps: only moves of one kind, or a sync move and the log move,
+    reach the same state (a self-loop sync reaches the log move's), and
+    those keep their order, the log move after every sync move.
     """
     expand, rows, labels = graph.row, graph.rows, graph.labels
     sync, model = table.sync, table.model
@@ -95,16 +114,26 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     radix = 2 * len(model) + 1       # above every rank
     span = radix * width             # one unit of cost
     # What the search reads at each position: the letter, its log move's
-    # entry, and the priority offset of a state at the next position.
-    at = [(a, *table.log(a), (n - i) * radix) for i, a in enumerate(trace, 1)]
+    # entry, and the priority offset of a state there; past the last letter
+    # a sentinel letter that no label equals, with no log move.
+    logs = {a: table.log(a) for a in dict.fromkeys(trace)}
+    at = [(a, *logs[a], (n - i) * radix) for i, a in enumerate(trace)]
+    at.append(("", 0, 0, None, 0))
     goal = final * width + n
     limit = None if ceiling is None else (ceiling + 1) * span
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
-    heap: list = [(n * radix, 0, 0, start)]
+    heap: list = []
+    pending = (n * radix, 0, 0, start)        # the entry not yet pushed
     counter = 1
     settled = 0
-    while heap:
-        priority, _, pos, m = heappop(heap)
+    while True:
+        if pending is not None:
+            priority, _, pos, m = heappushpop(heap, pending)
+            pending = None
+        elif heap:
+            priority, _, pos, m = heappop(heap)
+        else:
+            break
         if limit is not None and priority >= limit:
             break
         cost = priority // span
@@ -124,40 +153,50 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
         row = rows.get(m)
         if row is None:
             row = expand(m)
-        live = pos < n
+        a, w, log_rank, move, here = at[pos]
         if must:
             for t, s in row:
                 if t in must:
-                    row, live = ((t, s),), False
+                    row, a = ((t, s),), ""
                     break
-        if live:
-            a, w, log_rank, move, later = at[pos]
-            for t, s in row:
-                if labels[t] == a:
-                    sw, rank, smove = sync[t]
-                    nc = cost + sw
-                    nxt = s * width + pos + 1
-                    old = best.get(nxt)
-                    if old is None or nc < old[0]:
-                        best[nxt] = (nc, state, smove)
-                        heappush(heap, (nc * span + later + rank, counter, pos + 1, s))
-                        counter += 1
+        later = here - radix
+        for t, s in row:
+            if labels[t] == a:
+                sw, rank, smove = sync[t]
+                nc = cost + sw
+                nxt = s * width + pos + 1
+                old = best.get(nxt)
+                if old is None or nc < old[0]:
+                    best[nxt] = (nc, state, smove)
+                    entry = (nc * span + later + rank, counter, pos + 1, s)
+                    counter += 1
+                    if pending is None:
+                        pending = entry
+                    else:
+                        heappush(heap, entry)
+            mw, rank, mmove = model[t]
+            nc = cost + mw
+            nxt = s * width + pos
+            old = best.get(nxt)
+            if old is None or nc < old[0]:
+                best[nxt] = (nc, state, mmove)
+                entry = (nc * span + here + rank, counter, pos, s)
+                counter += 1
+                if pending is None:
+                    pending = entry
+                else:
+                    heappush(heap, entry)
+        if a:
             nc = cost + w
             old = best.get(state + 1)
             if old is None or nc < old[0]:
                 best[state + 1] = (nc, state, move)
-                heappush(heap, (nc * span + later + log_rank, counter, pos + 1, m))
+                entry = (nc * span + later + log_rank, counter, pos + 1, m)
                 counter += 1
-        here = (n - pos) * radix
-        for t, s in row:
-            w, rank, move = model[t]
-            nc = cost + w
-            nxt = s * width + pos
-            old = best.get(nxt)
-            if old is None or nc < old[0]:
-                best[nxt] = (nc, state, move)
-                heappush(heap, (nc * span + here + rank, counter, pos, s))
-                counter += 1
+                if pending is None:
+                    pending = entry
+                else:
+                    heappush(heap, entry)
     raise Unreachable(f"marking {graph.markings[final]!r} is not reachable")
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from petrialign import (AcceptingSystem, CostFunction, Label, Marking, Move,
-                        PetriNet, brute_force_oracle, dispatch_align,
+                        PetriNet, brute_force_oracle, dispatch_align, min_cost_reach,
                         optimal_alignment, optimal_alignment_acyclic, parse_cost,
                         render_alignment, standard_costs, structural_class,
                         validate_alignment)
@@ -114,6 +114,19 @@ def test_cost_overrides_and_exactness(ex1):
         CostFunction(labels={}, model_overrides={"t1": -0.5})
     with pytest.raises(TypeError):
         CostFunction(labels={}, log_overrides={"a": "1/2"})
+
+
+@pytest.mark.parametrize("v", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_cost_is_a_value_error(ex1, v):
+    """A cost with no Fraction is refused as a negative one is, by the
+    caller's cost function and by min_cost_reach, whose costs take the same
+    path."""
+    for overrides in ({"log_overrides": {"a": v}}, {"model_overrides": {"t2": v}},
+                      {"sync_overrides": {("a", "t1"): v}}):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            CostFunction(labels=dict(ex1.net.labels), **overrides)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        min_cost_reach(ex1.net, ex1.initial, {"t1": v}, ex1.final)
 
 
 def test_cost_overrides_name_legal_moves(ex1):

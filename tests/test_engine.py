@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import functools
+import heapq
 import itertools
 import random
 import sys
@@ -10,8 +12,8 @@ import pytest
 
 from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         PetriNet, behavioral_class, brute_force_oracle,
-                        build_reachability_graph, dispatch_align, ex1_system,
-                        fire_sequence,
+                        build_reachability_graph, dispatch_align, enabled_transitions,
+                        ex1_system, fire, fire_sequence,
                         gen_shuffle_tsystem, lbfc_cap, lbfc_length_bound, membership,
                         min_cost_reach, optimal_alignment,
                         optimal_alignment_ssystem, parse_net, parse_tree,
@@ -287,6 +289,104 @@ def test_search_matches_product_and_oracle():
         if done % 2:
             assert optimal_alignment_ssystem(trace, system).cost == result.cost
         done += 1
+
+
+def _reference_search(system, trace, costs, must, budget, ceiling=None):
+    """The search in the order `dijkstra_least_cost`'s docstring gives, on
+    `Marking`s and exact costs: a plain heap of (cost, n - pos, rank,
+    counter, pos, marking) tuples.  A settled state pushes each move that
+    lowers its target's best cost: sync moves on the next letter, the log
+    move, then model moves, each kind in declaration order; a marking that
+    enables a transition of `must` yields the first such one's model move
+    alone.  Ranks are the (kind, id) keys: sync moves by sorted id, then
+    model moves, then the log move.  Returns (cost, moves, settled), and
+    raises as the search does: BudgetExceeded on settling more than
+    `budget` states, Unreachable at the first pop above `ceiling` or when
+    the heap runs dry."""
+    net = system.net
+    order = sorted(net.transitions)
+    t_count = len(order)
+    rank = {t: k for k, t in enumerate(order)}
+    n = len(trace)
+    best = {(0, system.initial): (Fraction(0), None, None)}
+    heap = [(Fraction(0), n, 0, 0, 0, system.initial)]
+    counter = 1
+    settled = 0
+    while heap:
+        cost, _, _, _, pos, m = heapq.heappop(heap)
+        if ceiling is not None and cost > ceiling:
+            break
+        state = (pos, m)
+        if best[state][0] != cost:
+            continue
+        settled += 1
+        if settled > budget:
+            raise BudgetExceeded(settled)
+        if state == (n, system.final):
+            moves = []
+            _, parent, move = best[state]
+            while parent is not None:
+                moves.append(move)
+                _, parent, move = best[parent]
+            return cost, tuple(reversed(moves)), settled
+        enabled = enabled_transitions(net, m)
+        forced = [t for t in enabled if t in must][:1]
+        steps = []   # (target state, weight, rank, move)
+        if pos < n and not forced:
+            a = trace[pos]
+            steps += [((pos + 1, fire(net, m, t)), costs.sync(a, t), rank[t], Move(a, t))
+                      for t in enabled if net.label(t).name == a]
+            steps.append(((pos + 1, m), costs.log(a), 2 * t_count, Move(a, None)))
+        steps += [((pos, fire(net, m, t)), costs.model(t), t_count + rank[t], Move(None, t))
+                  for t in forced or enabled]
+        for target, w, r, move in steps:
+            if target not in best or cost + w < best[target][0]:
+                best[target] = (cost + w, state, move)
+                heapq.heappush(heap, (cost + w, n - target[0], r, counter, *target))
+                counter += 1
+    raise Unreachable("the final state is not reached")
+
+
+def _search_outcome(f, *args):
+    try:
+        return f(*args)
+    except BudgetExceeded as exc:
+        return BudgetExceeded, exc.discovered
+    except Unreachable:
+        return (Unreachable,)
+
+
+def test_search_follows_its_documented_order():
+    """`dijkstra_least_cost` returns the reference's cost, moves and settled
+    count exactly, and raises where it raises: under the standard costs and
+    seeded caller costs, with the must cut on and off, with no ceiling and
+    at ceilings of cost 0 and 1, on `make_suite(29, 300)` and random trees;
+    and on every fifth case at small budgets."""
+    rng = random.Random(35)
+    cases = make_suite(29, 300)
+    cases += [(tree_to_wfnet(random_tree(rng, 3)), random_trace(rng)) for _ in range(40)]
+    outcomes = collections.Counter()
+    for k, (system, trace) in enumerate(cases):
+        net = system.net
+        graph = petri._MarkingGraph(net)
+        start, final = graph.number(system.initial), graph.number(system.final)
+        cut = graph.must_fire(final)
+        for costs in (standard_costs(system), _random_overrides(rng, system)):
+            table = engine._MoveTable(net, costs)
+            scale = table.scale
+            for must, ceiling, budget in itertools.product(
+                    (cut, frozenset()), (None, 0, scale),
+                    (DEFAULT_STATE_BUDGET, 1, 3, 10) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
+                got = _search_outcome(engine.dijkstra_least_cost, graph, trace, start, final,
+                                      must, table, budget, ceiling)
+                if type(got[0]) is int:
+                    got = (Fraction(got[0], scale), *got[1:])
+                assert got == _search_outcome(
+                    _reference_search, system, trace, costs,
+                    {net.transitions[t] for t in must}, budget,
+                    None if ceiling is None else Fraction(ceiling, scale))
+                outcomes[got[0] if len(got) < 3 else "aligned", bool(must)] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) > 10
 
 
 def test_optimal_alignment_not_easy_sound(ex1):
