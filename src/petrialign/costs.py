@@ -85,8 +85,13 @@ class CostFunction:
     def __post_init__(self):
         for name in ("sync_overrides", "log_overrides", "model_overrides"):
             table = getattr(self, name)
-            # A NaN fails both comparisons, and an infinity has no Fraction.
-            if not all(0 <= v < math.inf for v in table.values()):
+            # A float NaN fails both comparisons, a decimal NaN raises
+            # InvalidOperation on one, and an infinity has no Fraction.
+            try:
+                finite = all(0 <= v < math.inf for v in table.values())
+            except ArithmeticError:
+                finite = False
+            if not finite:
                 raise ValueError("costs must be finite and non-negative")
             object.__setattr__(self, name, {k: Fraction(v) for k, v in table.items()})
         # Log keys stay free: a letter the model lacks is still a legal log move.

@@ -41,7 +41,8 @@ class Budgets:
 
 def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                         final: int, must: frozenset[int], table: _MoveTable,
-                        state_budget: int, ceiling: int | None = None):
+                        state_budget: int, ceiling: int | None = None,
+                        h: tuple[list, list[int], list[int]] | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `graph`, generated
     on the fly from (0, start) to (len(trace), final), where `start` and
@@ -62,8 +63,47 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     ranks lie in [0, T), model ranks in [T, 2T), and every log move ranks
     2T: two log moves tie on position only when they leave the same one.
     Returns (cost, moves, settled).  With a `ceiling`, a weight on the
-    table's scale, the search ends at its first pop of a higher cost: the
-    final state is then Unreachable within the ceiling.
+    table's scale, the search ends at its first pop of a higher cost (cost
+    plus h when `h` is given): the final state is then Unreachable within
+    the ceiling.
+
+    With `h`, a lower bound on the cost from a state to the goal, the search
+    is A* (Hart, Nilsson and Raphael, *A formal basis for the heuristic
+    determination of minimum cost paths*, 1968): entries expand in (cost +
+    h, later trace position, rank, insertion) order, and `best` still keeps
+    the cost.  `h` is (ahead, near, far) from `_Plan.bound`, made only for
+    single-token S-nets whose every transition has an input place, where
+    the marking after a transition is its output place (or none): a state
+    (pos, m) has h = near[pos] when `ahead[m]`, the letters that m's silent
+    closure enables, holds the letter at pos (past the last one, "" when
+    the closure holds the final marking), and far[pos] otherwise.  Call j <
+    n a break when no marking that a transition of letter j leads to
+    reaches, by silent moves, one that enables a transition of letter j + 1
+    (at j = n - 1, the final marking).  Every break needs a log move at j
+    or j + 1, or a visible model move between the two letters' sync moves,
+    which silent moves alone do not join; one log move, at j, covers at
+    most the two adjacent breaks j - 1 and j, and a visible model move one.
+    With unit the least weight of a log or visible model move and C[j] the
+    fewest pairs of adjacent positions that cover the breaks at or after j,
+    near[j] = unit * C[j] and far[j] = unit * (1 + C[j + 1]), which adds the
+    break j - 1 that a state whose marking reaches no transition of letter j
+    by silent moves has yet to pay for.  Since C[j + 1] <= C[j] <= 1 + C[j +
+    1], h is consistent, h(s) <= c(s, s') + h(s'), on every move:
+    - a silent model move leads to a marking whose silent closure is part
+      of m's, so h(s) <= h(s');
+    - a visible model move costs at least unit, and h(s) <= unit * (1 +
+      C[pos + 1]) <= unit + unit * C[pos] <= unit + h(s');
+    - a log move costs at least unit, and h(s) <= unit * (1 + C[pos + 1])
+      <= unit + h(s');
+    - a sync move on the letter at pos leaves a marking that enables it, so
+      h(s) = unit * C[pos]; when pos is no break, C[pos] = C[pos + 1] and
+      h(s) <= h(s'); when it is, the successor reaches no transition of the
+      next letter by silent moves, so h(s') = unit * (1 + C[pos + 2]) =
+      unit * C[pos].
+    The goal's h is 0.  So each state settles once, at its least cost, the
+    first goal pop is optimal, and the search settles no state that plain
+    Dijkstra would not, but for ties; it may return another optimal
+    alignment.  These moves are those of the cut search below too.
 
     `must` holds the silent transitions that must fire, `graph.must_fire(
     final)` (see `_NetView.forced`): a state whose row holds one yields
@@ -80,10 +120,10 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     subgraph, so a state it settles below the optimum's cost the full
     search settles too.
 
-    Heap entries are ((cost * (n + 1) + n - pos) * radix + rank, counter,
-    pos, marking number), n = len(trace), radix = 2T + 1 > every rank;
-    `best` keys a state by marking number * (n + 1) + pos; a pop whose cost
-    is not best is stale.  Each settled state reads its marking's one row
+    Heap entries are (((cost + h) * (n + 1) + n - pos) * radix + rank,
+    counter, pos, marking number, cost), n = len(trace), radix = 2T + 1 >
+    every rank, h 0 without `h`; `best` keys a state by marking number * (n
+    + 1) + pos; a pop whose cost is not best is stale.  Each settled state reads its marking's one row
     in one pass, for its sync moves and its model moves alike, so the search
     adds at most one row per state it settles, and numbers only the markings
     of the states it reaches.  A forced row is read as its one entry, with a
@@ -101,11 +141,13 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     yields its moves, and that changes no pop: the entries of one expansion
     have pairwise distinct priorities (sync moves land at pos + 1 and model
     moves at pos, each with its own transition's rank, and the log move
-    ranks 2T), so their counters never decide a tie, and counters still
-    rise from one expansion to the next.  Nor does it change which move
-    `best` keeps: only moves of one kind, or a sync move and the log move,
-    reach the same state (a self-loop sync reaches the log move's), and
-    those keep their order, the log move after every sync move.
+    ranks 2T, and a priority splits uniquely into (cost + h, pos, rank),
+    since (n - pos) * radix + rank < (n + 1) * radix), so their counters
+    never decide a tie, and counters still rise from one expansion to the
+    next.  Nor does it change which move `best` keeps: only moves of one
+    kind, or a sync move and the log move, reach the same state (a
+    self-loop sync reaches the log move's), and those keep their order, the
+    log move after every sync move.
     """
     expand, rows, labels = graph.row, graph.rows, graph.labels
     sync, model = table.sync, table.model
@@ -119,24 +161,31 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     logs = {a: table.log(a) for a in dict.fromkeys(trace)}
     at = [(a, *logs[a], (n - i) * radix) for i, a in enumerate(trace)]
     at.append(("", 0, 0, None, 0))
+    h_start = 0
+    if h is not None:
+        # Per position the letter (the sentinel past the last) and the
+        # bound's two values there; one more entry past the end, read by
+        # the final position's expansion, which makes no move onto it.
+        ahead, near, far = h
+        hs = [*zip([*trace, ""], near, far), ("", 0, 0)]
+        h_start = near[0] if hs[0][0] in ahead[start] else far[0]
     goal = final * width + n
     limit = None if ceiling is None else (ceiling + 1) * span
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
     heap: list = []
-    pending = (n * radix, 0, 0, start)        # the entry not yet pushed
+    pending = (h_start * span + n * radix, 0, 0, start, 0)   # the entry not yet pushed
     counter = 1
     settled = 0
     while True:
         if pending is not None:
-            priority, _, pos, m = heappushpop(heap, pending)
+            priority, _, pos, m, cost = heappushpop(heap, pending)
             pending = None
         elif heap:
-            priority, _, pos, m = heappop(heap)
+            priority, _, pos, m, cost = heappop(heap)
         else:
             break
         if limit is not None and priority >= limit:
             break
-        cost = priority // span
         state = m * width + pos
         if best[state][0] != cost:
             continue
@@ -154,6 +203,9 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
         if row is None:
             row = expand(m)
         a, w, log_rank, move, here = at[pos]
+        if h is not None:
+            letter, near_here, far_here = hs[pos]
+            b, near_next, far_next = hs[pos + 1]
         if must:
             for t, s in row:
                 if t in must:
@@ -168,7 +220,10 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                 old = best.get(nxt)
                 if old is None or nc < old[0]:
                     best[nxt] = (nc, state, smove)
-                    entry = (nc * span + later + rank, counter, pos + 1, s)
+                    f = nc
+                    if h is not None:
+                        f += near_next if b in ahead[s] else far_next
+                    entry = (f * span + later + rank, counter, pos + 1, s, nc)
                     counter += 1
                     if pending is None:
                         pending = entry
@@ -180,7 +235,10 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
             old = best.get(nxt)
             if old is None or nc < old[0]:
                 best[nxt] = (nc, state, mmove)
-                entry = (nc * span + here + rank, counter, pos, s)
+                f = nc
+                if h is not None:
+                    f += near_here if letter in ahead[s] else far_here
+                entry = (f * span + here + rank, counter, pos, s, nc)
                 counter += 1
                 if pending is None:
                     pending = entry
@@ -191,7 +249,10 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
             old = best.get(state + 1)
             if old is None or nc < old[0]:
                 best[state + 1] = (nc, state, move)
-                entry = (nc * span + later + log_rank, counter, pos + 1, m)
+                f = nc
+                if h is not None:
+                    f += near_next if b in ahead[m] else far_next
+                entry = (f * span + later + log_rank, counter, pos + 1, m, nc)
                 counter += 1
                 if pending is None:
                     pending = entry
@@ -335,7 +396,10 @@ class _Plan:
     `ends` holds the numbers of the system's initial and final markings,
     where the searches start and end, and `must` the silent transitions
     that must fire on the way to the final marking
-    (`_MarkingGraph.must_fire`)."""
+    (`_MarkingGraph.must_fire`).  `letters`, made on first use by the
+    S-system route's A*, holds per marking and per letter the letters that
+    can follow through silent moves, from which `bound` makes the search's
+    lower bound for one trace."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -355,6 +419,75 @@ class _Plan:
     def standard_moves(self) -> _MoveTable:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
+    @cached_property
+    def letters(self) -> tuple[list[frozenset[str]], dict[str, frozenset[str]]]:
+        """(ahead, follow) of a system whose initial marking reaches finitely
+        many markings: `ahead`, per marking number, the letters of the
+        visible transitions that its silent closure enables, and "" when
+        that closure holds the final marking; `follow`, per letter, the
+        union of `ahead` over the markings that a transition of that letter
+        leads to.  Both read the rows of every reachable marking, which
+        this fills.  A marking numbered but not reachable has no letter."""
+        graph, (initial, final) = self.graph, self.ends
+        labels = graph.labels
+        rows = {initial: graph.row(initial)}
+        stack = [initial]
+        while stack:
+            for _, s in rows[stack.pop()]:
+                if s not in rows:
+                    rows[s] = graph.row(s)
+                    stack.append(s)
+        ahead = [frozenset()] * len(graph.markings)
+        for m in rows:
+            closure, stack = {m}, [m]
+            while stack:
+                for t, s in rows[stack.pop()]:
+                    if labels[t] is None and s not in closure:
+                        closure.add(s)
+                        stack.append(s)
+            found = {labels[t] for k in closure for t, _ in rows[k]}
+            found.discard(None)
+            if final in closure:
+                found.add("")
+            ahead[m] = frozenset(found)
+        follow: dict[str, frozenset[str]] = {}
+        for row in rows.values():
+            for t, s in row:
+                a = labels[t]
+                if a is not None:
+                    follow[a] = follow.get(a, frozenset()) | ahead[s]
+        return ahead, follow
+
+    def bound(self, trace: tuple[str, ...], table: _MoveTable):
+        """The lower bound `h` of `dijkstra_least_cost` for `trace` under
+        `table`: (ahead, near, far), None when `unit` is 0.  Position j < n
+        is a break when trace[j + 1], or "" at j = n - 1, is not in
+        `follow` of trace[j].  `cover[j]` is the fewest pairs of adjacent
+        positions that cover the breaks at or after j: a break at j is best
+        covered by the pair (j, j + 1), so cover[j] = 1 + cover[j + 2], and
+        cover[j] = cover[j + 1] at any other j.  A state (pos, m)
+        whose marking's `ahead` holds the letter at pos (or "" at the end)
+        has the bound unit * cover[pos], `near[pos]`, and any other has
+        unit * (1 + cover[pos + 1]), `far[pos]`: the break at pos - 1 that
+        it adds is covered with pos.  `unit` is the least weight of a log
+        move on a letter of the trace or of a visible model move."""
+        ahead, follow = self.letters
+        unit = min([table.log(a)[0] for a in set(trace)]
+                   + [w for (w, _, _), a in zip(table.model, self.graph.labels)
+                      if a is not None], default=0)
+        if not unit:
+            return None
+        n = len(trace)
+        cover = [0] * (n + 2)
+        none = frozenset()
+        for j in range(n - 1, -1, -1):
+            if (trace[j + 1] if j + 1 < n else "") in follow.get(trace[j], none):
+                cover[j] = cover[j + 1]
+            else:
+                cover[j] = 1 + cover[j + 2]
+        return (ahead, [unit * k for k in cover[:n + 1]],
+                [unit * (1 + k) for k in cover[1:]])
+
 
 _last_plan: _Plan | None = None
 
@@ -368,15 +501,17 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     its state budget, and gets a new one when the graph holds more
     markings, or rows and automaton entries, or the results more path
     states, than that budget.  A search adds at most one row per state it
-    settles and one result no larger, and a membership call at most its
-    budget in rows and automaton entries on the automaton, plus, when the
-    automaton does not answer, one row per state that the search at cost
-    ceiling 0 settles, at most its budget.  So after a call the graph holds
-    at most three times the budget in rows and automaton entries, and
-    besides the markings it held, the markings that call reached and their
-    successors; the results hold at most twice the budget.  A new plan is
-    made under a lock, so threads that find the same plan wanting share the
-    one that replaces it."""
+    settles and one result no larger (the S-system route's A* fills the
+    rows of the at most |P| + 1 reachable markings first, in `letters`, and
+    its search adds none), and a membership call at most its budget in rows
+    and automaton entries on the automaton, plus, when the automaton does
+    not answer, one row per state that the search at cost ceiling 0
+    settles, at most its budget.  So after a call the graph holds at most
+    three times the budget, or |P| + 1 more, in rows and automaton entries,
+    and besides the markings it held, the markings that call reached and
+    their successors; the results hold at most twice the budget.  A new
+    plan is made under a lock, so threads that find the same plan wanting
+    share the one that replaces it."""
     global _last_plan
     plan = _last_plan
     if plan is not None and plan.sys is sys:
@@ -392,7 +527,7 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
 
 
 def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction | None,
-                    state_budget: int, algorithm: str) -> AlignResult:
+                    state_budget: int, algorithm: str, guided: bool = False) -> AlignResult:
     """Optimal alignment by least-cost search, reported under `algorithm`.
 
     The final state is unreachable exactly when the model is not easy-sound,
@@ -412,7 +547,8 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
         table = _MoveTable(sys.net, c)
     try:
         cost, seq, settled = dijkstra_least_cost(plan.graph, trace, *plan.ends, plan.must,
-                                                 table, state_budget)
+                                                 table, state_budget, None,
+                                                 plan.bound(trace, table) if guided else None)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
     scale = table.scale
@@ -614,11 +750,15 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
                    budgets: Budgets | None = None) -> AlignResult:
     """Route to the cheapest applicable solver based on the classifiers.
 
-    Single-token S-systems take the S-system route: the generic search,
-    capped at (|trace| + 1)(|P| + 1) states and reported as "ssystem"
-    (`optimal_alignment_ssystem` is this route behind its checks).  Every
-    other system, acyclic ones included, goes to the generic search,
-    bounded by `budgets.states`.
+    Single-token S-systems take the S-system route: the search, capped at
+    (|trace| + 1)(|P| + 1) states and reported as "ssystem"
+    (`optimal_alignment_ssystem` is this route behind its checks).  When
+    every transition has an input place the route is A* with the bound of
+    `_Plan.bound`, read off the trace's adjacent letters (see
+    `dijkstra_least_cost`); the bound is off, and the route the generic
+    search, when a transition has no input place or when a log or visible
+    model move costs 0.  Every other system, acyclic ones included, goes to
+    the generic search, bounded by `budgets.states`.
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
@@ -627,12 +767,14 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     the standard costs once; only the last system is remembered.
     """
     states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
-    if _net_view(sys.net).s_net and sys.initial.total() == 1:
+    view = _net_view(sys.net)
+    if view.s_net and sys.initial.total() == 1:
         trace = tuple(trace)
         # The search never needs more states than this, unless a transition
         # with no input place makes the net unbounded.  Then the bound may cut
         # the search short: it returns an optimal alignment if it settles the
         # final state within the bound and raises BudgetExceeded otherwise.
         bound = (len(trace) + 1) * (len(sys.net.places) + 1)
-        return align_by_search(trace, sys, c, min(states, bound), "ssystem")
+        return align_by_search(trace, sys, c, min(states, bound), "ssystem",
+                               guided=not view.unguarded)
     return optimal_alignment(trace, sys, c, states)

@@ -82,6 +82,25 @@ def random_single_token_ssystem(rng: random.Random, max_places=6, max_transition
     return _finish(net, rng, [rng.choice(places)])
 
 
+def random_guarded_ssystem(rng: random.Random, max_places=5, max_transitions=7):
+    """Random single-token S-system in which every transition has an input
+    place: about a fifth are sinks, with no output place, and about a
+    quarter are silent, so zero-cost silent cycles and the empty final
+    marking occur."""
+    n_p = rng.randint(1, max_places)
+    places = tuple(f"p{i}" for i in range(n_p))
+    transitions = tuple(f"t{i}" for i in range(rng.randint(1, max_transitions)))
+    flow = []
+    labels = {}
+    for t in transitions:
+        flow.append((rng.choice(places), t))
+        if rng.random() >= 0.2:
+            flow.append((t, rng.choice(places)))
+        labels[t] = Label(None) if rng.random() < 0.25 else Label(rng.choice(LABEL_POOL))
+    net = PetriNet(places, transitions, flow, labels)
+    return _finish(net, rng, [rng.choice(places)])
+
+
 def random_acyclic_system(rng: random.Random, layers=3, width=3):
     """Random layered DAG system: transitions only point forward, so the net
     is structurally acyclic."""

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -116,11 +117,13 @@ def test_cost_overrides_and_exactness(ex1):
         CostFunction(labels={}, log_overrides={"a": "1/2"})
 
 
-@pytest.mark.parametrize("v", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("v", [float("inf"), float("-inf"), float("nan"), Decimal("NaN"),
+                               Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")])
 def test_a_non_finite_cost_is_a_value_error(ex1, v):
     """A cost with no Fraction is refused as a negative one is, by the
     caller's cost function and by min_cost_reach, whose costs take the same
-    path."""
+    path, in all three override tables: a decimal NaN too, whose comparison
+    raises InvalidOperation."""
     for overrides in ({"log_overrides": {"a": v}}, {"model_overrides": {"t2": v}},
                       {"sync_overrides": {("a", "t1"): v}}):
         with pytest.raises(ValueError, match="finite and non-negative"):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import heapq
 import itertools
@@ -27,9 +26,11 @@ from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
                      product_search_cost, random_acyclic_system, random_replayable_walk,
-                     random_safe_system, random_single_token_ssystem,
+                     random_guarded_ssystem, random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree, render_moves)
 from test_cli import FORK
+from test_ssystem import PINNED as SSYSTEM_PINNED
+from test_ssystem import caller_costs
 
 TRACE = ("a", "b", "a", "a")
 
@@ -114,12 +115,17 @@ def _silent_cycle_system():
 
 
 def test_zero_cost_silent_cycle_terminates():
+    """Every route ends on a cycle of zero-cost silent moves, at the
+    oracle's cost, with a valid alignment."""
     system = _silent_cycle_system()
+    costs = standard_costs(system)
     for trace in ((), ("a",), ("b", "b"), ("a", "a")):
         generic = optimal_alignment(trace, system)
         assert generic.cost == brute_force_oracle(trace, system)
-        assert optimal_alignment_ssystem(trace, system) == \
-            dataclasses.replace(generic, algorithm="ssystem")
+        special = optimal_alignment_ssystem(trace, system)
+        for result in (generic, special):
+            assert validate_alignment(result.alignment, trace, system, costs) == \
+                result.cost == generic.cost
         assert membership(trace, system) == (generic.cost == 0)
 
 
@@ -291,30 +297,93 @@ def test_search_matches_product_and_oracle():
         done += 1
 
 
-def _reference_search(system, trace, costs, must, budget, ceiling=None):
+def _reference_bound(system, trace, costs):
+    """The S-system route's lower bound as `dijkstra_least_cost`'s docstring
+    defines it, on `Marking`s and exact costs, or None when it is off: a
+    function of (pos, marking), unit times the fewest pairs of adjacent
+    positions that cover the breaks at or after pos, and pos - 1 when the
+    marking's silent closure enables no transition of the letter at pos
+    (holds not the final marking, at the end); the pairs are taken greedily
+    from the left."""
+    net = system.net
+    visible = [t for t in net.transitions if not net.label(t).silent]
+    unit = min([costs.log(a) for a in trace] + [costs.model(t) for t in visible], default=0)
+    if not unit:
+        return None
+
+    def ahead(m):
+        """The letters that m's silent closure enables, and "" when the
+        closure holds the final marking."""
+        closure, stack, found = {m}, [m], set()
+        while stack:
+            k = stack.pop()
+            if k == system.final:
+                found.add("")
+            for t in enabled_transitions(net, k):
+                s = fire(net, k, t)
+                if not net.label(t).silent:
+                    found.add(net.label(t).name)
+                elif s not in closure:
+                    closure.add(s)
+                    stack.append(s)
+        return found
+
+    reachable, stack = {system.initial}, [system.initial]
+    while stack:
+        m = stack.pop()
+        for t in enabled_transitions(net, m):
+            s = fire(net, m, t)
+            if s not in reachable:
+                reachable.add(s)
+                stack.append(s)
+    follow = collections.defaultdict(set)
+    for m in reachable:
+        for t in enabled_transitions(net, m):
+            if not net.label(t).silent:
+                follow[net.label(t).name] |= ahead(fire(net, m, t))
+    letters = (*trace, "")
+    breaks = [j for j in range(len(trace)) if letters[j + 1] not in follow[trace[j]]]
+
+    def h(pos, m):
+        due = [j for j in breaks if j >= pos]
+        if letters[pos] not in ahead(m):
+            due.insert(0, pos - 1)
+        covered, pairs = -2, 0
+        for j in due:
+            if j > covered:
+                pairs, covered = pairs + 1, j + 1
+        return unit * pairs
+
+    return h
+
+
+def _reference_search(system, trace, costs, must, budget, ceiling=None, h=None):
     """The search in the order `dijkstra_least_cost`'s docstring gives, on
-    `Marking`s and exact costs: a plain heap of (cost, n - pos, rank,
-    counter, pos, marking) tuples.  A settled state pushes each move that
-    lowers its target's best cost: sync moves on the next letter, the log
-    move, then model moves, each kind in declaration order; a marking that
-    enables a transition of `must` yields the first such one's model move
-    alone.  Ranks are the (kind, id) keys: sync moves by sorted id, then
-    model moves, then the log move.  Returns (cost, moves, settled), and
-    raises as the search does: BudgetExceeded on settling more than
-    `budget` states, Unreachable at the first pop above `ceiling` or when
-    the heap runs dry."""
+    `Marking`s and exact costs: a plain heap of (cost + h, n - pos, rank,
+    counter, cost, pos, marking) tuples, h 0 when `h` is None.  A settled
+    state pushes each move that lowers its target's best cost: sync moves on
+    the next letter, the log move, then model moves, each kind in
+    declaration order; a marking that enables a transition of `must` yields
+    the first such one's model move alone.  Ranks are the (kind, id) keys:
+    sync moves by sorted id, then model moves, then the log move.  Returns
+    (cost, moves, settled), and raises as the search does: BudgetExceeded on
+    settling more than `budget` states, Unreachable at the first pop whose
+    cost + h is above `ceiling` or when the heap runs dry."""
     net = system.net
     order = sorted(net.transitions)
     t_count = len(order)
     rank = {t: k for k, t in enumerate(order)}
     n = len(trace)
+    if h is None:
+        def h(pos, m):
+            return 0
     best = {(0, system.initial): (Fraction(0), None, None)}
-    heap = [(Fraction(0), n, 0, 0, 0, system.initial)]
+    heap = [(h(0, system.initial), n, 0, 0, Fraction(0), 0, system.initial)]
     counter = 1
     settled = 0
     while heap:
-        cost, _, _, _, pos, m = heapq.heappop(heap)
-        if ceiling is not None and cost > ceiling:
+        priority, _, _, _, cost, pos, m = heapq.heappop(heap)
+        if ceiling is not None and priority > ceiling:
             break
         state = (pos, m)
         if best[state][0] != cost:
@@ -342,7 +411,8 @@ def _reference_search(system, trace, costs, must, budget, ceiling=None):
         for target, w, r, move in steps:
             if target not in best or cost + w < best[target][0]:
                 best[target] = (cost + w, state, move)
-                heapq.heappush(heap, (cost + w, n - target[0], r, counter, *target))
+                heapq.heappush(heap, (cost + w + h(*target), n - target[0], r, counter,
+                                      cost + w, *target))
                 counter += 1
     raise Unreachable("the final state is not reached")
 
@@ -387,6 +457,41 @@ def test_search_follows_its_documented_order():
                     None if ceiling is None else Fraction(ceiling, scale))
                 outcomes[got[0] if len(got) < 3 else "aligned", bool(must)] += 1
     assert len(outcomes) == 6 and min(outcomes.values()) > 10
+    # The S-system route's order, g + h first: on the S-system pins and on
+    # random single-token S-systems with sink and silent transitions, whose
+    # traces hold a letter, d, that no transition carries.
+    cases = [(make(), trace) for make, trace, _ in SSYSTEM_PINNED]
+    while len(cases) < 45:
+        system = random_guarded_ssystem(rng)
+        if system is not None:
+            cases.append((system, random_trace(rng, max_len=6, alphabet=(*LABEL_POOL, "d"))))
+    guided = collections.Counter()
+    for k, (system, trace) in enumerate(cases):
+        plan = engine._Plan(system)
+        for costs in (standard_costs(system), caller_costs(rng, system)):
+            table = engine._MoveTable(system.net, costs)
+            bound, h = plan.bound(trace, table), _reference_bound(system, trace, costs)
+            assert (bound is None) == (h is None)
+            if bound is None:
+                continue
+            ahead, near, far = bound
+            letters = (*trace, "")
+            for m in plan.graph.rows:
+                for pos in range(len(trace) + 1):
+                    assert Fraction(near[pos] if letters[pos] in ahead[m] else far[pos],
+                                    table.scale) == h(pos, plan.graph.markings[m])
+            for must, budget in itertools.product(
+                    (plan.must, frozenset()),
+                    (DEFAULT_STATE_BUDGET, 1, 3) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
+                got = _search_outcome(engine.dijkstra_least_cost, plan.graph, trace, *plan.ends,
+                                      must, table, budget, None, bound)
+                if type(got[0]) is int:
+                    got = (Fraction(got[0], table.scale), *got[1:])
+                assert got == _search_outcome(
+                    _reference_search, system, trace, costs,
+                    {system.net.transitions[t] for t in must}, budget, None, h)
+                guided[got[0] if len(got) < 3 else "aligned"] += 1
+    assert guided[BudgetExceeded] > 5 and guided["aligned"] > 100
 
 
 def test_optimal_alignment_not_easy_sound(ex1):
@@ -477,14 +582,15 @@ def test_dispatch_attaches_lbfc_cap(ex1):
 # settled and the cost summed over a seeded suite (random.Random(2121); 20
 # systems a family, four random traces each).  Costs are fixed by the
 # problem; the states change with any change of the search's order or
-# pruning, and this table shows it.
+# pruning, and this table shows it.  The "ssystem" rows count the S-system
+# route's A* (see `dijkstra_least_cost`).
 WORK_PINNED = {
     ("acyclic", "generic"): (76, 1246, 366),
-    ("acyclic", "ssystem"): (4, 77, 23),
+    ("acyclic", "ssystem"): (4, 63, 23),
     ("safe", "generic"): (80, 716, 398),
-    ("ssystem", "ssystem"): (80, 915, 268),
+    ("ssystem", "ssystem"): (80, 721, 268),
     ("tree", "generic"): (40, 4014, 117),
-    ("tree", "ssystem"): (40, 536, 167),
+    ("tree", "ssystem"): (40, 382, 167),
 }
 
 
@@ -1748,9 +1854,9 @@ def _counted_searches(monkeypatch):
     searched = []
     search = engine.dijkstra_least_cost
 
-    def counted(net, trace, *args):
+    def counted(net, trace, *args, **kwargs):
         searched.append(tuple(trace))
-        return search(net, trace, *args)
+        return search(net, trace, *args, **kwargs)
 
     monkeypatch.setattr(engine, "dijkstra_least_cost", counted)
     return searched
@@ -1781,9 +1887,10 @@ def test_a_repeat_makes_no_search(monkeypatch):
         assert searched == [trace] * 6
         if first.algorithm == "ssystem":
             # Under one budget, each route still gets a result of its own.
-            budget = first.states_expanded
+            generic = _generic(trace, _fresh(system), DEFAULT_STATE_BUDGET)
+            budget = max(first.states_expanded, generic.states_expanded)
             assert _ssystem(trace, system, budget) == first
-            assert _generic(trace, system, budget) == dataclasses.replace(first, algorithm="generic")
+            assert _generic(trace, system, budget) == generic
 
 
 def test_a_cap_leaves_the_plan_alone(monkeypatch):

@@ -1,15 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from petrialign import (AcceptingSystem, Label, Marking, PetriNet,
-                        brute_force_oracle, gen_shuffle_ssystem,
+from petrialign import (AcceptingSystem, CostFunction, Label, Marking, PetriNet,
+                        brute_force_oracle, dispatch_align, engine, gen_shuffle_ssystem,
                         optimal_alignment, optimal_alignment_ssystem,
                         standard_costs, trace_system, validate_alignment)
 from petrialign.errors import (BudgetExceeded, NotEasySound, NotSingleToken,
                                NotSSystem)
-from randgen import (assert_pinned, dying_token_system, random_single_token_ssystem,
-                     random_trace)
+from randgen import (LABEL_POOL, assert_pinned, dying_token_system, random_guarded_ssystem,
+                     random_single_token_ssystem, random_trace)
 
 
 def cycle_system():
@@ -109,14 +110,23 @@ def test_source_transition_result_depends_on_the_trace():
         optimal_alignment_ssystem(("b",), system)
 
 
-# Alignments and settled-state counts of the pinned tie-break, the same on
-# the S-system and the generic route.
+# Alignments and settled-state counts of the pinned tie-break, per route:
+# the generic search settles every state cheaper than the optimum, and the
+# S-system route's A* (see `dijkstra_least_cost`) only those whose cost plus
+# the letter-pair bound is.
 PINNED = [
-    (cycle_system, ("a", "a"), ("2", 6, "a/ta a/>> >>/tb")),
-    (cycle_system, ("a", "b", "a", "b"), ("0", 5, "a/ta b/tb a/ta b/tb")),
-    (cycle_system, ("b", "a", "a", "b", "b"), ("3", 9, "b/>> a/ta a/>> b/tb b/>>")),
-    (dying_token_system, ("a", "b"), ("0", 3, "a/ta b/tdie")),
-    (dying_token_system, ("b", "a", "c"), ("3", 11, "b/>> a/ta c/>> >>/tdie")),
+    (cycle_system, ("a", "a"),
+     {"generic": ("2", 6, "a/ta a/>> >>/tb"), "ssystem": ("2", 4, "a/ta a/>> >>/tb")}),
+    (cycle_system, ("a", "b", "a", "b"),
+     {"generic": ("0", 5, "a/ta b/tb a/ta b/tb"), "ssystem": ("0", 5, "a/ta b/tb a/ta b/tb")}),
+    (cycle_system, ("b", "a", "a", "b", "b"),
+     {"generic": ("3", 9, "b/>> a/ta a/>> b/tb b/>>"),
+      "ssystem": ("3", 6, "b/>> a/ta a/>> b/tb b/>>")}),
+    (dying_token_system, ("a", "b"),
+     {"generic": ("0", 3, "a/ta b/tdie"), "ssystem": ("0", 3, "a/ta b/tdie")}),
+    (dying_token_system, ("b", "a", "c"),
+     {"generic": ("3", 11, "b/>> a/ta c/>> >>/tdie"),
+      "ssystem": ("3", 5, "b/>> a/ta c/>> >>/tdie")}),
 ]
 
 
@@ -124,4 +134,97 @@ PINNED = [
 def test_pinned_tie_break(make, trace, expected):
     for solve in (optimal_alignment_ssystem, optimal_alignment):
         system = make()
-        assert_pinned(solve(trace, system), trace, system, None, expected)
+        result = solve(trace, system)
+        assert_pinned(result, trace, system, None, expected[result.algorithm])
+
+
+def caller_costs(rng, system):
+    """Seeded overrides of about half the moves of each kind.  Log and
+    visible model moves cost at least 1/13 but for one draw in eight, which
+    turns the bound off."""
+    def price(low):
+        return Fraction(rng.randint(low, 12), rng.randint(1, 13))
+
+    net = system.net
+    low = 0 if rng.random() < 0.125 else 1
+    visible = [t for t in net.transitions if not net.label(t).silent]
+    return CostFunction(labels=dict(net.labels),
+                        sync_overrides={(net.label(t).name, t): price(0)
+                                        for t in visible if rng.random() < 0.5},
+                        log_overrides={a: price(low) for a in (*LABEL_POOL, "d")
+                                       if rng.random() < 0.5},
+                        model_overrides={t: price(low if t in visible else 0)
+                                         for t in net.transitions if rng.random() < 0.5})
+
+
+def check_letter_bound(system, trace, costs):
+    """The S-system route's bound (`engine._Plan.bound`) under `costs` (None
+    for the standard costs) is consistent on every edge of the product of
+    `trace` and the system that the start reaches, h(s) <= c(s, s') + h(s'),
+    and 0 at the goal; the route's cost is the oracle's, and it settles at
+    most (n + 1)(|P| + 1) states.  Returns whether the bound was on."""
+    table_costs = costs or standard_costs(system)
+    plan = engine._Plan(system)
+    table = engine._MoveTable(system.net, table_costs)
+    bound = plan.bound(trace, table)
+    n = len(trace)
+    expected = brute_force_oracle(trace, system, table_costs)
+    result = dispatch_align(trace, system, costs)
+    assert result.algorithm == "ssystem" and result.cost == expected
+    assert validate_alignment(result.alignment, trace, system, table_costs) == expected
+    assert result.states_expanded <= (n + 1) * (len(system.net.places) + 1)
+    if bound is None:
+        return False
+    ahead, near, far = bound
+    letters = (*trace, "")
+
+    def h(pos, m):
+        return near[pos] if letters[pos] in ahead[m] else far[pos]
+
+    graph, (start, final) = plan.graph, plan.ends
+    labels = graph.labels
+    seen = {(0, start)}
+    stack = [(0, start)]
+    while stack:
+        pos, m = stack.pop()
+        edges = []
+        for t, s in graph.rows[m]:
+            if pos < n and labels[t] == trace[pos]:
+                edges.append((table.sync[t][0], (pos + 1, s)))
+            edges.append((table.model[t][0], (pos, s)))
+        if pos < n:
+            edges.append((table.log(trace[pos])[0], (pos + 1, m)))
+        for w, target in edges:
+            assert h(pos, m) <= w + h(*target), (trace, pos, m, target)
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    assert (n, final) in seen and h(n, final) == 0
+    return True
+
+
+def bound_campaign(seed, count):
+    """`check_letter_bound` on `count` seeded single-token S-systems with
+    sink and silent transitions, each with a trace of up to six letters over
+    a, b, c and d, which no transition carries, under the standard costs and
+    a seeded caller cost function.  Returns how many checks had the bound
+    on."""
+    rng = random.Random(seed)
+    on = 0
+    for _ in range(count):
+        system = None
+        while system is None:
+            system = random_guarded_ssystem(rng)
+        trace = random_trace(rng, max_len=6, alphabet=(*LABEL_POOL, "d"))
+        for costs in (None, caller_costs(rng, system)):
+            on += check_letter_bound(system, trace, costs)
+    return on
+
+
+def test_letter_bound_is_consistent():
+    """The bound is consistent and the route exact on a seeded campaign, and
+    on the pinned systems; both the standard and the caller's costs mostly
+    leave it on."""
+    assert bound_campaign(36, 400) > 700
+    for make, trace, _ in PINNED:
+        assert check_letter_bound(make(), trace, None)
