@@ -42,7 +42,7 @@ class Budgets:
 def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                         final: int, must: frozenset[int], table: _MoveTable,
                         state_budget: int, ceiling: int | None = None,
-                        h: tuple[list, list[int], list[int]] | None = None):
+                        h: tuple[list[int], list[int], list[int], int] | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `graph`, generated
     on the fly from (0, start) to (len(trace), final), where `start` and
@@ -71,35 +71,31 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     is A* (Hart, Nilsson and Raphael, *A formal basis for the heuristic
     determination of minimum cost paths*, 1968): entries expand in (cost +
     h, later trace position, rank, insertion) order, and `best` still keeps
-    the cost.  `h` is (ahead, near, far) from `_Plan.bound`, made only for
-    single-token S-nets whose every transition has an input place, where
-    the marking after a transition is its output place (or none): a state
-    (pos, m) has h = near[pos] when `ahead[m]`, the letters that m's silent
-    closure enables, holds the letter at pos (past the last one, "" when
-    the closure holds the final marking), and far[pos] otherwise.  Call j <
-    n a break when no marking that a transition of letter j leads to
-    reaches, by silent moves, one that enables a transition of letter j + 1
-    (at j = n - 1, the final marking).  Every break needs a log move at j
-    or j + 1, or a visible model move between the two letters' sync moves,
-    which silent moves alone do not join; one log move, at j, covers at
-    most the two adjacent breaks j - 1 and j, and a visible model move one.
-    With unit the least weight of a log or visible model move and C[j] the
-    fewest pairs of adjacent positions that cover the breaks at or after j,
-    near[j] = unit * C[j] and far[j] = unit * (1 + C[j + 1]), which adds the
-    break j - 1 that a state whose marking reaches no transition of letter j
-    by silent moves has yet to pay for.  Since C[j + 1] <= C[j] <= 1 + C[j +
-    1], h is consistent, h(s) <= c(s, s') + h(s'), on every move:
-    - a silent model move leads to a marking whose silent closure is part
-      of m's, so h(s) <= h(s');
-    - a visible model move costs at least unit, and h(s) <= unit * (1 +
-      C[pos + 1]) <= unit + unit * C[pos] <= unit + h(s');
-    - a log move costs at least unit, and h(s) <= unit * (1 + C[pos + 1])
-      <= unit + h(s');
-    - a sync move on the letter at pos leaves a marking that enables it, so
-      h(s) = unit * C[pos]; when pos is no break, C[pos] = C[pos + 1] and
-      h(s) <= h(s'); when it is, the successor reaches no transition of the
-      next letter by silent moves, so h(s') = unit * (1 + C[pos + 2]) =
-      unit * C[pos].
+    the cost.  `h` is (amask, near, lmask, unit) from `_Plan.bound`, made
+    only for single-token S-nets whose every transition has an input place,
+    where the marking after a transition is its output place (or none).
+    `ahead[m]` is the set of letters that m's silent closure enables, and ""
+    when it holds the final marking; `follow[a]` the union of `ahead` over
+    the markings that a transition of letter a leads to; unit the least
+    weight of a log or visible model move.  h(pos, m) is the optimum of a
+    relaxation on letters: each letter from pos on is logged, at cost unit,
+    or kept; two adjacent kept letters (a, b) cost unit when b is not in
+    follow[a], and so does a first kept letter outside ahead[m]; the end is
+    a kept letter "".  It is a lower bound: an alignment logs the letters
+    it does not sync, and between the sync moves of two kept letters (a, b)
+    it makes a visible model move unless silent moves join them, which puts
+    b in follow[a].  With letters as int bits, h(pos, m) = near[pos] + (0
+    if amask[m] & lmask[pos] else unit).  h is consistent, h(s) <= c(s, s')
+    + h(s'), on every move:
+    - a sync move on the letter at pos, from m to s: m enables it, so
+      keeping it first at (pos, m) costs what follows it, where `ahead[s]`
+      is part of `follow` of that letter, so h(s) <= h(s');
+    - a silent model move: `ahead` shrinks along it, so h(s) <= h(s');
+    - a visible model move costs at least unit, and the first-letter
+      indicator is at most 1, so h(s) <= unit + h(s');
+    - a log move costs at least unit, and every choice at (pos + 1, m) with
+      its next kept letter is one at (pos, m) with letter pos logged, so
+      h(s) <= unit + h(s').
     The goal's h is 0.  So each state settles once, at its least cost, the
     first goal pop is optimal, and the search settles no state that plain
     Dijkstra would not, but for ties; it may return another optimal
@@ -163,12 +159,12 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     at.append(("", 0, 0, None, 0))
     h_start = 0
     if h is not None:
-        # Per position the letter (the sentinel past the last) and the
-        # bound's two values there; one more entry past the end, read by
-        # the final position's expansion, which makes no move onto it.
-        ahead, near, far = h
-        hs = [*zip([*trace, ""], near, far), ("", 0, 0)]
-        h_start = near[0] if hs[0][0] in ahead[start] else far[0]
+        # Per position the bound's two parts there; one more entry past the
+        # end, read by the final position's expansion, which makes no move
+        # onto it.
+        amask, near, lmask, unit = h
+        hs = [*zip(near, lmask), (0, 0)]
+        h_start = near[0] if amask[start] & lmask[0] else near[0] + unit
     goal = final * width + n
     limit = None if ceiling is None else (ceiling + 1) * span
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
@@ -204,8 +200,8 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
             row = expand(m)
         a, w, log_rank, move, here = at[pos]
         if h is not None:
-            letter, near_here, far_here = hs[pos]
-            b, near_next, far_next = hs[pos + 1]
+            near_here, l_here = hs[pos]
+            near_next, l_next = hs[pos + 1]
         if must:
             for t, s in row:
                 if t in must:
@@ -222,7 +218,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                     best[nxt] = (nc, state, smove)
                     f = nc
                     if h is not None:
-                        f += near_next if b in ahead[s] else far_next
+                        f += near_next if amask[s] & l_next else near_next + unit
                     entry = (f * span + later + rank, counter, pos + 1, s, nc)
                     counter += 1
                     if pending is None:
@@ -237,7 +233,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                 best[nxt] = (nc, state, mmove)
                 f = nc
                 if h is not None:
-                    f += near_here if letter in ahead[s] else far_here
+                    f += near_here if amask[s] & l_here else near_here + unit
                 entry = (f * span + here + rank, counter, pos, s, nc)
                 counter += 1
                 if pending is None:
@@ -251,7 +247,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                 best[state + 1] = (nc, state, move)
                 f = nc
                 if h is not None:
-                    f += near_next if b in ahead[m] else far_next
+                    f += near_next if amask[m] & l_next else near_next + unit
                 entry = (f * span + later + log_rank, counter, pos + 1, m, nc)
                 counter += 1
                 if pending is None:
@@ -344,6 +340,12 @@ class _MoveTable:
             model((w, t_count + rank, trusted(None, t)))
         self._logs: dict[str, tuple[int, int, Move]] = {}
 
+    @cached_property
+    def visible_min(self) -> int | float:
+        """The least weight of a visible model move, inf when none is."""
+        return min((w for (w, _, _), s in zip(self.model, self.sync) if s is not None),
+                   default=math.inf)
+
     def log(self, a: str) -> tuple[int, int, Move]:
         """The log move's entry on letter `a`."""
         entry = self._logs.get(a)
@@ -420,16 +422,20 @@ class _Plan:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
     @cached_property
-    def letters(self) -> tuple[list[frozenset[str]], dict[str, frozenset[str]]]:
-        """(ahead, follow) of a system whose initial marking reaches finitely
-        many markings: `ahead`, per marking number, the letters of the
-        visible transitions that its silent closure enables, and "" when
-        that closure holds the final marking; `follow`, per letter, the
-        union of `ahead` over the markings that a transition of that letter
-        leads to.  Both read the rows of every reachable marking, which
-        this fills.  A marking numbered but not reachable has no letter."""
+    def letters(self) -> tuple[list[int], dict[str, tuple[int, int]]]:
+        """(amask, follow) of a system whose initial marking reaches finitely
+        many markings, with letters as int bits: bit 1 for "", and one bit
+        per visible label of the net.  `amask`, per marking number, holds
+        the letters of the visible transitions that its silent closure
+        enables, and "" when that closure holds the final marking; `follow`
+        maps each visible label to (its bit, fmask), fmask the union of
+        `amask` over the markings that a transition of that label leads to.
+        Both read the rows of every reachable marking, which this fills.  A
+        marking numbered but not reachable has no letter."""
         graph, (initial, final) = self.graph, self.ends
         labels = graph.labels
+        bits = {a: 2 << k for k, a in enumerate(dict.fromkeys(a for a in labels if a is not None))}
+        tbits = [bits.get(a, 0) for a in labels]
         rows = {initial: graph.row(initial)}
         stack = [initial]
         while stack:
@@ -437,7 +443,7 @@ class _Plan:
                 if s not in rows:
                     rows[s] = graph.row(s)
                     stack.append(s)
-        ahead = [frozenset()] * len(graph.markings)
+        amask = [0] * len(graph.markings)
         for m in rows:
             closure, stack = {m}, [m]
             while stack:
@@ -445,48 +451,51 @@ class _Plan:
                     if labels[t] is None and s not in closure:
                         closure.add(s)
                         stack.append(s)
-            found = {labels[t] for k in closure for t, _ in rows[k]}
-            found.discard(None)
-            if final in closure:
-                found.add("")
-            ahead[m] = frozenset(found)
-        follow: dict[str, frozenset[str]] = {}
+            mask = 1 if final in closure else 0
+            for k in closure:
+                for t, _ in rows[k]:
+                    mask |= tbits[t]
+            amask[m] = mask
+        fmask = dict.fromkeys(labels, 0)
         for row in rows.values():
             for t, s in row:
-                a = labels[t]
-                if a is not None:
-                    follow[a] = follow.get(a, frozenset()) | ahead[s]
-        return ahead, follow
+                fmask[labels[t]] |= amask[s]
+        return amask, {a: (bit, fmask[a]) for a, bit in bits.items()}
 
     def bound(self, trace: tuple[str, ...], table: _MoveTable):
         """The lower bound `h` of `dijkstra_least_cost` for `trace` under
-        `table`: (ahead, near, far), None when `unit` is 0.  Position j < n
-        is a break when trace[j + 1], or "" at j = n - 1, is not in
-        `follow` of trace[j].  `cover[j]` is the fewest pairs of adjacent
-        positions that cover the breaks at or after j: a break at j is best
-        covered by the pair (j, j + 1), so cover[j] = 1 + cover[j + 2], and
-        cover[j] = cover[j + 1] at any other j.  A state (pos, m)
-        whose marking's `ahead` holds the letter at pos (or "" at the end)
-        has the bound unit * cover[pos], `near[pos]`, and any other has
-        unit * (1 + cover[pos + 1]), `far[pos]`: the break at pos - 1 that
-        it adds is covered with pos.  `unit` is the least weight of a log
-        move on a letter of the trace or of a visible model move."""
-        ahead, follow = self.letters
-        unit = min([table.log(a)[0] for a in set(trace)]
-                   + [w for (w, _, _), a in zip(table.model, self.graph.labels)
-                      if a is not None], default=0)
-        if not unit:
+        `table`, the optimum of the relaxation on letters defined there:
+        (amask, near, lmask, unit), None when `unit` is 0 or no such move
+        exists.  `unit` is the least weight of a log move on a letter of the
+        trace or of a visible model move.  Let W(k) be the relaxation's least cost after the sync
+        of trace[k], W(n) = 0 at the end.  Keeping k + 1 next shows W(k) <=
+        W(k + 1) + unit, so U(k) = W(k) + k * unit never decreases, and the
+        least U(j) over the next kept j > k is U(k + 1): U(k) = U(k + 1) -
+        unit when some j with U(j) = U(k + 1) holds a letter of
+        fmask[trace[k]] (a hit), and U(k + 1) otherwise.  One backward pass
+        keeps in `lmask[k]` the letters of the positions j >= k with U(j) =
+        U(k), and W(k) in `near[k]`, which grows by unit but at a hit;
+        a state (pos, m) keeps first one of lmask[pos]'s letters, at no
+        extra cost when amask[m] holds it."""
+        amask, follow = self.letters
+        unit = min([table.visible_min, *(table.log(a)[0] for a in set(trace))])
+        if not 0 < unit < math.inf:
             return None
-        n = len(trace)
-        cover = [0] * (n + 2)
-        none = frozenset()
-        for j in range(n - 1, -1, -1):
-            if (trace[j + 1] if j + 1 < n else "") in follow.get(trace[j], none):
-                cover[j] = cover[j + 1]
+        near, lmask = [0], [1]
+        w, l = 0, 1
+        none = (0, 0)
+        for a in reversed(trace):
+            bit, f = follow.get(a, none)
+            if f & l:
+                l = bit
             else:
-                cover[j] = 1 + cover[j + 2]
-        return (ahead, [unit * k for k in cover[:n + 1]],
-                [unit * (1 + k) for k in cover[1:]])
+                l |= bit
+                w += unit
+            near.append(w)
+            lmask.append(l)
+        near.reverse()
+        lmask.reverse()
+        return amask, near, lmask, unit
 
 
 _last_plan: _Plan | None = None
@@ -754,7 +763,7 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     (|trace| + 1)(|P| + 1) states and reported as "ssystem"
     (`optimal_alignment_ssystem` is this route behind its checks).  When
     every transition has an input place the route is A* with the bound of
-    `_Plan.bound`, read off the trace's adjacent letters (see
+    `_Plan.bound`, the optimum of a relaxation on the trace's letters (see
     `dijkstra_least_cost`); the bound is off, and the route the generic
     search, when a transition has no input place or when a log or visible
     model move costs 0.  Every other system, acyclic ones included, goes to

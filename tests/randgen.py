@@ -4,6 +4,7 @@ reproducible run to run."""
 
 from __future__ import annotations
 
+import collections
 import random
 
 from petrialign import (AcceptingSystem, Label, Marking, Move, PetriNet,
@@ -216,6 +217,47 @@ def ahead_of(system, marking, budget=2000):
     """Reachability graph of the system's net from `marking`."""
     return build_reachability_graph(AcceptingSystem(system.net, marking, marking),
                                     state_budget=budget)
+
+
+def letter_sets(system):
+    """(ahead, follow) of the S-system route's bound, on `Marking`s: `ahead`
+    maps each reachable marking to the letters that its silent closure
+    enables, and "" when the closure holds the final marking; `follow` maps
+    each letter to the union of `ahead` over the markings that a transition
+    of that letter leads to from a reachable marking (empty for any other
+    letter)."""
+    net = system.net
+
+    def closure_letters(m):
+        closure, stack, found = {m}, [m], set()
+        while stack:
+            k = stack.pop()
+            if k == system.final:
+                found.add("")
+            for t in enabled_transitions(net, k):
+                s = fire(net, k, t)
+                if not net.label(t).silent:
+                    found.add(net.label(t).name)
+                elif s not in closure:
+                    closure.add(s)
+                    stack.append(s)
+        return found
+
+    reachable, stack = {system.initial}, [system.initial]
+    while stack:
+        m = stack.pop()
+        for t in enabled_transitions(net, m):
+            s = fire(net, m, t)
+            if s not in reachable:
+                reachable.add(s)
+                stack.append(s)
+    ahead = {m: closure_letters(m) for m in reachable}
+    follow = collections.defaultdict(set)
+    for m in reachable:
+        for t in enabled_transitions(net, m):
+            if not net.label(t).silent:
+                follow[net.label(t).name] |= ahead[fire(net, m, t)]
+    return ahead, follow
 
 
 def behavioral_reference(system, budget=2000):

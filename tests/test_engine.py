@@ -27,10 +27,10 @@ from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
                      product_search_cost, random_acyclic_system, random_replayable_walk,
                      random_guarded_ssystem, random_safe_system, random_single_token_ssystem,
-                     random_trace, random_tree, render_moves)
+                     letter_sets, random_trace, random_tree, render_moves)
 from test_cli import FORK
 from test_ssystem import PINNED as SSYSTEM_PINNED
-from test_ssystem import caller_costs
+from test_ssystem import bound_at, caller_costs, check_letter_bound
 
 TRACE = ("a", "b", "a", "a")
 
@@ -298,61 +298,29 @@ def test_search_matches_product_and_oracle():
 
 
 def _reference_bound(system, trace, costs):
-    """The S-system route's lower bound as `dijkstra_least_cost`'s docstring
-    defines it, on `Marking`s and exact costs, or None when it is off: a
-    function of (pos, marking), unit times the fewest pairs of adjacent
-    positions that cover the breaks at or after pos, and pos - 1 when the
-    marking's silent closure enables no transition of the letter at pos
-    (holds not the final marking, at the end); the pairs are taken greedily
-    from the left."""
+    """The S-system route's lower bound as `_Plan.bound` defines it, on
+    `Marking`s and exact costs, or None when it is off: a function of (pos,
+    marking), the optimum of the letter relaxation from there, taken as the
+    least cost over the first kept position j >= pos directly: unit per
+    letter logged before j, unit when letter j (or "" at the end) is not in
+    the marking's `ahead`, and W(j), the least cost after the sync of letter
+    j, itself the least over the next kept position in O(n) each."""
     net = system.net
     visible = [t for t in net.transitions if not net.label(t).silent]
     unit = min([costs.log(a) for a in trace] + [costs.model(t) for t in visible], default=0)
     if not unit:
         return None
-
-    def ahead(m):
-        """The letters that m's silent closure enables, and "" when the
-        closure holds the final marking."""
-        closure, stack, found = {m}, [m], set()
-        while stack:
-            k = stack.pop()
-            if k == system.final:
-                found.add("")
-            for t in enabled_transitions(net, k):
-                s = fire(net, k, t)
-                if not net.label(t).silent:
-                    found.add(net.label(t).name)
-                elif s not in closure:
-                    closure.add(s)
-                    stack.append(s)
-        return found
-
-    reachable, stack = {system.initial}, [system.initial]
-    while stack:
-        m = stack.pop()
-        for t in enabled_transitions(net, m):
-            s = fire(net, m, t)
-            if s not in reachable:
-                reachable.add(s)
-                stack.append(s)
-    follow = collections.defaultdict(set)
-    for m in reachable:
-        for t in enabled_transitions(net, m):
-            if not net.label(t).silent:
-                follow[net.label(t).name] |= ahead(fire(net, m, t))
+    ahead, follow = letter_sets(system)
+    n = len(trace)
     letters = (*trace, "")
-    breaks = [j for j in range(len(trace)) if letters[j + 1] not in follow[trace[j]]]
+    least = [Fraction(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        least[j] = min(unit * (k - j - 1 + (letters[k] not in follow[trace[j]])) + least[k]
+                       for k in range(j + 1, n + 1))
 
     def h(pos, m):
-        due = [j for j in breaks if j >= pos]
-        if letters[pos] not in ahead(m):
-            due.insert(0, pos - 1)
-        covered, pairs = -2, 0
-        for j in due:
-            if j > covered:
-                pairs, covered = pairs + 1, j + 1
-        return unit * pairs
+        return min(unit * (j - pos + (letters[j] not in ahead[m])) + least[j]
+                   for j in range(pos, n + 1))
 
     return h
 
@@ -474,12 +442,10 @@ def test_search_follows_its_documented_order():
             assert (bound is None) == (h is None)
             if bound is None:
                 continue
-            ahead, near, far = bound
-            letters = (*trace, "")
             for m in plan.graph.rows:
                 for pos in range(len(trace) + 1):
-                    assert Fraction(near[pos] if letters[pos] in ahead[m] else far[pos],
-                                    table.scale) == h(pos, plan.graph.markings[m])
+                    assert Fraction(bound_at(bound, pos, m), table.scale) == \
+                        h(pos, plan.graph.markings[m])
             for must, budget in itertools.product(
                     (plan.must, frozenset()),
                     (DEFAULT_STATE_BUDGET, 1, 3) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
@@ -492,6 +458,50 @@ def test_search_follows_its_documented_order():
                     {system.net.transitions[t] for t in must}, budget, None, h)
                 guided[got[0] if len(got) < 3 else "aligned"] += 1
     assert guided[BudgetExceeded] > 5 and guided["aligned"] > 100
+
+
+def _edge_system():
+    """p0 -a-> p1 -b-> p0, from and to p0; c only on tc, whose input place
+    p2 no reachable marking marks; and a silent ts from p1 to p3, a dead end
+    whose silent closure never holds the final marking."""
+    net = PetriNet(("p0", "p1", "p2", "p3"), ("ta", "tb", "tc", "ts"),
+                   [("p0", "ta"), ("ta", "p1"), ("p1", "tb"), ("tb", "p0"),
+                    ("p2", "tc"), ("tc", "p1"), ("p1", "ts"), ("ts", "p3")],
+                   {"ta": Label("a"), "tb": Label("b"), "tc": Label("c"), "ts": Label(None)})
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p0"))
+
+
+@pytest.mark.parametrize("trace,start", [
+    ((), (0, 0)),                       # the empty trace
+    (("x", "y"), (2, 2)),               # letters no transition carries
+    (("c",), (1, Fraction(1, 2))),      # a letter only an unreachable transition carries
+    (("a", "c", "b"), (1, Fraction(1, 2))),   # c between a and b: log it
+])
+def test_letter_bound_edge_cases(trace, start):
+    """The bound equals `_reference_bound` at every state (pos, reachable
+    marking), takes the pinned value at the start under the standard costs
+    and under caller costs on a scale of 4, where it is at most the optimum,
+    and is unit at the end on the dead end p3; `check_letter_bound` finds it
+    consistent and the route exact."""
+    system = _edge_system()
+    quarters = CostFunction(labels=dict(system.net.labels),
+                            log_overrides={"x": Fraction(3, 2), "c": Fraction(1, 2)},
+                            model_overrides={"tb": Fraction(5, 4)})
+    for costs, value in zip((None, quarters), start):
+        table_costs = costs or standard_costs(system)
+        plan = engine._Plan(system)
+        table = engine._MoveTable(system.net, table_costs)
+        bound = plan.bound(trace, table)
+        h = _reference_bound(system, trace, table_costs)
+        assert table.scale == (1 if costs is None else 4)
+        markings = {plan.graph.markings[m]: m for m in plan.graph.rows}
+        assert set(markings) == {Marking.of(p) for p in ("p0", "p1", "p3")}
+        for marking, m in markings.items():
+            for pos in range(len(trace) + 1):
+                assert Fraction(bound_at(bound, pos, m), table.scale) == h(pos, marking)
+        assert h(0, system.initial) == value <= brute_force_oracle(trace, system, table_costs)
+        assert h(len(trace), Marking.of("p3")) == Fraction(bound[3], table.scale)
+        assert check_letter_bound(system, trace, costs)[0]
 
 
 def test_optimal_alignment_not_easy_sound(ex1):
@@ -586,11 +596,11 @@ def test_dispatch_attaches_lbfc_cap(ex1):
 # route's A* (see `dijkstra_least_cost`).
 WORK_PINNED = {
     ("acyclic", "generic"): (76, 1246, 366),
-    ("acyclic", "ssystem"): (4, 63, 23),
+    ("acyclic", "ssystem"): (4, 46, 23),
     ("safe", "generic"): (80, 716, 398),
-    ("ssystem", "ssystem"): (80, 721, 268),
+    ("ssystem", "ssystem"): (80, 659, 268),
     ("tree", "generic"): (40, 4014, 117),
-    ("tree", "ssystem"): (40, 382, 167),
+    ("tree", "ssystem"): (40, 288, 167),
 }
 
 

@@ -9,8 +9,8 @@ from petrialign import (AcceptingSystem, CostFunction, Label, Marking, PetriNet,
                         standard_costs, trace_system, validate_alignment)
 from petrialign.errors import (BudgetExceeded, NotEasySound, NotSingleToken,
                                NotSSystem)
-from randgen import (LABEL_POOL, assert_pinned, dying_token_system, random_guarded_ssystem,
-                     random_single_token_ssystem, random_trace)
+from randgen import (LABEL_POOL, assert_pinned, dying_token_system, letter_sets,
+                     random_guarded_ssystem, random_single_token_ssystem, random_trace)
 
 
 def cycle_system():
@@ -113,7 +113,7 @@ def test_source_transition_result_depends_on_the_trace():
 # Alignments and settled-state counts of the pinned tie-break, per route:
 # the generic search settles every state cheaper than the optimum, and the
 # S-system route's A* (see `dijkstra_least_cost`) only those whose cost plus
-# the letter-pair bound is.
+# the bound of `engine._Plan.bound` is.
 PINNED = [
     (cycle_system, ("a", "a"),
      {"generic": ("2", 6, "a/ta a/>> >>/tb"), "ssystem": ("2", 4, "a/ta a/>> >>/tb")}),
@@ -157,12 +157,45 @@ def caller_costs(rng, system):
                                          for t in net.transitions if rng.random() < 0.5})
 
 
+def bound_at(bound, pos, m):
+    """The value of `engine._Plan.bound`'s `bound` at state (pos, marking
+    number m)."""
+    amask, near, lmask, unit = bound
+    return near[pos] + (0 if amask[m] & lmask[pos] else unit)
+
+
+def pair_cover(system, trace, unit):
+    """The S-system route's earlier bound, kept as the one the route's bound
+    must dominate: a function of (pos, marking), unit times the fewest pairs
+    of adjacent positions that cover the breaks at or after pos (j < n is a
+    break when letter j + 1, or "" at the end, is not in follow[trace[j]]),
+    and pos - 1 when the marking's `ahead` misses the letter at pos (""
+    at the end); the pairs are taken greedily from the left."""
+    ahead, follow = letter_sets(system)
+    letters = (*trace, "")
+    breaks = [j for j in range(len(trace)) if letters[j + 1] not in follow[trace[j]]]
+
+    def h(pos, m):
+        due = [j for j in breaks if j >= pos]
+        if letters[pos] not in ahead[m]:
+            due.insert(0, pos - 1)
+        covered, pairs = -2, 0
+        for j in due:
+            if j > covered:
+                pairs, covered = pairs + 1, j + 1
+        return unit * pairs
+
+    return h
+
+
 def check_letter_bound(system, trace, costs):
     """The S-system route's bound (`engine._Plan.bound`) under `costs` (None
     for the standard costs) is consistent on every edge of the product of
     `trace` and the system that the start reaches, h(s) <= c(s, s') + h(s'),
-    and 0 at the goal; the route's cost is the oracle's, and it settles at
-    most (n + 1)(|P| + 1) states.  Returns whether the bound was on."""
+    0 at the goal, and at least the pair cover (`pair_cover`) at every
+    state that the start reaches; the route's cost is the oracle's, and it
+    settles at most (n + 1)(|P| + 1) states.  Returns (whether the bound
+    was on, whether it beat the pair cover at some state)."""
     table_costs = costs or standard_costs(system)
     plan = engine._Plan(system)
     table = engine._MoveTable(system.net, table_costs)
@@ -174,12 +207,10 @@ def check_letter_bound(system, trace, costs):
     assert validate_alignment(result.alignment, trace, system, table_costs) == expected
     assert result.states_expanded <= (n + 1) * (len(system.net.places) + 1)
     if bound is None:
-        return False
-    ahead, near, far = bound
-    letters = (*trace, "")
+        return False, False
 
     def h(pos, m):
-        return near[pos] if letters[pos] in ahead[m] else far[pos]
+        return bound_at(bound, pos, m)
 
     graph, (start, final) = plan.graph, plan.ends
     labels = graph.labels
@@ -200,31 +231,42 @@ def check_letter_bound(system, trace, costs):
                 seen.add(target)
                 stack.append(target)
     assert (n, final) in seen and h(n, final) == 0
-    return True
+    old = pair_cover(system, trace, bound[3])
+    tighter = False
+    for pos, m in seen:
+        was = old(pos, graph.markings[m])
+        assert h(pos, m) >= was, (trace, pos, m)
+        tighter = tighter or h(pos, m) > was
+    return True, tighter
 
 
 def bound_campaign(seed, count):
     """`check_letter_bound` on `count` seeded single-token S-systems with
     sink and silent transitions, each with a trace of up to six letters over
     a, b, c and d, which no transition carries, under the standard costs and
-    a seeded caller cost function.  Returns how many checks had the bound
-    on."""
+    a seeded caller cost function.  Returns (how many checks had the bound
+    on, how many of those beat the pair cover at some state); the bound
+    beats it somewhere."""
     rng = random.Random(seed)
-    on = 0
+    on = tighter = 0
     for _ in range(count):
         system = None
         while system is None:
             system = random_guarded_ssystem(rng)
         trace = random_trace(rng, max_len=6, alphabet=(*LABEL_POOL, "d"))
         for costs in (None, caller_costs(rng, system)):
-            on += check_letter_bound(system, trace, costs)
-    return on
+            was_on, was_tighter = check_letter_bound(system, trace, costs)
+            on += was_on
+            tighter += was_tighter
+    assert tighter > 0
+    return on, tighter
 
 
 def test_letter_bound_is_consistent():
-    """The bound is consistent and the route exact on a seeded campaign, and
-    on the pinned systems; both the standard and the caller's costs mostly
-    leave it on."""
-    assert bound_campaign(36, 400) > 700
+    """The bound is consistent, at least the pair cover and the route exact
+    on a seeded campaign, and on the pinned systems; both the standard and
+    the caller's costs mostly leave it on."""
+    on, tighter = bound_campaign(36, 400)
+    assert on > 700 and tighter > 100
     for make, trace, _ in PINNED:
-        assert check_letter_bound(make(), trace, None)
+        assert check_letter_bound(make(), trace, None)[0]
