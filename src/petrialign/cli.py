@@ -15,7 +15,7 @@ from . import errors
 from .classify import DEFAULT_B_MAX, _bounded_then_behavioral, structural_class
 from .costs import render_alignment
 from .engine import Budgets, dispatch_align, lbfc_cap, membership, optimal_alignment
-from .fixtures import ex1_system
+from .fixtures import choice_ssystem, ex1_system
 from .acyclic import optimal_alignment_acyclic
 from .generators import gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet
 from .netio import parse_cost_file, parse_net, parse_tm, parse_trace, serialize_net
@@ -164,6 +164,7 @@ def _bench_instances():
     yield "shuffle_ab_cd", shuffle, ("a", "c", "b", "d")
     sline = gen_shuffle_ssystem(("a", "b"), 2)
     yield "sshuffle_ab_2", sline, ("a", "a", "b", "b")
+    yield "choice_ssystem", choice_ssystem(), ("a", "c", "b", "a", "c", "a", "d")
     tree = parse_tree("seq(a, par(b, c), xor(d, tau))")
     yield "tree_seq_par_xor", tree_to_wfnet(tree), ("a", "c", "b")
 

@@ -74,28 +74,30 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     the cost.  `h` is (amask, near, lmask, unit) from `_Plan.bound`, made
     only for single-token S-nets whose every transition has an input place,
     where the marking after a transition is its output place (or none).
-    `ahead[m]` is the set of letters that m's silent closure enables, and ""
-    when it holds the final marking; `follow[a]` the union of `ahead` over
-    the markings that a transition of letter a leads to; unit the least
-    weight of a log or visible model move.  h(pos, m) is the optimum of a
-    relaxation on letters: each letter from pos on is logged, at cost unit,
-    or kept; two adjacent kept letters (a, b) cost unit when b is not in
-    follow[a], and so does a first kept letter outside ahead[m]; the end is
-    a kept letter "".  It is a lower bound: an alignment logs the letters
-    it does not sync, and between the sync moves of two kept letters (a, b)
-    it makes a visible model move unless silent moves join them, which puts
-    b in follow[a].  With letters as int bits, h(pos, m) = near[pos] + (0
-    if amask[m] & lmask[pos] else unit).  h is consistent, h(s) <= c(s, s')
-    + h(s'), on every move:
-    - a sync move on the letter at pos, from m to s: m enables it, so
-      keeping it first at (pos, m) costs what follows it, where `ahead[s]`
-      is part of `follow` of that letter, so h(s) <= h(s');
-    - a silent model move: `ahead` shrinks along it, so h(s) <= h(s');
-    - a visible model move costs at least unit, and the first-letter
+    Each visible transition is a bit, and "" the bit 1; `amask[m]` holds the
+    visible transitions that m's silent closure enables, and "" when it
+    holds the final marking; `fmask[t]` is `amask` of the marking that t
+    leads to; unit the least weight of a log or visible model move.  h(pos,
+    m) is the optimum of a relaxation on (position, transition) pairs: each
+    letter from pos on is logged, at cost unit, or kept with one of the
+    transitions that carry it; two adjacent kept pairs (t, t') cost unit
+    when t' is not in fmask[t], and so does a first kept pair outside
+    amask[m]; the end is a kept pair "".  It is a lower bound: an alignment
+    logs the letters it does not sync, and between the sync moves on two
+    kept transitions (t, t') it makes a visible model move unless silent
+    moves join them, which puts t' in fmask[t].  h(pos, m) = near[pos] + (0
+    if amask[m] & lmask[pos] else unit), lmask[pos] the first kept pairs of
+    the optimal choices from pos.  h is consistent, h(s) <= c(s, s') +
+    h(s'), on every move:
+    - a sync move on transition t at pos, from m to s: m enables t, so
+      keeping t first at (pos, m) costs what follows it, and `amask[s]` is
+      fmask[t], so that is h(s') and h(s) <= h(s');
+    - a silent model move: `amask` shrinks along it, so h(s) <= h(s');
+    - a visible model move costs at least unit, and the first-pair
       indicator is at most 1, so h(s) <= unit + h(s');
     - a log move costs at least unit, and every choice at (pos + 1, m) with
-      its next kept letter is one at (pos, m) with letter pos logged, so
-      h(s) <= unit + h(s').
+      its next kept pair is one at (pos, m) with letter pos logged, so h(s)
+      <= unit + h(s').
     The goal's h is 0.  So each state settles once, at its least cost, the
     first goal pop is optimal, and the search settles no state that plain
     Dijkstra would not, but for ties; it may return another optimal
@@ -398,10 +400,10 @@ class _Plan:
     `ends` holds the numbers of the system's initial and final markings,
     where the searches start and end, and `must` the silent transitions
     that must fire on the way to the final marking
-    (`_MarkingGraph.must_fire`).  `letters`, made on first use by the
-    S-system route's A*, holds per marking and per letter the letters that
-    can follow through silent moves, from which `bound` makes the search's
-    lower bound for one trace."""
+    (`_MarkingGraph.must_fire`).  `transition_masks`, made on first use by
+    the S-system route's A*, holds per marking and per transition the
+    transitions that can follow through silent moves, from which `bound`
+    makes the search's lower bound for one trace."""
 
     def __init__(self, sys: AcceptingSystem):
         self.sys = sys
@@ -422,20 +424,21 @@ class _Plan:
         return _MoveTable(self.sys.net, standard_costs(self.sys))
 
     @cached_property
-    def letters(self) -> tuple[list[int], dict[str, tuple[int, int]]]:
+    def transition_masks(self) -> tuple[list[int], dict[str, tuple[int, tuple]]]:
         """(amask, follow) of a system whose initial marking reaches finitely
-        many markings, with letters as int bits: bit 1 for "", and one bit
-        per visible label of the net.  `amask`, per marking number, holds
-        the letters of the visible transitions that its silent closure
-        enables, and "" when that closure holds the final marking; `follow`
-        maps each visible label to (its bit, fmask), fmask the union of
-        `amask` over the markings that a transition of that label leads to.
-        Both read the rows of every reachable marking, which this fills.  A
-        marking numbered but not reachable has no letter."""
+        many markings, with transitions as int bits: bit 1 for "", and bit 2
+        << t for visible transition t.  `amask`, per marking number, holds
+        the visible transitions that its silent closure enables, and ""
+        when that closure holds the final marking; `follow` maps each
+        visible label to (every, pairs): every, the bits of the transitions
+        that carry it, and pairs, (bit, fmask) per such transition, fmask
+        the union of `amask` over the markings that it leads to (one at
+        most, on a single-token S-net).  Both read the rows of every
+        reachable marking, which this fills.  A marking numbered but not
+        reachable has no bit."""
         graph, (initial, final) = self.graph, self.ends
         labels = graph.labels
-        bits = {a: 2 << k for k, a in enumerate(dict.fromkeys(a for a in labels if a is not None))}
-        tbits = [bits.get(a, 0) for a in labels]
+        tbits = [0 if a is None else 2 << t for t, a in enumerate(labels)]
         rows = {initial: graph.row(initial)}
         stack = [initial]
         while stack:
@@ -456,40 +459,51 @@ class _Plan:
                 for t, _ in rows[k]:
                     mask |= tbits[t]
             amask[m] = mask
-        fmask = dict.fromkeys(labels, 0)
+        fmask = [0] * len(labels)
         for row in rows.values():
             for t, s in row:
-                fmask[labels[t]] |= amask[s]
-        return amask, {a: (bit, fmask[a]) for a, bit in bits.items()}
+                fmask[t] |= amask[s]
+        follow: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        for t, a in enumerate(labels):
+            if a is not None:
+                every, pairs = follow.get(a, (0, ()))
+                follow[a] = (every | tbits[t], (*pairs, (tbits[t], fmask[t])))
+        return amask, follow
 
     def bound(self, trace: tuple[str, ...], table: _MoveTable):
         """The lower bound `h` of `dijkstra_least_cost` for `trace` under
-        `table`, the optimum of the relaxation on letters defined there:
-        (amask, near, lmask, unit), None when `unit` is 0 or no such move
-        exists.  `unit` is the least weight of a log move on a letter of the
-        trace or of a visible model move.  Let W(k) be the relaxation's least cost after the sync
-        of trace[k], W(n) = 0 at the end.  Keeping k + 1 next shows W(k) <=
-        W(k + 1) + unit, so U(k) = W(k) + k * unit never decreases, and the
-        least U(j) over the next kept j > k is U(k + 1): U(k) = U(k + 1) -
-        unit when some j with U(j) = U(k + 1) holds a letter of
-        fmask[trace[k]] (a hit), and U(k + 1) otherwise.  One backward pass
-        keeps in `lmask[k]` the letters of the positions j >= k with U(j) =
-        U(k), and W(k) in `near[k]`, which grows by unit but at a hit;
-        a state (pos, m) keeps first one of lmask[pos]'s letters, at no
-        extra cost when amask[m] holds it."""
-        amask, follow = self.letters
+        `table`, the optimum of the relaxation on (position, transition)
+        pairs defined there: (amask, near, lmask, unit), None when `unit` is
+        0 or no such move exists.  `unit` is the least weight of a log move
+        on a letter of the trace or of a visible model move.  Let W(k, t) be
+        the relaxation's least cost after the sync of trace[k] on t, and
+        M(k) the least over j >= k and t' of unit * (j - k) + W(j, t'), M(n)
+        = 0 with the end pair "" alone.  Every cost is a multiple of unit,
+        and a first kept pair costs 0 or unit more, so W(k, t) is M(k + 1)
+        when fmask[t] holds a pair that attains M(k + 1) (t hits) and M(k +
+        1) + unit otherwise.  So M(k) = M(k + 1), attained by the hits alone,
+        when some t of trace[k] hits, and M(k + 1) + unit otherwise,
+        attained by every pair of trace[k] and every one that attained M(k +
+        1).  One backward pass keeps M(k) in `near[k]` and the pairs that
+        attain it in `lmask[k]`; a state (pos, m) keeps first one of
+        lmask[pos]'s pairs, at no extra cost when amask[m] holds it."""
+        amask, follow = self.transition_masks
         unit = min([table.visible_min, *(table.log(a)[0] for a in set(trace))])
         if not 0 < unit < math.inf:
             return None
         near, lmask = [0], [1]
         w, l = 0, 1
-        none = (0, 0)
+        none = (0, ())
         for a in reversed(trace):
-            bit, f = follow.get(a, none)
-            if f & l:
-                l = bit
+            every, pairs = follow.get(a, none)
+            hits = 0
+            for bit, f in pairs:
+                if f & l:
+                    hits |= bit
+            if hits:
+                l = hits
             else:
-                l |= bit
+                l |= every
                 w += unit
             near.append(w)
             lmask.append(l)
@@ -511,11 +525,11 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     markings, or rows and automaton entries, or the results more path
     states, than that budget.  A search adds at most one row per state it
     settles and one result no larger (the S-system route's A* fills the
-    rows of the at most |P| + 1 reachable markings first, in `letters`, and
-    its search adds none), and a membership call at most its budget in rows
-    and automaton entries on the automaton, plus, when the automaton does
-    not answer, one row per state that the search at cost ceiling 0
-    settles, at most its budget.  So after a call the graph holds at most
+    rows of the at most |P| + 1 reachable markings first, in
+    `transition_masks`, and its search adds none), and a membership call at
+    most its budget in rows and automaton entries on the automaton, plus,
+    when the automaton does not answer, one row per state that the search
+    at cost ceiling 0 settles, at most its budget.  So after a call the graph holds at most
     three times the budget, or |P| + 1 more, in rows and automaton entries,
     and besides the markings it held, the markings that call reached and
     their successors; the results hold at most twice the budget.  A new
@@ -763,11 +777,11 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     (|trace| + 1)(|P| + 1) states and reported as "ssystem"
     (`optimal_alignment_ssystem` is this route behind its checks).  When
     every transition has an input place the route is A* with the bound of
-    `_Plan.bound`, the optimum of a relaxation on the trace's letters (see
-    `dijkstra_least_cost`); the bound is off, and the route the generic
-    search, when a transition has no input place or when a log or visible
-    model move costs 0.  Every other system, acyclic ones included, goes to
-    the generic search, bounded by `budgets.states`.
+    `_Plan.bound`, the optimum of a relaxation on the trace's (position,
+    transition) pairs (see `dijkstra_least_cost`); the bound is off, and
+    the route the generic search, when a transition has no input place or
+    when a log or visible model move costs 0.  Every other system, acyclic
+    ones included, goes to the generic search, bounded by `budgets.states`.
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one

@@ -32,6 +32,35 @@ def ex1_system() -> AcceptingSystem:
     return AcceptingSystem(net, Marking.of("p_init"), Marking.of("p_final"))
 
 
+def choice_ssystem() -> AcceptingSystem:
+    """Single-token S-system in which two transitions carry the letter a.
+
+    From p_init, a (t1) then c, or b then a (t4), leads to p3, which loops
+    back to p_init silently or ends with d.
+    """
+    net = PetriNet(
+        places=("p_init", "p1", "p2", "p3", "p_final"),
+        transitions=("t1", "t2", "t3", "t4", "t5", "t6"),
+        flow=[
+            ("p_init", "t1"), ("t1", "p1"),
+            ("p_init", "t2"), ("t2", "p2"),
+            ("p1", "t3"), ("t3", "p3"),
+            ("p2", "t4"), ("t4", "p3"),
+            ("p3", "t5"), ("t5", "p_init"),
+            ("p3", "t6"), ("t6", "p_final"),
+        ],
+        labels={
+            "t1": Label("a"),
+            "t2": Label("b"),
+            "t3": Label("c"),
+            "t4": Label("a"),
+            "t5": Label(None),
+            "t6": Label("d"),
+        },
+    )
+    return AcceptingSystem(net, Marking.of("p_init"), Marking.of("p_final"))
+
+
 def ex1_acyclic_system() -> AcceptingSystem:
     """The example net without its silent loop-back transition: acyclic."""
     base = ex1_system()

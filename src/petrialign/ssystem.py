@@ -6,9 +6,10 @@ model has at most |P| + 1 reachable markings, and the generic search over
 The solver is the dispatcher's S-system route, that search bounded by this
 count, behind the two precondition checks.  When every transition has an
 input place the search is A* with a lower bound, the optimum of a
-relaxation on the trace's letters (see `engine.dijkstra_least_cost`), and
-settles about two fifths as many states: 48,063 against 124,251 on the
-benchmark's `ssystem_long` (seed 1, logs 0-2).
+relaxation on the trace's (position, transition) pairs (see
+`engine.dijkstra_least_cost`), and settles about a fifth as many states:
+26,806 against 124,251 on the benchmark's `ssystem_long` (seed 1, logs
+0-2).
 """
 
 from __future__ import annotations

@@ -219,16 +219,16 @@ def ahead_of(system, marking, budget=2000):
                                     state_budget=budget)
 
 
-def letter_sets(system):
-    """(ahead, follow) of the S-system route's bound, on `Marking`s: `ahead`
-    maps each reachable marking to the letters that its silent closure
-    enables, and "" when the closure holds the final marking; `follow` maps
-    each letter to the union of `ahead` over the markings that a transition
-    of that letter leads to from a reachable marking (empty for any other
-    letter)."""
+def transition_sets(system):
+    """(ahead, follow) of the S-system route's bound, on `Marking`s and
+    transition names: `ahead` maps each reachable marking to the visible
+    transitions that its silent closure enables, and "" when the closure
+    holds the final marking; `follow` maps each visible transition to the
+    union of `ahead` over the markings that it leads to from a reachable
+    marking (empty for any other transition)."""
     net = system.net
 
-    def closure_letters(m):
+    def closure_transitions(m):
         closure, stack, found = {m}, [m], set()
         while stack:
             k = stack.pop()
@@ -237,7 +237,7 @@ def letter_sets(system):
             for t in enabled_transitions(net, k):
                 s = fire(net, k, t)
                 if not net.label(t).silent:
-                    found.add(net.label(t).name)
+                    found.add(t)
                 elif s not in closure:
                     closure.add(s)
                     stack.append(s)
@@ -251,13 +251,31 @@ def letter_sets(system):
             if s not in reachable:
                 reachable.add(s)
                 stack.append(s)
-    ahead = {m: closure_letters(m) for m in reachable}
+    ahead = {m: closure_transitions(m) for m in reachable}
     follow = collections.defaultdict(set)
     for m in reachable:
         for t in enabled_transitions(net, m):
             if not net.label(t).silent:
-                follow[net.label(t).name] |= ahead[fire(net, m, t)]
+                follow[t] |= ahead[fire(net, m, t)]
     return ahead, follow
+
+
+def letter_sets(system):
+    """(ahead, follow) of the letter relaxation, `transition_sets` read by
+    label: `ahead` maps each reachable marking to the letters of its
+    transitions' set, and "" with it; `follow` maps each letter to the
+    labels of the union of `follow` over the transitions that carry it
+    (empty for any other letter)."""
+    net = system.net
+    ahead, follow = transition_sets(system)
+
+    def letters(found):
+        return {t if t == "" else net.label(t).name for t in found}
+
+    by_letter = collections.defaultdict(set)
+    for t, found in follow.items():
+        by_letter[net.label(t).name] |= letters(found)
+    return {m: letters(found) for m, found in ahead.items()}, by_letter
 
 
 def behavioral_reference(system, budget=2000):

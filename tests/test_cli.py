@@ -328,8 +328,10 @@ def test_bench_table(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].split()[:4] == ["instance", "algorithm", "cost", "states"]
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert any("ex1_deviating" in line and " 2 " in line for line in lines)
+    assert [line.split()[0] for line in lines if line.split()[1] == "ssystem"] == \
+        ["choice_ssystem"]
 
 
 def test_auto_equals_generic_cost(ex1_path, capsys):

@@ -27,10 +27,10 @@ from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
                      product_search_cost, random_acyclic_system, random_replayable_walk,
                      random_guarded_ssystem, random_safe_system, random_single_token_ssystem,
-                     letter_sets, random_trace, random_tree, render_moves)
+                     random_trace, random_tree, render_moves, transition_sets)
 from test_cli import FORK
 from test_ssystem import PINNED as SSYSTEM_PINNED
-from test_ssystem import bound_at, caller_costs, check_letter_bound
+from test_ssystem import bound_at, caller_costs, check_letter_bound, letter_cover
 
 TRACE = ("a", "b", "a", "a")
 
@@ -300,27 +300,29 @@ def test_search_matches_product_and_oracle():
 def _reference_bound(system, trace, costs):
     """The S-system route's lower bound as `_Plan.bound` defines it, on
     `Marking`s and exact costs, or None when it is off: a function of (pos,
-    marking), the optimum of the letter relaxation from there, taken as the
-    least cost over the first kept position j >= pos directly: unit per
-    letter logged before j, unit when letter j (or "" at the end) is not in
-    the marking's `ahead`, and W(j), the least cost after the sync of letter
-    j, itself the least over the next kept position in O(n) each."""
+    marking), the optimum of the relaxation on (position, transition) pairs
+    from there, taken as the least cost over the first kept pair (j, t) with
+    j >= pos directly: unit per letter logged before j, unit when t (or ""
+    at the end) is not in the marking's `ahead`, and W(j, t), the least cost
+    after the sync of letter j on t, itself the least over the next kept
+    pair in O(n) pairs each (`transition_sets`)."""
     net = system.net
     visible = [t for t in net.transitions if not net.label(t).silent]
     unit = min([costs.log(a) for a in trace] + [costs.model(t) for t in visible], default=0)
     if not unit:
         return None
-    ahead, follow = letter_sets(system)
+    ahead, follow = transition_sets(system)
     n = len(trace)
-    letters = (*trace, "")
-    least = [Fraction(0)] * (n + 1)
+    pairs = [[t for t in visible if net.label(t).name == a] for a in trace] + [[""]]
+    least = {(n, ""): Fraction(0)}
     for j in range(n - 1, -1, -1):
-        least[j] = min(unit * (k - j - 1 + (letters[k] not in follow[trace[j]])) + least[k]
-                       for k in range(j + 1, n + 1))
+        for t in pairs[j]:
+            least[j, t] = min(unit * (k - j - 1 + (u not in follow[t])) + least[k, u]
+                              for k in range(j + 1, n + 1) for u in pairs[k])
 
     def h(pos, m):
-        return min(unit * (j - pos + (letters[j] not in ahead[m])) + least[j]
-                   for j in range(pos, n + 1))
+        return min(unit * (j - pos + (t not in ahead[m])) + least[j, t]
+                   for j in range(pos, n + 1) for t in pairs[j])
 
     return h
 
@@ -504,6 +506,52 @@ def test_letter_bound_edge_cases(trace, start):
         assert check_letter_bound(system, trace, costs)[0]
 
 
+def _two_a_system():
+    """A single-token S-system from and to p0 whose letter a is on two
+    transitions to different places: ta1 from p0 to p1, which reaches no b
+    silently, and ta2 from p4 to p2, whose silent cycle with p3 reaches tb,
+    back to p0.  From p1, c leads on to p4 and a silent sink tz empties the
+    net."""
+    net = PetriNet(("p0", "p1", "p2", "p3", "p4"), ("ta1", "ta2", "tb", "tc", "ts", "tr", "tz"),
+                   [("p0", "ta1"), ("ta1", "p1"), ("p4", "ta2"), ("ta2", "p2"),
+                    ("p3", "tb"), ("tb", "p0"), ("p1", "tc"), ("tc", "p4"),
+                    ("p2", "ts"), ("ts", "p3"), ("p3", "tr"), ("tr", "p2"), ("p1", "tz")],
+                   {"ta1": Label("a"), "ta2": Label("a"), "tb": Label("b"), "tc": Label("c"),
+                    "ts": Label(None), "tr": Label(None), "tz": Label(None)})
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p0"))
+
+
+def test_transition_bound_beats_letter_bound():
+    """On trace a b the letter relaxation lets a (on ta1, from p0) be
+    followed by b (through ta2's place) for free, so it reads 0 at the
+    start; keeping transitions, the bound pays for a b after ta1, or for
+    ta2 out of p0, and reads unit.  Both are at most the optimum, 2 log
+    moves.  Under the standard costs and caller costs on a scale of 4, the
+    bound equals `_reference_bound` at every (pos, reachable marking), the
+    empty one included, and is at least `letter_cover` there."""
+    system = _two_a_system()
+    trace = ("a", "b")
+    quarters = CostFunction(labels=dict(system.net.labels),
+                            log_overrides={"a": Fraction(1, 2), "b": Fraction(3, 4)},
+                            model_overrides={"tc": Fraction(5, 4)})
+    for costs, unit in ((None, 1), (quarters, Fraction(1, 2))):
+        table_costs = costs or standard_costs(system)
+        plan = engine._Plan(system)
+        table = engine._MoveTable(system.net, table_costs)
+        bound = plan.bound(trace, table)
+        h = _reference_bound(system, trace, table_costs)
+        letter = letter_cover(system, trace, unit)
+        markings = {plan.graph.markings[m]: m for m in plan.graph.rows}
+        assert set(markings) == {*(Marking.of(p) for p in system.net.places), Marking()}
+        for marking, m in markings.items():
+            for pos in range(len(trace) + 1):
+                assert Fraction(bound_at(bound, pos, m), table.scale) == h(pos, marking) >= \
+                    letter(pos, marking)
+        assert letter(0, system.initial) == 0
+        assert h(0, system.initial) == unit < brute_force_oracle(trace, system, table_costs)
+        assert check_letter_bound(system, trace, costs) == (True, True)
+
+
 def test_optimal_alignment_not_easy_sound(ex1):
     broken = AcceptingSystem(ex1.net, ex1.initial, Marking.of("p1"))
     with pytest.raises(NotEasySound):
@@ -596,11 +644,11 @@ def test_dispatch_attaches_lbfc_cap(ex1):
 # route's A* (see `dijkstra_least_cost`).
 WORK_PINNED = {
     ("acyclic", "generic"): (76, 1246, 366),
-    ("acyclic", "ssystem"): (4, 46, 23),
+    ("acyclic", "ssystem"): (4, 42, 23),
     ("safe", "generic"): (80, 716, 398),
-    ("ssystem", "ssystem"): (80, 659, 268),
+    ("ssystem", "ssystem"): (80, 613, 268),
     ("tree", "generic"): (40, 4014, 117),
-    ("tree", "ssystem"): (40, 288, 167),
+    ("tree", "ssystem"): (40, 287, 167),
 }
 
 
