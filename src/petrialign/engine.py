@@ -365,19 +365,15 @@ def _weight(v: Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-_plan_lock = threading.Lock()   # making a plan, storing a result
-
-
 class _Plan:
     """What aligning a trace against a system, or deciding its membership,
     needs of the system alone: the model graph, the numbers of the system's
     ends on it, the silent transitions that must fire, the standard-cost
     results found so far and, made on first use, the move table of the
-    standard costs.  Every part depends on the system only, so concurrent
-    callers that both compute one agree.  A call with the caller's costs
-    prices them in a table of its own.  The parts are made with the plan and
-    belong to its one graph for life: an over-budget plan is replaced whole
-    (see `_plan`).
+    standard costs.  A plan is reached only from the thread that made it
+    (see `_plan`).  A call with the caller's costs prices them in a table of
+    its own.  The parts are made with the plan and belong to its one graph
+    for life: an over-budget plan is replaced whole.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -412,12 +408,6 @@ class _Plan:
         self.must = graph.must_fire(self.ends[1])
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
-
-    def store(self, key: tuple, result: AlignResult) -> None:
-        with _plan_lock:
-            if key not in self.results:
-                self.results[key] = result
-                self.results_size += len(result.alignment) + 1
 
     @cached_property
     def standard_moves(self) -> _MoveTable:
@@ -512,13 +502,15 @@ class _Plan:
         return amask, near, lmask, unit
 
 
-_last_plan: _Plan | None = None
+_memo = threading.local()   # `plan`: this thread's last plan
 
 
 def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
-    """The plan of `sys`, remembered for the last system only: consecutive
-    calls on one system share it, and no older system is kept alive.  The
-    plan holds its system, so a match by identity is never a reused id.
+    """The plan of `sys`, remembered per thread for the thread's last system
+    only: consecutive calls on one system in one thread share it, and no
+    older system is kept alive.  Threads share no plan, so a call never
+    evicts another thread's.  The plan holds its system, so a match by
+    identity is never a reused id.
 
     One rule bounds what the plan keeps: each call asks for the plan with
     its state budget, and gets a new one when the graph holds more
@@ -532,21 +524,18 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     at cost ceiling 0 settles, at most its budget.  So after a call the graph holds at most
     three times the budget, or |P| + 1 more, in rows and automaton entries,
     and besides the markings it held, the markings that call reached and
-    their successors; the results hold at most twice the budget.  A new
-    plan is made under a lock, so threads that find the same plan wanting
-    share the one that replaces it."""
-    global _last_plan
-    plan = _last_plan
+    their successors; the results hold at most twice the budget."""
+    try:
+        plan = _memo.plan
+    except AttributeError:   # the thread's first call
+        plan = None
     if plan is not None and plan.sys is sys:
         graph = plan.graph
         if (len(graph.markings) <= state_budget and graph.size <= state_budget
                 and plan.results_size <= state_budget):
             return plan
-    with _plan_lock:
-        # When another thread replaced the plan meanwhile by one of `sys`, share it.
-        if _last_plan is plan or _last_plan.sys is not sys:
-            _last_plan = _Plan(sys)
-        return _last_plan
+    plan = _memo.plan = _Plan(sys)
+    return plan
 
 
 def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction | None,
@@ -578,7 +567,8 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     result = AlignResult(seq, Fraction(cost) if scale == 1 else Fraction(cost, scale),
                          algorithm, settled)
     if c is None:
-        plan.store(key, result)
+        plan.results[key] = result
+        plan.results_size += len(result.alignment) + 1
     return result
 
 
@@ -594,26 +584,25 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     """Language membership: does a perfect (cost-0) alignment exist?
 
     Reads synchronous and silent model moves only, so easy-soundness of the
-    model is not required for termination.  The word is walked on the
-    subset automaton of the plan's model graph (see `_MarkingGraph`), which
-    the alignment searches on the system share: one dict lookup per letter,
-    in the current state's table, once the steps are made, and the verdict is
-    whether the last state holds the final marking.  A step or the start
-    that no call has made yet is made from the rows, under a ceiling on the
-    graph's size: its size when the call began plus `state_budget`, less
-    the sizes of the states the walk has passed.
+    model is not required for termination.  The word is walked on the subset
+    automaton of the plan's model graph (see `_MarkingGraph`), which the
+    alignment searches on the system in the thread share: one dict lookup
+    per letter, in the current state's table, once the steps are made, and
+    the verdict is whether the last state holds the final marking.  A step
+    or the start that no call has made yet is made from the rows, under a
+    ceiling on the graph's size: its size when the call began plus
+    `state_budget`, less the sizes of the states the walk has passed.
 
     The answer comes from the automaton only while the graph stays within
     that ceiling: while what the call added, plus the sizes of the states
-    the walk passes, is at most `state_budget`.  What another thread adds
-    meanwhile counts too, which only sends more words to the search below.
-    Any other word goes to the alignment search under the standard costs at
-    a cost ceiling of 0.  Sync and silent model moves alone cost 0, so that
-    search settles only states (m, k) with m in the automaton's state after
-    k letters: within the budget it can neither raise nor answer otherwise,
-    and every verdict and every BudgetExceeded is that of the search on a
-    fresh graph.  A perfect alignment syncs every letter, so a word with a
-    letter that no transition carries is not in the language.
+    the walk passes, is at most `state_budget`.  Any other word goes to the
+    alignment search under the standard costs at a cost ceiling of 0.  Sync
+    and silent model moves alone cost 0, so that search settles only states
+    (m, k) with m in the automaton's state after k letters: within the
+    budget it can neither raise nor answer otherwise, and every verdict and
+    every BudgetExceeded is that of the search on a fresh graph.  A perfect
+    alignment syncs every letter, so a word with a letter that no transition
+    carries is not in the language.
     """
     trace = tuple(trace)
     plan = _plan(sys, state_budget)
@@ -787,7 +776,7 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
     system share the net's compiled view (`petri._NetView`), of which the
     route reads the S-net flag alone, and search a trace they repeat under
-    the standard costs once; only the last system is remembered.
+    the standard costs once; each thread remembers its last system.
     """
     states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
     view = _net_view(sys.net)

@@ -8,7 +8,6 @@ and transitions, so every computation downstream is deterministic.
 from __future__ import annotations
 
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -424,16 +423,16 @@ class _MarkingGraph:
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
     number) pair per enabled transition, in declaration order.  A row is
-    filled the first time a caller asks for it, under the lock, so callers
-    in several threads agree on every number.  No row depends on a root or a
-    trace: the alignment search and membership on one system share the
+    filled the first time a caller asks for it.  No row depends on a root or
+    a trace: the alignment search and membership on one system share the
     graph, and a search may have numbered markings that are not reachable
     (its goal); the breadth-first search (`explore`) walks a fresh graph of
     its own, whose rows the classifier and reachability graphs read.  The
     subset automaton's start state and acceptance bind the system whose
     marking numbers its first caller gives, and `must_fire` the final
     marking it is given, so a graph serves one system: the engine makes one
-    per plan, and it lives as long as its plan.
+    per plan, it lives as long as its plan, and only the plan's thread
+    reaches it.
 
     Each marking is keyed by its token counts, a tuple in place declaration
     order, and found by its key.  A row reads its parent's key alone: a
@@ -451,25 +450,22 @@ class _MarkingGraph:
 
     Membership reads the graph through a subset automaton (Rabin and Scott,
     *Finite automata and their decision problems*, 1959) of one system,
-    built on demand under the lock from the rows and `labels`, the view's
-    label name of each transition by index; the first caller gives the
-    numbers of the system's initial and final markings (`subset_start`).  A
-    state is the frozenset of the marking numbers that a prefix of a word
-    leads to, closed under silent moves, and is numbered the first time it
-    is made: `states`, `sizes`, `accepting` and `steps` hold, per state
-    number, its markings, how many they are, whether the final marking is
-    one of them, and its transition table, which maps a letter to the number
-    of the state that the letter leads to: the silent closure of the
-    successors, by the letter's transitions, of the state's markings.  A
-    state's entries are appended before its number is stored anywhere a
-    reader finds it (`start` or a table), so membership walks the tables
-    without the lock: every number it reads indexes all four lists.  A
-    closure in which a row enables a silent transition that produces a token
-    and consumes none for good is infinite, and is given up at that row.
-    The start and each step are made the first time a caller asks for them,
-    under a ceiling on `size`: the caller gets None, and no state, when more
-    would be needed.  `size` counts rows and automaton entries: one per row
-    and per step, and per state the markings it holds."""
+    built on demand from the rows and `labels`, the view's label name of
+    each transition by index; the first caller gives the numbers of the
+    system's initial and final markings (`subset_start`).  A state is the
+    frozenset of the marking numbers that a prefix of a word leads to,
+    closed under silent moves, and is numbered the first time it is made:
+    `states`, `sizes`, `accepting` and `steps` hold, per state number, its
+    markings, how many they are, whether the final marking is one of them,
+    and its transition table, which maps a letter to the number of the state
+    that the letter leads to: the silent closure of the successors, by the
+    letter's transitions, of the state's markings.  A closure in which a row
+    enables a silent transition that produces a token and consumes none for
+    good is infinite, and is given up at that row.  The start and each step
+    are made the first time a caller asks for them, under a ceiling on
+    `size`: the caller gets None, and no state, when more would be needed.
+    `size` counts rows and automaton entries: one per row and per step, and
+    per state the markings it holds."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -483,7 +479,6 @@ class _MarkingGraph:
         self.steps: list[dict[str, int]] = []
         self.start: int | None = None   # the state of the initial marking
         self._final = -1                # the final marking's number
-        self._lock = threading.RLock()   # the automaton's steps read rows
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
         view = _net_view(net)
@@ -503,11 +498,10 @@ class _MarkingGraph:
     def number(self, m: Marking) -> int:
         """The number of the marking, numbering it when it has none."""
         key = self._key(m)
-        with self._lock:
-            i = self._by_key.get(key)
-            if i is None:
-                i = self._add(m, key)
-            return i
+        i = self._by_key.get(key)
+        if i is None:
+            i = self._add(m, key)
+        return i
 
     def must_fire(self, final: int) -> frozenset[int]:
         """The indices of the transitions of `_NetView.forced` with no input
@@ -519,66 +513,61 @@ class _MarkingGraph:
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
-        with self._lock:
-            row = self.rows.get(i)
-            if row is None:
-                key = self._keys[i]
-                candidates = [*self._unguarded,
-                              *chain.from_iterable(compress(self._first, key))]
-                candidates.sort()
-                by_key = self._by_key
-                out = []
-                for k, rest, consume, produce in candidates:
-                    for p in rest:
-                        if not key[p]:
-                            break
-                    else:
-                        counts = list(key)
-                        for p in consume:
-                            counts[p] -= 1
-                        for p in produce:
-                            counts[p] += 1
-                        counts = tuple(counts)
-                        s = by_key.get(counts)
-                        if s is None:
-                            s = self._add(fire(self.net, self.markings[i],
-                                               self.net.transitions[k]), counts)
-                        out.append((k, s))
-                row = self.rows[i] = tuple(out)
-                self.size += 1
+        row = self.rows.get(i)
+        if row is None:
+            key = self._keys[i]
+            candidates = [*self._unguarded,
+                          *chain.from_iterable(compress(self._first, key))]
+            candidates.sort()
+            by_key = self._by_key
+            out = []
+            for k, rest, consume, produce in candidates:
+                for p in rest:
+                    if not key[p]:
+                        break
+                else:
+                    counts = list(key)
+                    for p in consume:
+                        counts[p] -= 1
+                    for p in produce:
+                        counts[p] += 1
+                    counts = tuple(counts)
+                    s = by_key.get(counts)
+                    if s is None:
+                        s = self._add(fire(self.net, self.markings[i],
+                                           self.net.transitions[k]), counts)
+                    out.append((k, s))
+            row = self.rows[i] = tuple(out)
+            self.size += 1
         return row
 
     def subset_start(self, initial: int, final: int, top: int) -> int | None:
-        """The start state, the silent closure of marking `initial`, made on
-        first use with these marking numbers, or None when making it would
-        bring `size` above `top`."""
-        with self._lock:
-            if self.start is None:
-                self._final = final
-                self.start = self._state({initial}, top)
-            return self.start
+        """The start state, the silent closure of marking `initial`, made
+        with these marking numbers and kept in `start`, or None when making
+        it would bring `size` above `top`."""
+        self._final = final
+        self.start = self._state({initial}, top)
+        return self.start
 
     def subset_step(self, k: int, letter: str, top: int) -> int | None:
         """The number of the state that state k leads to by `letter`, made on
         first use, or None when making it would bring `size` above `top`."""
-        with self._lock:
-            table = self.steps[k]
-            j = table.get(letter)
-            if j is None:
-                rows, labels = self.rows, self.labels
-                j = self._state({s for m in self.states[k] for t, s in rows[m]
-                                 if labels[t] == letter}, top - 1)   # room for the step
-                if j is not None:
-                    table[letter] = j
-                    self.size += 1
-            return j
+        table = self.steps[k]
+        j = table.get(letter)
+        if j is None:
+            rows, labels = self.rows, self.labels
+            j = self._state({s for m in self.states[k] for t, s in rows[m]
+                             if labels[t] == letter}, top - 1)   # room for the step
+            if j is not None:
+                table[letter] = j
+                self.size += 1
+        return j
 
     def _state(self, seen: set[int], top: int) -> int | None:
         """The number of the state of the silent closure of the markings in
         `seen`, a set that the walk over the rows extends, numbered when it
         has none, or None when that would bring `size` above `top`, as it
-        does at once when a row in it enables a pump; the caller holds the
-        lock."""
+        does at once when a row in it enables a pump."""
         rows, labels, pumps = self.rows, self.labels, self._pumps
         stack = list(seen)
         while stack:

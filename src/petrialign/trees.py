@@ -302,8 +302,7 @@ class _Terms:
         return any(self.nullable[t] for t in current)
 
 
-_last_terms: _Terms | None = None
-_terms_lock = threading.Lock()
+_memo = threading.local()   # `terms`: this thread's last tree's terms
 
 
 def tree_language_member(tree: ProcessTree, word: Sequence[str],
@@ -314,15 +313,13 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
     Each term of the current set at each letter is one step, counted whether
     or not an earlier call derived it, so a verdict never depends on earlier
     calls; the first step past `budget` raises BudgetExceeded(budget + 1).
-    The terms and their derivatives are kept for the last tree only, matched
-    by identity: consecutive calls on one tree share them, and no older tree
-    is kept alive.  A call holds a lock while it fills them."""
-    global _last_terms
-    with _terms_lock:
-        terms = _last_terms
-        if terms is None or terms.tree is not tree:
-            terms = _last_terms = _Terms(tree)
-        return terms.member(word, budget)
+    Each thread keeps the terms and their derivatives of its last tree only,
+    matched by identity: consecutive calls on one tree in one thread share
+    them, and no older tree is kept alive."""
+    terms = getattr(_memo, "terms", None)
+    if terms is None or terms.tree is not tree:
+        terms = _memo.terms = _Terms(tree)
+    return terms.member(word, budget)
 
 
 class _NetBuilder:

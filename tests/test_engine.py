@@ -1731,10 +1731,23 @@ def test_model_graph_is_scoped_to_one_system_object(monkeypatch):
     assert len(fired) % 2 == 0 and len(fired) > 0
 
 
-def test_threads_share_one_model_graph():
+def _own_graphs(rounds_graphs, rounds):
+    """Asserts that, in each round, every thread's graph was made for the
+    round's system, that no two threads share one, and that each numbers
+    every marking once."""
+    for graphs, (system, _, _) in zip(rounds_graphs, rounds):
+        assert all(graph.net is system.net for graph in graphs)
+        assert len({id(graph) for graph in graphs}) == len(graphs)
+        for graph in graphs:
+            assert len(graph._by_key) == len(graph.markings) > 0
+            assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+
+
+def test_threads_keep_a_model_graph_each():
     """Searches in more threads than cores, started together on each new
-    system object and switching as often as the interpreter allows, number
-    every marking once and give the results of fresh systems."""
+    system object and switching as often as the interpreter allows, give
+    the results of fresh systems, each thread on a plan and graph of its
+    own that numbers every marking once."""
     rng = random.Random(61)
     workers = 6
     words = [("a", "b", "c"), ("d", "e", "f"), ("g", "h"), ("i", "j"), ("k", "l")]
@@ -1746,16 +1759,13 @@ def test_threads_share_one_model_graph():
                                         for trace in traces]))
     barrier = threading.Barrier(workers, timeout=60)
     got = [[None] * workers for _ in rounds]
-    graphs = []
+    graphs = [[None] * workers for _ in rounds]
 
     def work(k):
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = optimal_alignment(traces[k], system)
-            # The graph is read once every thread is done with the round.
-            barrier.wait()
-            if k == 0:
-                graphs.append(engine._plan(system, DEFAULT_STATE_BUDGET).graph)
+            graphs[r][k] = engine._memo.plan.graph
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1769,9 +1779,7 @@ def test_threads_share_one_model_graph():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected for _, _, expected in rounds]
-    for graph in graphs:
-        assert len(graph._by_key) == len(graph.markings) > 100
-        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+    _own_graphs(graphs, rounds)
 
 
 def _interleaving(rng, words):
@@ -1783,10 +1791,11 @@ def _interleaving(rng, words):
     return tuple(shuffled)
 
 
-def test_threads_share_one_membership_graph():
+def test_threads_keep_a_membership_graph_each():
     """Membership calls in more threads than cores, started together on each
-    new system object and switching as often as the interpreter allows,
-    number every marking once and give the verdicts of fresh systems."""
+    new system object and switching as often as the interpreter allows, give
+    the verdicts of fresh systems, each thread on a plan and graph of its
+    own that numbers every marking once."""
     rng = random.Random(67)
     workers = 6
     words = [("a", "b", "c"), ("d", "e", "f"), ("g", "h"), ("i", "j"), ("k", "l")]
@@ -1802,16 +1811,13 @@ def test_threads_share_one_membership_graph():
                                         for mine in traces]))
     barrier = threading.Barrier(workers, timeout=60)
     got = [[None] * workers for _ in rounds]
-    graphs = []
+    graphs = [[None] * workers for _ in rounds]
 
     def work(k):
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = [membership(trace, system) for trace in traces[k]]
-            # The graph is read once every thread is done with the round.
-            barrier.wait()
-            if k == 0:
-                graphs.append(engine._plan(system, DEFAULT_STATE_BUDGET).graph)
+            graphs[r][k] = engine._memo.plan.graph
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1826,12 +1832,10 @@ def test_threads_share_one_membership_graph():
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected for _, _, expected in rounds]
     assert any(False in verdicts for _, _, expected in rounds for verdicts in expected)
-    for graph in graphs:
-        assert len(graph._by_key) == len(graph.markings) > 100
-        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
-        # The walk reads the per-state lists without the lock: every number
-        # in a table indexes all of them.
+    _own_graphs(graphs, rounds)
+    for graph in itertools.chain.from_iterable(graphs):
         n = len(graph.states)
+        assert n > 0
         assert len(graph.steps) == n == len(graph.sizes) == len(graph.accepting)
         assert all(0 <= j < n for table in graph.steps for j in table.values())
 
@@ -1961,7 +1965,41 @@ def test_a_cap_leaves_the_plan_alone(monkeypatch):
     assert searched == [TRACE]
     assert lbfc_cap(b, 4) == 180
     assert dispatch_align(TRACE, a) is first
-    assert searched == [TRACE] and engine._last_plan.sys is a
+    assert searched == [TRACE] and engine._memo.plan.sys is a
+
+
+def test_a_call_in_another_thread_leaves_the_plan_alone(monkeypatch):
+    """Thread A aligns a trace on one system, then thread B one on another
+    system, then A the first trace again: A's plan outlived B's call, so the
+    repeat is A's stored result, with no search."""
+    x, y = ex1_system(), ex1_system()
+    other = ("a", "b")
+    expected = dispatch_align(other, _fresh(y))
+    searched = _counted_searches(monkeypatch)
+    barrier = threading.Barrier(2, timeout=60)
+    got = {}
+
+    def thread_a():
+        got["first"] = dispatch_align(TRACE, x)
+        barrier.wait()   # B aligns now
+        barrier.wait()
+        got["again"] = dispatch_align(TRACE, x)
+        got["plan"] = engine._memo.plan.sys
+
+    def thread_b():
+        barrier.wait()
+        got["other"] = dispatch_align(other, y)
+        barrier.wait()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got["again"] is got["first"] and got["plan"] is x
+    assert got["other"] == expected
+    assert searched == [TRACE, other]
 
 
 def test_a_raise_is_stored_as_nothing(ex1, monkeypatch):
@@ -2031,7 +2069,7 @@ def test_a_plan_keeps_its_graph_ends_and_must_for_life():
         warm = []
         for op, trace, budget in calls:
             warm.append(_outcome(op, trace, system, budget))
-            plan = engine._last_plan
+            plan = getattr(engine._memo, "plan", None)
             if plan is not None and plan.sys is system:
                 plans.setdefault(plan, (plan.graph, plan.ends, plan.must))
         assert warm == fresh, str(system.net)

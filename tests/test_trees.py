@@ -1,8 +1,11 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
+from petrialign import trees
 from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
                         membership, parse_tree, shuffle_member,
                         structural_class, tree_alphabet, tree_language_member,
@@ -176,6 +179,53 @@ def test_a_verdict_does_not_depend_on_the_calls_before_it():
     rng.shuffle(order)
     assert all(_verdict_under_a_small_budget(*calls[k]) == in_order[k] for k in order)
     assert set(in_order) == {True, False, None}
+
+
+def test_threads_match_one_tree_with_terms_of_their_own():
+    """Calls in more threads than cores on one tree, started together on
+    each new tree, in an order of their own and switching as often as the
+    interpreter allows, give the verdicts of one thread, each thread on
+    terms of its own."""
+    rng = random.Random(12)
+    workers = 4
+    rounds = []
+    for _ in range(20):
+        tree = random_tree(rng, depth=4)
+        words = list(all_words(tree_alphabet(tree) + ("z",), 4))
+        rounds.append((tree, words, [tree_language_member(tree, word) for word in words]))
+    mine = trees._memo.terms
+    orders = [[rng.sample(range(len(words)), len(words)) for _ in range(workers)]
+              for _, words, _ in rounds]
+    barrier = threading.Barrier(workers, timeout=60)
+    got = [[None] * workers for _ in rounds]
+    terms = [[None] * workers for _ in rounds]
+
+    def work(k):
+        for r, (tree, words, _) in enumerate(rounds):
+            barrier.wait()
+            verdicts = [None] * len(words)
+            for i in orders[r][k]:
+                verdicts[i] = tree_language_member(tree, words[i])
+            got[r][k] = verdicts
+            terms[r][k] = trees._memo.terms
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[expected] * workers for _, _, expected in rounds]
+    assert {True, False} <= {v for _, _, expected in rounds for v in expected}
+    for (tree, _, _), made in zip(rounds, terms):
+        assert all(t.tree is tree for t in made)
+        assert len({id(t) for t in made}) == workers
+    assert all(t is not mine for t in itertools.chain.from_iterable(terms))
 
 
 @pytest.mark.parametrize("seed", range(4))
