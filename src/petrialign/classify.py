@@ -108,7 +108,7 @@ class BoundReport:
     exceeded b_max (see certificates['exceeded'])."""
 
     bound_found: int | None
-    safe: bool | None
+    safe: bool
     states_explored: int
     certificates: Mapping[str, Any] = field(default_factory=dict)
 
@@ -139,12 +139,12 @@ def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
 @dataclass(frozen=True)
 class BehavioralReport:
     bound_found: int | None
-    safe: bool | None
-    quasi_live: bool | None
-    live: bool | None
-    cyclic: bool | None
-    easy_sound: bool | None
-    sound: bool | None
+    safe: bool
+    quasi_live: bool
+    live: bool
+    cyclic: bool
+    easy_sound: bool
+    sound: bool
     states_explored: int
     certificates: Mapping[str, Any] = field(default_factory=dict)
 

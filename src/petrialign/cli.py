@@ -45,9 +45,7 @@ def _budget(text: str) -> int:
     return value
 
 
-def _flag(value) -> str:
-    if value is None:
-        return "inconclusive"
+def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 

@@ -22,7 +22,7 @@ from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, C
                     Move, standard_costs)
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
                      Unreachable)
-from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
+from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet, _closure,
                     _enabled_among, _MarkingGraph, _net_view, fire, is_token)
 
 
@@ -424,34 +424,24 @@ class _Plan:
         that carry it, and pairs, (bit, fmask) per such transition, fmask
         the union of `amask` over the markings that it leads to (one at
         most, on a single-token S-net).  Both read the rows of every
-        reachable marking, which this fills.  A marking numbered but not
+        reachable marking, which this fills: `petri._closure` walks the
+        reachable set and each silent closure.  A marking numbered but not
         reachable has no bit."""
         graph, (initial, final) = self.graph, self.ends
-        labels = graph.labels
+        labels, row = graph.labels, graph.row
         tbits = [0 if a is None else 2 << t for t, a in enumerate(labels)]
-        rows = {initial: graph.row(initial)}
-        stack = [initial]
-        while stack:
-            for _, s in rows[stack.pop()]:
-                if s not in rows:
-                    rows[s] = graph.row(s)
-                    stack.append(s)
+        reachable = _closure(initial, lambda m: [s for _, s in row(m)])
         amask = [0] * len(graph.markings)
-        for m in rows:
-            closure, stack = {m}, [m]
-            while stack:
-                for t, s in rows[stack.pop()]:
-                    if labels[t] is None and s not in closure:
-                        closure.add(s)
-                        stack.append(s)
+        for m in reachable:
+            closure = _closure(m, lambda k: [s for t, s in row(k) if labels[t] is None])
             mask = 1 if final in closure else 0
             for k in closure:
-                for t, _ in rows[k]:
+                for t, _ in row(k):
                     mask |= tbits[t]
             amask[m] = mask
         fmask = [0] * len(labels)
-        for row in rows.values():
-            for t, s in row:
+        for m in reachable:
+            for t, s in row(m):
                 fmask[t] |= amask[s]
         follow: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {}
         for t, a in enumerate(labels):
@@ -513,18 +503,19 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     identity is never a reused id.
 
     One rule bounds what the plan keeps: each call asks for the plan with
-    its state budget, and gets a new one when the graph holds more
-    markings, or rows and automaton entries, or the results more path
-    states, than that budget.  A search adds at most one row per state it
-    settles and one result no larger (the S-system route's A* fills the
-    rows of the at most |P| + 1 reachable markings first, in
+    its state budget, and gets a new one when the graph holds more markings,
+    or rows and automaton entries, or the results more path states, than
+    that budget.  A search adds at most one row per state it settles and one
+    result no larger (the S-system route's A*, under the caller's budget as
+    every route, fills the rows of its at most |P| + 1 reachable markings in
     `transition_masks`, and its search adds none), and a membership call at
     most its budget in rows and automaton entries on the automaton, plus,
-    when the automaton does not answer, one row per state that the search
-    at cost ceiling 0 settles, at most its budget.  So after a call the graph holds at most
-    three times the budget, or |P| + 1 more, in rows and automaton entries,
-    and besides the markings it held, the markings that call reached and
-    their successors; the results hold at most twice the budget."""
+    when the automaton does not answer, one row per state that the search at
+    cost ceiling 0 settles, at most its budget.  So after a call the graph
+    holds at most three times the budget, or |P| + 1 more, in rows and
+    automaton entries, and besides the markings it held, the markings that
+    call reached and their successors; the results hold at most twice the
+    budget."""
     try:
         plan = _memo.plan
     except AttributeError:   # the thread's first call
@@ -762,15 +753,14 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
                    budgets: Budgets | None = None) -> AlignResult:
     """Route to the cheapest applicable solver based on the classifiers.
 
-    Single-token S-systems take the S-system route: the search, capped at
-    (|trace| + 1)(|P| + 1) states and reported as "ssystem"
-    (`optimal_alignment_ssystem` is this route behind its checks).  When
-    every transition has an input place the route is A* with the bound of
-    `_Plan.bound`, the optimum of a relaxation on the trace's (position,
-    transition) pairs (see `dijkstra_least_cost`); the bound is off, and
-    the route the generic search, when a transition has no input place or
-    when a log or visible model move costs 0.  Every other system, acyclic
-    ones included, goes to the generic search, bounded by `budgets.states`.
+    Single-token S-systems, whose every transition has one input place and
+    at most one output place, take the S-system route, reported as
+    "ssystem" (`optimal_alignment_ssystem` is this route behind its
+    checks): A* with the bound of `_Plan.bound`, the optimum of a
+    relaxation on the trace's (position, transition) pairs (see
+    `dijkstra_least_cost`), off when a log or visible model move costs 0.
+    Every other system, acyclic ones and unbounded S-nets included, goes to
+    the generic search.  Both routes run under `budgets.states`.
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
@@ -780,13 +770,6 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     """
     states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
     view = _net_view(sys.net)
-    if view.s_net and sys.initial.total() == 1:
-        trace = tuple(trace)
-        # The search never needs more states than this, unless a transition
-        # with no input place makes the net unbounded.  Then the bound may cut
-        # the search short: it returns an optimal alignment if it settles the
-        # final state within the bound and raises BudgetExceeded otherwise.
-        bound = (len(trace) + 1) * (len(sys.net.places) + 1)
-        return align_by_search(trace, sys, c, min(states, bound), "ssystem",
-                               guided=not view.unguarded)
+    if view.s_net and not view.unguarded and sys.initial.total() == 1:
+        return align_by_search(trace, sys, c, states, "ssystem", guided=True)
     return optimal_alignment(trace, sys, c, states)

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import BudgetExceeded, NotEnabled, UnknownTransition
 
@@ -258,7 +258,10 @@ class PetriNet:
         return f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, |F|={len(self.flow)})"
 
 
-def _closure(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
+_V = TypeVar("_V", bound=Hashable)
+
+
+def _closure(start: _V, step: Callable[[_V], Iterable[_V]]) -> set[_V]:
     """The vertices that `step`, applied again and again, reaches from
     `start`, `start` included: one depth-first walk."""
     seen = {start}

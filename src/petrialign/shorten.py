@@ -30,14 +30,9 @@ class Cluster:
 def compute_clusters(net: PetriNet) -> tuple[Cluster, ...]:
     """Partition of the transitions by pre-set equality, in declaration order."""
     groups: dict[frozenset, list[str]] = {}
-    order: list[frozenset] = []
     for t in net.transitions:
-        key = frozenset(net.preset(t))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(t)
-    return tuple(Cluster(tuple(sorted(key)), tuple(groups[key])) for key in order)
+        groups.setdefault(frozenset(net.preset(t)), []).append(t)
+    return tuple(Cluster(tuple(sorted(key)), tuple(members)) for key, members in groups.items())
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,9 @@ def test_realize_stuck_contradiction():
     net = trace_system(("a", "b")).net
     with pytest.raises(StuckContradiction):
         realize_parikh_acyclic(net, Marking.of("p0"), {"t2": 1})
+    for counts in ({"t9": 1}, {"t1": -1}):
+        with pytest.raises(StuckContradiction):
+            realize_parikh_acyclic(net, Marking.of("p0"), counts)
 
 
 def test_realize_stops_without_backtracking():

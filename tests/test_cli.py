@@ -18,6 +18,10 @@ FORK = "place p init=1\nplace q final=1\nplace r\ntrans t label=a in=p out=q,r\n
 UNORDERED = ("place p init=1\nplace q\nplace r\nplace r2\n"
              "trans a label=a in=p out=q\ntrans b label=b in=p out=r\n"
              "trans c label=c in=q,r2 out=p\ntrans d label=d in=r out=p,r2\n")
+# An S-net whose transition src has no input place, so it is unbounded.
+SOURCE = ("place p0 init=1\nplace p1\nplace pf final=1\n"
+          "trans ta label=a in=p0 out=p1\ntrans tb label=b in=p1 out=pf\n"
+          "trans src label=c in= out=p1\ntrans tk label=d in=p1 out=\n")
 # A machine that accepts at once.
 TM = ("states q0 qacc qrej\nblank _\ntape a _\nspace 1\n"
       "delta q0 a -> qacc _ S\ndelta q0 _ -> qacc _ S\n")
@@ -93,6 +97,20 @@ def test_ssystem_budget_exit_code(tmp_path, capsys):
                        "--algo", "ssystem", "--states", "3")
     assert code == 0
     assert out.splitlines()[:3] == ["cost=0", "algorithm=ssystem", "states=3"]
+
+
+def test_an_unbounded_s_net_takes_the_generic_search(tmp_path, capsys):
+    """The dispatcher aligns it by the generic search, and the S-system
+    solver rejects it.  A small budget keeps the cap's walk of the
+    unbounded net short."""
+    path = tmp_path / "source.net"
+    path.write_text(SOURCE)
+    code, out, _ = run(capsys, "align", str(path), "--trace", "c,c,c,c,c,d,a,b",
+                       "--states", "2000")
+    assert code == 0 and out.splitlines()[:2] == ["cost=4", "algorithm=generic"]
+    code, _, err = run(capsys, "align", str(path), "--trace", "c,c,c,c,c,d,a,b",
+                       "--algo", "ssystem")
+    assert code == 4 and "input place" in err
 
 
 @pytest.fixture
@@ -189,6 +207,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nope")[0] == 2
+
+
+def test_a_missing_net_file_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", str(tmp_path / "missing.net"))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_classify_output(ex1_path, capsys):

@@ -63,6 +63,11 @@ def test_min_cost_reach_zero_costs_is_reachability(ex1):
 def test_min_cost_reach_target_outside_the_net(ex1):
     with pytest.raises(Unreachable):
         min_cost_reach(ex1.net, ex1.initial, {}, Marking.of("p_final", "elsewhere"))
+    # Tokens outside the net on which both markings agree never move.
+    costs = {t: 1 for t in ex1.net.transitions}
+    assert min_cost_reach(ex1.net, Marking.of("p_init", "elsewhere"), costs,
+                          Marking.of("p_final", "elsewhere")) == \
+        min_cost_reach(ex1.net, ex1.initial, costs, Marking.of("p_final"))
 
 
 def test_min_cost_reach_rejects_unknown_cost_keys(ex1):
@@ -104,6 +109,8 @@ def test_trace_letters_are_checked(ex1, letter):
         optimal_alignment(("a", letter), ex1)
     with pytest.raises(ValueError):
         optimal_alignment_ssystem((letter,), trace_system(("a",)))
+    with pytest.raises(ValueError):
+        trace_system(("a", letter))
 
 
 def _silent_cycle_system():
@@ -617,8 +624,9 @@ def test_lbfc_length_bound_values():
     assert lbfc_length_bound(5, 1, 4) == 180
     assert lbfc_length_bound(0, 1, 3) == 4
     assert lbfc_length_bound(7, 1, 0) == 1 * 7 * 8 * 9 // 6 + 1
-    with pytest.raises(ValueError):
-        lbfc_length_bound(3, 0, 1)
+    for t_count, b, trace_len in ((3, 0, 1), (-1, 1, 1), (3, 1, -1)):
+        with pytest.raises(ValueError):
+            lbfc_length_bound(t_count, b, trace_len)
 
 
 def test_dispatch_routes(ex1):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -302,6 +303,29 @@ def test_tm_net_aux_isolation():
     probe = AcceptingSystem(system.net, after_start, system.final)
     for marking in build_reachability_graph(probe).vertices:
         assert marking["p_aux"] == 0
+
+
+@pytest.mark.parametrize("change", [
+    {"blank": "a"},                                   # blank is an input letter
+    {"input_alphabet": ("a", "b")},                   # b is no tape symbol
+    {"initial": "q9"},                                # undeclared state
+    {"space_bound": 0},
+    {"rules": {**immediate_accept().rules, ("qacc", "_"): ("qacc", "_", 0)}},
+    {"rules": {**immediate_accept().rules, ("q0", "_"): ("q9", "_", 0)}},
+    {"rules": {**immediate_accept().rules, ("q0", "_"): ("qacc", "z", 0)}},
+    {"rules": {**immediate_accept().rules, ("q0", "_"): ("qacc", "_", 2)}},
+], ids=["blank", "input", "initial", "space", "halting_rule", "rule_state", "rule_symbol",
+        "move"])
+def test_machine_checks(change):
+    with pytest.raises(ValueError):
+        dataclasses.replace(immediate_accept(), **change)
+
+
+def test_run_checks_its_input():
+    with pytest.raises(ValueError):
+        run_machine(immediate_accept(), ("b",))
+    with pytest.raises(SpaceBoundViolated):
+        run_machine(immediate_accept(), ("a", "a", "a"))
 
 
 def test_machine_validation():

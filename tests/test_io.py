@@ -87,6 +87,23 @@ def test_parse_bad_directive():
         parse_net("placeholder p\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("place\n", 1),                                            # no id
+    ("place p-q\n", 1),                                        # bad place id
+    ("place p\ntrans t.1 label=a in=p out=p\n", 2),            # bad transition id
+    ("place p\ntrans t label=a in=p out=p weight=2\n", 2),     # unknown option
+    ("place p\ntrans t label a in=p out=p\n", 2),              # option with no =
+    ("place p\ntrans t label=a label=b in=p out=p\n", 2),      # repeated option
+    ("place p\ntrans t label=a in=p\n", 2),                    # missing option
+    ("place p\ntrans t label=a-b in=p out=p\n", 2),            # bad label
+    ("# no places\n", None),
+])
+def test_parse_net_errors(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_net(text)
+    assert err.value.line == line
+
+
 def test_round_trip_is_identity(ex1):
     text = serialize_net(ex1)
     again = parse_net(text)
@@ -186,6 +203,12 @@ def test_parse_tm_repeated_directive():
         with pytest.raises(ParseError) as err:
             parse_tm(SCANNER_TEXT + line + "\n")
         assert err.value.line == 7
+
+
+def test_parse_tm_duplicate_rule():
+    with pytest.raises(ParseError) as err:
+        parse_tm(SCANNER_TEXT + "delta q0 a -> qrej _ S\n")
+    assert err.value.line == 7
 
 
 def test_parse_tm_space_takes_ascii_digits_only():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from petrialign import (Label, Marking, PetriNet, enabled_transitions, fire,
-                        fire_sequence, parikh, tree_to_wfnet)
+from petrialign import (AcceptingSystem, Label, Marking, PetriNet, enabled_transitions,
+                        fire, fire_sequence, is_enabled, parikh, tree_to_wfnet)
 from petrialign import petri
 from petrialign.errors import BudgetExceeded, NotEnabled, UnknownTransition
 from petrialign.petri import _enabled_among, _MarkingGraph, _schedule_counts
@@ -26,6 +26,10 @@ def test_fire_not_enabled_reports_first_empty_place(ex1):
 def test_fire_unknown_transition(ex1):
     with pytest.raises(UnknownTransition):
         fire(ex1.net, ex1.initial, "nope")
+    with pytest.raises(UnknownTransition):
+        is_enabled(ex1.net, ex1.initial, "nope")
+    with pytest.raises(UnknownTransition, match="step 1"):
+        fire_sequence(ex1.net, ex1.initial, ("t1", "nope"))
 
 
 def test_fire_self_loop_leaves_marking_unchanged():
@@ -439,6 +443,15 @@ def test_net_validation():
         PetriNet(("p",), ("t",), [("p", "x")], {"t": Label("a")})
     with pytest.raises(ValueError):
         PetriNet(("p", "p"), ("t",), [], {"t": Label("a")})
+    with pytest.raises(ValueError):
+        PetriNet(("p",), ("t", "t"), [], {"t": Label("a")})
+
+
+def test_system_markings_name_places_of_the_net(ex1):
+    for initial, final in ((Marking.of("nowhere"), ex1.final),
+                           (ex1.initial, Marking.of("nowhere"))):
+        with pytest.raises(ValueError, match="nowhere"):
+            AcceptingSystem(ex1.net, initial, final)
 
 
 def test_label_rules():

@@ -106,6 +106,8 @@ def test_reach_graph_budget(ex1):
     with pytest.raises(BudgetExceeded) as err:
         build_reachability_graph(ex1, state_budget=2)
     assert err.value.discovered == 3
+    with pytest.raises(ValueError):
+        build_reachability_graph(ex1, state_budget=0)
 
 
 def test_reach_graph_arcs_replay(ex1):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from petrialign import (AcceptingSystem, CostFunction, Label, Marking, PetriNet,
+from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking, PetriNet,
                         brute_force_oracle, dispatch_align, engine, gen_shuffle_ssystem,
                         optimal_alignment, optimal_alignment_ssystem,
                         standard_costs, trace_system, validate_alignment)
@@ -97,17 +97,61 @@ def test_state_budget():
         optimal_alignment_ssystem(("a", "b"), cycle_system(), state_budget=1)
 
 
-def test_source_transition_result_depends_on_the_trace():
-    """A transition with no input place makes the net unbounded, so the
-    (|trace| + 1)(|P| + 1) state bound no longer holds: a trace whose optimum
-    the search settles within the bound is aligned, another one raises."""
+def silent_pump_system():
+    """A silent source transition pumps p0, so the net is unbounded."""
     net = PetriNet(("p0", "p1"), ("ta", "ts"),
                    [("p0", "ta"), ("ta", "p1"), ("ts", "p0")],
                    {"ta": Label("a"), "ts": Label(None)})
-    system = AcceptingSystem(net, Marking.of("p0"), Marking.of("p1"))
-    assert optimal_alignment_ssystem(("a",), system).cost == 0
-    with pytest.raises(BudgetExceeded):
-        optimal_alignment_ssystem(("b",), system)
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("p1"))
+
+
+def visible_source_system():
+    """src puts tokens on p1 with no input place, and tk takes them away:
+    an unbounded S-net."""
+    net = PetriNet(("p0", "p1", "pf"), ("ta", "tb", "src", "tk"),
+                   [("p0", "ta"), ("ta", "p1"), ("p1", "tb"), ("tb", "pf"),
+                    ("src", "p1"), ("p1", "tk")],
+                   {"ta": Label("a"), "tb": Label("b"), "src": Label("c"), "tk": Label("d")})
+    return AcceptingSystem(net, Marking.of("p0"), Marking.of("pf"))
+
+
+def _outcome(solve, *args):
+    """The call's result, or the settled count its BudgetExceeded names."""
+    try:
+        return solve(*args)
+    except BudgetExceeded as exc:
+        return exc.discovered
+
+
+def test_a_source_transition_takes_the_generic_route():
+    """A transition with no input place makes the net unbounded, so not an
+    S-system: the dispatcher gives it the generic search under the
+    caller's budget, and the S-system solver rejects it.  The silent pump
+    settles unboundedly many states at cost 0, so the budget is small."""
+    for trace in (("a",), ("b",)):
+        routed = _outcome(dispatch_align, trace, silent_pump_system(), None, Budgets(50))
+        assert routed == _outcome(optimal_alignment, trace, silent_pump_system(), None, 50)
+        assert isinstance(routed, int) or routed.algorithm == "generic"
+        with pytest.raises(NotSSystem):
+            optimal_alignment_ssystem(trace, silent_pump_system())
+
+
+@pytest.mark.parametrize("trace,cost", [
+    ("cccccdab", 4), ("addddddb", 6), ("ccccccccab", 8), ("ddddddddddab", 10),
+    ("acccddddddddb", 5)])
+def test_a_visible_source_is_aligned_by_the_generic_search(trace, cost):
+    """Three of the five optima fire src while a token is in the net, so
+    pass markings of several tokens: the dispatcher aligns the net exactly,
+    as the generic search does on a system of its own, and the S-system
+    solver rejects it."""
+    trace = tuple(trace)
+    routed = dispatch_align(trace, visible_source_system())
+    generic = optimal_alignment(trace, visible_source_system())
+    assert routed == generic and routed.algorithm == "generic" and routed.cost == cost
+    system = visible_source_system()
+    assert validate_alignment(routed.alignment, trace, system, standard_costs(system)) == cost
+    with pytest.raises(NotSSystem):
+        optimal_alignment_ssystem(trace, system)
 
 
 # Alignments and settled-state counts of the pinned tie-break, per route:
@@ -132,10 +176,17 @@ PINNED = [
 
 @pytest.mark.parametrize("make,trace,expected", PINNED)
 def test_pinned_tie_break(make, trace, expected):
+    """Each route's pinned result, and under budgets 1 to 30 the same
+    result, or BudgetExceeded on settling one state more than a budget
+    below the pinned count."""
     for solve in (optimal_alignment_ssystem, optimal_alignment):
         system = make()
         result = solve(trace, system)
-        assert_pinned(result, trace, system, None, expected[result.algorithm])
+        pinned = expected[result.algorithm]
+        assert_pinned(result, trace, system, None, pinned)
+        for budget in range(1, 31):
+            outcome = _outcome(solve, trace, make(), None, budget)
+            assert outcome == (budget + 1 if budget < pinned[1] else result)
 
 
 def caller_costs(rng, system):

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from petrialign import trees
-from petrialign import (ShuffleInstance, behavioral_class, has_unique_labels,
+from petrialign import (ProcessTree, ShuffleInstance, behavioral_class, has_unique_labels,
                         membership, parse_tree, shuffle_member,
                         structural_class, tree_alphabet, tree_language_member,
                         tree_to_wfnet)
@@ -40,6 +40,24 @@ def test_parse_loop():
 def test_parse_loop_arity_error():
     with pytest.raises(ArityError):
         parse_tree("loop(a, b, c)")
+
+
+@pytest.mark.parametrize("kind, label, children", [
+    ("activity", None, ()), ("activity", "a b", ()), ("loop", None, (silent(),)),
+    ("seq", None, ()), ("xor", None, ()), ("par", None, ()), ("star", None, ())])
+def test_tree_nodes_are_checked(kind, label, children):
+    with pytest.raises(ValueError):
+        ProcessTree(kind, label, children)
+
+
+def test_a_tree_prints_as_its_text():
+    tree = seq(activity("a"), par(activity("b"), silent()), xor(activity("c"), silent()),
+               loop(activity("d"), activity("e")))
+    assert str(tree) == "seq(a, par(b, tau), xor(c, tau), loop(d, e))"
+    rng = random.Random(7)
+    for _ in range(50):
+        tree = random_tree(rng, 4)
+        assert parse_tree(str(tree)) == tree
 
 
 def test_parse_error_position():
