@@ -39,21 +39,20 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
-def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
+def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], start: int,
                         final: int, must: frozenset[int], table: _MoveTable,
                         state_budget: int, ceiling: int | None = None,
                         h: tuple[list[int], list[int], list[int], int] | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
-    the synchronous product of the trace and the net of `graph`, generated
+    the synchronous product of the trace and the net of `plan`, generated
     on the fly from (0, start) to (len(trace), final), where `start` and
-    `final` are numbers of `graph`'s markings that mark places of the net
-    only.
+    `final` are numbers of `plan`'s markings, mostly `plan.ends`.
 
-    Markings are numbered, and their enabled transitions read, through
-    `graph` (see `_MarkingGraph`), and moves are priced by `table` (see
-    `_MoveTable`).  A row entry (t, s) of a marking is a sync move on the
-    next letter when `graph.labels[t]` is that letter, as membership
-    matches moves, and always a model move.  A state yields its moves in
+    Markings are numbered, and their enabled transitions read, through the
+    plan's marking graph (see `_MarkingGraph`), and moves are priced by
+    `table` (see `_MoveTable`).  A row entry (t, s) of a marking is a sync
+    move on the next letter when `plan.labels[t]` is that letter, as
+    membership matches moves, and always a model move.  A state yields its moves in
     the product's declaration order: sync moves on the next letter, the log
     move, then model moves.  Frontier entries expand in (cost, later trace
     position, rank, insertion) order, which pins down a reproducible witness
@@ -103,10 +102,11 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     Dijkstra would not, but for ties; it may return another optimal
     alignment.  These moves are those of the cut search below too.
 
-    `must` holds the silent transitions that must fire, `graph.must_fire(
-    final)` (see `_NetView.forced`): a state whose row holds one yields
-    that transition's model move alone, the first such in row order, and
-    no sync, log or other model move.  The cut keeps an optimal alignment
+    `must` holds the silent transitions that must fire, `plan.must` when
+    `final` is the plan's final marking (see `_Plan` and `_NetView.forced`),
+    or none: a state whose row holds one yields that transition's model
+    move alone, the first such in row order, and no sync, log or other
+    model move.  The cut keeps an optimal alignment
     under any cost function, by an exchange argument: such a t has input
     places that no other transition reads and that `final` leaves empty,
     so every completion from the state fires t, and moving t's first model
@@ -147,7 +147,7 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
     self-loop sync reaches the log move's), and those keep their order, the
     log move after every sync move.
     """
-    expand, rows, labels = graph.row, graph.rows, graph.labels
+    expand, rows, labels = plan.row, plan.rows, plan.labels
     sync, model = table.sync, table.model
     n = len(trace)
     width = n + 1
@@ -256,14 +256,16 @@ def dijkstra_least_cost(graph: _MarkingGraph, trace: Sequence[str], start: int,
                     pending = entry
                 else:
                     heappush(heap, entry)
-    raise Unreachable(f"marking {graph.markings[final]!r} is not reachable")
+    raise Unreachable(f"marking {plan.markings[final]!r} is not reachable")
 
 
 def min_cost_reach(net: PetriNet, initial: Marking,
                    costs: Mapping[str, Fraction | int],
                    target: Marking,
                    state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[Fraction, tuple[str, ...]]:
-    """Least-cost firing sequence from `initial` to `target`.
+    """Least-cost firing sequence from `initial` to `target`: the search of
+    `dijkstra_least_cost` on the empty trace, over a fresh plan of the
+    system from `initial` to `target`, with its must-fire cut.
 
     Transitions missing from `costs` count as free, so an all-empty mapping
     reduces the problem to plain reachability.  A key that is not a
@@ -281,10 +283,8 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     if outside:
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
-    graph = _MarkingGraph(net)
-    final = graph.number(target)
-    cost, seq, _ = dijkstra_least_cost(graph, (), graph.number(initial), final,
-                                       graph.must_fire(final), table, state_budget)
+    plan = _Plan(AcceptingSystem(net, initial, target))
+    cost, seq, _ = dijkstra_least_cost(plan, (), *plan.ends, plan.must, table, state_budget)
     return Fraction(cost, table.scale), tuple(move.model_part for move in seq)
 
 
@@ -365,15 +365,15 @@ def _weight(v: Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-class _Plan:
+class _Plan(_MarkingGraph):
     """What aligning a trace against a system, or deciding its membership,
-    needs of the system alone: the model graph, the numbers of the system's
-    ends on it, the silent transitions that must fire, the standard-cost
-    results found so far and, made on first use, the move table of the
-    standard costs.  A plan is reached only from the thread that made it
-    (see `_plan`).  A call with the caller's costs prices them in a table of
-    its own.  The parts are made with the plan and belong to its one graph
-    for life: an over-budget plan is replaced whole.
+    needs of the system alone: the marking graph of its net, which the plan
+    is, the numbers of the system's ends on it, the silent transitions that
+    must fire, membership's subset automaton, the standard-cost results
+    found so far and, made on first use, the move table of the standard
+    costs.  A plan is reached only from the thread that made it (see
+    `_plan`), and an over-budget plan is replaced whole.  A call with the
+    caller's costs prices them in a table of its own.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -383,31 +383,104 @@ class _Plan:
     result's size is the number of states on its path, its moves plus one,
     which is at most the states its search settled.
 
-    The model graph (`petri._MarkingGraph`) numbers the markings that the
+    The graph (`petri._MarkingGraph`) numbers the markings that the
     alignment searches and the membership calls on the system find, and
     keeps per marking its row: the enabled transitions, each with the
     number of the marking it leads to.  The rows that a search fills are
     read by the calls that follow instead of firing again.  It holds no
     weight, so calls with the standard costs and calls with their own costs
-    share it; weights come from the move tables.  Membership walks the
-    graph's subset automaton, whose states are sets of marking numbers
-    closed under silent rows, or else searches the graph under the standard
-    costs at a cost ceiling of 0 (see `_MarkingGraph` and `membership`).
-    `ends` holds the numbers of the system's initial and final markings,
-    where the searches start and end, and `must` the silent transitions
-    that must fire on the way to the final marking
-    (`_MarkingGraph.must_fire`).  `transition_masks`, made on first use by
-    the S-system route's A*, holds per marking and per transition the
-    transitions that can follow through silent moves, from which `bound`
-    makes the search's lower bound for one trace."""
+    share it; weights come from the move tables.  `ends` holds the numbers
+    of the system's initial and final markings, where the searches start
+    and end, and `must` the indices of the transitions of `_NetView.forced`
+    with no input place that the final marking marks: each fires on every
+    path to the final marking from a marking that enables it.
+
+    Membership reads the graph through a subset automaton (Rabin and Scott,
+    *Finite automata and their decision problems*, 1959), built on demand
+    from the rows and `labels`.  A state is the frozenset of the marking
+    numbers that a prefix of a word leads to, closed under silent moves, and
+    is numbered the first time it is made: `states`, `sizes`, `accepting`
+    and `steps` hold, per state number, its markings, how many they are,
+    whether the final marking is one of them, and its transition table,
+    which maps a letter to the number of the state that the letter leads
+    to: the silent closure of the successors, by the letter's transitions,
+    of the state's markings.  `start` is the state of the initial marking.
+    A closure in which a row enables a pump (`_NetView.pumps`) is infinite,
+    and is given up at that row.  The start and each step are made the
+    first time a caller asks for them, under a ceiling on `size`: the
+    caller gets None, and no state, when more would be needed.  `size`
+    counts rows and automaton entries: one per row and per step, and per
+    state the markings it holds.
+
+    `transition_masks`, made on first use by the S-system route's A*, holds
+    per marking and per transition the transitions that can follow through
+    silent moves, from which `bound` makes the search's lower bound for one
+    trace."""
 
     def __init__(self, sys: AcceptingSystem):
+        super().__init__(sys.net)
         self.sys = sys
-        self.graph = graph = _MarkingGraph(sys.net)
-        self.ends = (graph.number(sys.initial), graph.number(sys.final))
-        self.must = graph.must_fire(self.ends[1])
+        self.ends = (self.number(sys.initial), self.number(sys.final))
+        final = self._keys[self.ends[1]]
+        self.must = frozenset([k for k, pre in _net_view(sys.net).forced
+                               if not any(final[p] for p in pre)])
+        self._state_numbers: dict[frozenset[int], int] = {}
+        self.states: list[frozenset[int]] = []
+        self.sizes: list[int] = []
+        self.accepting: list[bool] = []
+        self.steps: list[dict[str, int]] = []
+        self.start: int | None = None
         self.results: dict[tuple, AlignResult] = {}
         self.results_size = 0
+
+    def subset_step(self, k: int, letter: str, top: int) -> int | None:
+        """The number of the state that state k leads to by `letter`, made on
+        first use, or None when making it would bring `size` above `top`."""
+        table = self.steps[k]
+        j = table.get(letter)
+        if j is None:
+            rows, labels = self.rows, self.labels
+            j = self._state({s for m in self.states[k] for t, s in rows[m]
+                             if labels[t] == letter}, top - 1)   # room for the step
+            if j is not None:
+                table[letter] = j
+                self.size += 1
+        return j
+
+    def _state(self, seen: set[int], top: int) -> int | None:
+        """The number of the state of the silent closure of the markings in
+        `seen`, a set that the walk over the rows extends, numbered when it
+        has none, or None when that would bring `size` above `top`, as it
+        does at once when a row in it enables a pump."""
+        rows, labels, pumps = self.rows, self.labels, _net_view(self.net).pumps
+        stack = list(seen)
+        while stack:
+            m = stack.pop()
+            row = rows.get(m)
+            if row is None:
+                # A marking with no row is in no state yet, so the state is
+                # new and will hold every marking seen.
+                if self.size + len(seen) >= top:
+                    return None
+                row = self.row(m)
+            for t, s in row:
+                if labels[t] is None and s not in seen:
+                    if t in pumps:
+                        return None
+                    seen.add(s)
+                    stack.append(s)
+        markings = frozenset(seen)
+        j = self._state_numbers.get(markings)
+        if self.size + (len(markings) if j is None else 0) > top:
+            return None
+        if j is None:
+            j = self._state_numbers[markings] = len(self.states)
+            self.states.append(markings)
+            self.sizes.append(len(markings))
+            self.accepting.append(self.ends[1] in markings)
+            self.steps.append({})
+            self.size += len(markings)
+        return j
 
     @cached_property
     def standard_moves(self) -> _MoveTable:
@@ -427,11 +500,11 @@ class _Plan:
         reachable marking, which this fills: `petri._closure` walks the
         reachable set and each silent closure.  A marking numbered but not
         reachable has no bit."""
-        graph, (initial, final) = self.graph, self.ends
-        labels, row = graph.labels, graph.row
+        initial, final = self.ends
+        labels, row = self.labels, self.row
         tbits = [0 if a is None else 2 << t for t, a in enumerate(labels)]
         reachable = _closure(initial, lambda m: [s for _, s in row(m)])
-        amask = [0] * len(graph.markings)
+        amask = [0] * len(self.markings)
         for m in reachable:
             closure = _closure(m, lambda k: [s for t, s in row(k) if labels[t] is None])
             mask = 1 if final in closure else 0
@@ -503,15 +576,15 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     identity is never a reused id.
 
     One rule bounds what the plan keeps: each call asks for the plan with
-    its state budget, and gets a new one when the graph holds more markings,
-    or rows and automaton entries, or the results more path states, than
-    that budget.  A search adds at most one row per state it settles and one
-    result no larger (the S-system route's A*, under the caller's budget as
-    every route, fills the rows of its at most |P| + 1 reachable markings in
-    `transition_masks`, and its search adds none), and a membership call at
-    most its budget in rows and automaton entries on the automaton, plus,
-    when the automaton does not answer, one row per state that the search at
-    cost ceiling 0 settles, at most its budget.  So after a call the graph
+    its state budget, and gets a new one when the plan holds more markings,
+    or rows and automaton entries (`size`), or results of more path states,
+    than that budget.  A search adds at most one row per state it settles
+    and one result no larger (the S-system route's A*, under the caller's
+    budget as every route, fills the rows of its at most |P| + 1 reachable
+    markings in `transition_masks`, and its search adds none), and a
+    membership call at most its budget in rows and automaton entries on the
+    automaton, plus, when the automaton does not answer, one row per state
+    that the search at cost ceiling 0 settles, at most its budget.  So after a call the plan
     holds at most three times the budget, or |P| + 1 more, in rows and
     automaton entries, and besides the markings it held, the markings that
     call reached and their successors; the results hold at most twice the
@@ -521,8 +594,7 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     except AttributeError:   # the thread's first call
         plan = None
     if plan is not None and plan.sys is sys:
-        graph = plan.graph
-        if (len(graph.markings) <= state_budget and graph.size <= state_budget
+        if (len(plan.markings) <= state_budget and plan.size <= state_budget
                 and plan.results_size <= state_budget):
             return plan
     plan = _memo.plan = _Plan(sys)
@@ -549,7 +621,7 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     else:
         table = _MoveTable(sys.net, c)
     try:
-        cost, seq, settled = dijkstra_least_cost(plan.graph, trace, *plan.ends, plan.must,
+        cost, seq, settled = dijkstra_least_cost(plan, trace, *plan.ends, plan.must,
                                                  table, state_budget, None,
                                                  plan.bound(trace, table) if guided else None)
     except Unreachable as exc:
@@ -575,51 +647,51 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     """Language membership: does a perfect (cost-0) alignment exist?
 
     Reads synchronous and silent model moves only, so easy-soundness of the
-    model is not required for termination.  The word is walked on the subset
-    automaton of the plan's model graph (see `_MarkingGraph`), which the
-    alignment searches on the system in the thread share: one dict lookup
-    per letter, in the current state's table, once the steps are made, and
-    the verdict is whether the last state holds the final marking.  A step
-    or the start that no call has made yet is made from the rows, under a
-    ceiling on the graph's size: its size when the call began plus
-    `state_budget`, less the sizes of the states the walk has passed.
+    model is not required for termination.  The word is walked on the plan's
+    subset automaton (see `_Plan`), whose rows the alignment searches on the
+    system in the thread share: one dict lookup per letter, in the current
+    state's table, once the steps are made, and the verdict is whether the
+    last state holds the final marking.  A step or the start, the silent
+    closure of the initial marking, that no call has made yet is made from
+    the rows, under a ceiling on the plan's size: its size when the call
+    began plus `state_budget`, less the sizes of the states the walk has
+    passed.
 
-    The answer comes from the automaton only while the graph stays within
+    The answer comes from the automaton only while the plan stays within
     that ceiling: while what the call added, plus the sizes of the states
     the walk passes, is at most `state_budget`.  Any other word goes to the
     alignment search under the standard costs at a cost ceiling of 0.  Sync
     and silent model moves alone cost 0, so that search settles only states
     (m, k) with m in the automaton's state after k letters: within the
     budget it can neither raise nor answer otherwise, and every verdict and
-    every BudgetExceeded is that of the search on a fresh graph.  A perfect
+    every BudgetExceeded is that of the search on a fresh plan.  A perfect
     alignment syncs every letter, so a word with a letter that no transition
     carries is not in the language.
     """
     trace = tuple(trace)
     plan = _plan(sys, state_budget)
-    graph = plan.graph
-    top = graph.size + state_budget
-    k = graph.start
+    top = plan.size + state_budget
+    k = plan.start
     if k is None:
-        k = graph.subset_start(*plan.ends, top)
+        k = plan.start = plan._state({plan.ends[0]}, top)
     if k is not None:
-        steps, sizes = graph.steps, graph.sizes
+        steps, sizes = plan.steps, plan.sizes
         top -= sizes[k]
         for a in trace:
             try:
                 k = steps[k][a]
             except KeyError:
-                k = graph.subset_step(k, a, top)
+                k = plan.subset_step(k, a, top)
                 if k is None:
                     break
             top -= sizes[k]
         else:
-            if graph.size <= top:
-                return graph.accepting[k]
-    if not set(trace) <= set(graph.labels):
+            if plan.size <= top:
+                return plan.accepting[k]
+    if not set(trace) <= set(plan.labels):
         return False
     try:
-        dijkstra_least_cost(graph, trace, *plan.ends, plan.must, plan.standard_moves,
+        dijkstra_least_cost(plan, trace, *plan.ends, plan.must, plan.standard_moves,
                             state_budget, ceiling=0)
     except Unreachable:
         return False

@@ -61,7 +61,8 @@ class NotEasySound(PetriAlignError):
 
 
 class NotSSystem(PetriAlignError):
-    """Solver requires every transition to have at most one input and output place."""
+    """Solver requires every transition to have exactly one input place and at
+    most one output place."""
 
 
 class NotSingleToken(PetriAlignError):

@@ -359,7 +359,7 @@ class _NetView:
       marks none of its input places, since nothing else takes their
       tokens; and firing it first disables nothing, since nothing else
       reads them.  So `dijkstra_least_cost` expands its model move alone
-      (see `_MarkingGraph.must_fire`).
+      (see `engine._Plan`, whose `must` holds those of one final marking).
 
     `_net_view` makes it on a net's first use and keeps it on the net."""
 
@@ -426,16 +426,12 @@ class _MarkingGraph:
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
     number) pair per enabled transition, in declaration order.  A row is
-    filled the first time a caller asks for it.  No row depends on a root or
-    a trace: the alignment search and membership on one system share the
-    graph, and a search may have numbered markings that are not reachable
-    (its goal); the breadth-first search (`explore`) walks a fresh graph of
-    its own, whose rows the classifier and reachability graphs read.  The
-    subset automaton's start state and acceptance bind the system whose
-    marking numbers its first caller gives, and `must_fire` the final
-    marking it is given, so a graph serves one system: the engine makes one
-    per plan, it lives as long as its plan, and only the plan's thread
-    reaches it.
+    filled the first time a caller asks for it, and `size` counts the rows
+    (a plan adds its automaton's entries).  No row depends on a root or a
+    trace, and a caller may number markings that are not reachable (a
+    search's goal).  The breadth-first search (`explore`) walks a fresh
+    graph of its own, whose rows the classifier and reachability graphs
+    read; each system's plan (`engine._Plan`) is a graph of its net.
 
     Each marking is keyed by its token counts, a tuple in place declaration
     order, and found by its key.  A row reads its parent's key alone: a
@@ -449,43 +445,22 @@ class _MarkingGraph:
     `fire`, which makes the successor's `Marking`: a marking gets one
     `Marking` however many arcs lead to it, and a marking made here is never
     hashed or sorted.  Callers find a `Marking`'s number by its key too
-    (`number`).
+    (`number`)."""
 
-    Membership reads the graph through a subset automaton (Rabin and Scott,
-    *Finite automata and their decision problems*, 1959) of one system,
-    built on demand from the rows and `labels`, the view's label name of
-    each transition by index; the first caller gives the numbers of the
-    system's initial and final markings (`subset_start`).  A state is the
-    frozenset of the marking numbers that a prefix of a word leads to,
-    closed under silent moves, and is numbered the first time it is made:
-    `states`, `sizes`, `accepting` and `steps` hold, per state number, its
-    markings, how many they are, whether the final marking is one of them,
-    and its transition table, which maps a letter to the number of the state
-    that the letter leads to: the silent closure of the successors, by the
-    letter's transitions, of the state's markings.  A closure in which a row
-    enables a silent transition that produces a token and consumes none for
-    good is infinite, and is given up at that row.  The start and each step
-    are made the first time a caller asks for them, under a ceiling on
-    `size`: the caller gets None, and no state, when more would be needed.
-    `size` counts rows and automaton entries: one per row and per step, and
-    per state the markings it holds."""
+    # Slots keep the reads of `row` fast on a plan (`engine._Plan`) too,
+    # whose own attributes live in a dict that its cached properties write.
+    __slots__ = ("net", "markings", "rows", "size", "_by_key", "_keys", "_first", "_unguarded",
+                 "labels")
 
     def __init__(self, net: PetriNet):
         self.net = net
         self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.size = 0   # rows and automaton entries
-        self._state_numbers: dict[frozenset[int], int] = {}
-        self.states: list[frozenset[int]] = []
-        self.sizes: list[int] = []
-        self.accepting: list[bool] = []
-        self.steps: list[dict[str, int]] = []
-        self.start: int | None = None   # the state of the initial marking
-        self._final = -1                # the final marking's number
+        self.size = 0
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
         view = _net_view(net)
-        self._first, self._unguarded, self._pumps = view.first, view.unguarded, view.pumps
+        self._first, self._unguarded = view.first, view.unguarded
         self.labels = view.labels   # label name by index, None when silent
 
     def _key(self, m: Marking) -> tuple:
@@ -505,14 +480,6 @@ class _MarkingGraph:
         if i is None:
             i = self._add(m, key)
         return i
-
-    def must_fire(self, final: int) -> frozenset[int]:
-        """The indices of the transitions of `_NetView.forced` with no input
-        place that marking `final` marks: each fires on every path to
-        `final` from a marking that enables it."""
-        key = self._keys[final]
-        return frozenset([k for k, pre in _net_view(self.net).forced
-                          if not any(key[p] for p in pre)])
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Marking i's row, computed and stored on first use."""
@@ -544,65 +511,8 @@ class _MarkingGraph:
             self.size += 1
         return row
 
-    def subset_start(self, initial: int, final: int, top: int) -> int | None:
-        """The start state, the silent closure of marking `initial`, made
-        with these marking numbers and kept in `start`, or None when making
-        it would bring `size` above `top`."""
-        self._final = final
-        self.start = self._state({initial}, top)
-        return self.start
-
-    def subset_step(self, k: int, letter: str, top: int) -> int | None:
-        """The number of the state that state k leads to by `letter`, made on
-        first use, or None when making it would bring `size` above `top`."""
-        table = self.steps[k]
-        j = table.get(letter)
-        if j is None:
-            rows, labels = self.rows, self.labels
-            j = self._state({s for m in self.states[k] for t, s in rows[m]
-                             if labels[t] == letter}, top - 1)   # room for the step
-            if j is not None:
-                table[letter] = j
-                self.size += 1
-        return j
-
-    def _state(self, seen: set[int], top: int) -> int | None:
-        """The number of the state of the silent closure of the markings in
-        `seen`, a set that the walk over the rows extends, numbered when it
-        has none, or None when that would bring `size` above `top`, as it
-        does at once when a row in it enables a pump."""
-        rows, labels, pumps = self.rows, self.labels, self._pumps
-        stack = list(seen)
-        while stack:
-            m = stack.pop()
-            row = rows.get(m)
-            if row is None:
-                # A marking with no row is in no state yet, so the state is
-                # new and will hold every marking seen.
-                if self.size + len(seen) >= top:
-                    return None
-                row = self.row(m)
-            for t, s in row:
-                if labels[t] is None and s not in seen:
-                    if t in pumps:
-                        return None
-                    seen.add(s)
-                    stack.append(s)
-        markings = frozenset(seen)
-        j = self._state_numbers.get(markings)
-        if self.size + (len(markings) if j is None else 0) > top:
-            return None
-        if j is None:
-            j = self._state_numbers[markings] = len(self.states)
-            self.states.append(markings)
-            self.sizes.append(len(markings))
-            self.accepting.append(self._final in markings)
-            self.steps.append({})
-            self.size += len(markings)
-        return j
-
-    @classmethod
-    def explore(cls, net: PetriNet, root: Marking, state_budget: int,
+    @staticmethod
+    def explore(net: PetriNet, root: Marking, state_budget: int,
                 b_max: int | None = None):
         """Breadth-first search from `root`, a marking of `net`, over the rows
         of a fresh graph of the net, which numbers the markings it finds 0,
@@ -617,7 +527,7 @@ class _MarkingGraph:
         on some place, in the row of some marking k; the markings numbered
         after k then have no row yet.
         """
-        graph = cls(net)
+        graph = _MarkingGraph(net)
         graph.number(root)
         parent, via = [-1], [None]
         result = graph, parent, via

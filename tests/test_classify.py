@@ -64,6 +64,11 @@ def test_multi_token_line_bound():
     assert rep.safe is False
 
 
+def test_b_max_below_one_is_refused(ex1):
+    with pytest.raises(ValueError, match="b_max must be >= 1"):
+        bounded_and_safe(ex1, b_max=0)
+
+
 def test_unbounded_growth_witness():
     net = PetriNet(("p",), ("t",), [("p", "t"), ("t", "p")], {"t": Label("a")})
     # Token-generating variant: t consumes p and produces p twice is not

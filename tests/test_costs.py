@@ -55,6 +55,12 @@ def test_illegal_move_label_mismatch(ex1):
     assert err.value.index == 0
 
 
+def test_illegal_move_unknown_transition(ex1):
+    with pytest.raises(IllegalMove, match="unknown transition 't99'") as err:
+        validate_alignment((Move("a", "t99"),), ("a",), ex1, standard_costs(ex1))
+    assert err.value.index == 0
+
+
 def test_illegal_move_sync_with_silent(ex1):
     gamma = (Move("a", "t4"),)
     with pytest.raises(IllegalMove):

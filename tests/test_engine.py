@@ -415,16 +415,15 @@ def test_search_follows_its_documented_order():
     outcomes = collections.Counter()
     for k, (system, trace) in enumerate(cases):
         net = system.net
-        graph = petri._MarkingGraph(net)
-        start, final = graph.number(system.initial), graph.number(system.final)
-        cut = graph.must_fire(final)
+        plan = engine._Plan(system)
+        (start, final), cut = plan.ends, plan.must
         for costs in (standard_costs(system), _random_overrides(rng, system)):
             table = engine._MoveTable(net, costs)
             scale = table.scale
             for must, ceiling, budget in itertools.product(
                     (cut, frozenset()), (None, 0, scale),
                     (DEFAULT_STATE_BUDGET, 1, 3, 10) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
-                got = _search_outcome(engine.dijkstra_least_cost, graph, trace, start, final,
+                got = _search_outcome(engine.dijkstra_least_cost, plan, trace, start, final,
                                       must, table, budget, ceiling)
                 if type(got[0]) is int:
                     got = (Fraction(got[0], scale), *got[1:])
@@ -451,14 +450,14 @@ def test_search_follows_its_documented_order():
             assert (bound is None) == (h is None)
             if bound is None:
                 continue
-            for m in plan.graph.rows:
+            for m in plan.rows:
                 for pos in range(len(trace) + 1):
                     assert Fraction(bound_at(bound, pos, m), table.scale) == \
-                        h(pos, plan.graph.markings[m])
+                        h(pos, plan.markings[m])
             for must, budget in itertools.product(
                     (plan.must, frozenset()),
                     (DEFAULT_STATE_BUDGET, 1, 3) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
-                got = _search_outcome(engine.dijkstra_least_cost, plan.graph, trace, *plan.ends,
+                got = _search_outcome(engine.dijkstra_least_cost, plan, trace, *plan.ends,
                                       must, table, budget, None, bound)
                 if type(got[0]) is int:
                     got = (Fraction(got[0], table.scale), *got[1:])
@@ -503,7 +502,7 @@ def test_letter_bound_edge_cases(trace, start):
         bound = plan.bound(trace, table)
         h = _reference_bound(system, trace, table_costs)
         assert table.scale == (1 if costs is None else 4)
-        markings = {plan.graph.markings[m]: m for m in plan.graph.rows}
+        markings = {plan.markings[m]: m for m in plan.rows}
         assert set(markings) == {Marking.of(p) for p in ("p0", "p1", "p3")}
         for marking, m in markings.items():
             for pos in range(len(trace) + 1):
@@ -548,7 +547,7 @@ def test_transition_bound_beats_letter_bound():
         bound = plan.bound(trace, table)
         h = _reference_bound(system, trace, table_costs)
         letter = letter_cover(system, trace, unit)
-        markings = {plan.graph.markings[m]: m for m in plan.graph.rows}
+        markings = {plan.markings[m]: m for m in plan.rows}
         assert set(markings) == {*(Marking.of(p) for p in system.net.places), Marking()}
         for marking, m in markings.items():
             for pos in range(len(trace) + 1):
@@ -992,7 +991,7 @@ def test_a_pumping_closure_is_given_up_at_once():
     graph holding that row alone, not a closure walked to the budget."""
     pump = _pump_system()
     assert membership(("z",), pump, 50_000)
-    graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
+    graph = engine._plan(pump, DEFAULT_STATE_BUDGET)
     assert graph.size <= 3 and len(graph.markings) <= 3, (graph.size, len(graph.markings))
     assert graph.states == [] and graph.start is None
 
@@ -1020,7 +1019,7 @@ def test_successor_cache_stays_within_its_bound():
     entries, markings = [], []
     for word, budget in calls:
         _outcome(membership, word, pump, budget)
-        graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
+        graph = engine._plan(pump, DEFAULT_STATE_BUDGET)
         entries.append(graph.size)
         markings.append(len(graph.markings))
         assert graph.size == len(graph.rows) + _automaton_entries(graph)
@@ -1136,7 +1135,7 @@ def _fallback_outcomes(system, calls):
     switched off: membership's fallback on a graph that no automaton reads."""
     fresh = _fresh(system)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(petri._MarkingGraph, "subset_start", lambda *args: None)
+        patch.setattr(engine._Plan, "_state", lambda *args: None)
         return [_raised_with_count(membership, word, fresh, budget) for word, budget in calls]
 
 
@@ -1200,7 +1199,7 @@ def test_the_automaton_gives_the_outcomes_of_the_search(monkeypatch):
         searches = len(searched)
         for word in words:
             membership(word, system)
-            graph = engine._plan(system, DEFAULT_STATE_BUDGET).graph
+            graph = engine._plan(system, DEFAULT_STATE_BUDGET)
             assert graph.size == len(graph.rows) + _automaton_entries(graph)
             before = len(fired), graph.size, len(graph.markings)
             membership(word, system)
@@ -1246,17 +1245,16 @@ def test_each_automaton_state_is_the_searchs_markings_at_its_position():
     limit = 1_000
     made = refused = 0
     for system, letters, finite in _automaton_systems():
-        reference = petri._MarkingGraph(system.net)
+        reference = engine._Plan(system)
         words = [w for n in range(4) for w in itertools.product(letters, repeat=n)]
         # Every prefix of a word is one of the words.
         expected = {w: _markings_after(reference, system, w, limit) for w in words}
         assert {v is None for v in expected.values()} == {not finite}
         for budget in [1, 2, 3, 5, 8, 13, 30] + ([limit] if finite else []):
-            graph = petri._MarkingGraph(system.net)
+            graph = engine._Plan(system)
             for word in words:
                 top = graph.size + budget
-                k = graph.subset_start(graph.number(system.initial),
-                                       graph.number(system.final), top)
+                k = graph._state({graph.ends[0]}, top)
                 for n in range(len(word) + 1):
                     if n:
                         k = graph.subset_step(k, word[n - 1], top)
@@ -1544,7 +1542,7 @@ def test_a_replaced_graph_numbers_the_ends_of_the_search_again():
             """The graph that aligning every trace leaves on `system`."""
             for trace in traces:
                 _outcome(_dispatch, trace, system, DEFAULT_STATE_BUDGET)
-            return engine._plan(system, DEFAULT_STATE_BUDGET).graph
+            return engine._plan(system, DEFAULT_STATE_BUDGET)
 
         small = len(fill(_fresh(system)).markings) - 1
         if small < 1:
@@ -1555,7 +1553,7 @@ def test_a_replaced_graph_numbers_the_ends_of_the_search_again():
         graph = fill(system)
         warm = [_outcome(op, trace, system, budget) for op, trace, budget in calls]
         assert warm == fresh, str(system.net)
-        assert engine._plan(system, DEFAULT_STATE_BUDGET).graph is not graph
+        assert engine._plan(system, DEFAULT_STATE_BUDGET) is not graph
         replaced += 1
         for (op, trace, budget), result in zip(calls, warm):
             if isinstance(result, engine.AlignResult):
@@ -1600,10 +1598,10 @@ def test_a_raise_leaves_a_usable_model_graph(ex1):
 
 def test_model_graph_stays_within_its_bound():
     """On an unbounded net, a call gets an empty graph when the graph holds
-    more markings or rows than the call's budget.  The cap's classification
-    adds at most one row per marking it explores and a search at most one
-    per state it settles, so after a call with budget b the graph holds at
-    most 2b rows and 3b markings, whatever the budgets of the calls before."""
+    more markings or rows than the call's budget.  A search adds at most one
+    row per state it settles, so after a call with budget b the graph holds
+    at most 2b rows and 3b markings, whatever the budgets of the calls
+    before."""
     pump = _pump_system()
     budgets = [200, 10, 150, 20, 100, 5, 60, 30]
     calls = [(op, (a,), budget) for a, budget in zip(PUMP_LETTERS, budgets)
@@ -1612,7 +1610,7 @@ def test_model_graph_stays_within_its_bound():
     assert warm == fresh == [BudgetExceeded] * len(calls)
     for op, trace, budget in calls:
         _outcome(op, trace, pump, budget)
-        graph = engine._plan(pump, DEFAULT_STATE_BUDGET).graph
+        graph = engine._plan(pump, DEFAULT_STATE_BUDGET)
         assert graph.size == len(graph.rows)
         # Without the emptying, the calls after the first would leave about
         # 200 rows and 400 markings.
@@ -1649,7 +1647,7 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         calls = [(op, trace, top) for op in (_generic, _dispatch) for trace in traces]
         warm, fresh = _warm_and_fresh_calls(system, calls)
         assert warm == fresh, str(system.net)
-        graph = engine._plan(system, DEFAULT_STATE_BUDGET).graph
+        graph = engine._plan(system, DEFAULT_STATE_BUDGET)
         assert graph._key(system.final) in graph._by_key
         caps = [lbfc_cap(system, 3, budget) for budget in budgets]
         assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
@@ -1773,7 +1771,7 @@ def test_threads_keep_a_model_graph_each():
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = optimal_alignment(traces[k], system)
-            graphs[r][k] = engine._memo.plan.graph
+            graphs[r][k] = engine._memo.plan
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1825,7 +1823,7 @@ def test_threads_keep_a_membership_graph_each():
         for r, (system, traces, _) in enumerate(rounds):
             barrier.wait()
             got[r][k] = [membership(trace, system) for trace in traces[k]]
-            graphs[r][k] = engine._memo.plan.graph
+            graphs[r][k] = engine._memo.plan
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -2060,9 +2058,10 @@ def _cap(trace, system, budget):
 def test_a_plan_keeps_its_graph_ends_and_must_for_life():
     """Seeded mixed calls on one system (alignments by both entry points,
     membership and the LBFC cap) at budgets 1 to 30 and the default: every
-    plan the calls leave keeps the graph, `ends` and `must` it was made
-    with, its `ends` are the numbers of the system's initial and final
-    markings on that graph, and every outcome is a fresh system's."""
+    plan the calls leave, itself the system's marking graph, keeps the
+    `ends` and `must` it was made with, its `ends` are the numbers of the
+    system's initial and final markings on it, and every outcome is a fresh
+    system's."""
     rng = random.Random(29)
     budgets = list(range(1, 31)) + [DEFAULT_STATE_BUDGET]
     plans = {}
@@ -2079,10 +2078,10 @@ def test_a_plan_keeps_its_graph_ends_and_must_for_life():
             warm.append(_outcome(op, trace, system, budget))
             plan = getattr(engine._memo, "plan", None)
             if plan is not None and plan.sys is system:
-                plans.setdefault(plan, (plan.graph, plan.ends, plan.must))
+                plans.setdefault(plan, (plan.ends, plan.must))
         assert warm == fresh, str(system.net)
-    for plan, (graph, ends, must) in plans.items():
-        assert plan.graph is graph and plan.ends is ends and plan.must is must
-        assert ends == (graph.number(plan.sys.initial), graph.number(plan.sys.final))
+    for plan, (ends, must) in plans.items():
+        assert plan.ends is ends and plan.must is must
+        assert ends == (plan.number(plan.sys.initial), plan.number(plan.sys.final))
     # The small budgets replace plans: most systems see more than one.
     assert len(plans) > 2 * len(systems)

@@ -305,6 +305,18 @@ def test_tm_net_aux_isolation():
         assert marking["p_aux"] == 0
 
 
+@pytest.mark.parametrize("generate, args, message", [
+    (gen_shuffle_tsystem, ([],), "need at least one non-empty word"),
+    (gen_shuffle_tsystem, ([()],), "need at least one non-empty word"),
+    (gen_shuffle_tsystem, ([("a", "-")],), "letter must match"),
+    (gen_shuffle_ssystem, (("a",), 0), "need n >= 1 and a non-empty word"),
+    (gen_shuffle_ssystem, ((), 1), "need n >= 1 and a non-empty word"),
+], ids=["no_word", "empty_word", "bad_letter", "no_token", "ssystem_empty_word"])
+def test_shuffle_generators_check_their_input(generate, args, message):
+    with pytest.raises(ValueError, match=message):
+        generate(*args)
+
+
 @pytest.mark.parametrize("change", [
     {"blank": "a"},                                   # blank is an input letter
     {"input_alphabet": ("a", "b")},                   # b is no tape symbol

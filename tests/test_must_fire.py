@@ -1,5 +1,5 @@
 """Silent transitions that must fire: the search expands their model move
-alone (`petri._NetView.forced`, `_MarkingGraph.must_fire` and
+alone (`petri._NetView.forced`, `engine._Plan.must` and
 `engine.dijkstra_least_cost`), and every solver still agrees with the
 exhaustive oracle, under the standard costs and under the caller's."""
 
@@ -13,9 +13,9 @@ from petrialign import (AcceptingSystem, CostFunction, Label, Marking, PetriNet,
                         optimal_alignment_acyclic, optimal_alignment_ssystem, standard_costs,
                         tree_to_wfnet, validate_alignment)
 from petrialign import classify, engine
-from petrialign.engine import _MoveTable, _plan, dijkstra_least_cost
+from petrialign.engine import _MoveTable, _Plan, _plan, dijkstra_least_cost
 from petrialign.errors import NotAcyclic
-from petrialign.petri import DEFAULT_STATE_BUDGET, _MarkingGraph, _net_view
+from petrialign.petri import DEFAULT_STATE_BUDGET, _net_view
 from randgen import (random_acyclic_system, random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree)
 
@@ -65,10 +65,9 @@ def test_a_final_marking_on_an_input_place_keeps_the_other_moves():
     moves: {p, x} is reached only by leaving p alone."""
     net = _net(PINCH, visible=("t_a", "t_b"))
     assert _forced(net) == {"t_tau"}
-    graph = _MarkingGraph(net)
-    assert graph.must_fire(graph.number(Marking.of("p", "x"))) == frozenset()
-    assert graph.must_fire(graph.number(Marking.of("o", "x"))) == {2}
     initial = Marking.of("i")
+    assert _Plan(AcceptingSystem(net, initial, Marking.of("p", "x"))).must == frozenset()
+    assert _Plan(AcceptingSystem(net, initial, Marking.of("o", "x"))).must == {2}
     kept = AcceptingSystem(net, initial, Marking.of("p", "x"))
     result = dispatch_align(("a", "b"), kept)
     assert result.cost == 0 and [m.model_part for m in result.alignment] == ["t_a", "t_b"]
@@ -93,10 +92,9 @@ def test_the_cut_keeps_the_optimum_and_settles_fewer_states():
         trace = random_trace(rng, max_len=6)
         costs = set()
         for cut in (True, False):
-            graph = _MarkingGraph(system.net)
-            start, final = graph.number(system.initial), graph.number(system.final)
-            must = graph.must_fire(final) if cut else frozenset()
-            cost, _, states = dijkstra_least_cost(graph, trace, start, final, must, table,
+            plan = _Plan(system)
+            must = plan.must if cut else frozenset()
+            cost, _, states = dijkstra_least_cost(plan, trace, *plan.ends, must, table,
                                                   DEFAULT_STATE_BUDGET)
             costs.add(cost)
             settled[cut] += states

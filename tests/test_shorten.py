@@ -4,7 +4,7 @@ import pytest
 
 from petrialign import (Label, Marking, PetriNet, compute_clusters,
                         conflict_order_from_sequence, fire_sequence,
-                        is_biased, parikh, shorten_biased, shorten_lbfc)
+                        is_biased, parikh, shorten, shorten_biased, shorten_lbfc)
 from petrialign.errors import BoundAssumptionViolated, NotBiased, NotReplayable
 from petrialign.petri import parikh_dominated
 from randgen import marked_cycle_tsystem, random_replayable_walk
@@ -74,6 +74,52 @@ def test_shorten_biased_singleton():
 def test_shorten_biased_rejects_unbiased(ex1):
     with pytest.raises(NotBiased):
         shorten_biased(ex1.net, Marking({"p3": 1, "p4": 1}), ("t5", "t4"), 1)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_shorten_biased_rejects_nonpositive_bounds(bound):
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        shorten_biased(two_place_cycle(), Marking.of("p1"), ("u1",), bound)
+
+
+def test_shorten_biased_rejects_a_run_that_moves_the_marking():
+    """t takes from p and puts back on p and q, so its run of two equal
+    blocks grows q: the system is not 1-bounded, and the run cannot go."""
+    net = PetriNet(("p", "q"), ("t",), [("p", "t"), ("t", "p"), ("t", "q")],
+                   {"t": Label("a")})
+    with pytest.raises(BoundAssumptionViolated, match="equal-support block changes the marking"):
+        shorten_biased(net, Marking.of("p"), ("t", "t"), 1)
+
+
+def _self_loops(*ts):
+    """Place p1 and, per id, a transition labelled by it with a self-loop on p1."""
+    return PetriNet(("p1",), ts, [arc for t in ts for arc in (("p1", t), (t, "p1"))],
+                    {t: Label(t) for t in ts})
+
+
+@pytest.mark.parametrize("solve, patched, fault, net, seq, message", [
+    (shorten_biased, "_first_occurrence_blocks", lambda seq: [],
+     two_place_cycle(), ("u1",), "misses the end marking"),
+    (shorten_biased, "_first_occurrence_blocks", lambda seq: [("t",), ("u",)],
+     _self_loops("t", "u"), ("t",), "length bound violated"),
+    (shorten_biased, "_first_occurrence_blocks", lambda seq: [("u",)],
+     _self_loops("t", "u"), ("t",), "Parikh domination violated"),
+    (shorten_lbfc, "shorten_biased", lambda net, m, segment, bound: (),
+     two_place_cycle(), ("u1",), "misses the end marking"),
+    (shorten_lbfc, "shorten_biased", lambda net, m, segment, bound: ("u",),
+     _self_loops("t", "u"), ("t",), "Parikh domination violated"),
+    (shorten_lbfc, "shorten_biased", lambda net, m, segment, bound: segment,
+     _self_loops("t"), ("t", "t"), "length bound violated"),
+], ids=["biased_end", "biased_length", "biased_parikh", "lbfc_end", "lbfc_parikh",
+        "lbfc_length"])
+def test_a_faulty_step_is_caught_by_the_post_checks(monkeypatch, solve, patched, fault, net,
+                                                    seq, message):
+    """Each post-check of the shortening, reached by one fault in the step
+    before it: blocks that drop or add transitions, or a segment shortened
+    to a wrong sequence or not at all."""
+    monkeypatch.setattr(shorten, patched, fault)
+    with pytest.raises(BoundAssumptionViolated, match=message):
+        solve(net, Marking.of("p1"), seq, 1)
 
 
 def test_shorten_biased_rejects_unreplayable():

@@ -287,7 +287,7 @@ def check_letter_bound(system, trace, costs):
     def h(pos, m):
         return bound_at(bound, pos, m)
 
-    graph, (start, final) = plan.graph, plan.ends
+    graph, (start, final) = plan, plan.ends
     labels = graph.labels
     seen = {(0, start)}
     stack = [(0, start)]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import threading
 
@@ -50,6 +51,11 @@ def test_tree_nodes_are_checked(kind, label, children):
         ProcessTree(kind, label, children)
 
 
+def test_a_shuffle_instance_needs_a_component():
+    with pytest.raises(ValueError, match="at least one component word"):
+        ShuffleInstance(("a",), ())
+
+
 def test_a_tree_prints_as_its_text():
     tree = seq(activity("a"), par(activity("b"), silent()), xor(activity("c"), silent()),
                loop(activity("d"), activity("e")))
@@ -64,6 +70,16 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_tree("seq(a,")
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("seq(a b)", "expected ')'", 7),
+    ("seq(a) x", "trailing input after tree", 8),
+])
+def test_parse_errors_name_their_place(text, message, column):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_tree(text)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_language_seq_par():
