@@ -712,9 +712,17 @@ def lbfc_cap(sys: AcceptingSystem, trace_len: int,
              state_budget: int = DEFAULT_STATE_BUDGET) -> int | None:
     """The length cap for `trace_len` letters on a live (or sound workflow-shaped)
     bounded free-choice system, read off `structural_class` and
-    `behavioral_class`; None otherwise or when the latter passes the budget."""
+    `behavioral_class`; None otherwise or when the latter passes the budget.
+
+    A transition that consumes nothing and produces a token gives None before
+    any walk: if a reachable marking enables it, the net is unbounded, and if
+    none does, it is dead, so the system is neither live nor sound."""
     if trace_len < 0:
         raise ValueError("trace_len must be non-negative")
+    view = _net_view(sys.net)
+    if any(produce and not consume for row in (view.unguarded, *view.first)
+           for _, _, consume, produce in row):
+        return None
     srep = structural_class(sys.net, sys.initial, sys.final)
     if not srep.free_choice:
         return None

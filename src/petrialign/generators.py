@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .errors import (CycleDetected, GadgetError, NonCanonicalHalt,
                      NotSafeMarkings, SpaceBoundViolated, StepCapExceeded)
-from .petri import AcceptingSystem, Label, Marking, PetriNet, is_token
+from .petri import AcceptingSystem, Label, Marking, PetriNet, _NetBuilder, is_token
 from .products import trace_system
 
 
@@ -132,33 +132,17 @@ def gen_shuffle_tsystem(words: Sequence[Sequence[str]]) -> AcceptingSystem:
         for a in w:
             if not is_token(a):
                 raise ValueError(f"letter must match [A-Za-z0-9_]+: {a!r}")
-    places = ["p_src"]
-    transitions = ["t_start"]
-    labels: dict[str, Label] = {"t_start": Label(None)}
-    flow: list[tuple[str, str]] = [("p_src", "t_start")]
-    ends = []
+    b = _NetBuilder()
+    b.places.append("p_src")
+    b.transition("t_start", None, ["p_src"], [f"b{i}_p0" for i in range(len(words))])
     for i, w in enumerate(words):
-        prev = f"b{i}_p0"
-        places.append(prev)
-        flow.append(("t_start", prev))
+        line = [f"b{i}_p{j}" for j in range(len(w) + 1)]
+        b.places += line
         for j, letter in enumerate(w, start=1):
-            t = f"b{i}_t{j}"
-            nxt = f"b{i}_p{j}"
-            transitions.append(t)
-            labels[t] = Label(letter)
-            places.append(nxt)
-            flow.append((prev, t))
-            flow.append((t, nxt))
-            prev = nxt
-        ends.append(prev)
-    transitions.append("t_end")
-    labels["t_end"] = Label(None)
-    places.append("p_snk")
-    for end in ends:
-        flow.append((end, "t_end"))
-    flow.append(("t_end", "p_snk"))
-    net = PetriNet(tuple(places), tuple(transitions), flow, labels)
-    return AcceptingSystem(net, Marking.of("p_src"), Marking.of("p_snk"))
+            b.transition(f"b{i}_t{j}", letter, [line[j - 1]], [line[j]])
+    b.places.append("p_snk")
+    b.transition("t_end", None, [f"b{i}_p{len(w)}" for i, w in enumerate(words)], ["p_snk"])
+    return b.system(Marking.of("p_src"), Marking.of("p_snk"))
 
 
 def gen_shuffle_ssystem(word: Sequence[str], n: int) -> AcceptingSystem:
@@ -277,45 +261,30 @@ def gen_tm_wfnet(tm: TuringMachine, word: Sequence[str],
             "machine must halt with a cleared tape and the head on cell 0")
 
     pn = tm.space_bound
-    places = ["p_init", "p_final", "p_aux"]
-    places += [f"st_{q}" for q in tm.states]
-    places += [f"hd_{i}" for i in range(pn + 1)]
-    places += [f"cell_{i}_{a}" for i in range(pn + 1) for a in tm.tape_alphabet]
-
-    transitions: list[str] = []
-    labels: dict[str, Label] = {}
-    flow: list[tuple[str, str]] = []
-
-    def add(tid, label, pre, post):
-        transitions.append(tid)
-        labels[tid] = label
-        for p in pre:
-            flow.append((p, tid))
-        for p in post:
-            flow.append((tid, p))
+    b = _NetBuilder()
+    b.places += ["p_init", "p_final", "p_aux"]
+    b.places += [f"st_{q}" for q in tm.states]
+    b.places += [f"hd_{i}" for i in range(pn + 1)]
+    b.places += [f"cell_{i}_{a}" for i in range(pn + 1) for a in tm.tape_alphabet]
 
     initial_cells = [f"cell_{i}_{word[i]}" for i in range(len(word))] + \
                     [f"cell_{i}_{tm.blank}" for i in range(len(word), pn + 1)]
-    add("t_start", Label(None), ["p_init"],
-        [f"st_{tm.initial}", "hd_0"] + initial_cells)
+    b.transition("t_start", None, ["p_init"], [f"st_{tm.initial}", "hd_0"] + initial_cells)
 
     halt_cells = [f"cell_{i}_{tm.blank}" for i in range(pn + 1)]
-    add("t_acc", Label("acc"), [f"st_{tm.accept}", "hd_0"] + halt_cells, ["p_final"])
-    add("t_rej", Label("rej"), [f"st_{tm.reject}", "hd_0"] + halt_cells, ["p_final"])
-    add("on_acc", Label("aux"), ["p_init"], [f"st_{tm.accept}", "hd_0"] + halt_cells)
-    add("on_rej", Label("aux"), ["p_init"], [f"st_{tm.reject}", "hd_0"] + halt_cells)
+    b.transition("t_acc", "acc", [f"st_{tm.accept}", "hd_0"] + halt_cells, ["p_final"])
+    b.transition("t_rej", "rej", [f"st_{tm.reject}", "hd_0"] + halt_cells, ["p_final"])
+    b.transition("on_acc", "aux", ["p_init"], [f"st_{tm.accept}", "hd_0"] + halt_cells)
+    b.transition("on_rej", "aux", ["p_init"], [f"st_{tm.reject}", "hd_0"] + halt_cells)
 
-    for (q, a), (q2, b, move) in sorted(tm.rules.items()):
+    for (q, a), (q2, write, move) in sorted(tm.rules.items()):
         for i in range(pn + 1):
             if not 0 <= i + move <= pn:
                 continue
             pre = [f"st_{q}", f"hd_{i}", f"cell_{i}_{a}"]
-            post = [f"st_{q2}", f"hd_{i + move}", f"cell_{i}_{b}"]
-            step = f"d_{q}_{a}_{i}"
-            add(step, Label(None), pre, post)
-            add(f"on_{q}_{a}_{i}", Label("aux"), ["p_init"], ["p_aux"] + pre)
-            add(f"off_{q}_{a}_{i}", Label("aux"), ["p_aux"] + post, ["p_final"])
+            post = [f"st_{q2}", f"hd_{i + move}", f"cell_{i}_{write}"]
+            b.transition(f"d_{q}_{a}_{i}", None, pre, post)
+            b.transition(f"on_{q}_{a}_{i}", "aux", ["p_init"], ["p_aux"] + pre)
+            b.transition(f"off_{q}_{a}_{i}", "aux", ["p_aux"] + post, ["p_final"])
 
-    net = PetriNet(tuple(places), tuple(transitions), flow, labels)
-    system = AcceptingSystem(net, Marking.of("p_init"), Marking.of("p_final"))
-    return system, ("acc",)
+    return b.system(Marking.of("p_init"), Marking.of("p_final")), ("acc",)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .costs import CostFunction, parse_cost
 from .errors import DisconnectedNet, DuplicateId, ParseError
 from .generators import TuringMachine
-from .petri import TAU, AcceptingSystem, Label, Marking, PetriNet, is_token
+from .petri import AcceptingSystem, Marking, _NetBuilder, is_token
 
 
 def _split_comment(line: str) -> str:
@@ -26,14 +26,10 @@ def _is_count(text: str) -> bool:
 
 def parse_net(text: str) -> AcceptingSystem:
     """Parse a net file into an accepting system; validates weak connectivity."""
-    places: dict[str, None] = {}   # declared so far, in order
+    b = _NetBuilder()
     init: dict[str, int] = {}
     final: dict[str, int] = {}
-    transitions: list[str] = []
-    labels: dict[str, Label] = {}
-    shared: dict[str, Label] = {}   # one Label per visible name
-    flow: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    kinds: dict[str, str] = {}   # directive per declared id
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _split_comment(raw)
@@ -49,11 +45,11 @@ def parse_net(text: str) -> AcceptingSystem:
         if not is_token(vid):
             kind = "place" if directive == "place" else "transition"
             raise ParseError(f"bad {kind} id {vid!r}", line=lineno)
-        if vid in seen:
+        if vid in kinds:
             raise DuplicateId(f"id {vid!r} declared twice", line=lineno)
-        seen.add(vid)
+        kinds[vid] = directive
         if directive == "place":
-            places[vid] = None
+            b.places.append(vid)
             for option in fields[2:]:
                 key, _, value = option.partition("=")
                 marks = init if key == "init" else final
@@ -61,7 +57,6 @@ def parse_net(text: str) -> AcceptingSystem:
                     raise ParseError(f"bad place option {option!r}", line=lineno)
                 marks[vid] = int(value)
         else:
-            transitions.append(vid)
             options = {"label": None, "in": None, "out": None}
             for option in fields[2:]:
                 key, eq, value = option.partition("=")
@@ -71,12 +66,9 @@ def parse_net(text: str) -> AcceptingSystem:
             if None in options.values():
                 raise ParseError("trans needs label=, in=, out=", line=lineno)
             name = options["label"]
-            label = TAU if name == "~" else shared.get(name)
-            if label is None:
-                if not is_token(name):
-                    raise ParseError(f"bad label {name!r}", line=lineno)
-                label = shared[name] = Label(name)
-            labels[vid] = label
+            if name != "~" and not is_token(name):
+                raise ParseError(f"bad label {name!r}", line=lineno)
+            arcs = []
             for key in ("in", "out"):
                 value = options[key]
                 ids = value.split(",") if value else []
@@ -85,16 +77,17 @@ def parse_net(text: str) -> AcceptingSystem:
                     raise ParseError(f"empty or repeated place id in {key}={value}",
                                      line=lineno)
                 for pid in ids:
-                    if pid not in places:
+                    if kinds.get(pid) != "place":
                         raise ParseError(f"undeclared place {pid!r} in {key}=", line=lineno)
-                    flow.append((pid, vid) if key == "in" else (vid, pid))
+                arcs.append(ids)
+            b.transition(vid, None if name == "~" else name, *arcs)
 
-    if not places:
+    if not b.places:
         raise ParseError("net file declares no places")
-    net = PetriNet(tuple(places), tuple(transitions), flow, labels)
-    if not net.is_weakly_connected():
+    system = b.system(Marking(init), Marking(final))
+    if not system.net.is_weakly_connected():
         raise DisconnectedNet("underlying graph must be weakly connected")
-    return AcceptingSystem(net, Marking(init), Marking(final))
+    return system
 
 
 def serialize_net(sys: AcceptingSystem) -> str:

@@ -289,6 +289,37 @@ class AcceptingSystem:
                     raise ValueError(f"{role} marking mentions unknown place {p!r}")
 
 
+class _NetBuilder:
+    """A net as it is declared: its places, transitions, arcs and labels in
+    declaration order, which callers may extend directly.  The generators,
+    the tree translation, the synchronous product and the net parser declare
+    their nets through it."""
+
+    def __init__(self):
+        self.places: list[str] = []
+        self.transitions: list[str] = []
+        self.flow: list[tuple[str, str]] = []
+        self.labels: dict[str, Label] = {}
+        self._shared: dict[str | None, Label] = {None: TAU}   # one Label per name
+
+    def transition(self, t: str, name: str | None = None,
+                   pre: Iterable[str] = (), post: Iterable[str] = ()) -> str:
+        """Declare transition `t`, labelled `name` (silent when None), with an
+        arc from each place of `pre` and to each place of `post`."""
+        label = self._shared.get(name)
+        if label is None:
+            label = self._shared[name] = Label(name)
+        self.transitions.append(t)
+        self.labels[t] = label
+        self.flow += [(p, t) for p in pre]
+        self.flow += [(t, p) for p in post]
+        return t
+
+    def system(self, initial: Marking, final: Marking) -> AcceptingSystem:
+        net = PetriNet(self.places, self.transitions, self.flow, self.labels)
+        return AcceptingSystem(net, initial, final)
+
+
 def is_enabled(net: PetriNet, marking: Marking, t: str) -> bool:
     if not net.has_transition(t):
         raise UnknownTransition(t)

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Label, Marking,
-                    PetriNet, _MarkingGraph, is_token)
+                    _MarkingGraph, _NetBuilder, is_token)
 
 NO_MOVE = ">>"
 
@@ -26,17 +26,11 @@ def trace_system(trace: Sequence[str]) -> AcceptingSystem:
     for a in trace:
         if not is_token(a):
             raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-    n = len(trace)
-    places = tuple(f"p{i}" for i in range(n + 1))
-    transitions = tuple(f"t{i}" for i in range(1, n + 1))
-    flow = []
-    labels = {}
-    for i in range(1, n + 1):
-        flow.append((f"p{i - 1}", f"t{i}"))
-        flow.append((f"t{i}", f"p{i}"))
-        labels[f"t{i}"] = Label(trace[i - 1])
-    net = PetriNet(places, transitions, flow, labels)
-    return AcceptingSystem(net, Marking.of("p0"), Marking.of(f"p{n}"))
+    b = _NetBuilder()
+    b.places += [f"p{i}" for i in range(len(trace) + 1)]
+    for i, a in enumerate(trace, start=1):
+        b.transition(f"t{i}", a, [f"p{i - 1}"], [f"p{i}"])
+    return b.system(Marking.of("p0"), Marking.of(f"p{len(trace)}"))
 
 
 def _prefix_marking(marking: Marking, prefix: str) -> Marking:
@@ -64,38 +58,23 @@ def synchronous_product(s1: AcceptingSystem, s2: AcceptingSystem) -> AcceptingSy
     synchronous pairs and the component label for one-sided moves.
     """
     n1, n2 = s1.net, s2.net
-    places = tuple(_LEFT + p for p in n1.places) + tuple(_RIGHT + p for p in n2.places)
-    transitions: list[str] = []
-    labels: dict[str, Label] = {}
-    flow: list[tuple[str, str]] = []
-
-    def add(tid, label, pre, post):
-        transitions.append(tid)
-        labels[tid] = label
-        for p in pre:
-            flow.append((p, tid))
-        for p in post:
-            flow.append((tid, p))
-
-    for t1 in n1.transitions:
-        for t2 in n2.transitions:
+    b = _NetBuilder()
+    b.places += [_LEFT + p for p in n1.places] + [_RIGHT + p for p in n2.places]
+    left = {t: ([_LEFT + p for p in n1.preset(t)], [_LEFT + p for p in n1.postset(t)])
+            for t in n1.transitions}
+    right = {t: ([_RIGHT + p for p in n2.preset(t)], [_RIGHT + p for p in n2.postset(t)])
+             for t in n2.transitions}
+    for t1, (pre1, post1) in left.items():
+        for t2, (pre2, post2) in right.items():
             if n1.label(t1) == n2.label(t2):
-                add(encode_pair(t1, t2), n1.label(t1),
-                    [_LEFT + p for p in n1.preset(t1)] + [_RIGHT + p for p in n2.preset(t2)],
-                    [_LEFT + p for p in n1.postset(t1)] + [_RIGHT + p for p in n2.postset(t2)])
-    for t1 in n1.transitions:
-        add(encode_pair(t1, None), n1.label(t1),
-            [_LEFT + p for p in n1.preset(t1)],
-            [_LEFT + p for p in n1.postset(t1)])
-    for t2 in n2.transitions:
-        add(encode_pair(None, t2), n2.label(t2),
-            [_RIGHT + p for p in n2.preset(t2)],
-            [_RIGHT + p for p in n2.postset(t2)])
-
-    net = PetriNet(places, tuple(transitions), flow, labels)
+                b.transition(encode_pair(t1, t2), n1.label(t1).name, pre1 + pre2, post1 + post2)
+    for t1, (pre1, post1) in left.items():
+        b.transition(encode_pair(t1, None), n1.label(t1).name, pre1, post1)
+    for t2, (pre2, post2) in right.items():
+        b.transition(encode_pair(None, t2), n2.label(t2).name, pre2, post2)
     initial = _prefix_marking(s1.initial, _LEFT) + _prefix_marking(s2.initial, _RIGHT)
     final = _prefix_marking(s1.final, _LEFT) + _prefix_marking(s2.final, _RIGHT)
-    return AcceptingSystem(net, initial, final)
+    return b.system(initial, final)
 
 
 @dataclass(frozen=True)

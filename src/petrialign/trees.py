@@ -3,13 +3,14 @@ safe sound free-choice workflow nets."""
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ArityError, BudgetExceeded, ParseError
-from .petri import TAU, AcceptingSystem, Label, Marking, PetriNet, is_token
+from .petri import AcceptingSystem, Marking, _NetBuilder, is_token
 
 OPERATORS = ("seq", "xor", "par", "loop")
 
@@ -322,36 +323,6 @@ def tree_language_member(tree: ProcessTree, word: Sequence[str],
     return terms.member(word, budget)
 
 
-class _NetBuilder:
-    def __init__(self):
-        self.places: list[str] = []
-        self.transitions: list[str] = []
-        self.flow: list[tuple[str, str]] = []
-        self.labels: dict[str, Label] = {}
-        self.shared: dict[str | None, Label] = {None: TAU}   # one Label per name
-        self.counter = 0
-
-    def place(self) -> str:
-        name = f"p{self.counter}"
-        self.counter += 1
-        self.places.append(name)
-        return name
-
-    def transition(self, label: str | None = None) -> str:
-        """A new transition labelled `label`, silent when None."""
-        shared = self.shared.get(label)
-        if shared is None:
-            shared = self.shared[label] = Label(label)
-        name = f"t{self.counter}"
-        self.counter += 1
-        self.transitions.append(name)
-        self.labels[name] = shared
-        return name
-
-    def arc(self, src, dst):
-        self.flow.append((src, dst))
-
-
 def tree_to_wfnet(tree: ProcessTree) -> AcceptingSystem:
     """Translate a process tree to an equivalent safe, sound, free-choice
     workflow net.
@@ -360,49 +331,45 @@ def tree_to_wfnet(tree: ProcessTree) -> AcceptingSystem:
     branches between a shared entry and exit, par forks and joins with silent
     transitions, and loop wraps a do/redo place pair in silent entry/exit."""
     b = _NetBuilder()
+    counter = itertools.count()   # places and transitions share one numbering
+
+    def place() -> str:
+        b.places.append(f"p{next(counter)}")
+        return b.places[-1]
+
+    def transition(label=None, pre=(), post=()) -> str:
+        return b.transition(f"t{next(counter)}", label, pre, post)
 
     def build(node: ProcessTree, src: str, snk: str):
         if node.kind == "activity":
-            t = b.transition(node.label)
-            b.arc(src, t)
-            b.arc(t, snk)
+            transition(node.label, [src], [snk])
         elif node.kind == "silent":
-            t = b.transition()
-            b.arc(src, t)
-            b.arc(t, snk)
+            transition(None, [src], [snk])
         elif node.kind == "seq":
-            stops = [src] + [b.place() for _ in node.children[:-1]] + [snk]
+            stops = [src] + [place() for _ in node.children[:-1]] + [snk]
             for child, (a, z) in zip(node.children, zip(stops, stops[1:])):
                 build(child, a, z)
         elif node.kind == "xor":
             for child in node.children:
                 build(child, src, snk)
         elif node.kind == "par":
-            split = b.transition()
-            join = b.transition()
-            b.arc(src, split)
-            b.arc(join, snk)
+            split = transition(None, [src])
+            join = transition(None, (), [snk])
             for child in node.children:
-                a, z = b.place(), b.place()
-                b.arc(split, a)
-                b.arc(z, join)
+                a, z = place(), place()
+                b.flow += [(split, a), (z, join)]
                 build(child, a, z)
         else:  # loop
-            enter = b.transition()
-            leave = b.transition()
-            do_start, do_end = b.place(), b.place()
-            b.arc(src, enter)
-            b.arc(enter, do_start)
-            b.arc(do_end, leave)
-            b.arc(leave, snk)
+            enter = transition(None, [src])
+            leave = transition(None, (), [snk])
+            do_start, do_end = place(), place()
+            b.flow += [(enter, do_start), (do_end, leave)]
             build(node.children[0], do_start, do_end)
             build(node.children[1], do_end, do_start)
 
-    source = b.place()
-    sink = b.place()
+    source, sink = place(), place()
     build(tree, source, sink)
-    net = PetriNet(tuple(b.places), tuple(b.transitions), b.flow, b.labels)
-    return AcceptingSystem(net, Marking.of(source), Marking.of(sink))
+    return b.system(Marking.of(source), Marking.of(sink))
 
 
 @dataclass(frozen=True)

@@ -789,6 +789,24 @@ def test_budget_keys_the_cap(ex1):
     assert caps == [180, None, 180]
 
 
+@pytest.mark.parametrize("text", [
+    # src makes tokens on p1 from nothing.
+    "place p0 init=1\nplace p1\nplace pf final=1\ntrans ta label=a in=p0 out=p1\n"
+    "trans tb label=b in=p1 out=pf\ntrans src label=c in= out=p1\ntrans tk label=d in=p1 out=\n",
+    # u reads p and puts it back, and makes a token on q.
+    "place p init=1\nplace q\nplace f final=1\ntrans u label=~ in=p out=p,q\n"
+    "trans ta label=a in=p out=p\ntrans tz label=z in=p out=f\n",
+], ids=["visible_source", "silent_self_loop"])
+def test_a_pump_gives_no_cap_without_a_walk(monkeypatch, text):
+    """A transition that consumes nothing and produces a token leaves the net
+    unbounded or itself dead, so the cap is None before any walk."""
+    def walk(*args, **kwargs):
+        raise AssertionError("lbfc_cap walked the net")
+
+    monkeypatch.setattr(engine, "behavioral_class", walk)
+    assert lbfc_cap(parse_net(text), 8) is None
+
+
 def test_caller_costs_are_never_cached(ex1):
     c = CostFunction(labels=dict(ex1.net.labels),
                      log_overrides={"a": Fraction(1, 3), "b": Fraction(5, 2)},

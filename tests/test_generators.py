@@ -34,6 +34,18 @@ def test_skip_gadget_bridges_dead_system():
     assert fire(fixed.net, fixed.initial, "t_skip") == fixed.final
 
 
+def test_skip_gadget_takes_fresh_ids():
+    """A net that already has a t_skip and a skip label gets t_skip_1 and
+    skip_1."""
+    net = PetriNet(("p", "q"), ("t_skip",), [("p", "t_skip"), ("t_skip", "q")],
+                   {"t_skip": Label("skip")})
+    fixed, record = make_easy_sound_safe(AcceptingSystem(net, Marking.of("p"), Marking.of("q")),
+                                         Fraction(2))
+    assert record.transitions == ("t_skip_1",)
+    assert fixed.net.transitions == ("t_skip", "t_skip_1")
+    assert fixed.net.label("t_skip_1") == Label("skip_1")
+
+
 def test_skip_gadget_preserves_optima(ex1):
     k = Fraction(10)
     gadgeted, record = make_easy_sound_safe(ex1, k)

@@ -16,6 +16,12 @@ def test_fire_fork(ex1):
     assert after == Marking({"p1": 1, "p2": 1})
 
 
+def test_marking_membership_and_net_repr(ex1):
+    marking = Marking({"p1": 2, "p2": 0})
+    assert "p1" in marking and "p2" not in marking and "p3" not in marking
+    assert repr(ex1.net) == "PetriNet(|P|=6, |T|=5, |F|=13)"
+
+
 def test_fire_not_enabled_reports_first_empty_place(ex1):
     with pytest.raises(NotEnabled) as err:
         fire(ex1.net, Marking({"p1": 1, "p2": 1}), "t5")
