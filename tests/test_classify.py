@@ -7,7 +7,8 @@ from petrialign import (AcceptingSystem, BehavioralReport, BoundReport, Label,
                         build_reachability_graph, ex1_system, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
                         structural_class, trace_system, tree_to_wfnet)
-from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral
+from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral, _sccs
+from petrialign.petri import _closure
 from petrialign.errors import BudgetExceeded
 from randgen import (ahead_of, behavioral_reference, dying_token_system,
                      marked_cycle_tsystem, random_safe_system,
@@ -250,6 +251,46 @@ def test_counterexamples_witness_their_failure():
             ahead = ahead_of(system, fire_sequence(net, system.initial,
                                                    certs["option_counterexample"]))
             assert system.final not in ahead.vertices
+
+
+def condensation_campaign(seed, count):
+    """`_sccs` against its definition on `count` seeded digraphs of 1 to 40
+    vertices, numbered as markings are: a random tree from vertex 0 makes
+    every vertex reachable, and up to 3n more arcs, self-loops and parallel
+    arcs included, join random vertices.  Two vertices share an scc iff each
+    reaches the other; an scc is terminal iff no arc leaves it; the terminal
+    sccs map to their first vertices and are listed in that order.  Returns
+    how many graphs had more than one terminal scc; some do."""
+    rng = random.Random(seed)
+    several = 0
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        order = [0, *rng.sample(range(1, n), n - 1)]
+        arcs = [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+        arcs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        rng.shuffle(arcs)
+        rows = {v: [] for v in range(n)}
+        for t, (v, w) in enumerate(arcs):
+            rows[v].append((t, w))
+        rows = {v: tuple(row) for v, row in rows.items()}
+        scc_of, terminal = _sccs(rows, n)
+        reach = [_closure(v, lambda u: (w for _, w in rows[u])) for v in range(n)]
+        for v in range(n):
+            for w in range(n):
+                assert (scc_of[v] == scc_of[w]) == (w in reach[v] and v in reach[w])
+        left = {scc_of[v] for v, w in arcs if scc_of[v] != scc_of[w]}
+        firsts = {}
+        for v in range(n):
+            firsts.setdefault(scc_of[v], v)
+        assert terminal == {s: v for s, v in firsts.items() if s not in left}
+        assert list(terminal.values()) == sorted(terminal.values())
+        several += len(terminal) > 1
+    assert several > 0
+    return several
+
+
+def test_condensation_matches_its_definition():
+    assert condensation_campaign(37, 2000) > 100
 
 
 def test_free_choice_matches_the_pairwise_definition():

@@ -214,7 +214,17 @@ def test_a_missing_net_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_classify_output(ex1_path, capsys):
+# Two terminal components: the final marking and the self-loop on p2.
+TWO_TERMINAL = ("place p0 init=1\nplace p1\nplace p2\nplace pf final=1\n"
+                "trans ta label=a in=p0 out=p1\ntrans tb label=b in=p1 out=p0\n"
+                "trans tc label=c in=p0 out=p2\ntrans td label=d in=p2 out=p2\n"
+                "trans te label=e in=p1 out=pf\n")
+# One component, which is terminal and holds the final marking.
+TWO_PLACE_CYCLE = ("place p0 init=1 final=1\nplace p1\n"
+                   "trans ta label=a in=p0 out=p1\ntrans tb label=b in=p1 out=p0\n")
+
+
+def test_classify_output(ex1_path, tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(ex1_path))
     assert code == 0
     lines = out.splitlines()
@@ -223,6 +233,20 @@ def test_classify_output(ex1_path, capsys):
     assert "sound=true" in lines
     assert "live=false" in lines
     assert lines[-1] == "states_explored=6"
+    for text, flags in (
+            (TWO_TERMINAL, "free_choice=true s_net=true t_net=false conflict_free=false "
+                           "acyclic=false workflow_shape=false bound_found=1 safe=true "
+                           "quasi_live=true live=false cyclic=false easy_sound=true "
+                           "sound=false states_explored=4"),
+            (TWO_PLACE_CYCLE, "free_choice=true s_net=true t_net=true conflict_free=true "
+                              "acyclic=false workflow_shape=false bound_found=1 safe=true "
+                              "quasi_live=true live=true cyclic=true easy_sound=true "
+                              "sound=true states_explored=2")):
+        path = tmp_path / "net.net"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == flags.split()
 
 
 def test_classify_inconclusive_under_budget(ex1_path, capsys):
