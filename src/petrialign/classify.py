@@ -152,66 +152,47 @@ class BehavioralReport:
 def _sccs(rows: dict[int, tuple[tuple[int, int], ...]], n: int
           ) -> tuple[list[int], dict[int, int]]:
     """Tarjan condensation over the explored graph, markings 0 to n - 1 and
-    their rows, in one depth-first pass.
+    their rows: one depth-first walk from marking 0, from which every
+    explored marking is reachable, then one pass over the rows.
 
     Returns (scc id per marking, terminal sccs): a terminal scc has no arc
     leaving it.  The terminal sccs map each id to the scc's first marking in
     BFS order, and are listed in the BFS order of those markings.
 
-    A marking that is found and not yet in an scc is on the stack, so an
-    arc to a marking already in an scc leaves the arc's own scc, as does a
-    tree arc to a marking that closed an scc.
+    A found marking not yet in an scc is on the stack.  When v's walk ends
+    with low[v] == index[v], v and the markings above it on the stack form
+    its scc; otherwise v is not marking 0 and passes low[v] to its parent.
     """
-    index = [-1] * n
+    index = [0] + [-1] * (n - 1)
     low = [0] * n
     scc_of = [-1] * n
-    leaves = [False] * n   # whether some arc from the marking leaves its scc
-    stack: list[int] = []
-    closed: set[int] = set()
-    count = found = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        work = [(root, iter(rows[root]))]
-        while work:
-            v, it = work[-1]
-            for _, w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = found
-                    found += 1
-                    stack.append(w)
-                    work.append((w, iter(rows[w])))
-                    break
-                if scc_of[w] >= 0:
-                    leaves[v] = True
-                elif index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    exits = False
-                    while True:
-                        w = stack.pop()
-                        scc_of[w] = count
-                        exits = exits or leaves[w]
-                        if w == v:
-                            break
-                    if not exits:
-                        closed.add(count)
-                    count += 1
-                    if work:
-                        leaves[work[-1][0]] = True
-                elif work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
+    stack = [0]
+    work = [(0, iter(rows[0]))]
+    count, found = 0, 1
+    while work:
+        v, it = work[-1]
+        for _, w in it:
+            if index[w] < 0:
+                index[w] = low[w] = found
+                found += 1
+                stack.append(w)
+                work.append((w, iter(rows[w])))
+                break
+            if scc_of[w] < 0 and index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            work.pop()
+            if low[v] == index[v]:
+                while scc_of[v] < 0:
+                    scc_of[stack.pop()] = count
+                count += 1
+            elif low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+    left = {scc_of[v] for v in range(n) for _, w in rows[v] if scc_of[w] != scc_of[v]}
     terminal: dict[int, int] = {}
-    for v in range(n):
-        if scc_of[v] in closed:
-            terminal.setdefault(scc_of[v], v)
+    for v, s in enumerate(scc_of):
+        if s not in left:
+            terminal.setdefault(s, v)
     return scc_of, terminal
 
 
@@ -239,8 +220,9 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
     every reachable marking iff it lies in the only terminal scc.
     """
     keys, rows, ts = ex.keys, ex.graph.rows, sys.net.transitions
-    somewhere = {t for k in range(len(keys)) for t, _ in rows[k]}
-    dead = next((t for t in range(len(ts)) if t not in somewhere), None)
+    # Each transition's first marking: later ones are overwritten.
+    enabling = {t: k for k in reversed(range(len(keys))) for t, _ in rows[k]}
+    dead = next((t for t in range(len(ts)) if t not in enabling), None)
     scc_of, terminal = _sccs(rows, len(keys))
     fired_in: dict[int, set[int]] = {s: set() for s in terminal}
     for k, s in enumerate(scc_of):
@@ -265,8 +247,6 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
     if bound > 1:
         certs["unsafe"] = certs["bound"]
     if dead is None:
-        # Each transition's first marking: later ones are overwritten.
-        enabling = {t: k for k in reversed(range(len(keys))) for t, _ in rows[k]}
         certs["quasi_live"] = {name: _access(ex, enabling[t]) for t, name in enumerate(ts)}
     else:
         certs["dead"] = ts[dead]
