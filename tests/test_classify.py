@@ -8,8 +8,8 @@ from petrialign import (AcceptingSystem, BehavioralReport, BoundReport, Label,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
                         structural_class, trace_system, tree_to_wfnet)
 from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral, _sccs
-from petrialign.petri import _closure
 from petrialign.errors import BudgetExceeded
+from petrialign.petri import _closure
 from randgen import (ahead_of, behavioral_reference, dying_token_system,
                      marked_cycle_tsystem, random_safe_system,
                      random_single_token_ssystem, random_tree)
