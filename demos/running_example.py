@@ -1,8 +1,9 @@
 """Walk-through on the bundled running example.
 
-The model is a sound free-choice workflow net over two activities whose
-language is (aab|aba)+b: a fork into an a-branch and a b-branch that either
-restarts through a silent loop-back or finishes with a final b.
+The model is a sound free-choice net over two activities whose language is
+(aab|aba)+b: a fork into an a-branch and a b-branch that either restarts
+through a silent loop-back or finishes with a final b.  The loop-back refills
+the initial place, so the net is no workflow net.
 """
 
 from petrialign import (behavioral_class, ex1_system, membership,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple
 
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet,
-                    _closure, _MarkingGraph, _net_view)
+                    _closure, _MarkingGraph)
 
 DEFAULT_B_MAX = 8
 
@@ -34,7 +34,7 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
     # Free choice: all consumers of a place share one preset.
     free_choice = all(len({net.preset(t) for t in net.postset(p)}) <= 1
                       for p in net.places)
-    s_net = _net_view(net).s_net
+    s_net = all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1 for t in net.transitions)
     t_net = all(len(net.preset(p)) <= 1 and len(net.postset(p)) <= 1 for p in net.places)
     # A place with several output transitions is fine only if all of them are
     # on a self-loop with it.
@@ -43,12 +43,15 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
         for p in net.places)
     acyclic = net.is_acyclic()
 
+    # Workflow shape: one token on a source place i that no transition marks,
+    # one on a sink place o that no transition reads, and every place and
+    # transition on a path from i to o.
     workflow_shape = False
     source = sink = None
     if (init.total() == 1 and final.total() == 1):
         i = init.support()[0]
         o = final.support()[0]
-        if not net.postset(o):
+        if not net.preset(i) and not net.postset(o):
             everything = set(net.places) | set(net.transitions)
             if (_closure(i, net.postset) >= everything
                     and _closure(o, net.preset) >= everything):

@@ -23,7 +23,7 @@ from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, C
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
                      Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet, _closure,
-                    _enabled_among, _MarkingGraph, _net_view, fire, is_token)
+                    _enabled_among, _MarkingGraph, fire, is_token)
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,13 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
-def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], start: int,
-                        final: int, must: frozenset[int], table: _MoveTable,
+def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
                         state_budget: int, ceiling: int | None = None,
                         h: tuple[list[int], list[int], list[int], int] | None = None):
     """Least-cost move sequence over the states (trace position, marking) of
     the synchronous product of the trace and the net of `plan`, generated
-    on the fly from (0, start) to (len(trace), final), where `start` and
-    `final` are numbers of `plan`'s markings, mostly `plan.ends`.
+    on the fly from (0, start) to (len(trace), final), where (start, final)
+    are the numbers of the system's ends on `plan` (`plan.ends`).
 
     Markings are numbered, and their enabled transitions read, through the
     plan's marking graph (see `_MarkingGraph`), and moves are priced by
@@ -102,11 +101,10 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], start: int,
     Dijkstra would not, but for ties; it may return another optimal
     alignment.  These moves are those of the cut search below too.
 
-    `must` holds the silent transitions that must fire, `plan.must` when
-    `final` is the plan's final marking (see `_Plan` and `_NetView.forced`),
-    or none: a state whose row holds one yields that transition's model
-    move alone, the first such in row order, and no sync, log or other
-    model move.  The cut keeps an optimal alignment
+    `plan.must` holds the silent transitions that must fire (see `_Plan`
+    and `_NetView.forced`): a state whose row holds one yields that
+    transition's model move alone, the first such in row order, and no
+    sync, log or other model move.  The cut keeps an optimal alignment
     under any cost function, by an exchange argument: such a t has input
     places that no other transition reads and that `final` leaves empty,
     so every completion from the state fires t, and moving t's first model
@@ -147,7 +145,8 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], start: int,
     self-loop sync reaches the log move's), and those keep their order, the
     log move after every sync move.
     """
-    expand, rows, labels = plan.row, plan.rows, plan.labels
+    expand, rows, labels, must = plan.row, plan.rows, plan.labels, plan.must
+    start, final = plan.ends
     sync, model = table.sync, table.model
     n = len(trace)
     width = n + 1
@@ -274,8 +273,7 @@ def min_cost_reach(net: PetriNet, initial: Marking,
     for t in costs:
         if not net.has_transition(t):
             raise UnknownTransition(t)
-    table = _MoveTable(net, CostFunction(net.labels, model_overrides={
-        t: costs.get(t, 0) for t in net.transitions}))
+    c = CostFunction(net.labels, model_overrides={t: costs.get(t, 0) for t in net.transitions})
     # Tokens on places outside the net never move.
     outside = [p for p in initial.support() + target.support() if not net.has_place(p)]
     if any(initial[p] != target[p] for p in outside):
@@ -284,16 +282,18 @@ def min_cost_reach(net: PetriNet, initial: Marking,
         initial, target = (Marking([(p, n) for p, n in m.items() if net.has_place(p)])
                            for m in (initial, target))
     plan = _Plan(AcceptingSystem(net, initial, target))
-    cost, seq, _ = dijkstra_least_cost(plan, (), *plan.ends, plan.must, table, state_budget)
+    table = _MoveTable(plan, c)
+    cost, seq, _ = dijkstra_least_cost(plan, (), table, state_budget)
     return Fraction(cost, table.scale), tuple(move.model_part for move in seq)
 
 
 class _MoveTable:
-    """The search's move entries for one net under one cost function, each
-    (weight, rank, move) with the tie-break rank of `dijkstra_least_cost`:
-    per transition, in declaration order, one sync entry (None when silent)
-    and one model entry; and per letter, the log move's entry, priced when a
-    trace first holds the letter.  The ranks are the net's (`_NetView`).
+    """The search's move entries for the net of one marking graph under one
+    cost function, each (weight, rank, move) with the tie-break rank of
+    `dijkstra_least_cost`: per transition, in declaration order, one sync
+    entry (None when silent) and one model entry; and per letter, the log
+    move's entry, priced when a trace first holds the letter.  The ranks are
+    those of the graph's view (`_NetView`).
 
     A sync move pairs a transition with its own label (`CostFunction`
     admits no other), so its entry depends on the transition alone.  Every
@@ -310,7 +310,7 @@ class _MoveTable:
     label.
     """
 
-    def __init__(self, net: PetriNet, c: CostFunction):
+    def __init__(self, graph: _MarkingGraph, c: CostFunction):
         self.c = c
         sync_costs, log_costs, model_costs = c.sync_overrides, c.log_overrides, c.model_overrides
         scale = 1
@@ -321,13 +321,13 @@ class _MoveTable:
         sync_w = _weight(SYNC_DEFAULT, scale)
         visible_w = _weight(VISIBLE_MODEL_DEFAULT, scale)
         silent_w = _weight(SILENT_MODEL_DEFAULT, scale)
-        view = _net_view(net)
+        view = graph.view
         t_count = len(view.labels)
         trusted = Move._trusted
         self.sync: list[tuple[int, int, Move] | None] = []
         self.model: list[tuple[int, int, Move]] = []
         sync, model = self.sync.append, self.model.append
-        for a, t, rank in zip(view.labels, net.transitions, view.ranks):
+        for a, t, rank in zip(view.labels, graph.net.transitions, view.ranks):
             if a is None:
                 sync(None)
                 w = silent_w
@@ -422,7 +422,7 @@ class _Plan(_MarkingGraph):
         self.sys = sys
         self.ends = (self.number(sys.initial), self.number(sys.final))
         final = self._keys[self.ends[1]]
-        self.must = frozenset([k for k, pre in _net_view(sys.net).forced
+        self.must = frozenset([k for k, pre in self.view.forced
                                if not any(final[p] for p in pre)])
         self._state_numbers: dict[frozenset[int], int] = {}
         self.states: list[frozenset[int]] = []
@@ -452,7 +452,7 @@ class _Plan(_MarkingGraph):
         `seen`, a set that the walk over the rows extends, numbered when it
         has none, or None when that would bring `size` above `top`, as it
         does at once when a row in it enables a pump."""
-        rows, labels, pumps = self.rows, self.labels, _net_view(self.net).pumps
+        rows, labels, pumps = self.rows, self.labels, self.view.pumps
         stack = list(seen)
         while stack:
             m = stack.pop()
@@ -484,7 +484,7 @@ class _Plan(_MarkingGraph):
 
     @cached_property
     def standard_moves(self) -> _MoveTable:
-        return _MoveTable(self.sys.net, standard_costs(self.sys))
+        return _MoveTable(self, standard_costs(self.sys))
 
     @cached_property
     def transition_masks(self) -> tuple[list[int], dict[str, tuple[int, tuple]]]:
@@ -619,10 +619,9 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
             return result
         table = plan.standard_moves
     else:
-        table = _MoveTable(sys.net, c)
+        table = _MoveTable(plan, c)
     try:
-        cost, seq, settled = dijkstra_least_cost(plan, trace, *plan.ends, plan.must,
-                                                 table, state_budget, None,
+        cost, seq, settled = dijkstra_least_cost(plan, trace, table, state_budget, None,
                                                  plan.bound(trace, table) if guided else None)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
@@ -691,8 +690,7 @@ def membership(trace: Sequence[str], sys: AcceptingSystem,
     if not set(trace) <= set(plan.labels):
         return False
     try:
-        dijkstra_least_cost(plan, trace, *plan.ends, plan.must, plan.standard_moves,
-                            state_budget, ceiling=0)
+        dijkstra_least_cost(plan, trace, plan.standard_moves, state_budget, ceiling=0)
     except Unreachable:
         return False
     return True
@@ -719,11 +717,10 @@ def lbfc_cap(sys: AcceptingSystem, trace_len: int,
     none does, it is dead, so the system is neither live nor sound."""
     if trace_len < 0:
         raise ValueError("trace_len must be non-negative")
-    view = _net_view(sys.net)
-    if any(produce and not consume for row in (view.unguarded, *view.first)
-           for _, _, consume, produce in row):
+    net = sys.net
+    if any(net._produce[t] and not net._consume[t] for t in net.transitions):
         return None
-    srep = structural_class(sys.net, sys.initial, sys.final)
+    srep = structural_class(net, sys.initial, sys.final)
     if not srep.free_choice:
         return None
     try:
@@ -732,7 +729,7 @@ def lbfc_cap(sys: AcceptingSystem, trace_len: int,
         return None
     bound = rep.bound_found
     if bound and (rep.live or srep.workflow_shape and rep.sound):
-        return lbfc_length_bound(len(sys.net.transitions), bound, trace_len)
+        return lbfc_length_bound(len(net.transitions), bound, trace_len)
     return None
 
 
@@ -844,12 +841,12 @@ def dispatch_align(trace: Sequence[str], sys: AcceptingSystem,
     The acyclic route, the same search behind an acyclicity check, is
     reached only by calling `optimal_alignment_acyclic`, and the LBFC cap, a
     reachability walk, by calling `lbfc_cap`.  Consecutive calls on one
-    system share the net's compiled view (`petri._NetView`), of which the
-    route reads the S-net flag alone, and search a trace they repeat under
-    the standard costs once; each thread remembers its last system.
+    system share its plan (`_Plan`), whose view of the net (`petri._NetView`)
+    the route reads, and search a trace they repeat under the standard costs
+    once; each thread remembers its last system.
     """
     states = DEFAULT_STATE_BUDGET if budgets is None else budgets.states
-    view = _net_view(sys.net)
+    view = _plan(sys, states).view
     if view.s_net and not view.unguarded and sys.initial.total() == 1:
         return align_by_search(trace, sys, c, states, "ssystem", guided=True)
     return optimal_alignment(trace, sys, c, states)

@@ -6,10 +6,12 @@ from .petri import AcceptingSystem, Label, Marking, PetriNet
 
 
 def ex1_system() -> AcceptingSystem:
-    """Two-activity sound free-choice workflow net with language (aab|aba)+b.
+    """Two-activity sound free-choice net with language (aab|aba)+b.
 
     A fork into an a-branch and a b-branch that either restarts through a
-    silent loop-back transition or completes with a final b.
+    silent loop-back transition or completes with a final b.  The loop-back
+    refills p_init, so the net is no workflow net (p_init is no source
+    place), and the final marking enables nothing, so the system is not live.
     """
     net = PetriNet(
         places=("p_init", "p1", "p2", "p3", "p4", "p_final"),

@@ -153,7 +153,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "labels", "flow", "_pre", "_post",
-                 "_consume", "_produce", "_place_set", "_trans_set", "_view", "_acyclic")
+                 "_consume", "_produce", "_place_set", "_trans_set", "_acyclic")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  flow: Iterable[tuple[str, str]], labels: Mapping[str, Label]):
@@ -198,7 +198,6 @@ class PetriNet:
             ins, outs = self._pre[t], self._post[t]
             self._consume[t] = tuple(p for p in ins if p not in outs)
             self._produce[t] = tuple(p for p in outs if p not in ins)
-        self._view = None   # made on first use, see `_net_view`
         self._acyclic = None   # decided on first use, see `is_acyclic`
 
     def has_place(self, p: str) -> bool:
@@ -390,9 +389,9 @@ class _NetView:
       marks none of its input places, since nothing else takes their
       tokens; and firing it first disables nothing, since nothing else
       reads them.  So `dijkstra_least_cost` expands its model move alone
-      (see `engine._Plan`, whose `must` holds those of one final marking).
+      (see `engine._Plan`, whose `must` holds those of its final marking).
 
-    `_net_view` makes it on a net's first use and keeps it on the net."""
+    Each marking graph of the net makes its own (`_MarkingGraph.view`)."""
 
     __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net", "forced")
 
@@ -444,15 +443,6 @@ class _NetView:
         self.forced = tuple(forced)
 
 
-def _net_view(net: PetriNet) -> _NetView:
-    """The net's integer view, made on first use and kept on the net;
-    threads that race to make it store equal views."""
-    view = net._view
-    if view is None:
-        view = net._view = _NetView(net)
-    return view
-
-
 class _MarkingGraph:
     """The markings of one net that callers find, one `Marking` object per
     number, and per marking number its row: one (transition index, successor
@@ -468,8 +458,8 @@ class _MarkingGraph:
     order, and found by its key.  A row reads its parent's key alone: a
     transition is enabled iff each of its input places has a nonzero entry,
     and only the transitions with no input place and those whose first input
-    place is marked are checked, through the net's table per place index
-    (`_NetView.first`), which every graph of the net shares.  It keys each
+    place is marked are checked, through the table per place index of the
+    graph's own view of its net (`view`, a `_NetView`).  It keys each
     successor by updating the parent's key: minus one on each place the
     transition consumes from, plus one on each it produces on, so self-loop
     places stay as they are.  Only a key not yet numbered fires through
@@ -480,8 +470,7 @@ class _MarkingGraph:
 
     # Slots keep the reads of `row` fast on a plan (`engine._Plan`) too,
     # whose own attributes live in a dict that its cached properties write.
-    __slots__ = ("net", "markings", "rows", "size", "_by_key", "_keys", "_first", "_unguarded",
-                 "labels")
+    __slots__ = ("net", "view", "labels", "markings", "rows", "size", "_by_key", "_keys")
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -490,9 +479,8 @@ class _MarkingGraph:
         self.size = 0
         self._by_key: dict[tuple, int] = {}   # token counts -> number
         self._keys: list[tuple] = []        # number -> token counts
-        view = _net_view(net)
-        self._first, self._unguarded = view.first, view.unguarded
-        self.labels = view.labels   # label name by index, None when silent
+        self.view = _NetView(net)
+        self.labels = self.view.labels   # label name by index, None when silent
 
     def _key(self, m: Marking) -> tuple:
         counts = m._counts
@@ -517,8 +505,8 @@ class _MarkingGraph:
         row = self.rows.get(i)
         if row is None:
             key = self._keys[i]
-            candidates = [*self._unguarded,
-                          *chain.from_iterable(compress(self._first, key))]
+            candidates = [*self.view.unguarded,
+                          *chain.from_iterable(compress(self.view.first, key))]
             candidates.sort()
             by_key = self._by_key
             out = []

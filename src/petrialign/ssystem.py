@@ -18,7 +18,7 @@ from typing import Sequence
 from .costs import CostFunction
 from .engine import AlignResult, Budgets, dispatch_align
 from .errors import NotSingleToken, NotSSystem
-from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem, _net_view
+from .petri import DEFAULT_STATE_BUDGET, AcceptingSystem
 
 
 def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
@@ -27,8 +27,8 @@ def optimal_alignment_ssystem(trace: Sequence[str], sys: AcceptingSystem,
     """Optimal alignment for a single-token S-system: the dispatcher's
     S-system route under `state_budget`, behind its precondition checks
     (NotSSystem, NotSingleToken)."""
-    view = _net_view(sys.net)
-    if not view.s_net or view.unguarded:
+    net = sys.net
+    if any(len(net.preset(t)) != 1 or len(net.postset(t)) > 1 for t in net.transitions):
         raise NotSSystem("every transition needs one input place and at most one output place")
     if sys.initial.total() != 1:
         raise NotSingleToken(f"initial marking holds {sys.initial.total()} tokens")

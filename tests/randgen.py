@@ -102,6 +102,26 @@ def random_guarded_ssystem(rng: random.Random, max_places=5, max_transitions=7):
     return _finish(net, rng, [rng.choice(places)])
 
 
+def random_unguarded_ssystem(rng: random.Random):
+    """A system of `random_guarded_ssystem` (None when that draw fails) with
+    one or two more transitions that have no input place, each with one
+    output place or, about a fifth of them, none: an S-net that makes
+    tokens from nothing, so not a single-token S-system."""
+    base = random_guarded_ssystem(rng)
+    if base is None:
+        return None
+    net = base.net
+    sources = tuple(f"s{i}" for i in range(rng.randint(1, 2)))
+    flow = set(net.flow)
+    labels = dict(net.labels)
+    for t in sources:
+        if rng.random() >= 0.2:
+            flow.add((t, rng.choice(net.places)))
+        labels[t] = Label(None) if rng.random() < 0.25 else Label(rng.choice(LABEL_POOL))
+    return AcceptingSystem(PetriNet(net.places, net.transitions + sources, flow, labels),
+                           base.initial, base.final)
+
+
 def random_acyclic_system(rng: random.Random, layers=3, width=3):
     """Random layered DAG system: transitions only point forward, so the net
     is structurally acyclic."""

@@ -6,23 +6,33 @@ from petrialign import (AcceptingSystem, BehavioralReport, BoundReport, Label,
                         Marking, PetriNet, behavioral_class, bounded_and_safe,
                         build_reachability_graph, ex1_system, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
-                        structural_class, trace_system, tree_to_wfnet)
+                        parse_tree, structural_class, trace_system, tree_to_wfnet)
 from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral, _sccs
 from petrialign.errors import BudgetExceeded
 from petrialign.petri import _closure
 from randgen import (ahead_of, behavioral_reference, dying_token_system,
                      marked_cycle_tsystem, random_safe_system,
                      random_single_token_ssystem, random_tree)
+from test_cli import TREE
 
 
 def test_ex1_structural(ex1):
+    """ex1 is free-choice but no workflow net: t4 puts a token back on
+    p_init, so it has no source place.  A tree's net is one, from its
+    source place p0 to its sink p1."""
     rep = structural_class(ex1.net, ex1.initial, ex1.final)
     assert rep.free_choice
-    assert rep.workflow_shape
-    assert rep.source == "p_init" and rep.sink == "p_final"
+    assert ex1.net.preset("p_init") == ("t4",)
+    assert not rep.workflow_shape
+    assert rep.source is None and rep.sink is None
     assert not rep.s_net
     assert not rep.t_net
     assert not rep.acyclic
+    tree = tree_to_wfnet(parse_tree(TREE))
+    rep = structural_class(tree.net, tree.initial, tree.final)
+    assert rep.free_choice and rep.workflow_shape
+    assert rep.source == "p0" and rep.sink == "p1"
+    assert not tree.net.preset("p0") and not tree.net.postset("p1")
 
 
 def test_trace_system_structural():

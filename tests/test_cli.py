@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from petrialign import (build_reachability_graph, cli, errors,
-                        gen_shuffle_tsystem, petri, serialize_net, trace_system)
+from petrialign import (build_reachability_graph, cli, errors, gen_shuffle_tsystem,
+                        parse_tree, petri, serialize_net, trace_system, tree_to_wfnet)
 from petrialign.cli import run_cli
 
 
@@ -22,6 +22,10 @@ UNORDERED = ("place p init=1\nplace q\nplace r\nplace r2\n"
 SOURCE = ("place p0 init=1\nplace p1\nplace pf final=1\n"
           "trans ta label=a in=p0 out=p1\ntrans tb label=b in=p1 out=pf\n"
           "trans src label=c in= out=p1\ntrans tk label=d in=p1 out=\n")
+# A process tree whose workflow net is sound, safe and free-choice but not
+# live, so its LBFC cap comes from the sound-workflow branch: 11 transitions
+# and bound 1 give (n + 1) * 287 for n letters.
+TREE = "seq(a, par(b, c), xor(d, tau), loop(e, f))"
 # A machine that accepts at once.
 TM = ("states q0 qacc qrej\nblank _\ntape a _\nspace 1\n"
       "delta q0 a -> qacc _ S\ndelta q0 _ -> qacc _ S\n")
@@ -43,13 +47,19 @@ def test_align_running_example(ex1_path, capsys):
     assert len([l for l in lines if l]) >= 6   # three-row block follows
 
 
-def test_align_prints_the_cap_on_the_auto_route_only(ex1_path, capsys):
-    """`align` asks for the LBFC cap, its own call, when it dispatches."""
-    code, out, _ = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a")
+def test_align_prints_the_cap_on_the_auto_route_only(ex1_path, tmp_path, capsys):
+    """`align` asks for the LBFC cap, its own call, when it dispatches, and
+    prints it when there is one: the tree's sound workflow net has one, and
+    ex1, neither live nor a workflow net, has none."""
+    path = tmp_path / "tree.net"
+    path.write_text(serialize_net(tree_to_wfnet(parse_tree(TREE))))
+    code, out, _ = run(capsys, "align", str(path), "--trace", "a,c,x,e")
     lines = out.splitlines()
-    assert code == 0 and lines[0] == "cost=2" and lines[3] == "lbfc_cap=180"
-    code, out, _ = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a",
-                       "--algo", "generic")
+    assert code == 0 and lines[0] == "cost=2" and lines[3] == "lbfc_cap=1435"
+    code, out, _ = run(capsys, "align", str(path), "--trace", "a,c,x,e", "--algo", "generic")
+    assert code == 0 and out.splitlines()[0] == "cost=2"
+    assert not any(line.startswith("lbfc_cap=") for line in out.splitlines())
+    code, out, _ = run(capsys, "align", str(ex1_path), "--trace", "a,b,a,a")
     assert code == 0 and out.splitlines()[0] == "cost=2"
     assert not any(line.startswith("lbfc_cap=") for line in out.splitlines())
 
@@ -229,10 +239,16 @@ def test_classify_output(ex1_path, tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "free_choice=true"
-    assert "workflow_shape=true" in lines
+    # t4 refills p_init, so ex1 is no workflow net.
+    assert "workflow_shape=false" in lines
     assert "sound=true" in lines
     assert "live=false" in lines
     assert lines[-1] == "states_explored=6"
+    tree = tmp_path / "tree.net"
+    tree.write_text(serialize_net(tree_to_wfnet(parse_tree(TREE))))
+    code, out, _ = run(capsys, "classify", str(tree))
+    lines = out.splitlines()
+    assert code == 0 and "workflow_shape=true" in lines and "sound=true" in lines
     for text, flags in (
             (TWO_TERMINAL, "free_choice=true s_net=true t_net=false conflict_free=false "
                            "acyclic=false workflow_shape=false bound_found=1 safe=true "

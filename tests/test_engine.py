@@ -20,19 +20,26 @@ from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking,
                         tree_to_wfnet, validate_alignment)
 from petrialign import classify, engine
 from petrialign.costs import Move
-from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound,
+from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound, NotSSystem,
                                PetriAlignError, UnknownTransition, Unreachable)
 from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
 from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
                      product_search_cost, random_acyclic_system, random_replayable_walk,
                      random_guarded_ssystem, random_safe_system, random_single_token_ssystem,
-                     random_trace, random_tree, render_moves, transition_sets)
-from test_cli import FORK
+                     random_trace, random_tree, random_unguarded_ssystem, render_moves,
+                     transition_sets)
+from test_cli import FORK, TREE
 from test_ssystem import PINNED as SSYSTEM_PINNED
 from test_ssystem import bound_at, caller_costs, check_letter_bound, letter_cover
 
 TRACE = ("a", "b", "a", "a")
+
+
+def _capped_tree():
+    """The sound workflow net of `test_cli.TREE`: its LBFC cap for n
+    letters is (n + 1) * 287."""
+    return tree_to_wfnet(parse_tree(TREE))
 
 
 def test_min_cost_reach_to_initial(ex1):
@@ -415,16 +422,17 @@ def test_search_follows_its_documented_order():
     outcomes = collections.Counter()
     for k, (system, trace) in enumerate(cases):
         net = system.net
-        plan = engine._Plan(system)
-        (start, final), cut = plan.ends, plan.must
+        plan, uncut = engine._Plan(system), engine._Plan(system)
+        uncut.must = frozenset()
         for costs in (standard_costs(system), _random_overrides(rng, system)):
-            table = engine._MoveTable(net, costs)
+            table = engine._MoveTable(plan, costs)
             scale = table.scale
-            for must, ceiling, budget in itertools.product(
-                    (cut, frozenset()), (None, 0, scale),
+            for searched, ceiling, budget in itertools.product(
+                    (plan, uncut), (None, 0, scale),
                     (DEFAULT_STATE_BUDGET, 1, 3, 10) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
-                got = _search_outcome(engine.dijkstra_least_cost, plan, trace, start, final,
-                                      must, table, budget, ceiling)
+                must = searched.must
+                got = _search_outcome(engine.dijkstra_least_cost, searched, trace, table,
+                                      budget, ceiling)
                 if type(got[0]) is int:
                     got = (Fraction(got[0], scale), *got[1:])
                 assert got == _search_outcome(
@@ -443,9 +451,10 @@ def test_search_follows_its_documented_order():
             cases.append((system, random_trace(rng, max_len=6, alphabet=(*LABEL_POOL, "d"))))
     guided = collections.Counter()
     for k, (system, trace) in enumerate(cases):
-        plan = engine._Plan(system)
+        plan, uncut = engine._Plan(system), engine._Plan(system)
+        uncut.must = frozenset()
         for costs in (standard_costs(system), caller_costs(rng, system)):
-            table = engine._MoveTable(system.net, costs)
+            table = engine._MoveTable(plan, costs)
             bound, h = plan.bound(trace, table), _reference_bound(system, trace, costs)
             assert (bound is None) == (h is None)
             if bound is None:
@@ -454,16 +463,16 @@ def test_search_follows_its_documented_order():
                 for pos in range(len(trace) + 1):
                     assert Fraction(bound_at(bound, pos, m), table.scale) == \
                         h(pos, plan.markings[m])
-            for must, budget in itertools.product(
-                    (plan.must, frozenset()),
+            for searched, budget in itertools.product(
+                    (plan, uncut),
                     (DEFAULT_STATE_BUDGET, 1, 3) if k % 5 == 0 else (DEFAULT_STATE_BUDGET,)):
-                got = _search_outcome(engine.dijkstra_least_cost, plan, trace, *plan.ends,
-                                      must, table, budget, None, bound)
+                got = _search_outcome(engine.dijkstra_least_cost, searched, trace, table,
+                                      budget, None, searched.bound(trace, table))
                 if type(got[0]) is int:
                     got = (Fraction(got[0], table.scale), *got[1:])
                 assert got == _search_outcome(
                     _reference_search, system, trace, costs,
-                    {system.net.transitions[t] for t in must}, budget, None, h)
+                    {system.net.transitions[t] for t in searched.must}, budget, None, h)
                 guided[got[0] if len(got) < 3 else "aligned"] += 1
     assert guided[BudgetExceeded] > 5 and guided["aligned"] > 100
 
@@ -498,7 +507,7 @@ def test_letter_bound_edge_cases(trace, start):
     for costs, value in zip((None, quarters), start):
         table_costs = costs or standard_costs(system)
         plan = engine._Plan(system)
-        table = engine._MoveTable(system.net, table_costs)
+        table = engine._MoveTable(plan, table_costs)
         bound = plan.bound(trace, table)
         h = _reference_bound(system, trace, table_costs)
         assert table.scale == (1 if costs is None else 4)
@@ -543,7 +552,7 @@ def test_transition_bound_beats_letter_bound():
     for costs, unit in ((None, 1), (quarters, Fraction(1, 2))):
         table_costs = costs or standard_costs(system)
         plan = engine._Plan(system)
-        table = engine._MoveTable(system.net, table_costs)
+        table = engine._MoveTable(plan, table_costs)
         bound = plan.bound(trace, table)
         h = _reference_bound(system, trace, table_costs)
         letter = letter_cover(system, trace, unit)
@@ -637,10 +646,34 @@ def test_dispatch_routes(ex1):
 
 
 def test_dispatch_attaches_lbfc_cap(ex1):
-    assert lbfc_cap(ex1, len(TRACE)) == 180   # (4+1) * (5*6*7/6 + 1)
-    assert lbfc_cap(ex1, 0) == 36
+    tree = _capped_tree()
+    assert lbfc_cap(tree, len(TRACE)) == 1435   # (4+1) * (1*11*12*13/6 + 1)
+    assert lbfc_cap(tree, 0) == 287
+    with pytest.raises(ValueError):
+        lbfc_cap(tree, -1)
+    # ex1 is neither live nor a workflow net.
+    assert lbfc_cap(ex1, len(TRACE)) is None and lbfc_cap(ex1, 0) is None
     with pytest.raises(ValueError):
         lbfc_cap(ex1, -1)
+
+
+def test_a_source_place_with_an_input_arc_gets_no_workflow_cap(ex1):
+    """A workflow net's source place has no input arc.  t4 refills ex1's
+    p_init, and tc the first place p0 of `back`: both systems are sound,
+    safe and free-choice but not live, and neither is a workflow net, so
+    neither gets the cap of a sound workflow net.  Without tc, `back` is
+    one and gets it."""
+    line = ("place p0 init=1\nplace p1\nplace pf final=1\n"
+            "trans ta label=a in=p0 out=p1\ntrans tb label=b in=p1 out=pf\n")
+    back = parse_net(line + "trans tc label=c in=p1 out=p0\n")
+    for system in (ex1, back):
+        rep = behavioral_class(system)
+        assert rep.sound and rep.safe and not rep.live
+        srep = classify.structural_class(system.net, system.initial, system.final)
+        assert srep.free_choice and not srep.workflow_shape
+        assert system.net.preset(system.initial.support()[0])
+        assert lbfc_cap(system, 4) is None
+    assert lbfc_cap(parse_net(line), 4) == lbfc_length_bound(2, 1, 4)
 
 
 # The search's work as counts: per family and route, the ops, the states
@@ -767,12 +800,12 @@ def test_consecutive_calls_classify_once(monkeypatch):
         return behavioral(*args, **kwargs)
 
     monkeypatch.setattr(engine, "behavioral_class", counted)
-    a = ex1_system()
-    assert [lbfc_cap(a, n) for n in (0, 1, 2)] == [36, 72, 108]
+    a = _capped_tree()
+    assert [lbfc_cap(a, n) for n in (0, 1, 2)] == [287, 574, 861]
     assert calls == [a, a, a]
     # An equal system is not the same system.
     calls.clear()
-    a, b = ex1_system(), ex1_system()
+    a, b = _capped_tree(), _capped_tree()
     for system in (a, b, a):
         lbfc_cap(system, len(TRACE))
     assert calls == [a, b, a]
@@ -781,12 +814,20 @@ def test_consecutive_calls_classify_once(monkeypatch):
     for system in (a, b, a):
         dispatch_align(TRACE, system)
     assert calls == []
+    # ex1 is classified too, and gets no cap.
+    e = ex1_system()
+    assert lbfc_cap(e, 0) is None and calls == [e]
 
 
 def test_budget_keys_the_cap(ex1):
-    # Classifying ex1 explores 6 markings.
+    # Classifying the tree's net explores 11 markings.
+    tree = _capped_tree()
+    caps = [lbfc_cap(tree, 4, budget)
+            for budget in (DEFAULT_STATE_BUDGET, 10, DEFAULT_STATE_BUDGET)]
+    assert caps == [1435, None, 1435]
+    # ex1 gets none under any budget.
     caps = [lbfc_cap(ex1, 4, budget) for budget in (DEFAULT_STATE_BUDGET, 5, DEFAULT_STATE_BUDGET)]
-    assert caps == [180, None, 180]
+    assert caps == [None, None, None]
 
 
 @pytest.mark.parametrize("text", [
@@ -1462,12 +1503,60 @@ def test_the_s_net_flag_has_one_definition():
     flags = []
     for system, _ in make_suite(29, 60):
         net = system.net
-        flag = petri._net_view(net).s_net
+        flag = petri._NetView(net).s_net
         assert flag == classify.structural_class(net, system.initial, system.final).s_net
         assert flag == all(len(net.preset(t)) <= 1 and len(net.postset(t)) <= 1
                            for t in net.transitions)
         flags.append(flag)
     assert set(flags) == {True, False}
+
+
+def test_the_flags_read_off_the_net_agree_with_the_view(monkeypatch):
+    """Three callers read a flag off the net rather than a view of it: the
+    structural report's S-net flag, the S-system solver's precondition and
+    the LBFC cap's check for a transition that consumes nothing.  On the
+    suite, random trees, and random guarded and unguarded single-token
+    S-systems, each agrees with the view (`petri._NetView`): the report's
+    flag is the view's `s_net`; the solver raises NotSSystem iff the view
+    has no S-net flag or an unguarded transition; and the cap gives None
+    before any walk iff an entry of `first` or `unguarded` produces a token
+    and consumes none.  Each flag takes both values."""
+
+    class Walked(Exception):
+        pass
+
+    def refused(*args):
+        raise Walked
+
+    rng = random.Random(45)
+    systems = [system for system, _ in make_suite(45, 100)]
+    systems += [tree_to_wfnet(random_tree(rng, 3)) for _ in range(20)]
+    for draw in (random_guarded_ssystem, random_unguarded_ssystem):
+        systems += [s for s in (draw(rng) for _ in range(60)) if s is not None]
+    seen = collections.Counter()
+    for system in systems:
+        net = system.net
+        view = petri._NetView(net)
+        s_net = classify.structural_class(net, system.initial, system.final).s_net
+        assert s_net == view.s_net
+        try:
+            optimal_alignment_ssystem((), system, state_budget=1)
+            refused_route = False
+        except NotSSystem:
+            refused_route = True
+        except PetriAlignError:
+            refused_route = False
+        assert refused_route == (not view.s_net or bool(view.unguarded))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "structural_class", refused)
+            try:
+                early = lbfc_cap(system, 0) is None
+            except Walked:
+                early = False
+        assert early == any(produce and not consume for row in (view.unguarded, *view.first)
+                            for _, _, consume, produce in row)
+        seen.update([("s_net", s_net), ("refused", refused_route), ("early", early)])
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 def _random_overrides(rng, system):
@@ -1507,7 +1596,7 @@ def _assert_tables_price_as(costs):
     for system, trace in make_suite(31, 40):
         net = system.net
         c = costs(rng, system)
-        table = engine._MoveTable(net, c)
+        table = engine._MoveTable(engine._Plan(system), c)
         order = sorted(net.transitions)
         t_count = len(order)
         entries = []
@@ -1984,10 +2073,10 @@ def test_a_cap_leaves_the_plan_alone(monkeypatch):
     trace on a system, keeps that system's plan: the second alignment is
     the stored result, with no search."""
     searched = _counted_searches(monkeypatch)
-    a, b = ex1_system(), ex1_system()
+    a, b = ex1_system(), _capped_tree()
     first = dispatch_align(TRACE, a)
     assert searched == [TRACE]
-    assert lbfc_cap(b, 4) == 180
+    assert lbfc_cap(b, 4) == 1435
     assert dispatch_align(TRACE, a) is first
     assert searched == [TRACE] and engine._memo.plan.sys is a
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from petrialign import (AcceptingSystem, Budgets, CostFunction, Label, Marking, PetriNet,
                         dispatch_align, membership, tree_to_wfnet)
 from petrialign.errors import BudgetExceeded
-from petrialign.petri import _net_view
+from petrialign.petri import _NetView
 from randgen import LABEL_POOL, make_suite, random_trace, random_tree
 
 # A letter that no transition of the suite carries.
@@ -122,7 +122,7 @@ def test_a_fresh_transition_never_raises_the_optimum():
     for system, trace in cases:
         net = system.net
         c = _caller_costs(rng, net)
-        forced = _net_view(net).forced
+        forced = _NetView(net).forced
         source = None
         if forced and rng.random() < 0.5:
             _, ins = rng.choice(forced)
@@ -135,7 +135,7 @@ def test_a_fresh_transition_never_raises_the_optimum():
             skipped += 1
             continue
         ran += 1
-        cut_off += len(_net_view(bigger.net).forced) < len(forced)
+        cut_off += len(_NetView(bigger.net).forced) < len(forced)
         assert cost <= dispatch_align(trace, system, c).cost, (str(bigger.net), trace)
         assert member or not membership(trace, system), (str(bigger.net), trace)
     assert cut_off >= 20 and ran >= 0.9 * len(cases), (ran, skipped, cut_off)

@@ -15,7 +15,7 @@ from petrialign import (AcceptingSystem, CostFunction, Label, Marking, PetriNet,
 from petrialign import classify, engine
 from petrialign.engine import _MoveTable, _Plan, _plan, dijkstra_least_cost
 from petrialign.errors import NotAcyclic
-from petrialign.petri import DEFAULT_STATE_BUDGET, _net_view
+from petrialign.petri import DEFAULT_STATE_BUDGET, _NetView
 from randgen import (random_acyclic_system, random_safe_system, random_single_token_ssystem,
                      random_trace, random_tree)
 
@@ -31,7 +31,7 @@ def _net(flow, visible=()):
 
 
 def _forced(net):
-    return {net.transitions[k] for k, _ in _net_view(net).forced}
+    return {net.transitions[k] for k, _ in _NetView(net).forced}
 
 
 # One silent transition of each kind: t_split qualifies; t_shared shares
@@ -88,14 +88,14 @@ def test_the_cut_keeps_the_optimum_and_settles_fewer_states():
     settled = {True: 0, False: 0}
     for _ in range(25):
         system = tree_to_wfnet(random_tree(rng, 3))
-        table = _MoveTable(system.net, standard_costs(system))
         trace = random_trace(rng, max_len=6)
         costs = set()
         for cut in (True, False):
             plan = _Plan(system)
-            must = plan.must if cut else frozenset()
-            cost, _, states = dijkstra_least_cost(plan, trace, *plan.ends, must, table,
-                                                  DEFAULT_STATE_BUDGET)
+            if not cut:
+                plan.must = frozenset()
+            table = _MoveTable(plan, standard_costs(system))
+            cost, _, states = dijkstra_least_cost(plan, trace, table, DEFAULT_STATE_BUDGET)
             costs.add(cost)
             settled[cut] += states
         assert len(costs) == 1
@@ -157,7 +157,7 @@ def test_every_solver_agrees_with_the_oracle():
         net = system.net
         must = _plan(system, DEFAULT_STATE_BUDGET).must
         with_cut += bool(must)
-        final_marked += len(must) < len(_net_view(net).forced)
+        final_marked += len(must) < len(_NetView(net).forced)
         for c in (None, _caller_costs(system, rng)):
             priced = c or standard_costs(system)
             for trace in [()] + [random_trace(rng, max_len=5, alphabet="abcz")

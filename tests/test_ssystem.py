@@ -273,7 +273,7 @@ def check_letter_bound(system, trace, costs):
     beat the letter relaxation at some state)."""
     table_costs = costs or standard_costs(system)
     plan = engine._Plan(system)
-    table = engine._MoveTable(system.net, table_costs)
+    table = engine._MoveTable(plan, table_costs)
     bound = plan.bound(trace, table)
     n = len(trace)
     expected = brute_force_oracle(trace, system, table_costs)
