@@ -6,7 +6,8 @@ from petrialign import (AcceptingSystem, BehavioralReport, BoundReport, Label,
                         Marking, PetriNet, behavioral_class, bounded_and_safe,
                         build_reachability_graph, ex1_system, fire_sequence,
                         gen_shuffle_ssystem, gen_shuffle_tsystem, is_enabled,
-                        parse_tree, structural_class, trace_system, tree_to_wfnet)
+                        lbfc_cap, parse_tree, structural_class, trace_system,
+                        tree_to_wfnet)
 from petrialign.classify import DEFAULT_B_MAX, _bounded_then_behavioral, _sccs
 from petrialign.errors import BudgetExceeded
 from petrialign.petri import _closure
@@ -412,6 +413,23 @@ def test_behavioral_report_is_pinned(name):
     assert rep == BehavioralReport(**fields)
     # Certificate keys come in a fixed order too.
     assert list(rep.certificates) == list(fields["certificates"])
+
+
+@pytest.mark.parametrize("transitions", [("t",), ()])
+def test_a_net_without_places_is_classified(transitions):
+    """A net with no place has one marking, the empty one, which is both
+    ends: its bound is 0, and t, which consumes and produces nothing, fires
+    on a self-loop there.  No bound, so no cap."""
+    net = PetriNet((), transitions, [], {t: Label("a") for t in transitions})
+    system = AcceptingSystem(net, Marking(), Marking())
+    expected = BehavioralReport(
+        bound_found=0, safe=True, quasi_live=True, live=True, cyclic=True,
+        easy_sound=True, sound=True, states_explored=1,
+        certificates={"quasi_live": {t: () for t in transitions}, "easy_sound": ()})
+    assert behavioral_class(system) == expected
+    assert _bounded_then_behavioral(system, 1, 10) == expected
+    assert bounded_and_safe(system, 1) == BoundReport(0, True, 1, {})
+    assert lbfc_cap(system, 2) is None
 
 
 def _pumped():
