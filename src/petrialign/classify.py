@@ -64,13 +64,13 @@ def structural_class(net: PetriNet, init: Marking, final: Marking) -> Structural
 class _Explored(NamedTuple):
     """The markings reachable from a system's initial marking, numbered in
     the BFS order of `_MarkingGraph.explore`: its graph, whose rows hold the
-    arcs, its BFS tree `parent` and `via` (see there), and keys[k], the token
-    counts of marking k."""
+    arcs, its BFS tree `parent` and `via` (see there), and markings[k],
+    marking k."""
 
     graph: _MarkingGraph
     parent: list[int]
     via: list[int | None]
-    keys: list[tuple]
+    markings: list[Marking]
 
 
 def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None) -> _Explored:
@@ -79,7 +79,7 @@ def _explore(sys: AcceptingSystem, state_budget: int, b_max: int | None = None) 
     if b_max is not None and b_max < 1:
         raise ValueError("b_max must be >= 1")
     graph, parent, via = _MarkingGraph.explore(sys.net, sys.initial, state_budget, b_max)
-    return _Explored(graph, parent, via, graph._keys[:len(parent)])
+    return _Explored(graph, parent, via, graph.markings[:len(parent)])
 
 
 def _access(ex: _Explored, k: int) -> tuple[str, ...]:
@@ -91,18 +91,12 @@ def _access(ex: _Explored, k: int) -> tuple[str, ...]:
     return tuple(reversed(seq))
 
 
-def _bound(keys: list[tuple]) -> int:
-    """The most tokens any explored marking has on one place."""
-    return max(map(max, keys)) if keys[0] else 0
-
-
 def _witness(ex: _Explored, n: int) -> tuple[str, Marking, tuple[str, ...]]:
     """(place, marking, access sequence) of the first marking explored with
     at least n >= 1 tokens on some place, naming the first such place by
     name."""
-    k = next(k for k, key in enumerate(ex.keys) if max(key) >= n)
-    place = min(p for p, c in zip(ex.graph.net.places, ex.keys[k]) if c >= n)
-    return place, ex.graph.markings[k], _access(ex, k)
+    k, m = next((k, m) for k, m in enumerate(ex.markings) if m.max_count() >= n)
+    return next(p for p, c in m.items() if c >= n), m, _access(ex, k)
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class BoundReport:
 
 
 def _bound_report(ex: _Explored, b_max: int) -> BoundReport:
-    best = _bound(ex.keys)
+    best = max(map(Marking.max_count, ex.markings))
     over = best > b_max   # only the last marking explored can exceed b_max
     certs: dict[str, Any] = {}
     if over:
@@ -126,7 +120,7 @@ def _bound_report(ex: _Explored, b_max: int) -> BoundReport:
         certs["bound"] = _witness(ex, best)
     if best >= 2:
         certs["unsafe"] = _witness(ex, 2)
-    return BoundReport(None if over else best, best <= 1, len(ex.keys), certs)
+    return BoundReport(None if over else best, best <= 1, len(ex.markings), certs)
 
 
 def bounded_and_safe(sys: AcceptingSystem, b_max: int = DEFAULT_B_MAX,
@@ -207,7 +201,7 @@ def _other_terminal(scc: int, terminal: dict[int, int]) -> int | None:
 
 def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
     """`behavioral_class`'s report over a full exploration.  The flags are
-    decided on marking numbers, the graph's rows and token-count keys, and
+    decided on marking numbers, the graph's rows and its `Marking`s, and
     the certificates read off what decides them: the first transition, in
     declaration order, that fires at no marking; the first (transition,
     marking) pair of a terminal scc that never fires the transition; the
@@ -222,27 +216,27 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
     it fires inside every terminal scc, and a marking is reachable from
     every reachable marking iff it lies in the only terminal scc.
     """
-    keys, rows, ts = ex.keys, ex.graph.rows, sys.net.transitions
+    markings, rows, ts = ex.markings, ex.graph.rows, sys.net.transitions
     # Each transition's first marking: later ones are overwritten.
-    enabling = {t: k for k in reversed(range(len(keys))) for t, _ in rows[k]}
+    enabling = {t: k for k in reversed(range(len(markings))) for t, _ in rows[k]}
     dead = next((t for t in range(len(ts)) if t not in enabling), None)
-    scc_of, terminal = _sccs(rows, len(keys))
+    scc_of, terminal = _sccs(rows, len(markings))
     fired_in: dict[int, set[int]] = {s: set() for s in terminal}
     for k, s in enumerate(scc_of):
         if s in fired_in:
             fired_in[s].update(t for t, _ in rows[k])
     dead_end = next(((next(t for t in range(len(ts)) if t not in fired_in[s]), k)
                      for s, k in terminal.items() if len(fired_in[s]) < len(ts)), None)
-    goal = ex.graph._key(sys.final)
-    covering = range(len(keys))
-    for p, n in enumerate(goal):
-        if n:
-            covering = [k for k in covering if keys[k][p] >= n]
-    final = next((k for k in covering if keys[k] == goal), None)
-    improper = next((k for k in covering if keys[k] != goal), None)
+    # Filtered place by place rather than by `sys.final <= m`: on a final
+    # marking of one place that is one count read per marking.
+    covering = range(len(markings))
+    for p, n in sys.final.items():
+        covering = [k for k in covering if markings[k][p] >= n]
+    final = next((k for k in covering if markings[k] == sys.final), None)
+    improper = next((k for k in covering if markings[k] != sys.final), None)
     away = _other_terminal(scc_of[0], terminal)
     final_away = None if final is None else _other_terminal(scc_of[final], terminal)
-    bound = _bound(keys)
+    bound = max(map(Marking.max_count, markings))
     sound = final is not None and final_away is None and improper is None and dead is None
     certs: dict[str, Any] = {}
     if bound:
@@ -264,9 +258,9 @@ def _behavioral_report(sys: AcceptingSystem, ex: _Explored) -> BehavioralReport:
         if final_away is not None:
             certs["option_counterexample"] = _access(ex, final_away)
     if improper is not None:
-        certs["proper_counterexample"] = (ex.graph.markings[improper], _access(ex, improper))
+        certs["proper_counterexample"] = (markings[improper], _access(ex, improper))
     return BehavioralReport(bound, bound <= 1, dead is None, dead_end is None, away is None,
-                            final is not None, sound, len(keys), certs)
+                            final is not None, sound, len(markings), certs)
 
 
 def behavioral_class(sys: AcceptingSystem, state_budget: int = DEFAULT_STATE_BUDGET
@@ -286,6 +280,6 @@ def _bounded_then_behavioral(sys: AcceptingSystem, b_max: int, state_budget: int
     """bounded_and_safe's report when some place exceeds b_max, otherwise
     behavioral_class's, both from one exploration."""
     ex = _explore(sys, state_budget, b_max)
-    if max(ex.keys[-1], default=0) > b_max:
+    if ex.markings[-1].max_count() > b_max:
         return _bound_report(ex, b_max)
     return _behavioral_report(sys, ex)

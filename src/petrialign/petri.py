@@ -465,8 +465,8 @@ class _MarkingGraph:
     places stay as they are.  Only a key not yet numbered fires through
     `fire`, which makes the successor's `Marking`: a marking gets one
     `Marking` however many arcs lead to it, and a marking made here is never
-    hashed or sorted.  Callers find a `Marking`'s number by its key too
-    (`number`)."""
+    hashed or sorted.  Only `_key`, `_add`, `number` and `row` read a key:
+    callers find a `Marking`'s number by `number` and read the `Marking`s."""
 
     # Slots keep the reads of `row` fast on a plan (`engine._Plan`) too,
     # whose own attributes live in a dict that its cached properties write.
@@ -553,7 +553,6 @@ class _MarkingGraph:
         if b_max is not None and root.max_count() > b_max:
             return result
         budget = max(state_budget, 1)
-        keys = graph._keys
         # Marking k's row numbers the markings first found from it, in row
         # order, so a target numbered len(parent) is the next one found.
         for k, _ in enumerate(parent):
@@ -563,7 +562,7 @@ class _MarkingGraph:
                         raise BudgetExceeded(s + 1)
                     parent.append(k)
                     via.append(t)
-                    if b_max is not None and max(keys[s], default=0) > b_max:
+                    if b_max is not None and graph.markings[s].max_count() > b_max:
                         return result
         return result
 
