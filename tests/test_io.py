@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from petrialign import (Marking, ex1_system, gen_shuffle_ssystem, gen_shuffle_tsystem,
-                        gen_tm_wfnet, parse_cost_file, parse_net, parse_tm, parse_trace,
-                        parse_tree, serialize_net, synchronous_product, tm_accepts,
-                        trace_system, tree_to_wfnet)
+from petrialign import (GadgetRecord, Marking, ex1_acyclic_system, ex1_system,
+                        gen_shuffle_ssystem, gen_shuffle_tsystem, gen_tm_wfnet,
+                        make_easy_sound_general, make_easy_sound_safe, parse_cost_file,
+                        parse_net, parse_tm, parse_trace, parse_tree, serialize_net,
+                        synchronous_product, tm_accepts, trace_system, tree_to_wfnet)
 from petrialign.errors import DisconnectedNet, DuplicateId, ParseError
+from petrialign.fixtures import choice_ssystem
 from randgen import make_suite, random_tree
 
 EX1_TEXT = """\
@@ -232,6 +234,27 @@ def test_parse_tm_partial_rules_rejected():
 
 SCANNER = Path(__file__).parents[1] / "demos" / "scanner.tm"
 
+# Each gadget edit, and the record it returns: its fresh places and
+# transitions and their move-cost overrides.
+GADGETS = {
+    "safe_ex1": (lambda: make_easy_sound_safe(ex1_system(), 3),
+                 GadgetRecord((), ("t_skip",), {"t_skip": Fraction(4)})),
+    "general_sshuffle": (
+        lambda: make_easy_sound_general(gen_shuffle_ssystem(("a", "b"), 2), Fraction(5, 2)),
+        GadgetRecord(("gbuf0", "gbuf1", "gbuf2"), ("gin0", "gin1", "gout0", "gout1"),
+                     dict.fromkeys(("gin0", "gin1", "gout0", "gout1"), Fraction(7, 4)))),
+    "general_ex1": (lambda: make_easy_sound_general(ex1_system(), 1),
+                    GadgetRecord(("gbuf0", "gbuf1"), ("gin0", "gout0"),
+                                 dict.fromkeys(("gin0", "gout0"), Fraction(1)))),
+}
+
+
+@pytest.mark.parametrize("name", GADGETS)
+def test_gadgets_keep_their_records(name):
+    make, record = GADGETS[name]
+    assert make()[1] == record
+
+
 # The sha256 of each generated net's file.  The file lists places and
 # transitions in declaration order, with their ids, labels, arcs and
 # markings, which the benchmark's inputs and every pinned tie-break read.
@@ -250,6 +273,17 @@ GENERATED = {
                    lambda: gen_tm_wfnet(parse_tm(SCANNER.read_text()), ("a", "b"))[0]),
     "product": ("0dc47de3d519ce68fbdb4245d83e50efab631af83526b4cf32f5ac35a1263440",
                 lambda: synchronous_product(trace_system(("a", "b")), ex1_system())),
+    "ex1": ("6345c2181040ef3669e824c65d112a96ededd6c4ff900ed67f572ead91152332", ex1_system),
+    "ex1_acyclic": ("fffe6d91215c8469d312a3c5a846c4507679edaea6ee73c64d6c09ef52314dbe",
+                    ex1_acyclic_system),
+    "choice_ssystem": ("5813425d30de487956eab249b2224a83c8a963ec6ba5a2e45107567c783ed382",
+                       choice_ssystem),
+    "safe_ex1": ("a24cb2988cc38a6ab529fddf866b2f96e6680e3fa3de3c6fb32730393d67940f",
+                 lambda: GADGETS["safe_ex1"][0]()[0]),
+    "general_sshuffle": ("8dbfa550bbbd1948acba93822f371a1c154d364769a7c9d5fd2162ce55d0691c",
+                         lambda: GADGETS["general_sshuffle"][0]()[0]),
+    "general_ex1": ("165f65d44cbaf1296fbbdb24c0b70072b333933d13c620c3a157f13246a55067",
+                    lambda: GADGETS["general_ex1"][0]()[0]),
 }
 
 
