@@ -593,10 +593,7 @@ def _plan(sys: AcceptingSystem, state_budget: int) -> _Plan:
     automaton entries, and besides the markings it held, the markings that
     call reached and their successors; the results hold at most twice the
     budget."""
-    try:
-        plan = _memo.plan
-    except AttributeError:   # the thread's first call
-        plan = None
+    plan = getattr(_memo, "plan", None)
     if plan is not None and plan.sys is sys:
         if (len(plan.markings) <= state_budget and plan.size <= state_budget
                 and plan.results_size <= state_budget):

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .errors import (CycleDetected, GadgetError, NonCanonicalHalt,
                      NotSafeMarkings, SpaceBoundViolated, StepCapExceeded)
-from .petri import AcceptingSystem, Label, Marking, PetriNet, _NetBuilder, is_token
+from .petri import AcceptingSystem, Marking, _NetBuilder, is_token
 from .products import trace_system
 
 
@@ -42,19 +42,12 @@ def make_easy_sound_safe(sys: AcceptingSystem, k: Fraction) -> tuple[AcceptingSy
     if not (sys.initial.is_set() and sys.final.is_set()):
         raise NotSafeMarkings("skip gadget needs set-valued initial/final markings")
     net = sys.net
-    used = set(net.places) | set(net.transitions)
-    skip = _fresh("t_skip", used)
-    label = Label(_fresh("skip", {lab.name for lab in net.labels.values()}))
-    flow = list(net.flow)
-    for p in sys.initial.support():
-        flow.append((p, skip))
-    for p in sys.final.support():
-        flow.append((skip, p))
-    labels = dict(net.labels)
-    labels[skip] = label
-    new_net = PetriNet(net.places, net.transitions + (skip,), flow, labels)
+    b = _NetBuilder(net)
+    skip = b.transition(_fresh("t_skip", set(net.places) | set(net.transitions)),
+                        _fresh("skip", {lab.name for lab in net.labels.values()}),
+                        sys.initial.support(), sys.final.support())
     record = GadgetRecord((), (skip,), {skip: Fraction(k) + 1})
-    return AcceptingSystem(new_net, sys.initial, sys.final), record
+    return b.system(sys.initial, sys.final), record
 
 
 def make_easy_sound_general(sys: AcceptingSystem, k: Fraction) -> tuple[AcceptingSystem, GadgetRecord]:
@@ -91,33 +84,20 @@ def make_easy_sound_general(sys: AcceptingSystem, k: Fraction) -> tuple[Acceptin
     buffers = [_fresh(f"gbuf{i}", used) for i in range(d + 1)]
     n_in = max(drain.values())
     n_out = max(refill.values())
-    t_in = [_fresh(f"gin{i}", used) for i in range(n_in)]
-    t_out = [_fresh(f"gout{i}", used) for i in range(n_out)]
-
-    flow = list(net.flow)
-    for i, t in enumerate(t_in):
-        for p in net.places:
-            if drain.get(p, 0) > i:
-                flow.append((p, t))
-    for j, t in enumerate(t_out):
-        for p in net.places:
-            if refill.get(p, 0) > j:
-                flow.append((t, p))
-    for idx, bp in enumerate(buffers):
-        flow.append((t_in[idx % n_in], bp))
-        flow.append((bp, t_out[idx % n_out]))
-
-    label = Label(_fresh("gadget", {lab.name for lab in net.labels.values()}))
-    labels = dict(net.labels)
-    cost = (Fraction(k) + 1) / 2
-    overrides = {}
-    for t in t_in + t_out:
-        labels[t] = label
-        overrides[t] = cost
-    new_net = PetriNet(net.places + tuple(buffers),
-                       net.transitions + tuple(t_in + t_out), flow, labels)
-    record = GadgetRecord(tuple(buffers), tuple(t_in + t_out), overrides)
-    return AcceptingSystem(new_net, m0, mf), record
+    label = _fresh("gadget", {lab.name for lab in net.labels.values()})
+    # Input i drains the places with a surplus above i into every n_in-th
+    # buffer from i; output j refills the places with a deficit above j.
+    b = _NetBuilder(net)
+    b.places += buffers
+    t_in = [b.transition(_fresh(f"gin{i}", used), label,
+                         [p for p in net.places if drain.get(p, 0) > i], buffers[i::n_in])
+            for i in range(n_in)]
+    t_out = [b.transition(_fresh(f"gout{j}", used), label,
+                          buffers[j::n_out], [p for p in net.places if refill.get(p, 0) > j])
+             for j in range(n_out)]
+    fresh = tuple(t_in + t_out)
+    record = GadgetRecord(tuple(buffers), fresh, dict.fromkeys(fresh, (Fraction(k) + 1) / 2))
+    return b.system(m0, mf), record
 
 
 def gen_shuffle_tsystem(words: Sequence[Sequence[str]]) -> AcceptingSystem:

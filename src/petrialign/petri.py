@@ -290,15 +290,17 @@ class AcceptingSystem:
 
 class _NetBuilder:
     """A net as it is declared: its places, transitions, arcs and labels in
-    declaration order, which callers may extend directly.  The generators,
-    the tree translation, the synchronous product and the net parser declare
-    their nets through it."""
+    declaration order, which callers may extend directly.  It starts empty,
+    or from a copy of `net`'s declarations.  The fixtures, the generators and
+    their easy-soundness gadgets, the tree translation, the synchronous
+    product and the net parser declare their nets through it, and it is the
+    one caller of `PetriNet(...)` in the package."""
 
-    def __init__(self):
-        self.places: list[str] = []
-        self.transitions: list[str] = []
-        self.flow: list[tuple[str, str]] = []
-        self.labels: dict[str, Label] = {}
+    def __init__(self, net: PetriNet | None = None):
+        self.places: list[str] = list(net.places) if net else []
+        self.transitions: list[str] = list(net.transitions) if net else []
+        self.flow: list[tuple[str, str]] = list(net.flow) if net else []
+        self.labels: dict[str, Label] = dict(net.labels) if net else {}
         self._shared: dict[str | None, Label] = {None: TAU}   # one Label per name
 
     def transition(self, t: str, name: str | None = None,

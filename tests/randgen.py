@@ -332,6 +332,14 @@ def render_moves(alignment):
     return " ".join(f"{m.log_part or '>>'}/{m.model_part or '>>'}" for m in alignment)
 
 
+def assert_numbered_once(graph):
+    """The marking graph numbers each of its markings by its index, and holds
+    one key per marking.  Only this helper of the tests reads the graph's
+    keys, so a change of key format edits it alone."""
+    assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+    assert len(graph._by_key) == len(graph.markings)
+
+
 def assert_pinned(result, trace, system, costs, expected):
     """The result is the pinned (cost, states, moves), and its alignment is
     valid and of the oracle's optimal cost, so a new pin can change a

@@ -24,11 +24,11 @@ from petrialign.errors import (BudgetExceeded, CapExhausted, NotEasySound, NotSS
                                PetriAlignError, UnknownTransition, Unreachable)
 from petrialign import petri
 from petrialign.petri import DEFAULT_STATE_BUDGET
-from randgen import (LABEL_POOL, assert_pinned, make_suite, marked_cycle_tsystem,
-                     product_search_cost, random_acyclic_system, random_replayable_walk,
-                     random_guarded_ssystem, random_safe_system, random_single_token_ssystem,
-                     random_trace, random_tree, random_unguarded_ssystem, render_moves,
-                     transition_sets)
+from randgen import (LABEL_POOL, assert_numbered_once, assert_pinned, make_suite,
+                     marked_cycle_tsystem, product_search_cost, random_acyclic_system,
+                     random_replayable_walk, random_guarded_ssystem, random_safe_system,
+                     random_single_token_ssystem, random_trace, random_tree,
+                     random_unguarded_ssystem, render_moves, transition_sets)
 from test_cli import FORK, TREE
 from test_ssystem import PINNED as SSYSTEM_PINNED
 from test_ssystem import bound_at, caller_costs, check_letter_bound, letter_cover
@@ -1755,7 +1755,8 @@ def test_a_warm_graph_classifies_like_a_fresh_one():
         warm, fresh = _warm_and_fresh_calls(system, calls)
         assert warm == fresh, str(system.net)
         graph = engine._plan(system, DEFAULT_STATE_BUDGET)
-        assert graph._key(system.final) in graph._by_key
+        numbered = len(graph.markings)
+        assert graph.number(system.final) < numbered == len(graph.markings)
         caps = [lbfc_cap(system, 3, budget) for budget in budgets]
         assert caps == [lbfc_cap(_fresh(system), 3, budget) for budget in budgets]
 
@@ -1852,8 +1853,8 @@ def _own_graphs(rounds_graphs, rounds):
         assert all(graph.net is system.net for graph in graphs)
         assert len({id(graph) for graph in graphs}) == len(graphs)
         for graph in graphs:
-            assert len(graph._by_key) == len(graph.markings) > 0
-            assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
+            assert graph.markings
+            assert_numbered_once(graph)
 
 
 def test_threads_keep_a_model_graph_each():

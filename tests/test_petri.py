@@ -7,8 +7,8 @@ from petrialign import (AcceptingSystem, Label, Marking, PetriNet, enabled_trans
 from petrialign import petri
 from petrialign.errors import BudgetExceeded, NotEnabled, UnknownTransition
 from petrialign.petri import _enabled_among, _MarkingGraph, _schedule_counts
-from randgen import (make_suite, random_replayable_walk, random_safe_system,
-                     random_single_token_ssystem, random_tree)
+from randgen import (assert_numbered_once, make_suite, random_replayable_walk,
+                     random_safe_system, random_single_token_ssystem, random_tree)
 
 
 def test_fire_fork(ex1):
@@ -168,8 +168,7 @@ def test_marking_graph_rows_follow_the_firing_rule():
             assert graph.row(i) is row and graph.number(marking) == i
             marking = fire(net, marking, t)
         assert graph.size == len(graph.rows)
-        assert all(graph.number(m) == i for i, m in enumerate(graph.markings))
-        assert len(graph._by_key) == len(graph.markings)
+        assert_numbered_once(graph)
         checked += 1
 
 
@@ -276,10 +275,8 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
             i += 1
         graphs.append((graph, goal))
         for graph, goal in graphs:
-            for i, m in enumerate(graph.markings):
-                assert graph.number(m) == i
-                assert m is root or m is goal or id(m) in made
-            assert len(graph._by_key) == len(graph.markings)
+            assert_numbered_once(graph)
+            assert all(m is root or m is goal or id(m) in made for m in graph.markings)
             for i, row in graph.rows.items():
                 m = graph.markings[i]
                 assert [(net.transitions[k], graph.markings[s]) for k, s in row] == \
