@@ -85,8 +85,6 @@ def make_easy_sound_general(sys: AcceptingSystem, k: Fraction) -> tuple[Acceptin
     n_in = max(drain.values())
     n_out = max(refill.values())
     label = _fresh("gadget", {lab.name for lab in net.labels.values()})
-    # Input i drains the places with a surplus above i into every n_in-th
-    # buffer from i; output j refills the places with a deficit above j.
     b = _NetBuilder(net)
     b.places += buffers
     t_in = [b.transition(_fresh(f"gin{i}", used), label,
