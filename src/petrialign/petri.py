@@ -372,10 +372,12 @@ class _NetView:
     """The integer view of one net that its marking graphs, its move tables
     and the dispatcher read, per transition in declaration order:
 
-    - `first`, per place index, (index, other input places, places consumed
-      from, places produced on) of each transition whose first input place
-      it is, and `unguarded`, those with no input place, each as place
-      indices;
+    - `bits`, each place's bit, 1 << its index;
+    - `first`, per place index, (index, rest, consume, produce) of each
+      transition whose first input place it is, and `unguarded`, those with
+      no input place, each as place masks over `bits`: rest holds its input
+      places after the first, consume those of pre minus post, produce
+      those of post minus pre (so 0 when it consumes or produces nothing);
     - `labels`, the label name of each transition, None when silent;
     - `pumps`, the silent transitions that produce a token and consume none
       for good: one enabled at a marking stays enabled as it pumps, so the
@@ -384,8 +386,8 @@ class _NetView:
       < "t2");
     - `s_net`, whether every transition has at most one input and one
       output place;
-    - `forced`, (index, input places) of each silent transition that has
-      an input place and no self-loop, and is the only transition that
+    - `forced`, (index, input place indices) of each silent transition that
+      has an input place and no self-loop, and is the only transition that
       reads each of its input places.  Such a transition must fire on
       every path from a marking that enables it to a final marking that
       marks none of its input places, since nothing else takes their
@@ -395,12 +397,10 @@ class _NetView:
 
     Each marking graph of the net makes its own (`_MarkingGraph.view`)."""
 
-    __slots__ = ("first", "unguarded", "labels", "pumps", "ranks", "s_net", "forced")
+    __slots__ = ("bits", "first", "unguarded", "labels", "pumps", "ranks", "s_net", "forced")
 
     def __init__(self, net: PetriNet):
-        index = {p: i for i, p in enumerate(net.places)}
-        # Most arcs list one place: each place has one shared (i,).
-        single = {p: (i,) for p, i in index.items()}
+        self.bits = bits = {p: 1 << i for i, p in enumerate(net.places)}
         first: list[list] = [[] for _ in net.places]
         unguarded = []
         labels = []
@@ -411,26 +411,25 @@ class _NetView:
         consume_of, produce_of = net._consume, net._produce
         for k, t in enumerate(net.transitions):
             ins, outs, cs, ps = pre_of[t], post_of[t], consume_of[t], produce_of[t]
-            pre = single[ins[0]] if len(ins) == 1 else tuple([index[p] for p in ins])
+            pre = bits[ins[0]] if len(ins) == 1 else sum(map(bits.__getitem__, ins))
             # Without a self-loop, the net's consume tuple is its preset tuple.
-            if cs is ins:
-                consume = pre
-            else:
-                consume = single[cs[0]] if len(cs) == 1 else tuple([index[p] for p in cs])
-            produce = single[ps[0]] if len(ps) == 1 else tuple([index[p] for p in ps])
-            (first[pre[0]] if pre else unguarded).append((k, pre[1:], consume, produce))
+            consume = pre if cs is ins else sum(map(bits.__getitem__, cs))
+            produce = bits[ps[0]] if len(ps) == 1 else sum(map(bits.__getitem__, ps))
+            # The lowest bit of pre is its first place, in declaration order.
+            entry = (k, pre & (pre - 1), consume, produce)
+            (first[(pre & -pre).bit_length() - 1] if pre else unguarded).append(entry)
             name = labels_of[t].name
             labels.append(name)
             if name is None:
                 if produce and not consume:
                     pumps.add(k)
-                if pre and len(consume) == len(pre):
+                if pre and consume == pre:
                     for p in cs:
                         if len(post_of[p]) != 1:
                             break
                     else:
-                        forced.append((k, pre))
-            if len(pre) > 1 or len(outs) > 1:
+                        forced.append((k, tuple([bits[p].bit_length() - 1 for p in ins])))
+            if len(ins) > 1 or len(outs) > 1:
                 s_net = False
         ts = net.transitions
         ranks = [0] * len(ts)
@@ -456,39 +455,69 @@ class _MarkingGraph:
     graph of its own, whose rows the classifier and reachability graphs
     read; each system's plan (`engine._Plan`) is a graph of its net.
 
-    Each marking is keyed by its token counts, a tuple in place declaration
-    order, and found by its key.  A row reads its parent's key alone: a
-    transition is enabled iff each of its input places has a nonzero entry,
-    and only the transitions with no input place and those whose first input
-    place is marked are checked, through the table per place index of the
-    graph's own view of its net (`view`, a `_NetView`).  It keys each
-    successor by updating the parent's key: minus one on each place the
-    transition consumes from, plus one on each it produces on, so self-loop
-    places stay as they are.  Only a key not yet numbered fires through
-    `fire`, which makes the successor's `Marking`: a marking gets one
-    `Marking` however many arcs lead to it, and a marking made here is never
-    hashed or sorted.  Only `_key`, `_add`, `number` and `row` read a key:
-    callers find a `Marking`'s number by `number` and read the `Marking`s."""
+    Each marking is found by its key, in one of two formats.  While every
+    marking numbered is a set, the key is an int whose bit p is set iff
+    place p holds a token (the view's `bits`).  A row walks the key's set
+    bits to their transitions through the view's `first` table (`view`, a
+    `_NetView` of the graph's own), and checks those and the transitions
+    with no input place: t is enabled iff `key & rest == rest`, and its
+    successor's key is `(key ^ consume) | produce`.  A nonzero
+    `(key ^ consume) & produce` means the successor would hold two tokens
+    on a place: on that first unsafe arc, and when `number` gets a marking
+    with a count above 1, the graph converts every key to its token counts,
+    a tuple in place declaration order, and makes the count loop's tables
+    of place indices from the view's masks (`_tables`), once.  A row then
+    reads each transition's input places' entries, and keys its successor
+    by minus one on each place it consumes from and plus one on each it
+    produces on.  Conversion changes no marking's number, and the row being
+    filled is filled again in the count format.
+
+    Only a key not yet numbered fires through `fire`, which makes the
+    successor's `Marking`: a marking gets one `Marking` however many arcs
+    lead to it, and a marking made here is never hashed or sorted.  Only
+    methods of this class read a key: callers find a `Marking`'s number by
+    `number` and read the `Marking`s."""
 
     # Slots keep the reads of `row` fast on a plan (`engine._Plan`) too,
     # whose own attributes live in a dict that its cached properties write.
-    __slots__ = ("net", "view", "labels", "markings", "rows", "size", "_by_key", "_keys")
+    __slots__ = ("net", "view", "labels", "markings", "rows", "size", "_by_key", "_keys",
+                 "_tables")
 
     def __init__(self, net: PetriNet):
         self.net = net
         self.markings: list[Marking] = []
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self.size = 0
-        self._by_key: dict[tuple, int] = {}   # token counts -> number
-        self._keys: list[tuple] = []        # number -> token counts
+        self._by_key: dict[int | tuple, int] = {}   # key -> number
+        self._keys: list[int | tuple] = []          # number -> key
+        self._tables: tuple | None = None   # the count loop's (unguarded, first)
         self.view = _NetView(net)
         self.labels = self.view.labels   # label name by index, None when silent
 
-    def _key(self, m: Marking) -> tuple:
+    def _key(self, m: Marking) -> int | tuple:
         counts = m._counts
+        if self._tables is None and max(counts.values(), default=0) > 1:
+            self._convert()
+        if self._tables is None:
+            return sum(map(self.view.bits.__getitem__, counts))
         return tuple([counts.get(p, 0) for p in self.net.places])
 
-    def _add(self, m: Marking, key: tuple) -> int:
+    def _convert(self) -> None:
+        """Key every marking by its token counts from now on."""
+        n = len(self.net.places)
+        self._keys = [tuple([key >> p & 1 for p in range(n)]) for key in self._keys]
+        self._by_key = {key: i for i, key in enumerate(self._keys)}
+
+        def places(mask):
+            return tuple([p for p in range(n) if mask >> p & 1])
+
+        def entries(masks):
+            return tuple([(k, places(rest), places(consume), places(produce))
+                          for k, rest, consume, produce in masks])
+
+        self._tables = entries(self.view.unguarded), tuple(map(entries, self.view.first))
+
+    def _add(self, m: Marking, key: int | tuple) -> int:
         i = self._by_key[key] = len(self.markings)
         self.markings.append(m)
         self._keys.append(key)
@@ -506,31 +535,67 @@ class _MarkingGraph:
         """Marking i's row, computed and stored on first use."""
         row = self.rows.get(i)
         if row is None:
-            key = self._keys[i]
-            candidates = [*self.view.unguarded,
-                          *chain.from_iterable(compress(self.view.first, key))]
-            candidates.sort()
-            by_key = self._by_key
-            out = []
-            for k, rest, consume, produce in candidates:
-                for p in rest:
-                    if not key[p]:
-                        break
-                else:
-                    counts = list(key)
-                    for p in consume:
-                        counts[p] -= 1
-                    for p in produce:
-                        counts[p] += 1
-                    counts = tuple(counts)
-                    s = by_key.get(counts)
-                    if s is None:
-                        s = self._add(fire(self.net, self.markings[i],
-                                           self.net.transitions[k]), counts)
-                    out.append((k, s))
-            row = self.rows[i] = tuple(out)
+            if self._tables is None:
+                row = self._set_row(i)
+            if row is None:
+                row = self._count_row(i)
+            self.rows[i] = row
             self.size += 1
         return row
+
+    def _set_row(self, i: int) -> tuple[tuple[int, int], ...] | None:
+        """Marking i's row over bit keys, or None once an arc turns out
+        unsafe, which converts the keys."""
+        key = self._keys[i]
+        first = self.view.first
+        candidates = [*self.view.unguarded]
+        marked = key
+        while marked:
+            low = marked & -marked
+            candidates += first[low.bit_length() - 1]
+            marked ^= low
+        candidates.sort()
+        by_key = self._by_key
+        out = []
+        for k, rest, consume, produce in candidates:
+            if key & rest == rest:
+                s = key ^ consume
+                if s & produce:
+                    self._convert()
+                    return None
+                s |= produce
+                j = by_key.get(s)
+                if j is None:
+                    j = self._add(fire(self.net, self.markings[i],
+                                       self.net.transitions[k]), s)
+                out.append((k, j))
+        return tuple(out)
+
+    def _count_row(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Marking i's row over count keys."""
+        key = self._keys[i]
+        unguarded, first = self._tables
+        candidates = [*unguarded, *chain.from_iterable(compress(first, key))]
+        candidates.sort()
+        by_key = self._by_key
+        out = []
+        for k, rest, consume, produce in candidates:
+            for p in rest:
+                if not key[p]:
+                    break
+            else:
+                counts = list(key)
+                for p in consume:
+                    counts[p] -= 1
+                for p in produce:
+                    counts[p] += 1
+                counts = tuple(counts)
+                s = by_key.get(counts)
+                if s is None:
+                    s = self._add(fire(self.net, self.markings[i],
+                                       self.net.transitions[k]), counts)
+                out.append((k, s))
+        return tuple(out)
 
     @staticmethod
     def explore(net: PetriNet, root: Marking, state_budget: int,

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from petrialign import (AcceptingSystem, Label, Marking, PetriNet, enabled_transitions,
-                        fire, fire_sequence, is_enabled, parikh, tree_to_wfnet)
+                        fire, fire_sequence, gen_shuffle_tsystem, is_enabled, parikh,
+                        tree_to_wfnet)
 from petrialign import petri
 from petrialign.errors import BudgetExceeded, NotEnabled, UnknownTransition
 from petrialign.petri import _enabled_among, _MarkingGraph, _schedule_counts
@@ -291,8 +292,10 @@ def test_keyed_marking_graph_matches_the_firing_rule(monkeypatch):
 
 def _view_by_definition(net):
     """The net's presets, postsets, consume and produce tuples and its
-    integer view, each read off the flow relation by its definition, with
-    one index tuple made per arc list."""
+    integer view, each read off the flow relation by its definition.  Each
+    `first` and `unguarded` entry holds place masks, bit i for place i: rest
+    is the preset after its first place, consume pre minus post and produce
+    post minus pre."""
     order = {v: i for i, v in enumerate(net.places + net.transitions)}
     vertices = net.places + net.transitions
     pre = {v: tuple(sorted((u for u, w in net.flow if w == v), key=order.get))
@@ -302,11 +305,15 @@ def _view_by_definition(net):
     consume = {t: tuple(p for p in pre[t] if p not in post[t]) for t in net.transitions}
     produce = {t: tuple(p for p in post[t] if p not in pre[t]) for t in net.transitions}
     index = {p: i for i, p in enumerate(net.places)}.__getitem__
+
+    def mask(places):
+        return sum(2 ** index(p) for p in places)
+
     first = [[] for _ in net.places]
     unguarded, pumps, forced = [], set(), []
     for k, t in enumerate(net.transitions):
         ins = tuple(map(index, pre[t]))
-        entry = (k, ins[1:], tuple(map(index, consume[t])), tuple(map(index, produce[t])))
+        entry = (k, mask(pre[t][1:]), mask(consume[t]), mask(produce[t]))
         (first[ins[0]] if ins else unguarded).append(entry)
         if net.labels[t].silent:
             if produce[t] and not consume[t]:
@@ -314,7 +321,8 @@ def _view_by_definition(net):
             if ins and consume[t] == pre[t] and all(len(post[p]) == 1 for p in pre[t]):
                 forced.append((k, ins))
     by_id = sorted(net.transitions)
-    view = {"first": tuple(map(tuple, first)), "unguarded": tuple(unguarded),
+    view = {"bits": {p: 2 ** index(p) for p in net.places},
+            "first": tuple(map(tuple, first)), "unguarded": tuple(unguarded),
             "labels": tuple(net.labels[t].name for t in net.transitions),
             "pumps": frozenset(pumps),
             "ranks": tuple(by_id.index(t) for t in net.transitions),
@@ -376,6 +384,123 @@ def test_keyed_marking_graph_is_exact_for_any_count():
         ("loop", root),
         ("make", Marking({"p": 2**40, "q": 1, "r": 1}))]
     assert graph.number(Marking({"p": 2**40 - 1, "q": 2})) == row[0][1]
+
+
+def _reference_graph(net, numbered, limit):
+    """The marking graph by its definition, over `Marking`s and `fire`: the
+    markings of `numbered` take the numbers 0, 1, ... in turn, then the rows
+    of numbers 0, 1, ... are filled in turn, at most `limit` of them.  A row
+    lists (transition index, successor number) per enabled transition in
+    declaration order, and a successor not yet numbered takes the next
+    number.  Returns (markings, rows)."""
+    markings, number, rows = [], {}, []
+    for m in numbered:
+        if m not in number:
+            number[m] = len(markings)
+            markings.append(m)
+    for m in markings:   # grows as rows number markings
+        if len(rows) == limit:
+            break
+        row = []
+        for t in enabled_transitions(net, m):
+            s = fire(net, m, t)
+            if s not in number:
+                number[s] = len(markings)
+                markings.append(s)
+            row.append((net.transitions.index(t), number[s]))
+        rows.append(tuple(row))
+    return markings, rows
+
+
+def _converting_nets():
+    """Hand nets whose marking graphs convert to count keys, each with the
+    markings to number first and where it converts.  Each arc is (transition,
+    input places, output places), a place list written as a string of
+    one-letter place ids."""
+    a = Label("a")
+
+    def net(places, arcs, initial, *more, where):
+        transitions = sorted({t for t, _, _ in arcs})
+        flow = [(p, t) for t, ins, _ in arcs for p in ins]
+        flow += [(t, p) for t, _, outs in arcs for p in outs]
+        return (PetriNet(places, transitions, flow, {t: a for t in transitions}),
+                [Marking(initial), *map(Marking, more)], where)
+
+    return [
+        # Two transitions that fill one place: row 1 converts.
+        net(("x", "y", "r"), [("t1", "x", "r"), ("t2", "y", "r")], {"x": 1, "y": 1},
+            where="row"),
+        # An input-less producer: row 1 puts a second token on p.
+        net(("p",), [("t", "", "p"), ("u", "p", "")], {}, where="row"),
+        # A 2-token initial marking.
+        net(("p", "q"), [("t", "p", "q"), ("u", "q", "p")], {"p": 2}, where="number"),
+        # A 2-token goal numbered before any row.
+        net(("p", "q"), [("t", "p", "q"), ("u", "q", "p")], {"p": 1}, {"q": 2},
+            where="number"),
+        # Unsafe mid-row: t0 numbers {q, r} safely, then t1 puts a second
+        # token on p, so the row is filled again on count keys.
+        net(("p", "q", "r"), [("t0", "p", "r"), ("t1", "q", "p"), ("t2", "r", "")],
+            {"p": 1, "q": 1}, where="row"),
+    ]
+
+
+def conversion_campaign(seed):
+    """Graphs of randgen's suite, counted random nets, random process trees,
+    word shuffles and the converting hand nets against `_reference_graph`.
+    Process trees and shuffles are safe: their graphs fill every reachable
+    row and keep bit keys.  Each hand net converts where it says.  Returns
+    how many graphs converted on `number` and in a row."""
+    rng = random.Random(seed)
+    cases = [(s.net, [s.initial, s.final], None) for s, _ in make_suite(seed, 100)]
+    for _ in range(150):
+        # Half of the roots and goals are sets, so a row converts.
+        net, root = _random_counted_system(rng)
+        goal = Marking({p: rng.randint(0, rng.choice((1, 2))) for p in net.places})
+        root = rng.choice((root, Marking.of(*root.support())))
+        cases.append((net, [goal, root], None))
+    for _ in range(40):
+        s = tree_to_wfnet(random_tree(rng, 3))
+        cases.append((s.net, [s.initial, s.final], "safe"))
+    for _ in range(20):
+        words = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(2, 3))]
+        s = gen_shuffle_tsystem(words)
+        cases.append((s.net, [s.initial, s.final], "safe"))
+    cases += _converting_nets()
+    converted = {"number": 0, "row": 0}
+    for net, numbered, kind in cases:
+        limit = 20000 if kind == "safe" else 60
+        markings, rows = _reference_graph(net, numbered, limit)
+        graph = _MarkingGraph(net)
+        assert [graph.number(m) for m in numbered] == [markings.index(m) for m in numbered]
+        on_number = graph._tables is not None
+        i = 0
+        while i < min(len(graph.markings), limit):
+            graph.row(i)
+            i += 1
+        assert graph.markings == markings, repr(net)
+        assert [graph.rows[i] for i in range(len(rows))] == rows and \
+            len(graph.rows) == len(rows), repr(net)
+        assert_numbered_once(graph)
+        where = None if graph._tables is None else "number" if on_number else "row"
+        if kind == "safe":
+            assert len(rows) == len(markings) and where is None, repr(net)
+        elif kind is not None:
+            assert where == kind, repr(net)
+        if where is not None:
+            converted[where] += 1
+    return converted
+
+
+def test_marking_graphs_number_and_fill_rows_as_the_reference_graph():
+    """Bit keys and their conversion to count keys change no number, no
+    marking and no row: on every graph the numbers of the markings numbered
+    first, the markings in number order and every row filled equal those of
+    a breadth-first walk over `Marking`s by `fire`.  No process-tree or
+    shuffle net converts once all its reachable rows are filled, and both
+    ways of converting occur."""
+    converted = conversion_campaign(48)
+    assert min(converted.values()) >= 20, converted
 
 
 def test_schedule_counts_with_before():
