@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush, heappushpop
+from heapq import heapify, heappop, heappush, heappushpop
 from typing import Mapping, Sequence
 
 from .classify import behavioral_class, structural_class
@@ -44,6 +44,13 @@ class Budgets:
     states: int = DEFAULT_STATE_BUDGET
 
 
+def _layer(layers: dict, costs: list, f: int) -> list:
+    """A new, empty layer of the frontier at f, its key pushed on `costs`."""
+    heappush(costs, f)
+    layer = layers[f] = []
+    return layer
+
+
 def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
                         state_budget: int, ceiling: int | None = None,
                         h: tuple[list[int], list[int], list[int], int] | None = None):
@@ -66,9 +73,9 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
     ranks lie in [0, T), model ranks in [T, 2T), and every log move ranks
     2T: two log moves tie on position only when they leave the same one.
     Returns (cost, moves, settled).  With a `ceiling`, a weight on the
-    table's scale, the search ends at its first pop of a higher cost (cost
-    plus h when `h` is given): the final state is then Unreachable within
-    the ceiling.
+    table's scale, the search ends once every cost left on its frontier
+    (cost plus h when `h` is given) is higher: the final state is then
+    Unreachable within the ceiling.
 
     With `h`, a lower bound on the cost from a state to the goal, the search
     is A* (Hart, Nilsson and Raphael, *A formal basis for the heuristic
@@ -121,34 +128,43 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
     subgraph, so a state it settles below the optimum's cost the full
     search settles too.
 
-    Heap entries are (((cost + h) * (n + 1) + n - pos) * radix + rank,
-    counter, pos, marking number, cost), n = len(trace), radix = 2T + 1 >
-    every rank, h 0 without `h`; `best` keys a state by marking number * (n
-    + 1) + pos; a pop whose cost is not best is stale.  Each settled state reads its marking's one row
-    in one pass, for its sync moves and its model moves alike, so the search
-    adds at most one row per state it settles, and numbers only the markings
-    of the states it reaches.  A forced row is read as its one entry, with a
-    letter that no label equals, and yields no log move.
+    The frontier is kept in layers of f = cost + h, h 0 without `h`, a
+    bucket queue (Dial, *Algorithm 360: Shortest-path forest with
+    topological ordering*, 1969): a heap holds the current layer F, each
+    layer above it is a list in push order, and a heap of their keys,
+    `costs`, names the next F once the heap runs dry; its list is then
+    heapified, and the ceiling is checked there, once per layer.  No entry
+    lands below F: F is the f of the state expanding, and f never falls
+    along a move, as h is consistent (without `h`, weights are
+    non-negative).  A layer's entries share f, so an entry is (offset,
+    counter, pos, marking number, cost), offset = (n - pos) * radix + rank,
+    n = len(trace), radix = 2T + 1 > every rank, and pops come in the order
+    above.  `best` keys a state by marking number * (n + 1) + pos; a pop
+    whose cost is not best is stale.  Each settled state reads its marking's
+    one row in one pass, for its sync moves and its model moves alike, so
+    the search adds at most one row per state it settles, and numbers only
+    the markings of the states it reaches.  A forced row is read as its one
+    entry, with a letter that no label equals, and yields no log move.
 
-    An expansion keeps its first new entry back as `pending` instead of
-    pushing it, and the next pop is `heappushpop(heap, pending)`.  The heap
-    and `pending` hold the entries that pushing would have put on the heap,
-    and (priority, counter) is unique, so every pop is the same.  When the
-    pending entry is the least, mostly a zero-cost sync or silent move that
-    reads on along the trace, the call returns it without touching the
-    heap, so such a settled state costs one heap call instead of a push and
-    a pop.  The pass pushes each row entry's sync move and then its model
-    move, and the log move after the row, not in the order in which a state
-    yields its moves, and that changes no pop: the entries of one expansion
-    have pairwise distinct priorities (sync moves land at pos + 1 and model
-    moves at pos, each with its own transition's rank, and the log move
-    ranks 2T, and a priority splits uniquely into (cost + h, pos, rank),
-    since (n - pos) * radix + rank < (n + 1) * radix), so their counters
-    never decide a tie, and counters still rise from one expansion to the
-    next.  Nor does it change which move `best` keeps: only moves of one
-    kind, or a sync move and the log move, reach the same state (a
-    self-loop sync reaches the log move's), and those keep their order, the
-    log move after every sync move.
+    An expansion keeps its first new entry in layer F back as `pending`
+    instead of pushing it, and the next pop is `heappushpop(heap, pending)`.
+    The heap and `pending` hold the entries that pushing would have put on
+    the heap, and (offset, counter) is unique, so every pop is the same.
+    When the pending entry is the least, mostly a zero-cost sync or silent
+    move that reads on along the trace, the call returns it without touching
+    the heap, so such a settled state costs one heap call instead of a push
+    and a pop.  The pass pushes each row entry's sync move and then its
+    model move, and the log move after the row, not in the order in which a
+    state yields its moves, and that changes no pop: the entries of one
+    expansion have pairwise distinct offsets, even in different layers (sync
+    moves land at pos + 1 and model moves at pos, each with its own
+    transition's rank, and the log move ranks 2T, and an offset splits
+    uniquely into (pos, rank), since rank < radix), so their counters never
+    decide a tie, and counters still rise from one expansion to the next.
+    Nor does it change which move `best` keeps: only moves of one kind, or a
+    sync move and the log move, reach the same state (a self-loop sync
+    reaches the log move's), and those keep their order, the log move after
+    every sync move.
     """
     expand, rows, labels, must = plan.row, plan.rows, plan.labels, plan.must
     start, final = plan.ends
@@ -156,7 +172,6 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
     n = len(trace)
     width = n + 1
     radix = 2 * len(model) + 1       # above every rank
-    span = radix * width             # one unit of cost
     # What the search reads at each position: the letter, its log move's
     # entry, and the priority offset of a state there; past the last letter
     # a sentinel letter that no label equals, with no log move.
@@ -172,21 +187,27 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
         hs = [*zip(near, lmask), (0, 0)]
         h_start = near[0] if amask[start] & lmask[0] else near[0] + unit
     goal = final * width + n
-    limit = None if ceiling is None else (ceiling + 1) * span
     best = {start * width: (0, None, None)}   # state -> (cost, parent state, move)
+    # The frontier by layers of cost + h (see above): the heap of the current
+    # one, F, and the lists above it, whose keys `costs` holds.
     heap: list = []
-    pending = (h_start * span + n * radix, 0, 0, start, 0)   # the entry not yet pushed
+    layers = {h_start: [(n * radix, 0, 0, start, 0)]}
+    costs = [h_start]
+    F = pending = None    # the current layer; the entry not yet pushed
     counter = 1
     settled = 0
     while True:
         if pending is not None:
-            priority, _, pos, m, cost = heappushpop(heap, pending)
+            _, _, pos, m, cost = heappushpop(heap, pending)
             pending = None
         elif heap:
-            priority, _, pos, m, cost = heappop(heap)
+            _, _, pos, m, cost = heappop(heap)
+        elif costs and (ceiling is None or costs[0] <= ceiling):
+            F = heappop(costs)
+            heap = layers.pop(F)
+            heapify(heap)
+            continue
         else:
-            break
-        if limit is not None and priority >= limit:
             break
         state = m * width + pos
         if best[state][0] != cost:
@@ -225,9 +246,11 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
                     f = nc
                     if h is not None:
                         f += near_next if amask[s] & l_next else near_next + unit
-                    entry = (f * span + later + rank, counter, pos + 1, s, nc)
+                    entry = (later + rank, counter, pos + 1, s, nc)
                     counter += 1
-                    if pending is None:
+                    if f != F:
+                        (layers.get(f) or _layer(layers, costs, f)).append(entry)
+                    elif pending is None:
                         pending = entry
                     else:
                         heappush(heap, entry)
@@ -240,9 +263,11 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
                 f = nc
                 if h is not None:
                     f += near_here if amask[s] & l_here else near_here + unit
-                entry = (f * span + here + rank, counter, pos, s, nc)
+                entry = (here + rank, counter, pos, s, nc)
                 counter += 1
-                if pending is None:
+                if f != F:
+                    (layers.get(f) or _layer(layers, costs, f)).append(entry)
+                elif pending is None:
                     pending = entry
                 else:
                     heappush(heap, entry)
@@ -254,9 +279,11 @@ def dijkstra_least_cost(plan: _Plan, trace: Sequence[str], table: _MoveTable,
                 f = nc
                 if h is not None:
                     f += near_next if amask[m] & l_next else near_next + unit
-                entry = (f * span + later + log_rank, counter, pos + 1, m, nc)
+                entry = (later + log_rank, counter, pos + 1, m, nc)
                 counter += 1
-                if pending is None:
+                if f != F:
+                    (layers.get(f) or _layer(layers, costs, f)).append(entry)
+                elif pending is None:
                     pending = entry
                 else:
                     heappush(heap, entry)

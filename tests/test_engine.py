@@ -410,15 +410,18 @@ def _search_outcome(f, *args):
         return (Unreachable,)
 
 
-def test_search_follows_its_documented_order():
+def order_campaign(seed, suite_seed, suite_size, trees, ssystems):
     """`dijkstra_least_cost` returns the reference's cost, moves and settled
     count exactly, and raises where it raises: under the standard costs and
     seeded caller costs, with the must cut on and off, with no ceiling and
-    at ceilings of cost 0 and 1, on `make_suite(29, 300)` and random trees;
-    and on every fifth case at small budgets."""
-    rng = random.Random(35)
-    cases = make_suite(29, 300)
-    cases += [(tree_to_wfnet(random_tree(rng, 3)), random_trace(rng)) for _ in range(40)]
+    at ceilings of cost 0 and 1, on `make_suite(suite_seed, suite_size)` and
+    `trees` random trees; and, with its bound, on the S-system pins and
+    random single-token S-systems, `ssystems` cases in all; on every fifth
+    case also at small budgets.  Returns the outcome `Counter`s of the two
+    parts: (outcome, whether the cut was on) and outcome."""
+    rng = random.Random(seed)
+    cases = make_suite(suite_seed, suite_size)
+    cases += [(tree_to_wfnet(random_tree(rng, 3)), random_trace(rng)) for _ in range(trees)]
     outcomes = collections.Counter()
     for k, (system, trace) in enumerate(cases):
         net = system.net
@@ -440,12 +443,11 @@ def test_search_follows_its_documented_order():
                     {net.transitions[t] for t in must}, budget,
                     None if ceiling is None else Fraction(ceiling, scale))
                 outcomes[got[0] if len(got) < 3 else "aligned", bool(must)] += 1
-    assert len(outcomes) == 6 and min(outcomes.values()) > 10
     # The S-system route's order, g + h first: on the S-system pins and on
     # random single-token S-systems with sink and silent transitions, whose
     # traces hold a letter, d, that no transition carries.
     cases = [(make(), trace) for make, trace, _ in SSYSTEM_PINNED]
-    while len(cases) < 45:
+    while len(cases) < ssystems:
         system = random_guarded_ssystem(rng)
         if system is not None:
             cases.append((system, random_trace(rng, max_len=6, alphabet=(*LABEL_POOL, "d"))))
@@ -474,6 +476,15 @@ def test_search_follows_its_documented_order():
                     _reference_search, system, trace, costs,
                     {system.net.transitions[t] for t in searched.must}, budget, None, h)
                 guided[got[0] if len(got) < 3 else "aligned"] += 1
+    return outcomes, guided
+
+
+def test_search_follows_its_documented_order():
+    """The order campaign on its tier-1 seeds and sizes reaches every
+    outcome, with the cut on and off, and the guided search both aligns and
+    runs out of budget."""
+    outcomes, guided = order_campaign(35, 29, 300, 40, 45)
+    assert len(outcomes) == 6 and min(outcomes.values()) > 10
     assert guided[BudgetExceeded] > 5 and guided["aligned"] > 100
 
 
