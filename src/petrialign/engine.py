@@ -18,8 +18,8 @@ from heapq import heapify, heappop, heappush, heappushpop
 from typing import Mapping, Sequence
 
 from .classify import behavioral_class, structural_class
-from .costs import (SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT, CostFunction,
-                    Move, standard_costs)
+from .costs import (LOG_DEFAULT, SILENT_MODEL_DEFAULT, SYNC_DEFAULT, VISIBLE_MODEL_DEFAULT,
+                    CostFunction, Move, standard_costs)
 from .errors import (BudgetExceeded, CapExhausted, NotEasySound, UnknownTransition,
                      Unreachable)
 from .petri import (DEFAULT_STATE_BUDGET, AcceptingSystem, Marking, PetriNet, _closure,
@@ -331,20 +331,21 @@ class _MoveTable:
     admits no other), so its entry depends on the transition alone.  Every
     price is the cost function's exact `Fraction` times `scale`, the lcm of
     the denominators of its overrides (1 under the standard costs), so every
-    weight is a non-negative int.  One loop prices the transitions: it reads
-    the function's override of each move, or else the standard cost of
-    `costs.py` that `CostFunction` falls back to, whose weights it computes
-    once; so the standard costs and the caller's are priced alike (the
-    standard costs override nothing, so their loop reads no dict).  Each
-    entry holds its `Move`, so a search returns its path as it walks it
-    back.  The loop makes each move through `Move._trusted`, without the
-    dataclass check, since every entry pairs a transition with its own
-    label.
+    weight is a non-negative int.  `c` None stands for the standard costs,
+    priced with no `CostFunction` made.  One loop prices the transitions,
+    and `log` the letters: each reads the function's override of a move, or
+    else the standard cost of `costs.py` that `CostFunction` falls back to;
+    so the standard costs and the caller's are priced alike (the standard
+    costs override nothing, so their loop reads no dict).  Each entry holds
+    its `Move`, so a search returns its path as it walks it back.  The loop
+    makes each move through `Move._trusted`, without the dataclass check,
+    since every entry pairs a transition with its own label.
     """
 
-    def __init__(self, graph: _MarkingGraph, c: CostFunction):
-        self.c = c
-        sync_costs, log_costs, model_costs = c.sync_overrides, c.log_overrides, c.model_overrides
+    def __init__(self, graph: _MarkingGraph, c: CostFunction | None):
+        sync_costs, log_costs, model_costs = (
+            ({}, {}, {}) if c is None else (c.sync_overrides, c.log_overrides, c.model_overrides))
+        self._log_costs = log_costs
         scale = 1
         if sync_costs or log_costs or model_costs:
             scale = math.lcm(*(v.denominator for table in (sync_costs, log_costs, model_costs)
@@ -386,8 +387,8 @@ class _MoveTable:
         if entry is None:
             if not is_token(a):
                 raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
-            entry = self._logs[a] = (_weight(self.c.log(a), self.scale), 2 * len(self.model),
-                                     Move._trusted(a, None))
+            w = _weight(self._log_costs.get(a, LOG_DEFAULT), self.scale)
+            entry = self._logs[a] = (w, 2 * len(self.model), Move._trusted(a, None))
         return entry
 
 
@@ -403,9 +404,10 @@ class _Plan(_MarkingGraph):
     is, the numbers of the system's ends on it, the silent transitions that
     must fire, membership's subset automaton, the standard-cost results
     found so far and, made on first use, the move table of the standard
-    costs.  A plan is reached only from the thread that made it (see
-    `_plan`), and an over-budget plan is replaced whole.  A call with the
-    caller's costs prices them in a table of its own.
+    costs, which `_MoveTable` prices with no `CostFunction`.  A plan is
+    reached only from the thread that made it (see `_plan`), and an
+    over-budget plan is replaced whole.  A call with the caller's costs
+    prices them in a table of its own.
 
     `results` maps (trace, route, state budget) to the `AlignResult` that
     `align_by_search` returned for it under the standard costs: a repeated
@@ -515,7 +517,7 @@ class _Plan(_MarkingGraph):
 
     @cached_property
     def standard_moves(self) -> _MoveTable:
-        return _MoveTable(self, standard_costs(self.sys))
+        return _MoveTable(self, None)
 
     @cached_property
     def transition_masks(self) -> tuple[list[int], dict[str, tuple[int, tuple]]]:

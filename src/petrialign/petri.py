@@ -70,14 +70,6 @@ class Marking:
         self._counts = cleaned
         self._sorted = self._hash = None
 
-    @classmethod
-    def _trusted(cls, counts: dict[str, int]) -> "Marking":
-        """Adopt `counts`, which must map places to positive ints only."""
-        m = cls.__new__(cls)
-        m._counts = counts
-        m._sorted = m._hash = None
-        return m
-
     def _items(self) -> tuple[tuple[str, int], ...]:
         """The (place, count) pairs in place order, made on first use."""
         items = self._sorted
@@ -356,16 +348,20 @@ def fire(net: PetriNet, marking: Marking, t: str) -> Marking:
     for p in net._pre[t]:
         if p not in counts:
             raise NotEnabled(t, p)
-    counts = dict(counts)
+    counts = counts.copy()
     for p in net._consume[t]:
-        n = counts[p] - 1
-        if n:
-            counts[p] = n
-        else:
+        n = counts[p]
+        if n == 1:
             del counts[p]
+        else:
+            counts[p] = n - 1
     for p in net._produce[t]:
         counts[p] = counts.get(p, 0) + 1
-    return Marking._trusted(counts)
+    # Every count stays positive, so the successor adopts the dict unchecked.
+    m = Marking.__new__(Marking)
+    m._counts = counts
+    m._sorted = m._hash = None
+    return m
 
 
 class _NetView:

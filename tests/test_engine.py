@@ -1601,13 +1601,17 @@ def _assert_tables_price_as(costs):
     """Each entry's weight is its move's exact cost, under the cost function
     `costs(rng, system)`, times the table's scale, and its rank the move's
     tie-break key; the alignments the tables give replay at the cost
-    returned."""
+    returned.  When `costs` gives None, the table is the plan's own
+    standard one, which no `CostFunction` prices, and the expected costs
+    are `standard_costs(system)`."""
     rng = random.Random(73)
     aligned = 0
     for system, trace in make_suite(31, 40):
         net = system.net
-        c = costs(rng, system)
-        table = engine._MoveTable(engine._Plan(system), c)
+        given = costs(rng, system)
+        plan = engine._Plan(system)
+        table = plan.standard_moves if given is None else engine._MoveTable(plan, given)
+        c = standard_costs(system) if given is None else given
         order = sorted(net.transitions)
         t_count = len(order)
         entries = []
@@ -1625,7 +1629,7 @@ def _assert_tables_price_as(costs):
             assert type(w) is int and w == c.move_cost(expected) * table.scale
             assert rank == expected_rank
         for f in (dispatch_align, optimal_alignment):
-            result = _outcome(f, trace, system, c)
+            result = _outcome(f, trace, system, given)
             if not isinstance(result, type):
                 assert validate_alignment(result.alignment, trace, system, c) == result.cost
                 aligned += 1
@@ -1637,11 +1641,13 @@ def test_move_table_prices_each_move_as_the_cost_function():
 
 
 @pytest.mark.parametrize("costs", [_restated_defaults,
-                                   lambda rng, system: standard_costs(system)],
-                         ids=["restated_defaults", "standard"])
+                                   lambda rng, system: standard_costs(system),
+                                   lambda rng, system: None],
+                         ids=["restated_defaults", "standard", "plan_standard_moves"])
 def test_move_table_prices_unlisted_moves_at_the_standard_costs(costs):
-    """The standard costs, and overrides that restate them, check the
-    table's default weight of each move, entry by entry."""
+    """The standard costs, overrides that restate them, and the plan's own
+    standard table, made with no cost function, check the table's default
+    weight of each move, entry by entry."""
     _assert_tables_price_as(costs)
 
 

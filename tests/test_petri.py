@@ -81,7 +81,8 @@ def _fire_by_definition(net, marking, t):
 def test_firing_rule_matches_its_definition():
     """On random nets and markings (tokens off the net included), enabledness
     and firing agree with the definitions, down to the key order, the hash
-    and the place NotEnabled names."""
+    and the place NotEnabled names; firing leaves its input marking as it
+    was, and the result shares no counts with it."""
     rng = random.Random(42)
     nets = 0
     while nets < 300:
@@ -95,6 +96,7 @@ def test_firing_rule_matches_its_definition():
                                for p in net.places + ("elsewhere",)})
             assert enabled_transitions(net, marking) == \
                 [t for t in net.transitions if all(marking[p] > 0 for p in net.preset(t))]
+            before = Marking(marking.counts)
             for t in net.transitions:
                 try:
                     expected = _fire_by_definition(net, marking, t)
@@ -109,6 +111,9 @@ def test_firing_rule_matches_its_definition():
                 assert list(after.items()) == list(expected.items())
                 assert after.support() == expected.support()
                 assert repr(after) == repr(expected)
+                assert marking == before and hash(marking) == hash(before)
+                assert list(marking.items()) == list(before.items())
+                assert after._counts is not marking._counts
         with pytest.raises(UnknownTransition):
             fire(net, marking, "elsewhere")
 
