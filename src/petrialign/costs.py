@@ -37,7 +37,7 @@ class Move:
     def _trusted(cls, log_part: str | None, model_part: str | None) -> "Move":
         """The move of these parts, which the caller knows make a legal
         move, made without the check in about half the dataclass
-        constructor's time, for tables that make a move per transition."""
+        constructor's time, for the moves that the move tables share."""
         move = cls.__new__(cls)
         fields = move.__dict__
         fields["log_part"] = log_part

@@ -13,7 +13,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush, heappushpop
 from typing import Mapping, Sequence
 
@@ -32,6 +32,20 @@ class AlignResult:
     cost: Fraction
     algorithm: str
     states_expanded: int
+
+    @classmethod
+    def _trusted(cls, alignment: tuple[Move, ...], cost: Fraction, algorithm: str,
+                 states_expanded: int) -> "AlignResult":
+        """The result of these fields, made without the dataclass
+        constructor, as `Move._trusted` makes a move, for the search's
+        results."""
+        result = cls.__new__(cls)
+        fields = result.__dict__
+        fields["alignment"] = alignment
+        fields["cost"] = cost
+        fields["algorithm"] = algorithm
+        fields["states_expanded"] = states_expanded
+        return result
 
 
 @dataclass(frozen=True)
@@ -337,9 +351,10 @@ class _MoveTable:
     else the standard cost of `costs.py` that `CostFunction` falls back to;
     so the standard costs and the caller's are priced alike (the standard
     costs override nothing, so their loop reads no dict).  Each entry holds
-    its `Move`, so a search returns its path as it walks it back.  The loop
-    makes each move through `Move._trusted`, without the dataclass check,
-    since every entry pairs a transition with its own label.
+    its `Move`, so a search returns its path as it walks it back.  Every
+    table, standard or the caller's, takes its moves from `_moves`, shared
+    across models: a model whose transition ids and labels an earlier one
+    declared makes no move while the dict still holds them.
     """
 
     def __init__(self, graph: _MarkingGraph, c: CostFunction | None):
@@ -356,7 +371,7 @@ class _MoveTable:
         silent_w = _weight(SILENT_MODEL_DEFAULT, scale)
         view = graph.view
         t_count = len(view.labels)
-        trusted = Move._trusted
+        shared = _moves.get
         self.sync: list[tuple[int, int, Move] | None] = []
         self.model: list[tuple[int, int, Move]] = []
         sync, model = self.sync.append, self.model.append
@@ -366,13 +381,14 @@ class _MoveTable:
                 w = silent_w
             else:
                 v = sync_costs.get((a, t)) if sync_costs else None
-                sync((sync_w if v is None else _weight(v, scale), rank, trusted(a, t)))
+                sync((sync_w if v is None else _weight(v, scale), rank,
+                      shared((a, t)) or _new_move(a, t)))
                 w = visible_w
             if model_costs:
                 v = model_costs.get(t)
                 if v is not None:
                     w = _weight(v, scale)
-            model((w, t_count + rank, trusted(None, t)))
+            model((w, t_count + rank, shared((None, t)) or _new_move(None, t)))
         self._logs: dict[str, tuple[int, int, Move]] = {}
 
     @cached_property
@@ -388,8 +404,26 @@ class _MoveTable:
             if not is_token(a):
                 raise ValueError(f"trace letter must match [A-Za-z0-9_]+: {a!r}")
             w = _weight(self._log_costs.get(a, LOG_DEFAULT), self.scale)
-            entry = self._logs[a] = (w, 2 * len(self.model), Move._trusted(a, None))
+            entry = self._logs[a] = (w, 2 * len(self.model),
+                                     _moves.get((a, None)) or _new_move(a, None))
         return entry
+
+
+# The moves of every move table by (log part, model part), made on first use
+# with `Move._trusted`, since a table pairs a transition with its own label
+# only.  A move is frozen and compares by value, so sharing one changes no
+# result, and two threads that race on a miss make two equal moves.  The
+# dict is emptied once it holds more than `_MOVES_MAX` moves.
+_MOVES_MAX = 4096
+_moves: dict[tuple[str | None, str | None], Move] = {}
+
+
+def _new_move(log_part: str | None, model_part: str | None) -> Move:
+    """The move of these parts, made and shared on a miss of `_moves`."""
+    if len(_moves) > _MOVES_MAX:
+        _moves.clear()
+    move = _moves[log_part, model_part] = Move._trusted(log_part, model_part)
+    return move
 
 
 def _weight(v: Fraction, scale: int) -> int:
@@ -404,7 +438,8 @@ class _Plan(_MarkingGraph):
     is, the numbers of the system's ends on it, the silent transitions that
     must fire, membership's subset automaton, the standard-cost results
     found so far and, made on first use, the move table of the standard
-    costs, which `_MoveTable` prices with no `CostFunction`.  A plan is
+    costs, which `_MoveTable` prices with no `CostFunction` and fills with
+    the moves that every table shares.  A plan is
     reached only from the thread that made it (see `_plan`), and an
     over-budget plan is replaced whole.  A call with the caller's costs
     prices them in a table of its own.
@@ -427,7 +462,9 @@ class _Plan(_MarkingGraph):
     of the system's initial and final markings, where the searches start
     and end, and `must` the indices of the transitions of `_NetView.forced`
     with no input place that the final marking marks: each fires on every
-    path to the final marking from a marking that enables it.
+    path to the final marking from a marking that enables it.  The plan
+    reads the final marking's place indices into one set and keeps each
+    forced transition whose input indices lie outside it; no key is read.
 
     Membership reads the graph through a subset automaton (Rabin and Scott,
     *Finite automata and their decision problems*, 1959), built on demand
@@ -455,8 +492,9 @@ class _Plan(_MarkingGraph):
         super().__init__(sys.net)
         self.sys = sys
         self.ends = (self.number(sys.initial), self.number(sys.final))
-        self.must = frozenset([k for k, pre in self.view.forced
-                               if not any(sys.net.places[p] in sys.final for p in pre)])
+        bits = self.view.bits
+        final = {bits[p].bit_length() - 1 for p in sys.final.support()}
+        self.must = frozenset([k for k, pre in self.view.forced if final.isdisjoint(pre)])
         self._state_numbers: dict[frozenset[int], int] = {}
         self.states: list[frozenset[int]] = []
         self.sizes: list[int] = []
@@ -598,6 +636,9 @@ class _Plan(_MarkingGraph):
         return amask, near, lmask, unit
 
 
+# The standard costs are integers: each result of one cost shares a Fraction.
+_standard_cost = lru_cache(maxsize=256)(Fraction)
+
 _memo = threading.local()   # `plan`: this thread's last plan
 
 
@@ -639,6 +680,9 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
     which surfaces as NotEasySound.  Under the standard costs (`c` None) a
     trace already aligned on the system object under the same algorithm and
     budget gets the plan's stored result (see `_Plan`), with no search.
+    Results are made as `Move`s are, without the dataclass constructor, and
+    a standard-cost result's cost is the `Fraction` that `_standard_cost`
+    shares per integer.
     """
     plan = _plan(sys, state_budget)
     trace = tuple(trace)
@@ -655,13 +699,12 @@ def align_by_search(trace: Sequence[str], sys: AcceptingSystem, c: CostFunction 
         cost, seq, settled = dijkstra_least_cost(plan, trace, table, state_budget, None, bound)
     except Unreachable as exc:
         raise NotEasySound("final marking unreachable; the model accepts no trace") from exc
-    scale = table.scale
-    result = AlignResult(seq, Fraction(cost) if scale == 1 else Fraction(cost, scale),
-                         algorithm, settled)
     if c is None:
+        result = AlignResult._trusted(seq, _standard_cost(cost), algorithm, settled)
         plan.results[key] = result
-        plan.results_size += len(result.alignment) + 1
-    return result
+        plan.results_size += len(seq) + 1
+        return result
+    return AlignResult._trusted(seq, Fraction(cost, table.scale), algorithm, settled)
 
 
 def optimal_alignment(trace: Sequence[str], sys: AcceptingSystem,

@@ -470,9 +470,11 @@ class _MarkingGraph:
 
     Only a key not yet numbered fires through `fire`, which makes the
     successor's `Marking`: a marking gets one `Marking` however many arcs
-    lead to it, and a marking made here is never hashed or sorted.  Only
-    methods of this class read a key: callers find a `Marking`'s number by
-    `number` and read the `Marking`s."""
+    lead to it, and a marking made here is never hashed or sorted.  A row
+    numbers each new successor in place, writing its number, `Marking` and
+    key as `number` does, with no call per marking.  Only methods of this
+    class read a key: callers find a `Marking`'s number by `number` and
+    read the `Marking`s."""
 
     # Slots keep the reads of `row` fast on a plan (`engine._Plan`) too,
     # whose own attributes live in a dict that its cached properties write.
@@ -513,18 +515,14 @@ class _MarkingGraph:
 
         self._tables = entries(self.view.unguarded), tuple(map(entries, self.view.first))
 
-    def _add(self, m: Marking, key: int | tuple) -> int:
-        i = self._by_key[key] = len(self.markings)
-        self.markings.append(m)
-        self._keys.append(key)
-        return i
-
     def number(self, m: Marking) -> int:
         """The number of the marking, numbering it when it has none."""
         key = self._key(m)
         i = self._by_key.get(key)
         if i is None:
-            i = self._add(m, key)
+            i = self._by_key[key] = len(self.markings)
+            self.markings.append(m)
+            self._keys.append(key)
         return i
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
@@ -551,7 +549,7 @@ class _MarkingGraph:
             candidates += first[low.bit_length() - 1]
             marked ^= low
         candidates.sort()
-        by_key = self._by_key
+        by_key, markings, keys = self._by_key, self.markings, self._keys
         out = []
         for k, rest, consume, produce in candidates:
             if key & rest == rest:
@@ -562,8 +560,9 @@ class _MarkingGraph:
                 s |= produce
                 j = by_key.get(s)
                 if j is None:
-                    j = self._add(fire(self.net, self.markings[i],
-                                       self.net.transitions[k]), s)
+                    j = by_key[s] = len(markings)
+                    markings.append(fire(self.net, markings[i], self.net.transitions[k]))
+                    keys.append(s)
                 out.append((k, j))
         return tuple(out)
 
@@ -573,7 +572,7 @@ class _MarkingGraph:
         unguarded, first = self._tables
         candidates = [*unguarded, *chain.from_iterable(compress(first, key))]
         candidates.sort()
-        by_key = self._by_key
+        by_key, markings, keys = self._by_key, self.markings, self._keys
         out = []
         for k, rest, consume, produce in candidates:
             for p in rest:
@@ -588,8 +587,9 @@ class _MarkingGraph:
                 counts = tuple(counts)
                 s = by_key.get(counts)
                 if s is None:
-                    s = self._add(fire(self.net, self.markings[i],
-                                       self.net.transitions[k]), counts)
+                    s = by_key[counts] = len(markings)
+                    markings.append(fire(self.net, markings[i], self.net.transitions[k]))
+                    keys.append(counts)
                 out.append((k, s))
         return tuple(out)
 

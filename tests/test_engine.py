@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -1649,6 +1650,98 @@ def test_move_table_prices_unlisted_moves_at_the_standard_costs(costs):
     standard table, made with no cost function, check the table's default
     weight of each move, entry by entry."""
     _assert_tables_price_as(costs)
+
+
+def _table_moves(table, net, letters):
+    """The moves of a table by (log part, model part): each transition's sync
+    and model moves, and the log moves of `letters`."""
+    moves = {}
+    for k, t in enumerate(net.transitions):
+        if table.sync[k] is not None:
+            move = table.sync[k][2]
+            moves[move.log_part, t] = move
+        moves[None, t] = table.model[k][2]
+    for a in letters:
+        moves[a, None] = table.log(a)[2]
+    return moves
+
+
+SHARED_TREES = ("seq(a, par(b, c), xor(d, tau))", "seq(a, xor(b, c), loop(d, e))")
+
+
+def test_move_tables_share_their_moves_across_models(monkeypatch):
+    """Two tree nets declare the same transition ids: their standard tables
+    and caller-cost tables hold one `Move` object per (log part, model part),
+    log moves included, each equal to and hashing like the constructor's."""
+    monkeypatch.setattr(engine, "_moves", {})
+    letters = ("a", "b", "c", "d", "e", "z")
+    seen, owners = {}, collections.Counter()
+    for text in SHARED_TREES:
+        system = tree_to_wfnet(parse_tree(text))
+        plan = engine._Plan(system)
+        keys = set()
+        for table in (plan.standard_moves, engine._MoveTable(plan, _fraction_costs(system))):
+            for key, move in _table_moves(table, system.net, letters).items():
+                assert move is seen.setdefault(key, move)
+                expected = Move(*key)
+                assert move == expected and hash(move) == hash(expected)
+                keys.add(key)
+        owners.update(keys)
+    # Both nets hold a's sync move on t4, the model moves of t4, t5, t6 and
+    # t12, and every log move.
+    assert {key for key, n in owners.items() if n == 2} == {
+        ("a", "t4"), (None, "t4"), (None, "t5"), (None, "t6"), (None, "t12"),
+        *((a, None) for a in letters)}
+    assert engine._moves == seen
+
+
+def test_a_full_move_dict_is_emptied_and_changes_no_result(monkeypatch):
+    """With room for 8 moves, a net of more transitions empties the shared
+    dict, and every table still holds moves equal to the constructor's and
+    gives the alignments that the tables of fresh systems gave with the
+    dict's own bound."""
+    rng = random.Random(131)
+    systems = [tree_to_wfnet(parse_tree(text)) for text in SHARED_TREES]
+    systems.append(tree_to_wfnet(parse_tree("seq(a, b, par(c, d, a), xor(b, e, tau), "
+                                            "loop(d, e))")))
+    traces = [[_noisy_run(rng, system, 10) for _ in range(4)] for system in systems]
+
+    def align(systems):
+        return [_outcome(f, trace, system, costs) for system, ts in zip(systems, traces)
+                for trace in ts for f in (dispatch_align, optimal_alignment)
+                for costs in (None, _fraction_costs(system))]
+
+    expected = align([_fresh(s) for s in systems])
+    monkeypatch.setattr(engine, "_MOVES_MAX", 8)
+    monkeypatch.setattr(engine, "_moves", {})
+    assert len(systems[-1].net.transitions) > 8
+    for system in systems:
+        plan = engine._Plan(system)
+        for table in (plan.standard_moves, engine._MoveTable(plan, _fraction_costs(system))):
+            for key, move in _table_moves(table, system.net, ("a", "z")).items():
+                assert move == Move(*key) and hash(move) == hash(Move(*key))
+            assert len(engine._moves) <= 9
+    assert align(systems) == expected
+
+
+def test_search_results_are_made_as_the_constructor_makes_them(ex1):
+    """A result of `align_by_search` equals, hashes and prints like the one
+    that `AlignResult` makes of its fields, refuses every assignment, and
+    carries a `Fraction` cost under the standard costs and under a caller's
+    cost function with weights that are not integers."""
+    fractions = 0
+    for costs in (None, _fraction_costs(ex1)):
+        for trace in [(), ("a", "b"), ("a", "b", "a", "a"), ("b", "z", "a")]:
+            result = engine.align_by_search(trace, ex1, costs, DEFAULT_STATE_BUDGET, "generic")
+            made = engine.AlignResult(*(getattr(result, f.name)
+                                        for f in dataclasses.fields(engine.AlignResult)))
+            assert result == made and hash(result) == hash(made) and repr(result) == repr(made)
+            assert type(result.cost) is Fraction
+            fractions += result.cost.denominator > 1
+            for f in dataclasses.fields(engine.AlignResult):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(result, f.name, getattr(result, f.name))
+    assert fractions >= 2
 
 
 def test_a_replaced_graph_numbers_the_ends_of_the_search_again():

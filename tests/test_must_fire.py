@@ -80,6 +80,31 @@ def test_a_final_marking_on_an_input_place_keeps_the_other_moves():
     assert min_cost_reach(net, initial, {"t_tau": 3}, Marking.of("o", "x"))[0] == 3
 
 
+# t_a and then t_b each put a token on p, which the silent t_tau alone reads;
+# t_a also puts one on q, which the silent t_s alone reads.
+DOUBLE = [("i", "t_a"), ("t_a", "p"), ("t_a", "y"), ("t_a", "q"), ("y", "t_b"),
+          ("t_b", "p"), ("p", "t_tau"), ("t_tau", "o"), ("q", "t_s"), ("t_s", "r")]
+
+
+def test_a_final_marking_with_two_tokens_on_an_input_place_keeps_it_unforced():
+    """A final marking of 2 tokens on p, which the graph keys by token
+    counts, leaves t_tau out of `must`, and `must` is its definition: the
+    forced transitions none of whose input places the final marking
+    marks."""
+    net = _net(DOUBLE, visible=("t_a", "t_b"))
+    view = _NetView(net)
+    assert _forced(net) == {"t_tau", "t_s"}
+    for final in (Marking([("p", 2), ("r", 1)]), Marking([("o", 2), ("r", 1)]),
+                  Marking([("p", 2), ("q", 1)])):
+        system = AcceptingSystem(net, Marking.of("i"), final)
+        plan = _Plan(system)
+        assert plan.must == {k for k, pre in view.forced
+                             if not any(net.places[p] in final for p in pre)}
+        assert dispatch_align(("a", "b"), system).cost == 0
+    kept = _Plan(AcceptingSystem(net, Marking.of("i"), Marking([("p", 2), ("r", 1)])))
+    assert kept.must == {net.transitions.index("t_s")}
+
+
 def test_the_cut_keeps_the_optimum_and_settles_fewer_states():
     """On tree nets, the search with the cut and the search without it
     (`must` empty) find equal costs, and the cut settles fewer states in
